@@ -242,33 +242,56 @@ func sb3q() *litmus.Program {
 	}
 }
 
-// BenchmarkOutcomesParallel compares the serial enumerator (workers-1) with
-// the sharded worker pool on a multi-skeleton litmus program. The workers-N
-// sub-benchmarks divide the same search space, so ns/op ratios are the
-// parallel speedup.
-func BenchmarkOutcomesParallel(b *testing.B) {
-	prog := sb3q()
-	m := x86tso.New()
-	serial := litmus.Outcomes(prog, m)
+// heavyRing is a five-thread Arm-level message-passing ring of casal
+// RMWs from the generator: 2⁷ skeletons with a deep rf tree under each, a
+// search long enough (hundreds of ms) for sharding to pay off — the other
+// side of the sb3q comparison (EXPERIMENTS.md, "Parallel enumeration").
+func heavyRing(b *testing.B) *litmus.Program {
+	const name = "g.mp5.arm.t0g0e3e4.t1g6e4e4.t2g6e4e4.t3g6e4e4.t4g6e0e0"
+	var prog *litmus.Program
+	litmusgen.Stream(litmusgen.Config{Shapes: []string{"mp"}, MinThreads: 5, MaxThreads: 5,
+		Levels: []litmusgen.Level{litmusgen.LevelArm}, MaxPerShape: 200},
+		func(t *litmusgen.Test) bool {
+			if t.Prog.Name == name {
+				prog = t.Prog
+			}
+			return prog == nil
+		})
+	if prog == nil {
+		b.Fatalf("generator no longer emits %s", name)
+	}
+	return prog
+}
 
+// BenchmarkOutcomesParallel compares the serial enumerator (workers-1) with
+// the sharded worker pool on a small multi-skeleton litmus program (sb3q,
+// the workers-N rows) and on a heavy one (heavyRing, the heavy/workers-N
+// rows). The workers-N sub-benchmarks divide the same search space, so
+// ns/op ratios are the parallel speedup.
+func BenchmarkOutcomesParallel(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
 		counts = append(counts, n)
 	}
-	for _, w := range counts {
-		w := w
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := litmus.Enumerate(prog, m, litmus.WithWorkers(w))
-				if err != nil {
-					b.Fatal(err)
+	run := func(prefix string, prog *litmus.Program, m memmodel.Model) {
+		serial := litmus.Outcomes(prog, m)
+		for _, w := range counts {
+			w := w
+			b.Run(fmt.Sprintf("%sworkers-%d", prefix, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					out, err := litmus.Enumerate(prog, m, litmus.WithWorkers(w))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(out) != len(serial) {
+						b.Fatalf("workers=%d: %d outcomes, serial has %d", w, len(out), len(serial))
+					}
 				}
-				if len(out) != len(serial) {
-					b.Fatalf("workers=%d: %d outcomes, serial has %d", w, len(out), len(serial))
-				}
-			}
-		})
+			})
+		}
 	}
+	run("", sb3q(), x86tso.New())
+	run("heavy/", heavyRing(b), armcats.New())
 }
 
 // BenchmarkEnumerateInstrumented puts a number on the observability tax:

@@ -150,17 +150,16 @@ func runFiles(paths []string) {
 	}
 }
 
-// listModels prints the registry: every model with its level, aliases and
-// whether it carries a prepared (allocation-reusing) checker.
+// listModels prints the registry: every model with its level and aliases.
 func listModels() {
-	fmt.Printf("%-22s %-6s %-9s %s\n", "MODEL", "LEVEL", "PREPARED", "ALIASES")
+	fmt.Printf("%-22s %-6s %s\n", "MODEL", "LEVEL", "ALIASES")
 	for _, e := range models.Default().Entries() {
 		kind := ""
 		if e.Variant {
 			kind = " (variant)"
 		}
-		fmt.Printf("%-22s %-6s %-9v %s%s\n",
-			e.Name, e.Level, e.Prepared, strings.Join(e.Aliases, ", "), kind)
+		fmt.Printf("%-22s %-6s %s%s\n",
+			e.Name, e.Level, strings.Join(e.Aliases, ", "), kind)
 	}
 }
 

@@ -162,6 +162,34 @@ func MPAddr() *Program {
 	}
 }
 
+// MPDataRfiAddr is message passing whose reader forwards the flag through
+// a private location: the data dependency into the store of Z, the thread
+// reading its own store back (rfi), and the address dependency into the
+// load of X chain up to order the two outer loads — the (addr ∪ data);rfi
+// term of Armed-Cats' dob and of IMM's depord, the one dependency term
+// whose value varies with rf. The writer carries both dmb ishst and Fww,
+// so the weak outcome is forbidden under either model (each reads its own
+// fence and ignores the other) and allowed by the TCG IR model.
+func MPDataRfiAddr() *Program {
+	return &Program{
+		Name: "MP+data-rfi-addr",
+		Threads: [][]Op{
+			{
+				Store{Loc: "X", Val: 1},
+				Fence{K: memmodel.FenceDMBST},
+				Fence{K: memmodel.FenceFww},
+				Store{Loc: "Y", Val: 1},
+			},
+			{
+				Load{Dst: "a", Loc: "Y"},
+				StoreReg{Loc: "Z", Src: "a"},
+				Load{Dst: "b", Loc: "Z"},
+				LoadIdx{Dst: "c", Idx: "b", Loc0: "X", Loc1: "X"},
+			},
+		},
+	}
+}
+
 // LBAddr is load buffering with (false) address dependencies into the
 // stores on both sides — forbidden on Arm via dob's addr rule, yet allowed
 // by the TCG IR model, which orders nothing through dependencies.

@@ -7,52 +7,6 @@ import (
 	"repro/internal/rel"
 )
 
-// TestPreparedMatchesPlain is the differential test for the prepared-checker
-// fast path: for every corpus program under every model, outcome sets
-// computed through per-skeleton prepared checkers (what Outcomes and the
-// sharded enumerator use) must equal a from-scratch evaluation calling
-// Model.Consistent on every candidate. This pins both the invariant/varying
-// relation split and the checkers' closure-elision acyclicity rewrites.
-func TestPreparedMatchesPlain(t *testing.T) {
-	for _, p := range testCorpus() {
-		for _, m := range testModels() {
-			plain := make(OutcomeSet)
-			EnumerateCandidates(p, func(c *Candidate) bool {
-				if m.Consistent(c.X) {
-					plain[outcomeOf(c)] = true
-				}
-				return true
-			})
-			assertSameOutcomes(t, p.Name, m.Name(), "prepared", plain, Outcomes(p, m))
-		}
-	}
-}
-
-// TestPreparedConsistentPerCandidate sharpens the outcome-set test to a
-// per-candidate verdict comparison: the prepared checker must agree with the
-// plain predicate on every single candidate, consistent or not (outcome sets
-// alone could mask compensating disagreements).
-func TestPreparedConsistentPerCandidate(t *testing.T) {
-	for _, p := range testCorpus() {
-		for _, m := range testModels() {
-			forEachJob(p, func(j *skeletonJob) bool {
-				ck := memmodel.NewChecker(m, j.skel)
-				ok := true
-				j.enumerate(nil, func(c *Candidate) bool {
-					got, want := ck.Consistent(c.X), m.Consistent(c.X)
-					if got != want {
-						t.Errorf("%s under %s: prepared=%v plain=%v for\n%v",
-							p.Name, m.Name(), got, want, c.X)
-						ok = false
-					}
-					return ok
-				})
-				return ok
-			})
-		}
-	}
-}
-
 // TestDepsMatchReplay checks the dependency-hoisting invariant buildDeps
 // relies on: the structural data/addr/ctrl relations computed once per
 // skeleton must equal the relations value replay would have extracted for

@@ -361,7 +361,7 @@ type skeletonJob struct {
 	// once here instead of per candidate.
 	data, addr, ctrl *rel.Relation
 	// skel is the candidate-invariant part shared by every Execution this
-	// job emits; prepared model checkers hoist per-skeleton work off it.
+	// job emits; memmodel.NewChecker hoists per-skeleton work off it.
 	skel *memmodel.Skeleton
 }
 
@@ -938,9 +938,8 @@ func outcomeOf(c *Candidate) Outcome {
 type OutcomeSet map[Outcome]bool
 
 // Outcomes computes the set of outcomes of p admitted by model m. Each
-// skeleton job gets a model checker prepared once (hoisting the
-// candidate-invariant relations) and reused across its whole rf×co
-// product.
+// skeleton job gets one memmodel.Checker (the candidate-invariant
+// relations evaluated once) reused across its whole rf×co product.
 func Outcomes(p *Program, m memmodel.Model) OutcomeSet {
 	out := make(OutcomeSet)
 	forEachJob(p, func(j *skeletonJob) bool {
@@ -951,7 +950,7 @@ func Outcomes(p *Program, m memmodel.Model) OutcomeSet {
 			}
 			return true
 		})
-		memmodel.ReleaseChecker(ck)
+		ck.Release()
 		return cont
 	})
 	return out

@@ -6,21 +6,13 @@ import (
 	"repro/internal/memmodel"
 )
 
-// scAll is a maximally permissive model: every well-formed candidate that
-// satisfies per-location coherence is consistent. Handy for testing the
-// enumerator itself.
-type anyModel struct{}
-
-func (anyModel) Name() string                          { return "any" }
-func (anyModel) Consistent(x *memmodel.Execution) bool { return true }
-
-// coherentModel only requires SC-per-location and atomicity.
-type coherentModel struct{}
-
-func (coherentModel) Name() string { return "coherent" }
-func (coherentModel) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity()
-}
+var (
+	// anyModel is a maximally permissive model: every well-formed candidate
+	// is consistent. Handy for testing the enumerator itself.
+	anyModel = memmodel.Define("any")
+	// coherentModel only requires SC-per-location and atomicity.
+	coherentModel = memmodel.Define("coherent", memmodel.SCPerLoc, memmodel.Atomicity)
+)
 
 func countCandidates(p *Program) int {
 	n := 0
@@ -33,7 +25,7 @@ func TestSingleThreadSingleStore(t *testing.T) {
 	if n := countCandidates(p); n != 1 {
 		t.Fatalf("one store: %d candidates, want 1", n)
 	}
-	out := Outcomes(p, anyModel{})
+	out := Outcomes(p, anyModel)
 	if !out.Contains("X=1") || len(out) != 1 {
 		t.Fatalf("outcomes: %v", out.Sorted())
 	}
@@ -41,7 +33,7 @@ func TestSingleThreadSingleStore(t *testing.T) {
 
 func TestSingleLoadReadsInit(t *testing.T) {
 	p := &Program{Name: "r", Threads: [][]Op{{Load{Dst: "a", Loc: "X"}}}}
-	out := Outcomes(p, anyModel{})
+	out := Outcomes(p, anyModel)
 	if !out.Contains("0:a=0") || len(out) != 1 {
 		t.Fatalf("load from init: %v", out.Sorted())
 	}
@@ -53,7 +45,7 @@ func TestMPEnumeration(t *testing.T) {
 		t.Fatalf("MP candidates = %d, want 4", n)
 	}
 	// Under the anything-goes model all 4 outcomes appear.
-	out := Outcomes(MP(), anyModel{})
+	out := Outcomes(MP(), anyModel)
 	if len(out) != 4 {
 		t.Fatalf("MP outcomes = %d, want 4: %v", len(out), out.Sorted())
 	}
@@ -68,7 +60,7 @@ func TestCoEnumeration(t *testing.T) {
 	if n := countCandidates(p); n != 2 {
 		t.Fatalf("2 writers: %d candidates, want 2", n)
 	}
-	out := Outcomes(p, anyModel{})
+	out := Outcomes(p, anyModel)
 	if !out.Contains("X=1") || !out.Contains("X=2") {
 		t.Fatalf("both final values expected: %v", out.Sorted())
 	}
@@ -82,7 +74,7 @@ func TestIfBothPathsEnumerated(t *testing.T) {
 			If{Reg: "a", Eq: true, Val: 1, Body: []Op{Store{Loc: "Y", Val: 1}}},
 		},
 	}}
-	out := Outcomes(p, coherentModel{})
+	out := Outcomes(p, coherentModel)
 	if !out.Contains("1:a=1", "Y=1") {
 		t.Fatal("taken path missing")
 	}
@@ -108,7 +100,7 @@ func TestNestedIf(t *testing.T) {
 			}},
 		},
 	}}
-	out := Outcomes(p, coherentModel{})
+	out := Outcomes(p, coherentModel)
 	if !out.Contains("1:a=1", "1:b=1", "Z=7") {
 		t.Fatal("doubly-taken path missing")
 	}
@@ -124,7 +116,7 @@ func TestCASSuccessSemantics(t *testing.T) {
 	p := &Program{Name: "cas", Threads: [][]Op{
 		{CAS{Loc: "X", Expect: 0, New: 5, Dst: "old"}},
 	}}
-	out := Outcomes(p, coherentModel{})
+	out := Outcomes(p, coherentModel)
 	// Only writer besides the CAS is init(0): CAS must succeed.
 	if !out.Contains("0:old=0", "X=5") || len(out) != 1 {
 		t.Fatalf("lone CAS must succeed: %v", out.Sorted())
@@ -134,7 +126,7 @@ func TestCASSuccessSemantics(t *testing.T) {
 	p = &Program{Name: "casfail", Threads: [][]Op{
 		{CAS{Loc: "X", Expect: 9, New: 5, Dst: "old"}},
 	}}
-	out = Outcomes(p, coherentModel{})
+	out = Outcomes(p, coherentModel)
 	if !out.Contains("0:old=0", "X=0") || len(out) != 1 {
 		t.Fatalf("mismatched CAS must fail: %v", out.Sorted())
 	}
@@ -145,7 +137,7 @@ func TestStoreRegDataFlow(t *testing.T) {
 		{Store{Loc: "X", Val: 3}},
 		{Load{Dst: "a", Loc: "X"}, StoreReg{Loc: "Y", Src: "a"}},
 	}}
-	out := Outcomes(p, coherentModel{})
+	out := Outcomes(p, coherentModel)
 	if !out.Contains("1:a=3", "Y=3") {
 		t.Fatal("register value must flow into store")
 	}
@@ -161,7 +153,7 @@ func TestMovImmClearsProvenance(t *testing.T) {
 	p := &Program{Name: "mov", Threads: [][]Op{
 		{MovImm{Dst: "a", Val: 42}, StoreReg{Loc: "X", Src: "a"}},
 	}}
-	out := Outcomes(p, coherentModel{})
+	out := Outcomes(p, coherentModel)
 	if !out.Contains("X=42") || len(out) != 1 {
 		t.Fatalf("MovImm value must flow: %v", out.Sorted())
 	}
@@ -207,7 +199,7 @@ func TestThinAirRejected(t *testing.T) {
 		{Load{Dst: "a", Loc: "X"}, StoreReg{Loc: "Y", Src: "a"}},
 		{Load{Dst: "b", Loc: "Y"}, StoreReg{Loc: "X", Src: "b"}},
 	}}
-	out := Outcomes(p, anyModel{})
+	out := Outcomes(p, anyModel)
 	for o := range out {
 		if containsToken(string(o), "0:a=1") || containsToken(string(o), "X=1") {
 			t.Fatalf("thin-air value appeared: %v", o)

@@ -141,7 +141,7 @@ func runShard(p *Program, m memmodel.Model, s shard, idx int, inj *faults.Inject
 	// checker's arena returns to the shared pool when the shard finishes
 	// (deferred so the panic path releases too).
 	ck := memmodel.NewChecker(m, s.job.skel)
-	defer memmodel.ReleaseChecker(ck)
+	defer ck.Release()
 	out = make(OutcomeSet)
 	s.job.enumerate(s.rfPrefix, func(c *Candidate) bool {
 		if ck.Consistent(c.X) {

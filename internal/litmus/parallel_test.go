@@ -16,7 +16,7 @@ import (
 func testCorpus() []*Program {
 	ps := X86Corpus()
 	ps = append(ps,
-		MPAddr(), LBAddr(), IRIWFenced(),
+		MPAddr(), MPDataRfiAddr(), LBAddr(), IRIWFenced(),
 		Fig9a(), Fig9b(),
 		LBIR(), MPIR(), FMRSource(), FMRTarget(),
 		SBALArm(), MPArm(), MPArmDMB(),

@@ -39,8 +39,8 @@ allow  a@1=1 b@1=1
 		t.Fatalf("fragment: %q", pt.Expectations[0].Fragments[0])
 	}
 	// Equivalent to the built-in MP: same outcome sets under coherence.
-	got := Outcomes(pt.Program, coherentModel{})
-	want := Outcomes(MP(), coherentModel{})
+	got := Outcomes(pt.Program, coherentModel)
+	want := Outcomes(MP(), coherentModel)
 	if !got.SubsetOf(want) || !want.SubsetOf(got) {
 		t.Fatalf("parsed MP differs from built-in:\n%v\nvs\n%v", got.Sorted(), want.Sorted())
 	}
@@ -156,7 +156,7 @@ allow a@1=0 Y=0
 	if inner.Reg != "b" || inner.Eq || inner.Val != 0 {
 		t.Fatalf("inner if: %+v", inner)
 	}
-	if fails := CheckExpectations(pt, coherentModel{}); len(fails) != 0 {
+	if fails := CheckExpectations(pt, coherentModel); len(fails) != 0 {
 		t.Fatalf("expectations failed: %v", fails)
 	}
 }
@@ -172,7 +172,7 @@ allow X=16
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fails := CheckExpectations(pt, coherentModel{}); len(fails) != 0 {
+	if fails := CheckExpectations(pt, coherentModel); len(fails) != 0 {
 		t.Fatalf("%v", fails)
 	}
 }
@@ -188,7 +188,7 @@ allow X=9
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails := CheckExpectations(pt, coherentModel{})
+	fails := CheckExpectations(pt, coherentModel)
 	if len(fails) != 2 {
 		t.Fatalf("expected both expectations to fail: %v", fails)
 	}

@@ -137,11 +137,11 @@ func TestGoldenManifest(t *testing.T) {
 }
 
 // TestDifferentialPreparedVsPlain draws K random generated tests and checks
-// that the prepared-checker enumeration (litmus.Enumerate) computes the
-// same outcome set as a from-scratch Model.Consistent evaluation of every
-// candidate, under all three models. The corpus classics already pin this
-// (litmus's own differential test); generated shapes reach decoration
-// corners the classics don't.
+// that litmus.Enumerate (cache, options, per-skeleton Checkers) computes
+// the same outcome set as the reference evaluator run on every candidate,
+// under all three models. litmus's TestPreparedMatchesPlain compares the
+// two evaluators verdict by verdict; this pins the enumeration pipeline
+// around them on randomly drawn shapes.
 func TestDifferentialPreparedVsPlain(t *testing.T) {
 	pool := collect(Config{Seed: 3, MaxThreads: 3, MaxPerShape: 64})
 	if len(pool) == 0 {
@@ -154,7 +154,7 @@ func TestDifferentialPreparedVsPlain(t *testing.T) {
 		for _, m := range []memmodel.Model{x86tso.New(), tcgmm.New(), armcats.New()} {
 			plain := make(litmus.OutcomeSet)
 			litmus.EnumerateCandidates(gt.Prog, func(c *litmus.Candidate) bool {
-				if m.Consistent(c.X) {
+				if memmodel.ReferenceConsistent(m, c.X) {
 					plain[litmus.OutcomeOf(c)] = true
 				}
 				return true
@@ -165,7 +165,7 @@ func TestDifferentialPreparedVsPlain(t *testing.T) {
 				t.Fatalf("seed %d: %s under %s: %v", *diffSeed, gt.Prog.Name, m.Name(), err)
 			}
 			if !sameOutcomes(plain, prepared) {
-				t.Errorf("seed %d: %s under %s: prepared checkers disagree with plain Consistent\n"+
+				t.Errorf("seed %d: %s under %s: Enumerate disagrees with the reference evaluator\n"+
 					"plain    %v\nprepared %v\n%s",
 					*diffSeed, gt.Prog.Name, m.Name(), plain.Sorted(), prepared.Sorted(),
 					Render(gt.Prog))

@@ -30,9 +30,22 @@ func mpExecution() *Execution {
 	return x
 }
 
+// holds evaluates one axiom on x with both evaluators, which must agree.
+func holds(t *testing.T, a Axiom, x *Execution) bool {
+	t.Helper()
+	m := Define(a.Name, a)
+	ck := NewChecker(m, &Skeleton{x.Events, x.Po, x.Rmw, x.Data, x.Addr, x.Ctrl})
+	defer ck.Release()
+	got, want := ck.Consistent(x), ReferenceConsistent(m, x)
+	if got != want {
+		t.Fatalf("%s: checker says %v, reference says %v for\n%v", a.Name, got, want, x)
+	}
+	return got
+}
+
 func TestDerivedRelations(t *testing.T) {
 	x := mpExecution()
-	fr := x.Fr()
+	fr := Fr.eval(x)
 	// R(X,0) reads init; W(X,1) is co-after init → fr(5, 2).
 	if !fr.Has(5, 2) {
 		t.Fatalf("fr missing (5,2): %v", fr)
@@ -41,18 +54,18 @@ func TestDerivedRelations(t *testing.T) {
 	if fr.Has(4, 3) {
 		t.Fatal("fr should not relate a read to its own source")
 	}
-	if !x.Rfe().Has(3, 4) {
+	if !Rfe.eval(x).Has(3, 4) {
 		t.Fatal("rf(3,4) crosses threads → rfe")
 	}
-	if !x.Fre().Has(5, 2) {
+	if !Fre.eval(x).Has(5, 2) {
 		t.Fatal("fr(5,2) crosses threads → fre")
 	}
 }
 
 func TestPoLoc(t *testing.T) {
 	x := mpExecution()
-	if !x.PoLoc().IsEmpty() {
-		t.Fatalf("MP has no same-location po pairs: %v", x.PoLoc())
+	if pl := PoLoc.eval(x); !pl.IsEmpty() {
+		t.Fatalf("MP has no same-location po pairs: %v", pl)
 	}
 	// Same-location pair.
 	y := NewExecution([]Event{
@@ -63,7 +76,7 @@ func TestPoLoc(t *testing.T) {
 	y.Po.Add(0, 1)
 	y.Po.Add(0, 2)
 	y.Po.Add(1, 2)
-	pl := y.PoLoc()
+	pl := PoLoc.eval(y)
 	if !pl.Has(0, 1) || pl.Size() != 1 {
 		t.Fatalf("po|loc wrong: %v", pl)
 	}
@@ -82,7 +95,7 @@ func TestBehav(t *testing.T) {
 
 func TestSCPerLoc(t *testing.T) {
 	x := mpExecution()
-	if !x.SCPerLoc() {
+	if !holds(t, SCPerLoc, x) {
 		t.Fatal("MP candidate is per-location coherent")
 	}
 	// Violate coherence: make the read of X read init while po-after a
@@ -95,7 +108,7 @@ func TestSCPerLoc(t *testing.T) {
 	y.Po.Add(1, 2)
 	y.Rf.Add(0, 2)
 	y.Co.Add(0, 1)
-	if y.SCPerLoc() {
+	if holds(t, SCPerLoc, y) {
 		t.Fatal("reading overwritten init past own write must violate sc-per-loc")
 	}
 }
@@ -114,7 +127,7 @@ func TestAtomicity(t *testing.T) {
 	x.Co.Add(0, 3)
 	x.Co.Add(3, 2)
 	x.Co.Add(0, 2)
-	if x.Atomicity() {
+	if holds(t, Atomicity, x) {
 		t.Fatal("intervening write between rmw read and write must violate atomicity")
 	}
 	// Move w' after the rmw write: fine.
@@ -122,7 +135,7 @@ func TestAtomicity(t *testing.T) {
 	x.Co.Add(0, 2)
 	x.Co.Add(2, 3)
 	x.Co.Add(0, 3)
-	if !x.Atomicity() {
+	if !holds(t, Atomicity, x) {
 		t.Fatal("write after the rmw pair does not violate atomicity")
 	}
 }

@@ -48,11 +48,8 @@ type RegistryEntry struct {
 	Aliases []string
 	// Level is the instruction level the model judges.
 	Level Level
-	// Model is the consistency predicate itself.
+	// Model is the model's definition.
 	Model Model
-	// Prepared reports whether the model implements PreparedModel (the
-	// per-skeleton fast path of PR 4); detected at registration.
-	Prepared bool
 	// Variant marks secondary entries (e.g. the pre-fix Arm-Cats model)
 	// that are resolvable by name but excluded from Canonical sweeps and
 	// from level defaults.
@@ -113,7 +110,6 @@ func (r *Registry) register(m Model, level Level, variant bool, aliases ...strin
 		Model:   m,
 		Variant: variant,
 	}
-	_, e.Prepared = m.(PreparedModel)
 	keys := append([]string{e.Name}, aliases...)
 	for _, k := range keys {
 		nk := normalizeKey(k)
@@ -162,7 +158,7 @@ func (r *Registry) Entry(name string) (*RegistryEntry, error) {
 func (r *Registry) Lookup(name string) (Model, error) {
 	e, err := r.Entry(name)
 	if err != nil {
-		return nil, err
+		return Model{}, err
 	}
 	return e.Model, nil
 }
@@ -182,7 +178,7 @@ func (r *Registry) MustLookup(name string) Model {
 func (r *Registry) ForLevel(l Level) (Model, bool) {
 	e, ok := r.byLevel[l]
 	if !ok {
-		return nil, false
+		return Model{}, false
 	}
 	return e.Model, true
 }

@@ -5,25 +5,12 @@ import (
 	"testing"
 )
 
-// plainModel is a Model without Prepare; preparedTestModel adds it.
-type plainModel struct{ name string }
-
-func (m plainModel) Name() string                { return m.name }
-func (m plainModel) Consistent(x *Execution) bool { return true }
-
-type preparedTestModel struct{ plainModel }
-
-type trueChecker struct{}
-
-func (trueChecker) Consistent(x *Execution) bool { return true }
-
-func (m preparedTestModel) Prepare(sk *Skeleton) Checker {
-	return trueChecker{}
-}
+// named returns an axiom-free model: the registry only looks at names.
+func named(name string) Model { return Define(name) }
 
 func TestRegistryLookupNormalization(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(plainModel{name: "x86-TSO"}, LevelX86, "x86")
+	r.MustRegister(named("x86-TSO"), LevelX86, "x86")
 	for _, key := range []string{"x86-TSO", "x86tso", "X86_TSO", "x86 tso", "x86"} {
 		if _, err := r.Lookup(key); err != nil {
 			t.Errorf("Lookup(%q): %v", key, err)
@@ -33,8 +20,8 @@ func TestRegistryLookupNormalization(t *testing.T) {
 
 func TestRegistryUnknownNameError(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(plainModel{name: "x86-TSO"}, LevelX86)
-	r.MustRegisterVariant(plainModel{name: "Arm-Cats(original)"}, LevelArm)
+	r.MustRegister(named("x86-TSO"), LevelX86)
+	r.MustRegisterVariant(named("Arm-Cats(original)"), LevelArm)
 	_, err := r.Lookup("no-such-model")
 	if err == nil {
 		t.Fatal("Lookup of unknown model succeeded")
@@ -50,32 +37,16 @@ func TestRegistryUnknownNameError(t *testing.T) {
 
 func TestRegistryDuplicateKeyRejected(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(plainModel{name: "x86-TSO"}, LevelX86)
-	if err := r.Register(plainModel{name: "X86_TSO"}, LevelX86); err == nil {
+	r.MustRegister(named("x86-TSO"), LevelX86)
+	if err := r.Register(named("X86_TSO"), LevelX86); err == nil {
 		t.Error("duplicate normalized key accepted")
-	}
-}
-
-func TestRegistryPreparedDetection(t *testing.T) {
-	r := NewRegistry()
-	r.MustRegister(plainModel{name: "plain"}, LevelX86)
-	r.MustRegister(preparedTestModel{plainModel{name: "prepared"}}, LevelTCG)
-	ents := r.Entries()
-	if len(ents) != 2 {
-		t.Fatalf("got %d entries, want 2", len(ents))
-	}
-	if ents[0].Prepared {
-		t.Error("plain model detected as prepared")
-	}
-	if !ents[1].Prepared {
-		t.Error("prepared model not detected")
 	}
 }
 
 func TestRegistryForLevelAndVariants(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(plainModel{name: "Arm-Cats"}, LevelArm, "arm")
-	r.MustRegisterVariant(plainModel{name: "Arm-Cats(original)"}, LevelArm)
+	r.MustRegister(named("Arm-Cats"), LevelArm, "arm")
+	r.MustRegisterVariant(named("Arm-Cats(original)"), LevelArm)
 	m, ok := r.ForLevel(LevelArm)
 	if !ok || m.Name() != "Arm-Cats" {
 		t.Errorf("ForLevel(arm) = %v, %v; want the canonical Arm-Cats", m, ok)

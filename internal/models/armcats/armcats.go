@@ -1,42 +1,43 @@
-// Package armcats implements the Armed-Cats axiomatic model of Arm
+// Package armcats defines the Armed-Cats axiomatic model of Arm
 // concurrency (Alglave, Deacon, Grisenthwaite, Hacquard, Maranget [6]),
 // in the form used by the Risotto paper's Figure 5.
 //
 // Consistency of an execution X requires:
 //
-//	(internal)  (po|loc ∪ rf ∪ co ∪ fr)+ irreflexive   — SC per location
-//	(atomic)    rmw ∩ (fre ; coe) = ∅
-//	(external)  ob irreflexive
+//	(sc-per-loc)  acyclic(po|loc ∪ rf ∪ co ∪ fr)   — Armed-Cats' "internal"
+//	(atomicity)   rmw ∩ (fre ; coe) = ∅            — Armed-Cats' "atomic"
+//	(external)    irreflexive(ob)
 //
 // where
 //
 //	ob  ≜ (rfe ∪ coe ∪ fre ∪ lob)+
 //	lob ≜ (lws ∪ dob ∪ aob ∪ bob)+
-//	lws ≜ po|loc ; [W]                              — local write successor
+//	lws ≜ po|loc;[W]                                — local write successor
+//	lrs ≜ [W];(po|loc \ po|loc;[W];po|loc);[R]      — local read successor
 //	aob ≜ rmw ∪ [codom(rmw)];lrs;[A ∪ Q]
 //	dob ≜ addr ∪ data ∪ ctrl;[W] ∪ addr;po;[W]
 //	      ∪ (ctrl ∪ data);coi ∪ (addr ∪ data);rfi
 //	bob ≜ po;[F];po ∪ [R];po;[Fld];po ∪ [W];po;[Fst];po;[W]
 //	      ∪ [L];po;[A] ∪ [A ∪ Q];po ∪ po;[L]
 //	      ∪ ⟨amo rule⟩
+//	amo ≜ [RMW1];rmw                                — single-instruction RMWs
 //
-// The ⟨amo rule⟩ is where Risotto found and fixed an error (§3.3, §5.2):
+// The ⟨amo rule⟩ is where Risotto found and fixed an error (§3.3, §5.2).
+// With casal ≜ [A];amo;[L] picking the acquire-release amo pairs:
 //
-//   - Original model:  po;[A];amo;[L];po — a single-instruction acquire-
-//     release RMW (casal) orders its po-predecessors with its po-successors
-//     but not with its own accesses, so SBAL admits the x86-forbidden
-//     outcome.
-//   - Corrected model: po;[dom([A];amo;[L])] ∪ [codom([A];amo;[L])];po —
-//     casal behaves like a full fence anchored at its own read and write.
-//     This is the strengthening accepted upstream [39].
+//   - Original model:  po;casal;po — a single-instruction acquire-release
+//     RMW orders its po-predecessors with its po-successors but not with
+//     its own accesses, so SBAL admits the x86-forbidden outcome.
+//   - Corrected model: po;[dom(casal)] ∪ [codom(casal)];po — casal behaves
+//     like a full fence anchored at its own read and write. This is the
+//     strengthening accepted upstream [39].
 //
-// Both variants are provided so the error is demonstrable.
+// Both variants are provided so the error is demonstrable. The declarations
+// below are that definition, term for term — closures included: the
+// evaluator never computes them (acyclic(X ∪ Y⁺) ⇔ acyclic(X ∪ Y)).
 package armcats
 
-import (
-	"repro/internal/memmodel"
-	"repro/internal/rel"
-)
+import . "repro/internal/memmodel"
 
 // Variant selects the amo rule in bob.
 type Variant int
@@ -50,151 +51,65 @@ const (
 	Corrected
 )
 
-// Model is the Armed-Cats consistency predicate.
-type Model struct {
-	variant Variant
+var (
+	acq   = Set("[A]", func(e Event) bool { return e.Acq })
+	acqPC = Set("[Q]", func(e Event) bool { return e.AcqPC })
+	rls   = Set("[L]", func(e Event) bool { return e.Rel })
+
+	// amo is the rmw edges contributed by single-instruction RMWs.
+	amo = Def("amo", Seq(Set("[RMW1]", func(e Event) bool { return e.RMW == RMWAmo }), Rmw))
+
+	// lws is local write successor.
+	lws = Def("lws", Seq(PoLoc, W))
+
+	// lrs is local read successor: a write to the same-location po-later
+	// reads with no intervening same-location write.
+	lrs = Def("lrs", Seq(W, Minus(PoLoc, Seq(PoLoc, W, PoLoc)), R))
+
+	// aob is atomic-ordered-before.
+	aob = Def("aob", Union(Rmw, Seq(Codom(Rmw), lrs, Union(acq, acqPC))))
+
+	// dob is dependency-ordered-before.
+	dob = Def("dob", Union(
+		Addr,
+		Data,
+		Seq(Ctrl, W),
+		Seq(Addr, Po, W),
+		Seq(Union(Ctrl, Data), Coi),
+		Seq(Union(Addr, Data), Rfi),
+	))
+
+	// casal picks successful acquire-release amo pairs.
+	casal = Def("casal", Seq(acq, amo, rls))
+
+	original  = define("Arm-Cats(original)", Seq(Po, casal, Po))
+	corrected = define("Arm-Cats", Union(Seq(Po, Dom(casal)), Seq(Codom(casal), Po)))
+)
+
+// define builds the model around the given amo rule of bob.
+func define(name string, amoRule *Expr) Model {
+	bob := Def("bob", Union(
+		Seq(Po, F(FenceDMBFF), Po),
+		Seq(R, Po, F(FenceDMBLD), Po),
+		Seq(W, Po, F(FenceDMBST), Po, W),
+		Seq(rls, Po, acq),
+		Seq(Union(acq, acqPC), Po),
+		Seq(Po, rls),
+		amoRule,
+	))
+	lob := Def("lob", Closure(Union(lws, dob, aob, bob)))
+	ob := Def("ob", Closure(Union(Rfe, Coe, Fre, lob)))
+	return Define(name, SCPerLoc, Atomicity, Irreflexive("external", ob))
 }
 
 // New returns the corrected Armed-Cats model (the one Risotto's mappings
 // are verified against).
-func New() Model { return Model{variant: Corrected} }
+func New() Model { return corrected }
 
 // NewVariant returns the model with an explicit amo-rule variant.
-func NewVariant(v Variant) Model { return Model{variant: v} }
-
-// Name implements memmodel.Model.
-func (m Model) Name() string {
-	if m.variant == Original {
-		return "Arm-Cats(original)"
+func NewVariant(v Variant) Model {
+	if v == Original {
+		return original
 	}
-	return "Arm-Cats"
-}
-
-func idSet(ids []int) *rel.Relation { return rel.Identity(ids) }
-
-// acquires returns [A], acquirePCs [Q], releases [L].
-func acquires(x *memmodel.Execution) *rel.Relation {
-	return idSet(x.IDs(func(e memmodel.Event) bool { return e.Acq }))
-}
-func acquirePCs(x *memmodel.Execution) *rel.Relation {
-	return idSet(x.IDs(func(e memmodel.Event) bool { return e.AcqPC }))
-}
-func releases(x *memmodel.Execution) *rel.Relation {
-	return idSet(x.IDs(func(e memmodel.Event) bool { return e.Rel }))
-}
-
-// Amo returns the rmw edges contributed by single-instruction RMWs.
-func Amo(x *memmodel.Execution) *rel.Relation {
-	return x.Rmw.Filter(func(a, b int) bool {
-		return x.Events[a].RMW == memmodel.RMWAmo
-	})
-}
-
-// LxSx returns the rmw edges contributed by exclusive pairs.
-func LxSx(x *memmodel.Execution) *rel.Relation {
-	return x.Rmw.Filter(func(a, b int) bool {
-		return x.Events[a].RMW == memmodel.RMWLxSx
-	})
-}
-
-// Lws returns local write successor: po|loc ; [W].
-func Lws(x *memmodel.Execution) *rel.Relation {
-	return x.PoLoc().Seq(x.IdWrites())
-}
-
-// lrs is the local read successor: a write to the same-location po-later
-// reads with no intervening same-location write ([W]; po|loc-without-
-// intervening-W; [R]).
-func lrs(x *memmodel.Execution) *rel.Relation {
-	poloc := x.PoLoc()
-	return poloc.Filter(func(w, r int) bool {
-		if x.Events[w].Kind != memmodel.KindWrite || x.Events[r].Kind != memmodel.KindRead {
-			return false
-		}
-		for _, e := range x.Events {
-			if e.Kind == memmodel.KindWrite && poloc.Has(w, e.ID) && poloc.Has(e.ID, r) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// Aob returns atomic-ordered-before: rmw ∪ [codom(rmw)];lrs;[A ∪ Q].
-func Aob(x *memmodel.Execution) *rel.Relation {
-	aq := acquires(x).Union(acquirePCs(x))
-	return x.Rmw.Union(idSet(x.Rmw.Codomain()).Seq(lrs(x)).Seq(aq))
-}
-
-// internalOf keeps the po-related (same-thread) edges of r.
-func internalOf(x *memmodel.Execution, r *rel.Relation) *rel.Relation {
-	return r.Filter(func(a, b int) bool {
-		return x.Po.Has(a, b) || x.Po.Has(b, a)
-	})
-}
-
-// Dob returns dependency-ordered-before.
-func Dob(x *memmodel.Execution) *rel.Relation {
-	coi := internalOf(x, x.Co)
-	rfi := internalOf(x, x.Rf)
-	w := x.IdWrites()
-	return rel.Union(
-		x.Addr,
-		x.Data,
-		x.Ctrl.Seq(w),
-		x.Addr.Seq(x.Po).Seq(w),
-		x.Ctrl.Union(x.Data).Seq(coi),
-		x.Addr.Union(x.Data).Seq(rfi),
-	)
-}
-
-// Bob returns barrier-ordered-before for the model's variant.
-func Bob(x *memmodel.Execution, v Variant) *rel.Relation {
-	po := x.Po
-	r := x.IdReads()
-	w := x.IdWrites()
-	full := x.IdFences(memmodel.FenceDMBFF)
-	ld := x.IdFences(memmodel.FenceDMBLD)
-	st := x.IdFences(memmodel.FenceDMBST)
-	a := acquires(x)
-	q := acquirePCs(x)
-	l := releases(x)
-
-	bob := rel.Union(
-		rel.Seq(po, full, po),
-		rel.Seq(r, po, ld, po),
-		rel.Seq(w, po, st, po, w),
-		rel.Seq(l, po, a),
-		a.Union(q).Seq(po),
-		po.Seq(l),
-	)
-
-	// amo rule: [A];amo;[L] picks successful acquire-release amo pairs.
-	aAmoL := rel.Seq(a, Amo(x), l)
-	switch v {
-	case Original:
-		bob = bob.Union(rel.Seq(po, aAmoL, po))
-	case Corrected:
-		bob = bob.Union(
-			po.Seq(idSet(aAmoL.Domain())),
-			idSet(aAmoL.Codomain()).Seq(po),
-		)
-	}
-	return bob
-}
-
-// Lob returns locally-ordered-before: (lws ∪ dob ∪ aob ∪ bob)+.
-func (m Model) Lob(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Lws(x), Dob(x), Aob(x), Bob(x, m.variant)).TransitiveClosure()
-}
-
-// Ob returns ordered-before: (rfe ∪ coe ∪ fre ∪ lob)+ (left unclosed; the
-// axiom only needs acyclicity of the union).
-func (m Model) Ob(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(x.Rfe(), x.Coe(), x.Fre(), m.Lob(x))
-}
-
-// Consistent implements memmodel.Model.
-func (m Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() && m.Ob(x).Acyclic()
+	return corrected
 }

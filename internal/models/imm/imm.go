@@ -1,4 +1,4 @@
-// Package imm implements an intermediate memory model in the spirit of
+// Package imm defines an intermediate memory model in the spirit of
 // IMM (Podkopaev, Lahav, Vafeiadis — "Bridging the gap between programming
 // languages and hardware weak memory models"): a model sitting between
 // guest architectures and the TCG IR that is fence-compatible with the IR
@@ -7,14 +7,15 @@
 //
 // Consistency of an execution X requires:
 //
-//	(sc-per-loc)   (po|loc ∪ rf ∪ co ∪ fr)+ irreflexive
+//	(sc-per-loc)   acyclic(po|loc ∪ rf ∪ co ∪ fr)
 //	(atomicity)    rmw ∩ (fre ; coe) = ∅
-//	(no-thin-air)  (deps ∪ rf)+ irreflexive,  deps ≜ data ∪ addr ∪ ctrl
-//	(GOrd)         (ord ∪ rfe ∪ coe ∪ fre)+ irreflexive
+//	(no-thin-air)  acyclic(deps ∪ rf)
+//	(GOrd)         acyclic(ord ∪ rfe ∪ coe ∪ fre)
 //
-// where ord extends the TCG IR model's fence/SC-RMW order (tcgmm.Ord)
-// with dependency-ordered-before edges:
+// where ord extends the TCG IR model's fence/SC-RMW order (tcgmm.Ord,
+// referenced, not restated) with dependency-ordered-before edges:
 //
+//	deps   ≜ data ∪ addr ∪ ctrl
 //	ord    ≜ ord_tcg ∪ depord
 //	depord ≜ addr ∪ data ∪ ctrl;[W] ∪ addr;po;[W] ∪ (addr ∪ data);rfi
 //
@@ -27,56 +28,34 @@
 package imm
 
 import (
-	"repro/internal/memmodel"
+	. "repro/internal/memmodel"
 	"repro/internal/models/tcgmm"
-	"repro/internal/rel"
 )
 
-// Model is the IMM consistency predicate.
-type Model struct{}
+var (
+	// deps is the full syntactic dependency relation.
+	deps = Def("deps", Union(Data, Addr, Ctrl))
+
+	// depOrd is dependency-ordered-before: the dependency edges IMM
+	// promotes into the global order.
+	depOrd = Def("depord", Union(
+		Addr,
+		Data,
+		Seq(Ctrl, W),
+		Seq(Addr, Po, W),
+		Seq(Union(Addr, Data), Rfi),
+	))
+
+	// ord is the IMM order relation.
+	ord = Def("ord", Union(tcgmm.Ord, depOrd))
+
+	model = Define("IMM",
+		SCPerLoc,
+		Atomicity,
+		Acyclic("no-thin-air", Union(deps, Rf)),
+		Acyclic("GOrd", Union(ord, Rfe, Coe, Fre)),
+	)
+)
 
 // New returns the IMM model.
-func New() Model { return Model{} }
-
-// Name implements memmodel.Model.
-func (Model) Name() string { return "IMM" }
-
-// Deps returns the full syntactic dependency relation data ∪ addr ∪ ctrl.
-func Deps(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(x.Data, x.Addr, x.Ctrl)
-}
-
-// DepOrd returns dependency-ordered-before: the dependency edges IMM
-// promotes into the global order. rfi (internal reads-from) vanishes on
-// skeleton pseudo-executions, which is what lets the prepared checker
-// precompute everything else.
-func DepOrd(x *memmodel.Execution) *rel.Relation {
-	rfi := x.Rf.Filter(func(a, b int) bool {
-		return x.Po.Has(a, b) || x.Po.Has(b, a)
-	})
-	w := x.IdWrites()
-	return rel.Union(
-		x.Addr,
-		x.Data,
-		x.Ctrl.Seq(w),
-		x.Addr.Seq(x.Po).Seq(w),
-		x.Addr.Union(x.Data).Seq(rfi),
-	)
-}
-
-// Ord returns the IMM order relation: the TCG IR fence/SC-RMW order plus
-// dependency ordering.
-func Ord(x *memmodel.Execution) *rel.Relation {
-	return tcgmm.Ord(x).Union(DepOrd(x))
-}
-
-// GHB returns the global-happens-before candidate: ord ∪ rfe ∪ coe ∪ fre.
-func GHB(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Ord(x), x.Rfe(), x.Coe(), x.Fre())
-}
-
-// Consistent implements memmodel.Model.
-func (Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() &&
-		Deps(x).Union(x.Rf).Acyclic() && GHB(x).Acyclic()
-}
+func New() Model { return model }

@@ -1,4 +1,4 @@
-// Package opref is the axiomatic twin of the simulated machine's
+// Package opref defines the axiomatic twin of the simulated machine's
 // operational weak-memory mode (internal/machine/weak.go): a store-buffer
 // (PSO-like) model that admits *exactly* the behaviours the machine can
 // exhibit, so the exploration engine can demand 100% outcome coverage
@@ -10,11 +10,11 @@
 //
 //	(sc-per-loc)  coherence: drains never pass older overlapping stores
 //	(atomicity)   RMWs flush, then read and write memory directly
-//	(GHB)         (implied ∪ ppo ∪ rfe ∪ fr ∪ co)+ irreflexive
+//	(GHB)         acyclic(implied ∪ ppo ∪ rfe ∪ fr ∪ co)
 //
 // where
 //
-//	ppo     ≜ (R×M) ∩ po           — loads execute in order, and a later
+//	ppo     ≜ [R];po;[M]           — loads execute in order, and a later
 //	                                 store's drain follows its execution
 //	implied ≜ po;[S] ∪ [S];po
 //	S       ≜ store-flushing fences ∪ RMW events ∪ release writes
@@ -28,73 +28,39 @@
 // deliberately describes this machine, not an architecture.
 package opref
 
-import (
-	"repro/internal/memmodel"
-	"repro/internal/rel"
+import . "repro/internal/memmodel"
+
+var (
+	// strong is [S]: events the machine performs directly on memory at execution
+	// time, draining the store buffer first. Flushing fences (the shared
+	// Fence.StoreFlush classification), every RMW event (CAS and exclusives
+	// flush before operating — including the read of a failed CAS, which is
+	// why S is keyed on the event attribute rather than the rmw relation),
+	// release writes (STLR), and SC accesses (TCG Rsc/Wsc lower to atomics).
+	strong = Set("[S]", func(e Event) bool {
+		switch {
+		case e.IsInit():
+			return false
+		case e.Kind == KindFence:
+			return e.Fence.StoreFlush()
+		}
+		return e.RMW != RMWNone || e.SC || (e.Kind == KindWrite && e.Rel)
+	})
+
+	// ppo is the machine's preserved program order: everything after a
+	// read. Write-to-write and write-to-read pairs are relaxed: that is the
+	// store buffer.
+	ppo = Def("ppo", Seq(R, Po, M))
+
+	// implied is full ordering at every strong event.
+	implied = Def("implied", Union(Seq(Po, strong), Seq(strong, Po)))
+
+	model = Define("op-ref",
+		SCPerLoc,
+		Atomicity,
+		Acyclic("GHB", Union(implied, ppo, Rfe, Fr, Co)),
+	)
 )
 
-// Model is the operational-reference consistency predicate.
-type Model struct{}
-
 // New returns the operational-reference model.
-func New() Model { return Model{} }
-
-// Name implements memmodel.Model.
-func (Model) Name() string { return "op-ref" }
-
-// strongIDs collects S: events the machine performs directly on memory at
-// execution time, draining the store buffer first. Flushing fences (the
-// shared memmodel.Fence.StoreFlush classification), every RMW event (CAS
-// and exclusives flush before operating — including the read of a failed
-// CAS, which is why S is keyed on the event attribute rather than the rmw
-// relation), release writes (STLR), and SC accesses (TCG Rsc/Wsc lower to
-// atomics).
-func strongIDs(x *memmodel.Execution) []int {
-	return x.IDs(func(e memmodel.Event) bool {
-		if e.IsInit() {
-			return false
-		}
-		switch {
-		case e.Kind == memmodel.KindFence:
-			return e.Fence.StoreFlush()
-		case e.RMW != memmodel.RMWNone:
-			return true
-		case e.Kind == memmodel.KindWrite && e.Rel:
-			return true
-		case e.SC:
-			return true
-		}
-		return false
-	})
-}
-
-// Ppo returns the machine's preserved program order: everything after a
-// read (loads execute in order; a later store executes — and therefore
-// drains — after an earlier load). Write-to-write and write-to-read pairs
-// are relaxed: that is the store buffer.
-func Ppo(x *memmodel.Execution) *rel.Relation {
-	return x.Po.Filter(func(a, b int) bool {
-		ea, eb := x.Events[a], x.Events[b]
-		if ea.Kind == memmodel.KindFence || eb.Kind == memmodel.KindFence {
-			return false
-		}
-		return ea.Kind == memmodel.KindRead
-	})
-}
-
-// Implied returns po;[S] ∪ [S];po — full ordering at every strong event.
-func Implied(x *memmodel.Execution) *rel.Relation {
-	idS := rel.Identity(strongIDs(x))
-	return x.Po.Seq(idS).Union(idS.Seq(x.Po))
-}
-
-// GHB returns the global-happens-before candidate relation whose
-// acyclicity the (GHB) axiom demands.
-func GHB(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Implied(x), Ppo(x), x.Rfe(), x.Fr(), x.Co)
-}
-
-// Consistent implements memmodel.Model.
-func (Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() && GHB(x).Acyclic()
-}
+func New() Model { return model }

@@ -90,23 +90,3 @@ func TestWeakerThanTSO(t *testing.T) {
 		}
 	}
 }
-
-// TestPreparedMatchesPlain mirrors litmus/prepared_test.go for this model:
-// outcome sets through the prepared checker (what Outcomes uses) must
-// equal a from-scratch sweep calling Model.Consistent on every candidate.
-func TestPreparedMatchesPlain(t *testing.T) {
-	m := opref.New()
-	for _, p := range litmus.X86Corpus() {
-		plain := make(litmus.OutcomeSet)
-		litmus.EnumerateCandidates(p, func(c *litmus.Candidate) bool {
-			if m.Consistent(c.X) {
-				plain[litmus.OutcomeOf(c)] = true
-			}
-			return true
-		})
-		prepared := litmus.Outcomes(p, m)
-		if len(plain) != len(prepared) || !prepared.SubsetOf(plain) {
-			t.Errorf("%s: prepared %v, plain %v", p.Name, prepared.Sorted(), plain.Sorted())
-		}
-	}
-}

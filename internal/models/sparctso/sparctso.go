@@ -1,119 +1,50 @@
-// Package sparctso implements the SPARC-TSO axiomatic concurrency model
+// Package sparctso defines the SPARC-TSO axiomatic concurrency model
 // (the formalisation line of Hou et al.; axiomatically the Owens-style TSO
 // of x86 with SPARC's membar fence taxonomy in place of MFENCE).
 //
 // Consistency of an execution X requires:
 //
-//	(sc-per-loc)  (po|loc ∪ rf ∪ co ∪ fr)+ irreflexive
+//	(sc-per-loc)  acyclic(po|loc ∪ rf ∪ co ∪ fr)
 //	(atomicity)   rmw ∩ (fre ; coe) = ∅
-//	(GHB)         (implied ∪ membar ∪ ppo ∪ rfe ∪ fr ∪ co)+ irreflexive
+//	(GHB)         acyclic(implied ∪ membar ∪ ppo ∪ rfe ∪ fr ∪ co)
 //
 // where
 //
-//	ppo     ≜ ((W×W) ∪ (R×W) ∪ (R×R)) ∩ po                — same as x86-TSO
+//	ppo     ≜ x86-TSO's ppo
+//	implied ≜ x86-TSO's implied, i.e. po;[At ∪ F_sync] ∪ [At ∪ F_sync];po
 //	membar  ≜ [R];po;[#LoadLoad];po;[R] ∪ [R];po;[#LoadStore];po;[W]
 //	        ∪ [W];po;[#StoreLoad];po;[R] ∪ [W];po;[#StoreStore];po;[W]
-//	implied ≜ po;[At ∪ F_sync] ∪ [At ∪ F_sync];po
-//	At      ≜ dom(rmw) ∪ codom(rmw)
 //
 // MFENCE is interpreted as membar #Sync (all four directions at once,
 // F_sync above), so x86-level programs mean the same thing under SPARC-TSO
-// as under x86-TSO — both are TSO, and the differential test in this
-// package pins that equivalence over the whole corpus. Under TSO only
-// #StoreLoad adds ordering beyond ppo; the other three membar directions
-// are provided for fidelity to the ISA and are exercised by the unit
-// tests.
+// as under x86-TSO — both are TSO, sharing ppo and implied by reference,
+// and the differential test in this package pins that equivalence over the
+// whole corpus. Under TSO only #StoreLoad adds ordering beyond ppo; the
+// other three membar directions are provided for fidelity to the ISA and
+// are exercised by the unit tests.
 package sparctso
 
 import (
-	"repro/internal/memmodel"
-	"repro/internal/rel"
+	. "repro/internal/memmodel"
+	"repro/internal/models/x86tso"
 )
 
-// Model is the SPARC-TSO consistency predicate.
-type Model struct{}
+var (
+	// membar is the directional ordering of the four single-direction
+	// membar flavours.
+	membar = Def("membar", Union(
+		Seq(R, Po, F(FenceMembarLL), Po, R),
+		Seq(R, Po, F(FenceMembarLS), Po, W),
+		Seq(W, Po, F(FenceMembarSL), Po, R),
+		Seq(W, Po, F(FenceMembarSS), Po, W),
+	))
+
+	model = Define("SPARC-TSO",
+		SCPerLoc,
+		Atomicity,
+		Acyclic("GHB", Union(x86tso.Implied, membar, x86tso.Ppo, Rfe, Fr, Co)),
+	)
+)
 
 // New returns the SPARC-TSO model.
-func New() Model { return Model{} }
-
-// Name implements memmodel.Model.
-func (Model) Name() string { return "SPARC-TSO" }
-
-// Ppo returns TSO's preserved program order: all po pairs except
-// write-to-read.
-func Ppo(x *memmodel.Execution) *rel.Relation {
-	return x.Po.Filter(func(a, b int) bool {
-		ea, eb := x.Events[a], x.Events[b]
-		if ea.Kind == memmodel.KindFence || eb.Kind == memmodel.KindFence {
-			return false
-		}
-		return !(ea.Kind == memmodel.KindWrite && eb.Kind == memmodel.KindRead)
-	})
-}
-
-// membarRule is one [dom];po;[F];po;[cod] direction of the membar table.
-var membarRules = []struct {
-	fence    memmodel.Fence
-	domReads bool // [R] if true, [W] otherwise
-	codReads bool
-}{
-	{memmodel.FenceMembarLL, true, true},
-	{memmodel.FenceMembarLS, true, false},
-	{memmodel.FenceMembarSL, false, true},
-	{memmodel.FenceMembarSS, false, false},
-}
-
-// Membar returns the directional orderings of the four single-direction
-// membar flavours.
-func Membar(x *memmodel.Execution) *rel.Relation {
-	po := x.Po
-	out := rel.New()
-	for _, rule := range membarRules {
-		f := x.IdFences(rule.fence)
-		if f.IsEmpty() {
-			continue
-		}
-		dom, cod := x.IdWrites(), x.IdWrites()
-		if rule.domReads {
-			dom = x.IdReads()
-		}
-		if rule.codReads {
-			cod = x.IdReads()
-		}
-		out = out.Union(rel.Seq(dom, po, f, po, cod))
-	}
-	return out
-}
-
-// Implied returns the orderings implied by full fences and successful
-// RMWs: po;[At ∪ F_sync] ∪ [At ∪ F_sync];po, where F_sync is MFENCE read
-// as membar #Sync.
-func Implied(x *memmodel.Execution) *rel.Relation {
-	atF := make(map[int]bool)
-	for _, id := range x.Rmw.Domain() {
-		atF[id] = true
-	}
-	for _, id := range x.Rmw.Codomain() {
-		atF[id] = true
-	}
-	for _, id := range x.Fences(memmodel.FenceMFENCE) {
-		atF[id] = true
-	}
-	var ids []int
-	for id := range atF {
-		ids = append(ids, id)
-	}
-	idAtF := rel.Identity(ids)
-	return x.Po.Seq(idAtF).Union(idAtF.Seq(x.Po))
-}
-
-// GHB returns the global-happens-before candidate relation whose
-// acyclicity the (GHB) axiom demands.
-func GHB(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Implied(x), Membar(x), Ppo(x), x.Rfe(), x.Fr(), x.Co)
-}
-
-// Consistent implements memmodel.Model.
-func (Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() && GHB(x).Acyclic()
-}
+func New() Model { return model }

@@ -1,20 +1,19 @@
-// Package tcgmm implements the TCG IR axiomatic concurrency model proposed
+// Package tcgmm defines the TCG IR axiomatic concurrency model proposed
 // by the Risotto paper (§5.3, Figure 6) — the paper's first contribution:
 // a formal memory model for QEMU's intermediate representation.
 //
 // Consistency of an execution X requires:
 //
-//	(sc-per-loc)  (po|loc ∪ rf ∪ co ∪ fr)+ irreflexive
+//	(sc-per-loc)  acyclic(po|loc ∪ rf ∪ co ∪ fr)
 //	(atomicity)   rmw ∩ (fre ; coe) = ∅
-//	(GOrd)        ghb ≜ (ord ∪ rfe ∪ coe ∪ fre)+ irreflexive
+//	(GOrd)        acyclic(ord ∪ rfe ∪ coe ∪ fre)
 //
 // where ord collects the orderings induced by the nine directional fences
 // and by SC-semantics RMW accesses:
 //
-//	ord ≜ [R];po;[Frr];po;[R] ∪ [R];po;[Frw];po;[W] ∪ [R];po;[Frm];po;[R∪W]
-//	    ∪ [W];po;[Fwr];po;[R] ∪ [W];po;[Fww];po;[W] ∪ [W];po;[Fwm];po;[R∪W]
-//	    ∪ [R∪W];po;[Fmr];po;[R] ∪ [R∪W];po;[Fmw];po;[W]
-//	    ∪ [R∪W];po;[Fmm];po;[R∪W]
+//	ord ≜ [R];po;[Frr];po;[R] ∪ [R];po;[Frw];po;[W] ∪ [R];po;[Frm];po;[M]
+//	    ∪ [W];po;[Fwr];po;[R] ∪ [W];po;[Fww];po;[W] ∪ [W];po;[Fwm];po;[M]
+//	    ∪ [M];po;[Fmr];po;[R] ∪ [M];po;[Fmw];po;[W] ∪ [M];po;[Fmm];po;[M]
 //	    ∪ po;[Wsc ∪ dom(rmw)] ∪ [Rsc ∪ codom(rmw)];po
 //	    ∪ po;[Fsc] ∪ [Fsc];po
 //
@@ -23,106 +22,28 @@
 // legitimizes TCG's false-dependency elimination (§5.4, §6.1).
 package tcgmm
 
-import (
-	"repro/internal/memmodel"
-	"repro/internal/rel"
-)
+import . "repro/internal/memmodel"
 
-// Model is the TCG IR consistency predicate.
-type Model struct{}
+var (
+	rsc = Set("[Rsc]", func(e Event) bool { return e.SC && e.Kind == KindRead })
+	wsc = Set("[Wsc]", func(e Event) bool { return e.SC && e.Kind == KindWrite })
+	fsc = F(FenceFsc)
+
+	// Ord is the order relation of Figure 6. IMM extends it.
+	Ord = Def("ord", Union(
+		Seq(R, Po, F(FenceFrr), Po, R), Seq(R, Po, F(FenceFrw), Po, W), Seq(R, Po, F(FenceFrm), Po, M),
+		Seq(W, Po, F(FenceFwr), Po, R), Seq(W, Po, F(FenceFww), Po, W), Seq(W, Po, F(FenceFwm), Po, M),
+		Seq(M, Po, F(FenceFmr), Po, R), Seq(M, Po, F(FenceFmw), Po, W), Seq(M, Po, F(FenceFmm), Po, M),
+		Seq(Po, Union(wsc, Dom(Rmw))), Seq(Union(rsc, Codom(Rmw)), Po),
+		Seq(Po, fsc), Seq(fsc, Po),
+	))
+
+	model = Define("TCG-IR",
+		SCPerLoc,
+		Atomicity,
+		Acyclic("GOrd", Union(Ord, Rfe, Coe, Fre)),
+	)
+)
 
 // New returns the TCG IR model.
-func New() Model { return Model{} }
-
-// Name implements memmodel.Model.
-func (Model) Name() string { return "TCG-IR" }
-
-// fenceRule describes one [dom];po;[F];po;[cod] row of the ord table.
-type fenceRule struct {
-	fence memmodel.Fence
-	dom   accessClass
-	cod   accessClass
-}
-
-type accessClass int
-
-const (
-	classR accessClass = iota
-	classW
-	classRW
-)
-
-var ordRules = []fenceRule{
-	{memmodel.FenceFrr, classR, classR},
-	{memmodel.FenceFrw, classR, classW},
-	{memmodel.FenceFrm, classR, classRW},
-	{memmodel.FenceFwr, classW, classR},
-	{memmodel.FenceFww, classW, classW},
-	{memmodel.FenceFwm, classW, classRW},
-	{memmodel.FenceFmr, classRW, classR},
-	{memmodel.FenceFmw, classRW, classW},
-	{memmodel.FenceFmm, classRW, classRW},
-}
-
-func classID(x *memmodel.Execution, c accessClass) *rel.Relation {
-	switch c {
-	case classR:
-		return x.IdReads()
-	case classW:
-		return x.IdWrites()
-	default:
-		return x.IdMem()
-	}
-}
-
-// Ord returns the order relation of Figure 6.
-func Ord(x *memmodel.Execution) *rel.Relation {
-	po := x.Po
-	ord := rel.New()
-	for _, rule := range ordRules {
-		f := x.IdFences(rule.fence)
-		if f.IsEmpty() {
-			continue
-		}
-		ord = ord.Union(rel.Seq(classID(x, rule.dom), po, f, po, classID(x, rule.cod)))
-	}
-
-	// RMW SC rules: po;[Wsc ∪ dom(rmw)] ∪ [Rsc ∪ codom(rmw)];po.
-	before := make(map[int]bool)
-	after := make(map[int]bool)
-	for _, e := range x.Events {
-		if e.SC && e.Kind == memmodel.KindWrite {
-			before[e.ID] = true
-		}
-		if e.SC && e.Kind == memmodel.KindRead {
-			after[e.ID] = true
-		}
-	}
-	for _, id := range x.Rmw.Domain() {
-		before[id] = true
-	}
-	for _, id := range x.Rmw.Codomain() {
-		after[id] = true
-	}
-	ord = ord.Union(
-		po.RestrictCodomain(before),
-		po.RestrictDomain(after),
-	)
-
-	// Fsc rules: po;[Fsc] ∪ [Fsc];po.
-	fsc := x.IdFences(memmodel.FenceFsc)
-	if !fsc.IsEmpty() {
-		ord = ord.Union(po.Seq(fsc), fsc.Seq(po))
-	}
-	return ord
-}
-
-// GHB returns the global-happens-before candidate: ord ∪ rfe ∪ coe ∪ fre.
-func GHB(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Ord(x), x.Rfe(), x.Coe(), x.Fre())
-}
-
-// Consistent implements memmodel.Model.
-func (Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() && GHB(x).Acyclic()
-}
+func New() Model { return model }

@@ -1,75 +1,41 @@
-// Package x86tso implements the x86-TSO axiomatic concurrency model as
+// Package x86tso defines the x86-TSO axiomatic concurrency model as
 // presented in §5.2 of the Risotto paper (following Owens et al. [64, 65]
 // and Alglave et al. [10]).
 //
 // Consistency of an execution X requires:
 //
-//	(sc-per-loc)  (po|loc ∪ rf ∪ co ∪ fr)+ irreflexive
+//	(sc-per-loc)  acyclic(po|loc ∪ rf ∪ co ∪ fr)
 //	(atomicity)   rmw ∩ (fre ; coe) = ∅
-//	(GHB)         (implied ∪ ppo ∪ rfe ∪ fr ∪ co)+ irreflexive
+//	(GHB)         acyclic(implied ∪ ppo ∪ rfe ∪ fr ∪ co)
 //
 // where
 //
-//	ppo     ≜ ((W×W) ∪ (R×W) ∪ (R×R)) ∩ po
+//	ppo     ≜ [W];po;[W] ∪ [R];po;[W] ∪ [R];po;[R]   — all of po but W×R
 //	implied ≜ po;[At ∪ F] ∪ [At ∪ F];po
 //	At      ≜ dom(rmw) ∪ codom(rmw)
+//
+// The declarations below are that definition, term for term.
 package x86tso
 
-import (
-	"repro/internal/memmodel"
-	"repro/internal/rel"
+import . "repro/internal/memmodel"
+
+var (
+	// Ppo is TSO's preserved program order: every po pair of memory
+	// accesses except write-to-read (store-load reordering is the one
+	// relaxation TSO allows). SPARC-TSO shares it.
+	Ppo = Def("ppo", Union(Seq(W, Po, W), Seq(R, Po, W), Seq(R, Po, R)))
+
+	atF = Union(Dom(Rmw), Codom(Rmw), F(FenceMFENCE))
+	// Implied is the ordering implied by full fences and successful RMWs.
+	// SPARC-TSO shares it, reading MFENCE as membar #Sync.
+	Implied = Def("implied", Union(Seq(Po, atF), Seq(atF, Po)))
+
+	model = Define("x86-TSO",
+		SCPerLoc,
+		Atomicity,
+		Acyclic("GHB", Union(Implied, Ppo, Rfe, Fr, Co)),
+	)
 )
 
-// Model is the x86-TSO consistency predicate.
-type Model struct{}
-
 // New returns the x86-TSO model.
-func New() Model { return Model{} }
-
-// Name implements memmodel.Model.
-func (Model) Name() string { return "x86-TSO" }
-
-// Ppo returns x86's preserved program order: all po pairs except
-// write-to-read (store-load reordering is the one relaxation TSO allows).
-func Ppo(x *memmodel.Execution) *rel.Relation {
-	return x.Po.Filter(func(a, b int) bool {
-		ea, eb := x.Events[a], x.Events[b]
-		if ea.Kind == memmodel.KindFence || eb.Kind == memmodel.KindFence {
-			return false
-		}
-		// Keep W×W, R×W, R×R; drop W×R.
-		return !(ea.Kind == memmodel.KindWrite && eb.Kind == memmodel.KindRead)
-	})
-}
-
-// Implied returns the orderings implied by fences and successful RMWs:
-// po;[At ∪ F] ∪ [At ∪ F];po.
-func Implied(x *memmodel.Execution) *rel.Relation {
-	atF := make(map[int]bool)
-	for _, id := range x.Rmw.Domain() {
-		atF[id] = true
-	}
-	for _, id := range x.Rmw.Codomain() {
-		atF[id] = true
-	}
-	for _, id := range x.Fences(memmodel.FenceMFENCE) {
-		atF[id] = true
-	}
-	var ids []int
-	for id := range atF {
-		ids = append(ids, id)
-	}
-	idAtF := rel.Identity(ids)
-	return x.Po.Seq(idAtF).Union(idAtF.Seq(x.Po))
-}
-
-// GHB returns the global-happens-before candidate relation whose acyclicity
-// the (GHB) axiom demands.
-func GHB(x *memmodel.Execution) *rel.Relation {
-	return rel.Union(Implied(x), Ppo(x), x.Rfe(), x.Fr(), x.Co)
-}
-
-// Consistent implements memmodel.Model.
-func (Model) Consistent(x *memmodel.Execution) bool {
-	return x.SCPerLoc() && x.Atomicity() && GHB(x).Acyclic()
-}
+func New() Model { return model }

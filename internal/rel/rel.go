@@ -2,8 +2,8 @@
 // integer-identified elements (events). It mirrors the "cat" notation used
 // by axiomatic memory models: union, intersection, difference, relational
 // composition (;), inverse (^-1), identity on a set ([A]), transitive
-// closure (+), reflexive-transitive closure (*), and the acyclicity and
-// irreflexivity tests that consistency axioms are built from.
+// closure (+), and the acyclicity and irreflexivity tests that consistency
+// axioms are built from.
 //
 // Two interchangeable engines implement the Relation API:
 //
@@ -68,15 +68,6 @@ func Seq(rs ...*Relation) *Relation {
 func Identity(set []int) *Relation {
 	out := New()
 	for _, a := range set {
-		out.Add(a, a)
-	}
-	return out
-}
-
-// ReflexiveTransitiveClosure returns r* over the given carrier set.
-func (r *Relation) ReflexiveTransitiveClosure(carrier []int) *Relation {
-	out := r.TransitiveClosure()
-	for _, a := range carrier {
 		out.Add(a, a)
 	}
 	return out

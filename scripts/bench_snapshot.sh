@@ -14,6 +14,9 @@
 # hot-block promotion speedup), and the operational exploration engine
 # (BenchmarkExplore: states_per_sec transition throughput and the
 # coverage_pct of allowed outcomes a full DPOR enumeration reaches).
+# BenchmarkOutcomesParallel's heavy rows (a five-thread ring, hundreds of ms
+# per enumeration) run at a fixed 3x: three iterations already resolve the
+# serial-vs-sharded ratio they exist to record.
 # check.sh runs this with a short -benchtime as a smoke stage; for numbers
 # worth comparing across machines use BENCHTIME=2s or more.
 set -euo pipefail
@@ -24,7 +27,9 @@ OUT="${1:-BENCH_litmus.json}"
 
 raw="$(
   go test -run '^$' -bench 'BenchmarkRelOps' -benchtime "$BENCHTIME" ./internal/rel/
-  go test -run '^$' -bench 'BenchmarkOutcomesParallel|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' -benchtime "$BENCHTIME" .
+  go test -run '^$' -bench 'BenchmarkOutcomesParallel|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' \
+    -skip 'BenchmarkOutcomesParallel/heavy' -benchtime "$BENCHTIME" .
+  go test -run '^$' -bench 'BenchmarkOutcomesParallel/heavy' -benchtime 3x .
 )"
 
 # Benchmark result lines look like:
