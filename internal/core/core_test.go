@@ -452,3 +452,39 @@ func TestTBCacheReuse(t *testing.T) {
 		t.Fatalf("blocks translated = %d; cache not reused?", rt.Stats().Blocks)
 	}
 }
+
+// TestGuestJoinDoesNotSpin: the main thread of histogram spends the run
+// blocked in join. It retries once per rotation — it used to re-execute the
+// helper BLR 64 times a quantum, 443,516 instructions, a third of the run —
+// and nothing the guest or the cycle model can see moves: the figures
+// below are the spinning join's at 56226c7.
+func TestGuestJoinDoesNotSpin(t *testing.T) {
+	rt := buildKernelRuntime(t, "histogram", 2)
+	code, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	if code != 4112 || rt.M.MaxCycles() != 1245543 || st.Syscalls != 7 || st.HelperCalls != 7 {
+		t.Errorf("exit %d, MaxCycles %d, syscalls %d, helper calls %d; want 4112, 1245543, 7, 7",
+			code, rt.M.MaxCycles(), st.Syscalls, st.HelperCalls)
+	}
+	for i, want := range []uint64{3701, 1245543, 1245213} {
+		if got := rt.M.CPUs[i].Cycles; got != want {
+			t.Errorf("cpu%d cycles = %d, want %d", i, got, want)
+		}
+	}
+	sched := rt.Obs().Child("machine")
+	quanta, yields := sched.Counter("sched.quanta").Load(), sched.Counter("sched.yields").Load()
+	if quanta != 20756 {
+		t.Errorf("run took %d quanta, want the spinning join's 20756", quanta)
+	}
+	if yields == 0 || yields > quanta {
+		t.Errorf("%d quanta ended early out of %d", yields, quanta)
+	}
+	// Besides one retry per blocked quantum the main thread executes some
+	// 1,150 instructions of set-up and reduction.
+	if main := rt.M.CPUs[0].Insts; main > yields+2000 {
+		t.Errorf("main thread executed %d instructions over %d blocked quanta: the join is spinning", main, yields)
+	}
+}

@@ -336,6 +336,42 @@ func TestFaultInjectedUnmapped(t *testing.T) {
 	}
 }
 
+// TestFaultGuestWriteWrappingLength: a guest write syscall whose length
+// wraps buf+len past 2^64 is a typed unmapped-access trap — it used to pass
+// the bounds check and panic slicing memory.
+func TestFaultGuestWriteWrappingLength(t *testing.T) {
+	for _, n := range []int64{-1, -0x8000, -1 << 63} {
+		b := guestimg.NewBuilder(0x10000, 0x40000)
+		buf := b.Zeros(64)
+		a := b.Asm
+		a.Label("main").
+			MovRI(x86.RDI, int64(buf)).
+			MovRI(x86.RSI, n).
+			MovRI(x86.RAX, GuestSysWrite).
+			Syscall()
+		exitWith(a, x86.RAX)
+		img, err := b.Build("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := New(img, WithVariant(VariantRisotto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.Run()
+		tr, ok := faults.As(err)
+		if !ok || tr.Kind != faults.TrapUnmapped {
+			t.Fatalf("len=%#x: error = %v, want an unmapped trap", uint64(n), err)
+		}
+		if tr.Addr != buf || tr.CPU != 0 {
+			t.Errorf("len=%#x: trap addr/cpu = %#x/%d, want %#x/0", uint64(n), tr.Addr, tr.CPU, buf)
+		}
+		if len(rt.M.Output) != 0 {
+			t.Errorf("len=%#x: refused write still produced %d bytes", uint64(n), len(rt.M.Output))
+		}
+	}
+}
+
 // TestFaultInjectedCacheExhaust forces an allocation failure on the first
 // block: the runtime must flush, retranslate and complete normally — the
 // injection is one-shot, so the retry succeeds.

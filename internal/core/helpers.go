@@ -110,8 +110,8 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysWrite:
-		if a0+a1 > uint64(len(m.Mem)) {
-			return fmt.Errorf("guest write: [%#x,+%d) out of bounds", a0, a1)
+		if err := m.CheckRange(a0, a1); err != nil {
+			return fmt.Errorf("guest write: %w", err)
 		}
 		m.Output = append(m.Output, m.Mem[a0:a0+a1]...)
 		*guestReg(c, x86.RAX) = a1
@@ -138,15 +138,17 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		t := m.CPUs[id]
 		if !t.Halted {
 			// Re-execute the helper BLR: point the link register back at
-			// the BLR itself so the scheduler retries next quantum, and
-			// refund the call cost — a blocked join is a futex wait. The
-			// retry is not a fresh guest syscall, so uncount it.
+			// the BLR itself and give up the quantum so the scheduler
+			// retries next rotation, and refund the call cost — a blocked
+			// join is a futex wait. The retry is not a fresh guest
+			// syscall, so uncount it.
 			c.Regs[30] = c.PC
 			if c.Cycles >= m.Cost.Call {
 				c.Cycles -= m.Cost.Call
 			}
 			rt.met.syscalls.Sub(1)
 			rt.met.helperCalls.Sub(1)
+			m.Yield()
 			return nil
 		}
 		*guestReg(c, x86.RAX) = t.ExitCode

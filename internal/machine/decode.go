@@ -1,0 +1,87 @@
+package machine
+
+import "repro/internal/isa/arm"
+
+// A decode page covers 64 instruction slots — 256 bytes of code — so its
+// validity fits one word and a machine that fetches ~100 contiguous
+// instructions (an explore re-execution) pays for two or three pages.
+const (
+	decodePageShift = 6
+	decodePageSlots = 1 << decodePageShift
+	decodePageBytes = decodePageSlots * arm.InstBytes
+)
+
+// decodeTable caches decoded instructions in a dense two-level table
+// indexed by PC/4. The upper level is a window of pages that starts at the
+// lowest code page fetched so far and grows to the highest, so its size
+// follows the code executed, not the memory size; a page's slots are
+// allocated on first fetch. A slot is trusted only while its bit in valid
+// is set: invalidation clears bits and keeps the slots.
+//
+// The zero value is an empty table.
+type decodeTable struct {
+	base  uint64 // page number of pages[0]
+	pages []decodePage
+}
+
+type decodePage struct {
+	valid uint64 // bit s: insts[s] decodes the word in Mem
+	insts *[decodePageSlots]arm.Inst
+}
+
+// lookup returns the cached decode of pc, or nil. Only 4-aligned PCs are
+// ever cached: a slot is a whole instruction word.
+func (t *decodeTable) lookup(pc uint64) *arm.Inst {
+	// pc below the window wraps to a huge index and fails the bound.
+	i := pc/decodePageBytes - t.base
+	if pc%arm.InstBytes != 0 || i >= uint64(len(t.pages)) {
+		return nil
+	}
+	p := &t.pages[i]
+	s := pc / arm.InstBytes % decodePageSlots
+	if p.valid>>s&1 == 0 {
+		return nil
+	}
+	return &p.insts[s]
+}
+
+// insert caches inst as the decode of the 4-aligned pc and returns the
+// cached copy.
+func (t *decodeTable) insert(pc uint64, inst arm.Inst) *arm.Inst {
+	pn := pc / decodePageBytes
+	switch {
+	case len(t.pages) == 0:
+		t.base = pn
+	case pn < t.base:
+		grow := int(t.base - pn)
+		t.pages = append(make([]decodePage, grow, grow+len(t.pages)), t.pages...)
+		t.base = pn
+	}
+	for pn-t.base >= uint64(len(t.pages)) {
+		t.pages = append(t.pages, decodePage{})
+	}
+	p := &t.pages[pn-t.base]
+	if p.insts == nil {
+		p.insts = new([decodePageSlots]arm.Inst)
+	}
+	s := pc / arm.InstBytes % decodePageSlots
+	p.insts[s] = inst
+	p.valid |= 1 << s
+	return &p.insts[s]
+}
+
+// invalidate forgets the decode of every slot overlapping [addr, addr+4).
+func (t *decodeTable) invalidate(addr uint64) {
+	for _, a := range [2]uint64{addr, addr + arm.InstBytes - 1} {
+		if i := a/decodePageBytes - t.base; i < uint64(len(t.pages)) {
+			t.pages[i].valid &^= 1 << (a / arm.InstBytes % decodePageSlots)
+		}
+	}
+}
+
+// invalidateAll forgets every decode.
+func (t *decodeTable) invalidateAll() {
+	for i := range t.pages {
+		t.pages[i].valid = 0
+	}
+}

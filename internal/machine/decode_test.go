@@ -1,0 +1,212 @@
+package machine
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/isa/arm"
+)
+
+// straightLine assembles n-1 increments of X1 and an HLT.
+func straightLine(t *testing.T, n int) []byte {
+	t.Helper()
+	a := arm.NewAssembler()
+	for i := 0; i < n-1; i++ {
+		a.AddI(arm.X1, arm.X1, 1)
+	}
+	a.Hlt()
+	code, _, err := a.Assemble(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+// TestDecodeTableFootprint pins what a machine allocates to run a little
+// code against what the map[uint64]arm.Inst decode cache it replaced
+// allocated for the same runs (measured at 56226c7, go1.24 linux/amd64):
+// the table's cost follows the code fetched, not the memory size. A
+// pointer per page over all of Mem costs the 32 MiB machine 1 MB and
+// fails the second case; 256-slot pages fail the first.
+func TestDecodeTableFootprint(t *testing.T) {
+	cases := []struct {
+		name         string
+		mem          int
+		base         uint64
+		insts        int
+		parentsBytes uint64
+	}{
+		// explore's shape: a fresh 64 KiB machine per re-execution.
+		{"64KiB machine, 128 steps", 1 << 16, 0x1000, 128, 85_168},
+		// core's shape: 32 MiB, code cache at three quarters, one block.
+		{"32MiB machine, one 40-instruction block", 32 << 20, 24 << 20, 40, 33_559_712},
+	}
+	for _, tc := range cases {
+		code := straightLine(t, tc.insts)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := New(tc.mem)
+		copy(m.Mem[tc.base:], code)
+		m.CPUs[0].PC = tc.base
+		err := m.Run(m.CPUs[0], uint64(tc.insts)+1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.parentsBytes {
+			t.Errorf("%s: allocated %d bytes, the map-based cache allocated %d", tc.name, got, tc.parentsBytes)
+		}
+	}
+}
+
+// TestDecodeTableWindow: the page window follows fetches downward and
+// upward, lookups outside it miss, and invalidation clears exactly the
+// slots a patched word overlaps.
+func TestDecodeTableWindow(t *testing.T) {
+	var tab decodeTable
+	at := func(pc uint64) arm.Inst { return arm.Inst{Op: arm.ADDI, Imm: int64(pc)} }
+	pcs := []uint64{0x5000, 0x5004, 0x50FC, 0x5100, 0x2000, 0x9F00, 0}
+	for i, pc := range pcs {
+		if tab.lookup(pc) != nil {
+			t.Fatalf("lookup(%#x) hit before insert", pc)
+		}
+		tab.insert(pc, at(pc))
+		for _, seen := range pcs[:i+1] {
+			if got := tab.lookup(seen); got == nil || *got != at(seen) {
+				t.Fatalf("after insert(%#x): lookup(%#x) = %v", pc, seen, got)
+			}
+		}
+	}
+	if want := 0x9F00/decodePageBytes + 1; len(tab.pages) != want || tab.base != 0 {
+		t.Errorf("window = %d pages from %d, want %d from 0", len(tab.pages), tab.base, want)
+	}
+	for _, pc := range []uint64{0x5008, 0xA000, 1 << 40, ^uint64(0) &^ 3} {
+		if tab.lookup(pc) != nil {
+			t.Errorf("lookup(%#x) hit a slot never inserted", pc)
+		}
+	}
+
+	tab.invalidate(0x5004)
+	if tab.lookup(0x5004) != nil || tab.lookup(0x5000) == nil || tab.lookup(0x50FC) == nil {
+		t.Error("invalidate(0x5004) must clear that slot and no neighbour")
+	}
+	// A word written at a non-aligned address overlaps two slots, here
+	// the last of one page and the first of the next.
+	tab.invalidate(0x50FE)
+	if tab.lookup(0x50FC) != nil || tab.lookup(0x5100) != nil {
+		t.Error("invalidate(0x50FE) must clear both slots the word overlaps")
+	}
+	tab.invalidate(1 << 40) // outside the window: nothing to forget
+	tab.invalidateAll()
+	for _, pc := range pcs {
+		if tab.lookup(pc) != nil {
+			t.Errorf("lookup(%#x) hit after invalidateAll", pc)
+		}
+	}
+}
+
+// patchWord overwrites the instruction word at addr the way the DBT's
+// chaining and miscompile injection do.
+func patchWord(t *testing.T, m *Machine, addr uint64, inst arm.Inst) {
+	t.Helper()
+	w, err := arm.Encode(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(m.Mem[addr:], w)
+}
+
+// TestDecodeSnapshotRestore: Restore rewrites memory wholesale, so code
+// patched after the snapshot must execute as it was at the snapshot.
+func TestDecodeSnapshotRestore(t *testing.T) {
+	const base = 0x1000
+	m := New(1 << 16)
+	CheckFetches(t, m)
+	copy(m.Mem[base:], straightLine(t, 4))
+	c := m.CPUs[0]
+	c.PC = base
+	snap := m.Snapshot(c)
+	if err := m.Run(c, 10); err != nil {
+		t.Fatal(err)
+	}
+	patchWord(t, m, base, arm.Inst{Op: arm.ADDI, Rd: arm.X1, Rn: arm.X1, Imm: 100})
+	m.InvalidateDecodeAt(base)
+	c.PC, c.Halted = base, false
+	if err := m.Run(c, 10); err != nil {
+		t.Fatal(err)
+	}
+	if c.Regs[1] != 3+102 {
+		t.Fatalf("patched rerun: X1 = %d, want 105", c.Regs[1])
+	}
+	m.Restore(c, snap)
+	if err := m.Run(c, 10); err != nil {
+		t.Fatal(err)
+	}
+	if c.Regs[1] != 3 {
+		t.Errorf("after Restore X1 = %d, want the snapshot program's 3", c.Regs[1])
+	}
+}
+
+// TestUnalignedPCDecodesUncached: a PC that is not a multiple of four
+// still executes the word at that address, bypassing the table.
+func TestUnalignedPCDecodesUncached(t *testing.T) {
+	m := New(1 << 16)
+	copy(m.Mem[0x1002:], straightLine(t, 3))
+	c := m.CPUs[0]
+	c.PC = 0x1002
+	if err := m.Run(c, 10); err != nil {
+		t.Fatal(err)
+	}
+	if c.Regs[1] != 2 || !c.Halted {
+		t.Errorf("X1 = %d halted = %v, want 2 true", c.Regs[1], c.Halted)
+	}
+	if len(m.decode.pages) != 0 {
+		t.Errorf("unaligned fetches cached %d pages", len(m.decode.pages))
+	}
+	c.PC, c.Halted = uint64(len(m.Mem))-2, false
+	if err := m.Step(c); !faults.IsKind(err, faults.TrapUnmapped) {
+		t.Errorf("fetch straddling the end of memory: err = %v, want a TrapUnmapped", err)
+	}
+}
+
+// TestStoreClearsArmedMonitors: the armed-monitor count that lets stores
+// skip the monitor scan tracks LDXR, STXR, intervening stores and Restore.
+func TestStoreClearsArmedMonitors(t *testing.T) {
+	m, c0 := freshCPU(t)
+	c1 := m.AddCPU()
+	ldxr := arm.Inst{Op: arm.LDXR, Rd: arm.X2, Rn: arm.X1, Size: 8}
+	stxr := arm.Inst{Op: arm.STXR, Rd: arm.X3, Rn: arm.X1, Rm: arm.X2, Size: 8}
+	c0.Regs[1], c1.Regs[1] = 0x800, 0x800
+
+	execOne(t, c0, m, ldxr)
+	execOne(t, c1, m, ldxr)
+	execOne(t, c0, m, ldxr) // re-arming must not double-count
+	if m.armed != 2 {
+		t.Fatalf("armed = %d after two CPUs took a monitor, want 2", m.armed)
+	}
+	if err := m.WriteMem(0x804, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m.armed != 0 || c0.monValid || c1.monValid {
+		t.Fatalf("overlapping store left armed = %d, monitors %v %v", m.armed, c0.monValid, c1.monValid)
+	}
+	execOne(t, c0, m, stxr)
+	if c0.Regs[3] != 1 {
+		t.Error("STXR succeeded after an intervening store")
+	}
+
+	execOne(t, c0, m, ldxr)
+	snap := m.Snapshot(c1)
+	execOne(t, c1, m, ldxr)
+	m.Restore(c1, snap)
+	if m.armed != 1 || c1.monValid {
+		t.Fatalf("Restore left armed = %d, cpu1 monitor %v; want 1, false", m.armed, c1.monValid)
+	}
+	execOne(t, c0, m, stxr)
+	if c0.Regs[3] != 0 || m.armed != 0 {
+		t.Errorf("uncontended STXR status %d, armed %d; want 0, 0", c0.Regs[3], m.armed)
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // exec executes a decoded instruction on c, charging its cost and advancing
 // the PC.
-func (m *Machine) exec(c *CPU, inst arm.Inst) error {
+func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 	c.Insts++
 	c.Cycles += m.Cost.Of(inst.Op)
 	next := c.PC + arm.InstBytes
@@ -160,7 +160,7 @@ func (m *Machine) exec(c *CPU, inst arm.Inst) error {
 			return cpuErr(c, err)
 		}
 		c.setReg(inst.Rd, v)
-		c.monAddr, c.monSize, c.monValid = addr, inst.Size, true
+		m.arm(c, addr, inst.Size)
 	case arm.STXR, arm.STLXR:
 		addr := c.reg(inst.Rn)
 		if err := checkAtomicAlign(addr, inst.Size); err != nil {
@@ -174,7 +174,7 @@ func (m *Machine) exec(c *CPU, inst arm.Inst) error {
 		} else {
 			c.setReg(inst.Rd, 1) // failure
 		}
-		c.monValid = false
+		m.disarm(c)
 
 	case arm.CAS, arm.CASAL:
 		if m.weak != nil {

@@ -11,7 +11,7 @@ import (
 
 func execOne(t *testing.T, c *CPU, m *Machine, inst arm.Inst) {
 	t.Helper()
-	if err := m.exec(c, inst); err != nil {
+	if err := m.exec(c, &inst); err != nil {
 		t.Fatalf("%v: %v", inst, err)
 	}
 }

@@ -21,6 +21,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -73,7 +74,18 @@ type Machine struct {
 	// 64-byte line, for the contention penalty.
 	lineOwner map[uint64]int
 
-	decodeCache map[uint64]arm.Inst
+	// decode caches decoded instructions by PC; see decode.go.
+	decode decodeTable
+	// fetchCheck, when non-nil, sees every fetch served from the decode
+	// table (tests compare it with a fresh decode of memory).
+	fetchCheck func(pc uint64, cached *arm.Inst)
+
+	// armed counts the CPUs whose exclusive monitor is valid, so stores
+	// skip the monitor scan when it is zero.
+	armed int
+
+	// yield is set by Yield and consumed by RunAll.
+	yield bool
 
 	// weak, when non-nil, enables the operational weak-memory mode
 	// (store buffers with out-of-order drain; see weak.go).
@@ -88,12 +100,14 @@ type Machine struct {
 	accLog   []MemAccess
 	accLogOn bool
 
-	// sc/quanta are the observability hooks installed by SetObs: quanta
-	// is bumped once per scheduler quantum (one atomic add per `quantum`
-	// instructions, cheap enough for the hot loop), and the dynamic
-	// execution counters are published as gauges when RunAll returns.
+	// sc/quanta/yields are the observability hooks installed by SetObs:
+	// quanta is bumped once per scheduler quantum (one atomic add per
+	// `quantum` instructions, cheap enough for the hot loop), yields once
+	// per quantum a blocked CPU gave up early, and the dynamic execution
+	// counters are published as gauges when RunAll returns.
 	sc     *obs.Scope
 	quanta *obs.Counter
+	yields *obs.Counter
 }
 
 // CPU is one simulated hardware thread.
@@ -124,22 +138,23 @@ type CPU struct {
 // New creates a machine with memSize bytes of memory and one CPU.
 func New(memSize int) *Machine {
 	m := &Machine{
-		Mem:         make([]byte, memSize),
-		Cost:        DefaultCost(),
-		lineOwner:   make(map[uint64]int),
-		decodeCache: make(map[uint64]arm.Inst),
+		Mem:       make([]byte, memSize),
+		Cost:      DefaultCost(),
+		lineOwner: make(map[uint64]int),
 	}
 	m.AddCPU()
 	return m
 }
 
 // SetObs points the machine's instrumentation at root's "machine" child
-// scope: scheduler quanta are counted under "machine.sched.quanta", and
+// scope: scheduler quanta are counted under "machine.sched.quanta", the
+// ones a blocked join ended early under "machine.sched.yields", and
 // RunAll publishes the dynamic execution counters (instructions, atomics,
 // per-flavour DMBs, CPU count) as gauges on exit. Nil-scope safe.
 func (m *Machine) SetObs(root *obs.Scope) {
 	m.sc = root.Child("machine")
 	m.quanta = m.sc.Counter("sched.quanta")
+	m.yields = m.sc.Counter("sched.yields")
 }
 
 // publishObs mirrors the dynamic execution counters into gauges.
@@ -159,6 +174,9 @@ func (m *Machine) publishObs() {
 func (m *Machine) AddCPU() *CPU {
 	c := &CPU{ID: len(m.CPUs)}
 	m.CPUs = append(m.CPUs, c)
+	if m.weak != nil {
+		m.weak.buffers = append(m.weak.buffers, nil)
+	}
 	return c
 }
 
@@ -206,12 +224,13 @@ func (m *Machine) record(addr uint64, size uint8, write, local bool) {
 // translation never needs it; TB chaining patches single instructions and
 // uses InvalidateDecodeAt.)
 func (m *Machine) InvalidateDecodeCache() {
-	m.decodeCache = make(map[uint64]arm.Inst)
+	m.decode.invalidateAll()
 }
 
-// InvalidateDecodeAt drops one address's cached decode after a code patch.
+// InvalidateDecodeAt drops the cached decode of the instruction word
+// written at addr after a code patch.
 func (m *Machine) InvalidateDecodeAt(addr uint64) {
-	delete(m.decodeCache, addr)
+	m.decode.invalidate(addr)
 }
 
 // reg reads a register, honouring XZR.
@@ -232,8 +251,17 @@ func (c *CPU) setReg(r arm.Reg, v uint64) {
 // --- Memory access ---------------------------------------------------------
 
 func (m *Machine) check(addr uint64, size uint8) error {
-	if addr+uint64(size) > uint64(len(m.Mem)) || addr+uint64(size) < addr {
-		t := faults.New(faults.TrapUnmapped, "access [%#x,+%d) out of bounds (mem %#x)", addr, size, len(m.Mem))
+	return m.CheckRange(addr, uint64(size))
+}
+
+// CheckRange reports whether the n bytes at addr lie inside memory, as an
+// unmapped-access trap if not. n may be anything up to 2^64-1 — a syscall
+// buffer's length is the guest's choice — so it is compared without
+// forming addr+n. An empty range is valid anywhere up to the end of memory.
+func (m *Machine) CheckRange(addr, n uint64) error {
+	size := uint64(len(m.Mem))
+	if addr > size || n > size-addr {
+		t := faults.New(faults.TrapUnmapped, "access [%#x,+%d) out of bounds (mem %#x)", addr, n, size)
 		t.Addr = addr
 		return t
 	}
@@ -262,8 +290,19 @@ func (m *Machine) ReadMem(addr uint64, size uint8) (uint64, error) {
 		return 0, err
 	}
 	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(m.Mem[addr+uint64(i)]) << (8 * i)
+	switch b := m.Mem[addr:]; size {
+	case 1:
+		v = uint64(b[0])
+	case 2:
+		v = uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		v = uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		v = binary.LittleEndian.Uint64(b)
+	default:
+		for i := uint8(0); i < size; i++ {
+			v |= uint64(b[i]) << (8 * i)
+		}
 	}
 	m.record(addr, size, false, false)
 	return v, nil
@@ -277,10 +316,23 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	if err := m.check(addr, size); err != nil {
 		return err
 	}
-	for i := uint8(0); i < size; i++ {
-		m.Mem[addr+uint64(i)] = byte(v >> (8 * i))
+	switch b := m.Mem[addr:]; size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	default:
+		for i := uint8(0); i < size; i++ {
+			b[i] = byte(v >> (8 * i))
+		}
 	}
-	m.clearMonitors(addr, size)
+	if m.armed != 0 {
+		m.clearMonitors(addr, size)
+	}
 	m.record(addr, size, true, false)
 	return nil
 }
@@ -289,8 +341,25 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 func (m *Machine) clearMonitors(addr uint64, size uint8) {
 	for _, c := range m.CPUs {
 		if c.monValid && overlap(addr, uint64(size), c.monAddr, uint64(c.monSize)) {
-			c.monValid = false
+			m.disarm(c)
 		}
+	}
+}
+
+// arm sets c's exclusive monitor on [addr, +size).
+func (m *Machine) arm(c *CPU, addr uint64, size uint8) {
+	if !c.monValid {
+		m.armed++
+	}
+	c.monAddr, c.monSize, c.monValid = addr, size, true
+}
+
+// disarm invalidates c's exclusive monitor. Every write of monValid goes
+// through arm and disarm: m.armed must never undercount.
+func (m *Machine) disarm(c *CPU) {
+	if c.monValid {
+		m.armed--
+		c.monValid = false
 	}
 }
 
@@ -361,17 +430,14 @@ func (m *Machine) Step(c *CPU) error {
 	if c.Halted {
 		return nil
 	}
-	inst, ok := m.decodeCache[c.PC]
-	if !ok {
-		if err := m.check(c.PC, arm.InstBytes); err != nil {
-			return cpuErr(c, fmt.Errorf("fetch: %w", err))
-		}
+	inst := m.decode.lookup(c.PC)
+	if inst == nil {
 		var err error
-		inst, err = arm.DecodeAt(m.Mem, int(c.PC))
-		if err != nil {
-			return cpuErr(c, faults.Wrap(faults.TrapDecode, err, "host instruction decode"))
+		if inst, err = m.decodeMiss(c); err != nil {
+			return err
 		}
-		m.decodeCache[c.PC] = inst
+	} else if m.fetchCheck != nil {
+		m.fetchCheck(c.PC, inst)
 	}
 	if err := m.exec(c, inst); err != nil {
 		return err
@@ -381,6 +447,31 @@ func (m *Machine) Step(c *CPU) error {
 	}
 	return nil
 }
+
+// decodeMiss decodes the instruction at c.PC from memory and caches it.
+// A PC that is not 4-aligned still decodes, uncached: the table's slots
+// are whole instruction words.
+func (m *Machine) decodeMiss(c *CPU) (*arm.Inst, error) {
+	if err := m.check(c.PC, arm.InstBytes); err != nil {
+		return nil, cpuErr(c, fmt.Errorf("fetch: %w", err))
+	}
+	inst, err := arm.DecodeAt(m.Mem, int(c.PC))
+	if err != nil {
+		return nil, cpuErr(c, faults.Wrap(faults.TrapDecode, err, "host instruction decode"))
+	}
+	if c.PC%arm.InstBytes != 0 {
+		// A copy, so that only this path's result escapes to the heap.
+		uncached := inst
+		return &uncached, nil
+	}
+	return m.decode.insert(c.PC, inst), nil
+}
+
+// Yield asks RunAll to end the running CPU's quantum after the current
+// instruction. A blocked join calls it: nothing the waiter does in the
+// rest of its quantum can unblock it, so it retries once per rotation
+// instead of once per instruction. Outside RunAll it has no effect.
+func (m *Machine) Yield() { m.yield = true }
 
 // Run executes a single CPU until it halts or maxSteps elapse.
 func (m *Machine) Run(c *CPU, maxSteps uint64) error {
@@ -400,8 +491,9 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 // per-CPU StepBudget, or the wall-clock Deadline. Budget expiry returns a
 // structured faults.TrapBudget, so a runaway or livelocked guest degrades
 // to a typed, reportable halt instead of an unbounded spin. CPUs added
-// during execution (spawn) join the rotation. An installed Chooser may
-// override each quantum's CPU pick (NextCPU -1 keeps the round-robin).
+// during execution (spawn) join the rotation; a CPU that calls Yield ends
+// its quantum early. An installed Chooser may override each quantum's CPU
+// pick (NextCPU -1 keeps the round-robin).
 func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	if quantum <= 0 {
 		quantum = 64
@@ -460,6 +552,7 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			t.Steps = c.Insts
 			return t.WithCPU(c.ID).WithHostPC(c.PC)
 		}
+		m.yield = false
 		for q := 0; q < quantum && !c.Halted; q++ {
 			if err := m.Step(c); err != nil {
 				return err
@@ -475,6 +568,10 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			// enough for the hot loop, tight enough to bound a hang.
 			if m.Deadline > 0 && total&0x3FF == 0 && time.Since(start) > m.Deadline {
 				return budgetTrap(c, total, "wall-clock deadline %v exceeded", m.Deadline)
+			}
+			if m.yield {
+				m.yields.Inc()
+				break
 			}
 		}
 	}

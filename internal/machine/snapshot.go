@@ -6,11 +6,7 @@
 
 package machine
 
-import (
-	"fmt"
-
-	"repro/internal/isa/arm"
-)
+import "fmt"
 
 // WeakSnapshot captures the weak-memory mode's state: every CPU's pending
 // store buffer, the global store sequence counter, and the chooser's
@@ -103,38 +99,38 @@ func (s *Snapshot) ShadowMachine() *Machine {
 		}
 	}
 	return &Machine{
-		Mem:         mem,
-		CPUs:        []*CPU{&cpu},
-		Cost:        DefaultCost(),
-		lineOwner:   make(map[uint64]int),
-		decodeCache: make(map[uint64]arm.Inst),
+		Mem:       mem,
+		CPUs:      []*CPU{&cpu},
+		Cost:      DefaultCost(),
+		lineOwner: make(map[uint64]int),
 	}
 }
 
 // Restore writes the snapshot back into m and c — the inverse of Snapshot,
 // for callers that executed destructively on the live machine. The CPU's
-// identity is preserved; the decode cache is dropped because memory
+// identity is preserved; every cached decode is invalidated because memory
 // (including the code cache) is rewritten wholesale. Weak-mode state
 // (buffers, sequence counter, chooser cursor) is restored when the
 // snapshot carries it; restoring a weak snapshot onto a machine whose mode
 // or chooser cannot accept it is a programming error and panics.
 func (m *Machine) Restore(c *CPU, s *Snapshot) {
 	copy(m.Mem, s.Mem)
+	m.disarm(c) // the snapshot's monitor is clear
 	id := c.ID
 	*c = s.CPU
 	c.ID = id
-	m.decodeCache = make(map[uint64]arm.Inst)
+	m.decode.invalidateAll()
+	if m.weak != nil {
+		// The snapshot's buffers replace them; a snapshot that predates
+		// weak mode buffered no store.
+		clear(m.weak.buffers)
+	}
 	if s.Weak == nil {
-		if m.weak != nil {
-			// Snapshot predates weak mode: no store was buffered then.
-			m.weak.buffers = make(map[int][]PendingStore)
-		}
 		return
 	}
 	if m.weak == nil {
 		panic(fmt.Errorf("machine: restoring weak-mode snapshot onto a machine without weak mode"))
 	}
-	m.weak.buffers = make(map[int][]PendingStore)
 	for cid, buf := range s.Weak.Buffers {
 		m.weak.buffers[cid] = append([]PendingStore(nil), buf...)
 	}

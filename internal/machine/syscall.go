@@ -18,7 +18,7 @@ const (
 	// pointer register (X27 by convention) set to X2. Returns the CPU id.
 	SysSpawn = 220
 	// SysJoin blocks until CPU X0 halts (the scheduler re-executes the
-	// SVC until then). Returns the target's exit code.
+	// SVC once per rotation until then). Returns the target's exit code.
 	SysJoin = 221
 )
 
@@ -31,11 +31,8 @@ func NativeSyscall(m *Machine, c *CPU, imm uint16) error {
 		return nil
 	case SysWrite:
 		ptr, n := c.Regs[0], c.Regs[1]
-		if err := m.check(ptr, 1); n > 0 && err != nil {
+		if err := m.CheckRange(ptr, n); err != nil {
 			return err
-		}
-		if ptr+n > uint64(len(m.Mem)) {
-			return fmt.Errorf("write syscall: range [%#x,+%d) out of bounds", ptr, n)
 		}
 		m.Output = append(m.Output, m.Mem[ptr:ptr+n]...)
 		c.Regs[0] = n
@@ -56,9 +53,11 @@ func NativeSyscall(m *Machine, c *CPU, imm uint16) error {
 		if !t.Halted {
 			// Rewind to the SVC so the scheduler retries. A blocked join
 			// models a futex wait: refund the trap cost so the joiner
-			// does not accrue simulated time while parked.
+			// does not accrue simulated time while parked, and give up
+			// the rest of the quantum.
 			c.PC -= 4
 			c.Cycles -= m.Cost.Svc
+			m.Yield()
 			return nil
 		}
 		c.Regs[0] = t.ExitCode

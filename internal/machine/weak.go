@@ -32,7 +32,8 @@ import (
 // choosers over the same engine. The exact-as-implemented axiomatic
 // counterpart of this machine is internal/models/opref.
 type weakState struct {
-	buffers map[int][]PendingStore
+	// buffers is indexed by CPU id; AddCPU grows it.
+	buffers [][]PendingStore
 	// nextSeq numbers buffered stores machine-globally (see PendingStore.Seq).
 	nextSeq uint64
 }
@@ -50,7 +51,7 @@ func (m *Machine) EnableWeakMemory(seed int64, drainProb256 int) {
 // — the regime exploration drivers use to own every drain as a first-class
 // transition.
 func (m *Machine) EnableWeakMode(ch Chooser) {
-	m.weak = &weakState{buffers: make(map[int][]PendingStore)}
+	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs))}
 	m.chooser = ch
 }
 

@@ -9,7 +9,8 @@
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
 # bitset engine is pinned against it), and a one-iteration bench smoke keeps
-# scripts/bench_snapshot.sh and the benchmarks it snapshots compiling. The
+# scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
+# perf smoke does the same for the benchmark module under perf/. The
 # explore stages pin the operational exploration engine: DPOR must reach
 # every allowed SB outcome, budget-exhausted traces must replay
 # byte-identically, and a corpus walk plus a ≥500-test generated campaign
@@ -42,6 +43,12 @@ litmusctl=$SH_TMP/litmusctl risotto=$SH_TMP/risotto risottod=$SH_TMP/risottod ob
 
 stage "go test ./..."
 go test ./...
+
+# perf/ is a module of its own that imports internal/machine, core and
+# portasm; tier-1 never compiles it, so an API slip would otherwise surface
+# only when the benchmark runs.
+stage "perf smoke: (cd perf && go vet . && go test .)"
+(cd perf && go vet . && go test .)
 
 stage "go vet ./internal/obs/ ./internal/cliflags/"
 go vet ./internal/obs/ ./internal/cliflags/
