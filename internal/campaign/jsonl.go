@@ -1,24 +1,16 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/journal"
 )
 
-// Header is the first line of a campaign results file. It pins the
-// configuration the records were produced under: a resume against a file
-// whose hash differs would silently mix two different test spaces, so
-// RunFile refuses it.
-type Header struct {
-	// Format identifies the file format and version.
-	Format string `json:"format"`
-	// ConfigHash is Config.Hash() of the producing campaign.
-	ConfigHash string `json:"config_hash"`
-}
+// Header is the first line of a campaign results file: the run-file header
+// of internal/journal, with ConfigHash = Config.Hash() of the producing
+// campaign.
+type Header = journal.Header
 
 // FormatV1 is the current results format tag.
 const FormatV1 = "risotto-campaign/v1"
@@ -27,46 +19,7 @@ const FormatV1 = "risotto-campaign/v1"
 // by records. A torn final line (campaign killed mid-write) is dropped;
 // any other malformed line is an error.
 func ReadResults(r io.Reader) (Header, []Record, error) {
-	hdr, recs, _, err := readResults(r)
-	return hdr, recs, err
-}
-
-// readResults additionally reports the byte length of the valid prefix —
-// everything up to and including the last well-formed line. The resume
-// path truncates the file there so a torn final line is physically
-// removed before new records are appended (appending after a fragment
-// with no trailing newline would weld two records into one). The framing
-// — flush-per-record writes, torn-tail drop, valid-prefix arithmetic —
-// lives in internal/journal; only the header/record semantics are ours.
-func readResults(r io.Reader) (Header, []Record, int64, error) {
-	var hdr Header
-	var recs []Record
-	sawHeader := false
-	valid, err := journal.Scan(r, func(line []byte) error {
-		if !sawHeader {
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return fmt.Errorf("campaign: bad header line: %w", err)
-			}
-			if hdr.Format != FormatV1 {
-				return fmt.Errorf("campaign: unknown results format %q", hdr.Format)
-			}
-			sawHeader = true
-			return nil
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("campaign: bad record line: %w", err)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return hdr, nil, 0, err
-	}
-	if !sawHeader {
-		return hdr, nil, 0, io.EOF
-	}
-	return hdr, recs, valid, nil
+	return journal.ReadRun[Record](r, FormatV1)
 }
 
 // RunFile runs the campaign with results at path. With resume false the
@@ -75,48 +28,14 @@ func readResults(r io.Reader) (Header, []Record, int64, error) {
 // against cfg's hash, already-recorded test indices are skipped, and new
 // records are appended.
 func RunFile(cfg Config, path string, resume bool) (Summary, error) {
-	var done map[int]bool
-	if resume {
-		f, err := os.Open(path)
-		if err != nil {
-			return Summary{}, err
-		}
-		hdr, recs, valid, err := readResults(f)
-		f.Close()
-		if err != nil {
-			return Summary{}, fmt.Errorf("campaign: reading %s for resume: %w", path, err)
-		}
-		if hdr.ConfigHash != cfg.Hash() {
-			return Summary{}, fmt.Errorf(
-				"campaign: %s was produced by config %s, refusing to resume with config %s",
-				path, hdr.ConfigHash, cfg.Hash())
-		}
-		done = make(map[int]bool, len(recs))
-		for _, r := range recs {
-			done[r.Idx] = true
-		}
-		out, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return Summary{}, err
-		}
-		defer out.Close()
-		// Drop any torn final line before appending (see readResults).
-		if err := out.Truncate(valid); err != nil {
-			return Summary{}, err
-		}
-		if _, err := out.Seek(valid, io.SeekStart); err != nil {
-			return Summary{}, err
-		}
-		return Run(cfg, out, done)
-	}
-
-	out, err := os.Create(path)
+	out, recs, err := journal.OpenRun[Record](path, Header{Format: FormatV1, ConfigHash: cfg.Hash()}, resume)
 	if err != nil {
-		return Summary{}, err
+		return Summary{}, fmt.Errorf("campaign: %w", err)
 	}
 	defer out.Close()
-	if err := journal.NewWriter(out).Encode(Header{Format: FormatV1, ConfigHash: cfg.Hash()}); err != nil {
-		return Summary{}, err
+	done := make(map[int]bool, len(recs))
+	for _, r := range recs {
+		done[r.Idx] = true
 	}
-	return Run(cfg, out, nil)
+	return Run(cfg, out, done)
 }

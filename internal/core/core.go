@@ -199,9 +199,6 @@ type Stats struct {
 	// block seams inside superblocks — merges the per-block scheme
 	// cannot see.
 	CrossBlockFenceMerges uint64
-	// ShardContention counts lock-stripe collisions on the sharded block
-	// cache and chain tables.
-	ShardContention uint64
 }
 
 // tb is one cached translation block.
@@ -224,6 +221,14 @@ type pltEntry struct {
 }
 
 // Runtime is one emulated guest process.
+//
+// Single-owner rule: machine.RunAll drives every vCPU from the goroutine
+// that called Run, and every table below — tbs, chainSites, patched,
+// irCache, interpStubs, plt, the allocator cursors — is read and written
+// only from it (dispatch, translation, flush, quarantine and promotion
+// install all run inside the SVC/BLR callbacks). Tier-up workers receive
+// private snapshots and answer over a channel (tierup.go), so none of it
+// needs a lock; a Runtime must not be shared between goroutines.
 type Runtime struct {
 	// M is the underlying simulated host machine.
 	M *machine.Machine
@@ -235,7 +240,7 @@ type Runtime struct {
 	feCfg      frontend.Config
 	beCfg      backend.Config
 	optCfg     tcg.OptConfig
-	tbs        *tbCache
+	tbs        map[uint64]*tb // guest PC → translation block
 	codeCursor uint64
 	plt        map[uint64]*pltEntry // guest PLT address → host function
 	stackCur   uint64
@@ -250,11 +255,11 @@ type Runtime struct {
 	tierup *tierUp
 	// chainSites maps the host address of a patchable exit SVC to its
 	// constant guest target (TB chaining).
-	chainSites *addrMap
+	chainSites map[uint64]uint64
 	// patched records exit SVCs rewritten into direct branches (host
 	// address → guest target), so a cache flush can restore them (chain
 	// reset) before recycling the region they branch into.
-	patched *addrMap
+	patched map[uint64]uint64
 	// pinned lists code-cache extents that survived the last flush
 	// because a CPU was still executing inside them; the allocator skips
 	// them until the next flush re-evaluates liveness.
@@ -291,8 +296,7 @@ const (
 func guestReg(c *machine.CPU, r x86.Reg) *uint64 { return &c.Regs[int(r)] }
 
 // newRuntime creates a runtime for the given config and loads the image.
-// Exported construction goes through New (functional options) or the
-// deprecated NewFromConfig shim, both in options.go.
+// Exported construction goes through New (options.go).
 func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 32 << 20
@@ -328,10 +332,10 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		obs:         scope,
 		met:         met,
 		cfg:         cfg,
-		tbs:         newTBCache(met.shardContention),
+		tbs:         make(map[uint64]*tb),
 		plt:         make(map[uint64]*pltEntry),
-		chainSites:  newAddrMap(met.shardContention),
-		patched:     newAddrMap(met.shardContention),
+		chainSites:  make(map[uint64]uint64),
+		patched:     make(map[uint64]uint64),
 		irCache:     make(map[uint64]*tcg.Block),
 		interpStubs: make(map[uint64]uint64),
 	}
@@ -375,7 +379,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	rt.M.Deadline = cfg.Deadline
 	rt.M.Inject = cfg.Inject
 	if cfg.WeakSeed != nil {
-		rt.M.EnableWeakMemory(*cfg.WeakSeed, 48)
+		rt.M.EnableWeakMode(machine.NewRandomChooser(*cfg.WeakSeed, 48))
 	}
 
 	// The tier-translation entry point: the pipeline over live guest
@@ -441,10 +445,25 @@ func (rt *Runtime) load(img *guestimg.Image) error {
 	return nil
 }
 
-// newStack carves a stack and returns its top.
-func (rt *Runtime) newStack() uint64 {
+// newStack carves a stack below the previous one and returns its top. The
+// room check compares against the gap instead of forming stackCur-StackSize,
+// which would wrap below zero (or silently overlap the heap).
+func (rt *Runtime) newStack() (uint64, error) {
+	if rt.stackCur < rt.heapCur || rt.stackCur-rt.heapCur < rt.cfg.StackSize {
+		return 0, fmt.Errorf("guest spawn: stack space exhausted")
+	}
 	rt.stackCur -= rt.cfg.StackSize
-	return rt.stackCur + rt.cfg.StackSize - 64
+	return rt.stackCur + rt.cfg.StackSize - 64, nil
+}
+
+// heapRoom is how far the guest heap may still grow: up to the lowest
+// stack, less one further stack per live CPU held back for spawns.
+func (rt *Runtime) heapRoom() uint64 {
+	reserve := uint64(len(rt.M.CPUs)) * rt.cfg.StackSize
+	if reserve > rt.stackCur || rt.stackCur-reserve <= rt.heapCur {
+		return 0
+	}
+	return rt.stackCur - reserve - rt.heapCur
 }
 
 // StartThread prepares a vCPU to run guest code at entry.
@@ -461,8 +480,12 @@ func (rt *Runtime) Run() (uint64, error) {
 	if rt.tierup != nil {
 		defer rt.tierup.stop(c)
 	}
-	*guestReg(c, x86.RSP) = rt.newStack()
-	err := rt.runHealed(func() error { return rt.startThread(c, rt.img.Entry) })
+	sp, err := rt.newStack()
+	if err != nil {
+		return 0, err
+	}
+	*guestReg(c, x86.RSP) = sp
+	err = rt.runHealed(func() error { return rt.startThread(c, rt.img.Entry) })
 	if err == nil {
 		err = rt.runHealed(func() error { return rt.M.RunAll(rt.cfg.Quantum, rt.cfg.MaxSteps) })
 	}
@@ -482,7 +505,7 @@ func (rt *Runtime) dispatch(c *machine.CPU, guestPC uint64) error {
 	if rt.tierup != nil {
 		rt.tierup.tick(c, guestPC)
 	}
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		var err error
 		t, err = rt.translate(c, guestPC)
@@ -606,7 +629,7 @@ func (rt *Runtime) translateInterp(c *machine.CPU, guestPC uint64) (*tb, error) 
 	binary.LittleEndian.PutUint32(rt.M.Mem[base:], w)
 	rt.M.InvalidateDecodeAt(base)
 	t := &tb{guestPC: guestPC, hostAddr: base, codeLen: arm.InstBytes, tier: selfheal.TierInterp}
-	rt.tbs.put(t)
+	rt.tbs[guestPC] = t
 	rt.irCache[guestPC] = block
 	rt.interpStubs[base] = guestPC
 	rt.met.blocks.Inc()
@@ -668,7 +691,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 		copy(rt.M.Mem[base:], code)
 		t := &tb{guestPC: guestPC, hostAddr: base, codeLen: len(code)}
 		rt.codeCursor = (end + 15) &^ 15
-		rt.tbs.put(t)
+		rt.tbs[guestPC] = t
 
 		rt.met.blocks.Inc()
 		rt.met.guestBytes.Add(block.GuestEnd - block.GuestPC)
@@ -687,7 +710,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 				if _, linked := rt.plt[slot.GuestTarget]; linked {
 					continue
 				}
-				rt.chainSites.put(t.hostAddr+uint64(slot.Off), slot.GuestTarget)
+				rt.chainSites[t.hostAddr+uint64(slot.Off)] = slot.GuestTarget
 			}
 		}
 		// Miscompile injection: corrupt the freshly installed code by
@@ -735,21 +758,15 @@ func (rt *Runtime) pinnedOverlap(start, end uint64) (extent, bool) {
 func (rt *Runtime) flushCodeCache() {
 	w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit})
 	if err == nil {
-		for _, e := range rt.patched.snapshot() {
-			binary.LittleEndian.PutUint32(rt.M.Mem[e.addr:], w)
+		for addr := range rt.patched {
+			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
 		}
 	}
-	rt.patched.reset()
-	rt.chainSites.reset()
+	clear(rt.patched)
+	clear(rt.chainSites)
 
-	blocks := rt.tbs.snapshot()
-	candidates := make([]extent, 0, len(blocks)+len(rt.pinned))
-	for _, t := range blocks {
-		candidates = append(candidates, extent{t.hostAddr, t.hostAddr + uint64(t.codeLen)})
-	}
-	candidates = append(candidates, rt.pinned...)
 	var pins []extent
-	for _, e := range candidates {
+	pinIfLive := func(e extent) {
 		for _, c := range rt.M.CPUs {
 			if c.Halted {
 				continue
@@ -757,14 +774,20 @@ func (rt *Runtime) flushCodeCache() {
 			if (c.PC >= e.start && c.PC < e.end) ||
 				(c.Regs[30] >= e.start && c.Regs[30] < e.end) {
 				pins = append(pins, e)
-				break
+				return
 			}
 		}
+	}
+	for _, t := range rt.tbs {
+		pinIfLive(extent{t.hostAddr, t.hostAddr + uint64(t.codeLen)})
+	}
+	for _, e := range rt.pinned {
+		pinIfLive(e)
 	}
 	sort.Slice(pins, func(i, j int) bool { return pins[i].start < pins[j].start })
 	rt.pinned = pins
 
-	rt.tbs.reset()
+	clear(rt.tbs)
 	rt.codeCursor = rt.cfg.CodeCacheBase
 	// Interp stubs inside pinned extents may still execute (a CPU parked
 	// at the stub), so their reverse mapping must survive; the rest is
@@ -795,27 +818,27 @@ func (rt *Runtime) flushCodeCache() {
 // scheduler may still finish the stale copy once — any trap it produces is
 // attributed and quarantined again, bounded by MaxHeals.
 func (rt *Runtime) invalidateBlock(guestPC uint64) {
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		return
 	}
 	if w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit}); err == nil {
-		for _, e := range rt.patched.snapshot() {
-			if e.val != guestPC {
+		for addr, target := range rt.patched {
+			if target != guestPC {
 				continue
 			}
-			binary.LittleEndian.PutUint32(rt.M.Mem[e.addr:], w)
-			rt.M.InvalidateDecodeAt(e.addr)
-			rt.patched.remove(e.addr)
-			rt.chainSites.put(e.addr, e.val)
+			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
+			rt.M.InvalidateDecodeAt(addr)
+			delete(rt.patched, addr)
+			rt.chainSites[addr] = target
 		}
 	}
-	for _, e := range rt.chainSites.snapshot() {
-		if e.addr >= t.hostAddr && e.addr < t.hostAddr+uint64(t.codeLen) {
-			rt.chainSites.remove(e.addr)
+	for addr := range rt.chainSites {
+		if addr >= t.hostAddr && addr < t.hostAddr+uint64(t.codeLen) {
+			delete(rt.chainSites, addr)
 		}
 	}
-	rt.tbs.remove(guestPC)
+	delete(rt.tbs, guestPC)
 	delete(rt.irCache, guestPC)
 	delete(rt.interpStubs, t.hostAddr)
 }
@@ -835,10 +858,9 @@ func (rt *Runtime) chain(svcAddr uint64, target *tb) error {
 	}
 	binary.LittleEndian.PutUint32(rt.M.Mem[svcAddr:], w)
 	rt.M.InvalidateDecodeAt(svcAddr)
-	rt.chainSites.remove(svcAddr)
-	rt.patched.put(svcAddr, target.guestPC)
+	delete(rt.chainSites, svcAddr)
+	rt.patched[svcAddr] = target.guestPC
 	rt.met.chainPatches.Inc()
-	rt.met.chainPatchShards[shardIndex(svcAddr)].Inc()
 	rt.obs.Event("core.chain.patch", "", -1, target.guestPC, svcAddr)
 	return nil
 }
@@ -846,13 +868,12 @@ func (rt *Runtime) chain(svcAddr uint64, target *tb) error {
 // guestPCOf maps a host-code address back to the guest PC of the block
 // containing it, for trap attribution.
 func (rt *Runtime) guestPCOf(hostAddr uint64) (uint64, bool) {
-	t, ok := rt.tbs.find(func(t *tb) bool {
-		return hostAddr >= t.hostAddr && hostAddr < t.hostAddr+uint64(t.codeLen)
-	})
-	if !ok {
-		return 0, false
+	for _, t := range rt.tbs {
+		if hostAddr >= t.hostAddr && hostAddr < t.hostAddr+uint64(t.codeLen) {
+			return t.guestPC, true
+		}
 	}
-	return t.guestPC, true
+	return 0, false
 }
 
 // DisassembleBlock returns the host-code disassembly of the translation
@@ -861,7 +882,7 @@ func (rt *Runtime) guestPCOf(hostAddr uint64) (uint64, bool) {
 // render as raw ".word" lines instead of failing, so crash bundles can
 // disassemble the very block that trapped.
 func (rt *Runtime) DisassembleBlock(guestPC uint64) (string, error) {
-	t, ok := rt.tbs.get(guestPC)
+	t, ok := rt.tbs[guestPC]
 	if !ok {
 		var err error
 		t, err = rt.translate(rt.M.CPUs[0], guestPC)
@@ -890,13 +911,12 @@ func (rt *Runtime) disasmTB(t *tb) string {
 	return string(sb)
 }
 
-// BlockPCs returns every translated guest PC, sorted by translation order
-// is not guaranteed; callers sort as needed.
+// BlockPCs returns the guest PC of every cached translation, in no
+// particular order; callers sort as needed.
 func (rt *Runtime) BlockPCs() []uint64 {
-	blocks := rt.tbs.snapshot()
-	out := make([]uint64, 0, len(blocks))
-	for _, t := range blocks {
-		out = append(out, t.guestPC)
+	out := make([]uint64, 0, len(rt.tbs))
+	for pc := range rt.tbs {
+		out = append(out, pc)
 	}
 	return out
 }
@@ -908,14 +928,14 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 		if rt.cfg.Chain {
 			// c.PC was advanced past the SVC before the trap.
 			svcAddr := c.PC - arm.InstBytes
-			if guestTarget, ok := rt.chainSites.get(svcAddr); ok {
+			if guestTarget, ok := rt.chainSites[svcAddr]; ok {
 				if err := rt.dispatch(c, guestTarget); err != nil {
 					return err
 				}
 				// Translating the target may have flushed the cache, which
 				// clears chainSites and may recycle the block holding this
 				// SVC — re-check before patching it.
-				if _, still := rt.chainSites.get(svcAddr); !still {
+				if _, still := rt.chainSites[svcAddr]; !still {
 					return nil
 				}
 				// With tier-up on, a still-promotable target keeps trapping
@@ -928,7 +948,7 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 				// dispatch pointed the CPU at the target block (a host
 				// call would have redirected elsewhere; only patch when
 				// the target is a plain block).
-				if t, ok := rt.tbs.get(guestTarget); ok && c.PC == t.hostAddr {
+				if t, ok := rt.tbs[guestTarget]; ok && c.PC == t.hostAddr {
 					return rt.chain(svcAddr, t)
 				}
 				return nil

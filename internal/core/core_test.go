@@ -30,7 +30,7 @@ func exitWith(a *x86.Assembler, reg x86.Reg) {
 func runImage(t *testing.T, img *guestimg.Image, v Variant, cfg Config) (*Runtime, uint64) {
 	t.Helper()
 	cfg.Variant = v
-	rt, err := NewFromConfig(cfg, img)
+	rt, err := newRuntime(cfg, img)
 	if err != nil {
 		t.Fatalf("%v: %v", v, err)
 	}

@@ -177,7 +177,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		}
 
 		for _, v := range allVariants {
-			rt, err := NewFromConfig(Config{Variant: v}, img)
+			rt, err := newRuntime(Config{Variant: v}, img)
 			if err != nil {
 				t.Fatalf("seed %d/%v: %v", seed, v, err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,7 +193,7 @@ func casLivelockImage(t *testing.T) *guestimg.Image {
 func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Config) {
 	t.Helper()
 	cfg.Variant = VariantRisotto
-	rt, err := NewFromConfig(cfg, img)
+	rt, err := newRuntime(cfg, img)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -236,7 +237,7 @@ func TestFaultWatchdogCASLivelock(t *testing.T) {
 // TestFaultWatchdogDeadline halts a runaway guest via the wall-clock
 // watchdog when no step budget is set.
 func TestFaultWatchdogDeadline(t *testing.T) {
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Deadline: 50 * time.Millisecond}, spinImage(t))
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Deadline: 50 * time.Millisecond}, spinImage(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestFaultMisalignedCAS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestFaultMisalignedCAS(t *testing.T) {
 func TestFaultInjectedDecode(t *testing.T) {
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteDecode, 1, faults.TrapDecode)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, 4, 1))
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestFaultInjectedUnmapped(t *testing.T) {
 
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMemory, 3, faults.TrapUnmapped)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestFaultInjectedCacheExhaust(t *testing.T) {
 	const nblocks = 8
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteCacheAlloc, 1, faults.TrapCacheExhausted)
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestFaultInjectedHostCall(t *testing.T) {
 	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
-	rt, err := NewFromConfig(Config{
+	rt, err := newRuntime(Config{
 		Variant: VariantRisotto, IDL: "i64 triple(i64 x);\n", Lib: lib, Inject: in,
 	}, img)
 	if err != nil {
@@ -451,7 +452,7 @@ func TestFaultTrapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,5 +463,80 @@ func TestFaultTrapRoundTrip(t *testing.T) {
 	}
 	if tr.Addr != 1<<40 {
 		t.Errorf("trap addr = %#x, want %#x", tr.Addr, uint64(1)<<40)
+	}
+}
+
+// TestFaultGuestAllocWrappingSize pins the heap bound against sizes near
+// 2^64: alloc(-4096) used to pass the heapCur+n check by wrapping and move
+// the heap cursor backwards, so the next block landed below the first.
+func TestFaultGuestAllocWrappingSize(t *testing.T) {
+	for _, size := range []int64{-0x1000, -1} {
+		b := guestimg.NewBuilder(0x10000, 0x40000)
+		a := b.Asm
+		a.Label("main").
+			MovRI(x86.RDI, 64).
+			MovRI(x86.RAX, GuestSysAlloc).
+			Syscall().
+			MovRI(x86.RDI, size).
+			MovRI(x86.RAX, GuestSysAlloc).
+			Syscall()
+		exitWith(a, x86.RAX)
+		img, err := b.Build("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := newRuntime(Config{Variant: VariantRisotto}, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := rt.heapCur
+		_, err = rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "heap exhausted") {
+			t.Fatalf("alloc(%d): error = %v, want heap exhausted", size, err)
+		}
+		if rt.heapCur != heap+64 {
+			t.Errorf("alloc(%d): heap cursor %#x, want %#x (only the 64-byte block)", size, rt.heapCur, heap+64)
+		}
+	}
+}
+
+// TestFaultGuestSpawnStackExhausted pins the stack bound: with 7.9 MiB
+// stacks under a 24 MiB code-cache base, the fourth stack (main + 3 spawns)
+// does not fit; spawn used to wrap stackCur below zero and report success.
+func TestFaultGuestSpawnStackExhausted(t *testing.T) {
+	b := guestimg.NewBuilder(0x10000, 0x40000)
+	a := b.Asm
+	a.Label("worker").
+		MovRI(x86.RDI, 0).
+		MovRI(x86.RAX, GuestSysExit).
+		Syscall()
+	a.Label("main")
+	for i := 0; i < 3; i++ {
+		a.MovRI(x86.RAX, GuestSysSpawn).
+			MovRI(x86.RDI, 0x7777777700000000+int64(i)). // placeholder: worker addr
+			MovRI(x86.RSI, 0).
+			Syscall()
+	}
+	exitWith(a, x86.RAX)
+	img, err := b.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		patchImm64(t, img, 0x7777777700000000+i, img.Symbols["worker"])
+	}
+	rt, err := newRuntime(Config{Variant: VariantRisotto, StackSize: 7900 << 10}, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Run()
+	if err == nil || !strings.Contains(err.Error(), "stack space exhausted") {
+		t.Fatalf("error = %v, want stack space exhausted", err)
+	}
+	if got := len(rt.M.CPUs); got != 3 {
+		t.Errorf("%d vCPUs exist, want 3 (main + the two spawns that fit)", got)
+	}
+	if rt.stackCur < rt.heapCur {
+		t.Errorf("stack cursor %#x fell below the heap %#x", rt.stackCur, rt.heapCur)
 	}
 }

@@ -121,9 +121,13 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		// a0 = guest function, a1 = argument (→ RDI); the runtime
 		// allocates the stack itself.
 		_ = a2
+		sp, err := rt.newStack()
+		if err != nil {
+			return err
+		}
 		nc := m.AddCPU()
 		*guestReg(nc, x86.RDI) = a1
-		*guestReg(nc, x86.RSP) = rt.newStack()
+		*guestReg(nc, x86.RSP) = sp
 		if err := rt.startThread(nc, a0); err != nil {
 			return err
 		}
@@ -155,13 +159,15 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysAlloc:
+		// A size near 2^64 (a negative guest value) wraps either the
+		// 16-byte round-up (n < a0) or heapCur+n, so compare n against the
+		// remaining room instead of forming the sum.
 		n := (a0 + 0xF) &^ 0xF
-		addr := rt.heapCur
-		if addr+n >= rt.stackCur-uint64(len(m.CPUs))*rt.cfg.StackSize {
+		if n < a0 || n >= rt.heapRoom() {
 			return fmt.Errorf("guest alloc: heap exhausted")
 		}
+		*guestReg(c, x86.RAX) = rt.heapCur
 		rt.heapCur += n
-		*guestReg(c, x86.RAX) = addr
 		return nil
 	}
 	return fmt.Errorf("guest syscall: unknown number %d", nr)

@@ -2,9 +2,9 @@
 // struct-literal Config grew one field per PR until every caller carried a
 // sprawling literal naming defaults it didn't care about; New now takes
 // the guest image plus options, mirroring litmus.Enumerate(p, m, ...Option).
-// Config itself survives as the internal parameter block (and the crash-
-// bundle replay contract); NewFromConfig is the deprecated shim that keeps
-// struct-literal callers compiling for one release.
+// Config itself survives as the internal parameter block and the crash-
+// bundle replay contract (ReplayOptions); New is the one exported
+// constructor.
 
 package core
 
@@ -36,11 +36,6 @@ func WithCodeCacheBase(addr uint64) Option {
 	return func(c *Config) { c.CodeCacheBase = addr }
 }
 
-// WithStackSize sets the per-thread guest stack size.
-func WithStackSize(bytes uint64) Option {
-	return func(c *Config) { c.StackSize = bytes }
-}
-
 // WithHostLinker enables the dynamic host linker (§6.2) for the functions
 // the IDL source declares; lib nil means hostlib.Default().
 func WithHostLinker(idlSrc string, lib *hostlib.Library) Option {
@@ -50,11 +45,6 @@ func WithHostLinker(idlSrc string, lib *hostlib.Library) Option {
 // WithQuantum sets the round-robin scheduling quantum in instructions.
 func WithQuantum(insts int) Option {
 	return func(c *Config) { c.Quantum = insts }
-}
-
-// WithMaxSteps bounds total executed host instructions.
-func WithMaxSteps(n uint64) Option {
-	return func(c *Config) { c.MaxSteps = n }
 }
 
 // WithOptConfig overrides the variant's optimizer configuration (the
@@ -99,11 +89,6 @@ func WithSelfCheck(on bool) Option {
 	return func(c *Config) { c.SelfCheck = on }
 }
 
-// WithMaxHeals caps quarantine recoveries per run.
-func WithMaxHeals(n int) Option {
-	return func(c *Config) { c.MaxHeals = n }
-}
-
 // WithProvenance records the CLI inputs (kernel name, fault spec, fault
 // seed) for crash bundles; it does not affect execution.
 func WithProvenance(kernel, faultSpec string, faultSeed int64) Option {
@@ -133,14 +118,5 @@ func New(img *guestimg.Image, opts ...Option) (*Runtime, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return newRuntime(cfg, img)
-}
-
-// NewFromConfig creates a runtime from a fully-populated Config.
-//
-// Deprecated: build the runtime with New(img, ...Option) instead. This
-// shim keeps struct-literal callers (and crash-bundle replay, whose
-// ReplayConfig still reconstructs a Config) working for one release.
-func NewFromConfig(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	return newRuntime(cfg, img)
 }

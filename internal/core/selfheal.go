@@ -10,7 +10,7 @@
 //     interpreter executing the literal frontend IR.
 //   - interpExec is the bottom tier: blocks demoted past every compiled
 //     tier execute through the TCG interpreter with no generated code.
-//   - CrashBundle/ReplayConfig serialize an unrecovered trap into a
+//   - CrashBundle/ReplayOptions serialize an unrecovered trap into a
 //     deterministic triage document and rebuild a run from one.
 
 package core
@@ -120,7 +120,7 @@ func (rt *Runtime) trapGuestPC(t *faults.Trap) (uint64, bool) {
 // TierNoOpt start tier; a promoted superblock at TierFull).
 func (rt *Runtime) quarantinePC(c *machine.CPU, guestPC uint64, reason string) bool {
 	cur := rt.heal.TierOf(guestPC)
-	if t, ok := rt.tbs.get(guestPC); ok {
+	if t, ok := rt.tbs[guestPC]; ok {
 		cur = t.tier
 	}
 	d := rt.heal.QuarantineAt(guestPC, cur, reason)
@@ -440,7 +440,7 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 		})
 	}
 	if pc, ok := rt.trapGuestPC(t); ok {
-		if blk, ok := rt.tbs.get(pc); ok {
+		if blk, ok := rt.tbs[pc]; ok {
 			b.Disasm = rt.disasmTB(blk)
 		}
 	}
@@ -460,17 +460,19 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 	return b, nil
 }
 
-// ReplayConfig rebuilds the Config and guest image a bundle describes,
-// rearming the fault injector from the recorded spec and seed. The
-// returned config carries no Obs scope; the caller installs its own.
-func ReplayConfig(b *selfheal.Bundle) (Config, *guestimg.Image, error) {
+// ReplayOptions rebuilds the options and guest image a bundle describes,
+// rearming the fault injector from the recorded spec and seed; pass both
+// to New. The one option installs the recorded Config wholesale, so fields
+// no With* option sets (stack size, step and heal limits) replay as
+// recorded. It carries no Obs scope; the caller appends its own WithObs.
+func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
 	v, err := ParseVariant(b.Variant)
 	if err != nil {
-		return Config{}, nil, err
+		return nil, nil, err
 	}
 	img, err := guestimg.Decode(b.Image)
 	if err != nil {
-		return Config{}, nil, err
+		return nil, nil, err
 	}
 	cfg := Config{
 		Variant:       v,
@@ -494,7 +496,7 @@ func ReplayConfig(b *selfheal.Bundle) (Config, *guestimg.Image, error) {
 	if b.Fault != "" {
 		specs, err := faults.ParseSpecs(b.Fault)
 		if err != nil {
-			return Config{}, nil, err
+			return nil, nil, err
 		}
 		inj := faults.NewInjector(b.FaultSeed)
 		for _, sp := range specs {
@@ -502,5 +504,5 @@ func ReplayConfig(b *selfheal.Bundle) (Config, *guestimg.Image, error) {
 		}
 		cfg.Inject = inj
 	}
-	return cfg, img, nil
+	return []Option{func(c *Config) { *c = cfg }}, img, nil
 }

@@ -263,7 +263,7 @@ func (tu *tierUp) install(c *machine.CPU, p *promotion) {
 		return
 	}
 	from := rt.heal.TierOf(p.pc)
-	if t, ok := rt.tbs.get(p.pc); ok {
+	if t, ok := rt.tbs[p.pc]; ok {
 		from = t.tier // the installed copy's actual rung (implicit TierNoOpt)
 	}
 	rt.invalidateBlock(p.pc)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/portasm"
 	"repro/internal/selfheal"
 	"repro/internal/workloads"
@@ -361,62 +360,5 @@ func TestTierUpSelfCheckVerifiesPromotions(t *testing.T) {
 	}
 	if st.Divergences != 0 {
 		t.Fatalf("clean kernel reported %d divergences", st.Divergences)
-	}
-}
-
-// TestTBCacheShardContention pins the contention accounting: a busy shard
-// lock counts exactly one contention event per blocked acquisition.
-func TestTBCacheShardContention(t *testing.T) {
-	sc := obs.NewScope("").Child("core")
-	counter := sc.Counter("cache.shard_contention")
-	c := newTBCache(counter)
-	const pc = uint64(0x40) // shard 4
-	s := c.lock(shardIndex(pc))
-	done := make(chan struct{})
-	go func() {
-		c.put(&tb{guestPC: pc}) // blocks on the held shard → one contention
-		close(done)
-	}()
-	for counter.Load() == 0 {
-	}
-	s.mu.Unlock()
-	<-done
-	if counter.Load() != 1 {
-		t.Fatalf("contention = %d, want 1", counter.Load())
-	}
-	if _, ok := c.get(pc); !ok {
-		t.Fatal("blocked put lost the entry")
-	}
-	// Different shards do not contend.
-	other := uint64(0x50) // shard 5
-	s2 := c.lock(shardIndex(pc))
-	c.put(&tb{guestPC: other})
-	s2.mu.Unlock()
-	if counter.Load() != 1 {
-		t.Fatalf("cross-shard access contended: %d", counter.Load())
-	}
-}
-
-// TestAddrMapShards covers the chain-table twin of the block cache.
-func TestAddrMapShards(t *testing.T) {
-	sc := obs.NewScope("").Child("core")
-	a := newAddrMap(sc.Counter("cache.shard_contention"))
-	for i := uint64(0); i < 64; i++ {
-		a.put(i<<4, i)
-	}
-	if got := len(a.snapshot()); got != 64 {
-		t.Fatalf("snapshot has %d entries, want 64", got)
-	}
-	v, ok := a.get(5 << 4)
-	if !ok || v != 5 {
-		t.Fatalf("get = (%d, %v)", v, ok)
-	}
-	a.remove(5 << 4)
-	if _, ok := a.get(5 << 4); ok {
-		t.Fatal("removed entry still present")
-	}
-	a.reset()
-	if got := len(a.snapshot()); got != 0 {
-		t.Fatalf("reset left %d entries", got)
 	}
 }

@@ -30,7 +30,7 @@ func TestTransCacheColdWarm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 
 	run := func(tc TranslationCache) (uint64, uint64) {
-		rt, err := NewFromConfig(Config{Variant: VariantRisotto, TransCache: tc}, img)
+		rt, err := newRuntime(Config{Variant: VariantRisotto, TransCache: tc}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTransCacheSelfCheckBypass(t *testing.T) {
 	}
 	defer cache.Close()
 	view := cache.ForImage("fp/risotto")
-	rt, err := NewFromConfig(Config{Variant: VariantRisotto, SelfCheck: true, TransCache: view}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfCheck: true, TransCache: view}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,6 @@ type Translator interface {
 	TranslateIR(pc uint64, tier selfheal.Tier) (ir, oracle *tcg.Block, err error)
 }
 
-// Translator exposes the runtime's translation pipeline — the same
-// instance translateAtTier uses, so external consumers (tooling, tests)
-// see exactly the IR the runtime would emit.
-func (rt *Runtime) Translator() Translator { return rt.xlat }
-
 // pipelineTranslator is the frontend → optimizer pipeline over a guest
 // memory view. The runtime's instance reads live guest memory; promotion
 // workers build their own over a snapshot. cpu is span attribution only

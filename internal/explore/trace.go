@@ -1,10 +1,9 @@
 package explore
 
 // Replay traces and resumable soak files, both in the repository's JSONL
-// journal discipline (internal/journal — the framing the campaign results
-// and the selfheal bundles share): a header line pinning format and
-// provenance, one record per line, flush-per-record writes with torn-tail
-// tolerance on reopen.
+// journal discipline (internal/journal): a header line pinning format and
+// provenance, one record per line, flush-per-record writes. Soak files are
+// journal run files, resumed through journal.OpenRun like campaign results.
 //
 // A trace is a complete account of one run's nondeterminism: the header
 // names the test and mode, each decision line is one Decision, and the
@@ -18,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/journal"
 	"repro/internal/litmus"
@@ -221,12 +219,9 @@ func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
 // SoakFormatV1 is the resumable soak-results format tag.
 const SoakFormatV1 = "risotto-explore/v1"
 
-// SoakHeader pins the producing configuration, campaign-style: resuming
-// against a different configuration would mix incomparable records.
-type SoakHeader struct {
-	Format     string `json:"format"`
-	ConfigHash string `json:"config_hash"`
-}
+// SoakHeader pins the producing configuration, campaign-style: the
+// run-file header of internal/journal with ConfigHash = Config.Hash().
+type SoakHeader = journal.Header
 
 // SoakRecord is one test's exploration summary line.
 type SoakRecord struct {
@@ -274,49 +269,15 @@ type Soak struct {
 // of the campaign results files.
 func RunFile(tests []*litmus.Program, cfg Config, path string, resume bool) (Soak, error) {
 	var soak Soak
-	done := map[string]bool{}
-	var out *os.File
-	if resume {
-		f, err := os.Open(path)
-		if err != nil {
-			return soak, err
-		}
-		hdr, recs, valid, err := readSoak(f)
-		f.Close()
-		if err != nil {
-			return soak, fmt.Errorf("explore: reading %s for resume: %w", path, err)
-		}
-		if hdr.ConfigHash != cfg.Hash() {
-			return soak, fmt.Errorf("explore: %s was produced by config %s, refusing to resume with %s",
-				path, hdr.ConfigHash, cfg.Hash())
-		}
-		for _, r := range recs {
-			done[r.Test] = true
-		}
-		out, err = os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return soak, err
-		}
-		if err := out.Truncate(valid); err != nil {
-			out.Close()
-			return soak, err
-		}
-		if _, err := out.Seek(valid, io.SeekStart); err != nil {
-			out.Close()
-			return soak, err
-		}
-	} else {
-		var err error
-		out, err = os.Create(path)
-		if err != nil {
-			return soak, err
-		}
-		if err := journal.NewWriter(out).Encode(SoakHeader{Format: SoakFormatV1, ConfigHash: cfg.Hash()}); err != nil {
-			out.Close()
-			return soak, err
-		}
+	out, recs, err := journal.OpenRun[SoakRecord](path, SoakHeader{Format: SoakFormatV1, ConfigHash: cfg.Hash()}, resume)
+	if err != nil {
+		return soak, fmt.Errorf("explore: %w", err)
 	}
 	defer out.Close()
+	done := make(map[string]bool, len(recs))
+	for _, r := range recs {
+		done[r.Test] = true
+	}
 
 	w := journal.NewWriter(out)
 	for _, p := range tests {
@@ -345,37 +306,5 @@ func RunFile(tests []*litmus.Program, cfg Config, path string, resume bool) (Soa
 // ReadSoak parses a soak results stream (header then records), tolerating
 // a torn final line.
 func ReadSoak(r io.Reader) (SoakHeader, []SoakRecord, error) {
-	hdr, recs, _, err := readSoak(r)
-	return hdr, recs, err
-}
-
-func readSoak(r io.Reader) (SoakHeader, []SoakRecord, int64, error) {
-	var hdr SoakHeader
-	var recs []SoakRecord
-	sawHeader := false
-	valid, err := journal.Scan(r, func(line []byte) error {
-		if !sawHeader {
-			if err := json.Unmarshal(line, &hdr); err != nil {
-				return fmt.Errorf("explore: bad soak header: %w", err)
-			}
-			if hdr.Format != SoakFormatV1 {
-				return fmt.Errorf("explore: unknown soak format %q", hdr.Format)
-			}
-			sawHeader = true
-			return nil
-		}
-		var rec SoakRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("explore: bad soak record: %w", err)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return hdr, nil, 0, err
-	}
-	if !sawHeader {
-		return hdr, nil, 0, io.EOF
-	}
-	return hdr, recs, valid, nil
+	return journal.ReadRun[SoakRecord](r, SoakFormatV1)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -222,4 +224,117 @@ func TestScanTruncateAppendRoundTrip(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("after heal+append: %d records, want 4", n)
 	}
+}
+
+// TestOpenRun drives the run-file open/resume sequence through every file
+// state a resuming producer can meet. Each case starts from literal file
+// bytes (absent for a fresh run), opens under format f/v1 and config hash
+// "aa", appends one record, and checks what a reader then sees.
+func TestOpenRun(t *testing.T) {
+	const (
+		hdrLine = `{"format":"f/v1","config_hash":"aa"}` + "\n"
+		rec1    = `{"n":1,"s":"a"}` + "\n"
+		rec2    = `{"n":2,"s":"b"}` + "\n"
+		added   = `{"n":9,"s":"new"}` + "\n"
+	)
+	// parentHdr is a header line exactly as the campaign driver wrote it
+	// before the header type moved here; such files must keep resuming.
+	const parentHdr = `{"format":"risotto-campaign/v1","config_hash":"5d0c2a9e1f3b4c7d"}` + "\n"
+
+	for _, tc := range []struct {
+		name    string
+		file    string // initial contents; "" with !resume means absent
+		hdr     Header
+		resume  bool
+		wantErr string // substring; "" means success
+		resumed int    // records OpenRun hands back
+		final   string // file contents after appending `added`
+	}{
+		{name: "fresh", hdr: Header{"f/v1", "aa"},
+			final: hdrLine + added},
+		{name: "fresh overwrites", file: hdrLine + rec1, hdr: Header{"f/v1", "aa"},
+			final: hdrLine + added},
+		{name: "resume", file: hdrLine + rec1 + rec2, hdr: Header{"f/v1", "aa"}, resume: true,
+			resumed: 2, final: hdrLine + rec1 + rec2 + added},
+		{name: "resume header only", file: hdrLine, hdr: Header{"f/v1", "aa"}, resume: true,
+			final: hdrLine + added},
+		{name: "torn tail", file: hdrLine + rec1 + `{"n":2,"s":`, hdr: Header{"f/v1", "aa"}, resume: true,
+			resumed: 1, final: hdrLine + rec1 + added},
+		{name: "rejected final line", file: hdrLine + rec1 + "not json\n", hdr: Header{"f/v1", "aa"}, resume: true,
+			resumed: 1, final: hdrLine + rec1 + added},
+		{name: "rejected middle line", file: hdrLine + "not json\n" + rec1, hdr: Header{"f/v1", "aa"}, resume: true,
+			wantErr: "bad record line"},
+		{name: "foreign config hash", file: hdrLine + rec1, hdr: Header{"f/v1", "bb"}, resume: true,
+			wantErr: "refusing to resume"},
+		{name: "wrong format tag", file: hdrLine + rec1, hdr: Header{"g/v1", "aa"}, resume: true,
+			wantErr: `format "f/v1", want "g/v1"`},
+		{name: "wrong format tag, header only", file: hdrLine, hdr: Header{"g/v1", "aa"}, resume: true,
+			wantErr: `format "f/v1", want "g/v1"`},
+		{name: "header-less file", file: rec1 + rec2, hdr: Header{"f/v1", "aa"}, resume: true,
+			wantErr: `format "", want "f/v1"`},
+		{name: "empty file", file: "", hdr: Header{"f/v1", "aa"}, resume: true,
+			wantErr: "EOF"},
+		{name: "parent-written header", file: parentHdr + rec1,
+			hdr: Header{"risotto-campaign/v1", "5d0c2a9e1f3b4c7d"}, resume: true,
+			resumed: 1, final: parentHdr + rec1 + added},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			if tc.file != "" || tc.resume {
+				if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, recs, err := OpenRun[rec](path, tc.hdr, tc.resume)
+			if tc.wantErr != "" {
+				if err == nil {
+					f.Close()
+					t.Fatalf("OpenRun succeeded, want error containing %q", tc.wantErr)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("OpenRun error %q, want it to contain %q", err, tc.wantErr)
+				}
+				if got, _ := os.ReadFile(path); string(got) != tc.file {
+					t.Errorf("refused resume modified the file:\n got %q\nwant %q", got, tc.file)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != tc.resumed {
+				t.Errorf("OpenRun returned %d records, want %d", len(recs), tc.resumed)
+			}
+			if err := NewWriter(f).Encode(rec{9, "new"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.final {
+				t.Errorf("file after append:\n got %q\nwant %q", got, tc.final)
+			}
+			hdr, back, err := ReadRun[rec](bytes.NewReader(got), tc.hdr.Format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr != tc.hdr {
+				t.Errorf("ReadRun header %+v, want %+v", hdr, tc.hdr)
+			}
+			if len(back) != tc.resumed+1 || back[len(back)-1] != (rec{9, "new"}) {
+				t.Errorf("ReadRun records %+v, want %d resumed then the appended one", back, tc.resumed)
+			}
+		})
+	}
+
+	t.Run("resume of a missing file", func(t *testing.T) {
+		_, _, err := OpenRun[rec](filepath.Join(t.TempDir(), "absent.jsonl"), Header{"f/v1", "aa"}, true)
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("error = %v, want not-exist", err)
+		}
+	})
 }

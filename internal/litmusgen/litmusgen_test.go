@@ -19,7 +19,7 @@ import (
 )
 
 var (
-	update = flag.Bool("update", false, "rewrite testdata/gencorpus.golden")
+	update      = flag.Bool("update", false, "rewrite testdata/gencorpus.golden")
 	refreshFuzz = flag.Bool("refresh-fuzz", false,
 		"rewrite the generated seed corpus under internal/litmus/testdata/fuzz/FuzzParse")
 	diffSeed = flag.Int64("diffseed", 1, "seed for the randomized differential test")

@@ -45,19 +45,26 @@ func TestDecodeTableFootprint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		code := straightLine(t, tc.insts)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		m := New(tc.mem)
-		copy(m.Mem[tc.base:], code)
-		m.CPUs[0].PC = tc.base
-		err := m.Run(m.CPUs[0], uint64(tc.insts)+1)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		// TotalAlloc is process-wide, so a runtime goroutine allocating
+		// during the window inflates one reading (seen in ~1 of 25 package
+		// runs); the smallest of three is the machine's own cost.
+		best := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			m := New(tc.mem)
+			copy(m.Mem[tc.base:], code)
+			m.CPUs[0].PC = tc.base
+			err := m.Run(m.CPUs[0], uint64(tc.insts)+1)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > tc.parentsBytes {
-			t.Errorf("%s: allocated %d bytes, the map-based cache allocated %d", tc.name, got, tc.parentsBytes)
+		if best > tc.parentsBytes {
+			t.Errorf("%s: allocated %d bytes, the map-based cache allocated %d", tc.name, best, tc.parentsBytes)
 		}
 	}
 }

@@ -182,8 +182,7 @@ func (m *Machine) AddCPU() *CPU {
 
 // SetChooser installs (or, with nil, removes) the machine's chooser
 // without touching weak mode: useful for randomized scheduling over the
-// sequentially consistent interpreter. EnableWeakMemory/EnableWeakMode
-// overwrite it.
+// sequentially consistent interpreter. EnableWeakMode overwrites it.
 func (m *Machine) SetChooser(ch Chooser) { m.chooser = ch }
 
 // MemAccess is one executed memory access. Local marks accesses satisfied

@@ -107,7 +107,7 @@ func NormalizeSpans(spans []obs.Span, max int) []SpanRecord {
 }
 
 // Bundle is the crash-triage document. Every field is either part of the
-// run's deterministic configuration (enough for ReplayConfig to rebuild
+// run's deterministic configuration (enough for ReplayOptions to rebuild
 // it) or post-mortem evidence (trap, CPU state, history, disassembly,
 // spans, counters).
 type Bundle struct {

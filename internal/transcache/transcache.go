@@ -138,11 +138,10 @@ func Open(path string, opts Options) (*Cache, error) {
 		entriesGa: sc.Gauge("entries"),
 	}
 
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	valid, err := journal.Scan(f, func(line []byte) error {
+	// OpenAppend heals the tail: a torn fragment is dropped so appends start
+	// on a clean line boundary. Corrupt-but-complete lines stay (they are
+	// inert and rewriting history is not worth the complexity).
+	f, err := journal.OpenAppend(path, func(line []byte) error {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			// Structurally broken but newline-terminated: real damage,
@@ -161,19 +160,7 @@ func Open(path string, opts Options) (*Cache, error) {
 		return nil
 	})
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("transcache: replaying %s: %w", path, err)
-	}
-	// Heal the tail: drop any torn fragment so appends start on a clean
-	// line boundary. Corrupt-but-complete lines stay (they are inert and
-	// rewriting history is not worth the complexity); only the tear goes.
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, err
 	}
 	c.f = f
 	c.w = journal.NewWriter(f)

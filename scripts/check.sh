@@ -3,9 +3,9 @@
 #
 #   ./scripts/check.sh
 #
-# It runs vet, a full build, the full test suite, and — because the litmus
-# enumerator and its memoization cache are concurrent subsystems — the race
-# detector over the packages that exercise them. Two rel-engine stages ride
+# It runs gofmt, vet, a full build, the full test suite, and — because the
+# litmus enumerator and its memoization cache are concurrent subsystems — the
+# race detector over the packages that exercise them. Two rel-engine stages ride
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
 # bitset engine is pinned against it), and a one-iteration bench smoke keeps
@@ -28,6 +28,10 @@ stage() {
 	STAGE=$1 STAGE_T0=$SECONDS
 	[ -z "$1" ] || echo "==> $1"
 }
+
+stage "gofmt -l (no unformatted Go files)"
+unformatted=$(gofmt -l cmd internal examples perf ./*.go)
+[ -z "$unformatted" ] || { echo "gofmt -l flags:" >&2; echo "$unformatted" >&2; exit 1; }
 
 stage "go vet ./..."
 go vet ./...
@@ -109,8 +113,10 @@ grep -Eq '"core\.selfheal\.promotions": *[1-9]' "$SH_TMP/tierup.json" \
 grep -Eq '"core\.selfheal\.quarantines": *[1-9]' "$SH_TMP/tierup.json" \
 	|| { echo "faulted tierup run recorded no quarantine" >&2; exit 1; }
 
-stage "tierup (race): go test -race ./internal/core/ -run TierUp -count=1"
-go test -race ./internal/core/ -run TierUp -count=1
+# core's block tables carry no locks (Runtime's single-owner rule); this
+# stage is the check that only the execution goroutine touches them.
+stage "core single-owner (race): go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1"
+go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1
 
 stage "metrics snapshot validates (risotto -metrics json | obsvalidate)"
 "$risotto" -kernel histogram -threads 2 -metrics json | "$obsvalidate" >/dev/null
