@@ -208,9 +208,6 @@ func replay(cf *cliflags.Set, path, rebundle string, quiet bool) {
 	check(err)
 	opts, img, err := core.ReplayOptions(b)
 	check(err)
-	// Tier-up is deliberately absent from bundles — its background
-	// promotion timing is not replayable — so replays run the
-	// deterministic foreground pipeline only.
 	rt, err := core.New(img, append(opts, core.WithObs(cf.Scope()))...)
 	check(err)
 	_, runErr := rt.Run()

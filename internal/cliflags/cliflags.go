@@ -97,8 +97,7 @@ func (s *Set) AddListen(fs *flag.FlagSet) {
 // of a core dependency, so commands translate these plain values into
 // core.WithTierUp themselves.
 type TierUpFlags struct {
-	// Enabled is -tierup: start blocks cheap, promote hot ones in the
-	// background.
+	// Enabled is -tierup: start blocks cheap, promote hot ones.
 	Enabled bool
 	// PromoteThreshold is -promote-threshold (0 = runtime default).
 	PromoteThreshold int
@@ -110,7 +109,7 @@ type TierUpFlags struct {
 // and risobench.
 func (s *Set) AddTierUp(fs *flag.FlagSet) {
 	fs.BoolVar(&s.TierUp.Enabled, "tierup", false,
-		"tier-up JIT: new blocks start unoptimized; hot blocks are promoted\nto optimized superblocks by background translation workers")
+		"tier-up JIT: new blocks start unoptimized; hot blocks are promoted\nto optimized superblocks by the dispatch that finds them hot")
 	fs.IntVar(&s.TierUp.PromoteThreshold, "promote-threshold", 0,
 		"dispatches that make a block hot enough to promote (0 = default 8)")
 	fs.IntVar(&s.TierUp.SuperblockMax, "superblock-max", 0,

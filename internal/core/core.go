@@ -140,7 +140,7 @@ type Config struct {
 	TransCache TranslationCache
 	// TierUp configures the tier-up JIT (tierup.go): when enabled,
 	// unpinned blocks start at the cheap TierNoOpt rung and hot ones are
-	// promoted to full-tier superblocks by background translation workers.
+	// promoted to full-tier superblocks by the dispatch that finds them hot.
 	TierUp TierUpConfig
 }
 
@@ -225,10 +225,10 @@ type pltEntry struct {
 // Single-owner rule: machine.RunAll drives every vCPU from the goroutine
 // that called Run, and every table below — tbs, chainSites, patched,
 // irCache, interpStubs, plt, the allocator cursors — is read and written
-// only from it (dispatch, translation, flush, quarantine and promotion
-// install all run inside the SVC/BLR callbacks). Tier-up workers receive
-// private snapshots and answer over a channel (tierup.go), so none of it
-// needs a lock; a Runtime must not be shared between goroutines.
+// only from it (dispatch, translation, flush, quarantine and tier-up
+// promotion all run inside the SVC/BLR callbacks). The package starts no
+// goroutine of its own, so none of it needs a lock; a Runtime must not be
+// shared between goroutines.
 type Runtime struct {
 	// M is the underlying simulated host machine.
 	M *machine.Machine
@@ -477,9 +477,6 @@ func (rt *Runtime) startThread(c *machine.CPU, entry uint64) error {
 // one tier and retranslated, and execution resumes — up to MaxHeals times.
 func (rt *Runtime) Run() (uint64, error) {
 	c := rt.M.CPUs[0]
-	if rt.tierup != nil {
-		defer rt.tierup.stop(c)
-	}
 	sp, err := rt.newStack()
 	if err != nil {
 		return 0, err

@@ -32,50 +32,10 @@ func (rt *Runtime) handleBLR(m *machine.Machine, c *machine.CPU, target uint64) 
 	}
 	rt.met.helperCalls.Inc()
 
-	arg0 := c.Regs[18]
-	arg1 := c.Regs[28]
-
 	switch h {
-	case tcg.HelperCmpXchg:
-		// old = *(addr); if old == RAX { *(addr) = new }. The helper body
-		// (GCC __atomic builtin) performs a casal on the host (§3.1,
-		// GCC ≥ 10 behaviour).
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		expected := *guestReg(c, x86.RAX)
-		old, err := m.ReadMem(arg0, size)
+	case tcg.HelperCmpXchg, tcg.HelperXAdd, tcg.HelperXchg:
+		old, err := rt.atomicHelper(c, h, size, c.Regs[18], c.Regs[28])
 		if err != nil {
-			return true, err
-		}
-		if old == truncateTo(expected, size) {
-			if err := m.WriteMem(arg0, size, arg1); err != nil {
-				return true, err
-			}
-		}
-		c.Regs[18] = old
-		return true, nil
-
-	case tcg.HelperXAdd:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		old, err := m.ReadMem(arg0, size)
-		if err != nil {
-			return true, err
-		}
-		if err := m.WriteMem(arg0, size, old+arg1); err != nil {
-			return true, err
-		}
-		c.Regs[18] = old
-		return true, nil
-
-	case tcg.HelperXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, arg0)
-		old, err := m.ReadMem(arg0, size)
-		if err != nil {
-			return true, err
-		}
-		if err := m.WriteMem(arg0, size, arg1); err != nil {
 			return true, err
 		}
 		c.Regs[18] = old
@@ -87,6 +47,31 @@ func (rt *Runtime) handleBLR(m *machine.Machine, c *machine.CPU, target uint64) 
 	}
 	return false, faults.New(faults.TrapHostCall,
 		"core: unknown helper %d (target %#x)", h, target).WithCPU(c.ID)
+}
+
+// atomicHelper is the one body of the QEMU-style RMW helpers, shared by the
+// compiled path (handleBLR) and the interpreter tier (interpHelper): read
+// *addr, store the helper's new value, return the old one. The helper body
+// (GCC __atomic builtin) performs a casal on the host (§3.1, GCC ≥ 10
+// behaviour). CmpXchg stores val only when old equals guest RAX; XAdd
+// stores old+val; Xchg stores val.
+func (rt *Runtime) atomicHelper(c *machine.CPU, h tcg.Helper, size uint8, addr, val uint64) (old uint64, err error) {
+	m := rt.M
+	c.Cycles += helperBodyCost
+	m.ChargeAtomic(c, addr)
+	old, err = m.ReadMem(addr, size)
+	if err != nil {
+		return 0, err
+	}
+	switch h {
+	case tcg.HelperCmpXchg:
+		if old != truncateTo(*guestReg(c, x86.RAX), size) {
+			return old, nil
+		}
+	case tcg.HelperXAdd:
+		val += old
+	}
+	return old, m.WriteMem(addr, size, val)
 }
 
 // guestSyscall implements the guest OS interface. User-mode emulation

@@ -105,9 +105,9 @@ func WithTranslationCache(tc TranslationCache) Option {
 	return func(c *Config) { c.TransCache = tc }
 }
 
-// WithTierUp enables the tier-up JIT: hot-block promotion in background
-// translation workers, with superblock translation units. Zero fields of
-// tu take their defaults (threshold 8, superblock max 4, 2 workers).
+// WithTierUp enables the tier-up JIT: hot blocks are promoted, as
+// superblock translation units, by the dispatch that finds them hot. Zero
+// fields of tu take their defaults (threshold 8, superblock max 4).
 func WithTierUp(tu TierUpConfig) Option {
 	return func(c *Config) { c.TierUp = tu }
 }

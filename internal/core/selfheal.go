@@ -312,44 +312,8 @@ func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, 
 	rt.met.helperCalls.Inc()
 	m := rt.M
 	switch in.Helper {
-	case tcg.HelperCmpXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		expected := *guestReg(c, x86.RAX)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if old == truncateTo(expected, in.Size) {
-			if err := m.WriteMem(a, in.Size, b); err != nil {
-				return 0, err
-			}
-		}
-		return old, nil
-
-	case tcg.HelperXAdd:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.WriteMem(a, in.Size, old+b); err != nil {
-			return 0, err
-		}
-		return old, nil
-
-	case tcg.HelperXchg:
-		c.Cycles += helperBodyCost
-		m.ChargeAtomic(c, a)
-		old, err := m.ReadMem(a, in.Size)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.WriteMem(a, in.Size, b); err != nil {
-			return 0, err
-		}
-		return old, nil
+	case tcg.HelperCmpXchg, tcg.HelperXAdd, tcg.HelperXchg:
+		return rt.atomicHelper(c, in.Helper, in.Size, a, b)
 
 	case frontend.HelperSyscall:
 		if *guestReg(c, x86.RAX) == GuestSysJoin {
@@ -431,6 +395,10 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 		Trap:          selfheal.TrapInfoOf(t),
 		Quarantine:    rt.heal.History(),
 	}
+	if rt.cfg.TierUp.Enabled {
+		tu := selfheal.TierUp(rt.cfg.TierUp)
+		b.TierUp = &tu
+	}
 	for _, c := range rt.M.CPUs {
 		b.CPUs = append(b.CPUs, selfheal.CPUState{
 			ID: c.ID, Regs: append([]uint64(nil), c.Regs[:]...), PC: c.PC,
@@ -492,6 +460,9 @@ func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
 		FaultSeed:     b.FaultSeed,
 		WeakSeed:      b.WeakSeed,
 		IDL:           b.IDL,
+	}
+	if b.TierUp != nil {
+		cfg.TierUp = TierUpConfig(*b.TierUp)
 	}
 	if b.Fault != "" {
 		specs, err := faults.ParseSpecs(b.Fault)

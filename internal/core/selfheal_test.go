@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/faults"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/isa/x86"
 	"repro/internal/obs"
 	"repro/internal/selfheal"
+	"repro/internal/workloads"
 )
 
 // TestSelfhealFaultRecoversMiscompile injects translation corruption with
@@ -255,6 +257,14 @@ func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 		t.Fatalf("run error = %v, want injected decode trap", runErr)
 	}
 
+	assertBundleReplays(t, rt, runErr)
+}
+
+// assertBundleReplays bundles rt's unrecovered trap, rebuilds the run from
+// the decoded bundle, and checks the replay traps identically and
+// re-bundles byte for byte.
+func assertBundleReplays(t *testing.T, rt *Runtime, runErr error) {
+	t.Helper()
 	b, err := rt.CrashBundle("risotto", runErr)
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +305,48 @@ func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 	}
 	if !bytes.Equal(enc, enc2) {
 		t.Errorf("replay re-bundle is not byte-identical (%d vs %d bytes)", len(enc), len(enc2))
+	}
+}
+
+// TestCrashBundleReplayUnderPromotion: promotion happens at a guest dispatch
+// count, so a bundle that records the tier-up configuration replays a
+// tier-up run exactly — wherever in the promotion sequence the injected
+// miscompile lands (a cheap-tier block, a superblock, a re-promotion).
+func TestCrashBundleReplayUnderPromotion(t *testing.T) {
+	k, err := workloads.KernelByName("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trapped := 0
+	for n := 10; n <= 30; n++ {
+		pb, err := k.Build(2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := pb.BuildGuest("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := fmt.Sprintf("miscompile@%d", n)
+		in := faults.NewInjector(1)
+		in.Arm(faults.SiteMiscompile, uint64(n), faults.TrapMiscompile)
+		rt, err := New(img, WithVariant(VariantRisotto), tierUpOpts(),
+			WithFaults(in), WithProvenance("kmeans", spec, 1), WithObs(obs.NewScope("")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := rt.Run()
+		if _, ok := faults.As(runErr); !ok {
+			if runErr != nil {
+				t.Fatalf("%s: %v", spec, runErr)
+			}
+			continue // the corrupted block never executed
+		}
+		trapped++
+		t.Run(spec, func(t *testing.T) { assertBundleReplays(t, rt, runErr) })
+	}
+	if trapped == 0 {
+		t.Fatal("no miscompile@10..30 run trapped; the test observed nothing")
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/hostlib"
 	"repro/internal/portasm"
 	"repro/internal/selfheal"
 	"repro/internal/workloads"
@@ -247,8 +250,8 @@ func TestTierUpPromotedBlockDemotes(t *testing.T) {
 	if rt.Heal().Failures(pc) != 1 {
 		t.Fatalf("failures = %d, want 1", rt.Heal().Failures(pc))
 	}
-	// One more failure reaches the blacklist: promotion requests and chain
-	// deferral both stop.
+	// One more failure reaches the blacklist: promotion and chain deferral
+	// both stop.
 	rt.quarantinePC(c, pc, "second synthetic trap")
 	if rt.Heal().PromotionAllowed(pc) {
 		t.Fatal("block must be blacklisted after repeated demotions")
@@ -257,53 +260,9 @@ func TestTierUpPromotedBlockDemotes(t *testing.T) {
 		t.Fatal("blacklisted block must chain normally (counter no longer matters)")
 	}
 	before := rt.Stats().Promotions
-	rt.tierup.request(pc)
-	if rt.Stats().Promotions != before || rt.tierup.pending[pc] {
-		t.Fatal("blacklisted block must not be enqueued for promotion")
-	}
-}
-
-// TestTierUpStopDrainsBacklog: stop must not hang when more results are
-// outstanding than the results buffer holds. Workers block sending into
-// the full channel, so stop has to drain concurrently with the worker
-// wait — a sequential close-wait-drain deadlocks here. The fill count is
-// the queue depth plus one in-flight job per worker: the most that can be
-// outstanding at once, and just past the results buffer. The junk PCs
-// make every job fail translation; error results still flow back and
-// must all be consumed.
-func TestTierUpStopDrainsBacklog(t *testing.T) {
-	rt := buildKernelRuntime(t, "fencechain", 1, tierUpOpts())
-	tu := rt.tierup
-	tu.start()
-	for i := 0; i < cap(tu.reqs)+tu.cfg.Workers; i++ {
-		tu.reqs <- promoteReq{pc: uint64(1<<40 + i)}
-	}
-	tu.stop(rt.M.CPUs[0])
-	if tu.started {
-		t.Fatal("stop left the pool marked started")
-	}
-	if rt.Stats().Promotions != 0 {
-		t.Fatal("failed translations must not install")
-	}
-}
-
-// TestTierUpStaleResultDropped: a promotion built before the ladder moved
-// must be discarded at install time.
-func TestTierUpStaleResultDropped(t *testing.T) {
-	rt := buildKernelRuntime(t, "fencechain", 1, tierUpOpts())
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c := rt.M.CPUs[0]
-	const pc = 0x10000 // kernel entry: certainly a real block
-	rt.Heal().QuarantineAt(pc, selfheal.TierNoOpt, "moved the ladder")
-	before := rt.Stats().Promotions
-	rt.tierup.install(c, &promotion{pc: pc, failures: 0}) // built before the quarantine
-	if rt.Stats().Promotions != before {
-		t.Fatal("stale promotion was installed")
-	}
-	if rt.tierup.promoted[pc] != nil {
-		t.Fatal("stale promotion retained")
+	rt.tierup.promote(c, pc)
+	if rt.Stats().Promotions != before || rt.tierup.promoted[pc] != nil {
+		t.Fatal("blacklisted block must not be promoted")
 	}
 }
 
@@ -314,21 +273,20 @@ func TestTierUpDeferChain(t *testing.T) {
 	if !rt.tierup.deferChain(0x12345) {
 		t.Fatal("fresh promotable block must defer chaining")
 	}
-	rt.tierup.promoted[0x12345] = &promotion{pc: 0x12345}
+	rt.tierup.promoted[0x12345] = &promotion{trace: []uint64{0x12345}}
 	if rt.tierup.deferChain(0x12345) {
 		t.Fatal("promoted block must chain")
 	}
 }
 
-// TestTierUpRaceStress exercises promotion racing execution, installation
-// and worker handoff under the race detector: several guest threads, an
-// aggressive threshold, and repeated runs so worker goroutines overlap
-// dispatch activity.
+// TestTierUpRaceStress is the functional stress of promotion interleaved
+// with execution and installation: several guest threads, an aggressive
+// threshold, selfcheck verifying every promotion, and repeated runs.
 func TestTierUpRaceStress(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		for _, name := range []string{"fencechain", "histogram"} {
 			rt := buildKernelRuntime(t, name, 4,
-				WithTierUp(TierUpConfig{Enabled: true, PromoteThreshold: 2, SuperblockMax: 4, Workers: 4}),
+				WithTierUp(TierUpConfig{Enabled: true, PromoteThreshold: 2, SuperblockMax: 4}),
 				WithSelfCheck(true))
 			if _, err := rt.Run(); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -360,5 +318,112 @@ func TestTierUpSelfCheckVerifiesPromotions(t *testing.T) {
 	}
 	if st.Divergences != 0 {
 		t.Fatalf("clean kernel reported %d divergences", st.Divergences)
+	}
+}
+
+// TestTierUpDeterministic: promotion happens at a guest dispatch count,
+// not at a host time, so two fresh runtimes over the same guest agree on
+// every simulated figure — cycles, per-CPU instruction counts, the stats
+// façade and the whole counter snapshot.
+func TestTierUpDeterministic(t *testing.T) {
+	type result struct {
+		cycles   uint64
+		insts    []uint64
+		stats    Stats
+		counters map[string]uint64
+	}
+	for _, name := range []string{"fencechain", "kmeans"} {
+		for _, threads := range []int{2, 4} {
+			for _, threshold := range []int{2, 4} {
+				run := func() result {
+					rt := buildKernelRuntime(t, name, threads,
+						WithTierUp(TierUpConfig{Enabled: true, PromoteThreshold: threshold}))
+					if _, err := rt.Run(); err != nil {
+						t.Fatal(err)
+					}
+					r := result{cycles: rt.M.MaxCycles(), stats: rt.Stats(), counters: rt.obs.Snapshot().Counters}
+					for _, c := range rt.M.CPUs {
+						r.insts = append(r.insts, c.Insts)
+					}
+					return r
+				}
+				a, b := run(), run()
+				if a.stats.Promotions == 0 {
+					t.Fatalf("%s/%d threads/threshold %d: no promotions", name, threads, threshold)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s/%d threads/threshold %d: two runs differ:\n%+v\n%+v",
+						name, threads, threshold, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestTierUpLoopStartsAtHeader pins the loop-header rule: fencechain's
+// loop is first found hot at fcstore (the prologue block already holds the
+// first load), but the superblock is rotated to start at fcload, which puts
+// the ld;Frm | Fww;st seam inside the trace where the fences merge.
+func TestTierUpLoopStartsAtHeader(t *testing.T) {
+	rt := buildKernelRuntime(t, "fencechain", 1, tierUpOpts())
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sym := rt.img.Symbols
+	p := rt.tierup.promoted[sym["fcload"]]
+	if p == nil {
+		t.Fatalf("no promotion headed at fcload (%#x); promoted: %v", sym["fcload"], rt.tierup.promoted)
+	}
+	want := []uint64{sym["fcload"], sym["fcstore"], sym["fcnext"]}
+	if !reflect.DeepEqual(p.trace, want) {
+		t.Fatalf("trace %#x, want fcload,fcstore,fcnext %#x", p.trace, want)
+	}
+	if p.crossFences == 0 {
+		t.Fatal("loop superblock merged no fence across its seams")
+	}
+	if rt.tierup.promoted[sym["fcstore"]] != nil || rt.tierup.promoted[sym["fcnext"]] != nil {
+		t.Fatal("the loop was promoted more than once")
+	}
+}
+
+// TestTierUpRunsOnCallingGoroutine: core starts no goroutine, tier-up or
+// not — the goroutine count sampled from inside host-linked calls made by
+// a promoting run equals the count before Run. A panic in a promotion
+// build therefore unwinds through the caller (serve.runOnce's recover).
+func TestTierUpRunsOnCallingGoroutine(t *testing.T) {
+	const calls = 64
+	b, err := workloads.DigestProgram("sha256", 64, calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := b.BuildGuest("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var during []int
+	lib := hostlib.New()
+	lib.Register("sha256", func(mem []byte, args []uint64) (uint64, uint64) {
+		during = append(during, runtime.NumGoroutine())
+		return 1, 10
+	})
+	rt, err := New(img, WithVariant(VariantRisotto),
+		WithHostLinker(workloads.IDLAll, lib), tierUpOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats().Promotions == 0 {
+		t.Fatal("call loop never promoted; the test observed nothing")
+	}
+	if len(during) != calls {
+		t.Fatalf("%d host calls, want %d", len(during), calls)
+	}
+	for i, n := range during {
+		if n != before {
+			t.Fatalf("host call %d saw %d goroutines, %d before Run", i, n, before)
+		}
 	}
 }

@@ -28,9 +28,8 @@ type Translator interface {
 }
 
 // pipelineTranslator is the frontend → optimizer pipeline over a guest
-// memory view. The runtime's instance reads live guest memory; promotion
-// workers build their own over a snapshot. cpu is span attribution only
-// (-1 for background work); obs may be nil to silence spans entirely.
+// memory view (the runtime's instance reads live guest memory). cpu is
+// span attribution only.
 type pipelineTranslator struct {
 	mem        []byte
 	fe         frontend.Config
@@ -41,14 +40,9 @@ type pipelineTranslator struct {
 }
 
 func (p *pipelineTranslator) TranslateIR(pc uint64, tier selfheal.Tier) (*tcg.Block, *tcg.Block, error) {
-	var tstart int64
-	if p.obs != nil {
-		tstart = p.obs.Begin()
-	}
+	tstart := p.obs.Begin()
 	block, err := frontend.Translate(p.mem, pc, p.fe)
-	if p.obs != nil {
-		p.obs.Span("frontend.decode", "", p.cpu, pc, 0, tstart)
-	}
+	p.obs.Span("frontend.decode", "", p.cpu, pc, 0, tstart)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,14 +50,9 @@ func (p *pipelineTranslator) TranslateIR(pc uint64, tier selfheal.Tier) (*tcg.Bl
 	if p.keepOracle {
 		oracle = block.Clone()
 	}
-	var ostart int64
-	if p.obs != nil {
-		ostart = p.obs.Begin()
-	}
+	ostart := p.obs.Begin()
 	tcg.Optimize(block, p.opt.Degrade(tier.OptLevel()))
-	if p.obs != nil {
-		p.obs.Span("tcg.opt", "", p.cpu, pc, 0, ostart)
-	}
+	p.obs.Span("tcg.opt", "", p.cpu, pc, 0, ostart)
 	return block, oracle, nil
 }
 

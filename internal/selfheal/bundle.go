@@ -106,6 +106,15 @@ func NormalizeSpans(spans []obs.Span, max int) []SpanRecord {
 	return out
 }
 
+// TierUp is the tier-up JIT configuration of a bundled run (the fields of
+// core.TierUpConfig). Promotion happens at a guest dispatch count, so
+// replaying it reproduces the same promotions.
+type TierUp struct {
+	Enabled          bool `json:"enabled"`
+	PromoteThreshold int  `json:"promote_threshold"`
+	SuperblockMax    int  `json:"superblock_max"`
+}
+
 // Bundle is the crash-triage document. Every field is either part of the
 // run's deterministic configuration (enough for ReplayOptions to rebuild
 // it) or post-mortem evidence (trap, CPU state, history, disassembly,
@@ -133,6 +142,8 @@ type Bundle struct {
 	FaultSeed     int64  `json:"fault_seed,omitempty"`
 	WeakSeed      *int64 `json:"weak_seed,omitempty"`
 	IDL           string `json:"idl,omitempty"`
+	// TierUp is nil for runs without the tier-up JIT.
+	TierUp *TierUp `json:"tier_up,omitempty"`
 
 	// --- post-mortem evidence ---
 	Trap       TrapInfo          `json:"trap"`

@@ -73,9 +73,9 @@ type Config struct {
 	// restarts.
 	Cache *transcache.Cache
 	// TierUp runs every job with the tier-up JIT: hot blocks promoted to
-	// superblocks in background workers — the raw-speed knob for repeat
-	// traffic. PromoteThreshold and SuperblockMax tune it (0 = core's
-	// defaults).
+	// superblocks on the job's own goroutine — the raw-speed knob for
+	// repeat traffic. PromoteThreshold and SuperblockMax tune it (0 =
+	// core's defaults).
 	TierUp           bool
 	PromoteThreshold int
 	SuperblockMax    int

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -91,6 +92,37 @@ func TestCleanJob(t *testing.T) {
 	}
 	if jr.Attempts != 1 {
 		t.Fatalf("clean job took %d attempts", jr.Attempts)
+	}
+}
+
+// TestTierUpJobsAddNoGoroutines: promotion builds run on the job's own
+// goroutine — inside runOnce's recover and the admission bound — so
+// tier-up jobs leave the process's goroutine count where it was. Jobs are
+// run without the HTTP layer, whose connection goroutines come and go.
+func TestTierUpJobsAddNoGoroutines(t *testing.T) {
+	srv := New(Config{TierUp: true, PromoteThreshold: 4})
+	run := func(req JobRequest) *JobResponse {
+		job, err := srv.resolve(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.runJob(&req, job, 1)
+	}
+	before := runtime.NumGoroutine()
+	// A budget trap's bundle shows the jobs really promote.
+	jr := run(JobRequest{Tenant: "a", Kernel: "fencechain", Scale: 2, StepBudget: 100_000})
+	if jr.Bundle == nil || jr.Bundle.TierUp == nil || jr.Bundle.Metrics["core.selfheal.promotions"] == 0 {
+		t.Fatalf("tier-up job trapped without recording a promotion: %+v", jr)
+	}
+	for i := 0; i < 8; i++ {
+		if jr := run(JobRequest{Tenant: "a", Kernel: "fencechain", Threads: 2}); jr.Status != StatusOK {
+			t.Fatalf("job %d: status %q (%s)", i, jr.Status, jr.Error)
+		}
+	}
+	// (> rather than !=: an earlier test's closed connections may still be
+	// winding down.)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the jobs, %d before", n, before)
 	}
 }
 

@@ -11,9 +11,11 @@
 # the campaign per-test verdict pipeline (BenchmarkCampaignTest, whose
 # tests/s metric is the serial campaign throughput), the tier-up JIT
 # on/off pairs (BenchmarkTierUp, whose sim_cycles_per_op ratio is the
-# hot-block promotion speedup), and the operational exploration engine
-# (BenchmarkExplore: states_per_sec transition throughput and the
-# coverage_pct of allowed outcomes a full DPOR enumeration reaches).
+# hot-block promotion speedup — exact figures in both modes, not samples:
+# promotion happens at a guest dispatch count), and the operational
+# exploration engine (BenchmarkExplore: states_per_sec transition
+# throughput and the coverage_pct of allowed outcomes a full DPOR
+# enumeration reaches).
 # BenchmarkOutcomesParallel's heavy rows (a five-thread ring, hundreds of ms
 # per enumeration) run at a fixed 3x: three iterations already resolve the
 # serial-vs-sharded ratio they exist to record.

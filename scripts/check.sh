@@ -113,8 +113,25 @@ grep -Eq '"core\.selfheal\.promotions": *[1-9]' "$SH_TMP/tierup.json" \
 grep -Eq '"core\.selfheal\.quarantines": *[1-9]' "$SH_TMP/tierup.json" \
 	|| { echo "faulted tierup run recorded no quarantine" >&2; exit 1; }
 
-# core's block tables carry no locks (Runtime's single-owner rule); this
-# stage is the check that only the execution goroutine touches them.
+stage "tierup smoke: two runs count identically, and a faulted run's bundle replays byte-identically"
+for i in 1 2; do
+	"$risotto" -kernel kmeans -threads 2 -scale 2 -tierup -promote-threshold 4 -metrics json \
+		| sed -n '/"counters": {/,/^  }/p' >"$SH_TMP/tierup-counters$i.json"
+done
+cmp "$SH_TMP/tierup-counters1.json" "$SH_TMP/tierup-counters2.json" \
+	|| { echo "two tierup runs disagree on their counters" >&2; exit 1; }
+code=0
+"$risotto" -kernel kmeans -threads 2 -scale 2 -tierup -promote-threshold 4 -fault miscompile@14 \
+	-bundle "$SH_TMP/tierup-crash.json" >/dev/null 2>&1 || code=$?
+[ "$code" -eq 3 ] || { echo "faulted tierup run exited $code, want 3" >&2; exit 1; }
+"$risotto" -replay "$SH_TMP/tierup-crash.json" -bundle "$SH_TMP/tierup-crash2.json" >/dev/null
+cmp "$SH_TMP/tierup-crash.json" "$SH_TMP/tierup-crash2.json" \
+	|| { echo "tierup replay re-bundle differs from original" >&2; exit 1; }
+
+# core starts no goroutine and its block tables carry no locks (Runtime's
+# single-owner rule). What is shared is the TransCache, between runtimes
+# the tests drive from several goroutines; this stage is the check on that,
+# and on nothing in core having grown a goroutine again.
 stage "core single-owner (race): go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1"
 go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1
 
