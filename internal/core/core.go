@@ -379,7 +379,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	rt.M.Deadline = cfg.Deadline
 	rt.M.Inject = cfg.Inject
 	if cfg.WeakSeed != nil {
-		rt.M.EnableWeakMode(machine.NewRandomChooser(*cfg.WeakSeed, 48))
+		rt.M.EnableWeakMode(machine.NewSeededDrains(*cfg.WeakSeed, 48))
 	}
 
 	// The tier-translation entry point: the pipeline over live guest

@@ -255,8 +255,8 @@ func (rt *Runtime) shadowVerify(c *machine.CPU, t *tb, ir *tcg.Block) *selfheal.
 // interpExec executes guestPC's cached frontend IR through the TCG
 // interpreter — the bottom tier, trusting no generated code. Globals are
 // mirrored between the interpreter and the vCPU; helper calls go through
-// interpHelper; a blocked syscall (join) rewinds the CPU to the stub so
-// the scheduler retries the block next quantum.
+// interpHelper; a blocked syscall (join) rewinds the CPU to the stub and
+// yields, so the scheduler retries the block once per rotation.
 func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	ir, ok := rt.irCache[guestPC]
 	if !ok {
@@ -319,11 +319,12 @@ func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, 
 		if *guestReg(c, x86.RAX) == GuestSysJoin {
 			id := *guestReg(c, x86.RDI)
 			if id < uint64(len(m.CPUs)) && !m.CPUs[id].Halted {
-				// Blocked join: yield without consuming the syscall —
-				// the block (isolated by the frontend's SyscallBarrier)
-				// retries from its stub next quantum.
+				// Blocked join: give up the quantum without consuming the
+				// syscall — the block (isolated by the frontend's
+				// SyscallBarrier) retries from its stub next rotation.
 				rt.met.helperCalls.Sub(1)
 				*yielded = true
+				m.Yield()
 				return 0, nil
 			}
 		}

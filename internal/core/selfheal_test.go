@@ -164,32 +164,34 @@ func TestInterpTierExecutes(t *testing.T) {
 	if want != iters {
 		t.Fatalf("compiled run = %d, want %d", want, iters)
 	}
-	// Learn the block PCs from a compiled run, then force them all down.
-	probe, err := newRuntime(Config{Variant: VariantRisotto, StackSize: 64 << 10}, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := probe.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pcs := probe.BlockPCs()
-	if len(pcs) == 0 {
-		t.Fatal("probe run translated no blocks")
-	}
-
-	rt, err := newRuntime(Config{Variant: VariantRisotto, StackSize: 64 << 10, SelfHeal: true}, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pc := range pcs {
-		rt.Heal().SetTier(pc, selfheal.TierInterp)
-	}
-	code, err := rt.Run()
-	if err != nil {
-		t.Fatalf("interp-tier run failed: %v", err)
-	}
-	if code != want {
-		t.Errorf("interp-tier exit = %d, want %d", code, want)
+	// Force every block down. The interpreter tier ends a block before each
+	// SYSCALL (SyscallBarrier), which starts blocks at PCs no compiled run
+	// has seen — the join among them — so rerun, demoting what the last run
+	// translated, until a run translates nothing new.
+	pcs := make(map[uint64]bool)
+	var rt *Runtime
+	for grew := true; grew; {
+		var err error
+		rt, err = newRuntime(Config{Variant: VariantRisotto, StackSize: 64 << 10, SelfHeal: true}, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pc := range pcs {
+			rt.Heal().SetTier(pc, selfheal.TierInterp)
+		}
+		code, err := rt.Run()
+		if err != nil {
+			t.Fatalf("run with %d blocks demoted failed: %v", len(pcs), err)
+		}
+		if code != want {
+			t.Errorf("run with %d blocks demoted: exit = %d, want %d", len(pcs), code, want)
+		}
+		grew = false
+		for _, pc := range rt.BlockPCs() {
+			if !pcs[pc] {
+				pcs[pc], grew = true, true
+			}
+		}
 	}
 	st := rt.Stats()
 	if st.InterpBlocks == 0 {
@@ -198,6 +200,15 @@ func TestInterpTierExecutes(t *testing.T) {
 	if st.HelperCalls == 0 || st.Syscalls == 0 {
 		t.Errorf("interp tier served helpers %d, syscalls %d; want both nonzero",
 			st.HelperCalls, st.Syscalls)
+	}
+	// The blocked join gives up its quantum: one retry per rotation, three
+	// interpreted instructions each, on top of some 26 of set-up.
+	yields := rt.Obs().Child("machine").Counter("sched.yields").Load()
+	if yields == 0 {
+		t.Error("the interpreted join never blocked and yielded")
+	}
+	if main := rt.M.CPUs[0].Insts; main > 3*yields+64 {
+		t.Errorf("main thread executed %d instructions over %d blocked quanta: the interpreted join is spinning", main, yields)
 	}
 }
 

@@ -1,7 +1,9 @@
 package explore
 
-// Sleep-set dynamic partial-order reduction over the transition system of
-// explore.go, as a stateless depth-first search: the machine is
+import "repro/internal/machine"
+
+// Sleep-set dynamic partial-order reduction over the machine's transition
+// system, as a stateless depth-first search: the machine is
 // re-executed from its initial state along the decision prefix whenever
 // the search backtracks (litmus programs are a few dozen transitions
 // deep, so replay is cheaper than snapshotting every CPU at every node).
@@ -24,11 +26,11 @@ package explore
 // directly comparable.
 
 // dnode is one frame of the DFS stack: a state's enabled transitions (in
-// the deterministic enabled() order), its sleep set, and which branch is
-// currently chosen below it.
+// machine.Enabled's order), its sleep set, which branch is currently chosen
+// below it, and that branch's footprint.
 type dnode struct {
-	ts     []transition
-	sleep  map[string]footprint
+	ts     []machine.Transition
+	sleep  map[machine.Transition]footprint
 	chosen int
 	fp     footprint
 	// counted guards the States metric: a transition is counted when
@@ -39,12 +41,19 @@ type dnode struct {
 // runDFS explores exhaustively, naive disabling the sleep-set reduction.
 func (e *explorer) runDFS(naive bool) {
 	var stack []*dnode
-	path := func() []Decision {
-		ds := make([]Decision, len(stack))
+	path := func() []machine.Transition {
+		ds := make([]machine.Transition, len(stack))
 		for i, nd := range stack {
-			ds[i] = nd.ts[nd.chosen].d
+			ds[i] = nd.ts[nd.chosen]
 		}
 		return ds
+	}
+	// take applies nd's chosen branch and records its footprint.
+	take := func(m *machine.Machine, nd *dnode) error {
+		t := nd.ts[nd.chosen]
+		accs, err := m.Apply(t)
+		nd.fp = footprint{t: t, accs: accs}
+		return err
 	}
 
 	// backtrack puts the finished branch to sleep and advances the
@@ -54,11 +63,11 @@ func (e *explorer) runDFS(naive bool) {
 		for len(stack) > 0 {
 			nd := stack[len(stack)-1]
 			if !naive {
-				nd.sleep[nd.ts[nd.chosen].d.key()] = nd.fp
+				nd.sleep[nd.ts[nd.chosen]] = nd.fp
 			}
 			advanced := false
 			for i := nd.chosen + 1; i < len(nd.ts); i++ {
-				if _, asleep := nd.sleep[nd.ts[i].d.key()]; !asleep {
+				if _, asleep := nd.sleep[nd.ts[i]]; !asleep {
 					nd.chosen = i
 					nd.counted = false
 					advanced = true
@@ -75,16 +84,14 @@ func (e *explorer) runDFS(naive bool) {
 
 	for {
 		// Re-execute the chosen prefix from the initial state.
-		m, err := e.newMachine()
+		m, err := e.compiled.NewMachine()
 		if err != nil {
 			e.trapped(nil, err)
 			return
 		}
 		replayFailed := false
 		for i, nd := range stack {
-			fp, err := e.apply(m, nd.ts[nd.chosen])
-			nd.fp = fp
-			if err != nil {
+			if err := take(m, nd); err != nil {
 				// Only a frontier transition can fail for the first time
 				// (the machine is deterministic given the prefix), so this
 				// is the just-advanced branch: record and back off.
@@ -109,7 +116,7 @@ func (e *explorer) runDFS(naive bool) {
 			if e.cut(path()) {
 				return
 			}
-			ts := enabled(m)
+			ts := m.Enabled(nil)
 			if len(ts) == 0 {
 				if err := e.leaf(m, path()); err != nil {
 					e.trapped(path(), err)
@@ -119,7 +126,7 @@ func (e *explorer) runDFS(naive bool) {
 				}
 				break
 			}
-			nd := &dnode{ts: ts, sleep: make(map[string]footprint)}
+			nd := &dnode{ts: ts, sleep: make(map[machine.Transition]footprint)}
 			if !naive && len(stack) > 0 {
 				parent := stack[len(stack)-1]
 				for k, ufp := range parent.sleep {
@@ -130,7 +137,7 @@ func (e *explorer) runDFS(naive bool) {
 			}
 			nd.chosen = -1
 			for i := range ts {
-				if _, asleep := nd.sleep[ts[i].d.key()]; !asleep {
+				if _, asleep := nd.sleep[ts[i]]; !asleep {
 					nd.chosen = i
 					break
 				}
@@ -145,8 +152,7 @@ func (e *explorer) runDFS(naive bool) {
 				break
 			}
 			stack = append(stack, nd)
-			fp, err := e.apply(m, ts[nd.chosen])
-			nd.fp = fp
+			err := take(m, nd)
 			nd.counted = true
 			e.res.States++
 			if err != nil {

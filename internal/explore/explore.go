@@ -1,25 +1,28 @@
 // Package explore is the operational exploration engine: it drives the
 // simulated machine's weak-memory mode through its nondeterminism —
-// store-buffer drains and scheduling, exposed by internal/machine as
-// first-class transitions — and checks every final state differentially
-// against the machine's exact axiomatic twin (internal/models/opref).
+// store-buffer drains and scheduling — and checks every final state
+// differentially against the machine's exact axiomatic twin
+// (internal/models/opref).
 //
-// The state space is a transition system over compiled litmus programs
-// (internal/opcheck): from any state, each non-halted CPU offers one
-// "execute" transition (run that CPU up to and including its next
-// memory-visible instruction), and each coherence-chain head in each
-// store buffer offers one "drain" transition (retire exactly that
-// buffered store). Three drivers cover it:
+// The state space is the machine's own transition system
+// (machine.Enabled/Apply) over compiled litmus programs (internal/opcheck):
+// from any state, each non-halted CPU offers one "execute" transition (run
+// that CPU up to and including its next memory-visible instruction), and
+// each coherence-chain head in each store buffer offers one "drain"
+// transition (retire exactly that buffered store). Nothing here reads a
+// store buffer or steps a CPU; three drivers choose among the transitions
+// the machine lists:
 //
-//   - walk: seeded random walks, one outcome sample per seed — the soak
-//     regime, cheap enough to ride along every campaign test;
+//   - walk: seeded random walks (machine.Walk), one outcome sample per
+//     seed — the soak regime, cheap enough to ride along every campaign
+//     test;
 //   - dpor: exhaustive depth-first enumeration with sleep-set dynamic
 //     partial-order reduction (commuting transitions — different CPUs or
 //     non-overlapping drains, disjoint global footprints — are explored
 //     in one order only), plus a naive variant with the reduction off
 //     for calibration;
-//   - replay: re-execution of a recorded decision sequence, reproducing
-//     a prior run byte-identically (trace.go).
+//   - replay: re-execution of a recorded transition sequence,
+//     reproducing a prior run byte-identically (trace.go).
 //
 // Any operational outcome the axiomatic model forbids is a hard failure
 // carrying its decision trace; budget or deadline exhaustion degrades to
@@ -67,10 +70,6 @@ type Config struct {
 	// StepBudget bounds a single run's transition count (walk mode: a
 	// livelocked program must not hang the soak). 0 = 4096.
 	StepBudget int
-	// MaxInvisible bounds the instructions one execute-transition may
-	// retire before reaching a memory access or halt (spin watchdog,
-	// the PR-2 budget-trap discipline at transition granularity). 0 = 10000.
-	MaxInvisible int
 	// Deadline is the wall-clock watchdog for the whole exploration;
 	// 0 disables it. Expiry yields a partial verdict.
 	Deadline time.Duration
@@ -111,13 +110,6 @@ func (cfg Config) stepBudget() int {
 	return cfg.StepBudget
 }
 
-func (cfg Config) maxInvisible() int {
-	if cfg.MaxInvisible <= 0 {
-		return 10000
-	}
-	return cfg.MaxInvisible
-}
-
 func (cfg Config) modelName() string {
 	if cfg.Model == "" {
 		return "op-ref"
@@ -130,37 +122,13 @@ func (cfg Config) model() (memmodel.Model, error) {
 }
 
 // Hash identifies the configuration for soak-file resume validation:
-// every knob that changes what a record means.
+// every knob that changes what a record means. ("mi10000" is the machine's
+// invisible-instruction bound, a knob once; it stays so that existing soak
+// files resume.)
 func (cfg Config) Hash() string {
-	return fmt.Sprintf("%s/s%d+%d/ms%d/sb%d/mi%d/%s",
-		cfg.mode(), cfg.seeds(), cfg.Seed, cfg.maxStates(), cfg.stepBudget(), cfg.maxInvisible(), cfg.modelName())
+	return fmt.Sprintf("%s/s%d+%d/ms%d/sb%d/mi10000/%s",
+		cfg.mode(), cfg.seeds(), cfg.Seed, cfg.maxStates(), cfg.stepBudget(), cfg.modelName())
 }
-
-// Decision is one recorded nondeterministic choice — the unit of the
-// replay trace format.
-type Decision struct {
-	// Op is "x" (execute CPU up to its next visible access) or "d"
-	// (drain one buffered store).
-	Op string `json:"op"`
-	// CPU is the acting CPU.
-	CPU int `json:"cpu"`
-	// Seq, for drains, is the global sequence number of the drained
-	// store — stable across buffer index shifts, so a trace replays
-	// against live buffers rather than positions.
-	Seq uint64 `json:"seq,omitempty"`
-}
-
-func (d Decision) key() string {
-	if d.Op == opDrain {
-		return fmt.Sprintf("d%d.%d", d.CPU, d.Seq)
-	}
-	return fmt.Sprintf("x%d", d.CPU)
-}
-
-const (
-	opExec  = "x"
-	opDrain = "d"
-)
 
 // Violation is an operational behaviour the axiomatic reference forbids
 // — or a run that trapped — with the decision sequence reproducing it.
@@ -169,7 +137,7 @@ type Violation struct {
 	// before completing).
 	Outcome litmus.Outcome
 	// Trace replays the run (see Replay).
-	Trace []Decision
+	Trace []machine.Transition
 	// Reason explains the failure.
 	Reason string
 }
@@ -196,7 +164,7 @@ type Result struct {
 	// PartialReason says which budget.
 	Partial       bool
 	PartialReason string
-	PartialTrace  []Decision
+	PartialTrace  []machine.Transition
 	// Elapsed is wall time.
 	Elapsed time.Duration
 }
@@ -227,7 +195,7 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	allowed, err := litmus.Enumerate(p, m, litmus.WithWorkers(1), litmus.WithCache(litmus.NewCache()))
+	allowed, err := litmus.Enumerate(p, m, litmus.WithWorkers(1))
 	if err != nil {
 		return nil, fmt.Errorf("explore: enumerating %q under %s: %w", p.Name, m.Name(), err)
 	}
@@ -270,7 +238,7 @@ type explorer struct {
 
 // cut reports whether a global budget has expired, recording the partial
 // verdict (first reason wins) with the current decision path.
-func (e *explorer) cut(path []Decision) bool {
+func (e *explorer) cut(path []machine.Transition) bool {
 	var reason string
 	switch {
 	case e.res.States >= e.cfg.maxStates():
@@ -283,14 +251,14 @@ func (e *explorer) cut(path []Decision) bool {
 	if !e.res.Partial {
 		e.res.Partial = true
 		e.res.PartialReason = reason
-		e.res.PartialTrace = append([]Decision(nil), path...)
+		e.res.PartialTrace = append([]machine.Transition(nil), path...)
 	}
 	return true
 }
 
 // leaf records one completed run's outcome, checking it against the
 // allowed set; a forbidden outcome is a violation carrying its trace.
-func (e *explorer) leaf(m *machine.Machine, path []Decision) error {
+func (e *explorer) leaf(m *machine.Machine, path []machine.Transition) error {
 	o, err := e.compiled.Outcome(m)
 	if err != nil {
 		return err
@@ -300,7 +268,7 @@ func (e *explorer) leaf(m *machine.Machine, path []Decision) error {
 	if !e.allowed[o] {
 		e.res.Violations = append(e.res.Violations, Violation{
 			Outcome: o,
-			Trace:   append([]Decision(nil), path...),
+			Trace:   append([]machine.Transition(nil), path...),
 			Reason:  fmt.Sprintf("outcome %q not allowed by the axiomatic reference", o),
 		})
 	}
@@ -310,9 +278,9 @@ func (e *explorer) leaf(m *machine.Machine, path []Decision) error {
 // trapped records a run that faulted mid-execution (decode/fetch trap,
 // invisible-instruction budget): always a violation — the reference
 // model has no trapping executions.
-func (e *explorer) trapped(path []Decision, err error) {
+func (e *explorer) trapped(path []machine.Transition, err error) {
 	e.res.Violations = append(e.res.Violations, Violation{
-		Trace:  append([]Decision(nil), path...),
+		Trace:  append([]machine.Transition(nil), path...),
 		Reason: err.Error(),
 	})
 }
@@ -337,21 +305,14 @@ func (e *explorer) finish() {
 	e.sc.Gauge("coverage_pct").Set(int64(r.Coverage()))
 }
 
-// --- Transition engine --------------------------------------------------------
+// --- Independence -------------------------------------------------------------
 
-// transition is one enabled move plus, after execution, its footprint.
-type transition struct {
-	d Decision
-}
-
-// footprint is what a transition touched, for the independence relation:
-// the acting CPU, the kind of move, and its globally visible memory
-// accesses (Local accesses — buffered stores, forwarded loads — are
-// invisible to other CPUs and excluded from conflict detection).
+// footprint is what an applied transition touched, for the independence
+// relation: the move itself and the globally visible memory accesses
+// machine.Apply reported for it.
 type footprint struct {
-	cpu   int
-	drain bool
-	accs  []machine.MemAccess
+	t    machine.Transition
+	accs []machine.MemAccess
 }
 
 // independent reports that two transitions commute. Same-CPU moves are
@@ -359,7 +320,7 @@ type footprint struct {
 // chains; across CPUs, moves commute unless their global footprints
 // conflict (overlapping addresses, at least one write).
 func independent(a, b footprint) bool {
-	if a.cpu == b.cpu && !(a.drain && b.drain) {
+	if a.t.CPU == b.t.CPU && !(a.t.Op == machine.OpDrain && b.t.Op == machine.OpDrain) {
 		return false
 	}
 	for _, x := range a.accs {
@@ -375,110 +336,7 @@ func independent(a, b footprint) bool {
 	return true
 }
 
-// newMachine builds a fresh weak-mode machine with no chooser: stores
-// buffer and forward but drain only through explicit transitions — the
-// engine owns every choice.
-func (e *explorer) newMachine() (*machine.Machine, error) {
-	m, err := e.compiled.NewMachine(nil)
-	if err != nil {
-		return nil, err
-	}
-	m.RecordAccesses(true)
-	return m, nil
-}
-
-// enabled lists the state's transitions in deterministic order: execute
-// per non-halted CPU (ascending), then drains per CPU per coherence-chain
-// head (buffer order). Empty means every CPU halted (halting flushes, so
-// no drain can outlive its CPU).
-func enabled(m *machine.Machine) []transition {
-	var ts []transition
-	for _, c := range m.CPUs {
-		if !c.Halted {
-			ts = append(ts, transition{d: Decision{Op: opExec, CPU: c.ID}})
-		}
-	}
-	for _, c := range m.CPUs {
-		buf := m.WeakBuffer(c.ID)
-		for _, h := range m.WeakDrainHeads(c.ID) {
-			ts = append(ts, transition{d: Decision{Op: opDrain, CPU: c.ID, Seq: buf[h].Seq}})
-		}
-	}
-	return ts
-}
-
-// apply executes one transition and returns its footprint. An execute
-// transition retires instructions until one performs a memory access or
-// the CPU halts, bounded by MaxInvisible (a pure-register spin must trap,
-// not hang). A drain transition retires the store with the recorded
-// sequence number (resolved against the live buffer, since indices shift).
-func (e *explorer) apply(m *machine.Machine, t transition) (footprint, error) {
-	fp := footprint{cpu: t.d.CPU, drain: t.d.Op == opDrain}
-	if t.d.CPU < 0 || t.d.CPU >= len(m.CPUs) {
-		return fp, fmt.Errorf("explore: decision names CPU %d of %d", t.d.CPU, len(m.CPUs))
-	}
-	c := m.CPUs[t.d.CPU]
-	if fp.drain {
-		idx := -1
-		for i, p := range m.WeakBuffer(c.ID) {
-			if p.Seq == t.d.Seq {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fp, fmt.Errorf("explore: drain of store seq %d not in CPU %d's buffer", t.d.Seq, c.ID)
-		}
-		if err := m.DrainWeak(c, idx); err != nil {
-			return fp, err
-		}
-		fp.accs = globalOnly(m.TakeAccesses())
-		return fp, nil
-	}
-	if c.Halted {
-		return fp, fmt.Errorf("explore: execute decision for halted CPU %d", c.ID)
-	}
-	for i := 0; i < e.cfg.maxInvisible(); i++ {
-		if err := m.Step(c); err != nil {
-			return fp, err
-		}
-		accs := m.TakeAccesses()
-		if len(accs) > 0 {
-			fp.accs = globalOnly(accs)
-			return fp, nil
-		}
-		if c.Halted {
-			return fp, nil
-		}
-	}
-	return fp, fmt.Errorf("explore: CPU %d ran %d instructions without a memory access or halt", c.ID, e.cfg.maxInvisible())
-}
-
-func globalOnly(accs []machine.MemAccess) []machine.MemAccess {
-	out := accs[:0]
-	for _, a := range accs {
-		if !a.Local {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // --- Random walk --------------------------------------------------------------
-
-// splitmix is the same tiny PRNG the machine's RandomChooser uses: a
-// single-word state, so a walk's position is its seed plus step count.
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 
 // runWalks samples one outcome per seed: at every state, pick uniformly
 // among the enabled transitions. Each walk is bounded by StepBudget and
@@ -486,48 +344,45 @@ func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
 // outcome.
 func (e *explorer) runWalks() {
 	for i := 0; i < e.cfg.seeds(); i++ {
-		rng := splitmix{state: uint64(e.cfg.Seed) + uint64(i)*0x9E3779B97F4A7C15}
-		if !e.walk(&rng) {
+		if !e.walk(uint64(e.cfg.Seed) + uint64(i)*0x9E3779B97F4A7C15) {
 			return
 		}
 	}
 }
 
 // walk runs one seeded walk; false means a global budget expired.
-func (e *explorer) walk(rng *splitmix) bool {
-	m, err := e.newMachine()
+func (e *explorer) walk(seed uint64) bool {
+	m, err := e.compiled.NewMachine()
 	if err != nil {
 		e.trapped(nil, err)
 		return true
 	}
-	var path []Decision
-	for {
-		if e.cut(path) {
+	var path []machine.Transition
+	cut := false
+	halted, err := m.Walk(seed, e.cfg.stepBudget(), func(t machine.Transition, err error) bool {
+		path = append(path, t)
+		if err != nil {
 			return false
 		}
-		ts := enabled(m)
-		if len(ts) == 0 {
-			if err := e.leaf(m, path); err != nil {
-				e.trapped(path, err)
-			}
-			return true
-		}
-		if len(path) >= e.cfg.stepBudget() {
-			// Per-run watchdog: record the cut path once, keep walking
-			// other seeds (the global budgets still bound the soak).
-			if !e.res.Partial {
-				e.res.Partial = true
-				e.res.PartialReason = fmt.Sprintf("walk step budget %d exhausted", e.cfg.stepBudget())
-				e.res.PartialTrace = append([]Decision(nil), path...)
-			}
-			return true
-		}
-		t := ts[rng.intn(len(ts))]
-		path = append(path, t.d)
-		if _, err := e.apply(m, t); err != nil {
-			e.trapped(path, err)
-			return true
-		}
 		e.res.States++
+		cut = e.cut(path)
+		return !cut
+	})
+	switch {
+	case err != nil:
+		e.trapped(path, err)
+	case halted:
+		if err := e.leaf(m, path); err != nil {
+			e.trapped(path, err)
+		}
+	case cut:
+		return false
+	case !e.res.Partial:
+		// Per-run watchdog: record the cut path once, keep walking other
+		// seeds (the global budgets still bound the soak).
+		e.res.Partial = true
+		e.res.PartialReason = fmt.Sprintf("walk step budget %d exhausted", e.cfg.stepBudget())
+		e.res.PartialTrace = path
 	}
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/machine"
 	"repro/internal/models/opref"
 	"repro/internal/opcheck"
 )
@@ -83,6 +84,50 @@ func TestDPORBeatsNaive(t *testing.T) {
 		naive.States, naive.Partial, dpor.States, dpor.Pruned, dpor.Runs)
 }
 
+// TestSeededDrainsWithinExploredSystem ties the machine's two drivers
+// together: RunAll under the seeded drain policy (the `-weak` demo path of
+// core.WithWeakMemory) resolves the same choices the transition system
+// offers, so every outcome it reaches, over 256 seeds and three quanta,
+// must be one the exhaustive exploration observed.
+func TestSeededDrainsWithinExploredSystem(t *testing.T) {
+	for _, p := range []*litmus.Program{litmus.SB(), litmus.MP(), litmus.TwoPlusTwoW()} {
+		t.Run(p.Name, func(t *testing.T) {
+			explored := make(map[litmus.Outcome]bool)
+			for _, o := range run(t, p, Config{Mode: ModeDPOR}).Observed {
+				explored[o] = true
+			}
+			c, err := opcheck.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeded := make(map[litmus.Outcome]bool)
+			for _, quantum := range []int{1, 2, 8} {
+				for seed := int64(0); seed < 256; seed++ {
+					m, err := c.NewMachine()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.EnableWeakMode(machine.NewSeededDrains(seed, 48))
+					if err := m.RunAll(quantum, 100_000); err != nil {
+						t.Fatal(err)
+					}
+					o, err := c.Outcome(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !explored[o] {
+						t.Fatalf("quantum %d seed %d reached %q, which DPOR did not observe (%v)", quantum, seed, o, explored)
+					}
+					seeded[o] = true
+				}
+			}
+			if len(seeded) < 2 {
+				t.Errorf("768 seeded runs reached only %v: the comparison is vacuous", seeded)
+			}
+		})
+	}
+}
+
 // TestWalkSoundOnCorpus: every random-walk outcome across the .lit corpus
 // (16 seeds per test) must be admitted by the op-ref model — the at-scale
 // soak of the acceptance criteria, in miniature.
@@ -137,33 +182,25 @@ func TestReplayByteIdentity(t *testing.T) {
 	p := litmus.SB()
 
 	// Manufacture a complete trace by walking to a leaf and recording.
-	e := &explorer{cfg: Config{}, observed: make(map[litmus.Outcome]bool), res: &Result{Test: p.Name, Mode: ModeWalk}}
 	c, err := opcheck.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.compiled = c
-	allowed, err := litmus.Enumerate(p, opref.New(), litmus.WithWorkers(1), litmus.WithCache(litmus.NewCache()))
+	allowed, err := litmus.Enumerate(p, opref.New(), litmus.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.allowed = allowed
-	m, err := e.newMachine()
+	m, err := c.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := splitmix{state: 42}
-	var decisions []Decision
-	for {
-		ts := enabled(m)
-		if len(ts) == 0 {
-			break
-		}
-		tr := ts[rng.intn(len(ts))]
-		decisions = append(decisions, tr.d)
-		if _, err := e.apply(m, tr); err != nil {
-			t.Fatal(err)
-		}
+	var decisions []machine.Transition
+	halted, err := m.Walk(42, 4096, func(tr machine.Transition, _ error) bool {
+		decisions = append(decisions, tr)
+		return true
+	})
+	if err != nil || !halted {
+		t.Fatalf("walk: halted=%v err=%v", halted, err)
 	}
 	o, err := c.Outcome(m)
 	if err != nil {

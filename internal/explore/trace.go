@@ -6,20 +6,22 @@ package explore
 // journal run files, resumed through journal.OpenRun like campaign results.
 //
 // A trace is a complete account of one run's nondeterminism: the header
-// names the test and mode, each decision line is one Decision, and the
-// final line carries the rendered outcome and verdict. Replay re-executes
-// the decisions against a fresh machine, re-renders, and re-encodes —
-// byte identity of the two files is the reproducibility check the CLI and
-// the CI smoke stage assert.
+// names the test and mode, each decision line is one machine.Transition,
+// and the final line carries the rendered outcome and verdict. Replay
+// re-executes the decisions against a fresh machine, re-renders, and
+// re-encodes — byte identity of the two files is the reproducibility check
+// the CLI and the CI smoke stage assert.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/journal"
 	"repro/internal/litmus"
+	"repro/internal/machine"
 	"repro/internal/opcheck"
 )
 
@@ -50,7 +52,7 @@ type TraceFinal struct {
 // Trace is one decoded replay trace.
 type Trace struct {
 	Header    TraceHeader
-	Decisions []Decision
+	Decisions []machine.Transition
 	Final     TraceFinal
 }
 
@@ -100,7 +102,7 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 			sawFinal = true
 			return json.Unmarshal(line, &tr.Final)
 		}
-		var d Decision
+		var d machine.Transition
 		if err := json.Unmarshal(line, &d); err != nil {
 			return err
 		}
@@ -163,7 +165,7 @@ func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	allowed, err := litmus.Enumerate(p, mdl, litmus.WithWorkers(1), litmus.WithCache(litmus.NewCache()))
+	allowed, err := litmus.Enumerate(p, mdl, litmus.WithWorkers(1))
 	if err != nil {
 		return nil, err
 	}
@@ -171,33 +173,25 @@ func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &explorer{cfg: cfg, compiled: c}
-	m, err := e.newMachine()
+	m, err := c.NewMachine()
 	if err != nil {
 		return nil, err
 	}
 	out := &Trace{Header: tr.Header}
+	var ts []machine.Transition
 	for i, d := range tr.Decisions {
-		ts := enabled(m)
-		found := false
-		for _, t := range ts {
-			if t.d.key() == d.key() {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if ts = m.Enabled(ts[:0]); !slices.Contains(ts, d) {
 			return nil, fmt.Errorf("explore: replay step %d: decision %v not enabled (trace diverged)", i, d)
 		}
 		out.Decisions = append(out.Decisions, d)
-		if _, err := e.apply(m, transition{d: d}); err != nil {
+		if _, err := m.Apply(d); err != nil {
 			// The recorded run trapped here; reproduce the verdict.
 			out.Final = TraceFinal{Verdict: VerdictViolation, Steps: len(out.Decisions)}
 			return out, nil
 		}
 	}
 	out.Final.Steps = len(out.Decisions)
-	if len(enabled(m)) > 0 {
+	if len(m.Enabled(ts[:0])) > 0 {
 		out.Final.Verdict = VerdictPartial
 		return out, nil
 	}

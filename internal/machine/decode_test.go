@@ -174,7 +174,7 @@ func TestUnalignedPCDecodesUncached(t *testing.T) {
 		t.Errorf("unaligned fetches cached %d pages", len(m.decode.pages))
 	}
 	c.PC, c.Halted = uint64(len(m.Mem))-2, false
-	if err := m.Step(c); !faults.IsKind(err, faults.TrapUnmapped) {
+	if err := m.step(c); !faults.IsKind(err, faults.TrapUnmapped) {
 		t.Errorf("fetch straddling the end of memory: err = %v, want a TrapUnmapped", err)
 	}
 }

@@ -209,7 +209,7 @@ func TestDecodeCacheInvalidation(t *testing.T) {
 	m.Mem[0x1002] = byte(w >> 16)
 	m.Mem[0x1003] = byte(w >> 24)
 	c.PC = 0x1000
-	if err := m.Step(c); err != nil {
+	if err := m.step(c); err != nil {
 		t.Fatal(err)
 	}
 	w2, err := arm.Encode(arm.Inst{Op: arm.MOVZ, Rd: 1, Imm: 7})
@@ -222,7 +222,7 @@ func TestDecodeCacheInvalidation(t *testing.T) {
 	// Without invalidation the stale NOP would execute.
 	m.InvalidateDecodeAt(0x1000)
 	c.PC = 0x1000
-	if err := m.Step(c); err != nil {
+	if err := m.step(c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Regs[1] != 7 {
@@ -231,7 +231,7 @@ func TestDecodeCacheInvalidation(t *testing.T) {
 	// Full invalidation path.
 	m.InvalidateDecodeCache()
 	c.PC = 0x1000
-	if err := m.Step(c); err != nil {
+	if err := m.step(c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,7 +241,7 @@ func TestWeakEnabledFlag(t *testing.T) {
 	if m.WeakEnabled() {
 		t.Fatal("weak mode should default off")
 	}
-	m.EnableWeakMode(NewRandomChooser(1, 0)) // 0 → default drain prob
+	m.EnableWeakMode(NewSeededDrains(1, 0)) // 0 → default drain prob
 	if !m.WeakEnabled() {
 		t.Fatal("weak mode should be on")
 	}

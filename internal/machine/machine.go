@@ -90,13 +90,10 @@ type Machine struct {
 	// weak, when non-nil, enables the operational weak-memory mode
 	// (store buffers with out-of-order drain; see weak.go).
 	weak *weakState
-	// chooser resolves the machine's nondeterministic choices (scheduler
-	// pick, store-buffer drains); see chooser.go. Nil falls back to the
-	// deterministic round-robin with no automatic drains.
-	chooser Chooser
 
-	// accLog, when enabled, records every memory access executed — the
-	// footprint DPOR needs to decide which transitions commute.
+	// accLog records, while Apply runs a transition, every memory access
+	// executed: where an exec transition ends, and the footprint DPOR
+	// needs to decide which transitions commute.
 	accLog   []MemAccess
 	accLogOn bool
 
@@ -180,11 +177,6 @@ func (m *Machine) AddCPU() *CPU {
 	return c
 }
 
-// SetChooser installs (or, with nil, removes) the machine's chooser
-// without touching weak mode: useful for randomized scheduling over the
-// sequentially consistent interpreter. EnableWeakMode overwrites it.
-func (m *Machine) SetChooser(ch Chooser) { m.chooser = ch }
-
 // MemAccess is one executed memory access. Local marks accesses satisfied
 // entirely inside a CPU's private store buffer (buffered stores, forwarded
 // loads): they are invisible to other CPUs, so dependence analysis ignores
@@ -194,21 +186,6 @@ type MemAccess struct {
 	Size  uint8
 	Write bool
 	Local bool
-}
-
-// RecordAccesses toggles the memory-access log. Enabling clears any
-// previous log.
-func (m *Machine) RecordAccesses(on bool) {
-	m.accLogOn = on
-	m.accLog = m.accLog[:0]
-}
-
-// TakeAccesses returns the accesses recorded since the last call (or since
-// RecordAccesses) and resets the log.
-func (m *Machine) TakeAccesses() []MemAccess {
-	out := append([]MemAccess(nil), m.accLog...)
-	m.accLog = m.accLog[:0]
-	return out
 }
 
 // record appends to the access log when enabled; free otherwise.
@@ -424,8 +401,8 @@ func (c *CPU) cond(cc arm.Cond) bool {
 
 // --- Scheduling ---------------------------------------------------------------
 
-// Step executes one instruction on c. Halted CPUs are a no-op.
-func (m *Machine) Step(c *CPU) error {
+// step executes one instruction on c. Halted CPUs are a no-op.
+func (m *Machine) step(c *CPU) error {
 	if c.Halted {
 		return nil
 	}
@@ -478,7 +455,7 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 		if c.Halted {
 			return nil
 		}
-		if err := m.Step(c); err != nil {
+		if err := m.step(c); err != nil {
 			return err
 		}
 	}
@@ -491,8 +468,7 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 // structured faults.TrapBudget, so a runaway or livelocked guest degrades
 // to a typed, reportable halt instead of an unbounded spin. CPUs added
 // during execution (spawn) join the rotation; a CPU that calls Yield ends
-// its quantum early. An installed Chooser may override each quantum's CPU
-// pick (NextCPU -1 keeps the round-robin).
+// its quantum early.
 func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	if quantum <= 0 {
 		quantum = 64
@@ -508,44 +484,13 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 		start = time.Now()
 	}
 	var total uint64
-	var runnable []int
 	rr := 0 // round-robin cursor: next CPU ID to consider
 	for {
-		runnable = runnable[:0]
-		for _, c := range m.CPUs {
-			if !c.Halted {
-				runnable = append(runnable, c.ID)
-			}
-		}
-		if len(runnable) == 0 {
+		c := m.nextLive(rr)
+		if c == nil {
 			return nil
 		}
-		// The chooser may pick any runnable CPU; -1 (or no chooser) falls
-		// back to the deterministic round-robin the machine always had.
-		var c *CPU
-		if m.chooser != nil {
-			if id := m.chooser.NextCPU(runnable); id >= 0 {
-				if id >= len(m.CPUs) || m.CPUs[id].Halted {
-					return fmt.Errorf("machine: chooser picked unrunnable CPU %d", id)
-				}
-				c = m.CPUs[id]
-			}
-		}
-		if c == nil {
-			// First runnable CPU with ID >= rr, wrapping: identical order
-			// to the historical pass over m.CPUs, and CPUs spawned
-			// mid-run join as the cursor reaches them.
-			for _, id := range runnable {
-				if id >= rr {
-					c = m.CPUs[id]
-					break
-				}
-			}
-			if c == nil {
-				c = m.CPUs[runnable[0]]
-			}
-			rr = c.ID + 1
-		}
+		rr = c.ID + 1
 		m.quanta.Inc()
 		if t := m.Inject.Hit(faults.SiteStep); t != nil {
 			t.Steps = c.Insts
@@ -553,7 +498,7 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 		}
 		m.yield = false
 		for q := 0; q < quantum && !c.Halted; q++ {
-			if err := m.Step(c); err != nil {
+			if err := m.step(c); err != nil {
 				return err
 			}
 			total++
@@ -574,6 +519,23 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			}
 		}
 	}
+}
+
+// nextLive returns the first CPU with ID >= from that has not halted,
+// wrapping around — so CPUs spawned mid-run join the rotation as the cursor
+// reaches them — or nil when every CPU has halted.
+func (m *Machine) nextLive(from int) *CPU {
+	for _, c := range m.CPUs[from:] {
+		if !c.Halted {
+			return c
+		}
+	}
+	for _, c := range m.CPUs[:from] {
+		if !c.Halted {
+			return c
+		}
+	}
+	return nil
 }
 
 // budgetTrap builds the structured watchdog result for c.

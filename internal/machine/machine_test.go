@@ -185,7 +185,7 @@ func TestExclusiveFailsAfterInterveningStore(t *testing.T) {
 	c.PC = 0x1000
 	// Step through MovImm (1 inst) + LDXR.
 	for i := 0; i < 2; i++ {
-		if err := m.Step(c); err != nil {
+		if err := m.step(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestSpawnJoin(t *testing.T) {
 	c := m.CPUs[0]
 	c.PC = syms["main"]
 	// Execute the first MovImm(X8, spawn).
-	if err := m.Step(c); err != nil {
+	if err := m.step(c); err != nil {
 		t.Fatal(err)
 	}
 	// Skip the placeholder MovImm + B by setting state directly.

@@ -1,13 +1,12 @@
 package machine
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/isa/arm"
+	"repro/internal/obs"
 )
 
 // joinProgram builds a two-CPU native program: CPU 0 joins CPU 1 and halts
@@ -49,74 +48,56 @@ func spinningJoin(m *Machine, c *CPU, imm uint16) error {
 	return NativeSyscall(m, c, imm)
 }
 
-// recordingChooser wraps a chooser and logs every scheduling decision with
-// the runnable set it was offered.
-type recordingChooser struct {
-	Chooser
-	log []string
-}
-
-func (r *recordingChooser) NextCPU(runnable []int) int {
-	id := r.Chooser.NextCPU(runnable)
-	r.log = append(r.log, fmt.Sprint(runnable, id))
-	return id
-}
-
 // TestBlockedJoinYieldsQuantum: a blocked join costs the joiner one retry
-// per rotation, and nothing else moves — the scheduler's decisions, every
-// CPU's cycles, exit codes and MaxCycles equal the spinning join's, under
-// the round-robin and under a seeded scheduling chooser.
+// per rotation, and nothing else moves — the number of scheduler quanta,
+// every CPU's cycles, exit codes and MaxCycles equal the spinning join's.
 func TestBlockedJoinYieldsQuantum(t *testing.T) {
 	const iters, quantum = 5000, 64
-	choosers := map[string]func() Chooser{
-		"round-robin": func() Chooser { return preferChooser{id: -1} },
-		"random":      func() Chooser { return NewRandomChooser(42, 0).Scheduling(true) },
-	}
-	for name, mk := range choosers {
-		t.Run(name, func(t *testing.T) {
-			run := func(sys func(*Machine, *CPU, uint16) error) (*Machine, []string) {
-				m, _ := joinProgram(t, iters)
-				m.Syscall = sys
-				rec := &recordingChooser{Chooser: mk()}
-				m.SetChooser(rec)
-				if err := m.RunAll(quantum, 10_000_000); err != nil {
-					t.Fatal(err)
-				}
-				return m, rec.log
+	t.Run("round-robin", func(t *testing.T) {
+		run := func(sys func(*Machine, *CPU, uint16) error) (*Machine, uint64) {
+			m, _ := joinProgram(t, iters)
+			m.Syscall = sys
+			m.SetObs(obs.NewScope("test"))
+			if err := m.RunAll(quantum, 10_000_000); err != nil {
+				t.Fatal(err)
 			}
-			spin, spinLog := run(spinningJoin)
-			yield, yieldLog := run(NativeSyscall)
+			return m, m.quanta.Load()
+		}
+		spin, spinQuanta := run(spinningJoin)
+		yield, quanta := run(NativeSyscall)
 
-			if !reflect.DeepEqual(yieldLog, spinLog) {
-				t.Errorf("quantum sequence changed: %d decisions, spinning join made %d", len(yieldLog), len(spinLog))
+		if quanta != spinQuanta {
+			t.Errorf("quantum count changed: %d quanta, spinning join took %d", quanta, spinQuanta)
+		}
+		for i := range spin.CPUs {
+			s, y := spin.CPUs[i], yield.CPUs[i]
+			if y.Cycles != s.Cycles || y.ExitCode != s.ExitCode || y.Regs != s.Regs {
+				t.Errorf("cpu%d: cycles/exit/regs = %d/%d/%v, spinning join gave %d/%d/%v",
+					i, y.Cycles, y.ExitCode, y.Regs, s.Cycles, s.ExitCode, s.Regs)
 			}
-			for i := range spin.CPUs {
-				s, y := spin.CPUs[i], yield.CPUs[i]
-				if y.Cycles != s.Cycles || y.ExitCode != s.ExitCode || y.Regs != s.Regs {
-					t.Errorf("cpu%d: cycles/exit/regs = %d/%d/%v, spinning join gave %d/%d/%v",
-						i, y.Cycles, y.ExitCode, y.Regs, s.Cycles, s.ExitCode, s.Regs)
-				}
-			}
-			if yield.MaxCycles() != spin.MaxCycles() {
-				t.Errorf("MaxCycles = %d, spinning join gave %d", yield.MaxCycles(), spin.MaxCycles())
-			}
-			if got := yield.CPUs[0].Regs[0]; got != 7 {
-				t.Errorf("join returned %d, want the worker's exit code 7", got)
-			}
-			if yield.CPUs[1].Insts != spin.CPUs[1].Insts {
-				t.Errorf("worker executed %d instructions, spinning join's %d", yield.CPUs[1].Insts, spin.CPUs[1].Insts)
-			}
-			// Two set-up instructions, the successful SVC and the HLT,
-			// plus at most one blocked retry per quantum the joiner got.
-			if bound := uint64(4 + len(yieldLog)); yield.CPUs[0].Insts > bound {
-				t.Errorf("joiner executed %d instructions over %d quanta, want ≤ %d", yield.CPUs[0].Insts, len(yieldLog), bound)
-			}
-			if spin.CPUs[0].Insts < 10*yield.CPUs[0].Insts {
-				t.Errorf("spinning joiner executed only %d instructions against %d: the program no longer blocks long enough to test anything",
-					spin.CPUs[0].Insts, yield.CPUs[0].Insts)
-			}
-		})
-	}
+		}
+		if yield.MaxCycles() != spin.MaxCycles() {
+			t.Errorf("MaxCycles = %d, spinning join gave %d", yield.MaxCycles(), spin.MaxCycles())
+		}
+		if got := yield.CPUs[0].Regs[0]; got != 7 {
+			t.Errorf("join returned %d, want the worker's exit code 7", got)
+		}
+		if yield.CPUs[1].Insts != spin.CPUs[1].Insts {
+			t.Errorf("worker executed %d instructions, spinning join's %d", yield.CPUs[1].Insts, spin.CPUs[1].Insts)
+		}
+		// Two set-up instructions, the successful SVC and the HLT, plus at
+		// most one blocked retry per quantum — the ones that yielded.
+		if bound := 4 + quanta; yield.CPUs[0].Insts > bound {
+			t.Errorf("joiner executed %d instructions over %d quanta, want ≤ %d", yield.CPUs[0].Insts, quanta, bound)
+		}
+		if retries := yield.CPUs[0].Insts - 4; yield.yields.Load() != retries {
+			t.Errorf("%d quanta ended by a yield, want one per blocked retry (%d)", yield.yields.Load(), retries)
+		}
+		if spin.CPUs[0].Insts < 10*yield.CPUs[0].Insts {
+			t.Errorf("spinning joiner executed only %d instructions against %d: the program no longer blocks long enough to test anything",
+				spin.CPUs[0].Insts, yield.CPUs[0].Insts)
+		}
+	})
 }
 
 // TestBlockedJoinWatchdogs: the budgets that used to fire on a joiner's

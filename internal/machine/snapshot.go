@@ -2,22 +2,19 @@
 // runs each freshly translated block once on a copy of the machine state
 // and compares its effects against the TCG interpreter's, so a snapshot
 // must capture everything generated code can read or write — including,
-// under weak mode, the store buffers and the chooser's cursor.
+// under weak mode, the store buffers and the drain policy's position.
 
 package machine
 
 import "fmt"
 
 // WeakSnapshot captures the weak-memory mode's state: every CPU's pending
-// store buffer, the global store sequence counter, and the chooser's
-// serialized cursor (present only when a chooser is installed).
+// store buffer, the global store sequence counter, and the PRNG word of
+// the seeded drain policy (zero when none is installed).
 type WeakSnapshot struct {
 	Buffers map[int][]PendingStore
 	NextSeq uint64
-	Cursor  []byte
-	// HasCursor distinguishes "no chooser installed" from "chooser with an
-	// empty cursor".
-	HasCursor bool
+	RNG     uint64
 }
 
 // Snapshot is a deep copy of the machine's memory plus one CPU's state,
@@ -35,12 +32,9 @@ type Snapshot struct {
 	Weak *WeakSnapshot
 }
 
-// SnapshotErr deep-copies the machine memory and c's state. Under weak
-// mode it also captures every store buffer and the chooser cursor; a
-// chooser that cannot serialize its cursor (not a CursorChooser) makes the
-// snapshot unrepresentable and is reported as an error rather than being
-// dropped on the floor.
-func (m *Machine) SnapshotErr(c *CPU) (*Snapshot, error) {
+// Snapshot deep-copies the machine memory and c's state; under weak mode,
+// also every store buffer and the drain policy's position.
+func (m *Machine) Snapshot(c *CPU) *Snapshot {
 	s := &Snapshot{Mem: append([]byte(nil), m.Mem...), CPU: *c}
 	s.CPU.monValid = false
 	if m.weak != nil {
@@ -50,29 +44,10 @@ func (m *Machine) SnapshotErr(c *CPU) (*Snapshot, error) {
 				w.Buffers[id] = append([]PendingStore(nil), buf...)
 			}
 		}
-		if m.chooser != nil {
-			cc, ok := m.chooser.(CursorChooser)
-			if !ok {
-				return nil, fmt.Errorf("machine: snapshot under weak mode: chooser %T has no serializable cursor", m.chooser)
-			}
-			cur, err := cc.Cursor()
-			if err != nil {
-				return nil, fmt.Errorf("machine: snapshot under weak mode: %w", err)
-			}
-			w.Cursor, w.HasCursor = cur, true
+		if m.weak.drains != nil {
+			w.RNG = m.weak.drains.rng.state
 		}
 		s.Weak = w
-	}
-	return s, nil
-}
-
-// Snapshot is SnapshotErr for callers whose machine is known
-// snapshot-safe; it panics on un-serializable state (the loud failure the
-// silent buffer drop used to hide).
-func (m *Machine) Snapshot(c *CPU) *Snapshot {
-	s, err := m.SnapshotErr(c)
-	if err != nil {
-		panic(err)
 	}
 	return s
 }
@@ -110,9 +85,9 @@ func (s *Snapshot) ShadowMachine() *Machine {
 // for callers that executed destructively on the live machine. The CPU's
 // identity is preserved; every cached decode is invalidated because memory
 // (including the code cache) is rewritten wholesale. Weak-mode state
-// (buffers, sequence counter, chooser cursor) is restored when the
-// snapshot carries it; restoring a weak snapshot onto a machine whose mode
-// or chooser cannot accept it is a programming error and panics.
+// (buffers, sequence counter, drain-policy position) is restored when the
+// snapshot carries it; restoring a weak snapshot onto a machine without
+// weak mode is a programming error and panics.
 func (m *Machine) Restore(c *CPU, s *Snapshot) {
 	copy(m.Mem, s.Mem)
 	m.disarm(c) // the snapshot's monitor is clear
@@ -135,13 +110,7 @@ func (m *Machine) Restore(c *CPU, s *Snapshot) {
 		m.weak.buffers[cid] = append([]PendingStore(nil), buf...)
 	}
 	m.weak.nextSeq = s.Weak.NextSeq
-	if s.Weak.HasCursor {
-		cc, ok := m.chooser.(CursorChooser)
-		if !ok {
-			panic(fmt.Errorf("machine: restoring chooser cursor onto chooser %T without one", m.chooser))
-		}
-		if err := cc.Seek(s.Weak.Cursor); err != nil {
-			panic(fmt.Errorf("machine: restoring chooser cursor: %w", err))
-		}
+	if m.weak.drains != nil {
+		m.weak.drains.rng.state = s.Weak.RNG
 	}
 }

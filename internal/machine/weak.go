@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"repro/internal/isa/arm"
-)
+import "repro/internal/isa/arm"
 
 // Weak-memory mode: an operational approximation of Arm's store-side
 // relaxations, complementing the axiomatic models in internal/models.
@@ -26,56 +22,31 @@ import (
 // outcomes predicted by the models actually manifest in execution and
 // that the verified mappings' fences suppress them.
 //
-// Which store drains when is decided by the machine's Chooser (see
-// chooser.go): a seeded RandomChooser reproduces the legacy randomized
-// schedule, while internal/explore installs enumerating and replaying
-// choosers over the same engine. The exact-as-implemented axiomatic
-// counterpart of this machine is internal/models/opref.
+// Which store drains when is a choice. The machine offers every such
+// choice as a transition (Enabled/Apply in transition.go), and the drivers
+// that explore, sample or replay executions take them one at a time. Whole
+// guests running under RunAll instead get a SeededDrains policy, which
+// retires stores on a fixed pseudo-random schedule as instructions execute.
+// The exact-as-implemented axiomatic counterpart of this machine is
+// internal/models/opref.
 type weakState struct {
 	// buffers is indexed by CPU id; AddCPU grows it.
 	buffers [][]PendingStore
 	// nextSeq numbers buffered stores machine-globally (see PendingStore.Seq).
 	nextSeq uint64
+	// drains, when non-nil, retires stores as instructions execute.
+	drains *SeededDrains
 }
 
-// EnableWeakMode switches the machine into weak mode with an explicit
-// chooser. A nil chooser disables automatic drains entirely: stores buffer
-// and forward, but retire only through explicit DrainWeak/FlushWeak calls
-// — the regime exploration drivers use to own every drain as a first-class
-// transition.
-func (m *Machine) EnableWeakMode(ch Chooser) {
-	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs))}
-	m.chooser = ch
+// EnableWeakMode switches the machine into weak mode. With a nil policy
+// stores buffer and forward but retire only at barriers, halts and drain
+// transitions: the regime in which a driver owns every drain through Apply.
+func (m *Machine) EnableWeakMode(drains *SeededDrains) {
+	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs)), drains: drains}
 }
 
 // WeakEnabled reports whether weak mode is on.
 func (m *Machine) WeakEnabled() bool { return m.weak != nil }
-
-// WeakBuffer returns a copy of cpu's pending-store buffer, oldest first.
-func (m *Machine) WeakBuffer(cpuID int) []PendingStore {
-	if m.weak == nil {
-		return nil
-	}
-	return append([]PendingStore(nil), m.weak.buffers[cpuID]...)
-}
-
-// WeakDrainHeads returns the drainable indices of cpu's buffer that are
-// heads of their coherence chain (no older overlapping store). Draining
-// any other index is redirected to its chain head, so these are exactly
-// the distinct drain transitions an enumerator needs to consider.
-func (m *Machine) WeakDrainHeads(cpuID int) []int {
-	if m.weak == nil {
-		return nil
-	}
-	buf := m.weak.buffers[cpuID]
-	var heads []int
-	for i := range buf {
-		if oldestOverlap(buf, i) == i {
-			heads = append(heads, i)
-		}
-	}
-	return heads
-}
 
 // weakStore buffers a plain store.
 func (m *Machine) weakStore(c *CPU, addr uint64, size uint8, v uint64) error {
@@ -122,37 +93,30 @@ func (m *Machine) weakFlush(c *CPU) error {
 	return nil
 }
 
-// weakMaybeDrain consults the chooser after an executed instruction and
-// retires at most one buffered store.
+// weakMaybeDrain consults the drain policy after an executed instruction
+// and retires at most one buffered store.
 func (m *Machine) weakMaybeDrain(c *CPU) error {
 	buf := m.weak.buffers[c.ID]
-	if len(buf) == 0 || m.chooser == nil {
+	if len(buf) == 0 || m.weak.drains == nil {
 		return nil
 	}
-	i := m.chooser.Drain(c.ID, buf)
+	i := m.weak.drains.pick(buf)
 	if i < 0 {
 		return nil
 	}
-	return m.DrainWeak(c, i)
+	return m.drain(c, i)
 }
 
-// DrainWeak retires c's i-th buffered store. Coherence: a store may not
-// drain before an older buffered store to an overlapping address, so the
-// drain is redirected to the head of i's overlap chain — transitively: the
-// first older overlap may itself have an older overlap (the historical bug
-// here stopped after one hop and could write a middle-of-chain store
-// first).
-func (m *Machine) DrainWeak(c *CPU, i int) error {
-	if m.weak == nil {
-		return fmt.Errorf("machine: DrainWeak without weak mode")
-	}
+// drain retires c's i-th buffered store. Coherence: a store may not drain
+// before an older buffered store to an overlapping address, so the drain
+// is redirected to the head of i's overlap chain — transitively: the first
+// older overlap may itself have an older overlap (the historical bug here
+// stopped after one hop and could write a middle-of-chain store first).
+func (m *Machine) drain(c *CPU, i int) error {
 	buf := m.weak.buffers[c.ID]
-	if i < 0 || i >= len(buf) {
-		return fmt.Errorf("machine: drain index %d out of range (cpu %d buffers %d)", i, c.ID, len(buf))
-	}
 	i = oldestOverlap(buf, i)
 	p := buf[i]
-	m.weak.buffers[c.ID] = append(append([]PendingStore(nil), buf[:i]...), buf[i+1:]...)
+	m.weak.buffers[c.ID] = append(buf[:i], buf[i+1:]...)
 	return m.WriteMem(p.Addr, p.Size, p.Val)
 }
 

@@ -44,7 +44,7 @@ func sbProgram(t *testing.T, fenced bool) (*Machine, map[string]uint64) {
 func runSB(t *testing.T, fenced bool, seed int64, quantum int) (uint64, uint64) {
 	t.Helper()
 	m, syms := sbProgram(t, fenced)
-	m.EnableWeakMode(NewRandomChooser(seed, 32))
+	m.EnableWeakMode(NewSeededDrains(seed, 32))
 	m.CPUs[0].PC = syms["sb0"]
 	c1 := m.AddCPU()
 	c1.PC = syms["sb1"]
@@ -130,7 +130,7 @@ func runMP(t *testing.T, fenced bool, seed int64) (uint64, uint64) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewRandomChooser(seed, 16))
+	m.EnableWeakMode(NewSeededDrains(seed, 16))
 	m.CPUs[0].PC = syms["writer"]
 	c1 := m.AddCPU()
 	c1.PC = syms["reader"]
@@ -182,7 +182,7 @@ func TestWeakModeForwardsOwnStores(t *testing.T) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewRandomChooser(1, 1)) // drain almost never
+	m.EnableWeakMode(NewSeededDrains(1, 1)) // drain almost never
 	m.CPUs[0].PC = 0x1000
 	if err := m.Run(m.CPUs[0], 1000); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestWeakModeCoherentDrainOrder(t *testing.T) {
 		}
 		m := New(1 << 16)
 		copy(m.Mem[0x1000:], code)
-		m.EnableWeakMode(NewRandomChooser(seed, 128))
+		m.EnableWeakMode(NewSeededDrains(seed, 128))
 		m.CPUs[0].PC = 0x1000
 		if err := m.Run(m.CPUs[0], 1000); err != nil {
 			t.Fatal(err)
@@ -240,7 +240,7 @@ func TestWeakModeAtomicsFlush(t *testing.T) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewRandomChooser(3, 1))
+	m.EnableWeakMode(NewSeededDrains(3, 1))
 	m.CPUs[0].PC = 0x1000
 	if err := m.Run(m.CPUs[0], 1000); err != nil {
 		t.Fatal(err)

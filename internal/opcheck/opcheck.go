@@ -1,7 +1,8 @@
 // Package opcheck bridges the repository's two views of weak memory: it
-// compiles litmus programs to native Arm code, executes them on the
-// simulated machine's operational weak-memory mode across many seeds, and
-// checks that every outcome actually observed is admitted by the
+// compiles litmus programs to native Arm code, samples their executions on
+// the simulated machine's operational weak-memory mode (seeded random walks
+// over the machine's transition system, machine.Walk), and checks that
+// every outcome actually observed is admitted by the
 // Armed-Cats axiomatic model — the soundness direction of the
 // operational/axiomatic correspondence. (Completeness against the broad
 // architectural models cannot hold: the store-buffer machine deliberately
@@ -63,8 +64,8 @@ func maskAddr(t int) uint64 { return maskBase + uint64(t)*8 }
 // threadCompiler carries the per-thread lowering state.
 //
 // Register plan: litmus registers get X9..X20; X1 is the value scratch,
-// X2 the address scratch, X3 the epilogue spin counter, X4 the
-// executed-register mask, X5..X8 CAS/index temporaries. The mask mirrors
+// X2 the address scratch, X4 the executed-register mask, X5..X8 CAS/index
+// temporaries. The mask mirrors
 // litmus.OutcomeOf exactly: a register appears in the outcome iff the
 // statement that assigns it actually executed (an If body not taken
 // leaves its registers out), so each assignment ORs the register's bit
@@ -344,15 +345,7 @@ func Compile(p *litmus.Program) (*Compiled, error) {
 		}
 		a.MovImm(arm.X2, maskAddr(t))
 		a.Str(arm.X4, arm.X2, 0, 8)
-		// Busy-wait a little so buffered stores drain on the random
-		// schedule rather than only at the synchronizing halt.
-		spin := fmt.Sprintf("t%dspin", t)
-		a.MovImm(arm.X3, 0).
-			Label(spin).
-			AddI(arm.X3, arm.X3, 1).
-			CmpI(arm.X3, 48).
-			BCondLabel(arm.NE, spin).
-			Hlt()
+		a.Hlt()
 	}
 
 	code, syms, err := a.Assemble(textBase)
@@ -367,15 +360,15 @@ func Compile(p *litmus.Program) (*Compiled, error) {
 }
 
 // NewMachine builds a fresh weak-mode machine with the program loaded and
-// one CPU per thread parked at its entry. The chooser drives the drain
-// (and optionally scheduling) nondeterminism; nil disables automatic
-// drains entirely, the regime exploration drivers use.
-func (c *Compiled) NewMachine(ch machine.Chooser) (*machine.Machine, error) {
+// one CPU per thread parked at its entry. It has no drain policy: which CPU
+// moves and which store drains is its driver's choice, one transition
+// (machine.Enabled/Apply) at a time.
+func (c *Compiled) NewMachine() (*machine.Machine, error) {
 	m := machine.New(memSize)
 	if err := c.img.Load(m.Mem); err != nil {
 		return nil, err
 	}
-	m.EnableWeakMode(ch)
+	m.EnableWeakMode(nil)
 	for t, entry := range c.entries {
 		cpu := m.CPUs[0]
 		if t > 0 {
@@ -387,8 +380,8 @@ func (c *Compiled) NewMachine(ch machine.Chooser) (*machine.Machine, error) {
 }
 
 // Outcome renders the machine's final state in the canonical litmus key
-// format (registers then memory). Callers must have drained the store
-// buffers (FlushAllWeak) first. Registers whose assignment did not execute
+// format (registers then memory). Every CPU of m must have halted (which
+// drains its store buffer). Registers whose assignment did not execute
 // (untaken If bodies) are excluded via the per-thread executed masks,
 // matching litmus.OutcomeOf.
 func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
@@ -431,34 +424,31 @@ func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
 	return litmus.Outcome(strings.Join(parts, " ")), nil
 }
 
-// RunSeed executes the compiled program once in weak mode and returns the
-// outcome in the canonical litmus key format (registers then memory).
-func (c *Compiled) RunSeed(seed int64, quantum int) (litmus.Outcome, error) {
-	m, err := c.NewMachine(machine.NewRandomChooser(seed, 48))
-	if err != nil {
-		return "", err
-	}
-	if err := m.RunAll(quantum, 1_000_000); err != nil {
-		return "", err
-	}
-	if err := m.FlushAllWeak(); err != nil {
-		return "", err
-	}
-	return c.Outcome(m)
-}
+// walkSteps bounds one sampled execution: compiled litmus programs halt
+// within a few dozen transitions unless an exclusive pair livelocks.
+const walkSteps = 4096
 
-// Observe runs seeds 0..n-1 over a few quanta and collects the distinct
-// observed outcomes.
+// Observe samples 3n executions — machine.Walk from seeds 0..3n-1, each on
+// a fresh machine — and collects the distinct outcomes.
 func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
 	out := make(litmus.OutcomeSet)
-	for _, q := range []int{1, 2, 8} {
-		for seed := 0; seed < n; seed++ {
-			o, err := c.RunSeed(int64(seed), q)
-			if err != nil {
-				return nil, err
-			}
-			out[o] = true
+	for seed := 0; seed < 3*n; seed++ {
+		m, err := c.NewMachine()
+		if err != nil {
+			return nil, err
 		}
+		halted, err := m.Walk(uint64(seed), walkSteps, nil)
+		if err != nil {
+			return nil, err
+		}
+		if !halted {
+			return nil, fmt.Errorf("opcheck: %q seed %d still running after %d transitions", c.program.Name, seed, walkSteps)
+		}
+		o, err := c.Outcome(m)
+		if err != nil {
+			return nil, err
+		}
+		out[o] = true
 	}
 	return out, nil
 }

@@ -5,7 +5,9 @@
 #
 # It runs gofmt, vet, a full build, the full test suite, and — because the
 # litmus enumerator and its memoization cache are concurrent subsystems — the
-# race detector over the packages that exercise them. Two rel-engine stages ride
+# race detector over the packages that exercise them, and over the two other
+# packages that start goroutines: campaign (its worker pipeline) and serve
+# (admission queues, circuit breakers). Two rel-engine stages ride
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
 # bitset engine is pinned against it), and a one-iteration bench smoke keeps
@@ -59,6 +61,9 @@ go vet ./internal/obs/ ./internal/cliflags/
 
 stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/..."
 go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/...
+
+stage "go test -race -count=1 ./internal/campaign/ ./internal/serve/"
+go test -race -count=1 ./internal/campaign/ ./internal/serve/
 
 stage "fault matrix: go test ./... -run Fault -count=1"
 go test ./... -run Fault -count=1
