@@ -1,9 +1,10 @@
-// Package backend lowers TCG IR blocks to host (Arm) code, implementing
-// the IR→Arm half of the verified mapping (Figure 7b): plain ld/st become
-// plain LDR/STR, the read-fences become DMB ISHLD, Fww becomes DMB ISHST,
-// every write-read-ordering fence becomes DMB ISH, and IR atomics become
-// either casal (RMW1^AL) or DMBFF-bracketed exclusive loops (RMW2) — the
-// two lowerings proven correct in §5.4 — or a QEMU-style helper call.
+// Package backend lowers TCG IR blocks to host (Arm) code, emitting from
+// the verified IR→Arm mapping tables (Figure 7b, mapping.ArmTable): plain
+// ld/st become plain LDR/STR, each IR fence becomes the DMB its table row
+// names (or nothing), and IR atomics become either casal (RMW1^AL) or an
+// exclusive loop (RMW2) bracketed by the fences the table's RMW rule names
+// — the two lowerings proven correct in §5.4 — or a QEMU-style helper
+// call.
 //
 // Register convention for generated code:
 //
@@ -23,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa/arm"
+	"repro/internal/mapping"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 	"repro/internal/tcg"
@@ -75,6 +77,12 @@ const (
 	// (the verified RMW2 option of Figure 7b).
 	CASExclusiveFenced
 )
+
+// tables holds the verified IR→Arm table each lowering emits from.
+var tables = [...]*mapping.Scheme{
+	CASCasal:           mapping.ArmTable(mapping.ArmVerified, mapping.RMWCasal),
+	CASExclusiveFenced: mapping.ArmTable(mapping.ArmVerified, mapping.RMWExclusiveFenced),
+}
 
 // Config parameterizes code generation.
 type Config struct {
@@ -131,7 +139,7 @@ func hostReg(t tcg.Temp) (arm.Reg, error) {
 }
 
 type gen struct {
-	cfg    Config
+	tab    *mapping.Scheme // cfg.CAS's table: every barrier emitted is read from it
 	insts  []arm.Inst
 	fixups []fixup // intra-block label references
 	labels map[int]int
@@ -191,26 +199,31 @@ var condMap = map[tcg.Cond]arm.Cond{
 	tcg.CondGTU: arm.HI, tcg.CondGEU: arm.HS,
 }
 
-// lowerFence maps an IR fence to its Arm barrier per Figure 7b. The
-// returned bool is false when no instruction is emitted (Facq/Frel).
-func lowerFence(f memmodel.Fence) (arm.Barrier, bool) {
-	switch f {
-	case memmodel.FenceFrr, memmodel.FenceFrw, memmodel.FenceFrm:
-		return arm.BarrierLoad, true
-	case memmodel.FenceFww:
-		return arm.BarrierStore, true
-	case memmodel.FenceFacq, memmodel.FenceFrel:
-		return 0, false
-	default:
-		// Fwr, Fwm, Fmr, Fmw, Fmm, Fsc (and x86's MFENCE should it leak
-		// through) all need the full barrier.
-		return arm.BarrierFull, true
+// dmb emits the barrier an Arm-level fence of the table stands for
+// (FenceNone: nothing). A fence the table leaves at another level gets the
+// full barrier.
+func (g *gen) dmb(f memmodel.Fence) {
+	if f == memmodel.FenceNone {
+		return
+	}
+	bar, ok := arm.BarrierOf(f)
+	if !ok {
+		bar = arm.BarrierFull
+	}
+	g.emit(arm.Inst{Op: arm.DMB, Barrier: bar})
+	switch bar {
+	case arm.BarrierFull:
+		g.stats.DMBFull++
+	case arm.BarrierLoad:
+		g.stats.DMBLoad++
+	case arm.BarrierStore:
+		g.stats.DMBStore++
 	}
 }
 
 // Generate lowers a block to encoded host code placed at base.
 func Generate(b *tcg.Block, base uint64, cfg Config) ([]byte, Stats, error) {
-	g := &gen{cfg: cfg, labels: make(map[int]int)}
+	g := &gen{tab: tables[cfg.CAS], labels: make(map[int]int)}
 	for _, in := range b.Insts {
 		if err := g.lower(in); err != nil {
 			return nil, Stats{}, err
@@ -330,17 +343,7 @@ func (g *gen) lower(in tcg.Inst) error {
 		g.emit(arm.Inst{Op: arm.STR, Rd: rb, Rn: base, Imm: off, Size: in.Size})
 
 	case tcg.OpMb:
-		if bar, emit := lowerFence(in.Fence); emit {
-			g.emit(arm.Inst{Op: arm.DMB, Barrier: bar})
-			switch bar {
-			case arm.BarrierFull:
-				g.stats.DMBFull++
-			case arm.BarrierLoad:
-				g.stats.DMBLoad++
-			case arm.BarrierStore:
-				g.stats.DMBStore++
-			}
-		}
+		g.dmb(g.tab.Fence(in.Fence))
 
 	case tcg.OpCAS:
 		if errA != nil {
@@ -353,18 +356,16 @@ func (g *gen) lower(in tcg.Inst) error {
 		if errC != nil {
 			return errC
 		}
-		if g.cfg.CAS == CASCasal {
+		g.dmb(g.tab.RMW.Before)
+		if g.tab.RMW.Attr.Class == memmodel.RMWAmo {
 			// casal clobbers the expected-value register with the old
 			// value; stage it through the scratch.
 			g.mov(regScratch, rb)
 			g.emit(arm.Inst{Op: arm.CASAL, Rd: regScratch, Rm: rc, Rn: ra, Size: in.Size})
-			g.mov(rd, regScratch)
 			g.stats.Casal++
 		} else {
-			// DMBFF; retry: LDXR; compare; STXR; DMBFF (Figure 7b).
+			// retry: LDXR; compare; STXR.
 			retry, done := g.internalLabel(), g.internalLabel()
-			g.emit(arm.Inst{Op: arm.DMB, Barrier: arm.BarrierFull})
-			g.stats.DMBFull++
 			g.setLabel(retry)
 			g.emit(arm.Inst{Op: arm.LDXR, Rd: regScratch, Rn: ra, Size: in.Size})
 			g.emit(arm.Inst{Op: arm.SUBS, Rd: arm.XZR, Rn: regScratch, Rm: rb})
@@ -372,11 +373,10 @@ func (g *gen) lower(in tcg.Inst) error {
 			g.emit(arm.Inst{Op: arm.STXR, Rd: regArg1, Rm: rc, Rn: ra, Size: in.Size})
 			g.emitBranchTo(arm.Inst{Op: arm.CBNZ, Rd: regArg1}, retry)
 			g.setLabel(done)
-			g.emit(arm.Inst{Op: arm.DMB, Barrier: arm.BarrierFull})
-			g.stats.DMBFull++
-			g.mov(rd, regScratch)
 			g.stats.ExclLoop++
 		}
+		g.dmb(g.tab.RMW.After)
+		g.mov(rd, regScratch)
 
 	case tcg.OpXAdd:
 		if errA != nil {

@@ -2,9 +2,13 @@ package backend
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/isa/arm"
+	"repro/internal/litmus"
 	"repro/internal/machine"
+	"repro/internal/mapping"
 	"repro/internal/memmodel"
 	"repro/internal/tcg"
 )
@@ -102,20 +106,67 @@ func TestLargeOffsetGoesThroughScratch(t *testing.T) {
 	}
 }
 
+// TestFenceLowering: for both CAS lowerings, the host code generated for
+// every IR fence kind followed by an IR CAS carries exactly the barriers
+// and the RMW the verified IR→Arm table yields (mapping.Scheme.Apply, the
+// function Theorem 1 is checked on) for the same litmus ops.
 func TestFenceLowering(t *testing.T) {
-	blk := tcg.NewBlock()
-	for _, f := range []memmodel.Fence{
-		memmodel.FenceFrr, memmodel.FenceFrw, memmodel.FenceFrm, // → DMBLD
-		memmodel.FenceFww,                                       // → DMBST
-		memmodel.FenceFwr, memmodel.FenceFmm, memmodel.FenceFsc, // → DMBFF
-		memmodel.FenceFacq, memmodel.FenceFrel, // → nothing
+	rmwNames := map[memmodel.RMWClass]string{memmodel.RMWAmo: "casal", memmodel.RMWLxSx: "ldxr/stxr"}
+	dmbNames := map[arm.Barrier]string{
+		arm.BarrierFull: "DMBFF", arm.BarrierLoad: "DMBLD", arm.BarrierStore: "DMBST"}
+	for cas, style := range map[CASLowering]mapping.RMWStyle{
+		CASCasal: mapping.RMWCasal, CASExclusiveFenced: mapping.RMWExclusiveFenced,
 	} {
-		blk.Mb(f)
-	}
-	blk.Exit(0)
-	_, _, st := execute(t, blk, nil, nil)
-	if st.DMBLoad != 3 || st.DMBStore != 1 || st.DMBFull != 3 {
-		t.Fatalf("fence lowering stats: %+v", st)
+		blk := tcg.NewBlock()
+		var ops []litmus.Op
+		for f := memmodel.FenceFrr; f <= memmodel.FenceFsc; f++ {
+			blk.Mb(f)
+			ops = append(ops, litmus.Fence{K: f})
+		}
+		addr, exp, nv, old := blk.Temp(), blk.Temp(), blk.Temp(), blk.Temp()
+		blk.Emit(tcg.Inst{Op: tcg.OpCAS, Dst: old, A: addr, B: exp, C: nv, Size: 8})
+		ops = append(ops, litmus.CAS{Loc: "X", New: 1})
+		blk.Exit(0)
+
+		var want []string
+		wantStats := map[memmodel.Fence]int{}
+		lowered := mapping.TCGToArm(&litmus.Program{Threads: [][]litmus.Op{ops}}, mapping.ArmVerified, style)
+		for _, op := range lowered.Threads[0] {
+			switch o := op.(type) {
+			case litmus.Fence:
+				want = append(want, o.K.String())
+				wantStats[o.K]++
+			case litmus.CAS:
+				want = append(want, rmwNames[o.Class])
+			}
+		}
+
+		code, st, err := Generate(blk, 0x100000, Config{CAS: cas})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for off := 0; off < len(code); off += arm.InstBytes {
+			in, err := arm.DecodeAt(code, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch in.Op {
+			case arm.DMB:
+				got = append(got, dmbNames[in.Barrier])
+			case arm.CASAL:
+				got = append(got, rmwNames[memmodel.RMWAmo])
+			case arm.LDXR:
+				got = append(got, rmwNames[memmodel.RMWLxSx])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("cas=%v: host code has %v, the table yields %v", cas, got, want)
+		}
+		if st.DMBFull != wantStats[memmodel.FenceDMBFF] || st.DMBLoad != wantStats[memmodel.FenceDMBLD] ||
+			st.DMBStore != wantStats[memmodel.FenceDMBST] {
+			t.Errorf("cas=%v: stats %+v, the table yields %v", cas, st, wantStats)
+		}
 	}
 }
 

@@ -630,7 +630,7 @@ func (rt *Runtime) translateInterp(c *machine.CPU, guestPC uint64) (*tb, error) 
 	rt.irCache[guestPC] = block
 	rt.interpStubs[base] = guestPC
 	rt.met.blocks.Inc()
-	rt.met.guestBytes.Add(block.GuestEnd - block.GuestPC)
+	rt.met.guestBytes.Add(block.GuestBytes())
 	rt.obs.Span("backend.emit", "interp-stub", c.ID, guestPC, base, tstart)
 	rt.met.translateNS.Observe(uint64(rt.obs.Begin() - tstart))
 	return t, nil
@@ -691,7 +691,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 		rt.tbs[guestPC] = t
 
 		rt.met.blocks.Inc()
-		rt.met.guestBytes.Add(block.GuestEnd - block.GuestPC)
+		rt.met.guestBytes.Add(block.GuestBytes())
 		rt.met.hostInsts.Add(uint64(st.Insts))
 		rt.met.dmbFull.Add(uint64(st.DMBFull))
 		rt.met.dmbLoad.Add(uint64(st.DMBLoad))
@@ -724,7 +724,7 @@ func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (
 				rt.obs.Event("core.selfheal.miscompile_injected", "", c.ID, guestPC, base)
 			}
 		}
-		c.Cycles += translationCostPerByte * (block.GuestEnd - block.GuestPC)
+		c.Cycles += translationCostPerByte * block.GuestBytes()
 		return t, nil
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/frontend"
 	"repro/internal/hostlib"
 	"repro/internal/portasm"
 	"repro/internal/selfheal"
@@ -383,6 +384,46 @@ func TestTierUpLoopStartsAtHeader(t *testing.T) {
 	}
 	if rt.tierup.promoted[sym["fcstore"]] != nil || rt.tierup.promoted[sym["fcnext"]] != nil {
 		t.Fatal("the loop was promoted more than once")
+	}
+}
+
+// TestTierUpBackwardTraceSize: kmeans promotes traces that follow a
+// backward edge, so their GuestEnd lies below their GuestPC. Emitting one
+// is still charged, and counted in core.guest_bytes, by the sum of its
+// components' sizes — GuestEnd−GuestPC would wrap, subtracting cycles and
+// adding ≈2^64 bytes.
+func TestTierUpBackwardTraceSize(t *testing.T) {
+	rt := buildKernelRuntime(t, "kmeans", 2, tierUpOpts())
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var p *promotion
+	for _, q := range rt.tierup.promoted {
+		if q.ir.GuestEnd < q.ir.GuestPC && (p == nil || q.trace[0] < p.trace[0]) {
+			p = q
+		}
+	}
+	if p == nil {
+		t.Fatal("no promoted trace runs backwards; the test no longer covers the wrap")
+	}
+	var size uint64
+	for _, pc := range p.trace {
+		blk, err := frontend.Translate(rt.M.Mem[:rt.img.MaxAddr()], pc, rt.feCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += blk.GuestEnd - blk.GuestPC
+	}
+	c := rt.M.CPUs[0]
+	cycles, bytes := c.Cycles, rt.Stats().GuestBytes
+	if _, err := rt.emitBlock(c, p.ir, p.trace[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Cycles-cycles, translationCostPerByte*size; got != want {
+		t.Errorf("emitting trace %#x charged %d cycles, want %d for its %d guest bytes", p.trace, got, want, size)
+	}
+	if got := rt.Stats().GuestBytes - bytes; got != size {
+		t.Errorf("emitting trace %#x counted %d guest bytes, want %d", p.trace, got, size)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package frontend translates guest (x86) code into TCG IR, one
-// translation block at a time, applying a selectable x86→IR mapping scheme
-// for memory ordering (Figure 2 vs Figure 7a of the Risotto paper) and a
-// selectable RMW strategy (QEMU-style helper call vs Risotto's inline CAS
-// IR instruction, §6.3).
+// translation block at a time, emitting the memory-ordering fences the
+// selected x86→IR mapping table places (mapping.X86Scheme.Table: Figure 2
+// vs Figure 7a of the Risotto paper) and a selectable RMW strategy
+// (QEMU-style helper call vs Risotto's inline CAS IR instruction, §6.3).
 package frontend
 
 import (
@@ -55,6 +55,7 @@ type Config struct {
 // translator carries per-block state.
 type translator struct {
 	cfg  Config
+	tab  *mapping.Scheme // cfg.Scheme's table: every fence emitted is read from it
 	b    *tcg.Block
 	pool []tcg.Temp // recycled locals
 }
@@ -108,7 +109,7 @@ func Translate(mem []byte, pc uint64, cfg Config) (*tcg.Block, error) {
 	if cfg.MaxInsts <= 0 {
 		cfg.MaxInsts = 64
 	}
-	tr := &translator{cfg: cfg, b: tcg.NewBlock()}
+	tr := &translator{cfg: cfg, tab: cfg.Scheme.Table(), b: tcg.NewBlock()}
 	tr.b.GuestPC = pc
 
 	decoded := 0
@@ -186,31 +187,40 @@ func (tr *translator) address(m x86.Mem) tcg.Temp {
 	return addr
 }
 
-// emitLoad emits a guest load with the scheme's fences (Figure 7a: ld;Frm —
-// Figure 2: Frr;ld, QEMU's Fmr demoted for x86 guests).
-func (tr *translator) emitLoad(dst, addr tcg.Temp, size uint8) {
-	switch tr.cfg.Scheme {
-	case mapping.X86Qemu:
-		tr.b.Mb(memmodel.FenceFrr)
-		tr.b.Ld(dst, addr, 0, size)
-	case mapping.X86Verified:
-		tr.b.Ld(dst, addr, 0, size)
-		tr.b.Mb(memmodel.FenceFrm)
-	default:
-		tr.b.Ld(dst, addr, 0, size)
+// fence emits the IR fence k, if any.
+func (tr *translator) fence(k memmodel.Fence) {
+	if k != memmodel.FenceNone {
+		tr.b.Mb(k)
 	}
 }
 
-// emitStore emits a guest store with the scheme's fences (Fww;st verified,
-// Fmw;st QEMU).
+// emitLoad emits a guest load between the fences the table places around
+// loads.
+func (tr *translator) emitLoad(dst, addr tcg.Temp, size uint8) {
+	tr.fence(tr.tab.Load.Before)
+	tr.b.Ld(dst, addr, 0, size)
+	tr.fence(tr.tab.Load.After)
+}
+
+// emitStore emits a guest store between the fences the table places
+// around stores.
 func (tr *translator) emitStore(addr, src tcg.Temp, size uint8) {
-	switch tr.cfg.Scheme {
-	case mapping.X86Qemu:
-		tr.b.Mb(memmodel.FenceFmw)
-	case mapping.X86Verified:
-		tr.b.Mb(memmodel.FenceFww)
-	}
+	tr.fence(tr.tab.Store.Before)
 	tr.b.St(addr, 0, src, size)
+	tr.fence(tr.tab.Store.After)
+}
+
+// emitAtomic emits a guest RMW between the fences the table's RMW rule
+// places: the IR atomic itself (CASInline), or a call to helper with
+// the atomic's address and source operand (CASHelper; the compare-exchange
+// helper reads its expected value from guest RAX itself).
+func (tr *translator) emitAtomic(in tcg.Inst, helper tcg.Helper, src tcg.Temp) {
+	if tr.cfg.CAS == CASHelper {
+		in = tcg.Inst{Op: tcg.OpCall, Helper: helper, Dst: in.Dst, A: in.A, B: src, Size: in.Size}
+	}
+	tr.fence(tr.tab.RMW.Before)
+	tr.b.Emit(in)
+	tr.fence(tr.tab.RMW.After)
 }
 
 var aluOps = map[x86.Op]tcg.Opcode{
@@ -330,19 +340,14 @@ func (tr *translator) emit(in x86.Inst, next uint64) error {
 		tr.release(eight)
 
 	case x86.MFENCE:
-		b.Mb(memmodel.FenceFsc)
+		tr.fence(tr.tab.Fence(memmodel.FenceMFENCE))
 
 	case x86.CMPXCHG:
 		addr := tr.address(in.Mem)
 		rax := guestReg(x86.RAX)
 		old := tr.tmp()
-		if tr.cfg.CAS == CASInline {
-			b.Emit(tcg.Inst{Op: tcg.OpCAS, Dst: old, A: addr,
-				B: rax, C: guestReg(in.Src), Size: in.Size})
-		} else {
-			b.Emit(tcg.Inst{Op: tcg.OpCall, Helper: tcg.HelperCmpXchg,
-				Dst: old, A: addr, B: guestReg(in.Src), Size: in.Size})
-		}
+		tr.emitAtomic(tcg.Inst{Op: tcg.OpCAS, Dst: old, A: addr,
+			B: rax, C: guestReg(in.Src), Size: in.Size}, tcg.HelperCmpXchg, guestReg(in.Src))
 		// ZF reflects old == RAX(before), both at access width (the
 		// atomic itself compares truncated values); RAX = old is correct
 		// in both outcomes (on success old == truncated RAX already).
@@ -361,26 +366,16 @@ func (tr *translator) emit(in x86.Inst, next uint64) error {
 	case x86.XADD:
 		addr := tr.address(in.Mem)
 		old := tr.tmp()
-		if tr.cfg.CAS == CASInline {
-			b.Emit(tcg.Inst{Op: tcg.OpXAdd, Dst: old, A: addr,
-				B: guestReg(in.Src), Size: in.Size})
-		} else {
-			b.Emit(tcg.Inst{Op: tcg.OpCall, Helper: tcg.HelperXAdd,
-				Dst: old, A: addr, B: guestReg(in.Src), Size: in.Size})
-		}
+		tr.emitAtomic(tcg.Inst{Op: tcg.OpXAdd, Dst: old, A: addr,
+			B: guestReg(in.Src), Size: in.Size}, tcg.HelperXAdd, guestReg(in.Src))
 		b.Mov(guestReg(in.Src), old)
 		tr.release(addr, old)
 
 	case x86.XCHGmr:
 		addr := tr.address(in.Mem)
 		old := tr.tmp()
-		if tr.cfg.CAS == CASInline {
-			b.Emit(tcg.Inst{Op: tcg.OpXchg, Dst: old, A: addr,
-				B: guestReg(in.Src), Size: in.Size})
-		} else {
-			b.Emit(tcg.Inst{Op: tcg.OpCall, Helper: tcg.HelperXchg,
-				Dst: old, A: addr, B: guestReg(in.Src), Size: in.Size})
-		}
+		tr.emitAtomic(tcg.Inst{Op: tcg.OpXchg, Dst: old, A: addr,
+			B: guestReg(in.Src), Size: in.Size}, tcg.HelperXchg, guestReg(in.Src))
 		b.Mov(guestReg(in.Src), old)
 		tr.release(addr, old)
 

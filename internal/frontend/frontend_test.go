@@ -1,9 +1,11 @@
 package frontend
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa/x86"
+	"repro/internal/litmus"
 	"repro/internal/mapping"
 	"repro/internal/memmodel"
 	"repro/internal/tcg"
@@ -40,16 +42,6 @@ func run(t *testing.T, mem []byte, cfg Config, init map[x86.Reg]uint64) *tcg.Int
 		t.Fatalf("%v\n%s", err, blk)
 	}
 	return it
-}
-
-func countFences(blk *tcg.Block, k memmodel.Fence) int {
-	n := 0
-	for _, in := range blk.Insts {
-		if in.Op == tcg.OpMb && in.Fence == k {
-			n++
-		}
-	}
-	return n
 }
 
 func TestALUAndMoves(t *testing.T) {
@@ -183,67 +175,84 @@ func runUntilRet(t *testing.T, mem []byte, cfg Config, init map[x86.Reg]uint64) 
 	return nil
 }
 
-func TestFencePlacementPerScheme(t *testing.T) {
-	mem := assemble(t, func(a *x86.Assembler) {
-		a.MovRI(x86.RSI, 0x4000).
-			Load(x86.RAX, x86.Mem0(x86.RSI), 8).
-			Store(x86.MemD(x86.RSI, 8), x86.RAX, 8).
-			MFence().
-			Ret()
-	})
-
-	// Verified (Figure 7a): ld;Frm and Fww;st, MFENCE→Fsc. The trailing
-	// Frm must come after the ld; the Fww before the st.
-	blk, err := Translate(mem, 0x1000, Config{Scheme: mapping.X86Verified})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two Frm fences: one for the guest load, one for RET's stack load.
-	if countFences(blk, memmodel.FenceFrm) != 2 || countFences(blk, memmodel.FenceFww) != 1 ||
-		countFences(blk, memmodel.FenceFsc) != 1 {
-		t.Fatalf("verified fences wrong:\n%s", blk)
-	}
-	// Order check: first Frm after the first OpLd, Fww before the OpSt.
-	ldIdx, frmIdx, fwwIdx, stIdx := -1, -1, -1, -1
-	for i, in := range blk.Insts {
+// memEvents renders a block's memory-ordering skeleton — its fences, plain
+// accesses and atomics (inline or helper call), in order.
+func memEvents(blk *tcg.Block) []string {
+	var out []string
+	for _, in := range blk.Insts {
 		switch {
-		case in.Op == tcg.OpLd && ldIdx < 0:
-			ldIdx = i
-		case in.Op == tcg.OpMb && in.Fence == memmodel.FenceFrm && frmIdx < 0:
-			frmIdx = i
-		case in.Op == tcg.OpMb && in.Fence == memmodel.FenceFww && fwwIdx < 0:
-			fwwIdx = i
-		case in.Op == tcg.OpSt && stIdx < 0:
-			stIdx = i
+		case in.Op == tcg.OpMb:
+			out = append(out, in.Fence.String())
+		case in.Op == tcg.OpLd:
+			out = append(out, "ld")
+		case in.Op == tcg.OpSt:
+			out = append(out, "st")
+		case in.Op == tcg.OpCAS, in.Op == tcg.OpXAdd, in.Op == tcg.OpXchg,
+			in.Op == tcg.OpCall && in.Helper != HelperSyscall:
+			out = append(out, "rmw")
 		}
 	}
-	if !(ldIdx < frmIdx && frmIdx < fwwIdx && fwwIdx < stIdx) {
-		t.Fatalf("fence order wrong: ld=%d frm=%d fww=%d st=%d\n%s",
-			ldIdx, frmIdx, fwwIdx, stIdx, blk)
-	}
+	return out
+}
 
-	// QEMU (Figure 2): Frr;ld and Fmw;st.
-	blk, err = Translate(mem, 0x1000, Config{Scheme: mapping.X86Qemu})
-	if err != nil {
-		t.Fatal(err)
+// TestFencePlacementPerScheme: for every x86→IR scheme and every guest
+// instruction form that touches memory, the translated block's skeleton is
+// what the scheme's table yields (mapping.Scheme.Apply, the function
+// Theorem 1 is checked on) for the litmus op the form stands for.
+func TestFencePlacementPerScheme(t *testing.T) {
+	mem0 := x86.Mem0(x86.RSI)
+	load, store := litmus.Load{Dst: "a", Loc: "X"}, litmus.Store{Loc: "X", Val: 1}
+	rmw := litmus.CAS{Loc: "X", Expect: 0, New: 1}
+	forms := []struct {
+		name  string
+		build func(a *x86.Assembler)
+		ops   []litmus.Op
+	}{
+		{"LOAD", func(a *x86.Assembler) { a.Load(x86.RAX, mem0, 8) }, []litmus.Op{load}},
+		{"STORE", func(a *x86.Assembler) { a.Store(mem0, x86.RAX, 8) }, []litmus.Op{store}},
+		{"STOREi", func(a *x86.Assembler) { a.StoreI(mem0, 7, 4) }, []litmus.Op{store}},
+		{"PUSH", func(a *x86.Assembler) { a.Push(x86.RAX) }, []litmus.Op{store}},
+		{"POP", func(a *x86.Assembler) { a.Pop(x86.RAX) }, []litmus.Op{load}},
+		{"CALL", func(a *x86.Assembler) { a.Call("f").Label("f") }, []litmus.Op{store}},
+		{"CALLr", func(a *x86.Assembler) { a.CallR(x86.RAX) }, []litmus.Op{store}},
+		{"RET", func(a *x86.Assembler) { a.Ret() }, []litmus.Op{load}},
+		{"MFENCE", func(a *x86.Assembler) { a.MFence() }, []litmus.Op{litmus.Fence{K: memmodel.FenceMFENCE}}},
+		{"CMPXCHG", func(a *x86.Assembler) { a.CmpXchg(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
+		{"XADD", func(a *x86.Assembler) { a.XAdd(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
+		{"XCHG", func(a *x86.Assembler) { a.Xchg(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
+		{"LOAD;STORE;MFENCE;RET", func(a *x86.Assembler) {
+			a.Load(x86.RAX, mem0, 8).Store(x86.MemD(x86.RSI, 8), x86.RAX, 8).MFence().Ret()
+		}, []litmus.Op{load, store, litmus.Fence{K: memmodel.FenceMFENCE}, load}},
 	}
-	// Two Frr (guest load + RET's stack load), one Fmw for the store.
-	if countFences(blk, memmodel.FenceFrr) != 2 || countFences(blk, memmodel.FenceFmw) != 1 {
-		t.Fatalf("qemu fences wrong:\n%s", blk)
-	}
-
-	// No-fences: only the explicit MFENCE survives.
-	blk, err = Translate(mem, 0x1000, Config{Scheme: mapping.X86NoFences})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, k := range []memmodel.Fence{memmodel.FenceFrr, memmodel.FenceFrm,
-		memmodel.FenceFww, memmodel.FenceFmw} {
-		total += countFences(blk, k)
-	}
-	if total != 0 || countFences(blk, memmodel.FenceFsc) != 1 {
-		t.Fatalf("no-fences scheme emitted access fences:\n%s", blk)
+	for _, scheme := range []mapping.X86Scheme{mapping.X86Qemu, mapping.X86Verified, mapping.X86NoFences} {
+		for _, cas := range []CASStrategy{CASInline, CASHelper} {
+			for _, f := range forms {
+				// One guest instruction per litmus op: MaxInsts ends the block
+				// after the form, before the zero bytes behind it.
+				blk, err := Translate(assemble(t, f.build), 0x1000,
+					Config{Scheme: scheme, CAS: cas, MaxInsts: len(f.ops)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				for _, op := range mapping.X86ToTCG(&litmus.Program{Threads: [][]litmus.Op{f.ops}}, scheme).Threads[0] {
+					switch o := op.(type) {
+					case litmus.Fence:
+						want = append(want, o.K.String())
+					case litmus.Load:
+						want = append(want, "ld")
+					case litmus.Store:
+						want = append(want, "st")
+					case litmus.CAS:
+						want = append(want, "rmw")
+					}
+				}
+				if got := memEvents(blk); !slices.Equal(got, want) {
+					t.Errorf("%s, cas=%v, %s: block has %v, the table yields %v\n%s",
+						scheme.Table().Name, cas, f.name, got, want, blk)
+				}
+			}
+		}
 	}
 }
 

@@ -10,7 +10,11 @@
 // instruction match the Armed-Cats events they generate.
 package arm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/memmodel"
+)
 
 // Reg names a 64-bit host register. X31 is XZR: reads as zero, writes are
 // discarded.
@@ -102,6 +106,20 @@ const (
 	BarrierLoad
 	BarrierStore
 )
+
+// BarrierOf returns the DMB flavour an Arm-level fence event stands for;
+// ok is false for fences of other levels (and FenceNone).
+func BarrierOf(f memmodel.Fence) (b Barrier, ok bool) {
+	switch f {
+	case memmodel.FenceDMBFF:
+		return BarrierFull, true
+	case memmodel.FenceDMBLD:
+		return BarrierLoad, true
+	case memmodel.FenceDMBST:
+		return BarrierStore, true
+	}
+	return 0, false
+}
 
 func (b Barrier) String() string {
 	switch b {

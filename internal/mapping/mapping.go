@@ -1,29 +1,20 @@
-// Package mapping implements the translation (mapping) schemes between the
-// three instruction levels of the Risotto paper — x86, TCG IR and Arm — as
-// transformations over litmus programs, together with the executable form
+// Package mapping holds the translation (mapping) schemes between the
+// instruction levels of the Risotto paper — x86, TCG IR and Arm, plus the
+// SPARC and IMM side levels — as data, together with the executable form
 // of Theorem 1 (behaviour containment).
 //
-// Three x86→TCG schemes are provided:
-//
-//   - QEMU (Figure 2): Fmr;ld (demoted to Frr;ld for x86 guests) and
-//     Fmw;st — leading fences, RMWs via helper calls.
-//   - Verified (Figure 7a): ld;Frm and Fww;st — Risotto's minimal verified
-//     scheme with trailing load fences and leading store fences.
-//   - NoFences: no ordering enforcement (the paper's incorrect-but-fast
-//     oracle).
-//
-// And the TCG→Arm schemes:
-//
-//   - QEMU (Figure 2): Frr→DMBLD, Fmw→DMBFF, Fsc→DMBFF; RMWs become a
-//     helper call whose body is either RMW2^AL (GCC 9) or RMW1^AL (GCC 10),
-//     with no surrounding fences — the source of the MPQ/SBQ errors.
-//   - Verified (Figure 7b): Frr/Frw/Frm→DMBLD, Fww→DMBST,
-//     Fwr/Fwm/Fmr/Fmw/Fmm/Fsc→DMBFF, Facq/Frel→nothing; RMW becomes either
-//     DMBFF;RMW2;DMBFF or RMW1^AL.
+// A Scheme is one table: the fences it places around a load and a store,
+// how it rewrites the source level's fences, and how it translates an
+// RMW. The package-level values below *are* the paper's figures —
+// Figure 2 (QEMU), Figure 7a (x86→IR) and Figure 7b (IR→Arm) — and each
+// is written once: Scheme.Apply is what Theorem 1 is checked on, and
+// internal/frontend and internal/backend emit code by reading the same
+// values, so the table the matrix verifies is the table the DBT runs.
 package mapping
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/litmus"
 	"repro/internal/memmodel"
@@ -69,177 +60,124 @@ const (
 	ArmVerified
 )
 
-// mapOps rewrites each op through f, recursing into conditionals.
-func mapOps(ops []litmus.Op, f func(litmus.Op) []litmus.Op) []litmus.Op {
-	var out []litmus.Op
-	for _, op := range ops {
-		if ifOp, ok := op.(litmus.If); ok {
-			out = append(out, litmus.If{
-				Reg: ifOp.Reg, Eq: ifOp.Eq, Val: ifOp.Val,
-				Body: mapOps(ifOp.Body, f),
-			})
-			continue
-		}
-		out = append(out, f(op)...)
+// irRMW is every x86→IR scheme's RMW rule: the RMW stays one IR-level RMW
+// with SC semantics (QEMU routes it through a helper, but at the IR level
+// the helper is an opaque SC atomic; the divergence appears in the Arm
+// lowering).
+var irRMW = RMWRule{Attr: litmus.Attr{SC: true}}
+
+// mfenceToFsc is the fence column shared by the x86→IR schemes.
+var mfenceToFsc = map[memmodel.Fence]memmodel.Fence{memmodel.FenceMFENCE: memmodel.FenceFsc}
+
+// The x86→IR tables.
+var (
+	// x86ToTCGVerified is Figure 7a: ld;Frm and Fww;st — Risotto's minimal
+	// verified scheme, trailing load fences and leading store fences.
+	x86ToTCGVerified = &Scheme{
+		Name: "x86→tcg/verified", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG, Verified: true,
+		Load:   Placement{After: memmodel.FenceFrm},
+		Store:  Placement{Before: memmodel.FenceFww},
+		Fences: mfenceToFsc,
+		RMW:    irRMW,
 	}
-	return out
+	// x86ToTCGQemu is Figure 2's x86→IR half: Fmr;ld (demoted to Frr;ld
+	// for x86 guests, §3.1) and Fmw;st — leading fences only, so nothing
+	// orders a load with a po-later failed RMW (MPQ).
+	x86ToTCGQemu = &Scheme{
+		Name: "x86→tcg/qemu", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG,
+		Load:   Placement{Before: memmodel.FenceFrr},
+		Store:  Placement{Before: memmodel.FenceFmw},
+		Fences: mfenceToFsc,
+		RMW:    irRMW,
+	}
+	// x86ToTCGNoFences places nothing (the paper's incorrect-but-fast
+	// oracle); it is not registered, so no route goes through it.
+	x86ToTCGNoFences = &Scheme{
+		Name: "x86→tcg/no-fences", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG,
+		Fences: mfenceToFsc,
+		RMW:    irRMW,
+	}
+)
+
+// The IR→Arm fence columns. Facq/Frel lower to nothing.
+var (
+	// figure7bFences is Figure 7b's: the read fences become DMBLD, Fww
+	// becomes DMBST, everything ordering a write with a later read DMBFF.
+	figure7bFences = map[memmodel.Fence]memmodel.Fence{
+		memmodel.FenceFrr: memmodel.FenceDMBLD, memmodel.FenceFrw: memmodel.FenceDMBLD,
+		memmodel.FenceFrm: memmodel.FenceDMBLD,
+		memmodel.FenceFww: memmodel.FenceDMBST,
+		memmodel.FenceFwr: memmodel.FenceDMBFF, memmodel.FenceFwm: memmodel.FenceDMBFF,
+		memmodel.FenceFmr: memmodel.FenceDMBFF, memmodel.FenceFmw: memmodel.FenceDMBFF,
+		memmodel.FenceFmm: memmodel.FenceDMBFF, memmodel.FenceFsc: memmodel.FenceDMBFF,
+		memmodel.FenceFacq: memmodel.FenceNone, memmodel.FenceFrel: memmodel.FenceNone,
+	}
+	// figure2Fences is QEMU's (Figure 2): the same without DMBST.
+	figure2Fences = func() map[memmodel.Fence]memmodel.Fence {
+		m := maps.Clone(figure7bFences)
+		m[memmodel.FenceFww] = memmodel.FenceDMBFF
+		return m
+	}()
+)
+
+// The IR→Arm tables: plain accesses stay plain; they differ in the fence
+// column and the RMW rule.
+var (
+	// tcgToArmVerified is Figure 7b with the RMW1^AL lowering (casal).
+	tcgToArmVerified = &Scheme{
+		Name: "tcg→arm/verified", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm, Verified: true,
+		Fences: figure7bFences,
+		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWAmo}},
+	}
+	// tcgToArmVerifiedLxSx is Figure 7b with DMBFF;RMW2;DMBFF.
+	tcgToArmVerifiedLxSx = &Scheme{
+		Name: "tcg→arm/verified-lxsx", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm, Verified: true,
+		Fences: figure7bFences,
+		RMW: RMWRule{Before: memmodel.FenceDMBFF, Attr: litmus.Attr{Class: memmodel.RMWLxSx},
+			After: memmodel.FenceDMBFF},
+	}
+	// tcgToArmQemuCasal is Figure 2 with the helper call GCC ≥ 10
+	// compiles: a bare RMW1^AL, no surrounding fences (§3.2, MPQ).
+	tcgToArmQemuCasal = &Scheme{
+		Name: "tcg→arm/qemu-casal", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm,
+		Fences: figure2Fences,
+		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWAmo}},
+	}
+	// tcgToArmQemuLxSx is Figure 2 with the helper call GCC 9 compiles: a
+	// bare RMW2^AL (ldaxr/stlxr), no surrounding fences (§3.2, SBQ).
+	tcgToArmQemuLxSx = &Scheme{
+		Name: "tcg→arm/qemu-lxsx", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm,
+		Fences: figure2Fences,
+		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWLxSx}},
+	}
+)
+
+var x86Tables = [...]*Scheme{
+	X86Qemu: x86ToTCGQemu, X86Verified: x86ToTCGVerified, X86NoFences: x86ToTCGNoFences,
 }
 
-func mapProgram(p *litmus.Program, suffix string, f func(litmus.Op) []litmus.Op) *litmus.Program {
-	out := &litmus.Program{Name: p.Name + suffix}
-	for _, t := range p.Threads {
-		out.Threads = append(out.Threads, mapOps(t, f))
-	}
-	return out
+// Table returns the x86→IR table s names — what X86ToTCG applies and what
+// internal/frontend emits from.
+func (s X86Scheme) Table() *Scheme { return x86Tables[s] }
+
+var armTables = [...][4]*Scheme{
+	ArmVerified: {RMWCasal: tcgToArmVerified, RMWExclusiveFenced: tcgToArmVerifiedLxSx},
+	ArmQemu:     {RMWHelperCasal: tcgToArmQemuCasal, RMWHelperExclusiveAL: tcgToArmQemuLxSx},
 }
+
+// ArmTable returns the IR→Arm table pairing a fence column with an RMW
+// lowering — what TCGToArm applies and what internal/backend emits from.
+// Only the four pairs the paper discusses exist; any other is nil.
+func ArmTable(as ArmScheme, rmw RMWStyle) *Scheme { return armTables[as][rmw] }
 
 // X86ToTCG translates an x86-level litmus program to the TCG IR level.
 func X86ToTCG(p *litmus.Program, scheme X86Scheme) *litmus.Program {
-	return mapProgram(p, "→tcg", func(op litmus.Op) []litmus.Op {
-		switch o := op.(type) {
-		case litmus.Load:
-			switch scheme {
-			case X86Qemu:
-				// Fmr demoted to Frr for x86 guests (§3.1).
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFrr}, plainLoad(o)}
-			case X86Verified:
-				return []litmus.Op{plainLoad(o), litmus.Fence{K: memmodel.FenceFrm}}
-			default:
-				return []litmus.Op{plainLoad(o)}
-			}
-		case litmus.Store:
-			switch scheme {
-			case X86Qemu:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFmw}, plainStore(o)}
-			case X86Verified:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFww}, plainStore(o)}
-			default:
-				return []litmus.Op{plainStore(o)}
-			}
-		case litmus.StoreReg:
-			s := litmus.StoreReg{Loc: o.Loc, Src: o.Src}
-			switch scheme {
-			case X86Qemu:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFmw}, s}
-			case X86Verified:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFww}, s}
-			default:
-				return []litmus.Op{s}
-			}
-		case litmus.LoadIdx:
-			l := litmus.LoadIdx{Dst: o.Dst, Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1}
-			switch scheme {
-			case X86Qemu:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFrr}, l}
-			case X86Verified:
-				return []litmus.Op{l, litmus.Fence{K: memmodel.FenceFrm}}
-			default:
-				return []litmus.Op{l}
-			}
-		case litmus.StoreIdx:
-			s := litmus.StoreIdx{Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1, Val: o.Val}
-			switch scheme {
-			case X86Qemu:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFmw}, s}
-			case X86Verified:
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFww}, s}
-			default:
-				return []litmus.Op{s}
-			}
-		case litmus.CAS:
-			// All schemes keep the RMW an IR-level RMW with SC semantics
-			// (QEMU routes it through a helper, but at the IR level the
-			// helper is an opaque SC atomic; the divergence appears in the
-			// Arm lowering).
-			return []litmus.Op{litmus.CAS{
-				Loc: o.Loc, Expect: o.Expect, New: o.New, Dst: o.Dst,
-				Attr: litmus.Attr{SC: true, Class: o.Class},
-			}}
-		case litmus.Fence:
-			if o.K == memmodel.FenceMFENCE {
-				return []litmus.Op{litmus.Fence{K: memmodel.FenceFsc}}
-			}
-			return []litmus.Op{o}
-		default:
-			return []litmus.Op{op}
-		}
-	})
-}
-
-func plainLoad(o litmus.Load) litmus.Load {
-	return litmus.Load{Dst: o.Dst, Loc: o.Loc}
-}
-
-func plainStore(o litmus.Store) litmus.Store {
-	return litmus.Store{Loc: o.Loc, Val: o.Val}
-}
-
-// lowerFence maps a TCG fence to its Arm fence (FenceNone = emit nothing).
-func lowerFence(k memmodel.Fence, scheme ArmScheme) memmodel.Fence {
-	switch k {
-	case memmodel.FenceFrr, memmodel.FenceFrw, memmodel.FenceFrm:
-		return memmodel.FenceDMBLD
-	case memmodel.FenceFww:
-		if scheme == ArmVerified {
-			return memmodel.FenceDMBST
-		}
-		return memmodel.FenceDMBFF
-	case memmodel.FenceFwr, memmodel.FenceFwm, memmodel.FenceFmr,
-		memmodel.FenceFmw, memmodel.FenceFmm, memmodel.FenceFsc:
-		return memmodel.FenceDMBFF
-	case memmodel.FenceFacq, memmodel.FenceFrel:
-		return memmodel.FenceNone
-	default:
-		return k
-	}
+	return scheme.Table().Apply(p)
 }
 
 // TCGToArm translates a TCG-level litmus program to the Arm level.
 func TCGToArm(p *litmus.Program, scheme ArmScheme, rmw RMWStyle) *litmus.Program {
-	return mapProgram(p, "→arm", func(op litmus.Op) []litmus.Op {
-		switch o := op.(type) {
-		case litmus.Load:
-			return []litmus.Op{litmus.Load{Dst: o.Dst, Loc: o.Loc}}
-		case litmus.Store:
-			return []litmus.Op{litmus.Store{Loc: o.Loc, Val: o.Val}}
-		case litmus.StoreReg:
-			return []litmus.Op{litmus.StoreReg{Loc: o.Loc, Src: o.Src}}
-		case litmus.LoadIdx:
-			return []litmus.Op{litmus.LoadIdx{Dst: o.Dst, Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1}}
-		case litmus.StoreIdx:
-			return []litmus.Op{litmus.StoreIdx{Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1, Val: o.Val}}
-		case litmus.Fence:
-			lk := lowerFence(o.K, scheme)
-			if lk == memmodel.FenceNone {
-				return nil
-			}
-			return []litmus.Op{litmus.Fence{K: lk}}
-		case litmus.CAS:
-			switch rmw {
-			case RMWCasal, RMWHelperCasal:
-				return []litmus.Op{litmus.CAS{
-					Loc: o.Loc, Expect: o.Expect, New: o.New, Dst: o.Dst,
-					Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWAmo},
-				}}
-			case RMWHelperExclusiveAL:
-				return []litmus.Op{litmus.CAS{
-					Loc: o.Loc, Expect: o.Expect, New: o.New, Dst: o.Dst,
-					Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWLxSx},
-				}}
-			default: // RMWExclusiveFenced
-				return []litmus.Op{
-					litmus.Fence{K: memmodel.FenceDMBFF},
-					litmus.CAS{
-						Loc: o.Loc, Expect: o.Expect, New: o.New, Dst: o.Dst,
-						Attr: litmus.Attr{Class: memmodel.RMWLxSx},
-					},
-					litmus.Fence{K: memmodel.FenceDMBFF},
-				}
-			}
-		default:
-			return []litmus.Op{op}
-		}
-	})
+	return ArmTable(scheme, rmw).Apply(p)
 }
 
 // X86ToArm composes the two mapping steps.

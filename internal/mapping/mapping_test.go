@@ -1,9 +1,13 @@
 package mapping
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/memmodel"
 	"repro/internal/models/armcats"
 	"repro/internal/models/tcgmm"
 	"repro/internal/models/x86tso"
@@ -153,25 +157,132 @@ func TestArmCatsIntendedMappingSBAL(t *testing.T) {
 	}
 }
 
-// TestMinimality spot-checks the Figure-8 argument that the verified
-// mapping's fences are necessary: dropping the trailing Frm after loads
-// re-admits the MP weak outcome at the IR level, and dropping the leading
-// Fww re-admits it too.
+// mpRMW is message passing whose flag write is an RMW: X=1; RMW(Y,0,1) ∥
+// a=Y; b=X. x86 forbids a=1,b=0. It is the one witness for the leading
+// DMBFF of DMBFF;RMW2;DMBFF — every corpus program passes without it.
+func mpRMW() *litmus.Program {
+	return &litmus.Program{
+		Name: "MP+rmw",
+		Threads: [][]litmus.Op{
+			{
+				litmus.Store{Loc: "X", Val: 1},
+				litmus.CAS{Loc: "Y", Expect: 0, New: 1, Attr: litmus.Attr{Class: memmodel.RMWAmo}},
+			},
+			{litmus.Load{Dst: "a", Loc: "Y"}, litmus.Load{Dst: "b", Loc: "X"}},
+		},
+	}
+}
+
+// variant is a table with one entry dropped (a fence) or weakened (an RMW
+// attribute).
+type variant struct {
+	entry string         // the entry edited, for messages
+	row   memmodel.Fence // its key when it is a Fences row, else FenceNone
+	s     *Scheme
+}
+
+// oneEntryLess returns one variant per entry of the table that places or
+// keeps something.
+func oneEntryLess(s *Scheme) []variant {
+	var out []variant
+	edit := func(entry string, row memmodel.Fence, f func(*Scheme)) {
+		v := *s
+		v.Fences = maps.Clone(s.Fences)
+		f(&v)
+		out = append(out, variant{entry, row, &v})
+	}
+	for _, pl := range []struct {
+		name string
+		at   func(*Scheme) *memmodel.Fence
+	}{
+		{"Load.Before", func(v *Scheme) *memmodel.Fence { return &v.Load.Before }},
+		{"Load.After", func(v *Scheme) *memmodel.Fence { return &v.Load.After }},
+		{"Store.Before", func(v *Scheme) *memmodel.Fence { return &v.Store.Before }},
+		{"Store.After", func(v *Scheme) *memmodel.Fence { return &v.Store.After }},
+		{"RMW.Before", func(v *Scheme) *memmodel.Fence { return &v.RMW.Before }},
+		{"RMW.After", func(v *Scheme) *memmodel.Fence { return &v.RMW.After }},
+	} {
+		if k := *pl.at(s); k != memmodel.FenceNone {
+			edit(fmt.Sprintf("%s=%s", pl.name, k), memmodel.FenceNone,
+				func(v *Scheme) { *pl.at(v) = memmodel.FenceNone })
+		}
+	}
+	var rows []memmodel.Fence
+	for k, to := range s.Fences {
+		if to != memmodel.FenceNone {
+			rows = append(rows, k)
+		}
+	}
+	slices.Sort(rows)
+	for _, k := range rows {
+		edit(fmt.Sprintf("%s→%s", k, s.Fences[k]), k, func(v *Scheme) { v.Fences[k] = memmodel.FenceNone })
+	}
+	if s.RMW.Attr.Acq {
+		edit("RMW.Acq", memmodel.FenceNone, func(v *Scheme) { v.RMW.Attr.Acq = false })
+	}
+	if s.RMW.Attr.Rel {
+		edit("RMW.Rel", memmodel.FenceNone, func(v *Scheme) { v.RMW.Attr.Rel = false })
+	}
+	return out
+}
+
+// TestMinimality is the Figure-8 necessity argument as a loop over the
+// tables: for each entry the verified x86→IR→Arm chain emits (under both
+// RMW lowerings), the chain with that one entry dropped or weakened must
+// break Theorem 1 on some program. An entry without a witness is
+// droppable, and fails the test.
 func TestMinimality(t *testing.T) {
-	// Full verified mapping of MP at IR level forbids the weak outcome.
-	ir := X86ToTCG(litmus.MP(), X86Verified)
-	if out := litmus.Outcomes(ir, tcgmm.New()); out.Contains("1:a=1", "1:b=0") {
-		t.Fatal("verified IR mapping of MP must forbid the weak outcome")
+	progs := append(litmus.X86Corpus(), mpRMW())
+	// emitted reports whether the x86→IR hop produces IR fence k at all.
+	emitted := func(k memmodel.Fence) bool {
+		return slices.ContainsFunc(progs, func(p *litmus.Program) bool {
+			return countFences(x86ToTCGVerified.Apply(p), k) > 0
+		})
 	}
-	// No-fences mapping allows it (both fences dropped).
-	ir = X86ToTCG(litmus.MP(), X86NoFences)
-	if out := litmus.Outcomes(ir, tcgmm.New()); !out.Contains("1:a=1", "1:b=0") {
-		t.Fatal("fence-free IR mapping of MP must allow the weak outcome")
+	witnesses := func(x86, arm *Scheme) (ws []string) {
+		for _, p := range progs {
+			v := VerifyTheorem1(p, x86tso.New(), arm.Apply(x86.Apply(p)), armcats.New())
+			if v.Err != nil {
+				t.Fatal(v.Err)
+			}
+			if !v.Correct() {
+				ws = append(ws, fmt.Sprintf("%s %v", p.Name, v.NewBehaviours))
+			}
+		}
+		return ws
 	}
-	// LB needs the ld-st component of Frm (Figure 8, LB-IR).
-	ir = X86ToTCG(litmus.LB(), X86Verified)
-	if out := litmus.Outcomes(ir, tcgmm.New()); out.Contains("0:a=1", "1:b=1") {
-		t.Fatal("verified IR mapping of LB must forbid a=b=1")
+	for _, arm := range []*Scheme{tcgToArmVerified, tcgToArmVerifiedLxSx} {
+		if ws := witnesses(x86ToTCGVerified, arm); len(ws) != 0 {
+			t.Fatalf("%s + %s is unsound before any entry is dropped: %v", x86ToTCGVerified.Name, arm.Name, ws)
+		}
+		var entries []string
+		require := func(hop *Scheme, entry string, ws []string) {
+			entries = append(entries, entry)
+			if len(ws) == 0 {
+				t.Errorf("%s is droppable from %s (chain ending in %s): no program breaks without it",
+					entry, hop.Name, arm.Name)
+			}
+			t.Logf("%s without %s (chain ending in %s): %v", hop.Name, entry, arm.Name, ws)
+		}
+		for _, v := range oneEntryLess(x86ToTCGVerified) {
+			require(x86ToTCGVerified, v.entry, witnesses(v.s, arm))
+		}
+		for _, v := range oneEntryLess(arm) {
+			if v.row == memmodel.FenceNone || emitted(v.row) {
+				require(arm, v.entry, witnesses(x86ToTCGVerified, v.s))
+			}
+		}
+		want := []string{"Load.After=Frm", "Store.Before=Fww", "MFENCE→Fsc"}
+		if arm == tcgToArmVerifiedLxSx {
+			want = append(want, "RMW.Before=DMBFF", "RMW.After=DMBFF")
+		}
+		want = append(want, "Frm→DMBLD", "Fww→DMBST", "Fsc→DMBFF")
+		if arm == tcgToArmVerified {
+			want = append(want, "RMW.Acq", "RMW.Rel")
+		}
+		if !slices.Equal(entries, want) {
+			t.Errorf("entries checked for %s: %v, want %v", arm.Name, entries, want)
+		}
 	}
 }
 

@@ -2,77 +2,134 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/litmus"
 	"repro/internal/memmodel"
 )
 
-// Scheme is one registered translation hop between two instruction
-// levels. The concrete translation functions (X86ToTCG, TCGToArm, …)
-// stay plain functions; schemes wrap them with routing metadata so chains
-// compose out of registered hops instead of hardcoded call sequences.
-type Scheme interface {
+// Placement is the pair of fences a scheme puts around one kind of
+// access; FenceNone places nothing.
+type Placement struct {
+	Before, After memmodel.Fence
+}
+
+// RMWRule is how a scheme translates an RMW: the attributes of the RMW it
+// emits and the fences it brackets it with. A rule naming no Class keeps
+// the source RMW's.
+type RMWRule struct {
+	Before memmodel.Fence
+	Attr   litmus.Attr
+	After  memmodel.Fence
+}
+
+// Scheme is one translation hop between two instruction levels, as a
+// table. Schemes are values: verifying a variant of one (an entry dropped
+// or weakened) means copying the struct and editing the copy.
+type Scheme struct {
 	// Name identifies the scheme ("x86→tcg/verified", …).
-	Name() string
+	Name string
 	// Src and Dst are the levels the scheme translates between.
-	Src() memmodel.Level
-	Dst() memmodel.Level
+	Src, Dst memmodel.Level
 	// Verified reports whether the scheme is claimed sound (Theorem 1 must
 	// hold for it); the matrix asserts every verified route passes and
 	// known-bad (unverified) routes are reported, not required to pass.
-	Verified() bool
-	// Apply translates a program of the Src level to the Dst level.
-	Apply(p *litmus.Program) *litmus.Program
+	Verified bool
+	// Load and Store are the fences placed around every load and store.
+	Load, Store Placement
+	// Fences rewrites the source level's own fences: absent = kept,
+	// FenceNone = dropped.
+	Fences map[memmodel.Fence]memmodel.Fence
+	// RMW translates the source level's RMWs.
+	RMW RMWRule
 }
 
-// scheme is the function-backed Scheme implementation.
-type scheme struct {
-	name     string
-	src, dst memmodel.Level
-	verified bool
-	apply    func(*litmus.Program) *litmus.Program
+// Fence returns what the scheme turns source fence k into (FenceNone =
+// nothing).
+func (s *Scheme) Fence(k memmodel.Fence) memmodel.Fence {
+	if to, ok := s.Fences[k]; ok {
+		return to
+	}
+	return k
 }
 
-func (s *scheme) Name() string                            { return s.name }
-func (s *scheme) Src() memmodel.Level                     { return s.src }
-func (s *scheme) Dst() memmodel.Level                     { return s.dst }
-func (s *scheme) Verified() bool                          { return s.verified }
-func (s *scheme) Apply(p *litmus.Program) *litmus.Program { return s.apply(p) }
+// Apply translates a program of the Src level to the Dst level, naming it
+// "<name>→<dst>". Access attributes belong to a level (acquire/release
+// are Arm's, SC is the IR's), so they do not carry over a hop: plain
+// accesses come out plain and an RMW comes out with the rule's.
+func (s *Scheme) Apply(p *litmus.Program) *litmus.Program {
+	out := &litmus.Program{Name: p.Name + "→" + string(s.Dst), Threads: make([][]litmus.Op, len(p.Threads))}
+	for i, t := range p.Threads {
+		out.Threads[i] = s.applyOps(t)
+	}
+	return out
+}
 
-// NewScheme wraps a translation function as a registrable Scheme.
-func NewScheme(name string, src, dst memmodel.Level, verified bool, apply func(*litmus.Program) *litmus.Program) Scheme {
-	return &scheme{name: name, src: src, dst: dst, verified: verified, apply: apply}
+// applyOps reads the table for each op, recursing into conditionals.
+func (s *Scheme) applyOps(ops []litmus.Op) []litmus.Op {
+	out := make([]litmus.Op, 0, 2*len(ops))
+	for _, op := range ops {
+		var around Placement
+		switch o := op.(type) {
+		case litmus.Load:
+			around, op = s.Load, litmus.Load{Dst: o.Dst, Loc: o.Loc}
+		case litmus.LoadIdx:
+			around, op = s.Load, litmus.LoadIdx{Dst: o.Dst, Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1}
+		case litmus.Store:
+			around, op = s.Store, litmus.Store{Loc: o.Loc, Val: o.Val}
+		case litmus.StoreReg:
+			around, op = s.Store, litmus.StoreReg{Loc: o.Loc, Src: o.Src}
+		case litmus.StoreIdx:
+			around, op = s.Store, litmus.StoreIdx{Idx: o.Idx, Loc0: o.Loc0, Loc1: o.Loc1, Val: o.Val}
+		case litmus.CAS:
+			around = Placement{s.RMW.Before, s.RMW.After}
+			src := o.Class
+			if o.Attr = s.RMW.Attr; o.Class == memmodel.RMWNone {
+				o.Class = src
+			}
+			op = o
+		case litmus.Fence:
+			if o.K = s.Fence(o.K); o.K == memmodel.FenceNone {
+				continue
+			}
+			op = o
+		case litmus.If:
+			o.Body = s.applyOps(o.Body)
+			op = o
+		}
+		if around.Before != memmodel.FenceNone {
+			out = append(out, litmus.Fence{K: around.Before})
+		}
+		out = append(out, op)
+		if around.After != memmodel.FenceNone {
+			out = append(out, litmus.Fence{K: around.After})
+		}
+	}
+	return out
 }
 
 // SchemeRegistry resolves scheme names and enumerates routes (scheme
-// chains) between levels.
+// chains) between levels. The zero value is an empty registry.
 type SchemeRegistry struct {
-	schemes []Scheme
-	byName  map[string]Scheme
-}
-
-// NewSchemeRegistry returns an empty scheme registry.
-func NewSchemeRegistry() *SchemeRegistry {
-	return &SchemeRegistry{byName: make(map[string]Scheme)}
+	schemes []*Scheme
 }
 
 // Register adds a scheme; duplicate names and self-loops (Src == Dst,
 // which would make route enumeration diverge) are errors.
-func (r *SchemeRegistry) Register(s Scheme) error {
-	if s.Src() == s.Dst() {
-		return fmt.Errorf("mapping: scheme %q maps level %q to itself", s.Name(), s.Src())
+func (r *SchemeRegistry) Register(s *Scheme) error {
+	if s.Src == s.Dst {
+		return fmt.Errorf("mapping: scheme %q maps level %q to itself", s.Name, s.Src)
 	}
-	if _, dup := r.byName[s.Name()]; dup {
-		return fmt.Errorf("mapping: scheme %q already registered", s.Name())
+	if slices.ContainsFunc(r.schemes, func(o *Scheme) bool { return o.Name == s.Name }) {
+		return fmt.Errorf("mapping: scheme %q already registered", s.Name)
 	}
-	r.byName[s.Name()] = s
 	r.schemes = append(r.schemes, s)
 	return nil
 }
 
 // MustRegister is Register, panicking on error.
-func (r *SchemeRegistry) MustRegister(s Scheme) {
+func (r *SchemeRegistry) MustRegister(s *Scheme) {
 	if err := r.Register(s); err != nil {
 		panic(err)
 	}
@@ -80,41 +137,41 @@ func (r *SchemeRegistry) MustRegister(s Scheme) {
 
 // Lookup resolves a scheme by name, with the canonical unknown-scheme
 // error listing what is registered.
-func (r *SchemeRegistry) Lookup(name string) (Scheme, error) {
-	if s, ok := r.byName[name]; ok {
-		return s, nil
-	}
+func (r *SchemeRegistry) Lookup(name string) (*Scheme, error) {
 	names := make([]string, len(r.schemes))
 	for i, s := range r.schemes {
-		names[i] = s.Name()
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
 	}
 	return nil, fmt.Errorf("unknown mapping scheme %q (known schemes: %s)", name, strings.Join(names, ", "))
 }
 
 // Schemes returns every registered scheme in registration order.
-func (r *SchemeRegistry) Schemes() []Scheme { return append([]Scheme(nil), r.schemes...) }
+func (r *SchemeRegistry) Schemes() []*Scheme { return append([]*Scheme(nil), r.schemes...) }
 
 // Routes enumerates every simple route (no level visited twice) from src
 // to dst, depth-first in registration order, so the result is
 // deterministic for a deterministically-built registry. src == dst yields
 // no routes: models of one level are compared directly, not via schemes.
-func (r *SchemeRegistry) Routes(src, dst memmodel.Level) [][]Scheme {
-	var out [][]Scheme
-	var chain []Scheme
+func (r *SchemeRegistry) Routes(src, dst memmodel.Level) [][]*Scheme {
+	var out [][]*Scheme
+	var chain []*Scheme
 	visited := map[memmodel.Level]bool{src: true}
 	var walk func(at memmodel.Level)
 	walk = func(at memmodel.Level) {
 		for _, s := range r.schemes {
-			if s.Src() != at || visited[s.Dst()] {
+			if s.Src != at || visited[s.Dst] {
 				continue
 			}
 			chain = append(chain, s)
-			if s.Dst() == dst {
-				out = append(out, append([]Scheme(nil), chain...))
+			if s.Dst == dst {
+				out = append(out, append([]*Scheme(nil), chain...))
 			} else {
-				visited[s.Dst()] = true
-				walk(s.Dst())
-				visited[s.Dst()] = false
+				visited[s.Dst] = true
+				walk(s.Dst)
+				visited[s.Dst] = false
 			}
 			chain = chain[:len(chain)-1]
 		}
@@ -127,20 +184,13 @@ func (r *SchemeRegistry) Routes(src, dst memmodel.Level) [][]Scheme {
 // dst (nil if none); an empty route for src == dst. "First" follows
 // registration order, so the canonical verified chain is whichever sound
 // scheme was registered first per hop.
-func (r *SchemeRegistry) VerifiedRoute(src, dst memmodel.Level) ([]Scheme, bool) {
+func (r *SchemeRegistry) VerifiedRoute(src, dst memmodel.Level) ([]*Scheme, bool) {
 	if src == dst {
-		return []Scheme{}, true
+		return []*Scheme{}, true
 	}
-	var best []Scheme
+	var best []*Scheme
 	for _, route := range r.Routes(src, dst) {
-		ok := true
-		for _, s := range route {
-			if !s.Verified() {
-				ok = false
-				break
-			}
-		}
-		if ok && (best == nil || len(route) < len(best)) {
+		if RouteVerified(route) && (best == nil || len(route) < len(best)) {
 			best = route
 		}
 	}
@@ -148,7 +198,7 @@ func (r *SchemeRegistry) VerifiedRoute(src, dst memmodel.Level) ([]Scheme, bool)
 }
 
 // ApplyRoute runs a program through every hop of a route.
-func ApplyRoute(route []Scheme, p *litmus.Program) *litmus.Program {
+func ApplyRoute(route []*Scheme, p *litmus.Program) *litmus.Program {
 	for _, s := range route {
 		p = s.Apply(p)
 	}
@@ -156,107 +206,79 @@ func ApplyRoute(route []Scheme, p *litmus.Program) *litmus.Program {
 }
 
 // RouteName renders a route as its hop names joined with " + ".
-func RouteName(route []Scheme) string {
+func RouteName(route []*Scheme) string {
 	if len(route) == 0 {
 		return "(identity)"
 	}
 	names := make([]string, len(route))
 	for i, s := range route {
-		names[i] = s.Name()
+		names[i] = s.Name
 	}
 	return strings.Join(names, " + ")
 }
 
 // RouteVerified reports whether every hop of the route is verified.
-func RouteVerified(route []Scheme) bool {
+func RouteVerified(route []*Scheme) bool {
 	for _, s := range route {
-		if !s.Verified() {
+		if !s.Verified {
 			return false
 		}
 	}
 	return true
 }
 
-// X86ToSPARC translates an x86-level program to the SPARC level: both are
-// TSO, so accesses carry over unchanged and MFENCE becomes the minimal
-// TSO-sufficient barrier, membar #StoreLoad (the other three directions
-// are already preserved program order).
-func X86ToSPARC(p *litmus.Program) *litmus.Program {
-	return mapProgram(p, "→sparc", func(op litmus.Op) []litmus.Op {
-		if f, ok := op.(litmus.Fence); ok && f.K == memmodel.FenceMFENCE {
-			return []litmus.Op{litmus.Fence{K: memmodel.FenceMembarSL}}
-		}
-		return []litmus.Op{op}
-	})
+// The SPARC and IMM hops.
+var (
+	// x86ToSPARC: both levels are TSO, so accesses carry over unfenced and
+	// MFENCE becomes the minimal TSO-sufficient barrier, membar #StoreLoad
+	// (the other three directions are already preserved program order).
+	x86ToSPARC = &Scheme{
+		Name: "x86→sparc/membar", Src: memmodel.LevelX86, Dst: memmodel.LevelSPARC, Verified: true,
+		Fences: map[memmodel.Fence]memmodel.Fence{memmodel.FenceMFENCE: memmodel.FenceMembarSL},
+	}
+	// sparcToTCG is Figure 7a's placement plus the membar taxonomy: each
+	// membar direction maps to the directional IR fence of the same shape.
+	sparcToTCG = &Scheme{
+		Name: "sparc→tcg/verified", Src: memmodel.LevelSPARC, Dst: memmodel.LevelTCG, Verified: true,
+		Load: x86ToTCGVerified.Load, Store: x86ToTCGVerified.Store, RMW: x86ToTCGVerified.RMW,
+		Fences: map[memmodel.Fence]memmodel.Fence{
+			memmodel.FenceMembarLL: memmodel.FenceFrr, memmodel.FenceMembarLS: memmodel.FenceFrw,
+			memmodel.FenceMembarSL: memmodel.FenceFwr, memmodel.FenceMembarSS: memmodel.FenceFww,
+		},
+	}
+	// IMM speaks the IR fence vocabulary and its dependency order is a
+	// subset of Armed-Cats' dob, so the verified IMM hops are the verified
+	// IR tables under another level label.
+	x86ToIMM = x86ToTCGVerified.relabel("x86→imm/verified", memmodel.LevelX86, memmodel.LevelIMM)
+	immToArm = tcgToArmVerified.relabel("imm→arm/verified", memmodel.LevelIMM, memmodel.LevelArm)
+)
+
+// relabel returns a copy of the table under another name and level pair.
+func (s Scheme) relabel(name string, src, dst memmodel.Level) *Scheme {
+	s.Name, s.Src, s.Dst = name, src, dst
+	return &s
 }
 
-// SPARCToTCG translates a SPARC-level program to the TCG IR level with
-// Risotto's verified fence placement (Figure 7a: ld;Frm and Fww;st, RMWs
-// as SC IR atomics) extended with the membar taxonomy: each membar
-// direction maps to the directional IR fence of the same shape.
-func SPARCToTCG(p *litmus.Program) *litmus.Program {
-	lowered := mapProgram(p, "", func(op litmus.Op) []litmus.Op {
-		f, ok := op.(litmus.Fence)
-		if !ok {
-			return []litmus.Op{op}
-		}
-		switch f.K {
-		case memmodel.FenceMembarLL:
-			return []litmus.Op{litmus.Fence{K: memmodel.FenceFrr}}
-		case memmodel.FenceMembarLS:
-			return []litmus.Op{litmus.Fence{K: memmodel.FenceFrw}}
-		case memmodel.FenceMembarSL:
-			return []litmus.Op{litmus.Fence{K: memmodel.FenceFwr}}
-		case memmodel.FenceMembarSS:
-			return []litmus.Op{litmus.Fence{K: memmodel.FenceFww}}
-		default:
-			return []litmus.Op{op}
-		}
-	})
-	lowered.Name = p.Name
-	return X86ToTCG(lowered, X86Verified)
-}
+// X86ToSPARC translates an x86-level program to the SPARC level.
+func X86ToSPARC(p *litmus.Program) *litmus.Program { return x86ToSPARC.Apply(p) }
 
-// X86ToIMM translates an x86-level program to the IMM level. IMM speaks
-// the IR fence vocabulary, so the verified IR fence placement is exactly
-// the verified IMM placement; only the level label differs.
-func X86ToIMM(p *litmus.Program) *litmus.Program {
-	out := X86ToTCG(p, X86Verified)
-	out.Name = p.Name + "→imm"
-	return out
-}
-
-// IMMToArm lowers an IMM-level program to Arm. IMM programs use the IR
-// fence vocabulary and IMM's dependency order is a subset of Armed-Cats'
-// dob, so the verified IR lowering applies unchanged.
-func IMMToArm(p *litmus.Program) *litmus.Program {
-	return TCGToArm(p, ArmVerified, RMWCasal)
-}
+// SPARCToTCG translates a SPARC-level program to the TCG IR level.
+func SPARCToTCG(p *litmus.Program) *litmus.Program { return sparcToTCG.Apply(p) }
 
 // DefaultSchemes returns the registry of built-in schemes: Risotto's
 // verified x86→IR→Arm chain (both RMW lowering styles), QEMU's original
 // lowerings (all three known-bad: the leading-fence x86→IR mapping
 // already misorders MPQ's failed RMW at the IR level, and the IR→Arm RMW
 // helper lowerings are the paper's §3.1–3.2 translation errors), and the
-// SPARC/IMM hops. Adding a scheme elsewhere means one NewScheme call plus
-// one line here.
+// SPARC/IMM hops. Admitting a scheme means one table value plus its name
+// in this list.
 func DefaultSchemes() *SchemeRegistry {
-	r := NewSchemeRegistry()
-	r.MustRegister(NewScheme("x86→tcg/verified", memmodel.LevelX86, memmodel.LevelTCG, true,
-		func(p *litmus.Program) *litmus.Program { return X86ToTCG(p, X86Verified) }))
-	r.MustRegister(NewScheme("x86→tcg/qemu", memmodel.LevelX86, memmodel.LevelTCG, false,
-		func(p *litmus.Program) *litmus.Program { return X86ToTCG(p, X86Qemu) }))
-	r.MustRegister(NewScheme("x86→sparc/membar", memmodel.LevelX86, memmodel.LevelSPARC, true, X86ToSPARC))
-	r.MustRegister(NewScheme("x86→imm/verified", memmodel.LevelX86, memmodel.LevelIMM, true, X86ToIMM))
-	r.MustRegister(NewScheme("sparc→tcg/verified", memmodel.LevelSPARC, memmodel.LevelTCG, true, SPARCToTCG))
-	r.MustRegister(NewScheme("tcg→arm/verified", memmodel.LevelTCG, memmodel.LevelArm, true,
-		func(p *litmus.Program) *litmus.Program { return TCGToArm(p, ArmVerified, RMWCasal) }))
-	r.MustRegister(NewScheme("tcg→arm/verified-lxsx", memmodel.LevelTCG, memmodel.LevelArm, true,
-		func(p *litmus.Program) *litmus.Program { return TCGToArm(p, ArmVerified, RMWExclusiveFenced) }))
-	r.MustRegister(NewScheme("tcg→arm/qemu-casal", memmodel.LevelTCG, memmodel.LevelArm, false,
-		func(p *litmus.Program) *litmus.Program { return TCGToArm(p, ArmQemu, RMWHelperCasal) }))
-	r.MustRegister(NewScheme("tcg→arm/qemu-lxsx", memmodel.LevelTCG, memmodel.LevelArm, false,
-		func(p *litmus.Program) *litmus.Program { return TCGToArm(p, ArmQemu, RMWHelperExclusiveAL) }))
-	r.MustRegister(NewScheme("imm→arm/verified", memmodel.LevelIMM, memmodel.LevelArm, true, IMMToArm))
+	r := &SchemeRegistry{}
+	for _, s := range []*Scheme{
+		x86ToTCGVerified, x86ToTCGQemu, x86ToSPARC, x86ToIMM, sparcToTCG,
+		tcgToArmVerified, tcgToArmVerifiedLxSx, tcgToArmQemuCasal, tcgToArmQemuLxSx, immToArm,
+	} {
+		r.MustRegister(s)
+	}
 	return r
 }

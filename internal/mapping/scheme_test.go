@@ -12,15 +12,14 @@ import (
 // names and self-loop schemes (which would make route enumeration
 // meaningless) are refused.
 func TestSchemeRegistryRejects(t *testing.T) {
-	r := NewSchemeRegistry()
-	id := func(p *litmus.Program) *litmus.Program { return p }
-	if err := r.Register(NewScheme("a", memmodel.LevelX86, memmodel.LevelTCG, true, id)); err != nil {
+	r := &SchemeRegistry{}
+	if err := r.Register(&Scheme{Name: "a", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG}); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
-	if err := r.Register(NewScheme("a", memmodel.LevelTCG, memmodel.LevelArm, true, id)); err == nil {
+	if err := r.Register(&Scheme{Name: "a", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm}); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := r.Register(NewScheme("loop", memmodel.LevelTCG, memmodel.LevelTCG, true, id)); err == nil {
+	if err := r.Register(&Scheme{Name: "loop", Src: memmodel.LevelTCG, Dst: memmodel.LevelTCG}); err == nil {
 		t.Error("self-loop accepted")
 	}
 }

@@ -195,22 +195,19 @@ func (tc *threadCompiler) compileOps(ops []litmus.Op) error {
 				return err
 			}
 		case litmus.Fence:
-			// The shared StoreFlush classification keeps compiler, machine
-			// and op-ref model agreeing on which fences drain the buffer:
-			// store-side fences lower to DMB ISH(ST), pure load-side ones
-			// to DMB ISHLD (an operational no-op — loads are in order).
-			switch {
-			case o.K == memmodel.FenceDMBFF:
-				a.Dmb(arm.BarrierFull)
-			case o.K == memmodel.FenceDMBLD:
-				a.Dmb(arm.BarrierLoad)
-			case o.K == memmodel.FenceDMBST:
-				a.Dmb(arm.BarrierStore)
-			case o.K.StoreFlush():
-				a.Dmb(arm.BarrierFull)
-			default:
-				a.Dmb(arm.BarrierLoad)
+			// An Arm fence is its own DMB. For the other levels' the
+			// shared StoreFlush classification keeps compiler, machine and
+			// op-ref model agreeing on which fences drain the buffer:
+			// store-side fences lower to DMB ISH, pure load-side ones to
+			// DMB ISHLD (an operational no-op — loads are in order).
+			bar, ok := arm.BarrierOf(o.K)
+			if !ok {
+				bar = arm.BarrierLoad
+				if o.K.StoreFlush() {
+					bar = arm.BarrierFull
+				}
 			}
+			a.Dmb(bar)
 		case litmus.MovImm:
 			hw, err := tc.allocReg(o.Dst)
 			if err != nil {

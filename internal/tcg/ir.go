@@ -195,8 +195,24 @@ type Block struct {
 	NumTemps int
 	// NumLabels is the label count.
 	NumLabels int
-	// GuestPC and GuestEnd delimit the guest code this block translates.
+	// GuestPC and GuestEnd delimit the guest code this block translates:
+	// its entry and the PC it falls through to.
 	GuestPC, GuestEnd uint64
+	// guestBytes is the size of the translated guest code when the two
+	// above do not delimit it (a superblock; see GuestBytes). Unexported:
+	// cached IR records carry frontend blocks only and keep their format.
+	guestBytes uint64
+}
+
+// GuestBytes returns how many bytes of guest code the block translates:
+// GuestEnd−GuestPC for a frontend block, the sum over its components for a
+// superblock — whose trace may follow a backward edge, so that GuestEnd
+// (its last component's) lies below GuestPC (its first's).
+func (b *Block) GuestBytes() uint64 {
+	if b.guestBytes != 0 {
+		return b.guestBytes
+	}
+	return b.GuestEnd - b.GuestPC
 }
 
 // NewBlock returns an empty block with the globals allocated.

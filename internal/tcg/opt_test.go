@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/models/tcgmm"
 )
 
 func fenceKinds(b *Block) []memmodel.Fence {
@@ -250,6 +251,57 @@ func TestFenceMergeIdempotentKinds(t *testing.T) {
 	Optimize(b, OptConfig{FenceMerge: true})
 	if ks := fenceKinds(b); len(ks) != 1 || ks[0] != memmodel.FenceFsc {
 		t.Fatalf("Fsc+Frr: %v", ks)
+	}
+}
+
+// TestFenceSetsAgreeWithModel holds the optimizer's merge lattice to the
+// IR model it is sound against: for each mergeable fence f and each access
+// pair (x,y) ∈ {R,W}², fenceSets says f orders the pair iff tcgmm's ord
+// orders x before y in the one-thread execution x; f; y (decided as: ord
+// plus the edge y→x has a cycle).
+func TestFenceSetsAgreeWithModel(t *testing.T) {
+	kinds := []memmodel.Kind{memmodel.KindRead, memmodel.KindWrite}
+	bits := [2][2]int{{fRR, fRW}, {fWR, fWW}}
+	backEdge := memmodel.Seq(
+		memmodel.Set("[y]", func(e memmodel.Event) bool { return e.ID == 2 }),
+		memmodel.Inverse(memmodel.Po),
+		memmodel.Set("[x]", func(e memmodel.Event) bool { return e.ID == 0 }))
+	ordered := memmodel.Define("x-before-y",
+		memmodel.Acyclic("ord+back", memmodel.Union(tcgmm.Ord, backEdge)))
+	for f, set := range fenceSets {
+		for i, xk := range kinds {
+			for j, yk := range kinds {
+				x := memmodel.NewExecution([]memmodel.Event{
+					{ID: 0, Kind: xk, Loc: "X"},
+					{ID: 1, Kind: memmodel.KindFence, Fence: f},
+					{ID: 2, Kind: yk, Loc: "Y"},
+				})
+				x.Po.Add(0, 1)
+				x.Po.Add(1, 2)
+				x.Po.Add(0, 2)
+				model := !memmodel.ReferenceConsistent(ordered, x)
+				if lattice := set&bits[i][j] != 0; lattice != model {
+					t.Errorf("%v between %v and %v: fenceSets says ordered=%v, tcgmm.Ord says %v",
+						f, xk, yk, lattice, model)
+				}
+			}
+		}
+	}
+}
+
+// TestSetToFenceDeterministic: setToFence ranges over a map, so pin that
+// every non-empty ordering set has one answer, and that it covers the set.
+func TestSetToFenceDeterministic(t *testing.T) {
+	for set := 1; set < 1<<5; set++ {
+		first := setToFence(set)
+		if fenceSets[first]&set != set {
+			t.Errorf("setToFence(%05b) = %v, which does not cover it", set, first)
+		}
+		for n := 0; n < 64; n++ {
+			if f := setToFence(set); f != first {
+				t.Fatalf("setToFence(%05b) gave %v then %v", set, first, f)
+			}
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ func Concat(blocks []*Block) (*Block, error) {
 		GuestEnd: blocks[len(blocks)-1].GuestEnd,
 	}
 	for i, b := range blocks {
+		out.guestBytes += b.GuestBytes()
 		if b.NumTemps > out.NumTemps {
 			out.NumTemps = b.NumTemps
 		}

@@ -56,6 +56,27 @@ func TestConcatStraightSeamMergesFences(t *testing.T) {
 	}
 }
 
+// TestConcatGuestBytesOverBackwardEdge: a trace that follows a backward
+// edge (a rotated loop) ends below where it starts; its size is still the
+// sum of its components', not GuestEnd−GuestPC wrapped around 2^64.
+func TestConcatGuestBytesOverBackwardEdge(t *testing.T) {
+	tail := fwwStBlock(0x2000, 0x1000)
+	head := ldFrmBlock(0x1000, 0x3000)
+	super, err := Concat([]*Block{tail, head})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if super.GuestEnd >= super.GuestPC {
+		t.Fatalf("trace [%#x,%#x) does not run backwards", super.GuestPC, super.GuestEnd)
+	}
+	if got, want := super.GuestBytes(), tail.GuestBytes()+head.GuestBytes(); got != want || want != 16 {
+		t.Fatalf("GuestBytes = %d, want %d", got, want)
+	}
+	if got := super.Clone().GuestBytes(); got != 16 {
+		t.Fatalf("Clone lost the size: %d", got)
+	}
+}
+
 func TestConcatNonFinalExitGetsJunctionLabel(t *testing.T) {
 	// a's exit to the successor is the *taken* arm of a conditional — not
 	// the final instruction — so Concat must rewrite it into a forward

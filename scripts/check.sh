@@ -16,7 +16,9 @@
 # explore stages pin the operational exploration engine: DPOR must reach
 # every allowed SB outcome, budget-exhausted traces must replay
 # byte-identically, and a corpus walk plus a ≥500-test generated campaign
-# must find zero axiomatic-disallowed outcomes.
+# must find zero axiomatic-disallowed outcomes. The examples stage runs the
+# five programs under examples/ and checks that weakhost and litmus still
+# tell the broken mappings from the verified ones.
 #
 # The CLIs the smoke stages drive are built once into a scratch directory,
 # and every stage reports its wall seconds, so the gate's own cost is in
@@ -201,6 +203,29 @@ grep -q "x86→tcg/qemu + tcg→arm/qemu-casal *known-bad FAIL .*MPQ" "$SH_TMP/m
 	|| { echo "matrix no longer reproduces the §3.1 casal failure on MPQ" >&2; exit 1; }
 grep -q "tcg→arm/qemu-lxsx *known-bad FAIL .*SBQ" "$SH_TMP/matrix.txt" \
 	|| { echo "matrix no longer reproduces the §3.2 exclusive-pair failure on SBQ" >&2; exit 1; }
+
+# The examples are the documented entry points and weakhost is the one
+# place outside the tests where all four variants' emitted fences meet the
+# weak machine; tier-1 only compiles them.
+stage "examples: all five run; weakhost and litmus tell the broken mappings from the verified ones"
+for e in quickstart fastcas hostlinker litmus weakhost; do
+	go build -o "$SH_TMP/ex-$e" "./examples/$e"
+	"$SH_TMP/ex-$e" >"$SH_TMP/ex-$e.txt" \
+		|| { echo "examples/$e exited non-zero" >&2; cat "$SH_TMP/ex-$e.txt" >&2; exit 1; }
+done
+grep -Eq '^no-fences +[1-9][0-9]*/[0-9]+ +INCORRECT' "$SH_TMP/ex-weakhost.txt" \
+	|| { echo "weakhost no longer catches the no-fences variant" >&2; cat "$SH_TMP/ex-weakhost.txt" >&2; exit 1; }
+for v in qemu tcg-ver risotto; do
+	grep -Eq "^$v +0/[0-9]+ +correct" "$SH_TMP/ex-weakhost.txt" \
+		|| { echo "weakhost saw an x86-forbidden outcome under $v" >&2; cat "$SH_TMP/ex-weakhost.txt" >&2; exit 1; }
+done
+grep -q "QEMU-translated Arm allows a=1,X=1?  true" "$SH_TMP/ex-litmus.txt" \
+	|| { echo "examples/litmus no longer reports the QEMU mapping erroneous on MPQ" >&2; exit 1; }
+grep -q "Risotto-translated Arm allows a=1,X=1?  false" "$SH_TMP/ex-litmus.txt" \
+	|| { echo "examples/litmus no longer reports the verified mapping correct on MPQ" >&2; exit 1; }
+if grep -q "correct=false" "$SH_TMP/ex-litmus.txt"; then
+	echo "examples/litmus: the verified mapping broke Theorem 1" >&2; cat "$SH_TMP/ex-litmus.txt" >&2; exit 1
+fi
 
 stage "rel engine differential: go test -tags relmap (map engine over the full stack)"
 go test -tags relmap ./internal/rel/ ./internal/memmodel/ ./internal/models/... \
