@@ -223,6 +223,9 @@ func (g *gen) dmb(f memmodel.Fence) {
 
 // Generate lowers a block to encoded host code placed at base.
 func Generate(b *tcg.Block, base uint64, cfg Config) ([]byte, Stats, error) {
+	if cfg.CAS < 0 || int(cfg.CAS) >= len(tables) {
+		return nil, Stats{}, fmt.Errorf("backend: no IR→Arm table for CASLowering(%d)", cfg.CAS)
+	}
 	g := &gen{tab: tables[cfg.CAS], labels: make(map[int]int)}
 	for _, in := range b.Insts {
 		if err := g.lower(in); err != nil {

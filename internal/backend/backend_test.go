@@ -3,6 +3,7 @@ package backend
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa/arm"
@@ -109,8 +110,16 @@ func TestLargeOffsetGoesThroughScratch(t *testing.T) {
 // TestFenceLowering: for both CAS lowerings, the host code generated for
 // every IR fence kind followed by an IR CAS carries exactly the barriers
 // and the RMW the verified IR→Arm table yields (mapping.Scheme.Apply, the
-// function Theorem 1 is checked on) for the same litmus ops.
+// function Theorem 1 is checked on) for the same litmus ops — and both are
+// Figure 7b written out: Frr/Frw/Frm → DMBLD, Fww → DMBST, Fwr/Fwm/Fmr/
+// Fmw/Fmm/Fsc → DMBFF, Facq/Frel → nothing, then casal or
+// DMBFF;ldxr/stxr;DMBFF.
 func TestFenceLowering(t *testing.T) {
+	const fences = "DMBLD DMBLD DMBLD DMBST DMBFF DMBFF DMBFF DMBFF DMBFF DMBFF "
+	figure7b := map[CASLowering]string{
+		CASCasal:           fences + "casal",
+		CASExclusiveFenced: fences + "DMBFF ldxr/stxr DMBFF",
+	}
 	rmwNames := map[memmodel.RMWClass]string{memmodel.RMWAmo: "casal", memmodel.RMWLxSx: "ldxr/stxr"}
 	dmbNames := map[arm.Barrier]string{
 		arm.BarrierFull: "DMBFF", arm.BarrierLoad: "DMBLD", arm.BarrierStore: "DMBST"}
@@ -163,6 +172,13 @@ func TestFenceLowering(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("cas=%v: host code has %v, the table yields %v", cas, got, want)
 		}
+		if fig := strings.Fields(figure7b[cas]); !slices.Equal(got, fig) {
+			t.Errorf("cas=%v: host code has %v, Figure 7b says %v", cas, got, fig)
+		}
+		if full := map[CASLowering]int{CASCasal: 6, CASExclusiveFenced: 8}[cas]; st.DMBLoad != 3 ||
+			st.DMBStore != 1 || st.DMBFull != full {
+			t.Errorf("cas=%v: stats %+v, Figure 7b says 3 DMBLD, 1 DMBST, %d DMBFF", cas, st, full)
+		}
 		if st.DMBFull != wantStats[memmodel.FenceDMBFF] || st.DMBLoad != wantStats[memmodel.FenceDMBLD] ||
 			st.DMBStore != wantStats[memmodel.FenceDMBST] {
 			t.Errorf("cas=%v: stats %+v, the table yields %v", cas, st, wantStats)
@@ -214,6 +230,16 @@ func TestCASLowerings(t *testing.T) {
 		}
 		if cfg.CAS == CASExclusiveFenced && (st.ExclLoop != 2 || st.DMBFull != 4) {
 			t.Fatalf("exclusive stats: %+v", st)
+		}
+	}
+}
+
+func TestUnknownCASLoweringIsAnError(t *testing.T) {
+	blk := tcg.NewBlock()
+	blk.Exit(0)
+	for _, cas := range []CASLowering{-1, 2} {
+		if _, _, err := Generate(blk, 0, Config{CAS: cas}); err == nil {
+			t.Errorf("CASLowering(%d) has no table; Generate must say so", cas)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa/x86"
@@ -198,8 +199,17 @@ func memEvents(blk *tcg.Block) []string {
 // TestFencePlacementPerScheme: for every x86→IR scheme and every guest
 // instruction form that touches memory, the translated block's skeleton is
 // what the scheme's table yields (mapping.Scheme.Apply, the function
-// Theorem 1 is checked on) for the litmus op the form stands for.
+// Theorem 1 is checked on) for the litmus op the form stands for. Block and
+// table read the same value, so the combined form is also compared with the
+// figures written out: Figure 7a's ld;Frm and Fww;st, Figure 2's Frr;ld and
+// Fmw;st, nothing for no-fences, MFENCE → Fsc in all three (RET is a load).
 func TestFencePlacementPerScheme(t *testing.T) {
+	const combined = "LOAD;STORE;MFENCE;RET"
+	figures := map[mapping.X86Scheme]string{
+		mapping.X86Verified: "ld Frm Fww st Fsc ld Frm",
+		mapping.X86Qemu:     "Frr ld Fmw st Fsc Frr ld",
+		mapping.X86NoFences: "ld st Fsc ld",
+	}
 	mem0 := x86.Mem0(x86.RSI)
 	load, store := litmus.Load{Dst: "a", Loc: "X"}, litmus.Store{Loc: "X", Val: 1}
 	rmw := litmus.CAS{Loc: "X", Expect: 0, New: 1}
@@ -220,7 +230,7 @@ func TestFencePlacementPerScheme(t *testing.T) {
 		{"CMPXCHG", func(a *x86.Assembler) { a.CmpXchg(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
 		{"XADD", func(a *x86.Assembler) { a.XAdd(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
 		{"XCHG", func(a *x86.Assembler) { a.Xchg(mem0, x86.RBX, 8) }, []litmus.Op{rmw}},
-		{"LOAD;STORE;MFENCE;RET", func(a *x86.Assembler) {
+		{combined, func(a *x86.Assembler) {
 			a.Load(x86.RAX, mem0, 8).Store(x86.MemD(x86.RSI, 8), x86.RAX, 8).MFence().Ret()
 		}, []litmus.Op{load, store, litmus.Fence{K: memmodel.FenceMFENCE}, load}},
 	}
@@ -250,6 +260,10 @@ func TestFencePlacementPerScheme(t *testing.T) {
 				if got := memEvents(blk); !slices.Equal(got, want) {
 					t.Errorf("%s, cas=%v, %s: block has %v, the table yields %v\n%s",
 						scheme.Table().Name, cas, f.name, got, want, blk)
+				}
+				if fig := strings.Fields(figures[scheme]); f.name == combined && !slices.Equal(memEvents(blk), fig) {
+					t.Errorf("%s, cas=%v: block has %v, the figure says %v\n%s",
+						scheme.Table().Name, cas, memEvents(blk), fig, blk)
 				}
 			}
 		}

@@ -152,22 +152,30 @@ var (
 	}
 )
 
-var x86Tables = [...]*Scheme{
+var x86Tables = map[X86Scheme]*Scheme{
 	X86Qemu: x86ToTCGQemu, X86Verified: x86ToTCGVerified, X86NoFences: x86ToTCGNoFences,
 }
 
 // Table returns the x86→IR table s names — what X86ToTCG applies and what
-// internal/frontend emits from.
-func (s X86Scheme) Table() *Scheme { return x86Tables[s] }
+// internal/frontend emits from. It panics on a value that is none of the
+// three constants.
+func (s X86Scheme) Table() *Scheme {
+	if t := x86Tables[s]; t != nil {
+		return t
+	}
+	panic(fmt.Sprintf("mapping: no x86→IR table for X86Scheme(%d)", s))
+}
 
-var armTables = [...][4]*Scheme{
+var armTables = map[ArmScheme]map[RMWStyle]*Scheme{
 	ArmVerified: {RMWCasal: tcgToArmVerified, RMWExclusiveFenced: tcgToArmVerifiedLxSx},
 	ArmQemu:     {RMWHelperCasal: tcgToArmQemuCasal, RMWHelperExclusiveAL: tcgToArmQemuLxSx},
 }
 
 // ArmTable returns the IR→Arm table pairing a fence column with an RMW
 // lowering — what TCGToArm applies and what internal/backend emits from.
-// Only the four pairs the paper discusses exist; any other is nil.
+// Only the four pairs the paper discusses exist — ArmVerified with RMWCasal
+// or RMWExclusiveFenced, ArmQemu with RMWHelperCasal or
+// RMWHelperExclusiveAL; any other pair is nil.
 func ArmTable(as ArmScheme, rmw RMWStyle) *Scheme { return armTables[as][rmw] }
 
 // X86ToTCG translates an x86-level litmus program to the TCG IR level.
@@ -175,12 +183,18 @@ func X86ToTCG(p *litmus.Program, scheme X86Scheme) *litmus.Program {
 	return scheme.Table().Apply(p)
 }
 
-// TCGToArm translates a TCG-level litmus program to the Arm level.
+// TCGToArm translates a TCG-level litmus program to the Arm level. It
+// panics, naming the pair, when ArmTable has no table for (scheme, rmw).
 func TCGToArm(p *litmus.Program, scheme ArmScheme, rmw RMWStyle) *litmus.Program {
-	return ArmTable(scheme, rmw).Apply(p)
+	tab := ArmTable(scheme, rmw)
+	if tab == nil {
+		panic(fmt.Sprintf("mapping: no IR→Arm table pairs ArmScheme(%d) with RMWStyle(%d)", scheme, rmw))
+	}
+	return tab.Apply(p)
 }
 
-// X86ToArm composes the two mapping steps.
+// X86ToArm composes the two mapping steps; the pairs TCGToArm rejects it
+// rejects too.
 func X86ToArm(p *litmus.Program, xs X86Scheme, as ArmScheme, rmw RMWStyle) *litmus.Program {
 	return TCGToArm(X86ToTCG(p, xs), as, rmw)
 }

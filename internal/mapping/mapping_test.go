@@ -2,8 +2,8 @@ package mapping
 
 import (
 	"fmt"
-	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/litmus"
@@ -157,6 +157,130 @@ func TestArmCatsIntendedMappingSBAL(t *testing.T) {
 	}
 }
 
+// figure renders a table the way the paper draws one: name, levels and
+// claim, what surrounds a load, a store and an RMW, then every fence of any
+// level the table rewrites (the rest it keeps).
+func figure(s *Scheme) string {
+	around := func(before memmodel.Fence, what string, after memmodel.Fence) string {
+		if before != memmodel.FenceNone {
+			what = before.String() + ";" + what
+		}
+		if after != memmodel.FenceNone {
+			what += ";" + after.String()
+		}
+		return what
+	}
+	rmw := []string{"RMW", "RMW1", "RMW2"}[s.RMW.Attr.Class] + "^"
+	for _, a := range []struct {
+		set  bool
+		name string
+	}{{s.RMW.Attr.Acq, "A"}, {s.RMW.Attr.AcqPC, "Q"}, {s.RMW.Attr.Rel, "L"}, {s.RMW.Attr.SC, "sc"}} {
+		if a.set {
+			rmw += a.name
+		}
+	}
+	out := []string{
+		fmt.Sprintf("%s %s→%s verified=%v", s.Name, s.Src, s.Dst, s.Verified),
+		around(s.Load.Before, "ld", s.Load.After),
+		around(s.Store.Before, "st", s.Store.After),
+		around(s.RMW.Before, strings.TrimSuffix(rmw, "^"), s.RMW.After),
+	}
+	var rows []string
+	for k := memmodel.FenceMFENCE; k <= memmodel.FenceMembarSS; k++ {
+		if to := s.Fence(k); to != k {
+			rows = append(rows, k.String()+"→"+to.String())
+		}
+	}
+	return strings.Join(append(out, strings.Join(rows, " ")), " | ")
+}
+
+// TestTablesAreTheFigures pins every table against Figures 2, 7a and 7b
+// written out a second time, longhand ("-" = dropped). The placement tests
+// in frontend and backend compare the translator with Scheme.Apply — two
+// readers of one table — and TestMinimality reaches only the rows the
+// verified chain emits, so this is the one place a row such as Fmm→DMBFF,
+// which the optimizer's fence merging makes the real translator emit, is
+// compared with the paper.
+func TestTablesAreTheFigures(t *testing.T) {
+	const (
+		fig7b = "Frr→DMBLD Frw→DMBLD Frm→DMBLD Fww→DMBST Fwr→DMBFF Fwm→DMBFF " +
+			"Fmr→DMBFF Fmw→DMBFF Fmm→DMBFF Facq→- Frel→- Fsc→DMBFF"
+		fig2 = "Frr→DMBLD Frw→DMBLD Frm→DMBLD Fww→DMBFF Fwr→DMBFF Fwm→DMBFF " +
+			"Fmr→DMBFF Fmw→DMBFF Fmm→DMBFF Facq→- Frel→- Fsc→DMBFF"
+	)
+	for _, c := range []struct {
+		tab  *Scheme
+		want string
+	}{
+		{x86ToTCGVerified, "x86→tcg/verified x86→tcg verified=true | ld;Frm | Fww;st | RMW^sc | MFENCE→Fsc"},
+		{x86ToTCGQemu, "x86→tcg/qemu x86→tcg verified=false | Frr;ld | Fmw;st | RMW^sc | MFENCE→Fsc"},
+		{x86ToTCGNoFences, "x86→tcg/no-fences x86→tcg verified=false | ld | st | RMW^sc | MFENCE→Fsc"},
+		{tcgToArmVerified, "tcg→arm/verified tcg→arm verified=true | ld | st | RMW1^AL | " + fig7b},
+		{tcgToArmVerifiedLxSx, "tcg→arm/verified-lxsx tcg→arm verified=true | ld | st | DMBFF;RMW2;DMBFF | " + fig7b},
+		{tcgToArmQemuCasal, "tcg→arm/qemu-casal tcg→arm verified=false | ld | st | RMW1^AL | " + fig2},
+		{tcgToArmQemuLxSx, "tcg→arm/qemu-lxsx tcg→arm verified=false | ld | st | RMW2^AL | " + fig2},
+		{x86ToSPARC, "x86→sparc/membar x86→sparc verified=true | ld | st | RMW | MFENCE→MembarSL"},
+		{sparcToTCG, "sparc→tcg/verified sparc→tcg verified=true | ld;Frm | Fww;st | RMW^sc | " +
+			"MembarLL→Frr MembarLS→Frw MembarSL→Fwr MembarSS→Fww"},
+		{x86ToIMM, "x86→imm/verified x86→imm verified=true | ld;Frm | Fww;st | RMW^sc | MFENCE→Fsc"},
+		{immToArm, "imm→arm/verified imm→arm verified=true | ld | st | RMW1^AL | " + fig7b},
+	} {
+		if got := figure(c.tab); got != c.want {
+			t.Errorf("table differs from the figure:\n got  %s\n want %s", got, c.want)
+		}
+	}
+	// The enum lookups hand out exactly these values, and nothing for a
+	// pair the paper does not discuss.
+	for _, c := range []struct{ got, want *Scheme }{
+		{X86Qemu.Table(), x86ToTCGQemu}, {X86Verified.Table(), x86ToTCGVerified},
+		{X86NoFences.Table(), x86ToTCGNoFences},
+		{ArmTable(ArmVerified, RMWCasal), tcgToArmVerified},
+		{ArmTable(ArmVerified, RMWExclusiveFenced), tcgToArmVerifiedLxSx},
+		{ArmTable(ArmQemu, RMWHelperCasal), tcgToArmQemuCasal},
+		{ArmTable(ArmQemu, RMWHelperExclusiveAL), tcgToArmQemuLxSx},
+		{ArmTable(ArmQemu, RMWCasal), nil}, {ArmTable(ArmVerified, RMWHelperCasal), nil},
+		{ArmTable(ArmScheme(7), RMWCasal), nil}, {ArmTable(ArmVerified, RMWStyle(-1)), nil},
+	} {
+		if c.got != c.want {
+			t.Errorf("lookup returned %v, want %v", c.got, c.want)
+		}
+	}
+}
+
+// TestCloneSharesNothing: editing a Clone (and a relabelled table, which is
+// one) leaves the table the translator emits from alone.
+func TestCloneSharesNothing(t *testing.T) {
+	before := figure(x86ToTCGVerified)
+	for _, v := range []*Scheme{
+		x86ToTCGVerified.Clone(),
+		x86ToTCGVerified.relabel("copy", memmodel.LevelX86, memmodel.LevelIMM),
+	} {
+		v.Fences[memmodel.FenceMFENCE] = memmodel.FenceNone
+		v.Load.After = memmodel.FenceNone
+		if after := figure(x86ToTCGVerified); after != before {
+			t.Fatalf("editing a copy rewrote x86→tcg/verified: %s", after)
+		}
+	}
+}
+
+// TestUnknownTablePanicsByName: the lookups name the value they have no
+// table for instead of dereferencing nil.
+func TestUnknownTablePanicsByName(t *testing.T) {
+	for want, f := range map[string]func(){
+		"ArmScheme(0) with RMWStyle(0)": func() { TCGToArm(litmus.MP(), ArmQemu, RMWCasal) },
+		"X86Scheme(9)":                  func() { X86ToTCG(litmus.MP(), X86Scheme(9)) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+					t.Errorf("panicked with %q, want a message naming %s", msg, want)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // mpRMW is message passing whose flag write is an RMW: X=1; RMW(Y,0,1) ∥
 // a=Y; b=X. x86 forbids a=1,b=0. It is the one witness for the leading
 // DMBFF of DMBFF;RMW2;DMBFF — every corpus program passes without it.
@@ -186,10 +310,9 @@ type variant struct {
 func oneEntryLess(s *Scheme) []variant {
 	var out []variant
 	edit := func(entry string, row memmodel.Fence, f func(*Scheme)) {
-		v := *s
-		v.Fences = maps.Clone(s.Fences)
-		f(&v)
-		out = append(out, variant{entry, row, &v})
+		v := s.Clone()
+		f(v)
+		out = append(out, variant{entry, row, v})
 	}
 	for _, pl := range []struct {
 		name string

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -26,7 +27,9 @@ type RMWRule struct {
 
 // Scheme is one translation hop between two instruction levels, as a
 // table. Schemes are values: verifying a variant of one (an entry dropped
-// or weakened) means copying the struct and editing the copy.
+// or weakened) means editing a Clone. The package-level tables share their
+// Fences maps and are what the translator emits from, so a plain struct
+// copy still aliases them: never write through one.
 type Scheme struct {
 	// Name identifies the scheme ("x86→tcg/verified", …).
 	Name string
@@ -43,6 +46,13 @@ type Scheme struct {
 	Fences map[memmodel.Fence]memmodel.Fence
 	// RMW translates the source level's RMWs.
 	RMW RMWRule
+}
+
+// Clone returns a copy of the table sharing nothing with s.
+func (s *Scheme) Clone() *Scheme {
+	c := *s
+	c.Fences = maps.Clone(s.Fences)
+	return &c
 }
 
 // Fence returns what the scheme turns source fence k into (FenceNone =
@@ -254,9 +264,10 @@ var (
 )
 
 // relabel returns a copy of the table under another name and level pair.
-func (s Scheme) relabel(name string, src, dst memmodel.Level) *Scheme {
-	s.Name, s.Src, s.Dst = name, src, dst
-	return &s
+func (s *Scheme) relabel(name string, src, dst memmodel.Level) *Scheme {
+	c := s.Clone()
+	c.Name, c.Src, c.Dst = name, src, dst
+	return c
 }
 
 // X86ToSPARC translates an x86-level program to the SPARC level.
