@@ -56,8 +56,8 @@ func Enumerate(p *Program, m memmodel.Model, opts ...Option) (OutcomeSet, error)
 	return enumerate(p, m, o)
 }
 
-// enumerate is the single shared implementation behind Enumerate and the
-// deprecated Outcomes* wrappers.
+// enumerate is Enumerate with its options applied: the cache in front, the
+// instrumentation around, enumerateUninstrumented inside.
 func enumerate(p *Program, m memmodel.Model, o Options) (OutcomeSet, error) {
 	if o.Cache != nil {
 		return o.Cache.outcomes(p, m, o)
@@ -75,17 +75,21 @@ func enumerate(p *Program, m memmodel.Model, o Options) (OutcomeSet, error) {
 }
 
 func enumerateUninstrumented(p *Program, m memmodel.Model, o Options, sc *obs.Scope) (OutcomeSet, error) {
+	c, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
 	workers := o.workerCount()
 	if workers == 1 {
-		return outcomesSerial(p, m, o.Inject)
+		return outcomesSerial(c, m, o.Inject)
 	}
-	out, perr := outcomesSharded(p, m, o, workers, sc)
+	out, perr := outcomesSharded(c, m, o, workers, sc)
 	if perr == nil {
 		return out, nil
 	}
 	sc.Counter("serial_fallbacks").Inc()
 	sc.Event("litmus.serial_fallback", p.Name, -1, 0, 0)
-	out, serr := outcomesSerial(p, m, o.Inject)
+	out, serr := outcomesSerial(c, m, o.Inject)
 	if serr != nil {
 		t := faults.Wrap(faults.TrapWorkerPanic, serr,
 			"litmus %q: parallel enumeration failed (%v) and serial fallback also failed",

@@ -32,11 +32,11 @@ func TestFaultShardPanicFallsBackToSerial(t *testing.T) {
 // program, marked Injected, never as a live panic.
 func TestFaultShardPanicBecomesError(t *testing.T) {
 	p, m := MP(), x86tso.New()
-	shards := buildShards(p, 4)
+	shards := buildShards(mustCompile(p), 4)
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
-	out, err := runShard(p, m, shards[0], 0, in)
+	out, err := runShard(p.Name, m, shards[0], 0, in)
 	if out != nil || err == nil {
 		t.Fatalf("runShard = %v, %v; want nil set and error", out, err)
 	}

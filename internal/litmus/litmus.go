@@ -20,12 +20,21 @@
 // # Enumeration
 //
 // Candidate executions are produced by enumerating (1) each thread's
-// control path through its conditionals, (2) success/failure of each RMW on
-// the path, (3) a reads-from source for every read, and (4) a coherence
-// order per location; then replaying each thread's register dataflow to a
-// fixpoint to compute values, rejecting candidates whose branch decisions,
-// RMW success bits, or read values are inconsistent. Dependency relations
-// (data, ctrl, addr) are recorded during replay from load provenance.
+// control path through its conditionals, (2) success/failure of each RMW
+// and the location of each indexed access on the path, (3) a reads-from
+// source for every read, and (4) a coherence order per location.
+//
+// Each thread is lowered once per (path, choice bits) — by lower, the only
+// code that inspects an Op during enumeration — into its events, their
+// po/rmw/ctrl/data/addr edges and a flat list of value steps. The
+// dependency edges are emitted there, where the event is, from the
+// reaching definition of the register the event reads. That is sound
+// before any rf is chosen because a register's provenance is at most one
+// load and the path fixes it: a register holds nothing (reading it is an
+// error), the immediate of a mov (no dependency), or the value of the one
+// read event that last loaded it. Per rf choice the steps are then run to
+// a fixpoint to compute values, rejecting candidates whose branch
+// decisions, RMW success bits or index bits are inconsistent with them.
 //
 // Candidates whose values would require cyclic (out-of-thin-air)
 // justification are not generated; none of the models studied here admit
@@ -35,6 +44,7 @@ package litmus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/memmodel"
@@ -198,7 +208,7 @@ func (p *Program) Locations() []Loc {
 // ---- Path linearization ----------------------------------------------
 
 // linOp is one element of a linearized thread path: either a concrete op
-// or a branch assumption that replay must validate.
+// or a branch assumption that value resolution must validate.
 type linOp struct {
 	op     Op          // nil for assumptions
 	assume *assumption // nil for ops
@@ -243,37 +253,203 @@ func linearize(ops []Op) [][]linOp {
 	return paths
 }
 
-// countChoices returns how many binary choice points a path contains:
-// each CAS contributes a success/failure bit, each LoadIdx/StoreIdx a
-// location-selection bit.
-func countChoices(path []linOp) int {
-	n := 0
-	for _, lo := range path {
-		switch lo.op.(type) {
-		case CAS, LoadIdx, StoreIdx:
-			n++
+// ---- Thread code -------------------------------------------------------
+
+// operand is what a register read resolves to on a fixed path — its
+// reaching definition: the read event (thread-local index) that last loaded
+// the register, or, when ev < 0, the immediate a mov left in it.
+type operand struct {
+	ev  int
+	imm int64
+}
+
+type stepKind uint8
+
+const (
+	stepRead   stepKind = iota // event ev takes the value of its rf source
+	stepWrite                  // event ev takes the value of src (storereg)
+	stepAssume                 // branch decision: (src == val) must equal want; unresolved, it blocks the thread
+	stepCAS                    // success bit: (src == val) must equal want
+	stepIndex                  // location bit: (src is odd) must equal want
+)
+
+// step is one value-resolution action of a thread, run in path order once
+// an rf is chosen. Event indices are thread-local.
+type step struct {
+	kind stepKind
+	ev   int     // stepRead, stepWrite: the event resolved
+	src  operand // every kind but stepRead: the value consumed
+	val  int64
+	want bool
+}
+
+// regDef is the definition of a register that reaches the end of the path.
+type regDef struct {
+	reg Reg
+	def operand
+}
+
+// threadCode is one thread lowered for one control path and one setting of
+// its choice bits: everything enumeration needs of the thread, with no Op
+// left to interpret. Event IDs and relation edges are thread-local;
+// newSkeletonJob relocates them.
+type threadCode struct {
+	events                []memmodel.Event
+	rmw, data, addr, ctrl []rel.Pair
+	steps                 []step
+	regs                  []regDef
+	// choices is how many choice bits the path consumes: one per CAS
+	// (success/failure), one per LoadIdx/StoreIdx (location selection).
+	choices int
+}
+
+// lower compiles one linearized path of thread t, taking choice bit i from
+// bit i of mask. It is the only place enumeration inspects an Op: the event
+// each op emits, the dependency edges into it and the steps that later give
+// it a value all come from this one walk. A register read is resolved here
+// to its reaching definition, which the path fixes: a register holds either
+// nothing, an immediate, or the value of exactly one read event, so its
+// provenance never depends on the values an rf choice produces. A read with
+// no reaching definition is an error.
+func lower(prog string, t int, path []linOp, mask int) (*threadCode, error) {
+	tc := &threadCode{}
+	defs := make(map[Reg]operand)
+	var ctrlSrcs []int
+	var err error
+	use := func(r Reg) operand {
+		d, ok := defs[r]
+		if !ok && err == nil {
+			err = fmt.Errorf("litmus %q: thread %d reads register %q before anything on the path assigns it", prog, t, r)
+		}
+		return d
+	}
+	choose := func() bool {
+		tc.choices++
+		return mask>>(tc.choices-1)&1 == 1
+	}
+	emit := func(e memmodel.Event) int {
+		e.ID, e.Thread = len(tc.events), t
+		tc.events = append(tc.events, e)
+		for _, s := range ctrlSrcs {
+			tc.ctrl = append(tc.ctrl, rel.Pair{From: s, To: e.ID})
+		}
+		return e.ID
+	}
+	read := func(dst Reg, loc Loc, a Attr, class memmodel.RMWClass) int {
+		id := emit(memmodel.Event{Kind: memmodel.KindRead, Loc: string(loc),
+			Acq: a.Acq, AcqPC: a.AcqPC, SC: a.SC, RMW: class})
+		tc.steps = append(tc.steps, step{kind: stepRead, ev: id})
+		if dst != "" {
+			defs[dst] = operand{ev: id}
+		}
+		return id
+	}
+	// dep records a dependency edge from the load src came from, if any.
+	dep := func(edges *[]rel.Pair, src operand, id int) {
+		if src.ev >= 0 {
+			*edges = append(*edges, rel.Pair{From: src.ev, To: id})
 		}
 	}
-	return n
+	// index consumes the location bit of an indexed access.
+	index := func(idx Reg, loc0, loc1 Loc) (operand, Loc) {
+		src, odd := use(idx), choose()
+		tc.steps = append(tc.steps, step{kind: stepIndex, src: src, want: odd})
+		if odd {
+			return src, loc1
+		}
+		return src, loc0
+	}
+	for _, lo := range path {
+		if a := lo.assume; a != nil {
+			src := use(a.reg)
+			if src.ev >= 0 {
+				ctrlSrcs = append(ctrlSrcs, src.ev)
+			}
+			tc.steps = append(tc.steps, step{kind: stepAssume, src: src, val: a.val, want: a.eq})
+			continue
+		}
+		switch o := lo.op.(type) {
+		case Store:
+			emit(memmodel.Event{Kind: memmodel.KindWrite, Loc: string(o.Loc), Val: o.Val,
+				Acq: o.Acq, AcqPC: o.AcqPC, Rel: o.Rel, SC: o.SC})
+		case StoreReg:
+			src := use(o.Src)
+			id := emit(memmodel.Event{Kind: memmodel.KindWrite, Loc: string(o.Loc),
+				Acq: o.Acq, AcqPC: o.AcqPC, Rel: o.Rel, SC: o.SC})
+			dep(&tc.data, src, id)
+			// A step even for an immediate: the value is there once the
+			// thread gets this far, not before (see stepAssume).
+			tc.steps = append(tc.steps, step{kind: stepWrite, ev: id, src: src})
+		case Load:
+			read(o.Dst, o.Loc, o.Attr, memmodel.RMWNone)
+		case LoadIdx:
+			src, loc := index(o.Idx, o.Loc0, o.Loc1)
+			dep(&tc.addr, src, read(o.Dst, loc, o.Attr, memmodel.RMWNone))
+		case StoreIdx:
+			src, loc := index(o.Idx, o.Loc0, o.Loc1)
+			dep(&tc.addr, src, emit(memmodel.Event{Kind: memmodel.KindWrite, Loc: string(loc),
+				Val: o.Val, Rel: o.Rel, SC: o.SC}))
+		case CAS:
+			ok := choose()
+			rid := read(o.Dst, o.Loc, o.Attr, o.Class)
+			tc.steps = append(tc.steps, step{kind: stepCAS, src: operand{ev: rid}, val: o.Expect, want: ok})
+			if ok {
+				wid := emit(memmodel.Event{Kind: memmodel.KindWrite, Loc: string(o.Loc), Val: o.New,
+					Rel: o.Rel, SC: o.SC, RMW: o.Class})
+				tc.rmw = append(tc.rmw, rel.Pair{From: rid, To: wid})
+			}
+		case Fence:
+			emit(memmodel.Event{Kind: memmodel.KindFence, Fence: o.K})
+		case MovImm:
+			defs[o.Dst] = operand{ev: -1, imm: o.Val}
+		}
+	}
+	for r, d := range defs {
+		tc.regs = append(tc.regs, regDef{r, d})
+	}
+	return tc, err
+}
+
+// code is a program lowered for enumeration: its locations and, per thread,
+// one threadCode for every (control path, choice bits) pair.
+type code struct {
+	name    string
+	locs    []Loc
+	threads [][]*threadCode
+}
+
+// compile lowers every thread of p. It fails on a register read that some
+// path reaches with nothing assigned to the register: such a read has no
+// value under any rf, and enumerating around it would silently drop every
+// execution of the path.
+func compile(p *Program) (*code, error) {
+	c := &code{name: p.Name, locs: p.Locations(), threads: make([][]*threadCode, len(p.Threads))}
+	for t, ops := range p.Threads {
+		for _, path := range linearize(ops) {
+			// The first lowering (all bits clear) says how many bits there are.
+			for mask, n := 0, 0; mask < 1<<n; mask++ {
+				tc, err := lower(p.Name, t, path, mask)
+				if err != nil {
+					return nil, err
+				}
+				n = tc.choices
+				c.threads[t] = append(c.threads[t], tc)
+			}
+		}
+	}
+	return c, nil
+}
+
+// mustCompile is compile for the entrypoints that cannot return an error.
+func mustCompile(p *Program) *code {
+	c, err := compile(p)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // ---- Skeletons ---------------------------------------------------------
-
-// skelEvent is an event before value resolution.
-type skelEvent struct {
-	ev memmodel.Event
-	// source describes how the event's value is produced during replay.
-	srcReg   Reg  // for StoreReg writes
-	constVal bool // value already known (constant stores, CAS writes)
-}
-
-// threadSkel is one thread's event skeleton for a fixed path and fixed
-// choice bits (CAS success, indexed-access location selection), consumed
-// in path order.
-type threadSkel struct {
-	path []linOp
-	bits []bool
-}
 
 // Candidate executions carry their final register files so outcomes can
 // observe registers (the paper observes thread-local variables by
@@ -288,8 +464,10 @@ type Candidate struct {
 // EnumerateCandidates produces every well-formed candidate execution of
 // p. fn is called for each; enumeration stops if fn returns false. (The
 // name Enumerate belongs to the model-level outcome API in enumerate.go.)
+// Like Outcomes it panics on a program that reads an unassigned register;
+// Enumerate returns that as an error.
 func EnumerateCandidates(p *Program, fn func(*Candidate) bool) {
-	forEachJob(p, func(j *skeletonJob) bool {
+	mustCompile(p).forEachJob(func(j *skeletonJob) bool {
 		return j.enumerate(nil, fn)
 	})
 }
@@ -297,22 +475,15 @@ func EnumerateCandidates(p *Program, fn func(*Candidate) bool) {
 // forEachJob builds the skeleton job for every skeleton combination (the
 // Cartesian product of per-thread control paths × choice bits) and invokes
 // fn on each, stopping early if fn returns false.
-func forEachJob(p *Program, fn func(*skeletonJob) bool) {
-	locs := p.Locations()
-	perThread := skeletonsPerThread(p)
-
-	choice := make([]int, len(p.Threads))
+func (c *code) forEachJob(fn func(*skeletonJob) bool) {
+	pick := make([]*threadCode, len(c.threads))
 	var rec func(t int) bool
 	rec = func(t int) bool {
-		if t == len(p.Threads) {
-			skels := make([]threadSkel, len(p.Threads))
-			for i, c := range choice {
-				skels[i] = perThread[i][c]
-			}
-			return fn(newSkeletonJob(locs, skels))
+		if t == len(pick) {
+			return fn(newSkeletonJob(c.locs, pick))
 		}
-		for i := range perThread[t] {
-			choice[t] = i
+		for _, tc := range c.threads[t] {
+			pick[t] = tc
 			if !rec(t + 1) {
 				return false
 			}
@@ -322,288 +493,88 @@ func forEachJob(p *Program, fn func(*skeletonJob) bool) {
 	rec(0)
 }
 
-// skeletonsPerThread computes, per thread, every (path, choiceBits) skeleton.
-func skeletonsPerThread(p *Program) [][]threadSkel {
-	perThread := make([][]threadSkel, len(p.Threads))
-	for t, ops := range p.Threads {
-		for _, path := range linearize(ops) {
-			n := countChoices(path)
-			for mask := 0; mask < 1<<n; mask++ {
-				bits := make([]bool, n)
-				for i := 0; i < n; i++ {
-					bits[i] = mask&(1<<i) != 0
-				}
-				perThread[t] = append(perThread[t], threadSkel{path, bits})
-			}
-		}
-	}
-	return perThread
-}
-
 // skeletonJob is the prepared event structure for one skeleton combination
 // (fixed control paths and choice bits across all threads). It is immutable
 // once built: enumerate may be called concurrently from several goroutines
 // with disjoint rf prefixes, which is how Enumerate shards the search.
 type skeletonJob struct {
-	locs      []Loc
-	skels     []threadSkel
-	events    []memmodel.Event
-	sev       []skelEvent
-	po, rmw   *rel.Relation
-	eventIDs  [][]int
-	reads     []int
+	locs    []Loc
+	threads []*threadCode
+	// base[t] is the ID of thread t's first event: what relocates the
+	// thread-local indices of threads[t].
+	base   []int
+	events []memmodel.Event
+	// fixed[id] says event id's value is known before any rf is chosen;
+	// the others — the reads and the register-fed writes — get theirs from
+	// a stepRead or stepWrite.
+	fixed []bool
+	reads []int
+	// writersOf[loc] lists the writes to loc by ID, the init write first.
 	writersOf map[string][]int
-	// rfSlot[id] is the index into reads of read event id, -1 otherwise.
-	rfSlot []int
-	// data, addr, ctrl are the syntactic dependency relations. They are
-	// structural: provenance tracking depends only on the fixed path and
-	// choice bits, never on resolved values, so the relations are computed
-	// once here instead of per candidate.
-	data, addr, ctrl *rel.Relation
 	// skel is the candidate-invariant part shared by every Execution this
-	// job emits; memmodel.NewChecker hoists per-skeleton work off it.
+	// job emits — po, rmw and the syntactic dependencies, which the paths
+	// and choice bits fix; memmodel.NewChecker hoists per-skeleton work off
+	// it.
 	skel *memmodel.Skeleton
 }
 
-// newSkeletonJob builds the event set for fixed paths/success bits and
-// precomputes the read list and per-location writer candidates.
-func newSkeletonJob(locs []Loc, skels []threadSkel) *skeletonJob {
-	var events []memmodel.Event
-	var sev []skelEvent
-	po := rel.New()
-	rmw := rel.New()
-
-	addEvent := func(e memmodel.Event, src Reg, constVal bool) int {
-		e.ID = len(events)
-		events = append(events, e)
-		sev = append(sev, skelEvent{ev: e, srcReg: src, constVal: constVal})
-		return e.ID
-	}
-
-	// Init writes.
-	initOf := make(map[Loc]int)
-	for _, l := range locs {
-		id := addEvent(memmodel.Event{
-			Thread: memmodel.InitThread,
-			Kind:   memmodel.KindWrite,
-			Loc:    string(l),
-			Val:    0,
-		}, "", true)
-		initOf[l] = id
-	}
-
-	// Thread events: eventIDs[t] lists thread t's events in program order.
-	eventIDs := make([][]int, len(skels))
-	for t, sk := range skels {
-		choiceIdx := 0
-		nextBit := func() bool {
-			b := sk.bits[choiceIdx]
-			choiceIdx++
-			return b
-		}
-		var ids []int
-		for _, lo := range sk.path {
-			if lo.assume != nil {
-				continue
-			}
-			switch o := lo.op.(type) {
-			case Store:
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindWrite, Loc: string(o.Loc),
-					Val: o.Val, Acq: o.Acq, AcqPC: o.AcqPC, Rel: o.Rel, SC: o.SC,
-				}, "", true)
-				ids = append(ids, id)
-			case StoreReg:
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindWrite, Loc: string(o.Loc),
-					Acq: o.Acq, AcqPC: o.AcqPC, Rel: o.Rel, SC: o.SC,
-				}, o.Src, false)
-				ids = append(ids, id)
-			case Load:
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindRead, Loc: string(o.Loc),
-					Acq: o.Acq, AcqPC: o.AcqPC, SC: o.SC,
-				}, "", false)
-				ids = append(ids, id)
-			case LoadIdx:
-				loc := o.Loc0
-				if nextBit() {
-					loc = o.Loc1
-				}
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindRead, Loc: string(loc),
-					Acq: o.Acq, AcqPC: o.AcqPC, SC: o.SC,
-				}, "", false)
-				ids = append(ids, id)
-			case StoreIdx:
-				loc := o.Loc0
-				if nextBit() {
-					loc = o.Loc1
-				}
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindWrite, Loc: string(loc),
-					Val: o.Val, Rel: o.Rel, SC: o.SC,
-				}, "", true)
-				ids = append(ids, id)
-			case CAS:
-				ok := nextBit()
-				rid := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindRead, Loc: string(o.Loc),
-					Acq: o.Acq, AcqPC: o.AcqPC, SC: o.SC, RMW: o.Class,
-				}, "", false)
-				ids = append(ids, rid)
-				if ok {
-					wid := addEvent(memmodel.Event{
-						Thread: t, Kind: memmodel.KindWrite, Loc: string(o.Loc),
-						Val: o.New, Rel: o.Rel, SC: o.SC, RMW: o.Class,
-					}, "", true)
-					ids = append(ids, wid)
-					rmw.Add(rid, wid)
-				}
-			case Fence:
-				id := addEvent(memmodel.Event{
-					Thread: t, Kind: memmodel.KindFence, Fence: o.K,
-				}, "", true)
-				ids = append(ids, id)
-			case MovImm:
-				// No event.
-			}
-		}
-		eventIDs[t] = ids
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				po.Add(ids[i], ids[j])
-			}
-		}
-	}
-
-	// Precompute rf enumeration inputs: the reads, and for each location the
-	// candidate writers.
-	reads := make([]int, 0)
-	for _, e := range events {
-		if e.Kind == memmodel.KindRead {
-			reads = append(reads, e.ID)
-		}
-	}
-	writersOf := make(map[string][]int)
-	for _, e := range events {
-		if e.Kind == memmodel.KindWrite {
-			writersOf[e.Loc] = append(writersOf[e.Loc], e.ID)
-		}
-	}
-	rfSlot := make([]int, len(events))
-	for i := range rfSlot {
-		rfSlot[i] = -1
-	}
-	for i, r := range reads {
-		rfSlot[r] = i
-	}
-
-	data, addrRel, ctrl := buildDeps(skels, eventIDs)
+// newSkeletonJob lays the init writes and the chosen threads' events out in
+// one ID space and relocates the threads' relations into it.
+func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
 	j := &skeletonJob{
 		locs:      locs,
-		skels:     skels,
-		events:    events,
-		sev:       sev,
-		po:        po,
-		rmw:       rmw,
-		eventIDs:  eventIDs,
-		reads:     reads,
-		writersOf: writersOf,
-		rfSlot:    rfSlot,
-		data:      data,
-		addr:      addrRel,
-		ctrl:      ctrl,
+		threads:   append([]*threadCode(nil), threads...),
+		base:      make([]int, len(threads)),
+		writersOf: make(map[string][]int, len(locs)),
 	}
-	j.skel = &memmodel.Skeleton{
-		Events: events,
-		Po:     po,
-		Rmw:    rmw,
-		Data:   data,
-		Addr:   addrRel,
-		Ctrl:   ctrl,
+	for _, l := range locs {
+		j.writersOf[string(l)] = []int{len(j.events)}
+		j.events = append(j.events, memmodel.Event{
+			ID: len(j.events), Thread: memmodel.InitThread, Kind: memmodel.KindWrite, Loc: string(l),
+		})
 	}
+	sk := &memmodel.Skeleton{Po: rel.New(), Rmw: rel.New(), Data: rel.New(), Addr: rel.New(), Ctrl: rel.New()}
+	for t, tc := range threads {
+		base := len(j.events)
+		j.base[t] = base
+		for _, e := range tc.events {
+			e.ID += base
+			for prev := base; prev < e.ID; prev++ {
+				sk.Po.Add(prev, e.ID)
+			}
+			switch e.Kind {
+			case memmodel.KindRead:
+				j.reads = append(j.reads, e.ID)
+			case memmodel.KindWrite:
+				j.writersOf[e.Loc] = append(j.writersOf[e.Loc], e.ID)
+			}
+			j.events = append(j.events, e)
+		}
+		relocate := func(into *rel.Relation, edges []rel.Pair) {
+			for _, e := range edges {
+				into.Add(base+e.From, base+e.To)
+			}
+		}
+		relocate(sk.Rmw, tc.rmw)
+		relocate(sk.Data, tc.data)
+		relocate(sk.Addr, tc.addr)
+		relocate(sk.Ctrl, tc.ctrl)
+	}
+	// Every event's value is lower's, except those a step resolves.
+	j.fixed = make([]bool, len(j.events))
+	for id := range j.fixed {
+		j.fixed[id] = true
+	}
+	for t, tc := range threads {
+		for _, s := range tc.steps {
+			if s.kind == stepRead || s.kind == stepWrite {
+				j.fixed[j.base[t]+s.ev] = false
+			}
+		}
+	}
+	sk.Events = j.events
+	j.skel = sk
 	return j
-}
-
-// buildDeps extracts the data/addr/ctrl dependency relations by walking
-// each thread's path tracking load provenance only — no values. Replay
-// performs the identical provenance updates (MovImm clears, loads
-// overwrite), so the dependency edges of every accepted candidate equal
-// this structural set; see TestDepsMatchReplay.
-func buildDeps(skels []threadSkel, eventIDs [][]int) (data, addrRel, ctrl *rel.Relation) {
-	data, addrRel, ctrl = rel.New(), rel.New(), rel.New()
-	for t := range skels {
-		prov := make(map[Reg][]int)
-		var ctrlSrcs []int
-		choiceIdx := 0
-		nextBit := func() bool {
-			b := skels[t].bits[choiceIdx]
-			choiceIdx++
-			return b
-		}
-		evPos := 0
-		nextEvent := func() int {
-			id := eventIDs[t][evPos]
-			evPos++
-			return id
-		}
-		addCtrl := func(id int) {
-			for _, s := range ctrlSrcs {
-				ctrl.Add(s, id)
-			}
-		}
-		for _, lo := range skels[t].path {
-			if lo.assume != nil {
-				ctrlSrcs = append(ctrlSrcs, prov[lo.assume.reg]...)
-				continue
-			}
-			switch o := lo.op.(type) {
-			case Store:
-				addCtrl(nextEvent())
-			case StoreReg:
-				id := nextEvent()
-				addCtrl(id)
-				for _, s := range prov[o.Src] {
-					data.Add(s, id)
-				}
-			case Load:
-				id := nextEvent()
-				addCtrl(id)
-				prov[o.Dst] = []int{id}
-			case LoadIdx:
-				nextBit()
-				id := nextEvent()
-				addCtrl(id)
-				for _, s := range prov[o.Idx] {
-					addrRel.Add(s, id)
-				}
-				prov[o.Dst] = []int{id}
-			case StoreIdx:
-				nextBit()
-				id := nextEvent()
-				addCtrl(id)
-				for _, s := range prov[o.Idx] {
-					addrRel.Add(s, id)
-				}
-			case CAS:
-				success := nextBit()
-				rid := nextEvent()
-				addCtrl(rid)
-				if o.Dst != "" {
-					prov[o.Dst] = []int{rid}
-				}
-				if success {
-					addCtrl(nextEvent())
-				}
-			case Fence:
-				addCtrl(nextEvent())
-			case MovImm:
-				prov[o.Dst] = nil
-			}
-		}
-	}
-	return data, addrRel, ctrl
 }
 
 // enumerate walks every rf assignment extending the fixed prefix (rfPrefix[i]
@@ -629,266 +600,124 @@ func (j *skeletonJob) enumerate(rfPrefix []int, fn func(*Candidate) bool) bool {
 	return recRF(len(rfPrefix))
 }
 
-// enumerateCO resolves values for the chosen rf, validates the candidate,
-// then enumerates coherence orders. Dependency relations are not touched
-// here: they are structural and already hoisted onto the job.
+// enumerateCO resolves values for the chosen rf by running the threads'
+// steps to a fixpoint, drops the candidate if a branch decision or choice
+// bit turns out wrong or a value has only a cyclic justification, then
+// enumerates coherence orders.
 func (j *skeletonJob) enumerateCO(rfChoice []int, fn func(*Candidate) bool) bool {
-	events, sev, skels := j.events, j.sev, j.skels
-	eventIDs := j.eventIDs
-	reads, locs := j.reads, j.locs
-
-	rfOf := make([]int, len(events)) // read event ID -> writer event ID
-	for i, r := range reads {
+	n := len(j.events)
+	rfOf := make([]int, n) // read event ID -> writer event ID
+	for i, r := range j.reads {
 		rfOf[r] = rfChoice[i]
 	}
-
-	// Value resolution to fixpoint + validation.
-	vals := make([]int64, len(events))
-	known := make([]bool, len(events))
-	nKnown := 0
-	setKnown := func(id int, v int64) {
-		vals[id] = v
-		if !known[id] {
-			known[id] = true
-			nKnown++
-		}
-	}
-	for _, se := range sev {
-		if se.constVal {
-			setKnown(se.ev.ID, se.ev.Val)
-		}
+	vals := make([]int64, n)
+	known := make([]bool, n)
+	copy(known, j.fixed)
+	for id, e := range j.events {
+		vals[id] = e.Val
 	}
 
-	type replayResult struct {
-		ok       bool // assumptions/choice bits hold so far
-		complete bool // all values resolved
-		regs     map[Reg]int64
-	}
-
-	replayThread := func(t int) replayResult {
-		res := replayResult{ok: true, complete: true, regs: make(map[Reg]int64)}
-		prov := make(map[Reg][]int) // load provenance per register
-		choiceIdx := 0
-		nextBit := func() bool {
-			b := skels[t].bits[choiceIdx]
-			choiceIdx++
-			return b
-		}
-		evPos := 0
-		nextEvent := func() int {
-			id := eventIDs[t][evPos]
-			evPos++
-			return id
-		}
-		for _, lo := range skels[t].path {
-			if lo.assume != nil {
-				a := lo.assume
-				v, haveVal := res.regs[a.reg]
-				srcsKnown := true
-				for _, s := range prov[a.reg] {
-					if !known[s] {
-						srcsKnown = false
+	for complete := false; !complete; {
+		complete = true
+		progress := false
+		for t, tc := range j.threads {
+			// k and v are this thread's window: thread-local indices apply.
+			base := j.base[t]
+			k, v := known[base:], vals[base:]
+		thread:
+			for _, s := range tc.steps {
+				if s.kind == stepRead {
+					if w := rfOf[base+s.ev]; !known[w] {
+						complete = false
+					} else if !k[s.ev] {
+						k[s.ev], v[s.ev], progress = true, vals[w], true
+					}
+					continue
+				}
+				x := s.src.imm
+				if s.src.ev >= 0 {
+					if !k[s.src.ev] {
+						complete = false
+						if s.kind == stepAssume {
+							// Nothing after an undecided branch runs: a value
+							// that flows back into its own branch condition
+							// stays unknown, like any other cyclic one.
+							break thread
+						}
+						continue
+					}
+					x = v[s.src.ev]
+				}
+				switch s.kind {
+				case stepWrite:
+					if !k[s.ev] {
+						k[s.ev], v[s.ev], progress = true, x, true
+					}
+				case stepAssume, stepCAS:
+					if (x == s.val) != s.want {
+						return true // inconsistent candidate; skip, continue enumeration
+					}
+				case stepIndex:
+					if (x&1 == 1) != s.want {
+						return true
 					}
 				}
-				if !haveVal || !srcsKnown {
-					res.complete = false
-					return res
-				}
-				if (v == a.val) != a.eq {
-					res.ok = false
-					return res
-				}
-				continue
-			}
-			switch o := lo.op.(type) {
-			case Store:
-				nextEvent()
-			case StoreReg:
-				id := nextEvent()
-				v, haveVal := res.regs[o.Src]
-				allKnown := haveVal
-				for _, s := range prov[o.Src] {
-					if !known[s] {
-						allKnown = false
-					}
-				}
-				if allKnown {
-					setKnown(id, v)
-				} else {
-					res.complete = false
-				}
-			case Load:
-				id := nextEvent()
-				w := rfOf[id]
-				if known[w] {
-					setKnown(id, vals[w])
-					res.regs[o.Dst] = vals[w]
-				} else {
-					res.complete = false
-				}
-				prov[o.Dst] = []int{id}
-			case LoadIdx:
-				chosen := nextBit()
-				id := nextEvent()
-				idxVal, haveIdx := res.regs[o.Idx]
-				idxKnown := haveIdx
-				for _, s := range prov[o.Idx] {
-					if !known[s] {
-						idxKnown = false
-					}
-				}
-				if !idxKnown {
-					res.complete = false
-				} else if (idxVal&1 == 1) != chosen {
-					res.ok = false
-					return res
-				}
-				w := rfOf[id]
-				if known[w] {
-					setKnown(id, vals[w])
-					res.regs[o.Dst] = vals[w]
-				} else {
-					res.complete = false
-				}
-				prov[o.Dst] = []int{id}
-			case StoreIdx:
-				chosen := nextBit()
-				nextEvent()
-				idxVal, haveIdx := res.regs[o.Idx]
-				idxKnown := haveIdx
-				for _, s := range prov[o.Idx] {
-					if !known[s] {
-						idxKnown = false
-					}
-				}
-				if !idxKnown {
-					res.complete = false
-				} else if (idxVal&1 == 1) != chosen {
-					res.ok = false
-					return res
-				}
-			case CAS:
-				success := nextBit()
-				rid := nextEvent()
-				w := rfOf[rid]
-				if known[w] {
-					setKnown(rid, vals[w])
-					if (vals[w] == o.Expect) != success {
-						res.ok = false
-						return res
-					}
-					if o.Dst != "" {
-						res.regs[o.Dst] = vals[w]
-					}
-				} else {
-					res.complete = false
-				}
-				if o.Dst != "" {
-					prov[o.Dst] = []int{rid}
-				}
-				if success {
-					// Write value is the constant o.New, already known.
-					nextEvent()
-				}
-			case Fence:
-				nextEvent()
-			case MovImm:
-				res.regs[o.Dst] = o.Val
-				prov[o.Dst] = nil
 			}
 		}
-		return res
-	}
-
-	// Fixpoint: replay until value knowledge stabilizes.
-	var results []replayResult
-	for iter := 0; ; iter++ {
-		results = results[:0]
-		allOK, allComplete := true, true
-		knownBefore := nKnown
-		for t := range skels {
-			r := replayThread(t)
-			results = append(results, r)
-			if !r.ok {
-				allOK = false
-			}
-			if !r.complete {
-				allComplete = false
-			}
-		}
-		if !allOK {
-			return true // inconsistent candidate; skip, continue enumeration
-		}
-		if allComplete {
-			break
-		}
-		if nKnown == knownBefore {
+		if !complete && !progress {
 			// Cyclic value dependency (thin air) — not generated.
-			return true
-		}
-		if iter > len(events)+2 {
 			return true
 		}
 	}
 
 	// Materialize values into events.
-	resolved := make([]memmodel.Event, len(events))
-	copy(resolved, events)
+	resolved := make([]memmodel.Event, n)
+	copy(resolved, j.events)
 	for id := range resolved {
 		resolved[id].Val = vals[id]
 	}
 
 	// rf relation (value consistency holds by construction).
-	rf := rel.NewSized(len(events))
-	for i, r := range reads {
+	rf := rel.NewSized(n)
+	for i, r := range j.reads {
 		rf.Add(rfChoice[i], r)
 	}
 
-	regs := make([]map[Reg]int64, len(results))
-	for t, rr := range results {
-		regs[t] = rr.regs
+	regs := make([]map[Reg]int64, len(j.threads))
+	for t, tc := range j.threads {
+		regs[t] = make(map[Reg]int64, len(tc.regs))
+		for _, r := range tc.regs {
+			v := r.def.imm
+			if r.def.ev >= 0 {
+				v = vals[j.base[t]+r.def.ev]
+			}
+			regs[t][r.reg] = v
+		}
 	}
 
 	// co enumeration: per-location total orders over non-init writes with
 	// the init write first.
-	var locList []string
-	for _, l := range locs {
-		locList = append(locList, string(l))
-	}
-	perLocWriters := make(map[string][]int)
-	initWriter := make(map[string]int)
-	for _, e := range resolved {
-		if e.Kind != memmodel.KindWrite {
-			continue
-		}
-		if e.IsInit() {
-			initWriter[e.Loc] = e.ID
-		} else {
-			perLocWriters[e.Loc] = append(perLocWriters[e.Loc], e.ID)
-		}
-	}
-
 	co := rel.New()
 	var recCO func(li int) bool
 	recCO = func(li int) bool {
-		if li == len(locList) {
+		if li == len(j.locs) {
 			// Candidate-invariant relations are shared from the job; only
 			// the events (values), rf and co are per-candidate.
+			sk := j.skel
 			x := &memmodel.Execution{
 				Events: resolved,
-				Po:     j.po,
+				Po:     sk.Po,
 				Rf:     rf,
 				Co:     co.Clone(),
-				Rmw:    j.rmw,
-				Data:   j.data,
-				Addr:   j.addr,
-				Ctrl:   j.ctrl,
+				Rmw:    sk.Rmw,
+				Data:   sk.Data,
+				Addr:   sk.Addr,
+				Ctrl:   sk.Ctrl,
 			}
 			return fn(&Candidate{X: x, Regs: regs})
 		}
-		loc := locList[li]
-		ws := perLocWriters[loc]
-		init := initWriter[loc]
+		writers := j.writersOf[string(j.locs[li])]
+		init, ws := writers[0], writers[1:]
 		cont := true
 		rel.TotalOrders(ws, func(order *rel.Relation) bool {
 			saved := co
@@ -911,42 +740,52 @@ func (j *skeletonJob) enumerateCO(rfChoice []int, fn func(*Candidate) bool) bool
 // values per thread followed by final memory values.
 type Outcome string
 
-// OutcomeOf renders a candidate's observable state: final register values
-// per thread followed by final memory values. Exported so external
-// packages (generator tests, differential harnesses) can compute outcome
-// sets through EnumerateCandidates and compare them against Enumerate's.
-func OutcomeOf(c *Candidate) Outcome { return outcomeOf(c) }
-
-// outcomeOf renders a candidate's observable state.
-func outcomeOf(c *Candidate) Outcome {
-	var parts []string
-	for t, regs := range c.Regs {
-		keys := make([]string, 0, len(regs))
-		for r := range regs {
-			keys = append(keys, string(r))
+// NewOutcome renders an observable result — per-thread final register values
+// (thread index, then register name) followed by final memory (location
+// name). It is the only place the format is written down: the enumerator's
+// candidates and opcheck's machine runs both come through here, so their
+// outcome sets compare as strings.
+func NewOutcome(regs []map[Reg]int64, mem map[string]int64) Outcome {
+	var b []byte
+	var names []string
+	for t, rs := range regs {
+		names = names[:0]
+		for r := range rs {
+			names = append(names, string(r))
 		}
-		sort.Strings(keys)
-		for _, r := range keys {
-			parts = append(parts, fmt.Sprintf("%d:%s=%d", t, r, regs[Reg(r)]))
+		sort.Strings(names)
+		for _, r := range names {
+			b = strconv.AppendInt(b, int64(t), 10)
+			b = append(append(append(b, ':'), r...), '=')
+			b = append(strconv.AppendInt(b, rs[Reg(r)], 10), ' ')
 		}
 	}
-	parts = append(parts, memmodel.BehavKey(c.X.Behav()))
-	return Outcome(strings.Join(parts, " "))
+	return Outcome(append(b, memmodel.BehavKey(mem)...))
 }
+
+// OutcomeOf renders a candidate's observable state. Exported so external
+// packages (generator tests, differential harnesses) can compute outcome
+// sets through EnumerateCandidates and compare them against Enumerate's.
+func OutcomeOf(c *Candidate) Outcome { return NewOutcome(c.Regs, c.X.Behav()) }
 
 // OutcomeSet is a set of observable outcomes.
 type OutcomeSet map[Outcome]bool
 
-// Outcomes computes the set of outcomes of p admitted by model m. Each
-// skeleton job gets one memmodel.Checker (the candidate-invariant
-// relations evaluated once) reused across its whole rf×co product.
-func Outcomes(p *Program, m memmodel.Model) OutcomeSet {
+// Outcomes computes the set of outcomes of p admitted by model m on the
+// serial reference path. It panics on a program that reads an unassigned
+// register; Enumerate returns that as an error.
+func Outcomes(p *Program, m memmodel.Model) OutcomeSet { return mustCompile(p).outcomes(m) }
+
+// outcomes gives each skeleton job one memmodel.Checker (the
+// candidate-invariant relations evaluated once) reused across the job's
+// whole rf×co product.
+func (c *code) outcomes(m memmodel.Model) OutcomeSet {
 	out := make(OutcomeSet)
-	forEachJob(p, func(j *skeletonJob) bool {
+	c.forEachJob(func(j *skeletonJob) bool {
 		ck := memmodel.NewChecker(m, j.skel)
 		cont := j.enumerate(nil, func(c *Candidate) bool {
 			if ck.Consistent(c.X) {
-				out[outcomeOf(c)] = true
+				out[OutcomeOf(c)] = true
 			}
 			return true
 		})

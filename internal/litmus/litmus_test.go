@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/memmodel"
@@ -253,4 +254,38 @@ func TestFenceEventsGenerated(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// TestUnassignedRegisterIsAnError: a path that reads a register nothing on
+// it assigned has no executions, so enumerating it used to return a smaller
+// (here: empty) outcome set with a nil error, and every forbid expectation
+// and Theorem 1 containment over it held vacuously. Each reading op is
+// tried, plus a register assigned only on the path not taken.
+func TestUnassignedRegisterIsAnError(t *testing.T) {
+	writer := []Op{Store{Loc: "X", Val: 1}, Store{Loc: "Y", Val: 1}}
+	for name, reader := range map[string][]Op{
+		"if":       {Load{Dst: "a", Loc: "Y"}, If{Reg: "aa", Eq: true, Val: 1, Body: []Op{Load{Dst: "b", Loc: "X"}}}},
+		"storereg": {Load{Dst: "a", Loc: "Y"}, StoreReg{Loc: "Z", Src: "aa"}},
+		"loadidx":  {Load{Dst: "a", Loc: "Y"}, LoadIdx{Dst: "b", Idx: "aa", Loc0: "X", Loc1: "X"}},
+		"storeidx": {Load{Dst: "a", Loc: "Y"}, StoreIdx{Idx: "aa", Loc0: "X", Loc1: "Z", Val: 1}},
+		"one path": {
+			Load{Dst: "a", Loc: "Y"},
+			If{Reg: "a", Eq: true, Val: 1, Body: []Op{Load{Dst: "aa", Loc: "X"}}},
+			StoreReg{Loc: "Z", Src: "aa"},
+		},
+	} {
+		p := &Program{Name: "MP+typo", Threads: [][]Op{writer, reader}}
+		for _, opts := range [][]Option{{WithWorkers(1)}, {WithWorkers(4)}, {WithCache(NewCache())}} {
+			out, err := Enumerate(p, anyModel, opts...)
+			if err == nil {
+				t.Errorf("%s: Enumerate returned %d outcomes and no error", name, len(out))
+				continue
+			}
+			for _, want := range []string{`"MP+typo"`, "thread 1", `"aa"`} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not name %s", name, err, want)
+				}
+			}
+		}
+	}
 }

@@ -61,24 +61,24 @@ const shardsPerWorker = 4
 // surface an unrecovered structured trap (there is no further fallback
 // below the serial reference); one-shot plans already consumed by the
 // sharded path do not re-fire on the fallback call.
-func outcomesSerial(p *Program, m memmodel.Model, in *faults.Injector) (out OutcomeSet, err error) {
+func outcomesSerial(c *code, m memmodel.Model, in *faults.Injector) (out OutcomeSet, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = faults.New(faults.TrapWorkerPanic,
-				"litmus %q: serial enumeration panicked: %v", p.Name, r)
+				"litmus %q: serial enumeration panicked: %v", c.name, r)
 		}
 	}()
 	if t := in.Hit(faults.SiteLitmusShard); t != nil {
 		return nil, t
 	}
-	return Outcomes(p, m), nil
+	return c.outcomes(m), nil
 }
 
 // outcomesSharded fans the shard list out to a bounded worker pool. Each
 // shard runs under its own recover(), so one faulty shard poisons only its
 // slot; the first captured panic is reported after the pool drains.
-func outcomesSharded(p *Program, m memmodel.Model, opt Options, workers int, sc *obs.Scope) (OutcomeSet, error) {
-	shards := buildShards(p, workers*shardsPerWorker)
+func outcomesSharded(c *code, m memmodel.Model, opt Options, workers int, sc *obs.Scope) (OutcomeSet, error) {
+	shards := buildShards(c, workers*shardsPerWorker)
 	if workers > len(shards) {
 		workers = len(shards)
 	}
@@ -99,7 +99,7 @@ func outcomesSharded(p *Program, m memmodel.Model, opt Options, workers int, sc 
 				if i >= len(shards) {
 					return
 				}
-				results[i], errs[i] = runShard(p, m, shards[i], i, opt.Inject)
+				results[i], errs[i] = runShard(c.name, m, shards[i], i, opt.Inject)
 			}
 		}()
 	}
@@ -121,11 +121,11 @@ func outcomesSharded(p *Program, m memmodel.Model, opt Options, workers int, sc 
 
 // runShard enumerates one shard, converting a panic (including injected
 // ones) into a faults.TrapWorkerPanic that names the program and shard.
-func runShard(p *Program, m memmodel.Model, s shard, idx int, inj *faults.Injector) (out OutcomeSet, err error) {
+func runShard(prog string, m memmodel.Model, s shard, idx int, inj *faults.Injector) (out OutcomeSet, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t := faults.New(faults.TrapWorkerPanic,
-				"litmus %q: worker shard %d panicked: %v", p.Name, idx, r)
+				"litmus %q: worker shard %d panicked: %v", prog, idx, r)
 			if tr, ok := r.(*faults.Trap); ok {
 				t.Injected = tr.Injected
 			}
@@ -145,7 +145,7 @@ func runShard(p *Program, m memmodel.Model, s shard, idx int, inj *faults.Inject
 	out = make(OutcomeSet)
 	s.job.enumerate(s.rfPrefix, func(c *Candidate) bool {
 		if ck.Consistent(c.X) {
-			out[outcomeOf(c)] = true
+			out[OutcomeOf(c)] = true
 		}
 		return true
 	})
@@ -161,16 +161,16 @@ type shard struct {
 	rfPrefix []int
 }
 
-// buildShards partitions p's search space into at least target shards where
+// buildShards partitions c's search space into at least target shards where
 // possible. It starts from the skeleton combinations (the outer loop of
 // EnumerateCandidates) and, while too coarse, refines every shard one rf
 // level deeper:
 // a shard with prefix length d splits into one child per candidate writer of
 // read d. Programs whose space is genuinely smaller than target (few
 // skeletons, few reads) yield fewer shards.
-func buildShards(p *Program, target int) []shard {
+func buildShards(c *code, target int) []shard {
 	var shards []shard
-	forEachJob(p, func(j *skeletonJob) bool {
+	c.forEachJob(func(j *skeletonJob) bool {
 		shards = append(shards, shard{job: j})
 		return true
 	})

@@ -107,7 +107,7 @@ func TestBuildShardsPartition(t *testing.T) {
 		EnumerateCandidates(p, func(*Candidate) bool { serialCount++; return true })
 
 		for _, target := range []int{1, 4, 16, 64} {
-			shards := buildShards(p, target)
+			shards := buildShards(mustCompile(p), target)
 			if len(shards) == 0 {
 				t.Fatalf("%s: no shards for target %d", p.Name, target)
 			}
@@ -130,7 +130,7 @@ func TestBuildShardsPartition(t *testing.T) {
 // program with a non-trivial rf tree.
 func TestShardTargetReached(t *testing.T) {
 	target := 4 * runtime.NumCPU() * shardsPerWorker
-	shards := buildShards(SBQ(), target)
+	shards := buildShards(mustCompile(SBQ()), target)
 	if len(shards) < 2 {
 		t.Fatalf("SBQ refined into %d shards; expected several", len(shards))
 	}

@@ -193,6 +193,11 @@ func Parse(src string) (*ParsedTest, error) {
 	if len(pt.Program.Threads) == 0 {
 		return nil, fmt.Errorf("litmus: no threads")
 	}
+	// A register read that nothing assigns (a typo, usually) would leave the
+	// test with no executions, and every forbid line vacuously true.
+	if _, err := compile(pt.Program); err != nil {
+		return nil, err
+	}
 	return pt, nil
 }
 

@@ -218,3 +218,30 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsUnassignedRegister: Parse takes outside input, and a
+// mistyped register name used to give a test that passes every forbid line
+// because it has no executions at all.
+func TestParseRejectsUnassignedRegister(t *testing.T) {
+	_, err := Parse(`
+test MP+typo
+model arm
+thread 0
+  store X 1
+  store Y 1
+thread 1
+  load a Y
+  if aa == 1
+    load b X
+  endif
+forbid a@1=1 b@1=0
+`)
+	if err == nil {
+		t.Fatal("a read of the never-assigned register aa parsed without error")
+	}
+	for _, want := range []string{"MP+typo", "thread 1", `"aa"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}

@@ -220,8 +220,9 @@ type Verification struct {
 	// iff the mapping is correct for this program.
 	NewBehaviours []litmus.Outcome
 	// Err, when non-nil, reports that an outcome set could not be
-	// enumerated (a worker shard failed beyond recovery); it names the
-	// program and shard. NewBehaviours is then meaningless.
+	// enumerated — a worker shard failed beyond recovery, or a program
+	// reads a register it never assigned — and names the program.
+	// NewBehaviours is then meaningless.
 	Err error
 }
 

@@ -465,3 +465,23 @@ func TestSBStaysRelaxed(t *testing.T) {
 		t.Fatal("the verified mapping must not over-synchronize: SB weak outcome should survive")
 	}
 }
+
+// TestTheorem1RejectsUnassignedRegister: a target that reads a register it
+// never assigned has an empty outcome set, which is contained in anything;
+// the verdict must be an error, not "correct".
+func TestTheorem1RejectsUnassignedRegister(t *testing.T) {
+	typo := &litmus.Program{Name: "MP+typo", Threads: [][]litmus.Op{
+		{litmus.Store{Loc: "X", Val: 1}, litmus.Store{Loc: "Y", Val: 1}},
+		{
+			litmus.Load{Dst: "a", Loc: "Y"},
+			litmus.If{Reg: "aa", Eq: true, Val: 1, Body: []litmus.Op{litmus.Load{Dst: "b", Loc: "X"}}},
+		},
+	}}
+	v := VerifyTheorem1(litmus.MP(), x86tso.New(), typo, armcats.New())
+	if v.Correct() || v.Err == nil {
+		t.Fatalf("verdict %+v: want an error naming the register", v)
+	}
+	if !strings.Contains(v.Err.Error(), `"aa"`) {
+		t.Errorf("error %q does not name the register", v.Err)
+	}
+}

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/guestimg"
 	"repro/internal/isa/arm"
@@ -48,16 +46,21 @@ const maxImm12 = 0xFFF
 type Compiled struct {
 	img     *guestimg.Image
 	entries []uint64
-	// regSlots maps (thread, register) to its result slot address;
-	// regBits maps it to its bit in the thread's executed mask.
-	regSlots map[string]uint64
-	regBits  map[string]int
+	// regs[t] lists thread t's registers by name.
+	regs     [][]regSlot
 	locAddrs map[litmus.Loc]uint64
 	program  *litmus.Program
 }
 
 // Program returns the litmus program this was compiled from.
 func (c *Compiled) Program() *litmus.Program { return c.program }
+
+// regSlot is where a thread publishes one litmus register.
+type regSlot struct {
+	reg  litmus.Reg
+	addr uint64 // result slot
+	bit  int    // the register's bit in the thread's executed mask
+}
 
 func maskAddr(t int) uint64 { return maskBase + uint64(t)*8 }
 
@@ -75,7 +78,7 @@ type threadCompiler struct {
 	a       *arm.Assembler
 	t       int
 	regMap  map[litmus.Reg]arm.Reg
-	regKeys []string
+	slots   []regSlot
 	nextReg arm.Reg
 	labels  int
 	slotCur *uint64
@@ -96,10 +99,7 @@ func (tc *threadCompiler) allocReg(r litmus.Reg) (arm.Reg, error) {
 	hw := tc.nextReg
 	tc.nextReg++
 	tc.regMap[r] = hw
-	key := fmt.Sprintf("%d:%s", tc.t, r)
-	tc.regKeys = append(tc.regKeys, key)
-	tc.c.regSlots[key] = *tc.slotCur
-	tc.c.regBits[key] = int(hw - arm.X9)
+	tc.slots = append(tc.slots, regSlot{reg: r, addr: *tc.slotCur, bit: int(hw - arm.X9)})
 	*tc.slotCur += 8
 	return hw, nil
 }
@@ -305,8 +305,6 @@ func (tc *threadCompiler) compileCAS(o litmus.CAS) error {
 // mask to the thread's mask slot — before the thread halts.
 func Compile(p *litmus.Program) (*Compiled, error) {
 	c := &Compiled{
-		regSlots: make(map[string]uint64),
-		regBits:  make(map[string]int),
 		locAddrs: make(map[litmus.Loc]uint64),
 		program:  p,
 	}
@@ -329,17 +327,16 @@ func Compile(p *litmus.Program) (*Compiled, error) {
 		if err := tc.compileOps(ops); err != nil {
 			return nil, err
 		}
-		// Publish loaded registers in sorted key order (determinism: the
+		// Publish loaded registers in name order (determinism: the
 		// instruction stream must be a pure function of the program, or
 		// recorded exploration traces would not replay across processes),
 		// then the executed mask, and halt.
-		keys := append([]string(nil), tc.regKeys...)
-		sort.Strings(keys)
-		for _, key := range keys {
-			r := litmus.Reg(key[strings.IndexByte(key, ':')+1:])
-			a.MovImm(arm.X2, c.regSlots[key])
-			a.Str(tc.regMap[r], arm.X2, 0, 8)
+		sort.Slice(tc.slots, func(i, j int) bool { return tc.slots[i].reg < tc.slots[j].reg })
+		for _, s := range tc.slots {
+			a.MovImm(arm.X2, s.addr)
+			a.Str(tc.regMap[s.reg], arm.X2, 0, 8)
 		}
+		c.regs = append(c.regs, tc.slots)
 		a.MovImm(arm.X2, maskAddr(t))
 		a.Str(arm.X4, arm.X2, 0, 8)
 		a.Hlt()
@@ -376,49 +373,39 @@ func (c *Compiled) NewMachine() (*machine.Machine, error) {
 	return m, nil
 }
 
-// Outcome renders the machine's final state in the canonical litmus key
-// format (registers then memory). Every CPU of m must have halted (which
-// drains its store buffer). Registers whose assignment did not execute
-// (untaken If bodies) are excluded via the per-thread executed masks,
-// matching litmus.OutcomeOf.
+// Outcome reads the machine's final state — registers then memory — and
+// renders it through litmus.NewOutcome, so it compares with the axiomatic
+// side's outcomes. Every CPU of m must have halted (which drains its store
+// buffer). Registers whose assignment did not execute (untaken If bodies)
+// are excluded via the per-thread executed masks, matching litmus.OutcomeOf.
 func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
-	masks := make([]uint64, len(c.program.Threads))
-	for t := range masks {
-		v, err := m.ReadMem(maskAddr(t), 8)
+	regs := make([]map[litmus.Reg]int64, len(c.regs))
+	for t, slots := range c.regs {
+		mask, err := m.ReadMem(maskAddr(t), 8)
 		if err != nil {
 			return "", err
 		}
-		masks[t] = v
+		regs[t] = make(map[litmus.Reg]int64, len(slots))
+		for _, s := range slots {
+			if mask&(1<<s.bit) == 0 {
+				continue
+			}
+			v, err := m.ReadMem(s.addr, 8)
+			if err != nil {
+				return "", err
+			}
+			regs[t][s.reg] = int64(v)
+		}
 	}
-	keys := make([]string, 0, len(c.regSlots))
-	for k := range c.regSlots {
-		keys = append(keys, k)
-	}
-	// Sort by thread then register name, matching outcomeOf's order.
-	sort.Strings(keys)
-	var parts []string
-	for _, k := range keys {
-		t, err := strconv.Atoi(k[:strings.IndexByte(k, ':')])
+	mem := make(map[string]int64, len(c.locAddrs))
+	for loc, addr := range c.locAddrs {
+		v, err := m.ReadMem(addr, 8)
 		if err != nil {
 			return "", err
 		}
-		if masks[t]&(1<<c.regBits[k]) == 0 {
-			continue
-		}
-		v, err := m.ReadMem(c.regSlots[k], 8)
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
+		mem[string(loc)] = int64(v)
 	}
-	for _, loc := range c.program.Locations() {
-		v, err := m.ReadMem(c.locAddrs[loc], 8)
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, fmt.Sprintf("%s=%d", loc, v))
-	}
-	return litmus.Outcome(strings.Join(parts, " ")), nil
+	return litmus.NewOutcome(regs, mem), nil
 }
 
 // walkSteps bounds one sampled execution: compiled litmus programs halt

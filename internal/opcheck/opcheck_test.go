@@ -250,3 +250,21 @@ func TestExecutedMaskHidesUntakenRegisters(t *testing.T) {
 		}
 	}
 }
+
+// TestElevenThreadsRenderLikeLitmus: from the eleventh thread on, sorting
+// "t:reg" keys as strings ("10:a" before "1:a") and sorting by thread index
+// disagree, and opcheck's own copy of the outcome format reported a sound
+// program unsound. There is one renderer now, litmus.NewOutcome.
+func TestElevenThreadsRenderLikeLitmus(t *testing.T) {
+	p := &litmus.Program{Name: "R11"}
+	for i := 0; i < 11; i++ {
+		p.Threads = append(p.Threads, []litmus.Op{litmus.Load{Dst: "a", Loc: "X"}})
+	}
+	bad, err := CheckSoundNamed(p, "arm", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("eleven loads of X=0 reported unsound: %v", bad)
+	}
+}

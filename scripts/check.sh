@@ -3,8 +3,9 @@
 #
 #   ./scripts/check.sh
 #
-# It runs gofmt, vet, a full build, the full test suite, and — because the
-# litmus enumerator and its memoization cache are concurrent subsystems — the
+# It runs gofmt, vet (once, over ./...), a full build, the full test suite,
+# and — because the litmus enumerator and its memoization cache are
+# concurrent subsystems — the
 # race detector over the packages that exercise them, and over the two other
 # packages that start goroutines: campaign (its worker pipeline) and serve
 # (admission queues, circuit breakers). Two rel-engine stages ride
@@ -16,7 +17,9 @@
 # explore stages pin the operational exploration engine: DPOR must reach
 # every allowed SB outcome, budget-exhausted traces must replay
 # byte-identically, and a corpus walk plus a ≥500-test generated campaign
-# must find zero axiomatic-disallowed outcomes. The examples stage runs the
+# must find zero axiomatic-disallowed outcomes. The litmusctl fault smoke
+# also hands `litmusctl run` a test that reads a register nothing assigned
+# and requires it to be refused by name. The examples stage runs the
 # five programs under examples/ and checks that weakhost and litmus still
 # tell the broken mappings from the verified ones.
 #
@@ -58,9 +61,6 @@ go test ./...
 stage "perf smoke: (cd perf && go vet . && go test .)"
 (cd perf && go vet . && go test .)
 
-stage "go vet ./internal/obs/ ./internal/cliflags/"
-go vet ./internal/obs/ ./internal/cliflags/
-
 stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/..."
 go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/...
 
@@ -76,6 +76,26 @@ go test -race ./internal/faultmatrix/ ./internal/core/ -run Fault -count=1
 stage "litmusctl fault smoke"
 "$litmusctl" -workers 4 -fault cache-exhaust corpus >/dev/null
 "$litmusctl" -workers 4 -fault shard-panic corpus >/dev/null
+# A read of a register nothing assigned (aa for a) leaves no execution to
+# check the forbid line against; the test must be refused, not pass.
+cat >"$SH_TMP/typo.lit" <<'LIT'
+test MP+typo
+model arm
+thread 0
+  store X 1
+  store Y 1
+thread 1
+  load a Y
+  if aa == 1
+    load b X
+  endif
+forbid a@1=1 b@1=0
+LIT
+code=0
+"$litmusctl" run "$SH_TMP/typo.lit" >/dev/null 2>"$SH_TMP/typo.err" || code=$?
+[ "$code" -ne 0 ] || { echo "litmusctl run accepted a test that reads the unassigned register aa" >&2; exit 1; }
+grep -q '"aa"' "$SH_TMP/typo.err" \
+	|| { echo "litmusctl run did not name the unassigned register" >&2; cat "$SH_TMP/typo.err" >&2; exit 1; }
 
 stage "selfheal: workload suite under -selfcheck"
 for k in histogram wordcount kmeans swaptions canneal; do
