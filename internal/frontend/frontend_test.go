@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/memmodel"
 	"repro/internal/tcg"
+	"repro/internal/workloads"
 )
 
 // assemble builds guest code at 0x1000 inside a 64 KiB memory image.
@@ -424,5 +426,124 @@ func TestDecodeErrorsSurface(t *testing.T) {
 	}
 	if _, err := Translate(mem, uint64(len(mem))+8, Config{}); err == nil {
 		t.Fatal("pc outside memory must error")
+	}
+}
+
+// unbracketed names the first plain access of blk that tab's placements do
+// not bracket: a ld must be reached from Load.Before and reach Load.After,
+// a st likewise, with no other access, fence, atomic or control transfer
+// in between ("" if every access is bracketed).
+func unbracketed(blk *tcg.Block, tab *mapping.Scheme) string {
+	next := func(i, step int, want memmodel.Fence) bool {
+		if want == memmodel.FenceNone {
+			return true
+		}
+		for j := i + step; j >= 0 && j < len(blk.Insts); j += step {
+			if in := blk.Insts[j]; in.HasSideEffects() {
+				return in.Op == tcg.OpMb && in.Fence == want
+			}
+		}
+		return false
+	}
+	for i, in := range blk.Insts {
+		var around mapping.Placement
+		switch in.Op {
+		case tcg.OpLd:
+			around = tab.Load
+		case tcg.OpSt:
+			around = tab.Store
+		}
+		if !next(i, -1, around.Before) || !next(i, +1, around.After) {
+			return fmt.Sprintf("%d: %v", i, in)
+		}
+	}
+	return ""
+}
+
+// TestFrontendEmitsImages: every block of the 17 kernels, translated under
+// X86Verified, is an image of Figure 7a in the sense tcg.Figure10's
+// precondition needs — each ld immediately followed by Frm, each st
+// immediately preceded by Fww. The rows are unsound on anything else
+// (tcg's TestFigure10NeedsItsPrecondition), and accessElim does not check.
+func TestFrontendEmitsImages(t *testing.T) {
+	tab := mapping.X86Verified.Table()
+	for _, k := range workloads.Registry() {
+		b, err := k.Build(2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := b.BuildGuest("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := img.Segments[0]
+		mem := make([]byte, text.Addr+uint64(len(text.Data)))
+		copy(mem[text.Addr:], text.Data)
+
+		// Every block reachable from a label, following constant exits and
+		// fall-through (where a call returns to).
+		work := []uint64{img.Entry}
+		for _, pc := range img.Symbols {
+			work = append(work, pc)
+		}
+		seen, accesses := map[uint64]bool{}, uint64(0)
+		for len(work) > 0 {
+			pc := work[len(work)-1]
+			work = work[:len(work)-1]
+			if seen[pc] || pc < text.Addr || pc >= uint64(len(mem)) {
+				continue
+			}
+			seen[pc] = true
+			blk, err := Translate(mem, pc, Config{Scheme: mapping.X86Verified})
+			if err != nil {
+				t.Fatalf("%s at %#x: %v", k.Name, pc, err)
+			}
+			if at := unbracketed(blk, tab); at != "" {
+				t.Errorf("%s: block %#x is not an image of %s at %s\n%s", k.Name, pc, tab.Name, at, blk)
+			}
+			accesses += blk.CountOp(tcg.OpLd) + blk.CountOp(tcg.OpSt)
+			work = append(append(work, blk.ExitTargets()...), blk.GuestEnd)
+		}
+		if accesses == 0 {
+			t.Errorf("%s: %d blocks and not one plain access: nothing was checked", k.Name, len(seen))
+		}
+	}
+}
+
+// TestAccessElimReachOnGuestCode pins how far Figure 10 reaches on real
+// guest code today. The first guest has one pair per row, each one its row
+// allows (RAW, RAR, WAW on [rbx] under Figure 7a), and none is rewritten:
+// address() copies the base register into a pooled temp before every access,
+// that copy redefines the temp accessElim keys its entries on, and the entry
+// is forgotten. Only accesses straight off a global — the stack traffic of
+// PUSH/POP/CALL/RET through RSP — pair up. All 17 kernels count 0 forwarded
+// and 0 eliminated (EXPERIMENTS.md, "Figure 10 on real code"). The perf PR
+// that keys entries on the address's value instead flips the first case.
+func TestAccessElimReachOnGuestCode(t *testing.T) {
+	rbx := x86.Mem0(x86.RBX)
+	for _, c := range []struct {
+		name  string
+		build func(a *x86.Assembler)
+		want  [2][2]uint64 // {loads, stores} before and after tcg.Optimize
+	}{
+		{"recomputed address", func(a *x86.Assembler) {
+			a.Store(rbx, x86.RAX, 8).Load(x86.RCX, rbx, 8).Load(x86.RDX, rbx, 8).
+				Store(rbx, x86.RCX, 8).Store(rbx, x86.RDX, 8).Ret()
+		}, [2][2]uint64{{3, 3}, {3, 3}}},
+		{"stack", func(a *x86.Assembler) {
+			a.Push(x86.RAX).Pop(x86.RBX).Push(x86.RCX).Ret()
+		}, [2][2]uint64{{2, 2}, {0, 2}}},
+	} {
+		blk, err := Translate(assemble(t, c.build), 0x1000, Config{Scheme: mapping.X86Verified})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2][2]uint64
+		got[0] = [2]uint64{blk.CountOp(tcg.OpLd), blk.CountOp(tcg.OpSt)}
+		tcg.Optimize(blk, tcg.DefaultOpt())
+		got[1] = [2]uint64{blk.CountOp(tcg.OpLd), blk.CountOp(tcg.OpSt)}
+		if got != c.want {
+			t.Errorf("%s: {loads, stores} before and after optimizing = %v, want %v\n%s", c.name, got, c.want, blk)
+		}
 	}
 }

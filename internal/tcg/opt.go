@@ -1,6 +1,8 @@
 package tcg
 
 import (
+	"slices"
+
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
@@ -22,8 +24,7 @@ type OptConfig struct {
 	DeadCode bool
 	// Obs, when non-nil, receives per-pass effect counters under its
 	// "tcg" child scope (const_folds, accesses_forwarded,
-	// stores_eliminated, fences_merged, dead_insts). Nil skips the
-	// bookkeeping entirely.
+	// stores_eliminated, fences_merged, dead_insts).
 	Obs *obs.Scope
 }
 
@@ -50,84 +51,42 @@ func (cfg OptConfig) Degrade(level int) OptConfig {
 }
 
 // Optimize runs the configured passes in order. All passes assume the
-// frontend's invariant that intra-block branches only jump forward.
+// frontend's invariant that intra-block branches only jump forward. Every
+// pass rewrites b.Insts in place and returns how many rewrites it made;
+// only the final removeNops changes the length.
 func Optimize(b *Block, cfg OptConfig) {
-	if cfg.Obs == nil {
-		if cfg.ConstProp {
-			constProp(b)
-		}
-		if cfg.AccessElim {
-			accessElim(b)
-		}
-		if cfg.FenceMerge {
-			mergeFences(b)
-		}
-		if cfg.DeadCode {
-			deadCode(b)
-		}
-		removeNops(b)
-		return
-	}
-	// Instrumented path: every pass rewrites b.Insts in place (length is
-	// only changed by the final removeNops), so each pass's effect is the
-	// diff of the instruction stream around it.
 	sc := cfg.Obs.Child("tcg")
 	if cfg.ConstProp {
-		before := opcodesOf(b)
-		constProp(b)
-		sc.Counter("const_folds").Add(rewriteCount(before, b))
+		sc.Counter("const_folds").Add(constProp(b))
 	}
 	if cfg.AccessElim {
-		lds, sts := countOp(b, OpLd), countOp(b, OpSt)
-		accessElim(b)
-		sc.Counter("accesses_forwarded").Add(lds - countOp(b, OpLd))
-		sc.Counter("stores_eliminated").Add(sts - countOp(b, OpSt))
+		forwarded, dropped := accessElim(b)
+		sc.Counter("accesses_forwarded").Add(forwarded)
+		sc.Counter("stores_eliminated").Add(dropped)
 	}
 	if cfg.FenceMerge {
-		fences := countOp(b, OpMb)
-		mergeFences(b)
-		sc.Counter("fences_merged").Add(fences - countOp(b, OpMb))
+		sc.Counter("fences_merged").Add(mergeFences(b))
 	}
 	if cfg.DeadCode {
-		nops := countOp(b, OpNop)
-		deadCode(b)
-		sc.Counter("dead_insts").Add(countOp(b, OpNop) - nops)
+		sc.Counter("dead_insts").Add(deadCode(b))
 	}
 	removeNops(b)
 }
 
-// countOp counts instructions with the given opcode.
-func countOp(b *Block, op Opcode) uint64 { return b.CountOp(op) }
-
-// opcodesOf snapshots the opcode stream for rewriteCount.
-func opcodesOf(b *Block) []Opcode {
-	ops := make([]Opcode, len(b.Insts))
-	for i := range b.Insts {
-		ops[i] = b.Insts[i].Op
-	}
-	return ops
-}
-
-// rewriteCount counts instructions whose opcode a length-preserving pass
-// changed.
-func rewriteCount(before []Opcode, b *Block) uint64 {
-	var n uint64
-	for i := range before {
-		if i < len(b.Insts) && b.Insts[i].Op != before[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // --- Constant propagation and folding --------------------------------------
 
-func constProp(b *Block) {
+// constProp returns how many instructions it rewrote.
+func constProp(b *Block) (folds uint64) {
 	known := make(map[Temp]int64)
-	kill := func(t Temp) { delete(known, t) }
-
 	for idx := range b.Insts {
 		in := &b.Insts[idx]
+		// fold rewrites the instruction into the constant it computes.
+		fold := func(v int64) {
+			*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: v}
+			folds++
+		}
+		av, aok := known[in.A]
+		bv, bok := known[in.B]
 		switch in.Op {
 		case OpSetLabel:
 			// Join point: a branch may arrive with different values.
@@ -136,72 +95,35 @@ func constProp(b *Block) {
 		case OpCall:
 			// Helpers may rewrite guest state.
 			for t := Temp(0); t < NumGlobals; t++ {
-				kill(t)
+				delete(known, t)
 			}
-			kill(in.Dst)
-			continue
-		}
-
-		av, aok := known[in.A]
-		bv, bok := known[in.B]
-
-		switch in.Op {
-		case OpMovI:
-			known[in.Dst] = in.Imm
-			continue
 		case OpMov:
 			if aok {
-				*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: av}
-				known[in.Dst] = av
-			} else {
-				kill(in.Dst)
+				fold(av)
 			}
-			continue
 		case OpAdd, OpSub, OpMul, OpUDiv, OpURem, OpAnd, OpOr, OpXor,
 			OpShl, OpShr, OpSar:
 			if aok && bok {
-				v := foldALU(in.Op, av, bv)
-				*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: v}
-				known[in.Dst] = v
-				continue
+				fold(foldALU(in.Op, av, bv))
+			} else if simplifyALU(in, aok, av, bok, bv) {
+				folds++
 			}
-			if simplifyALU(in, aok, av, bok, bv) {
-				// Simplified to MovI or Mov; reprocess knowledge.
-				if in.Op == OpMovI {
-					known[in.Dst] = in.Imm
-				} else if v, ok := known[in.A]; in.Op == OpMov && ok {
-					known[in.Dst] = v
-				} else {
-					kill(in.Dst)
-				}
-				continue
-			}
-			kill(in.Dst)
 		case OpNeg:
 			if aok {
-				*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: -av}
-				known[in.Dst] = -av
-				continue
+				fold(-av)
 			}
-			kill(in.Dst)
 		case OpNot:
 			if aok {
-				*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: ^av}
-				known[in.Dst] = ^av
-				continue
+				fold(^av)
 			}
-			kill(in.Dst)
 		case OpSetcond:
 			if aok && bok {
 				var v int64
 				if in.Cond.Eval(uint64(av), uint64(bv)) {
 					v = 1
 				}
-				*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: v}
-				known[in.Dst] = v
-				continue
+				fold(v)
 			}
-			kill(in.Dst)
 		case OpBrcond:
 			if aok && bok {
 				if in.Cond.Eval(uint64(av), uint64(bv)) {
@@ -209,13 +131,18 @@ func constProp(b *Block) {
 				} else {
 					*in = Inst{Op: OpNop}
 				}
-			}
-		default:
-			if in.HasDst() {
-				kill(in.Dst)
+				folds++
 			}
 		}
+		// What the instruction, as rewritten, leaves in its destination: a
+		// simplified ALU op became a movi or a mov of its unknown operand.
+		if in.Op == OpMovI {
+			known[in.Dst] = in.Imm
+		} else if in.HasDst() {
+			delete(known, in.Dst)
+		}
 	}
+	return folds
 }
 
 func foldALU(op Opcode, a, b int64) int64 {
@@ -311,6 +238,86 @@ func simplifyALU(in *Inst, aok bool, av int64, bok bool, bv int64) bool {
 
 // --- Redundant access elimination (Figure 10) -------------------------------
 
+// FenceMask is a set of fence kinds: bit f is set iff memmodel.Fence(f) is
+// in it.
+type FenceMask uint32
+
+// Fences returns the set holding exactly the given kinds.
+func Fences(kinds ...memmodel.Fence) FenceMask {
+	var m FenceMask
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
+}
+
+// Has reports whether k is in the set.
+func (m FenceMask) Has(k memmodel.Fence) bool { return m&(1<<k) != 0 }
+
+// Rewrite is what a Figure-10 row does to the pair of accesses it matches.
+type Rewrite uint8
+
+const (
+	// ForwardValue turns the later load into a copy of the value the
+	// earlier access loaded or stored.
+	ForwardValue Rewrite = iota
+	// DropEarlier deletes the earlier store.
+	DropEarlier
+)
+
+// Rule is one row of Figure 10: two accesses to the same location in one
+// block, the fences that may stand between them, and the rewrite.
+type Rule struct {
+	// Name is the paper's: RAR, RAW, WAW (the F- forms are the same row
+	// with a non-empty set of fences crossed).
+	Name string
+	// Earlier and Later are the kinds of the two accesses, in program
+	// order.
+	Earlier, Later memmodel.Kind
+	// Cross is the set of fence kinds the pair may be separated by; any
+	// other fence between them blocks the rewrite.
+	Cross FenceMask
+	// Rewrite is what happens to the pair.
+	Rewrite Rewrite
+}
+
+// Figure10 is everything the optimizer knows about eliminating plain
+// accesses under the TCG-IR memory model (§5.4, Figure 10): accessElim
+// rewrites a pair iff a row here matches it, and the tests prove each row.
+// Facq and Frel order nothing in the IR model (tcgmm.Ord does not mention
+// them), so every row may cross them.
+//
+// Precondition: the block is the image of an x86→IR table that brackets
+// every access — Figure 7a: every ld followed by Frm, every st preceded by
+// Fww — possibly with further fences added. The rows are not sound on bare
+// IR: `e=Y; a=X; Frm; b=X` orders e before b through the Frm, and nothing
+// orders e before a once b is a copy of a; §3.2's FMR example is the same
+// loss for RAW with the fence in front of the pair, and accessElim does
+// perform that rewrite. On an image the bracket fences keep every such
+// ordering alive (TestFigure10SoundOnImages), and frontend's blocks are
+// images (TestFrontendEmitsImages). On images of Figure 2 (Frr;ld, Fmw;st)
+// no row ever matches, because Frr and Fmw are in no row; the no-fences
+// scheme leaves bare IR and is unsound by design.
+var Figure10 = [...]Rule{
+	{Name: "RAR", Earlier: memmodel.KindRead, Later: memmodel.KindRead, Rewrite: ForwardValue,
+		Cross: Fences(memmodel.FenceFrm, memmodel.FenceFww, memmodel.FenceFacq, memmodel.FenceFrel)},
+	{Name: "RAW", Earlier: memmodel.KindWrite, Later: memmodel.KindRead, Rewrite: ForwardValue,
+		Cross: Fences(memmodel.FenceFsc, memmodel.FenceFww, memmodel.FenceFacq, memmodel.FenceFrel)},
+	{Name: "WAW", Earlier: memmodel.KindWrite, Later: memmodel.KindWrite, Rewrite: DropEarlier,
+		Cross: Fences(memmodel.FenceFrm, memmodel.FenceFww, memmodel.FenceFacq, memmodel.FenceFrel)},
+}
+
+// ruleFor returns the row for an earlier and a later access of the given
+// kinds, or nil: a load followed by a store has none.
+func ruleFor(earlier, later memmodel.Kind) *Rule {
+	for i := range Figure10 {
+		if r := &Figure10[i]; r.Earlier == earlier && r.Later == later {
+			return r
+		}
+	}
+	return nil
+}
+
 // accessKey identifies a definitely-same memory location within a block.
 type accessKey struct {
 	base Temp
@@ -318,30 +325,14 @@ type accessKey struct {
 	size uint8
 }
 
+// accessEntry is the most recent access to a location that a later access
+// to it may still be paired with.
 type accessEntry struct {
-	key      accessKey
-	valTemp  Temp // temp holding the location's current value
-	wasStore bool
-	instIdx  int // index of the access instruction (for WAW removal)
-	fences   []memmodel.Fence
-	valid    bool
-}
-
-// fenceAllowed reports whether every fence crossed is in the allowed set.
-func fenceAllowed(fences []memmodel.Fence, allowed ...memmodel.Fence) bool {
-	for _, f := range fences {
-		ok := false
-		for _, a := range allowed {
-			if f == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	key     accessKey
+	kind    memmodel.Kind
+	valTemp Temp      // temp holding the location's current value
+	instIdx int       // index of the access instruction (for WAW removal)
+	crossed FenceMask // fences seen since the access
 }
 
 func overlapKeys(a, b accessKey) bool {
@@ -351,120 +342,71 @@ func overlapKeys(a, b accessKey) bool {
 	return a.off < b.off+int64(b.size) && b.off < a.off+int64(a.size)
 }
 
-func accessElim(b *Block) {
-	var entries []*accessEntry
-	var removed []bool = make([]bool, len(b.Insts))
-
-	find := func(k accessKey) *accessEntry {
-		for _, e := range entries {
-			if e.valid && e.key == k {
-				return e
-			}
-		}
-		return nil
-	}
-	invalidateAliasing := func(k accessKey) {
-		for _, e := range entries {
-			if e.valid && e.key != k && overlapKeys(e.key, k) {
-				e.valid = false
-			}
-		}
-	}
-	invalidateAll := func() {
-		for _, e := range entries {
-			e.valid = false
-		}
-	}
-	invalidateTemp := func(t Temp) {
-		for _, e := range entries {
-			if e.valid && (e.key.base == t || e.valTemp == t) {
-				e.valid = false
-			}
-		}
+// accessElim applies Figure10 to b and returns how many loads it turned
+// into copies and how many stores it dropped.
+func accessElim(b *Block) (forwarded, dropped uint64) {
+	var entries []accessEntry // at most one per key
+	forgetTemp := func(t Temp) {
+		entries = slices.DeleteFunc(entries, func(e accessEntry) bool {
+			return e.key.base == t || e.valTemp == t
+		})
 	}
 
 	for idx := range b.Insts {
 		in := &b.Insts[idx]
 		switch in.Op {
-		case OpLd:
-			k := accessKey{in.A, in.Imm, in.Size}
-			if e := find(k); e != nil {
-				if e.wasStore {
-					// (RAW)/(F-RAW): allowed across Fsc and Fww only.
-					// Forwarding is restricted to full-width accesses: a
-					// sub-8-byte load zero-extends the stored low bytes,
-					// which a register copy would not reproduce.
-					if k.size == 8 && fenceAllowed(e.fences, memmodel.FenceFsc, memmodel.FenceFww) {
-						*in = Inst{Op: OpMov, Dst: in.Dst, A: e.valTemp}
-						invalidateTemp(in.Dst)
-						continue
-					}
-				} else {
-					// (RAR)/(F-RAR): allowed across Frm and Fww.
-					if fenceAllowed(e.fences, memmodel.FenceFrm, memmodel.FenceFww) {
-						*in = Inst{Op: OpMov, Dst: in.Dst, A: e.valTemp}
-						invalidateTemp(in.Dst)
-						continue
+		case OpLd, OpSt:
+			e := accessEntry{key: accessKey{in.A, in.Imm, in.Size}, instIdx: idx}
+			if in.Op == OpLd {
+				e.kind, e.valTemp = memmodel.KindRead, in.Dst
+			} else {
+				e.kind, e.valTemp = memmodel.KindWrite, in.B
+			}
+			if i := slices.IndexFunc(entries, func(p accessEntry) bool { return p.key == e.key }); i >= 0 {
+				prev := entries[i]
+				if r := ruleFor(prev.kind, e.kind); r != nil && prev.crossed&^r.Cross == 0 {
+					switch r.Rewrite {
+					case DropEarlier:
+						b.Insts[prev.instIdx] = Inst{Op: OpNop}
+						dropped++
+					case ForwardValue:
+						// A store is forwarded to full-width loads only: a
+						// sub-8-byte load zero-extends the stored low
+						// bytes, which a register copy would not reproduce.
+						if prev.kind == memmodel.KindRead || e.key.size == 8 {
+							*in = Inst{Op: OpMov, Dst: in.Dst, A: prev.valTemp}
+							forwarded++
+							forgetTemp(in.Dst)
+							continue
+						}
 					}
 				}
 			}
-			invalidateTemp(in.Dst)
-			invalidateAliasing(k)
-			if e := find(k); e != nil {
-				e.valid = false
+			// The access stays, and is now the current one for everything
+			// it may overlap.
+			if in.Op == OpLd {
+				forgetTemp(in.Dst)
 			}
+			entries = slices.DeleteFunc(entries, func(p accessEntry) bool { return overlapKeys(p.key, e.key) })
 			// A load clobbering its own address base cannot be recorded:
 			// the key would describe a different location afterwards.
-			if in.Dst != in.A {
-				entries = append(entries, &accessEntry{
-					key: k, valTemp: in.Dst, wasStore: false, instIdx: idx, valid: true,
-				})
+			if in.Op == OpSt || in.Dst != in.A {
+				entries = append(entries, e)
 			}
-		case OpSt:
-			k := accessKey{in.A, in.Imm, in.Size}
-			if e := find(k); e != nil && e.wasStore {
-				// (WAW)/(F-WAW): remove the earlier store, allowed across
-				// Frm and Fww.
-				if fenceAllowed(e.fences, memmodel.FenceFrm, memmodel.FenceFww) {
-					removed[e.instIdx] = true
-				}
-			}
-			invalidateAliasing(k)
-			if e := find(k); e != nil {
-				e.valid = false
-			}
-			entries = append(entries, &accessEntry{
-				key: k, valTemp: in.B, wasStore: true, instIdx: idx, valid: true,
-			})
 		case OpMb:
-			if in.Fence == memmodel.FenceFacq || in.Fence == memmodel.FenceFrel {
-				continue
+			for i := range entries {
+				entries[i].crossed |= 1 << in.Fence
 			}
-			for _, e := range entries {
-				if e.valid {
-					e.fences = append(e.fences, in.Fence)
-				}
-			}
-		case OpCAS, OpXAdd, OpXchg, OpCall:
-			invalidateAll()
-			if in.HasDst() {
-				invalidateTemp(in.Dst)
-			}
-		case OpSetLabel, OpBr, OpBrcond, OpExit, OpExitInd, OpExitHalt:
-			invalidateAll()
+		case OpCAS, OpXAdd, OpXchg, OpCall,
+			OpSetLabel, OpBr, OpBrcond, OpExit, OpExitInd, OpExitHalt:
+			entries = entries[:0]
 		default:
 			if in.HasDst() {
-				invalidateTemp(in.Dst)
+				forgetTemp(in.Dst)
 			}
 		}
 	}
-
-	// Drop removed stores.
-	for idx, r := range removed {
-		if r {
-			b.Insts[idx] = Inst{Op: OpNop}
-		}
-	}
+	return forwarded, dropped
 }
 
 // --- Fence merging ----------------------------------------------------------
@@ -478,6 +420,8 @@ const (
 	fSC
 )
 
+// fenceSets is the merge lattice (§6.1): which access pairs each mergeable
+// fence orders. Facq/Frel are not in it and are never merged.
 var fenceSets = map[memmodel.Fence]int{
 	memmodel.FenceFrr: fRR,
 	memmodel.FenceFrw: fRW,
@@ -491,31 +435,24 @@ var fenceSets = map[memmodel.Fence]int{
 	memmodel.FenceFsc: fRR | fRW | fWR | fWW | fSC,
 }
 
-// setToFence returns the weakest fence kind covering the set.
-func setToFence(set int) memmodel.Fence {
-	best := memmodel.FenceFsc
-	bestSize := 6
-	for f, s := range fenceSets {
-		if s&set == set {
-			size := popcount(s)
-			if size < bestSize {
-				best, bestSize = f, size
+// setToFence maps each non-empty ordering set to the weakest fence kind
+// covering it: the cover whose own set lies inside every other cover's.
+// The lattice has exactly one such cover per set, so the map's iteration
+// order cannot show.
+var setToFence = func() (weakest [fSC << 1]memmodel.Fence) {
+	for set := 1; set < len(weakest); set++ {
+		best := 0 // the set of weakest[set]; 0 until a cover is found
+		for f, s := range fenceSets {
+			if s&set == set && (best == 0 || s&best == s) {
+				weakest[set], best = f, s
 			}
 		}
 	}
-	return best
-}
+	return weakest
+}()
 
-func popcount(v int) int {
-	n := 0
-	for v != 0 {
-		n += v & 1
-		v >>= 1
-	}
-	return n
-}
-
-func mergeFences(b *Block) {
+// mergeFences returns how many fences it merged away.
+func mergeFences(b *Block) (merged uint64) {
 	pending := -1 // index of the fence we may merge into
 	for idx := range b.Insts {
 		in := &b.Insts[idx]
@@ -528,9 +465,9 @@ func mergeFences(b *Block) {
 			}
 			if pending >= 0 {
 				prev := &b.Insts[pending]
-				merged := fenceSets[prev.Fence] | set
-				prev.Fence = setToFence(merged)
+				prev.Fence = setToFence[fenceSets[prev.Fence]|set]
 				*in = Inst{Op: OpNop}
+				merged++
 				continue
 			}
 			pending = idx
@@ -541,11 +478,13 @@ func mergeFences(b *Block) {
 			pending = -1
 		}
 	}
+	return merged
 }
 
 // --- Dead code elimination ----------------------------------------------------
 
-func deadCode(b *Block) {
+// deadCode returns how many instructions it removed.
+func deadCode(b *Block) (dead uint64) {
 	live := make(map[Temp]bool)
 	for t := Temp(0); t < NumGlobals; t++ {
 		live[t] = true
@@ -614,6 +553,7 @@ func deadCode(b *Block) {
 		}
 		if in.HasDst() && !in.HasSideEffects() && !live[in.Dst] {
 			*in = Inst{Op: OpNop}
+			dead++
 			continue
 		}
 		if in.HasDst() {
@@ -623,6 +563,7 @@ func deadCode(b *Block) {
 			live[u] = true
 		}
 	}
+	return dead
 }
 
 func removeNops(b *Block) {

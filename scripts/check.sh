@@ -11,7 +11,8 @@
 # (admission queues, circuit breakers). Two rel-engine stages ride
 # along: the -tags relmap differential run proves the reference map engine
 # still satisfies the whole memmodel/models/litmus stack (so the default
-# bitset engine is pinned against it), and a one-iteration bench smoke keeps
+# bitset engine is pinned against it) and reaches the same Figure-10
+# verdicts in internal/tcg, and a one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The
 # explore stages pin the operational exploration engine: DPOR must reach
@@ -249,7 +250,7 @@ fi
 
 stage "rel engine differential: go test -tags relmap (map engine over the full stack)"
 go test -tags relmap ./internal/rel/ ./internal/memmodel/ ./internal/models/... \
-	./internal/litmus/ ./internal/mapping/... ./internal/opcheck/
+	./internal/litmus/ ./internal/mapping/... ./internal/opcheck/ ./internal/tcg/
 
 stage "bench smoke: scripts/bench_snapshot.sh (one short iteration)"
 BENCHTIME=1x ./scripts/bench_snapshot.sh "$(mktemp)"
