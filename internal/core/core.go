@@ -246,11 +246,6 @@ type Runtime struct {
 	stackCur   uint64
 	heapCur    uint64
 	img        *guestimg.Image
-	// xlat is the tier-translation entry point (translator.go): the bare
-	// pipeline, or the caching wrapper when a TransCache is installed;
-	// pipe is the underlying pipeline for span attribution.
-	xlat Translator
-	pipe *pipelineTranslator
 	// tierup is the promotion engine (nil unless Config.TierUp.Enabled).
 	tierup *tierUp
 	// chainSites maps the host address of a patchable exit SVC to its
@@ -382,21 +377,6 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		rt.M.EnableWeakMode(machine.NewSeededDrains(*cfg.WeakSeed, 48))
 	}
 
-	// The tier-translation entry point: the pipeline over live guest
-	// memory, wrapped by the persistent cache when one is installed
-	// (selfcheck bypasses it — cached IR carries no oracle).
-	rt.pipe = &pipelineTranslator{
-		mem:        rt.M.Mem,
-		fe:         rt.feCfg,
-		opt:        rt.optCfg,
-		keepOracle: cfg.SelfCheck,
-		obs:        scope,
-		cpu:        -1,
-	}
-	rt.xlat = rt.pipe
-	if cfg.TransCache != nil && !cfg.SelfCheck {
-		rt.xlat = &cachingTranslator{inner: rt.pipe, cache: cfg.TransCache}
-	}
 	if cfg.TierUp.Enabled {
 		rt.tierup = newTierUp(rt, cfg.TierUp)
 	}
@@ -532,7 +512,15 @@ func (rt *Runtime) startTier(guestPC uint64) selfheal.Tier {
 // compiled block is shadow-verified against the TCG interpreter before it
 // is trusted; a divergence quarantines the block and retries one tier
 // down, and only an exhausted ladder surfaces the miscompile as a trap.
+// A guest PC outside every image segment is an unmapped trap: memory there
+// is zero-filled, and decoding it would slide through NOPs into whatever
+// code lies above.
 func (rt *Runtime) translate(c *machine.CPU, guestPC uint64) (*tb, error) {
+	if !rt.inImage(guestPC) {
+		t := faults.New(faults.TrapUnmapped, "core: guest pc %#x lies in no image segment", guestPC)
+		t.Addr = guestPC
+		return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
+	}
 	// A promoted superblock dropped by a cache flush is reinstalled from
 	// its retained IR rather than retranslated as a single block.
 	if rt.tierup != nil {
@@ -562,6 +550,16 @@ func (rt *Runtime) translate(c *machine.CPU, guestPC uint64) (*tb, error) {
 	}
 }
 
+// inImage reports whether pc lies in one of the image's segments.
+func (rt *Runtime) inImage(pc uint64) bool {
+	for _, s := range rt.img.Segments {
+		if pc >= s.Addr && pc-s.Addr < uint64(len(s.Data)) {
+			return true
+		}
+	}
+	return false
+}
+
 // translateAtTier builds one block at the given tier. For compiled tiers
 // it also returns the unoptimized frontend IR when -selfcheck needs an
 // oracle input. Code-cache exhaustion is not fatal: it triggers a full
@@ -574,8 +572,7 @@ func (rt *Runtime) translateAtTier(c *machine.CPU, guestPC uint64, tier selfheal
 		return t, nil, err
 	}
 	tstart := rt.obs.Begin()
-	rt.pipe.cpu = c.ID // span attribution for the foreground pipeline
-	block, ir, err := rt.xlat.TranslateIR(guestPC, tier)
+	block, ir, err := rt.translateIR(c, guestPC, tier)
 	if err != nil {
 		if t, ok := faults.As(err); ok {
 			t.WithCPU(c.ID).WithGuestPC(guestPC)
@@ -588,6 +585,39 @@ func (rt *Runtime) translateAtTier(c *machine.CPU, guestPC uint64, tier selfheal
 	}
 	rt.met.translateNS.Observe(uint64(rt.obs.Begin() - tstart))
 	return t, ir, err
+}
+
+// translateIR turns guestPC into emit-ready IR at a compiled tier: the
+// persistent cache's entry when one is installed, else the frontend over
+// live guest memory and the optimizer at the tier's level, stored in the
+// cache after. Under SelfCheck the cache is bypassed — shadowVerify needs
+// oracle, the pre-optimization IR, which cached entries do not carry.
+func (rt *Runtime) translateIR(c *machine.CPU, guestPC uint64, tier selfheal.Tier) (ir, oracle *tcg.Block, err error) {
+	cache := rt.cfg.TransCache
+	if rt.cfg.SelfCheck {
+		cache = nil
+	}
+	if cache != nil {
+		if blk, ok := cache.LoadBlock(guestPC, tier); ok {
+			return blk, nil, nil
+		}
+	}
+	tstart := rt.obs.Begin()
+	ir, err = frontend.Translate(rt.M.Mem, guestPC, rt.feCfg)
+	rt.obs.Span("frontend.decode", "", c.ID, guestPC, 0, tstart)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rt.cfg.SelfCheck {
+		oracle = ir.Clone()
+	}
+	ostart := rt.obs.Begin()
+	tcg.Optimize(ir, rt.optCfg.Degrade(tier.OptLevel()))
+	rt.obs.Span("tcg.opt", "", c.ID, guestPC, 0, ostart)
+	if cache != nil {
+		cache.StoreBlock(guestPC, tier, ir)
+	}
+	return ir, oracle, nil
 }
 
 // translateInterp installs the interpreter-tier "translation" of guestPC:

@@ -57,6 +57,9 @@ func (rt *Runtime) handleBLR(m *machine.Machine, c *machine.CPU, target uint64) 
 // stores old+val; Xchg stores val.
 func (rt *Runtime) atomicHelper(c *machine.CPU, h tcg.Helper, size uint8, addr, val uint64) (old uint64, err error) {
 	m := rt.M
+	if err := rt.drainFor(c); err != nil {
+		return 0, err
+	}
 	c.Cycles += helperBodyCost
 	m.ChargeAtomic(c, addr)
 	old, err = m.ReadMem(addr, size)
@@ -95,6 +98,9 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		return nil
 
 	case GuestSysWrite:
+		if err := rt.drainFor(c); err != nil {
+			return err
+		}
 		if err := m.CheckRange(a0, a1); err != nil {
 			return fmt.Errorf("guest write: %w", err)
 		}
@@ -157,6 +163,16 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 	}
 	return fmt.Errorf("guest syscall: unknown number %d", nr)
 }
+
+// drainFor drains c's weak-mode store buffer before a runtime service —
+// a host call, an RMW helper, a write syscall, the interpreter tier —
+// reads or writes guest memory on c's behalf. Services access memory
+// directly, not through c's buffer: without the drain a host call reads a
+// stale return address, a write syscall prints what the other CPUs see,
+// and a helper RMW's store is later overwritten by an older buffered
+// store to the same address. It is the rule exec applies before CASAL; on
+// a strong machine it does nothing.
+func (rt *Runtime) drainFor(c *machine.CPU) error { return rt.M.FlushWeak(c) }
 
 func truncateTo(v uint64, size uint8) uint64 {
 	if size >= 8 {

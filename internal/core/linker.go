@@ -22,6 +22,11 @@ func (rt *Runtime) hostCall(c *machine.CPU, e *pltEntry) error {
 		t.Msg = fmt.Sprintf("host call %s: %s", e.name, t.Msg)
 		return t.WithCPU(c.ID)
 	}
+	// The host function and the return-address read below see memory,
+	// not the caller's store buffer, which may still hold the CALL's push.
+	if err := rt.drainFor(c); err != nil {
+		return err
+	}
 	rt.met.hostCalls.Inc()
 	hcStart := rt.obs.Begin()
 	defer func() { rt.obs.Span("core.host_call", e.name, c.ID, 0, 0, hcStart) }()

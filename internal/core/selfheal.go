@@ -265,10 +265,9 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 			WithCPU(c.ID).WithGuestPC(guestPC)
 	}
 	rt.met.interpBlocks.Inc()
-	// The interpreter writes memory directly, so drain this CPU's weak-
-	// mode store buffer first; interpreter-tier execution is sequentially
-	// consistent (a sound strengthening).
-	if err := rt.M.FlushWeak(c); err != nil {
+	// Interpreter-tier execution is sequentially consistent (a sound
+	// strengthening).
+	if err := rt.drainFor(c); err != nil {
 		return err
 	}
 	n := ir.NumTemps

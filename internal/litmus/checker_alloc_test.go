@@ -1,5 +1,3 @@
-//go:build !relmap
-
 package litmus_test
 
 import (
@@ -17,8 +15,7 @@ import (
 // test's own Skeleton value — the static pass runs on the released
 // checker's relations. sync.Pool may drop a checker (a GC cycle; a quarter
 // of all Puts under -race), so the second contract is required of most
-// rounds rather than of each. (Not built under -tags relmap: the map
-// reference engine allocates in every kernel.)
+// rounds rather than of each.
 func TestCheckerAllocations(t *testing.T) {
 	for _, p := range []*litmus.Program{litmus.MP(), litmus.MPQ()} {
 		sks := skeletons(p)

@@ -1,4 +1,4 @@
-//go:build !relmap && !race
+//go:build !race
 
 package litmus_test
 
@@ -18,7 +18,7 @@ import (
 // The cheapest, not the mean: a run that finds the checker sync.Pool empty
 // after a GC cycle pays ~77 allocations for a fresh checker. (Not built
 // under -race, where the pools drop a quarter of all Puts and the counts
-// move by tens from run to run, nor under -tags relmap.)
+// move by tens from run to run.)
 func TestEnumerateAllocations(t *testing.T) {
 	m, err := models.Default().Lookup("x86")
 	if err != nil {

@@ -1,5 +1,3 @@
-//go:build !relmap
-
 package rel
 
 import "math/bits"
@@ -317,34 +315,6 @@ func (r *Relation) Inverse() *Relation {
 	return out
 }
 
-// Domain returns the set of elements with at least one outgoing edge,
-// in sorted order.
-func (r *Relation) Domain() []int {
-	var out []int
-	for a := 0; a < r.u; a++ {
-		if r.AnyFrom(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Codomain returns the set of elements with at least one incoming edge,
-// in sorted order.
-func (r *Relation) Codomain() []int {
-	var out []int
-	for b := 0; b < r.u; b++ {
-		kw, kb := b>>6, uint(b&63)
-		for a := 0; a < r.u; a++ {
-			if r.b[a*r.w+kw]>>kb&1 != 0 {
-				out = append(out, b)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // TransitiveClosure returns r+, the least transitive relation containing r.
 func (r *Relation) TransitiveClosure() *Relation {
 	out := r.Clone()
@@ -367,49 +337,6 @@ func (r *Relation) Irreflexive() bool {
 func (r *Relation) Acyclic() bool {
 	var a Arena
 	return a.Acyclic(r)
-}
-
-// RestrictDomain returns r with edges limited to those whose source is in set.
-func (r *Relation) RestrictDomain(set map[int]bool) *Relation {
-	out := New()
-	for a := 0; a < r.u; a++ {
-		if !set[a] {
-			continue
-		}
-		r.eachFrom(a, func(b int) bool {
-			out.Add(a, b)
-			return true
-		})
-	}
-	return out
-}
-
-// RestrictCodomain returns r with edges limited to those whose target is in set.
-func (r *Relation) RestrictCodomain(set map[int]bool) *Relation {
-	out := New()
-	for a := 0; a < r.u; a++ {
-		r.eachFrom(a, func(b int) bool {
-			if set[b] {
-				out.Add(a, b)
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// Filter returns the edges of r satisfying keep.
-func (r *Relation) Filter(keep func(a, b int) bool) *Relation {
-	out := New()
-	for a := 0; a < r.u; a++ {
-		r.eachFrom(a, func(b int) bool {
-			if keep(a, b) {
-				out.Add(a, b)
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // Equal reports whether r and o contain exactly the same edges.

@@ -5,18 +5,15 @@
 // closure (+), and the acyclicity and irreflexivity tests that consistency
 // axioms are built from.
 //
-// Two interchangeable engines implement the Relation API:
-//
-//   - The default engine (bitset.go) stores a relation as a dense []uint64
-//     adjacency-bit matrix. Event IDs in candidate executions are small
-//     contiguous ints, so every operator runs as a word-wise kernel and an
-//     Arena lets hot paths (per-candidate consistency checks) reuse storage
-//     without allocating.
-//   - The reference engine (mapref.go, build tag "relmap") keeps the
-//     original nested-map representation. It is retained as the obviously
-//     correct implementation: `go test -tags relmap ./...` runs the whole
-//     corpus — golden outcome files included — through it, which is the
-//     differential proof that the bitset engine computes identical sets.
+// One engine implements the Relation API (bitset.go): a relation is a dense
+// []uint64 adjacency-bit matrix. Event IDs in candidate executions are small
+// contiguous ints, so every operator runs as a word-wise kernel and an Arena
+// lets hot paths (per-candidate consistency checks) reuse storage without
+// allocating. Its oracle is pairSet in diff_test.go — a relation as a flat
+// set of edges, every operator brute-force set arithmetic — against which a
+// randomized differential checks every functional, in-place, Arena and
+// predicate form over universes straddling the 64- and 128-element word
+// boundaries and operands of mixed capacity.
 //
 // Functional operators (Union, Seq, Inverse, …) return a fresh relation and
 // never alias the operands' internal state; the *With/*Of in-place forms

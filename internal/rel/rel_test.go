@@ -131,34 +131,6 @@ func TestIrreflexive(t *testing.T) {
 	}
 }
 
-func TestDomainCodomain(t *testing.T) {
-	r := FromPairs(Pair{3, 5}, Pair{1, 5}, Pair{1, 7})
-	d := r.Domain()
-	if len(d) != 2 || d[0] != 1 || d[1] != 3 {
-		t.Fatalf("domain = %v", d)
-	}
-	c := r.Codomain()
-	if len(c) != 2 || c[0] != 5 || c[1] != 7 {
-		t.Fatalf("codomain = %v", c)
-	}
-}
-
-func TestRestrictAndFilter(t *testing.T) {
-	r := FromPairs(Pair{1, 2}, Pair{3, 4})
-	rd := r.RestrictDomain(map[int]bool{1: true})
-	if rd.Size() != 1 || !rd.Has(1, 2) {
-		t.Fatalf("restrict domain: %v", rd)
-	}
-	rc := r.RestrictCodomain(map[int]bool{4: true})
-	if rc.Size() != 1 || !rc.Has(3, 4) {
-		t.Fatalf("restrict codomain: %v", rc)
-	}
-	f := r.Filter(func(a, b int) bool { return a == 3 })
-	if f.Size() != 1 || !f.Has(3, 4) {
-		t.Fatalf("filter: %v", f)
-	}
-}
-
 func TestTotalOrders(t *testing.T) {
 	var count int
 	TotalOrders([]int{1, 2, 3}, func(r *Relation) bool {

@@ -8,11 +8,7 @@
 # concurrent subsystems — the
 # race detector over the packages that exercise them, and over the two other
 # packages that start goroutines: campaign (its worker pipeline) and serve
-# (admission queues, circuit breakers). Two rel-engine stages ride
-# along: the -tags relmap differential run proves the reference map engine
-# still satisfies the whole memmodel/models/litmus stack (so the default
-# bitset engine is pinned against it) and reaches the same Figure-10
-# verdicts in internal/tcg, and a one-iteration bench smoke keeps
+# (admission queues, circuit breakers). A one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The
 # explore stages pin the operational exploration engine: DPOR must reach
@@ -37,9 +33,10 @@ stage() {
 	[ -z "$1" ] || echo "==> $1"
 }
 
-stage "gofmt -l (no unformatted Go files)"
+stage "gofmt -l (no unformatted Go files; no build constraint but !race)"
 unformatted=$(gofmt -l cmd internal examples perf ./*.go)
 [ -z "$unformatted" ] || { echo "gofmt -l flags:" >&2; echo "$unformatted" >&2; exit 1; }
+if grep -rn --include='*.go' '^//go:build' cmd internal examples | grep -v '//go:build !race$' >&2; then echo "build constraint other than !race: every package has one build" >&2; exit 1; fi
 
 stage "go vet ./..."
 go vet ./...
@@ -247,10 +244,6 @@ grep -q "Risotto-translated Arm allows a=1,X=1?  false" "$SH_TMP/ex-litmus.txt" 
 if grep -q "correct=false" "$SH_TMP/ex-litmus.txt"; then
 	echo "examples/litmus: the verified mapping broke Theorem 1" >&2; cat "$SH_TMP/ex-litmus.txt" >&2; exit 1
 fi
-
-stage "rel engine differential: go test -tags relmap (map engine over the full stack)"
-go test -tags relmap ./internal/rel/ ./internal/memmodel/ ./internal/models/... \
-	./internal/litmus/ ./internal/mapping/... ./internal/opcheck/ ./internal/tcg/
 
 stage "bench smoke: scripts/bench_snapshot.sh (one short iteration)"
 BENCHTIME=1x ./scripts/bench_snapshot.sh "$(mktemp)"
