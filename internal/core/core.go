@@ -208,9 +208,6 @@ type tb struct {
 	codeLen  int
 	// tier is the self-healing ladder rung the block was translated at.
 	tier selfheal.Tier
-	// super is the number of guest blocks this translation covers: 0 or 1
-	// for an ordinary block, more for a promoted superblock.
-	super int
 }
 
 // pltEntry is a host-linked import.
@@ -224,11 +221,16 @@ type pltEntry struct {
 //
 // Single-owner rule: machine.RunAll drives every vCPU from the goroutine
 // that called Run, and every table below — tbs, chainSites, patched,
-// irCache, interpStubs, plt, the allocator cursors — is read and written
-// only from it (dispatch, translation, flush, quarantine and tier-up
-// promotion all run inside the SVC/BLR callbacks). The package starts no
-// goroutine of its own, so none of it needs a lock; a Runtime must not be
-// shared between goroutines.
+// irCache, interpStubs, joining, plt, the allocator cursors — is read and
+// written only from it (dispatch, translation, flush, quarantine and
+// tier-up promotion all run inside the SVC/BLR callbacks). The package
+// starts no goroutine of its own, so none of it needs a lock; a Runtime
+// must not be shared between goroutines.
+//
+// Every translation — a compiled block, an interpreter stub, a promoted
+// superblock, a superblock re-emitted after a flush — enters the code
+// cache through install, the only code that adds entries to tbs, irCache
+// and interpStubs and the only caller of flushCodeCache.
 type Runtime struct {
 	// M is the underlying simulated host machine.
 	M *machine.Machine
@@ -269,6 +271,9 @@ type Runtime struct {
 	// its guest PC (stubs pinned across a cache flush stay resolvable).
 	irCache     map[uint64]*tcg.Block
 	interpStubs map[uint64]uint64
+	// joining maps each vCPU blocked in a guest join to the vCPU it waits
+	// for.
+	joining map[int]int
 }
 
 // extent is a half-open host-code byte range [start, end).
@@ -333,6 +338,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		patched:     make(map[uint64]uint64),
 		irCache:     make(map[uint64]*tcg.Block),
 		interpStubs: make(map[uint64]uint64),
+		joining:     make(map[int]int),
 	}
 	// Tier-up needs the registry even without SelfHeal: promotion pins,
 	// the blacklist, and demotion of promoted blocks all live there.
@@ -507,46 +513,39 @@ func (rt *Runtime) startTier(guestPC uint64) selfheal.Tier {
 	return selfheal.TierFull
 }
 
-// translate builds, optimizes and emits one block at the tier the
-// quarantine registry prescribes for it. In -selfcheck mode every freshly
-// compiled block is shadow-verified against the TCG interpreter before it
-// is trusted; a divergence quarantines the block and retries one tier
-// down, and only an exhausted ladder surfaces the miscompile as a trap.
-// A guest PC outside every image segment is an unmapped trap: memory there
-// is zero-filled, and decoding it would slide through NOPs into whatever
-// code lies above.
+// translate builds and installs one block at the tier the quarantine
+// registry prescribes for it, and vets it with verify; a divergence
+// retries one tier down. A promoted superblock dropped by a cache flush is
+// reinstalled from its retained IR instead, which was verified when it was
+// promoted. A guest PC outside every image segment is an unmapped trap:
+// memory there is zero-filled, and decoding it would slide through NOPs
+// into whatever code lies above.
 func (rt *Runtime) translate(c *machine.CPU, guestPC uint64) (*tb, error) {
 	if !rt.inImage(guestPC) {
 		t := faults.New(faults.TrapUnmapped, "core: guest pc %#x lies in no image segment", guestPC)
 		t.Addr = guestPC
 		return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
 	}
-	// A promoted superblock dropped by a cache flush is reinstalled from
-	// its retained IR rather than retranslated as a single block.
 	if rt.tierup != nil {
-		if t, promoted, err := rt.tierup.reemit(c, guestPC); promoted {
-			return t, err
+		if p := rt.tierup.promoted[guestPC]; p != nil {
+			return rt.install(c, guestPC, selfheal.TierFull, p.ir)
 		}
 	}
 	for {
 		tier := rt.startTier(guestPC)
-		t, ir, err := rt.translateAtTier(c, guestPC, tier)
+		tstart := rt.obs.Begin()
+		ir, oracle, err := rt.translateIR(c, guestPC, tier)
 		if err != nil {
 			return nil, err
 		}
-		if rt.cfg.SelfCheck && tier != selfheal.TierInterp {
-			div := rt.shadowVerify(c, t, ir)
-			if div != nil {
-				rt.met.divergences.Inc()
-				rt.obs.Event("core.selfheal.divergence", div.Summary(), c.ID, guestPC, t.hostAddr)
-				if rt.quarantinePC(c, guestPC, div.Summary()) {
-					continue
-				}
-				trap := faults.New(faults.TrapMiscompile, "%s", div.Summary())
-				return nil, trap.WithCPU(c.ID).WithGuestPC(guestPC)
-			}
+		t, err := rt.install(c, guestPC, tier, ir)
+		rt.met.translateNS.Observe(uint64(rt.obs.Begin() - tstart))
+		if err != nil {
+			return nil, err
 		}
-		return t, nil
+		if !rt.verify(c, t, oracle) {
+			return t, nil
+		}
 	}
 }
 
@@ -560,40 +559,25 @@ func (rt *Runtime) inImage(pc uint64) bool {
 	return false
 }
 
-// translateAtTier builds one block at the given tier. For compiled tiers
-// it also returns the unoptimized frontend IR when -selfcheck needs an
-// oracle input. Code-cache exhaustion is not fatal: it triggers a full
-// cache flush plus chain reset and a single retranslation attempt (QEMU's
-// tb_flush recovery); only a block that cannot fit an empty cache still
-// reports the typed trap.
-func (rt *Runtime) translateAtTier(c *machine.CPU, guestPC uint64, tier selfheal.Tier) (*tb, *tcg.Block, error) {
-	if tier == selfheal.TierInterp {
-		t, err := rt.translateInterp(c, guestPC)
-		return t, nil, err
-	}
-	tstart := rt.obs.Begin()
-	block, ir, err := rt.translateIR(c, guestPC, tier)
-	if err != nil {
-		if t, ok := faults.As(err); ok {
-			t.WithCPU(c.ID).WithGuestPC(guestPC)
-		}
-		return nil, nil, err
-	}
-	t, err := rt.emitWithFlushRetry(c, block, guestPC)
-	if t != nil {
-		t.tier = tier
-	}
-	rt.met.translateNS.Observe(uint64(rt.obs.Begin() - tstart))
-	return t, ir, err
-}
-
-// translateIR turns guestPC into emit-ready IR at a compiled tier: the
-// persistent cache's entry when one is installed, else the frontend over
-// live guest memory and the optimizer at the tier's level, stored in the
-// cache after. Under SelfCheck the cache is bypassed — shadowVerify needs
-// oracle, the pre-optimization IR, which cached entries do not carry.
+// translateIR produces guestPC's IR at tier. At a compiled tier that is
+// the persistent cache's entry when one is installed, else the frontend
+// over live guest memory and the optimizer at the tier's level, stored in
+// the cache after. Under SelfCheck the cache is bypassed and oracle is the
+// pre-optimization IR verify needs, which cached entries do not carry. At
+// TierInterp it is the literal frontend IR, never cached, decoded with
+// SyscallBarrier so a blocked syscall (join) can retry the whole block from
+// its stub; the interpreter tier meets the code-cache allocation fault site
+// here, before decoding, and an injected failure is not retried by
+// install's flush.
 func (rt *Runtime) translateIR(c *machine.CPU, guestPC uint64, tier selfheal.Tier) (ir, oracle *tcg.Block, err error) {
-	cache := rt.cfg.TransCache
+	interp := tier == selfheal.TierInterp
+	fe, detail, cache := rt.feCfg, "", rt.cfg.TransCache
+	if interp {
+		if t := rt.cfg.Inject.Hit(faults.SiteCacheAlloc); t != nil {
+			return nil, nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
+		}
+		fe.SyscallBarrier, detail, cache = true, "interp", nil
+	}
 	if rt.cfg.SelfCheck {
 		cache = nil
 	}
@@ -603,10 +587,16 @@ func (rt *Runtime) translateIR(c *machine.CPU, guestPC uint64, tier selfheal.Tie
 		}
 	}
 	tstart := rt.obs.Begin()
-	ir, err = frontend.Translate(rt.M.Mem, guestPC, rt.feCfg)
-	rt.obs.Span("frontend.decode", "", c.ID, guestPC, 0, tstart)
+	ir, err = frontend.Translate(rt.M.Mem, guestPC, fe)
+	rt.obs.Span("frontend.decode", detail, c.ID, guestPC, 0, tstart)
 	if err != nil {
+		if t, ok := faults.As(err); ok {
+			t.WithCPU(c.ID).WithGuestPC(guestPC)
+		}
 		return nil, nil, err
+	}
+	if interp {
+		return ir, nil, nil
 	}
 	if rt.cfg.SelfCheck {
 		oracle = ir.Clone()
@@ -620,143 +610,130 @@ func (rt *Runtime) translateIR(c *machine.CPU, guestPC uint64, tier selfheal.Tie
 	return ir, oracle, nil
 }
 
-// translateInterp installs the interpreter-tier "translation" of guestPC:
-// a single SVC #SvcInterp stub in the code cache plus the block's literal
-// frontend IR in the IR cache. handleSvc recognizes the stub and runs the
-// IR through the TCG interpreter — no code generation is trusted at all.
-// The frontend runs with SyscallBarrier so a blocked syscall (join) can
-// retry the whole block from its stub.
-func (rt *Runtime) translateInterp(c *machine.CPU, guestPC uint64) (*tb, error) {
-	if t := rt.cfg.Inject.Hit(faults.SiteCacheAlloc); t != nil {
-		return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
-	}
-	fe := rt.feCfg
-	fe.SyscallBarrier = true
-	tstart := rt.obs.Begin()
-	block, err := frontend.Translate(rt.M.Mem, guestPC, fe)
-	rt.obs.Span("frontend.decode", "interp", c.ID, guestPC, 0, tstart)
-	if err != nil {
-		if t, ok := faults.As(err); ok {
-			t.WithCPU(c.ID).WithGuestPC(guestPC)
-		}
-		return nil, err
-	}
+// interpStub is the whole host code of an interpreter-tier block: handleSvc
+// recognizes it and runs the block's IR, kept in irCache, through the TCG
+// interpreter — no generated code is trusted at all.
+var interpStub = func() []byte {
 	w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcInterp})
 	if err != nil {
+		panic(err)
+	}
+	return binary.LittleEndian.AppendUint32(nil, w)
+}()
+
+// install is the one way into the code cache: it places ir's host code
+// (the backend's, or interpStub at TierInterp) and records it as guestPC's
+// translation at tier. Code-cache exhaustion is not fatal: it flushes the
+// cache and places once more (QEMU's tb_flush recovery); only code that
+// cannot fit an empty cache reports the typed trap. Compiled code also
+// registers its chain sites, meets the miscompile fault site and is
+// charged its translation cycles.
+func (rt *Runtime) install(c *machine.CPU, guestPC uint64, tier selfheal.Tier, ir *tcg.Block) (*tb, error) {
+	estart := rt.obs.Begin()
+	base, code, st, err := rt.place(c, guestPC, tier, ir)
+	if faults.IsKind(err, faults.TrapCacheExhausted) {
+		rt.flushCodeCache()
+		base, code, st, err = rt.place(c, guestPC, tier, ir)
+	}
+	if err != nil {
 		return nil, err
 	}
-	base, aerr := rt.allocCode(c, arm.InstBytes, guestPC)
-	if aerr != nil && faults.IsKind(aerr, faults.TrapCacheExhausted) {
-		rt.flushCodeCache()
-		base, aerr = rt.allocCode(c, arm.InstBytes, guestPC)
-	}
-	if aerr != nil {
-		return nil, aerr
-	}
-	binary.LittleEndian.PutUint32(rt.M.Mem[base:], w)
-	rt.M.InvalidateDecodeAt(base)
-	t := &tb{guestPC: guestPC, hostAddr: base, codeLen: arm.InstBytes, tier: selfheal.TierInterp}
+	copy(rt.M.Mem[base:], code)
+	t := &tb{guestPC: guestPC, hostAddr: base, codeLen: len(code), tier: tier}
+	rt.codeCursor = (base + uint64(len(code)) + 15) &^ 15
 	rt.tbs[guestPC] = t
-	rt.irCache[guestPC] = block
-	rt.interpStubs[base] = guestPC
 	rt.met.blocks.Inc()
-	rt.met.guestBytes.Add(block.GuestBytes())
-	rt.obs.Span("backend.emit", "interp-stub", c.ID, guestPC, base, tstart)
-	rt.met.translateNS.Observe(uint64(rt.obs.Begin() - tstart))
+	rt.met.guestBytes.Add(ir.GuestBytes())
+	if tier == selfheal.TierInterp {
+		rt.irCache[guestPC] = ir
+		rt.interpStubs[base] = guestPC
+		rt.obs.Span("backend.emit", "interp-stub", c.ID, guestPC, base, estart)
+		return t, nil
+	}
+
+	rt.met.hostInsts.Add(uint64(st.Insts))
+	rt.met.dmbFull.Add(uint64(st.DMBFull))
+	rt.met.dmbLoad.Add(uint64(st.DMBLoad))
+	rt.met.dmbStore.Add(uint64(st.DMBStore))
+	rt.met.casal.Add(uint64(st.Casal))
+	rt.met.exclLoop.Add(uint64(st.ExclLoop))
+	rt.met.codeBytes.Observe(uint64(len(code)))
+	rt.obs.Span("backend.emit", "", c.ID, guestPC, base, estart)
+	if rt.cfg.Chain {
+		for _, slot := range st.ChainSlots {
+			// Host-linked PLT targets must keep trapping: the host call
+			// runs in the dispatcher.
+			if _, linked := rt.plt[slot.GuestTarget]; linked {
+				continue
+			}
+			rt.chainSites[base+uint64(slot.Off)] = slot.GuestTarget
+		}
+	}
+	// Miscompile injection: corrupt the freshly installed code by
+	// overwriting its first instruction with SVC #SvcMiscompile — a
+	// recognizable marker the SVC handler turns into a structured
+	// TrapMiscompile the moment the block executes. Corrupting the
+	// first instruction guarantees the block has no partial effects,
+	// so quarantine-and-retranslate recovery is always sound.
+	if mt := rt.cfg.Inject.Hit(faults.SiteMiscompile); mt != nil {
+		if mw, merr := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcMiscompile}); merr == nil {
+			binary.LittleEndian.PutUint32(rt.M.Mem[base:], mw)
+			rt.M.InvalidateDecodeAt(base)
+			rt.met.miscompiles.Inc()
+			rt.obs.Event("core.selfheal.miscompile_injected", "", c.ID, guestPC, base)
+		}
+	}
+	c.Cycles += translationCostPerByte * ir.GuestBytes()
 	return t, nil
 }
 
-// allocCode reserves size bytes of code cache, skipping pinned extents.
-// Only position-independent code (the interp stub) uses it; full blocks
-// regenerate per-candidate base in emitBlock instead.
-func (rt *Runtime) allocCode(c *machine.CPU, size int, guestPC uint64) (uint64, error) {
-	base := rt.codeCursor
-	for {
-		end := base + uint64(size)
-		if end > uint64(len(rt.M.Mem)) || end < base {
-			t := faults.New(faults.TrapCacheExhausted,
-				"code cache exhausted at %#x (stub %d bytes, memory ends %#x)",
-				base, size, len(rt.M.Mem))
-			return 0, t.WithCPU(c.ID).WithGuestPC(guestPC)
+// place finds where ir's code at tier goes: the next free code-cache slot
+// past any pinned extent. Compiled code is position-dependent, so it is
+// generated afresh at each candidate base; each placement of it meets the
+// code-cache allocation fault site once.
+func (rt *Runtime) place(c *machine.CPU, guestPC uint64, tier selfheal.Tier, ir *tcg.Block) (base uint64, code []byte, st backend.Stats, err error) {
+	interp := tier == selfheal.TierInterp
+	if !interp {
+		if t := rt.cfg.Inject.Hit(faults.SiteCacheAlloc); t != nil {
+			return 0, nil, st, t.WithCPU(c.ID).WithGuestPC(guestPC)
 		}
-		if pe, ok := rt.pinnedOverlap(base, end); ok {
-			base = (pe.end + 15) &^ 15
-			continue
-		}
-		rt.codeCursor = (end + 15) &^ 15
-		return base, nil
 	}
-}
-
-// emitBlock generates host code for block at the next free code-cache
-// slot, skipping pinned extents, and installs it. A block that does not
-// fit reports a faults.TrapCacheExhausted (recoverable via flush).
-func (rt *Runtime) emitBlock(c *machine.CPU, block *tcg.Block, guestPC uint64) (*tb, error) {
-	if t := rt.cfg.Inject.Hit(faults.SiteCacheAlloc); t != nil {
-		return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
-	}
-	base := rt.codeCursor
+	base = rt.codeCursor
 	for {
-		estart := rt.obs.Begin()
-		code, st, err := backend.Generate(block, base, rt.beCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: generating %#x: %w", guestPC, err)
+		code = interpStub
+		if !interp {
+			if code, st, err = backend.Generate(ir, base, rt.beCfg); err != nil {
+				return 0, nil, st, fmt.Errorf("core: generating %#x: %w", guestPC, err)
+			}
 		}
 		end := base + uint64(len(code))
 		if end > uint64(len(rt.M.Mem)) || end < base {
 			t := faults.New(faults.TrapCacheExhausted,
 				"code cache exhausted at %#x (block %d bytes, memory ends %#x)",
 				base, len(code), len(rt.M.Mem))
-			return nil, t.WithCPU(c.ID).WithGuestPC(guestPC)
+			return 0, nil, st, t.WithCPU(c.ID).WithGuestPC(guestPC)
 		}
-		// Generated code is position-dependent, so a collision with a
-		// pinned extent moves the cursor past it and regenerates.
-		if pe, ok := rt.pinnedOverlap(base, end); ok {
-			base = (pe.end + 15) &^ 15
-			continue
+		pe, ok := rt.pinnedOverlap(base, end)
+		if !ok {
+			return base, code, st, nil
 		}
-		copy(rt.M.Mem[base:], code)
-		t := &tb{guestPC: guestPC, hostAddr: base, codeLen: len(code)}
-		rt.codeCursor = (end + 15) &^ 15
-		rt.tbs[guestPC] = t
-
-		rt.met.blocks.Inc()
-		rt.met.guestBytes.Add(block.GuestBytes())
-		rt.met.hostInsts.Add(uint64(st.Insts))
-		rt.met.dmbFull.Add(uint64(st.DMBFull))
-		rt.met.dmbLoad.Add(uint64(st.DMBLoad))
-		rt.met.dmbStore.Add(uint64(st.DMBStore))
-		rt.met.casal.Add(uint64(st.Casal))
-		rt.met.exclLoop.Add(uint64(st.ExclLoop))
-		rt.met.codeBytes.Observe(uint64(len(code)))
-		rt.obs.Span("backend.emit", "", c.ID, guestPC, base, estart)
-		if rt.cfg.Chain {
-			for _, slot := range st.ChainSlots {
-				// Host-linked PLT targets must keep trapping: the host call
-				// runs in the dispatcher.
-				if _, linked := rt.plt[slot.GuestTarget]; linked {
-					continue
-				}
-				rt.chainSites[t.hostAddr+uint64(slot.Off)] = slot.GuestTarget
-			}
-		}
-		// Miscompile injection: corrupt the freshly installed code by
-		// overwriting its first instruction with SVC #SvcMiscompile — a
-		// recognizable marker the SVC handler turns into a structured
-		// TrapMiscompile the moment the block executes. Corrupting the
-		// first instruction guarantees the block has no partial effects,
-		// so quarantine-and-retranslate recovery is always sound.
-		if mt := rt.cfg.Inject.Hit(faults.SiteMiscompile); mt != nil {
-			if mw, merr := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcMiscompile}); merr == nil {
-				binary.LittleEndian.PutUint32(rt.M.Mem[base:], mw)
-				rt.M.InvalidateDecodeAt(base)
-				rt.met.miscompiles.Inc()
-				rt.obs.Event("core.selfheal.miscompile_injected", "", c.ID, guestPC, base)
-			}
-		}
-		c.Cycles += translationCostPerByte * block.GuestBytes()
-		return t, nil
+		base = (pe.end + 15) &^ 15
 	}
+}
+
+// verify shadow-checks a freshly installed translation against its oracle
+// IR and reports whether it diverged, quarantining a diverging block one
+// tier down. Only compiled tiers carry an oracle, and only under
+// -selfcheck, so a diverging block always has a rung to fall to.
+func (rt *Runtime) verify(c *machine.CPU, t *tb, oracle *tcg.Block) bool {
+	div := rt.shadowVerify(c, t, oracle)
+	if div == nil {
+		return false
+	}
+	rt.met.divergences.Inc()
+	rt.obs.Event("core.selfheal.divergence", div.Summary(), c.ID, t.guestPC, t.hostAddr)
+	rt.quarantinePC(c, t.guestPC, div.Summary())
+	return true
 }
 
 // pinnedOverlap reports the first pinned extent intersecting [start, end).

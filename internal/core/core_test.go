@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/guestimg"
 	"repro/internal/hostlib"
 	"repro/internal/isa/x86"
+	"repro/internal/selfheal"
 )
 
 var allVariants = []Variant{VariantQemu, VariantNoFences, VariantTCGVer, VariantRisotto}
@@ -486,5 +488,78 @@ func TestGuestJoinDoesNotSpin(t *testing.T) {
 	// 1,150 instructions of set-up and reduction.
 	if main := rt.M.CPUs[0].Insts; main > yields+2000 {
 		t.Errorf("main thread executed %d instructions over %d blocked quanta: the join is spinning", main, yields)
+	}
+}
+
+// joinDeadlockImage builds a guest whose join can never return: main joins
+// itself, or, with cycle, main and a spawned worker join each other. A
+// label starts each block the interpreter tier splits out, so a test can
+// pin them all to that tier.
+func joinDeadlockImage(t *testing.T, cycle bool) *guestimg.Image {
+	t.Helper()
+	b := guestimg.NewBuilder(0x10000, 0x40000)
+	a := b.Asm
+	a.Label("worker").
+		MovRI(x86.RDI, 0).
+		MovRI(x86.RAX, GuestSysJoin).
+		Label("wjoin").
+		Syscall().
+		Label("wexit")
+	exitWith(a, x86.RAX)
+	a.Label("main")
+	if cycle {
+		a.MovRI(x86.RAX, GuestSysSpawn).
+			MovRI(x86.RDI, 0x7777777700000000). // placeholder: worker addr
+			MovRI(x86.RSI, 0).
+			Label("spawn").
+			Syscall().
+			Label("spawned").
+			MovRR(x86.RDI, x86.RAX)
+	} else {
+		a.MovRI(x86.RDI, 0)
+	}
+	a.MovRI(x86.RAX, GuestSysJoin).
+		Label("join").
+		Syscall().
+		Label("exit")
+	exitWith(a, x86.RAX)
+	img, err := b.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cycle {
+		patchImm64(t, img, 0x7777777700000000, img.Symbols["worker"])
+	}
+	return img
+}
+
+// TestGuestJoinDeadlockFails: a join that would wait on its own thread —
+// directly, or around a cycle of blocked joins — fails at once on the
+// guest join error path, compiled and at the interpreter tier, instead of
+// spinning until the step budget runs out.
+func TestGuestJoinDeadlockFails(t *testing.T) {
+	for _, cycle := range []bool{false, true} {
+		for _, interp := range []bool{false, true} {
+			img := joinDeadlockImage(t, cycle)
+			rt, err := New(img, WithVariant(VariantRisotto), WithSelfHeal(true), WithStepBudget(1_000_000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if interp {
+				for _, pc := range img.Symbols {
+					rt.Heal().SetTier(pc, selfheal.TierInterp)
+				}
+			}
+			_, err = rt.Run()
+			if err == nil || !strings.Contains(err.Error(), "guest join: ") || !strings.Contains(err.Error(), "would wait on itself") {
+				t.Errorf("cycle=%v interp=%v: run error %v, want a guest join that would wait on itself", cycle, interp, err)
+			}
+			if interp != (rt.Stats().InterpBlocks > 0) {
+				t.Errorf("cycle=%v interp=%v: %d interpreted blocks", cycle, interp, rt.Stats().InterpBlocks)
+			}
+			if steps := rt.M.CPUs[0].Insts; steps > 1000 {
+				t.Errorf("cycle=%v interp=%v: main ran %d instructions before the join failed", cycle, interp, steps)
+			}
+		}
 	}
 }

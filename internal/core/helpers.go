@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/backend"
@@ -43,7 +44,18 @@ func (rt *Runtime) handleBLR(m *machine.Machine, c *machine.CPU, target uint64) 
 
 	case frontend.HelperSyscall:
 		rt.met.syscalls.Inc()
-		return true, rt.guestSyscall(m, c)
+		err := rt.guestSyscall(m, c)
+		if err == errJoinBlocked {
+			// Re-execute the helper BLR next rotation: point the link
+			// register back at the BLR itself, and refund the call cost —
+			// a blocked join is a futex wait.
+			c.Regs[30] = c.PC
+			if c.Cycles >= m.Cost.Call {
+				c.Cycles -= m.Cost.Call
+			}
+			return true, nil
+		}
+		return true, err
 	}
 	return false, faults.New(faults.TrapHostCall,
 		"core: unknown helper %d (target %#x)", h, target).WithCPU(c.ID)
@@ -76,6 +88,10 @@ func (rt *Runtime) atomicHelper(c *machine.CPU, h tcg.Helper, size uint8, addr, 
 	}
 	return old, m.WriteMem(addr, size, val)
 }
+
+// errJoinBlocked is guestSyscall's answer to a join whose thread is still
+// running: the caller arranges to retry the syscall on its next rotation.
+var errJoinBlocked = errors.New("guest join: blocked")
 
 // guestSyscall implements the guest OS interface. User-mode emulation
 // executes syscalls natively on the host (§2.2); here "the host" is the
@@ -131,23 +147,26 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 			return fmt.Errorf("guest join: no cpu %d", id)
 		}
 		t := m.CPUs[id]
-		if !t.Halted {
-			// Re-execute the helper BLR: point the link register back at
-			// the BLR itself and give up the quantum so the scheduler
-			// retries next rotation, and refund the call cost — a blocked
-			// join is a futex wait. The retry is not a fresh guest
-			// syscall, so uncount it.
-			c.Regs[30] = c.PC
-			if c.Cycles >= m.Cost.Call {
-				c.Cycles -= m.Cost.Call
-			}
-			rt.met.syscalls.Sub(1)
-			rt.met.helperCalls.Sub(1)
-			m.Yield()
+		if t.Halted {
+			delete(rt.joining, c.ID)
+			*guestReg(c, x86.RAX) = t.ExitCode
 			return nil
 		}
-		*guestReg(c, x86.RAX) = t.ExitCode
-		return nil
+		// A join that waits on its own thread, directly or around a cycle
+		// of blocked joins, can never return. joining holds no cycle, so
+		// the walk ends at a thread that is not blocked in a join.
+		for w, ok := int(id), true; ok; w, ok = rt.joining[w] {
+			if w == c.ID {
+				return fmt.Errorf("guest join: cpu %d joining cpu %d would wait on itself", c.ID, id)
+			}
+		}
+		// Give up the quantum so the scheduler retries next rotation. The
+		// retry is not a fresh guest syscall, so uncount this one.
+		rt.joining[c.ID] = int(id)
+		rt.met.syscalls.Sub(1)
+		rt.met.helperCalls.Sub(1)
+		m.Yield()
+		return errJoinBlocked
 
 	case GuestSysAlloc:
 		// A size near 2^64 (a negative guest value) wraps either the

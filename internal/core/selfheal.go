@@ -25,7 +25,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/frontend"
 	"repro/internal/guestimg"
-	"repro/internal/isa/x86"
 	"repro/internal/machine"
 	"repro/internal/selfheal"
 	"repro/internal/tcg"
@@ -309,26 +308,20 @@ func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, 
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
 	defer copy(it.Temps[:tcg.NumGlobals], c.Regs[:tcg.NumGlobals])
 	rt.met.helperCalls.Inc()
-	m := rt.M
 	switch in.Helper {
 	case tcg.HelperCmpXchg, tcg.HelperXAdd, tcg.HelperXchg:
 		return rt.atomicHelper(c, in.Helper, in.Size, a, b)
 
 	case frontend.HelperSyscall:
-		if *guestReg(c, x86.RAX) == GuestSysJoin {
-			id := *guestReg(c, x86.RDI)
-			if id < uint64(len(m.CPUs)) && !m.CPUs[id].Halted {
-				// Blocked join: give up the quantum without consuming the
-				// syscall — the block (isolated by the frontend's
-				// SyscallBarrier) retries from its stub next rotation.
-				rt.met.helperCalls.Sub(1)
-				*yielded = true
-				m.Yield()
-				return 0, nil
-			}
-		}
 		rt.met.syscalls.Inc()
-		return 0, rt.guestSyscall(m, c)
+		err := rt.guestSyscall(rt.M, c)
+		if err == errJoinBlocked {
+			// The block (isolated by the frontend's SyscallBarrier) retries
+			// from its stub next rotation.
+			*yielded = true
+			return 0, nil
+		}
+		return 0, err
 	}
 	return 0, faults.New(faults.TrapHostCall,
 		"core: unknown helper %d in interpreted block", in.Helper).WithCPU(c.ID)

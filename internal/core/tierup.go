@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/faults"
 	"repro/internal/frontend"
 	"repro/internal/machine"
 	"repro/internal/selfheal"
@@ -124,12 +123,10 @@ func (tu *tierUp) promote(c *machine.CPU, pc uint64) {
 }
 
 // install swaps a built promotion into the code cache: invalidate the
-// cheap copy of its head (restoring any chained branches into it), emit
+// cheap copy of its head (restoring any chained branches into it), install
 // the superblock at TierFull, and pin the new tier in the quarantine
-// registry. With selfcheck on, the promoted code is shadow-verified
-// against the stitched oracle before it is trusted, and a divergence
-// demotes instead of installing. Returns the installed block, nil when
-// nothing was promoted.
+// registry. A superblock that fails verify is demoted instead of
+// promoted. Returns the installed block, nil when nothing was promoted.
 func (tu *tierUp) install(c *machine.CPU, p *promotion) *tb {
 	rt := tu.rt
 	pc := p.trace[0]
@@ -138,20 +135,13 @@ func (tu *tierUp) install(c *machine.CPU, p *promotion) *tb {
 		from = t.tier // the installed copy's actual rung (implicit TierNoOpt)
 	}
 	rt.invalidateBlock(pc)
-	t, err := rt.emitWithFlushRetry(c, p.ir, pc)
+	t, err := rt.install(c, pc, selfheal.TierFull, p.ir)
 	if err != nil {
 		rt.obs.Event("core.tierup.emit_error", err.Error(), c.ID, pc, 0)
 		return nil
 	}
-	t.tier = selfheal.TierFull
-	t.super = len(p.trace)
-	if rt.cfg.SelfCheck {
-		if div := rt.shadowVerify(c, t, p.oracle); div != nil {
-			rt.met.divergences.Inc()
-			rt.obs.Event("core.selfheal.divergence", div.Summary(), c.ID, pc, t.hostAddr)
-			rt.quarantinePC(c, pc, div.Summary())
-			return nil
-		}
+	if rt.verify(c, t, p.oracle) {
+		return nil
 	}
 	rt.heal.Promote(pc, from, selfheal.TierFull,
 		fmt.Sprintf("hot block promoted (%d-block trace)", len(p.trace)))
@@ -163,24 +153,6 @@ func (tu *tierUp) install(c *machine.CPU, p *promotion) *tb {
 	}
 	rt.met.crossFences.Add(p.crossFences)
 	return t
-}
-
-// reemit reinstalls a previously promoted superblock after a cache flush
-// dropped it — translate consults it before the per-block pipeline so a
-// flush does not silently forget promotions. The IR was verified at
-// install time; re-verification is skipped.
-func (tu *tierUp) reemit(c *machine.CPU, guestPC uint64) (*tb, bool, error) {
-	p := tu.promoted[guestPC]
-	if p == nil {
-		return nil, false, nil
-	}
-	t, err := tu.rt.emitWithFlushRetry(c, p.ir, guestPC)
-	if err != nil {
-		return nil, true, err
-	}
-	t.tier = selfheal.TierFull
-	t.super = len(p.trace)
-	return t, true, nil
 }
 
 // demoted clears promotion state when the quarantine path pulls a block
@@ -205,17 +177,6 @@ const chainDeferPatience = 4
 func (tu *tierUp) deferChain(guestPC uint64) bool {
 	return tu.promotable(guestPC) &&
 		tu.counts[guestPC] < uint64(tu.cfg.PromoteThreshold*chainDeferPatience)
-}
-
-// emitWithFlushRetry is emitBlock plus the standard exhaustion recovery
-// (flush once, retry once).
-func (rt *Runtime) emitWithFlushRetry(c *machine.CPU, block *tcg.Block, guestPC uint64) (*tb, error) {
-	t, err := rt.emitBlock(c, block, guestPC)
-	if err != nil && faults.IsKind(err, faults.TrapCacheExhausted) {
-		rt.flushCodeCache()
-		t, err = rt.emitBlock(c, block, guestPC)
-	}
-	return t, err
 }
 
 // build translates the hot block at pc over live guest text, greedily

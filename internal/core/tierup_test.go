@@ -416,7 +416,7 @@ func TestTierUpBackwardTraceSize(t *testing.T) {
 	}
 	c := rt.M.CPUs[0]
 	cycles, bytes := c.Cycles, rt.Stats().GuestBytes
-	if _, err := rt.emitBlock(c, p.ir, p.trace[0]); err != nil {
+	if _, err := rt.install(c, p.trace[0], selfheal.TierFull, p.ir); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := c.Cycles-cycles, translationCostPerByte*size; got != want {

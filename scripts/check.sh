@@ -38,6 +38,17 @@ unformatted=$(gofmt -l cmd internal examples perf ./*.go)
 [ -z "$unformatted" ] || { echo "gofmt -l flags:" >&2; echo "$unformatted" >&2; exit 1; }
 if grep -rn --include='*.go' '^//go:build' cmd internal examples | grep -v '//go:build !race$' >&2; then echo "build constraint other than !race: every package has one build" >&2; exit 1; fi
 
+# install (internal/core/core.go) is the one way into the code cache:
+# compiled blocks, interpreter stubs, promotions and post-flush re-emits
+# share its placement loop, flush retry and bookkeeping. A second caller of
+# flushCodeCache or a second insert into tbs is a second route.
+stage "core install path: one rt.flushCodeCache() call, one rt.tbs[...] = insert (non-test internal/core)"
+core_src=$(ls internal/core/*.go | grep -v '_test\.go$')
+for pat in 'rt\.flushCodeCache()' 'rt\.tbs\[[^]]*\] *=[^=]'; do
+	n=$(grep -ho "$pat" $core_src | wc -l)
+	[ "$n" -eq 1 ] || { echo "internal/core has $n matches of $pat, want 1 (every translation goes through install):" >&2; grep -n "$pat" $core_src >&2; exit 1; }
+done
+
 stage "go vet ./..."
 go vet ./...
 
@@ -157,8 +168,8 @@ cmp "$SH_TMP/tierup-crash.json" "$SH_TMP/tierup-crash2.json" \
 # single-owner rule). What is shared is the TransCache, between runtimes
 # the tests drive from several goroutines; this stage is the check on that,
 # and on nothing in core having grown a goroutine again.
-stage "core single-owner (race): go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1"
-go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal' -count=1
+stage "core single-owner (race): go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin' -count=1"
+go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin' -count=1
 
 stage "metrics snapshot validates (risotto -metrics json | obsvalidate)"
 "$risotto" -kernel histogram -threads 2 -metrics json | "$obsvalidate" >/dev/null
