@@ -183,8 +183,7 @@ func BenchmarkTierUp(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					cyc, _, st, err := bench.RunGuestScoped(
-						pb, core.VariantRisotto, "", 0, nil, mode.opts...)
+					cyc, _, st, err := bench.RunGuest(pb, core.VariantRisotto, "", mode.opts...)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -52,6 +52,7 @@ var (
 
 func main() {
 	cf = cliflags.Register(flag.CommandLine)
+	cf.AddWorkers(flag.CommandLine)
 	flag.Usage = func() { usage() }
 	flag.Parse()
 	if err := cf.Check(); err != nil {

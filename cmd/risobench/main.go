@@ -49,6 +49,7 @@ func main() {
 	maxTests := fs.Int("max-tests", 0, "cap on total generated tests (campaign; 0 = no cap)")
 	opcheckSeeds := fs.Int("opcheck-seeds", 2, "seeds per soundness check (campaign; negative = skip opcheck)")
 	cf := cliflags.Register(fs)
+	cf.AddWorkers(fs)
 	cf.AddTierUp(fs)
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -64,15 +65,7 @@ func main() {
 			if *kernels != "" {
 				names = strings.Split(*kernels, ",")
 			}
-			var extra []core.Option
-			if cf.TierUp.Enabled {
-				extra = append(extra, core.WithTierUp(core.TierUpConfig{
-					Enabled:          true,
-					PromoteThreshold: cf.TierUp.PromoteThreshold,
-					SuperblockMax:    cf.TierUp.SuperblockMax,
-				}))
-			}
-			rows, err := bench.Fig12(*threads, *scale, names, extra...)
+			rows, err := bench.Fig12(*threads, *scale, names, core.WithTierUp(cf.TierUp))
 			check(err)
 			fmt.Println(bench.RenderFig12(rows))
 			if *csvDir != "" {

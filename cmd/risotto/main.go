@@ -79,7 +79,7 @@ func main() {
 	// report so the output stays machine-parsable.
 	quiet := cf.Metrics != ""
 	runOpts := func(v core.Variant) []core.Option {
-		opts := []core.Option{
+		return []core.Option{
 			core.WithVariant(v),
 			core.WithChain(*chain),
 			core.WithStepBudget(*stepBudget),
@@ -89,15 +89,8 @@ func main() {
 			core.WithProvenance(*kernel, cf.Fault, cf.FaultSeed),
 			core.WithFaults(inject),
 			core.WithObs(scope),
+			core.WithTierUp(cf.TierUp),
 		}
-		if cf.TierUp.Enabled {
-			opts = append(opts, core.WithTierUp(core.TierUpConfig{
-				Enabled:          true,
-				PromoteThreshold: cf.TierUp.PromoteThreshold,
-				SuperblockMax:    cf.TierUp.SuperblockMax,
-			}))
-		}
-		return opts
 	}
 
 	if *list {

@@ -112,9 +112,7 @@ func main() {
 			DeadlineCap:       *deadlineCap,
 			MemSize:           *memSize,
 			Seed:              cf.FaultSeed,
-			TierUp:            cf.TierUp.Enabled,
-			PromoteThreshold:  cf.TierUp.PromoteThreshold,
-			SuperblockMax:     cf.TierUp.SuperblockMax,
+			TierUp:            cf.TierUp,
 		},
 	}))
 }

@@ -1,10 +1,11 @@
-// Package cliflags registers the flags shared by the risotto, litmusctl
-// and risobench commands — one spelling, one default, one help string per
-// flag — and turns the parsed values into the objects the commands need:
-// a fault injector from -fault/-fault-seed, a root observability scope
-// whose snapshot -metrics dumps, and the -trace JSONL writer. Keeping the
-// plumbing here means a flag added for one tool appears in all three with
-// identical semantics.
+// Package cliflags registers the flags shared by the risotto, risottod,
+// litmusctl and risobench commands — one spelling, one default, one help
+// string per flag — and turns the parsed values into the objects the
+// commands need: a fault injector from -fault/-fault-seed, a root
+// observability scope whose snapshot -metrics dumps, and the -trace JSONL
+// writer. Register installs the flags every command reads; the Add*
+// methods install the ones only some commands read (-workers, -listen,
+// the -tierup family), so no command accepts a flag it ignores.
 package cliflags
 
 import (
@@ -23,6 +24,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/litmus"
 	"repro/internal/obs"
+	"repro/internal/selfheal"
 )
 
 // TrapExitCode is the process exit code every command uses for a run that
@@ -46,7 +48,8 @@ func TrapReport(tool string, err error) (string, bool) {
 // Set holds the parsed values of the shared flags. Zero value is unusable;
 // build one with Register.
 type Set struct {
-	// Workers bounds enumeration parallelism (0 = all CPUs, 1 = serial).
+	// Workers bounds enumeration parallelism (0 = all CPUs, 1 = serial);
+	// only registered by AddWorkers.
 	Workers int
 	// Fault is the comma-separated fault spec list (name[@N]).
 	Fault string
@@ -59,8 +62,9 @@ type Set struct {
 	// Listen is the -listen address ("" = no HTTP endpoint); only
 	// registered by AddListen.
 	Listen string
-	// TierUp holds the -tierup flag family; only registered by AddTierUp.
-	TierUp TierUpFlags
+	// TierUp holds the -tierup flag family, ready for core.WithTierUp;
+	// only registered by AddTierUp.
+	TierUp selfheal.TierUp
 
 	scopeOnce sync.Once
 	scope     *obs.Scope
@@ -73,8 +77,6 @@ type Set struct {
 // parsed values land in. Call before fs.Parse.
 func Register(fs *flag.FlagSet) *Set {
 	s := &Set{}
-	fs.IntVar(&s.Workers, "workers", 0,
-		"enumeration workers (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&s.Fault, "fault", "",
 		"inject deterministic faults: comma list of name[@N]\n(names: "+
 			strings.Join(faults.SpecNames(), ", ")+")")
@@ -86,6 +88,13 @@ func Register(fs *flag.FlagSet) *Set {
 	return s
 }
 
+// AddWorkers installs the -workers flag (litmusctl and risobench, the
+// commands that run litmus enumerations or campaign worker pools).
+func (s *Set) AddWorkers(fs *flag.FlagSet) {
+	fs.IntVar(&s.Workers, "workers", 0,
+		"enumeration workers (0 = all CPUs, 1 = serial)")
+}
+
 // AddListen installs the -listen flag (risotto only): an address for the
 // live /metrics and /debug/obs HTTP endpoints.
 func (s *Set) AddListen(fs *flag.FlagSet) {
@@ -93,20 +102,8 @@ func (s *Set) AddListen(fs *flag.FlagSet) {
 		"serve /metrics (Prometheus) and /debug/obs (JSON) on this address")
 }
 
-// TierUpFlags is the parsed -tierup flag family. The package stays free
-// of a core dependency, so commands translate these plain values into
-// core.WithTierUp themselves.
-type TierUpFlags struct {
-	// Enabled is -tierup: start blocks cheap, promote hot ones.
-	Enabled bool
-	// PromoteThreshold is -promote-threshold (0 = runtime default).
-	PromoteThreshold int
-	// SuperblockMax is -superblock-max (0 = runtime default).
-	SuperblockMax int
-}
-
 // AddTierUp installs the tier-up JIT flags shared by risotto, risottod
-// and risobench.
+// and risobench, bound straight into s.TierUp.
 func (s *Set) AddTierUp(fs *flag.FlagSet) {
 	fs.BoolVar(&s.TierUp.Enabled, "tierup", false,
 		"tier-up JIT: new blocks start unoptimized; hot blocks are promoted\nto optimized superblocks by the dispatch that finds them hot")

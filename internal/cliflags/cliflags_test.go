@@ -17,6 +17,7 @@ func parse(t *testing.T, args ...string) *Set {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	s := Register(fs)
+	s.AddWorkers(fs)
 	s.AddListen(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)

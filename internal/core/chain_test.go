@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
+	"repro/internal/selfheal"
 )
 
 // chainLoopImage builds a hot loop spanning two blocks (the loop back-edge
@@ -39,7 +40,7 @@ func chainLoopImage(t *testing.T) (*guestimg.Image, uint64) {
 func TestChainingPreservesSemantics(t *testing.T) {
 	img, want := chainLoopImage(t)
 	for _, chain := range []bool{false, true} {
-		rt, err := newRuntime(Config{Variant: VariantRisotto, Chain: chain}, img)
+		rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Chain: chain}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestChainingPreservesSemantics(t *testing.T) {
 func TestChainingSavesDispatchCycles(t *testing.T) {
 	img, _ := chainLoopImage(t)
 	run := func(chain bool) uint64 {
-		rt, err := newRuntime(Config{Variant: VariantRisotto, Chain: chain}, img)
+		rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Chain: chain}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestChainingDifferentialRandomPrograms(t *testing.T) {
 		if err := ref.Run(2_000_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		rt, err := newRuntime(Config{Variant: VariantRisotto, Chain: true}, img)
+		rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Chain: true}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +151,8 @@ func TestChainingLeavesHostCallsTrapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := newTestLib()
-	rt, err := newRuntime(Config{Variant: VariantRisotto, Chain: true,
-		IDL: "i64 triple(i64 x);\n", Lib: lib}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto,
+		Replay: selfheal.Replay{Chain: true, IDL: "i64 triple(i64 x);\n"}, Lib: lib}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/faults"
@@ -55,74 +54,28 @@ func (v Variant) String() string {
 	return fmt.Sprintf("variant?%d", int(v))
 }
 
-// Config parameterizes a Runtime.
+// Config parameterizes a Runtime. Everything a crash bundle replays lives
+// in the embedded selfheal.Replay, which the bundle embeds too; the fields
+// below it are bundled apart from that block (Variant by name, Kernel
+// beside the image, TierUp only when enabled) or not at all.
 type Config struct {
-	// Variant selects the DBT setup.
+	selfheal.Replay
+	// Variant selects the DBT setup (bundled by name).
 	Variant Variant
-	// MemSize is the machine memory size (default 32 MiB).
-	MemSize int
-	// CodeCacheBase is where generated host code is placed (default:
-	// upper quarter of memory).
-	CodeCacheBase uint64
-	// StackSize per guest thread (default 256 KiB).
-	StackSize uint64
-	// IDL, when non-empty and the variant is Risotto, enables the host
-	// linker for the declared functions.
-	IDL string
+	// Kernel records the workload name for crash bundles; it does not
+	// affect execution.
+	Kernel string
 	// Lib is the host library used by the linker (hostlib.Default() if
 	// nil).
 	Lib *hostlib.Library
-	// Quantum is the round-robin scheduling quantum in instructions.
-	Quantum int
-	// MaxSteps bounds total executed host instructions (default 2e9).
-	MaxSteps uint64
 	// Opt, when non-nil, overrides the variant's optimizer configuration
 	// (used by the ablation benchmarks).
 	Opt *tcg.OptConfig
-	// Chain enables translation-block chaining: a block whose exit
-	// target is constant gets its dispatch trap patched into a direct
-	// branch to the target block once both are translated (QEMU's
-	// goto_tb). Off by default so the calibrated dispatch cost of the
-	// evaluation figures stays comparable across variants.
-	Chain bool
-	// WeakSeed, when non-nil, runs the simulated host in operational
-	// weak-memory mode (store buffers with out-of-order drain, seeded by
-	// the value) — the generated code's fences then actually constrain
-	// visible reorderings. Used by correctness demonstrations, not by the
-	// performance figures.
-	WeakSeed *int64
-	// StepBudget, when non-zero, bounds each vCPU's executed host
-	// instructions; a guest that reaches it (runaway loop, livelocked
-	// spin) halts with a structured faults.TrapBudget instead of spinning
-	// until MaxSteps.
-	StepBudget uint64
-	// Deadline, when non-zero, is the wall-clock watchdog for Run.
-	Deadline time.Duration
 	// Inject, when non-nil, arms deterministic fault injection across the
 	// stack: frontend decode, code-cache allocation, memory accesses,
 	// scheduler quanta, host-linked calls and emitted-code corruption.
+	// Bundles record its FaultSpec and FaultSeed instead.
 	Inject *faults.Injector
-	// SelfHeal enables the tiered self-healing layer: a trap attributed
-	// to a translated block quarantines it — the block is invalidated in
-	// the code cache, its tier demoted one rung (full opts → no fence
-	// merging → no opts → TCG interpreter), and execution resumes — with
-	// at most MaxHeals recoveries per run. Off by default so the fault
-	// matrix keeps pinning every injected fault's undisguised trap.
-	SelfHeal bool
-	// SelfCheck additionally shadow-executes every freshly translated
-	// block once against the TCG interpreter on a snapshot of CPU and
-	// memory state, and quarantines the block on any register, memory or
-	// exit divergence — runtime translation validation. Implies SelfHeal.
-	SelfCheck bool
-	// MaxHeals caps quarantine recoveries per run (default 16 when
-	// SelfHeal is on).
-	MaxHeals int
-	// Kernel, FaultSpec and FaultSeed record run provenance for crash
-	// bundles (the CLI inputs that produced this config). They do not
-	// affect execution — Inject carries the armed injector itself.
-	Kernel    string
-	FaultSpec string
-	FaultSeed int64
 	// Obs, when non-nil, is the observability scope the whole stack
 	// reports into: the runtime threads it through the frontend, the
 	// optimizer, the backend, the machine and the injector, prefixing its
@@ -141,6 +94,7 @@ type Config struct {
 	// TierUp configures the tier-up JIT (tierup.go): when enabled,
 	// unpinned blocks start at the cheap TierNoOpt rung and hot ones are
 	// promoted to full-tier superblocks by the dispatch that finds them hot.
+	// Bundled only when enabled.
 	TierUp TierUpConfig
 }
 
@@ -320,7 +274,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		cfg.MaxHeals = 16
 	}
 	if cfg.TierUp.Enabled {
-		cfg.TierUp = cfg.TierUp.withDefaults()
+		cfg.TierUp = tierUpDefaults(cfg.TierUp)
 	}
 
 	scope := cfg.Obs

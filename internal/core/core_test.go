@@ -362,7 +362,7 @@ func TestHostLinker(t *testing.T) {
 	idlSrc := "i64 triple(i64 x);\n"
 
 	// Risotto with linker: host implementation runs (42).
-	rt, code := runImage(t, img, VariantRisotto, Config{IDL: idlSrc, Lib: lib})
+	rt, code := runImage(t, img, VariantRisotto, Config{Replay: selfheal.Replay{IDL: idlSrc}, Lib: lib})
 	if code != 42 {
 		t.Errorf("risotto+linker: exit = %d, want 42 (host impl)", code)
 	}
@@ -372,7 +372,7 @@ func TestHostLinker(t *testing.T) {
 
 	// Every other variant translates the guest implementation (43).
 	for _, v := range []Variant{VariantQemu, VariantTCGVer, VariantNoFences} {
-		rt, code := runImage(t, img, v, Config{IDL: idlSrc, Lib: lib})
+		rt, code := runImage(t, img, v, Config{Replay: selfheal.Replay{IDL: idlSrc}, Lib: lib})
 		if code != 43 {
 			t.Errorf("%v: exit = %d, want 43 (guest impl)", v, code)
 		}
@@ -386,6 +386,34 @@ func TestHostLinker(t *testing.T) {
 	rt2, code := runImage(t, img, VariantRisotto, Config{})
 	if code != 43 || rt2.Stats().HostCalls != 0 {
 		t.Errorf("risotto w/o IDL: exit=%d hostcalls=%d", code, rt2.Stats().HostCalls)
+	}
+}
+
+// TestHostLinkedDigestWrappingBuffer calls the linked md5 with a
+// guest-chosen buffer whose end wraps past 2^64: the host library must
+// refuse it (result 0) and the run complete, not panic out of Run.
+func TestHostLinkedDigestWrappingBuffer(t *testing.T) {
+	b := guestimg.NewBuilder(0x10000, 0x40000)
+	b.Import("md5")
+	a := b.Asm
+	a.Label("main").
+		MovRI(x86.RDI, -8). // ptr = 2^64-8
+		MovRI(x86.RSI, 16).
+		Call("md5@plt").
+		Jmp("done").
+		Label("md5"). // guest implementation, unused under the linker
+		MovRI(x86.RAX, 99).
+		Ret().
+		Label("done")
+	exitWith(a, x86.RAX)
+	img, err := b.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, code := runImage(t, img, VariantRisotto,
+		Config{Replay: selfheal.Replay{IDL: "u64 md5(buf data, u64 len);\n"}})
+	if code != 0 || rt.Stats().HostCalls != 1 {
+		t.Errorf("exit = %d, host calls = %d; want 0, 1", code, rt.Stats().HostCalls)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/guestimg"
 	"repro/internal/hostlib"
 	"repro/internal/isa/x86"
+	"repro/internal/selfheal"
 )
 
 // chainImage builds a guest whose hot path is a chain of nblocks tiny
@@ -53,11 +54,11 @@ func TestFaultCacheExhaustRecovers(t *testing.T) {
 	const nblocks = 64
 	img := chainImage(t, nblocks, 3)
 	for _, chain := range []bool{false, true} {
-		cfg := Config{
+		cfg := Config{Replay: selfheal.Replay{
 			MemSize:       1 << 20,
 			CodeCacheBase: (1 << 20) - 0x800, // 2 KiB cache
 			Chain:         chain,
-		}
+		}}
 		rt, code := runImage(t, img, VariantRisotto, cfg)
 		if code != nblocks {
 			t.Errorf("chain=%v: exit = %d, want %d", chain, code, nblocks)
@@ -134,12 +135,12 @@ func TestFaultCacheExhaustWithThreads(t *testing.T) {
 	}
 	patchImm64(t, img, 0x7777777700000000, img.Symbols["worker"])
 
-	cfg := Config{
+	cfg := Config{Replay: selfheal.Replay{
 		MemSize:       2 << 20,
 		CodeCacheBase: (2 << 20) - 0x600, // 1.5 KiB cache
 		StackSize:     64 << 10,
 		Chain:         true,
-	}
+	}}
 	rt, code := runImage(t, img, VariantRisotto, cfg)
 	if code != workers*iters {
 		t.Errorf("counter = %d, want %d", code, workers*iters)
@@ -220,24 +221,24 @@ func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Confi
 // budget, in both plain and weak-memory machine modes.
 func TestFaultWatchdogInfiniteLoop(t *testing.T) {
 	img := spinImage(t)
-	expectBudgetTrap(t, img, "plain", Config{StepBudget: 20_000})
+	expectBudgetTrap(t, img, "plain", Config{Replay: selfheal.Replay{StepBudget: 20_000}})
 	seed := int64(7)
-	expectBudgetTrap(t, img, "weak", Config{StepBudget: 20_000, WeakSeed: &seed})
+	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{StepBudget: 20_000, WeakSeed: &seed}})
 }
 
 // TestFaultWatchdogCASLivelock halts a livelocked CAS spin the same way —
 // the atomic path must hit the budget check too.
 func TestFaultWatchdogCASLivelock(t *testing.T) {
 	img := casLivelockImage(t)
-	expectBudgetTrap(t, img, "plain", Config{StepBudget: 20_000})
+	expectBudgetTrap(t, img, "plain", Config{Replay: selfheal.Replay{StepBudget: 20_000}})
 	seed := int64(11)
-	expectBudgetTrap(t, img, "weak", Config{StepBudget: 20_000, WeakSeed: &seed})
+	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{StepBudget: 20_000, WeakSeed: &seed}})
 }
 
 // TestFaultWatchdogDeadline halts a runaway guest via the wall-clock
 // watchdog when no step budget is set.
 func TestFaultWatchdogDeadline(t *testing.T) {
-	rt, err := newRuntime(Config{Variant: VariantRisotto, Deadline: 50 * time.Millisecond}, spinImage(t))
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Deadline: 50 * time.Millisecond}}, spinImage(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,8 @@ func TestFaultInjectedHostCall(t *testing.T) {
 		return args[0] * 3, 10
 	})
 	rt, err := newRuntime(Config{
-		Variant: VariantRisotto, IDL: "i64 triple(i64 x);\n", Lib: lib, Inject: in,
+		Variant: VariantRisotto, Replay: selfheal.Replay{IDL: "i64 triple(i64 x);\n"},
+		Lib: lib, Inject: in,
 	}, img)
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +527,7 @@ func TestFaultGuestSpawnStackExhausted(t *testing.T) {
 	for i := uint64(0); i < 3; i++ {
 		patchImm64(t, img, 0x7777777700000000+i, img.Symbols["worker"])
 	}
-	rt, err := newRuntime(Config{Variant: VariantRisotto, StackSize: 7900 << 10}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{StackSize: 7900 << 10}}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

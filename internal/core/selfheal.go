@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/faults"
@@ -276,7 +275,7 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	it := &tcg.Interp{Temps: make([]uint64, n), Mem: rt.M.Mem}
 	copy(it.Temps, c.Regs[:tcg.NumGlobals])
 	var yielded bool
-	it.OnCallEx = func(in tcg.Inst, a, b uint64) (uint64, error) {
+	it.OnCall = func(in tcg.Inst, a, b uint64) (uint64, error) {
 		return rt.interpHelper(c, it, in, a, b, &yielded)
 	}
 	err := it.Run(ir)
@@ -302,7 +301,7 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 // semantics as the compiled path's handleBLR: guest registers are read and
 // written directly, so the interpreter's globals are mirrored into the
 // vCPU around the call. The result is returned for local-temp DSTs
-// (tcg.Interp's OnCallEx convention); global effects travel through the
+// (tcg.Interp's OnCall convention); global effects travel through the
 // register mirror.
 func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, b uint64, yielded *bool) (uint64, error) {
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
@@ -365,31 +364,17 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 		return nil, fmt.Errorf("core: no structured trap in %v", runErr)
 	}
 	b := &selfheal.Bundle{
-		Version:       selfheal.BundleVersion,
-		Tool:          tool,
-		Variant:       rt.cfg.Variant.String(),
-		Kernel:        rt.cfg.Kernel,
-		Image:         rt.img.Encode(),
-		MemSize:       rt.cfg.MemSize,
-		CodeCacheBase: rt.cfg.CodeCacheBase,
-		StackSize:     rt.cfg.StackSize,
-		Quantum:       rt.cfg.Quantum,
-		MaxSteps:      rt.cfg.MaxSteps,
-		StepBudget:    rt.cfg.StepBudget,
-		DeadlineNS:    int64(rt.cfg.Deadline),
-		Chain:         rt.cfg.Chain,
-		SelfHeal:      rt.cfg.SelfHeal,
-		SelfCheck:     rt.cfg.SelfCheck,
-		MaxHeals:      rt.cfg.MaxHeals,
-		Fault:         rt.cfg.FaultSpec,
-		FaultSeed:     rt.cfg.FaultSeed,
-		WeakSeed:      rt.cfg.WeakSeed,
-		IDL:           rt.cfg.IDL,
-		Trap:          selfheal.TrapInfoOf(t),
-		Quarantine:    rt.heal.History(),
+		Version:    selfheal.BundleVersion,
+		Tool:       tool,
+		Variant:    rt.cfg.Variant.String(),
+		Kernel:     rt.cfg.Kernel,
+		Image:      rt.img.Encode(),
+		Replay:     rt.cfg.Replay,
+		Trap:       selfheal.TrapInfoOf(t),
+		Quarantine: rt.heal.History(),
 	}
 	if rt.cfg.TierUp.Enabled {
-		tu := selfheal.TierUp(rt.cfg.TierUp)
+		tu := rt.cfg.TierUp
 		b.TierUp = &tu
 	}
 	for _, c := range rt.M.CPUs {
@@ -435,30 +420,12 @@ func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := Config{
-		Variant:       v,
-		MemSize:       b.MemSize,
-		CodeCacheBase: b.CodeCacheBase,
-		StackSize:     b.StackSize,
-		Quantum:       b.Quantum,
-		MaxSteps:      b.MaxSteps,
-		StepBudget:    b.StepBudget,
-		Deadline:      time.Duration(b.DeadlineNS),
-		Chain:         b.Chain,
-		SelfHeal:      b.SelfHeal,
-		SelfCheck:     b.SelfCheck,
-		MaxHeals:      b.MaxHeals,
-		Kernel:        b.Kernel,
-		FaultSpec:     b.Fault,
-		FaultSeed:     b.FaultSeed,
-		WeakSeed:      b.WeakSeed,
-		IDL:           b.IDL,
-	}
+	cfg := Config{Replay: b.Replay, Variant: v, Kernel: b.Kernel}
 	if b.TierUp != nil {
-		cfg.TierUp = TierUpConfig(*b.TierUp)
+		cfg.TierUp = *b.TierUp
 	}
-	if b.Fault != "" {
-		specs, err := faults.ParseSpecs(b.Fault)
+	if b.FaultSpec != "" {
+		specs, err := faults.ParseSpecs(b.FaultSpec)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -22,7 +24,7 @@ func TestSelfhealFaultRecoversMiscompile(t *testing.T) {
 	const nblocks = 4
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
-	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfHeal: true, Inject: in},
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfHeal: true}, Inject: in},
 		chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func TestSelfcheckFaultDetectsMiscompile(t *testing.T) {
 	const nblocks = 4
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
-	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfCheck: true, Inject: in},
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfCheck: true}, Inject: in},
 		chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +92,7 @@ func TestSelfcheckCleanRunVerifies(t *testing.T) {
 		t.Fatal(perr)
 	}
 
-	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfCheck: true}, chainImage(t, nblocks, 2))
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfCheck: true}}, chainImage(t, nblocks, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func interpWorkloadImage(t *testing.T, iters int) *guestimg.Image {
 func TestInterpTierExecutes(t *testing.T) {
 	const iters = 64
 	img := interpWorkloadImage(t, iters)
-	cfg := Config{StackSize: 64 << 10}
+	cfg := Config{Replay: selfheal.Replay{StackSize: 64 << 10}}
 
 	_, want := runImage(t, img, VariantRisotto, cfg)
 	if want != iters {
@@ -172,7 +174,7 @@ func TestInterpTierExecutes(t *testing.T) {
 	var rt *Runtime
 	for grew := true; grew; {
 		var err error
-		rt, err = newRuntime(Config{Variant: VariantRisotto, StackSize: 64 << 10, SelfHeal: true}, img)
+		rt, err = newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{StackSize: 64 << 10, SelfHeal: true}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +227,7 @@ func TestTierLadderWalksToInterp(t *testing.T) {
 	in.Arm(faults.SiteMiscompile, 2, faults.TrapMiscompile)
 	in.Arm(faults.SiteMiscompile, 3, faults.TrapMiscompile)
 	img := chainImage(t, nblocks, 2)
-	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfHeal: true, Inject: in}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfHeal: true}, Inject: in}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +255,10 @@ func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteDecode, 3, faults.TrapDecode)
 	rt, err := newRuntime(Config{
-		Variant:   VariantRisotto,
-		FaultSpec: "decode@3",
-		FaultSeed: 1,
-		Inject:    in,
-		Obs:       obs.NewScope(""),
+		Variant: VariantRisotto,
+		Replay:  selfheal.Replay{FaultSpec: "decode@3", FaultSeed: 1},
+		Inject:  in,
+		Obs:     obs.NewScope(""),
 	}, img)
 	if err != nil {
 		t.Fatal(err)
@@ -358,6 +359,106 @@ func TestCrashBundleReplayUnderPromotion(t *testing.T) {
 	}
 	if trapped == 0 {
 		t.Fatal("no miscompile@10..30 run trapped; the test observed nothing")
+	}
+}
+
+// TestReplayCarriesEveryField is the one-definition check on the run
+// description. Every field of selfheal.Replay gets a non-zero value by
+// reflection, so a knob added there is covered without editing this test;
+// it must survive CrashBundle → Encode → DecodeBundle → ReplayOptions
+// unchanged, as must Variant, Kernel and TierUp. And Config's own fields
+// must be exactly the ones a bundle does not carry as-is, so a replayable
+// knob declared outside selfheal.Replay fails here instead of being
+// silently dropped by replay.
+func TestReplayCarriesEveryField(t *testing.T) {
+	notReplayed := []string{"Variant", "Kernel", "Lib", "Opt", "Inject", "Obs", "TransCache", "TierUp"}
+	var outside []string
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		if f := ct.Field(i); !f.Anonymous {
+			outside = append(outside, f.Name)
+		}
+	}
+	if !slices.Equal(outside, notReplayed) {
+		t.Errorf("Config fields outside selfheal.Replay = %v, want %v: a field that changes the run belongs in selfheal.Replay",
+			outside, notReplayed)
+	}
+
+	// Values a runtime can be built with, where a generic one would not
+	// do; every other field gets a distinct generic value by kind.
+	valid := map[string]any{
+		"MemSize":       8 << 20,
+		"CodeCacheBase": uint64(6 << 20),
+		"StackSize":     uint64(64 << 10),
+		"FaultSpec":     "decode@3",
+		"IDL":           "u64 md5(buf data, u64 len);\n",
+	}
+	var want Config
+	rv := reflect.ValueOf(&want.Replay).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, name := rv.Field(i), rv.Type().Field(i).Name
+		if v, ok := valid[name]; ok {
+			f.Set(reflect.ValueOf(v))
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(100 + i))
+		case reflect.Uint64:
+			f.SetUint(uint64(1_000_000 + i))
+		case reflect.Pointer:
+			p := reflect.New(f.Type().Elem())
+			p.Elem().SetInt(int64(100 + i))
+			f.Set(p)
+		default:
+			t.Fatalf("Replay.%s: no test value for kind %s", name, f.Kind())
+		}
+	}
+	want.Variant = VariantTCGVer
+	want.Kernel = "chain"
+	want.TierUp = TierUpConfig{Enabled: true, PromoteThreshold: 5, SuperblockMax: 3}
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).IsZero() {
+			t.Fatalf("Replay.%s left zero", rv.Type().Field(i).Name)
+		}
+	}
+
+	rt, err := newRuntime(want, chainImage(t, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trap := faults.New(faults.TrapDecode, "synthetic").WithCPU(0).WithGuestPC(0x10000)
+	b, err := rt.CrashBundle("risotto", trap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := selfheal.DecodeBundle(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, _, err := ReplayOptions(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Config
+	for _, o := range opts {
+		o(&got)
+	}
+	if !reflect.DeepEqual(got.Replay, want.Replay) {
+		t.Errorf("replayed run description differs:\n got %+v\nwant %+v", got.Replay, want.Replay)
+	}
+	if got.Variant != want.Variant || got.Kernel != want.Kernel || got.TierUp != want.TierUp {
+		t.Errorf("replayed variant/kernel/tier-up = %v/%q/%+v, want %v/%q/%+v",
+			got.Variant, got.Kernel, got.TierUp, want.Variant, want.Kernel, want.TierUp)
+	}
+	if got.Inject == nil {
+		t.Error("replay did not rearm the recorded fault spec")
 	}
 }
 

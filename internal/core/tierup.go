@@ -27,20 +27,10 @@ import (
 )
 
 // TierUpConfig parameterizes the tier-up JIT.
-type TierUpConfig struct {
-	// Enabled turns tier-up on: unpinned blocks start at TierNoOpt and
-	// hot ones are promoted by the dispatch that finds them hot.
-	Enabled bool
-	// PromoteThreshold is how many dispatches make a block hot
-	// (default 8).
-	PromoteThreshold int
-	// SuperblockMax bounds how many guest blocks one promoted superblock
-	// may stitch (default 4; 1 disables superblocks but keeps promotion).
-	SuperblockMax int
-}
+type TierUpConfig = selfheal.TierUp
 
-// withDefaults backfills zero fields.
-func (tc TierUpConfig) withDefaults() TierUpConfig {
+// tierUpDefaults backfills zero fields.
+func tierUpDefaults(tc TierUpConfig) TierUpConfig {
 	if tc.PromoteThreshold <= 0 {
 		tc.PromoteThreshold = 8
 	}

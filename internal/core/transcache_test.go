@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/selfheal"
 	"repro/internal/transcache"
 	"repro/internal/workloads"
 )
@@ -112,7 +113,7 @@ func TestTransCacheSelfCheckBypass(t *testing.T) {
 	}
 	defer cache.Close()
 	view := cache.ForImage("fp/risotto")
-	rt, err := newRuntime(Config{Variant: VariantRisotto, SelfCheck: true, TransCache: view}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfCheck: true}, TransCache: view}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
+	"repro/internal/selfheal"
 	"repro/internal/workloads"
 )
 
@@ -84,7 +85,7 @@ func mpGuestImage(t *testing.T) *guestimg.Image {
 // runWeakMP returns the (a, b) observation for one seed and variant.
 func runWeakMP(t *testing.T, img *guestimg.Image, v Variant, seed int64) (uint64, uint64) {
 	t.Helper()
-	rt, err := newRuntime(Config{Variant: v, WeakSeed: &seed, Quantum: 1}, img)
+	rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &seed, Quantum: 1}}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestWeakHostSpinlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := seed
-		rt, err := newRuntime(Config{Variant: v, WeakSeed: &s, Quantum: 1}, img)
+		rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &s, Quantum: 1}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -347,8 +347,8 @@ func runUntilRetWithHelpers(t *testing.T, mem []byte, cfg Config, init map[x86.R
 		copy(it.Mem, memory)
 		copy(it.Temps[:tcg.NumGlobals], regs)
 		interp := it
-		it.OnCall = func(h tcg.Helper, a, b uint64) uint64 {
-			switch h {
+		it.OnCall = func(in tcg.Inst, a, b uint64) (uint64, error) {
+			switch in.Helper {
 			case tcg.HelperCmpXchg:
 				old := uint64(0)
 				for i := 0; i < 8; i++ {
@@ -359,10 +359,10 @@ func runUntilRetWithHelpers(t *testing.T, mem []byte, cfg Config, init map[x86.R
 						interp.Mem[a+uint64(i)] = byte(b >> (8 * i))
 					}
 				}
-				return old
+				return old, nil
 			}
-			t.Fatalf("unexpected helper %d", h)
-			return 0
+			t.Fatalf("unexpected helper %d", in.Helper)
+			return 0, nil
 		}
 		if err := it.Run(blk); err != nil {
 			t.Fatalf("%v\n%s", err, blk)

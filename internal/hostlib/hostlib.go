@@ -103,7 +103,7 @@ func Default() *Library {
 	digest := func(rate uint64, sum func([]byte) []byte) Func {
 		return func(mem []byte, args []uint64) (uint64, uint64) {
 			ptr, n := args[0], args[1]
-			if ptr+n > uint64(len(mem)) {
+			if !inMem(mem, ptr, n) {
 				return 0, costDigestSetup
 			}
 			d := sum(mem[ptr : ptr+n])
@@ -147,7 +147,7 @@ func Default() *Library {
 	l.Register("sqlite_exec", func(mem []byte, args []uint64) (uint64, uint64) {
 		table, ops, seed := args[0], args[1], args[2]
 		const buckets = 4096
-		if table+buckets*8 > uint64(len(mem)) {
+		if !inMem(mem, table, buckets*8) {
 			return 0, costDigestSetup
 		}
 		var acc uint64
@@ -164,6 +164,14 @@ func Default() *Library {
 	})
 
 	return l
+}
+
+// inMem reports whether the n bytes at addr lie inside mem. Both come
+// from guest registers, so it compares without forming addr+n, which
+// could wrap.
+func inMem(mem []byte, addr, n uint64) bool {
+	size := uint64(len(mem))
+	return addr <= size && n <= size-addr
 }
 
 // rsaModulus returns a deterministic odd modulus of the given bit size.

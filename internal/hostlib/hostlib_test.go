@@ -113,6 +113,42 @@ func TestSqliteExec(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeBuffers feeds the memory-reading functions guest-chosen
+// (pointer, length) pairs that leave memory, including ones whose sum wraps
+// past 2^64: each must refuse with (0, setup cost), never panic.
+func TestOutOfRangeBuffers(t *testing.T) {
+	l := Default()
+	mem := make([]byte, 64<<10)
+	size := uint64(len(mem))
+	const tableBytes = 4096 * 8
+	cases := []struct {
+		fn   string
+		args []uint64
+	}{
+		{"md5", []uint64{size - 4, 1024}},
+		{"md5", []uint64{1<<64 - 8, 16}},
+		{"sha1", []uint64{16, 1<<64 - 8}},
+		{"sha256", []uint64{1<<64 - 1, 1<<64 - 1}},
+		{"sha256", []uint64{size + 1, 0}},
+		{"sqlite_exec", []uint64{size - tableBytes + 8, 10, 1}},
+		{"sqlite_exec", []uint64{1<<64 - tableBytes, 10, 1}},
+		{"sqlite_exec", []uint64{1<<64 - 8, 10, 1}},
+	}
+	for _, c := range cases {
+		got, cost := l.MustLookup(c.fn)(mem, c.args)
+		if got != 0 || cost != costDigestSetup {
+			t.Errorf("%s%#x = (%d, %d), want (0, %d)", c.fn, c.args, got, cost, costDigestSetup)
+		}
+	}
+	// The last in-range positions still work.
+	if _, cost := l.MustLookup("md5")(mem, []uint64{size - 64, 64}); cost == costDigestSetup {
+		t.Error("md5 refused a buffer ending at the last byte of memory")
+	}
+	if _, cost := l.MustLookup("sqlite_exec")(mem, []uint64{size - tableBytes, 10, 1}); cost == costDigestSetup {
+		t.Error("sqlite_exec refused a table ending at the last byte of memory")
+	}
+}
+
 func TestMustLookupPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

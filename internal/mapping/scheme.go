@@ -158,9 +158,6 @@ func (r *SchemeRegistry) Lookup(name string) (*Scheme, error) {
 	return nil, fmt.Errorf("unknown mapping scheme %q (known schemes: %s)", name, strings.Join(names, ", "))
 }
 
-// Schemes returns every registered scheme in registration order.
-func (r *SchemeRegistry) Schemes() []*Scheme { return append([]*Scheme(nil), r.schemes...) }
-
 // Routes enumerates every simple route (no level visited twice) from src
 // to dst, depth-first in registration order, so the result is
 // deterministic for a deterministically-built registry. src == dst yields

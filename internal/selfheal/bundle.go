@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -106,13 +107,83 @@ func NormalizeSpans(spans []obs.Span, max int) []SpanRecord {
 	return out
 }
 
-// TierUp is the tier-up JIT configuration of a bundled run (the fields of
-// core.TierUpConfig). Promotion happens at a guest dispatch count, so
-// replaying it reproduces the same promotions.
+// TierUp configures the tier-up JIT; core.TierUpConfig is this type, and
+// the command-line -tierup flags bind straight into it. Promotion happens
+// at a guest dispatch count, so replaying a bundled TierUp reproduces the
+// same promotions.
 type TierUp struct {
-	Enabled          bool `json:"enabled"`
-	PromoteThreshold int  `json:"promote_threshold"`
-	SuperblockMax    int  `json:"superblock_max"`
+	// Enabled turns tier-up on: unpinned blocks start at TierNoOpt and
+	// hot ones are promoted by the dispatch that finds them hot.
+	Enabled bool `json:"enabled"`
+	// PromoteThreshold is how many dispatches make a block hot
+	// (0 = default 8).
+	PromoteThreshold int `json:"promote_threshold"`
+	// SuperblockMax bounds how many guest blocks one promoted superblock
+	// may stitch (0 = default 4; 1 disables superblocks but keeps
+	// promotion).
+	SuperblockMax int `json:"superblock_max"`
+}
+
+// Replay is the replayable part of a run's configuration: core.Config
+// embeds it and so does Bundle, so a crash bundle records, and
+// ReplayOptions restores, every field here without naming any of them. A
+// knob that changes what a run does belongs in this struct; fields are in
+// bundle order.
+type Replay struct {
+	// MemSize is the machine memory size (default 32 MiB).
+	MemSize int `json:"mem_size"`
+	// CodeCacheBase is where generated host code is placed (default:
+	// upper quarter of memory).
+	CodeCacheBase uint64 `json:"code_cache_base"`
+	// StackSize per guest thread (default 256 KiB).
+	StackSize uint64 `json:"stack_size"`
+	// Quantum is the round-robin scheduling quantum in instructions.
+	Quantum int `json:"quantum"`
+	// MaxSteps bounds total executed host instructions (default 2e9).
+	MaxSteps uint64 `json:"max_steps"`
+	// StepBudget, when non-zero, bounds each vCPU's executed host
+	// instructions; a guest that reaches it (runaway loop, livelocked
+	// spin) halts with a structured faults.TrapBudget instead of spinning
+	// until MaxSteps.
+	StepBudget uint64 `json:"step_budget,omitempty"`
+	// Deadline, when non-zero, is the wall-clock watchdog for Run. It
+	// encodes as integer nanoseconds.
+	Deadline time.Duration `json:"deadline_ns,omitempty"`
+	// Chain enables translation-block chaining: a block whose exit
+	// target is constant gets its dispatch trap patched into a direct
+	// branch to the target block once both are translated (QEMU's
+	// goto_tb). Off by default so the calibrated dispatch cost of the
+	// evaluation figures stays comparable across variants.
+	Chain bool `json:"chain,omitempty"`
+	// SelfHeal enables the tiered self-healing layer: a trap attributed
+	// to a translated block quarantines it — the block is invalidated in
+	// the code cache, its tier demoted one rung (full opts → no fence
+	// merging → no opts → TCG interpreter), and execution resumes — with
+	// at most MaxHeals recoveries per run. Off by default so the fault
+	// matrix keeps pinning every injected fault's undisguised trap.
+	SelfHeal bool `json:"self_heal,omitempty"`
+	// SelfCheck additionally shadow-executes every freshly translated
+	// block once against the TCG interpreter on a snapshot of CPU and
+	// memory state, and quarantines the block on any register, memory or
+	// exit divergence — runtime translation validation. Implies SelfHeal.
+	SelfCheck bool `json:"self_check,omitempty"`
+	// MaxHeals caps quarantine recoveries per run (default 16 when
+	// SelfHeal is on).
+	MaxHeals int `json:"max_heals,omitempty"`
+	// FaultSpec and FaultSeed are the fault injection the run was armed
+	// with (the -fault spec list and its seed); ReplayOptions rearms an
+	// injector from them.
+	FaultSpec string `json:"fault,omitempty"`
+	FaultSeed int64  `json:"fault_seed,omitempty"`
+	// WeakSeed, when non-nil, runs the simulated host in operational
+	// weak-memory mode (store buffers with out-of-order drain, seeded by
+	// the value) — the generated code's fences then actually constrain
+	// visible reorderings. Used by correctness demonstrations, not by the
+	// performance figures.
+	WeakSeed *int64 `json:"weak_seed,omitempty"`
+	// IDL, when non-empty and the variant is Risotto, enables the host
+	// linker for the declared functions.
+	IDL string `json:"idl,omitempty"`
 }
 
 // Bundle is the crash-triage document. Every field is either part of the
@@ -124,24 +195,10 @@ type Bundle struct {
 	Tool    string `json:"tool"`
 
 	// --- replay configuration ---
-	Variant       string `json:"variant"`
-	Kernel        string `json:"kernel,omitempty"`
-	Image         []byte `json:"image"`
-	MemSize       int    `json:"mem_size"`
-	CodeCacheBase uint64 `json:"code_cache_base"`
-	StackSize     uint64 `json:"stack_size"`
-	Quantum       int    `json:"quantum"`
-	MaxSteps      uint64 `json:"max_steps"`
-	StepBudget    uint64 `json:"step_budget,omitempty"`
-	DeadlineNS    int64  `json:"deadline_ns,omitempty"`
-	Chain         bool   `json:"chain,omitempty"`
-	SelfHeal      bool   `json:"self_heal,omitempty"`
-	SelfCheck     bool   `json:"self_check,omitempty"`
-	MaxHeals      int    `json:"max_heals,omitempty"`
-	Fault         string `json:"fault,omitempty"`
-	FaultSeed     int64  `json:"fault_seed,omitempty"`
-	WeakSeed      *int64 `json:"weak_seed,omitempty"`
-	IDL           string `json:"idl,omitempty"`
+	Variant string `json:"variant"`
+	Kernel  string `json:"kernel,omitempty"`
+	Image   []byte `json:"image"`
+	Replay
 	// TierUp is nil for runs without the tier-up JIT.
 	TierUp *TierUp `json:"tier_up,omitempty"`
 
@@ -240,8 +297,8 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("selfheal: metric name %q malformed", name)
 		}
 	}
-	if strings.TrimSpace(b.Fault) != b.Fault {
-		return fmt.Errorf("selfheal: fault spec %q has surrounding space", b.Fault)
+	if strings.TrimSpace(b.FaultSpec) != b.FaultSpec {
+		return fmt.Errorf("selfheal: fault spec %q has surrounding space", b.FaultSpec)
 	}
 	return nil
 }

@@ -168,8 +168,7 @@ func testBundle() *Bundle {
 		Tool:    "risotto",
 		Variant: "risotto",
 		Image:   []byte{1, 2, 3, 4},
-		MemSize: 1 << 20,
-		Quantum: 64,
+		Replay:  Replay{MemSize: 1 << 20, Quantum: 64},
 		Trap:    TrapInfo{Kind: "decode", CPU: 0, PC: 0x10040, GuestPC: true, Injected: true},
 		CPUs: []CPUState{
 			{ID: 0, Regs: make([]uint64, 31), PC: 0x40_0080, Cycles: 99, Insts: 42},
@@ -238,7 +237,7 @@ func TestBundleValidateRejects(t *testing.T) {
 		{"span-phase", func(b *Bundle) { b.Spans[0].Phase = "" }, "phase"},
 		{"span-seq", func(b *Bundle) { b.Spans[1].Seq = b.Spans[0].Seq }, "seq"},
 		{"metric-name", func(b *Bundle) { b.Metrics["Bad Name"] = 1 }, "metric"},
-		{"fault-space", func(b *Bundle) { b.Fault = " decode@2" }, "fault"},
+		{"fault-space", func(b *Bundle) { b.FaultSpec = " decode@2" }, "fault"},
 	}
 	for _, tc := range cases {
 		b := testBundle()

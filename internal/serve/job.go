@@ -236,17 +236,11 @@ func (s *Server) runOnce(req *JobRequest, j *resolvedJob) (code uint64, hits, mi
 		core.WithSelfHeal(true),
 		core.WithFaults(j.inj),
 		core.WithProvenance(req.Kernel, j.faultSpec, j.faultSeed),
+		core.WithTierUp(s.cfg.TierUp),
 	}
 	if s.cfg.Cache != nil {
 		view = s.cfg.Cache.ForImage(transcache.Fingerprint(j.img) + "/" + j.variant.String())
 		opts = append(opts, core.WithTranslationCache(view))
-	}
-	if s.cfg.TierUp {
-		opts = append(opts, core.WithTierUp(core.TierUpConfig{
-			Enabled:          true,
-			PromoteThreshold: s.cfg.PromoteThreshold,
-			SuperblockMax:    s.cfg.SuperblockMax,
-		}))
 	}
 	rt, nerr := core.New(j.img, opts...)
 	if nerr != nil {

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/transcache"
@@ -72,13 +73,10 @@ type Config struct {
 	// Cache, when non-nil, persists translations across jobs and
 	// restarts.
 	Cache *transcache.Cache
-	// TierUp runs every job with the tier-up JIT: hot blocks promoted to
-	// superblocks on the job's own goroutine — the raw-speed knob for
-	// repeat traffic. PromoteThreshold and SuperblockMax tune it (0 =
-	// core's defaults).
-	TierUp           bool
-	PromoteThreshold int
-	SuperblockMax    int
+	// TierUp is every job's tier-up JIT configuration (risottod's -tierup
+	// flags): when enabled, hot blocks are promoted to superblocks on the
+	// job's own goroutine — the raw-speed knob for repeat traffic.
+	TierUp core.TierUpConfig
 	// Obs is the root scope; the server instruments under a "serve"
 	// child. Nil disables instrumentation.
 	Obs *obs.Scope

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
@@ -100,7 +101,7 @@ func TestCleanJob(t *testing.T) {
 // tier-up jobs leave the process's goroutine count where it was. Jobs are
 // run without the HTTP layer, whose connection goroutines come and go.
 func TestTierUpJobsAddNoGoroutines(t *testing.T) {
-	srv := New(Config{TierUp: true, PromoteThreshold: 4})
+	srv := New(Config{TierUp: core.TierUpConfig{Enabled: true, PromoteThreshold: 4}})
 	run := func(req JobRequest) *JobResponse {
 		job, err := srv.resolve(&req)
 		if err != nil {

@@ -36,14 +36,11 @@ type Interp struct {
 	// Calls records helper invocations (helper, a, b) for inspection;
 	// helper results are produced by OnCall when set.
 	Calls [][3]uint64
-	// OnCall, when set, provides helper results. The result is written to
-	// the call's Dst unconditionally (the historical test contract).
-	OnCall func(h Helper, a, b uint64) uint64
-	// OnCallEx, when set, takes precedence over OnCall and may fail. Its
-	// result follows the backend's register convention instead: it is
-	// written to Dst only when Dst is a local temp (globals are updated by
-	// the handler itself, exactly like the compiled helper path).
-	OnCallEx func(in Inst, a, b uint64) (uint64, error)
+	// OnCall, when set, serves helper calls and may fail. Its result
+	// follows the backend's register convention: it is written to Dst only
+	// when Dst is a local temp (globals are updated by the handler itself,
+	// exactly like the compiled helper path).
+	OnCall func(in Inst, a, b uint64) (uint64, error)
 }
 
 // NewInterp returns an interpreter with memSize bytes of memory.
@@ -166,16 +163,14 @@ func (it *Interp) Run(b *Block) error {
 			}
 		case OpCall:
 			it.Calls = append(it.Calls, [3]uint64{uint64(in.Helper), t[in.A], t[in.B]})
-			if it.OnCallEx != nil {
-				res, err := it.OnCallEx(in, t[in.A], t[in.B])
+			if it.OnCall != nil {
+				res, err := it.OnCall(in, t[in.A], t[in.B])
 				if err != nil {
 					return err
 				}
 				if in.Dst >= NumGlobals {
 					t[in.Dst] = res
 				}
-			} else if it.OnCall != nil {
-				t[in.Dst] = it.OnCall(in.Helper, t[in.A], t[in.B])
 			}
 		case OpExit:
 			it.NextPC = uint64(in.Imm)

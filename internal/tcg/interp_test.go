@@ -73,7 +73,7 @@ func TestInterpHelperRecording(t *testing.T) {
 	b.Mov(0, res)
 	b.Exit(0)
 	it := NewInterp(b, 16)
-	it.OnCall = func(h Helper, x, y uint64) uint64 { return x*10 + y }
+	it.OnCall = func(in Inst, x, y uint64) (uint64, error) { return x*10 + y, nil }
 	if err := it.Run(b); err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,15 @@ for pat in 'rt\.flushCodeCache()' 'rt\.tbs\[[^]]*\] *=[^=]'; do
 	[ "$n" -eq 1 ] || { echo "internal/core has $n matches of $pat, want 1 (every translation goes through install):" >&2; grep -n "$pat" $core_src >&2; exit 1; }
 done
 
+# selfheal.TierUp is the one tier-up type: core.TierUpConfig aliases it,
+# the -tierup flags bind into it, serve.Config and crash bundles hold it. A
+# second struct declaring PromoteThreshold is a second copy that a command
+# or a replay can fall out of step with.
+stage "one tier-up type: one struct field declares PromoteThreshold (non-test Go)"
+decl='^[[:space:]]+PromoteThreshold[[:space:]]+[a-z]'
+n=$(grep -rhE --include='*.go' --exclude='*_test.go' "$decl" cmd internal examples | wc -l)
+[ "$n" -eq 1 ] || { echo "$n struct fields declare PromoteThreshold, want 1 (selfheal.TierUp):" >&2; grep -rnE --include='*.go' --exclude='*_test.go' "$decl" cmd internal examples >&2; exit 1; }
+
 stage "go vet ./..."
 go vet ./...
 
