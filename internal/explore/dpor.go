@@ -3,10 +3,11 @@ package explore
 import "repro/internal/machine"
 
 // Sleep-set dynamic partial-order reduction over the machine's transition
-// system, as a stateless depth-first search: the machine is
-// re-executed from its initial state along the decision prefix whenever
-// the search backtracks (litmus programs are a few dozen transitions
-// deep, so replay is cheaper than snapshotting every CPU at every node).
+// system, as a stateless depth-first search: the exploration's one machine
+// is reset to its initial state and re-executed along the decision prefix
+// whenever the search backtracks (litmus programs are a few dozen
+// transitions deep, so replay is cheaper than snapshotting every CPU at
+// every node).
 //
 // The classical sleep-set rule prunes commuting interleavings without
 // losing any final state: after the subtree below transition t is fully
@@ -41,13 +42,10 @@ type dnode struct {
 // runDFS explores exhaustively, naive disabling the sleep-set reduction.
 func (e *explorer) runDFS(naive bool) {
 	var stack []*dnode
-	path := func() []machine.Transition {
-		ds := make([]machine.Transition, len(stack))
-		for i, nd := range stack {
-			ds[i] = nd.ts[nd.chosen]
-		}
-		return ds
-	}
+	// path is the decision prefix the stack spells, path[i] =
+	// stack[i].ts[stack[i].chosen], kept in step with every push, pop and
+	// advance; cut, leaf and trapped copy it only when they keep it.
+	var path []machine.Transition
 	// take applies nd's chosen branch and records its footprint.
 	take := func(m *machine.Machine, nd *dnode) error {
 		t := nd.ts[nd.chosen]
@@ -69,6 +67,7 @@ func (e *explorer) runDFS(naive bool) {
 			for i := nd.chosen + 1; i < len(nd.ts); i++ {
 				if _, asleep := nd.sleep[nd.ts[i]]; !asleep {
 					nd.chosen = i
+					path[len(path)-1] = nd.ts[i]
 					nd.counted = false
 					advanced = true
 					break
@@ -78,13 +77,14 @@ func (e *explorer) runDFS(naive bool) {
 				return true
 			}
 			stack = stack[:len(stack)-1]
+			path = path[:len(path)-1]
 		}
 		return false
 	}
 
 	for {
 		// Re-execute the chosen prefix from the initial state.
-		m, err := e.compiled.NewMachine()
+		m, err := e.restart()
 		if err != nil {
 			e.trapped(nil, err)
 			return
@@ -95,7 +95,7 @@ func (e *explorer) runDFS(naive bool) {
 				// Only a frontier transition can fail for the first time
 				// (the machine is deterministic given the prefix), so this
 				// is the just-advanced branch: record and back off.
-				e.trapped(path()[:i+1], err)
+				e.trapped(path[:i+1], err)
 				replayFailed = true
 				break
 			}
@@ -113,13 +113,13 @@ func (e *explorer) runDFS(naive bool) {
 
 		// Extend greedily to a leaf, pushing a frame per new state.
 		for {
-			if e.cut(path()) {
+			if e.cut(path) {
 				return
 			}
 			ts := m.Enabled(nil)
 			if len(ts) == 0 {
-				if err := e.leaf(m, path()); err != nil {
-					e.trapped(path(), err)
+				if err := e.leaf(m, path); err != nil {
+					e.trapped(path, err)
 				}
 				if !backtrack() {
 					return
@@ -152,11 +152,12 @@ func (e *explorer) runDFS(naive bool) {
 				break
 			}
 			stack = append(stack, nd)
+			path = append(path, ts[nd.chosen])
 			err := take(m, nd)
 			nd.counted = true
 			e.res.States++
 			if err != nil {
-				e.trapped(path(), err)
+				e.trapped(path, err)
 				if !backtrack() {
 					return
 				}

@@ -234,6 +234,19 @@ type explorer struct {
 	res      *Result
 	sc       *obs.Scope
 	deadline time.Time
+	// m is the Run's one machine; every run starts on it through restart.
+	m *machine.Machine
+}
+
+// restart returns the Run's machine in the program's initial state: built
+// on the first call, reset in place on every later one.
+func (e *explorer) restart() (*machine.Machine, error) {
+	if e.m != nil {
+		return e.m, e.compiled.Reset(e.m)
+	}
+	m, err := e.compiled.NewMachine()
+	e.m = m
+	return m, err
 }
 
 // cut reports whether a global budget has expired, recording the partial
@@ -352,7 +365,7 @@ func (e *explorer) runWalks() {
 
 // walk runs one seeded walk; false means a global budget expired.
 func (e *explorer) walk(seed uint64) bool {
-	m, err := e.compiled.NewMachine()
+	m, err := e.restart()
 	if err != nil {
 		e.trapped(nil, err)
 		return true

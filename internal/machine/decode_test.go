@@ -38,7 +38,7 @@ func TestDecodeTableFootprint(t *testing.T) {
 		insts        int
 		parentsBytes uint64
 	}{
-		// explore's shape: a fresh 64 KiB machine per re-execution.
+		// explore's shape: the 64 KiB machine one Run builds (and resets).
 		{"64KiB machine, 128 steps", 1 << 16, 0x1000, 128, 85_168},
 		// core's shape: 32 MiB, code cache at three quarters, one block.
 		{"32MiB machine, one 40-instruction block", 32 << 20, 24 << 20, 40, 33_559_712},

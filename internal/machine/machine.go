@@ -143,6 +143,30 @@ func New(memSize int) *Machine {
 	return m
 }
 
+// Reset returns m to the state New(len(m.Mem)) builds while keeping its
+// allocations, so a driver that re-executes a program many times (explore's
+// DPOR replays, opcheck's walks) reuses one machine: memory is zeroed in
+// place, the first CPU is zeroed and the others dropped (AddCPU reuses
+// them), the counters, line owners, monitors and access log are cleared,
+// weak mode is switched off, and every decode-table slot is invalidated but
+// kept. What the caller configured — Cost, the budgets, Inject, the Syscall
+// and OnBLR hooks, SetObs's scope — stays installed. Pointers to m's CPUs
+// taken before the call are stale after it.
+func (m *Machine) Reset() {
+	clear(m.Mem)
+	*m.CPUs[0] = CPU{}
+	m.CPUs = m.CPUs[:1]
+	m.Output = m.Output[:0]
+	m.DMBExec = [3]uint64{}
+	m.AtomicExec = 0
+	clear(m.lineOwner)
+	m.decode.invalidateAll()
+	m.armed = 0
+	m.yield = false
+	m.weak = nil
+	m.accLog = m.accLog[:0]
+}
+
 // SetObs points the machine's instrumentation at root's "machine" child
 // scope: scheduler quanta are counted under "machine.sched.quanta", the
 // ones a blocked join ended early under "machine.sched.yields", and
@@ -167,9 +191,18 @@ func (m *Machine) publishObs() {
 	m.sc.Gauge("cpus").Set(int64(len(m.CPUs)))
 }
 
-// AddCPU starts a new (halted=false, PC=0) CPU and returns it.
+// AddCPU starts a new (halted=false, PC=0) CPU and returns it. A CPU that
+// Reset dropped is zeroed and reused.
 func (m *Machine) AddCPU() *CPU {
-	c := &CPU{ID: len(m.CPUs)}
+	id := len(m.CPUs)
+	var c *CPU
+	if id < cap(m.CPUs) {
+		c = m.CPUs[:id+1][id]
+	}
+	if c == nil {
+		c = new(CPU)
+	}
+	*c = CPU{ID: id}
 	m.CPUs = append(m.CPUs, c)
 	if m.weak != nil {
 		m.weak.buffers = append(m.weak.buffers, nil)

@@ -359,8 +359,20 @@ func Compile(p *litmus.Program) (*Compiled, error) {
 // (machine.Enabled/Apply) at a time.
 func (c *Compiled) NewMachine() (*machine.Machine, error) {
 	m := machine.New(memSize)
-	if err := c.img.Load(m.Mem); err != nil {
+	if err := c.Reset(m); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// Reset returns m, a machine NewMachine built (for this program or
+// another), to the initial state NewMachine builds for this one, keeping
+// m's allocations: drivers that run a program many times start every run
+// after the first this way.
+func (c *Compiled) Reset(m *machine.Machine) error {
+	m.Reset()
+	if err := c.img.Load(m.Mem); err != nil {
+		return err
 	}
 	m.EnableWeakMode(nil)
 	for t, entry := range c.entries {
@@ -370,7 +382,7 @@ func (c *Compiled) NewMachine() (*machine.Machine, error) {
 		}
 		cpu.PC = entry
 	}
-	return m, nil
+	return nil
 }
 
 // Outcome reads the machine's final state — registers then memory — and
@@ -413,12 +425,13 @@ func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
 const walkSteps = 4096
 
 // Observe samples 3n executions — machine.Walk from seeds 0..3n-1, each on
-// a fresh machine — and collects the distinct outcomes.
+// one machine reset to the initial state — and collects the distinct
+// outcomes.
 func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
 	out := make(litmus.OutcomeSet)
+	m := machine.New(memSize)
 	for seed := 0; seed < 3*n; seed++ {
-		m, err := c.NewMachine()
-		if err != nil {
+		if err := c.Reset(m); err != nil {
 			return nil, err
 		}
 		halted, err := m.Walk(uint64(seed), walkSteps, nil)
