@@ -381,7 +381,7 @@ func TestDifferentialAgainstInterp(t *testing.T) {
 			it.Temps[g] = uint64(g) * 7919
 		}
 		for i := 0x8000; i < 0x8040; i++ {
-			it.Mem[i] = byte(i * 13)
+			it.Mem.(tcg.Flat)[i] = byte(i * 13)
 		}
 		if err := it.Run(blk); err != nil {
 			t.Fatalf("seed %d: interp: %v", seed, err)
@@ -407,8 +407,8 @@ func TestDifferentialAgainstInterp(t *testing.T) {
 			}
 		}
 		for i := 0x8000; i < 0x8040; i++ {
-			if m.Mem[i] != it.Mem[i] {
-				t.Fatalf("seed %d: mem[%#x]: machine %d interp %d", seed, i, m.Mem[i], it.Mem[i])
+			if m.Mem[i] != it.Mem.(tcg.Flat)[i] {
+				t.Fatalf("seed %d: mem[%#x]: machine %d interp %d", seed, i, m.Mem[i], it.Mem.(tcg.Flat)[i])
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hostlib"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/portasm"
 	"repro/internal/workloads"
@@ -246,8 +247,7 @@ func hostCost(fn string, args ...uint64) func() (uint64, error) {
 		if !ok {
 			return 0, fmt.Errorf("bench: host library lacks %q", fn)
 		}
-		mem := make([]byte, 1<<20)
-		_, cycles := f(mem, args)
+		_, cycles := f(machine.New(1<<20), args)
 		return cycles, nil
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
 	"repro/internal/selfheal"
+	"repro/internal/tcg"
 )
 
 // chainLoopImage builds a hot loop spanning two blocks (the loop back-edge
@@ -97,7 +98,7 @@ func TestChainingDifferentialRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := x86.NewInterp(1 << 20)
-		if err := img.Load(ref.Mem); err != nil {
+		if err := img.Load(tcg.Flat(ref.Mem)); err != nil {
 			t.Fatal(err)
 		}
 		ref.PC = img.Entry

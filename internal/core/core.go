@@ -349,7 +349,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 
 // load maps the image and prepares linker and allocator state.
 func (rt *Runtime) load(img *guestimg.Image) error {
-	if err := img.Load(rt.M.Mem); err != nil {
+	if err := img.Load(rt.M); err != nil {
 		return err
 	}
 	rt.img = img
@@ -592,7 +592,9 @@ func (rt *Runtime) install(c *machine.CPU, guestPC uint64, tier selfheal.Tier, i
 	if err != nil {
 		return nil, err
 	}
-	copy(rt.M.Mem[base:], code)
+	if err := rt.M.Write(base, code); err != nil {
+		return nil, err
+	}
 	t := &tb{guestPC: guestPC, hostAddr: base, codeLen: len(code), tier: tier}
 	rt.codeCursor = (base + uint64(len(code)) + 15) &^ 15
 	rt.tbs[guestPC] = t
@@ -630,9 +632,7 @@ func (rt *Runtime) install(c *machine.CPU, guestPC uint64, tier selfheal.Tier, i
 	// first instruction guarantees the block has no partial effects,
 	// so quarantine-and-retranslate recovery is always sound.
 	if mt := rt.cfg.Inject.Hit(faults.SiteMiscompile); mt != nil {
-		if mw, merr := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcMiscompile}); merr == nil {
-			binary.LittleEndian.PutUint32(rt.M.Mem[base:], mw)
-			rt.M.InvalidateDecodeAt(base)
+		if rt.patch(base, arm.Inst{Op: arm.SVC, Imm: backend.SvcMiscompile}) == nil {
 			rt.met.miscompiles.Inc()
 			rt.obs.Event("core.selfheal.miscompile_injected", "", c.ID, guestPC, base)
 		}
@@ -711,14 +711,12 @@ func (rt *Runtime) pinnedOverlap(start, end uint64) (extent, bool) {
 //     block-end trap; the extents containing any live CPU's PC or LR are
 //     pinned and the allocator routes around them until a later flush
 //     observes them dead.
-//   - The machine's decode cache is invalidated wholesale, since freed
-//     addresses will be rewritten with fresh code.
+//
+// Every word a flush or a later install rewrites goes through the machine's
+// writer, which forgets the decodes it overwrites.
 func (rt *Runtime) flushCodeCache() {
-	w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit})
-	if err == nil {
-		for addr := range rt.patched {
-			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
-		}
+	for addr := range rt.patched {
+		rt.patch(addr, tbExit) // a word chain wrote: the write cannot fail
 	}
 	clear(rt.patched)
 	clear(rt.chainSites)
@@ -763,7 +761,6 @@ func (rt *Runtime) flushCodeCache() {
 			delete(rt.interpStubs, addr)
 		}
 	}
-	rt.M.InvalidateDecodeCache()
 	rt.met.cacheFlushes.Inc()
 	rt.obs.Event("core.cache.flush", fmt.Sprintf("pinned=%d", len(pins)), -1, 0, 0)
 }
@@ -780,16 +777,13 @@ func (rt *Runtime) invalidateBlock(guestPC uint64) {
 	if !ok {
 		return
 	}
-	if w, err := arm.Encode(arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit}); err == nil {
-		for addr, target := range rt.patched {
-			if target != guestPC {
-				continue
-			}
-			binary.LittleEndian.PutUint32(rt.M.Mem[addr:], w)
-			rt.M.InvalidateDecodeAt(addr)
-			delete(rt.patched, addr)
-			rt.chainSites[addr] = target
+	for addr, target := range rt.patched {
+		if target != guestPC {
+			continue
 		}
+		rt.patch(addr, tbExit) // a word chain wrote: the write cannot fail
+		delete(rt.patched, addr)
+		rt.chainSites[addr] = target
 	}
 	for addr := range rt.chainSites {
 		if addr >= t.hostAddr && addr < t.hostAddr+uint64(t.codeLen) {
@@ -810,17 +804,29 @@ func (rt *Runtime) chain(svcAddr uint64, target *tb) error {
 		// Too far for a direct branch; keep trapping.
 		return nil
 	}
-	w, err := arm.Encode(arm.Inst{Op: arm.B, Off: int32(off)})
-	if err != nil {
+	if err := rt.patch(svcAddr, arm.Inst{Op: arm.B, Off: int32(off)}); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(rt.M.Mem[svcAddr:], w)
-	rt.M.InvalidateDecodeAt(svcAddr)
 	delete(rt.chainSites, svcAddr)
 	rt.patched[svcAddr] = target.guestPC
 	rt.met.chainPatches.Inc()
 	rt.obs.Event("core.chain.patch", "", -1, target.guestPC, svcAddr)
 	return nil
+}
+
+// tbExit is the exit SVC that unlinking restores over a chained branch.
+var tbExit = arm.Inst{Op: arm.SVC, Imm: backend.SvcTBExit}
+
+// patch overwrites the instruction word at addr with inst through the
+// machine's writer.
+func (rt *Runtime) patch(addr uint64, inst arm.Inst) error {
+	w, err := arm.Encode(inst)
+	if err != nil {
+		return err
+	}
+	var b [arm.InstBytes]byte
+	binary.LittleEndian.PutUint32(b[:], w)
+	return rt.M.Write(addr, b[:])
 }
 
 // guestPCOf maps a host-code address back to the guest PC of the block

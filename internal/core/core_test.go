@@ -16,7 +16,7 @@ var allVariants = []Variant{VariantQemu, VariantNoFences, VariantTCGVer, Variant
 // newTestLib returns a tiny host library used by linker tests.
 func newTestLib() *hostlib.Library {
 	lib := hostlib.New()
-	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
+	lib.Register("triple", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
 	return lib
@@ -356,7 +356,7 @@ func TestHostLinker(t *testing.T) {
 	}
 
 	lib := hostlib.New()
-	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
+	lib.Register("triple", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
 	idlSrc := "i64 triple(i64 x);\n"

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
+	"repro/internal/tcg"
 )
 
 // Differential testing of the whole DBT pipeline: random guest programs
@@ -164,7 +165,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 
 		// Reference run.
 		ref := x86.NewInterp(1 << 20)
-		if err := img.Load(ref.Mem); err != nil {
+		if err := img.Load(tcg.Flat(ref.Mem)); err != nil {
 			t.Fatal(err)
 		}
 		ref.PC = img.Entry

@@ -420,7 +420,7 @@ func TestFaultInjectedHostCall(t *testing.T) {
 	in := faults.NewInjector(1)
 	in.Arm(faults.SiteHostCall, 1, faults.TrapHostCall)
 	lib := hostlib.New()
-	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
+	lib.Register("triple", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
 	rt, err := newRuntime(Config{

@@ -117,10 +117,11 @@ func (rt *Runtime) guestSyscall(m *machine.Machine, c *machine.CPU) error {
 		if err := rt.drainFor(c); err != nil {
 			return err
 		}
-		if err := m.CheckRange(a0, a1); err != nil {
+		b, err := m.Read(a0, a1)
+		if err != nil {
 			return fmt.Errorf("guest write: %w", err)
 		}
-		m.Output = append(m.Output, m.Mem[a0:a0+a1]...)
+		m.Output = append(m.Output, b...)
 		*guestReg(c, x86.RAX) = a1
 		return nil
 

@@ -52,7 +52,7 @@ func (rt *Runtime) hostCall(c *machine.CPU, e *pltEntry) error {
 	c.Cycles += marshalBase + marshalPerArg*uint64(len(args))
 
 	// Native execution.
-	result, cost := e.fn(m.Mem, args)
+	result, cost := e.fn(m, args)
 	c.Cycles += cost
 
 	// Marshal the result back into guest RAX.

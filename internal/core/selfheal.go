@@ -190,10 +190,8 @@ func (rt *Runtime) shadowVerify(c *machine.CPU, t *tb, ir *tcg.Block) *selfheal.
 	if n < tcg.NumGlobals {
 		n = tcg.NumGlobals
 	}
-	it := &tcg.Interp{
-		Temps: make([]uint64, n),
-		Mem:   append([]byte(nil), snap.Mem...),
-	}
+	oracleMem := tcg.Flat(append([]byte(nil), snap.Mem...))
+	it := &tcg.Interp{Temps: make([]uint64, n), Mem: oracleMem}
 	copy(it.Temps, snap.CPU.Regs[:tcg.NumGlobals])
 	ierr := it.Run(ir)
 
@@ -240,10 +238,10 @@ func (rt *Runtime) shadowVerify(c *machine.CPU, t *tb, ir *tcg.Block) *selfheal.
 			return div("register", "global %d: host %#x, interp %#x", i, sc.Regs[i], it.Temps[i])
 		}
 	}
-	if !bytes.Equal(sm.Mem, it.Mem) {
+	if !bytes.Equal(sm.Mem, oracleMem) {
 		for i := range sm.Mem {
-			if sm.Mem[i] != it.Mem[i] {
-				return div("memory", "byte %#x: host %#02x, interp %#02x", i, sm.Mem[i], it.Mem[i])
+			if sm.Mem[i] != oracleMem[i] {
+				return div("memory", "byte %#x: host %#02x, interp %#02x", i, sm.Mem[i], oracleMem[i])
 			}
 		}
 	}
@@ -272,7 +270,7 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	if n < tcg.NumGlobals {
 		n = tcg.NumGlobals
 	}
-	it := &tcg.Interp{Temps: make([]uint64, n), Mem: rt.M.Mem}
+	it := &tcg.Interp{Temps: make([]uint64, n), Mem: rt.M}
 	copy(it.Temps, c.Regs[:tcg.NumGlobals])
 	var yielded bool
 	it.OnCall = func(in tcg.Inst, a, b uint64) (uint64, error) {

@@ -75,7 +75,7 @@ func TestSuperblockIRMatchesSequentialInterp(t *testing.T) {
 			// following seams only while the exit matches the next
 			// component's entry.
 			seq := &tcg.Interp{Temps: append([]uint64(nil), baseTemps...),
-				Mem: append([]byte(nil), baseMem...)}
+				Mem: tcg.Flat(append([]byte(nil), baseMem...))}
 			stop := false
 			for i, c := range comps {
 				if err := seq.Run(c); err != nil {
@@ -91,7 +91,7 @@ func TestSuperblockIRMatchesSequentialInterp(t *testing.T) {
 			}
 
 			one := &tcg.Interp{Temps: append([]uint64(nil), baseTemps...),
-				Mem: append([]byte(nil), baseMem...)}
+				Mem: tcg.Flat(append([]byte(nil), baseMem...))}
 			if err := one.Run(p.ir); err != nil {
 				t.Fatalf("trace %#x seed %d: superblock interp: %v", pc, seed, err)
 			}
@@ -105,7 +105,7 @@ func TestSuperblockIRMatchesSequentialInterp(t *testing.T) {
 						return fmt.Sprintf("global %d = %#x != %#x", i, it.Temps[i], seq.Temps[i])
 					}
 				}
-				if !bytes.Equal(it.Mem, seq.Mem) {
+				if !bytes.Equal(it.Mem.(tcg.Flat), seq.Mem.(tcg.Flat)) {
 					return "memory diverges"
 				}
 				return ""
@@ -125,7 +125,7 @@ func TestSuperblockIRMatchesSequentialInterp(t *testing.T) {
 					sb := super.Clone()
 					tcg.Optimize(sb, probe.cfg)
 					it := &tcg.Interp{Temps: append([]uint64(nil), baseTemps...),
-						Mem: append([]byte(nil), baseMem...)}
+						Mem: tcg.Flat(append([]byte(nil), baseMem...))}
 					if err := it.Run(sb); err != nil {
 						t.Logf("pass %s: interp error %v", probe.name, err)
 						continue

@@ -443,7 +443,7 @@ func TestTierUpRunsOnCallingGoroutine(t *testing.T) {
 	}
 	var during []int
 	lib := hostlib.New()
-	lib.Register("sha256", func(mem []byte, args []uint64) (uint64, uint64) {
+	lib.Register("sha256", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
 		during = append(during, runtime.NumGoroutine())
 		return 1, 10
 	})

@@ -149,7 +149,7 @@ func hostCallWorkload() (Workload, error) {
 		return Workload{}, err
 	}
 	lib := hostlib.New()
-	lib.Register("triple", func(mem []byte, args []uint64) (uint64, uint64) {
+	lib.Register("triple", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
 		return args[0] * 3, 10
 	})
 	return Workload{

@@ -37,7 +37,7 @@ func run(t *testing.T, mem []byte, cfg Config, init map[x86.Reg]uint64) *tcg.Int
 		t.Fatal(err)
 	}
 	it := tcg.NewInterp(blk, len(mem))
-	copy(it.Mem, mem)
+	copy(it.Mem.(tcg.Flat), mem)
 	for r, v := range init {
 		it.Temps[r] = v
 	}
@@ -162,13 +162,13 @@ func runUntilRet(t *testing.T, mem []byte, cfg Config, init map[x86.Reg]uint64) 
 			t.Fatal(err)
 		}
 		it = tcg.NewInterp(blk, len(memory))
-		copy(it.Mem, memory)
+		copy(it.Mem.(tcg.Flat), memory)
 		copy(it.Temps[:tcg.NumGlobals], regs)
 		if err := it.Run(blk); err != nil {
 			t.Fatalf("%v\n%s", err, blk)
 		}
 		copy(regs, it.Temps[:tcg.NumGlobals])
-		copy(memory, it.Mem)
+		copy(memory, it.Mem.(tcg.Flat))
 		if it.Halted || it.NextPC == 0 || it.NextPC >= uint64(len(memory)) {
 			return it
 		}
@@ -344,7 +344,7 @@ func runUntilRetWithHelpers(t *testing.T, mem []byte, cfg Config, init map[x86.R
 			t.Fatal(err)
 		}
 		it = tcg.NewInterp(blk, len(memory))
-		copy(it.Mem, memory)
+		copy(it.Mem.(tcg.Flat), memory)
 		copy(it.Temps[:tcg.NumGlobals], regs)
 		interp := it
 		it.OnCall = func(in tcg.Inst, a, b uint64) (uint64, error) {
@@ -352,11 +352,11 @@ func runUntilRetWithHelpers(t *testing.T, mem []byte, cfg Config, init map[x86.R
 			case tcg.HelperCmpXchg:
 				old := uint64(0)
 				for i := 0; i < 8; i++ {
-					old |= uint64(interp.Mem[a+uint64(i)]) << (8 * i)
+					old |= uint64(interp.Mem.(tcg.Flat)[a+uint64(i)]) << (8 * i)
 				}
 				if old == interp.Temps[0] { // guest RAX
 					for i := 0; i < 8; i++ {
-						interp.Mem[a+uint64(i)] = byte(b >> (8 * i))
+						interp.Mem.(tcg.Flat)[a+uint64(i)] = byte(b >> (8 * i))
 					}
 				}
 				return old, nil
@@ -368,7 +368,7 @@ func runUntilRetWithHelpers(t *testing.T, mem []byte, cfg Config, init map[x86.R
 			t.Fatalf("%v\n%s", err, blk)
 		}
 		copy(regs, it.Temps[:tcg.NumGlobals])
-		copy(memory, it.Mem)
+		copy(memory, it.Mem.(tcg.Flat))
 		if it.Halted || it.NextPC == 0 {
 			return it
 		}

@@ -43,14 +43,18 @@ type Image struct {
 	DynSyms []DynSym
 }
 
-// Load copies every segment into mem.
-func (img *Image) Load(mem []byte) error {
+// Writer is the memory an image loads into: (*machine.Machine).Write,
+// which keeps what the load overwrites coherent.
+type Writer interface {
+	Write(addr uint64, b []byte) error
+}
+
+// Load writes every segment into memory through w.
+func (img *Image) Load(w Writer) error {
 	for _, s := range img.Segments {
-		if s.Addr+uint64(len(s.Data)) > uint64(len(mem)) {
-			return fmt.Errorf("guestimg: segment [%#x,+%d) exceeds memory %#x",
-				s.Addr, len(s.Data), len(mem))
+		if err := w.Write(s.Addr, s.Data); err != nil {
+			return fmt.Errorf("guestimg: segment [%#x,+%d): %v", s.Addr, len(s.Data), err)
 		}
-		copy(mem[s.Addr:], s.Data)
 	}
 	return nil
 }

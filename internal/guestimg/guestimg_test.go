@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa/x86"
+	"repro/internal/machine"
 )
 
 func TestBuildAndLoad(t *testing.T) {
@@ -26,10 +27,11 @@ func TestBuildAndLoad(t *testing.T) {
 		t.Fatalf("zeros at %#x", zeros)
 	}
 
-	mem := make([]byte, 1<<16)
-	if err := img.Load(mem); err != nil {
+	m := machine.New(1 << 16)
+	if err := img.Load(m); err != nil {
 		t.Fatal(err)
 	}
+	mem := m.Mem
 	if mem[blob] != 1 || mem[blob+2] != 3 {
 		t.Fatal("data not loaded")
 	}
@@ -67,11 +69,11 @@ func TestImportsGeneratePLT(t *testing.T) {
 			t.Fatal("PLT entry must differ from implementation")
 		}
 		// The PLT entry must be a JMP whose target is the guest impl.
-		mem := make([]byte, 1<<16)
-		if err := img.Load(mem); err != nil {
+		m := machine.New(1 << 16)
+		if err := img.Load(m); err != nil {
 			t.Fatal(err)
 		}
-		inst, n, err := x86.Decode(mem[d.PLT:])
+		inst, n, err := x86.Decode(m.Mem[d.PLT:])
 		if err != nil || inst.Op != x86.JMP {
 			t.Fatalf("PLT entry not a JMP: %v %v", inst, err)
 		}
@@ -98,7 +100,7 @@ func TestBuildErrors(t *testing.T) {
 
 func TestLoadOutOfBounds(t *testing.T) {
 	img := &Image{Segments: []Segment{{Addr: 1 << 20, Data: []byte{1}}}}
-	if err := img.Load(make([]byte, 1024)); err == nil {
+	if err := img.Load(machine.New(1024)); err == nil {
 		t.Fatal("segment past memory must error")
 	}
 }

@@ -27,7 +27,17 @@ import (
 // Func is a native host function. mem is the guest/host shared memory
 // (user-mode emulation maps them identically, §2.2); args follow the IDL
 // signature. It returns the result value and the simulated native cost.
-type Func func(mem []byte, args []uint64) (result uint64, cycles uint64)
+type Func func(mem Memory, args []uint64) (result uint64, cycles uint64)
+
+// Memory is the guest memory a host function reaches: Read returns the n
+// bytes at addr for reading, Write copies b to addr, and both refuse a
+// range that leaves memory — guest-chosen (pointer, length) pairs may wrap
+// past 2^64. *machine.Machine implements it; its Write clears the
+// exclusive monitors a host function's store breaks, as a guest store's.
+type Memory interface {
+	Read(addr, n uint64) ([]byte, error)
+	Write(addr uint64, b []byte) error
+}
 
 // Library maps function names to native implementations.
 type Library struct {
@@ -85,7 +95,7 @@ func Default() *Library {
 	l := New()
 
 	mathFn := func(cost uint64, f func(float64) float64) Func {
-		return func(mem []byte, args []uint64) (uint64, uint64) {
+		return func(mem Memory, args []uint64) (uint64, uint64) {
 			x := math.Float64frombits(args[0])
 			return math.Float64bits(f(x)), cost
 		}
@@ -101,13 +111,13 @@ func Default() *Library {
 	l.Register("sqrt", mathFn(costSqrt, math.Sqrt))
 
 	digest := func(rate uint64, sum func([]byte) []byte) Func {
-		return func(mem []byte, args []uint64) (uint64, uint64) {
-			ptr, n := args[0], args[1]
-			if !inMem(mem, ptr, n) {
+		return func(mem Memory, args []uint64) (uint64, uint64) {
+			buf, err := mem.Read(args[0], args[1])
+			if err != nil {
 				return 0, costDigestSetup
 			}
-			d := sum(mem[ptr : ptr+n])
-			return binary.LittleEndian.Uint64(d[:8]), costDigestSetup + rate*n
+			d := sum(buf)
+			return binary.LittleEndian.Uint64(d[:8]), costDigestSetup + rate*args[1]
 		}
 	}
 	l.Register("md5", digest(costMD5PerByte, func(b []byte) []byte {
@@ -131,7 +141,7 @@ func Default() *Library {
 		if sign {
 			exp = new(big.Int).Sub(mod, big.NewInt(12345)) // private-exponent-sized
 		}
-		return func(mem []byte, args []uint64) (uint64, uint64) {
+		return func(mem Memory, args []uint64) (uint64, uint64) {
 			base := new(big.Int).SetUint64(args[0] | 2)
 			r := new(big.Int).Exp(base, exp, mod)
 			return r.Uint64() & 0xFFFFFFFF, cost
@@ -144,34 +154,30 @@ func Default() *Library {
 
 	// sqlite-like engine: hashed key-value inserts+lookups over a table
 	// region in guest memory (args: table ptr, op count, seed).
-	l.Register("sqlite_exec", func(mem []byte, args []uint64) (uint64, uint64) {
+	l.Register("sqlite_exec", func(mem Memory, args []uint64) (uint64, uint64) {
 		table, ops, seed := args[0], args[1], args[2]
 		const buckets = 4096
-		if !inMem(mem, table, buckets*8) {
+		tab, err := mem.Read(table, buckets*8)
+		if err != nil {
 			return 0, costDigestSetup
 		}
 		var acc uint64
+		var val [8]byte
 		x := seed | 1
 		for i := uint64(0); i < ops; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			b := (x >> 33) % buckets
-			slot := table + b*8
-			old := binary.LittleEndian.Uint64(mem[slot:])
-			binary.LittleEndian.PutUint64(mem[slot:], old+x)
+			slot := (x >> 33) % buckets * 8
+			old := binary.LittleEndian.Uint64(tab[slot:])
+			binary.LittleEndian.PutUint64(val[:], old+x)
+			if mem.Write(table+slot, val[:]) != nil {
+				return 0, costDigestSetup
+			}
 			acc ^= old
 		}
 		return acc, costSqlitePerOp * ops
 	})
 
 	return l
-}
-
-// inMem reports whether the n bytes at addr lie inside mem. Both come
-// from guest registers, so it compares without forming addr+n, which
-// could wrap.
-func inMem(mem []byte, addr, n uint64) bool {
-	size := uint64(len(mem))
-	return addr <= size && n <= size-addr
 }
 
 // rsaModulus returns a deterministic odd modulus of the given bit size.

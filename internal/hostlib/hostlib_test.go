@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 func TestRegisterLookup(t *testing.T) {
@@ -12,7 +14,7 @@ func TestRegisterLookup(t *testing.T) {
 	if _, ok := l.Lookup("f"); ok {
 		t.Fatal("empty library should miss")
 	}
-	l.Register("f", func(mem []byte, args []uint64) (uint64, uint64) { return 42, 1 })
+	l.Register("f", func(mem Memory, args []uint64) (uint64, uint64) { return 42, 1 })
 	fn, ok := l.Lookup("f")
 	if !ok {
 		t.Fatal("registered function missing")
@@ -48,29 +50,30 @@ func TestDefaultMath(t *testing.T) {
 
 func TestDefaultDigests(t *testing.T) {
 	l := Default()
-	mem := make([]byte, 4096)
+	m := machine.New(4096)
+	mem := m.Mem
 	for i := range mem {
 		mem[i] = byte(i)
 	}
 	fn := l.MustLookup("md5")
-	got, cost1k := fn(mem, []uint64{0, 1024})
+	got, cost1k := fn(m, []uint64{0, 1024})
 	want := md5.Sum(mem[:1024])
 	if got != binary.LittleEndian.Uint64(want[:8]) {
 		t.Fatal("md5 result mismatch against crypto/md5")
 	}
-	_, cost2k := fn(mem, []uint64{0, 2048})
+	_, cost2k := fn(m, []uint64{0, 2048})
 	if cost2k <= cost1k {
 		t.Fatal("digest cost must scale with length")
 	}
 	// Rates order: sha256 cheapest per byte (crypto extensions), md5
 	// most expensive.
 	sha := l.MustLookup("sha256")
-	_, shaCost := sha(mem, []uint64{0, 2048})
+	_, shaCost := sha(m, []uint64{0, 2048})
 	if shaCost >= cost2k {
 		t.Fatal("sha256 should be cheaper than md5 natively")
 	}
 	// Out-of-bounds buffer is refused gracefully.
-	if _, c := fn(mem, []uint64{uint64(len(mem)) - 4, 1024}); c == 0 {
+	if _, c := fn(m, []uint64{uint64(len(mem)) - 4, 1024}); c == 0 {
 		t.Fatal("oob digest should still cost setup")
 	}
 }
@@ -98,15 +101,15 @@ func TestDefaultRSAOrdering(t *testing.T) {
 func TestSqliteExec(t *testing.T) {
 	l := Default()
 	fn := l.MustLookup("sqlite_exec")
-	mem := make([]byte, 1<<20)
-	_, cost := fn(mem, []uint64{0x1000, 100, 42})
+	m := machine.New(1 << 20)
+	_, cost := fn(m, []uint64{0x1000, 100, 42})
 	if cost == 0 {
 		t.Fatal("sqlite must cost cycles")
 	}
 	// Table was mutated.
 	sum := uint64(0)
 	for i := 0; i < 4096; i++ {
-		sum += binary.LittleEndian.Uint64(mem[0x1000+i*8:])
+		sum += binary.LittleEndian.Uint64(m.Mem[0x1000+i*8:])
 	}
 	if sum == 0 {
 		t.Fatal("sqlite_exec should have written buckets")
@@ -118,8 +121,8 @@ func TestSqliteExec(t *testing.T) {
 // past 2^64: each must refuse with (0, setup cost), never panic.
 func TestOutOfRangeBuffers(t *testing.T) {
 	l := Default()
-	mem := make([]byte, 64<<10)
-	size := uint64(len(mem))
+	mem := machine.New(64 << 10)
+	size := uint64(len(mem.Mem))
 	const tableBytes = 4096 * 8
 	cases := []struct {
 		fn   string

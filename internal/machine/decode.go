@@ -70,12 +70,14 @@ func (t *decodeTable) insert(pc uint64, inst arm.Inst) *arm.Inst {
 	return &p.insts[s]
 }
 
-// invalidate forgets the decode of every slot overlapping [addr, addr+4).
-func (t *decodeTable) invalidate(addr uint64) {
-	for _, a := range [2]uint64{addr, addr + arm.InstBytes - 1} {
-		if i := a/decodePageBytes - t.base; i < uint64(len(t.pages)) {
-			t.pages[i].valid &^= 1 << (a / arm.InstBytes % decodePageSlots)
-		}
+// invalidate forgets the decode of every slot overlapping [addr, addr+n);
+// the caller has checked that the range lies in memory. Slots outside the
+// window hold nothing to forget.
+func (t *decodeTable) invalidate(addr, n uint64) {
+	lo, hi := t.base*decodePageSlots, (t.base+uint64(len(t.pages)))*decodePageSlots
+	first, end := max(addr/arm.InstBytes, lo), min((addr+n+arm.InstBytes-1)/arm.InstBytes, hi)
+	for s := first; s < end; s++ {
+		t.pages[s/decodePageSlots-t.base].valid &^= 1 << (s % decodePageSlots)
 	}
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -96,64 +95,29 @@ func TestDecodeTableWindow(t *testing.T) {
 		}
 	}
 
-	tab.invalidate(0x5004)
+	tab.invalidate(0x5004, 4)
 	if tab.lookup(0x5004) != nil || tab.lookup(0x5000) == nil || tab.lookup(0x50FC) == nil {
-		t.Error("invalidate(0x5004) must clear that slot and no neighbour")
+		t.Error("invalidate(0x5004, 4) must clear that slot and no neighbour")
 	}
 	// A word written at a non-aligned address overlaps two slots, here
 	// the last of one page and the first of the next.
-	tab.invalidate(0x50FE)
+	tab.invalidate(0x50FE, 4)
 	if tab.lookup(0x50FC) != nil || tab.lookup(0x5100) != nil {
-		t.Error("invalidate(0x50FE) must clear both slots the word overlaps")
+		t.Error("invalidate(0x50FE, 4) must clear both slots the word overlaps")
 	}
-	tab.invalidate(1 << 40) // outside the window: nothing to forget
+	// A range wider than the window clears every slot in the window and
+	// touches nothing outside it.
+	tab.insert(0x5000, at(0x5000))
+	tab.invalidate(0x4000, 1<<40)
+	if tab.lookup(0x5000) != nil || tab.lookup(0x2000) == nil {
+		t.Error("invalidate(0x4000, 1<<40) must clear 0x5000 and keep 0x2000")
+	}
+	tab.invalidate(1<<40, 4) // outside the window: nothing to forget
 	tab.invalidateAll()
 	for _, pc := range pcs {
 		if tab.lookup(pc) != nil {
 			t.Errorf("lookup(%#x) hit after invalidateAll", pc)
 		}
-	}
-}
-
-// patchWord overwrites the instruction word at addr the way the DBT's
-// chaining and miscompile injection do.
-func patchWord(t *testing.T, m *Machine, addr uint64, inst arm.Inst) {
-	t.Helper()
-	w, err := arm.Encode(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(m.Mem[addr:], w)
-}
-
-// TestDecodeSnapshotRestore: Restore rewrites memory wholesale, so code
-// patched after the snapshot must execute as it was at the snapshot.
-func TestDecodeSnapshotRestore(t *testing.T) {
-	const base = 0x1000
-	m := New(1 << 16)
-	CheckFetches(t, m)
-	copy(m.Mem[base:], straightLine(t, 4))
-	c := m.CPUs[0]
-	c.PC = base
-	snap := m.Snapshot(c)
-	if err := m.Run(c, 10); err != nil {
-		t.Fatal(err)
-	}
-	patchWord(t, m, base, arm.Inst{Op: arm.ADDI, Rd: arm.X1, Rn: arm.X1, Imm: 100})
-	m.InvalidateDecodeAt(base)
-	c.PC, c.Halted = base, false
-	if err := m.Run(c, 10); err != nil {
-		t.Fatal(err)
-	}
-	if c.Regs[1] != 3+102 {
-		t.Fatalf("patched rerun: X1 = %d, want 105", c.Regs[1])
-	}
-	m.Restore(c, snap)
-	if err := m.Run(c, 10); err != nil {
-		t.Fatal(err)
-	}
-	if c.Regs[1] != 3 {
-		t.Errorf("after Restore X1 = %d, want the snapshot program's 3", c.Regs[1])
 	}
 }
 
@@ -180,7 +144,7 @@ func TestUnalignedPCDecodesUncached(t *testing.T) {
 }
 
 // TestStoreClearsArmedMonitors: the armed-monitor count that lets stores
-// skip the monitor scan tracks LDXR, STXR, intervening stores and Restore.
+// skip the monitor scan tracks LDXR, STXR and intervening stores.
 func TestStoreClearsArmedMonitors(t *testing.T) {
 	m, c0 := freshCPU(t)
 	c1 := m.AddCPU()
@@ -203,17 +167,5 @@ func TestStoreClearsArmedMonitors(t *testing.T) {
 	execOne(t, c0, m, stxr)
 	if c0.Regs[3] != 1 {
 		t.Error("STXR succeeded after an intervening store")
-	}
-
-	execOne(t, c0, m, ldxr)
-	snap := m.Snapshot(c1)
-	execOne(t, c1, m, ldxr)
-	m.Restore(c1, snap)
-	if m.armed != 1 || c1.monValid {
-		t.Fatalf("Restore left armed = %d, cpu1 monitor %v; want 1, false", m.armed, c1.monValid)
-	}
-	execOne(t, c0, m, stxr)
-	if c0.Regs[3] != 0 || m.armed != 0 {
-		t.Errorf("uncontended STXR status %d, armed %d; want 0, 0", c0.Regs[3], m.armed)
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/isa/arm"
@@ -197,42 +198,26 @@ func TestChargeAtomicAndCounters(t *testing.T) {
 	}
 }
 
+// TestDecodeCacheInvalidation: a word Write puts over an executed
+// instruction is what the next fetch of that PC runs.
 func TestDecodeCacheInvalidation(t *testing.T) {
 	m, c := freshCPU(t)
-	// Place a NOP, execute (cached), patch to MOVZ, invalidate, re-run.
-	w, err := arm.Encode(arm.Inst{Op: arm.NOP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Mem[0x1000] = byte(w)
-	m.Mem[0x1001] = byte(w >> 8)
-	m.Mem[0x1002] = byte(w >> 16)
-	m.Mem[0x1003] = byte(w >> 24)
-	c.PC = 0x1000
-	if err := m.step(c); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := arm.Encode(arm.Inst{Op: arm.MOVZ, Rd: 1, Imm: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		m.Mem[0x1000+i] = byte(w2 >> (8 * i))
-	}
-	// Without invalidation the stale NOP would execute.
-	m.InvalidateDecodeAt(0x1000)
-	c.PC = 0x1000
-	if err := m.step(c); err != nil {
-		t.Fatal(err)
+	CheckFetches(t, m)
+	for _, inst := range []arm.Inst{{Op: arm.NOP}, {Op: arm.MOVZ, Rd: 1, Imm: 7}} {
+		w, err := arm.Encode(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(0x1000, binary.LittleEndian.AppendUint32(nil, w)); err != nil {
+			t.Fatal(err)
+		}
+		c.PC = 0x1000
+		if err := m.step(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.Regs[1] != 7 {
 		t.Fatalf("patched instruction not executed: %d", c.Regs[1])
-	}
-	// Full invalidation path.
-	m.InvalidateDecodeCache()
-	c.PC = 0x1000
-	if err := m.step(c); err != nil {
-		t.Fatal(err)
 	}
 }
 

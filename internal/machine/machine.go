@@ -13,6 +13,8 @@
 //     guest threads genuinely race;
 //   - SVC and BLR hooks through which the DBT runtime (internal/core)
 //     implements guest syscalls and helper calls.
+//   - one writer, Write, through which everything but the instruction path
+//     writes memory, keeping exclusive monitors and decoded code coherent.
 //
 // The interpreter executes sequentially consistently; weak-memory
 // *ordering* effects are studied axiomatically (internal/models) and
@@ -228,20 +230,6 @@ func (m *Machine) record(addr uint64, size uint8, write, local bool) {
 	}
 }
 
-// InvalidateDecodeCache drops cached decodes; callers that rewrite already-
-// executed code must invoke it. (The DBT only ever appends fresh code, so
-// translation never needs it; TB chaining patches single instructions and
-// uses InvalidateDecodeAt.)
-func (m *Machine) InvalidateDecodeCache() {
-	m.decode.invalidateAll()
-}
-
-// InvalidateDecodeAt drops the cached decode of the instruction word
-// written at addr after a code patch.
-func (m *Machine) InvalidateDecodeAt(addr uint64) {
-	m.decode.invalidate(addr)
-}
-
 // reg reads a register, honouring XZR.
 func (c *CPU) reg(r arm.Reg) uint64 {
 	if r == arm.XZR {
@@ -317,7 +305,10 @@ func (m *Machine) ReadMem(addr uint64, size uint8) (uint64, error) {
 	return v, nil
 }
 
-// WriteMem stores the low size bytes of v at addr.
+// WriteMem stores the low size bytes of v at addr: the instruction path's
+// store. It keeps its per-store cost by not consulting the decode table, so
+// its contract is that no program stores over code the machine has fetched
+// (CheckFetches enforces it in tests); code is written through Write.
 func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	if err := m.injectMem(addr); err != nil {
 		return err
@@ -340,16 +331,45 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 		}
 	}
 	if m.armed != 0 {
-		m.clearMonitors(addr, size)
+		m.clearMonitors(addr, uint64(size))
 	}
 	m.record(addr, size, true, false)
 	return nil
 }
 
-// clearMonitors invalidates any exclusive monitor overlapping [addr, +size).
-func (m *Machine) clearMonitors(addr uint64, size uint8) {
+// Write copies b into memory at addr. It is the one writer of memory from
+// outside the instruction path — image loads, code installs and patches,
+// the interpreter tier, host functions — and keeps what a write can
+// invalidate coherent: exclusive monitors overlapping the range are
+// cleared, as a store's are, and so are the decode-table slots it
+// overlaps, so a valid slot always decodes the current word. It consults
+// no injector, records no access and charges no cycle.
+func (m *Machine) Write(addr uint64, b []byte) error {
+	n := uint64(len(b))
+	if err := m.CheckRange(addr, n); err != nil {
+		return err
+	}
+	copy(m.Mem[addr:], b)
+	if m.armed != 0 {
+		m.clearMonitors(addr, n)
+	}
+	m.decode.invalidate(addr, n)
+	return nil
+}
+
+// Read returns the n bytes at addr, or CheckRange's trap. The slice
+// aliases memory and is for reading only: writes go through Write.
+func (m *Machine) Read(addr, n uint64) ([]byte, error) {
+	if err := m.CheckRange(addr, n); err != nil {
+		return nil, err
+	}
+	return m.Mem[addr : addr+n : addr+n], nil
+}
+
+// clearMonitors invalidates any exclusive monitor overlapping [addr, +n).
+func (m *Machine) clearMonitors(addr, n uint64) {
 	for _, c := range m.CPUs {
-		if c.monValid && overlap(addr, uint64(size), c.monAddr, uint64(c.monSize)) {
+		if c.monValid && overlap(addr, n, c.monAddr, uint64(c.monSize)) {
 			m.disarm(c)
 		}
 	}

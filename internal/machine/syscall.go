@@ -31,10 +31,11 @@ func NativeSyscall(m *Machine, c *CPU, imm uint16) error {
 		return nil
 	case SysWrite:
 		ptr, n := c.Regs[0], c.Regs[1]
-		if err := m.CheckRange(ptr, n); err != nil {
+		b, err := m.Read(ptr, n)
+		if err != nil {
 			return err
 		}
-		m.Output = append(m.Output, m.Mem[ptr:ptr+n]...)
+		m.Output = append(m.Output, b...)
 		c.Regs[0] = n
 		return nil
 	case SysSpawn:

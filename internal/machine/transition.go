@@ -156,9 +156,7 @@ func (m *Machine) Walk(seed uint64, maxSteps int, visit func(Transition, error) 
 }
 
 // splitmix64 is the machine's one PRNG. Unlike math/rand, its entire state
-// is one word, so Snapshot copies a drain policy's position trivially and
-// a restored one replays the identical stream regardless of how many
-// variable-width draws preceded it.
+// is one word: a seed alone fixes the stream, on every platform.
 type splitmix struct{ state uint64 }
 
 func (p *splitmix) next() uint64 {

@@ -371,7 +371,7 @@ func (c *Compiled) NewMachine() (*machine.Machine, error) {
 // after the first this way.
 func (c *Compiled) Reset(m *machine.Machine) error {
 	m.Reset()
-	if err := c.img.Load(m.Mem); err != nil {
+	if err := c.img.Load(m); err != nil {
 		return err
 	}
 	m.EnableWeakMode(nil)

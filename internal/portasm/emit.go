@@ -407,7 +407,7 @@ func RunNative(img *guestimg.Image, maxSteps uint64) (*machine.Machine, error) {
 func RunNativeQuantum(img *guestimg.Image, quantum int, maxSteps uint64) (*machine.Machine, error) {
 	m := machine.New(NativeMemSize)
 	m.Syscall = machine.NativeSyscall
-	if err := img.Load(m.Mem); err != nil {
+	if err := img.Load(m); err != nil {
 		return nil, err
 	}
 	c := m.CPUs[0]

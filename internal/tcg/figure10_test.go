@@ -289,11 +289,11 @@ func TestElimFiresIffTableAllows(t *testing.T) {
 				// What is left computes what the pair did: the later load
 				// sees the earlier access's value, the later store wins.
 				it := tcg.NewInterp(b, 0x200)
-				it.Mem[0x100] = 5
+				it.Mem.(tcg.Flat)[0x100] = 5
 				if err := it.Run(b); err != nil {
 					t.Fatal(err)
 				}
-				mem := binary.LittleEndian.Uint64(it.Mem[0x100:])
+				mem := binary.LittleEndian.Uint64(it.Mem.(tcg.Flat)[0x100:])
 				want := map[string][3]uint64{"RAR": {5, 5, 5}, "RAW": {0, 1, 1}, "WAW": {0, 0, 2}}[r.Name]
 				if got := [3]uint64{it.Temps[0], it.Temps[1], mem}; got != want {
 					t.Fatalf("globals 0, 1 and [0x100] = %v, want %v:\n%s", got, want, b)

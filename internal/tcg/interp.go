@@ -1,6 +1,7 @@
 package tcg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -24,8 +25,8 @@ var (
 type Interp struct {
 	// Temps holds every temp's value.
 	Temps []uint64
-	// Mem is the flat memory.
-	Mem []byte
+	// Mem is the memory loads and stores reach.
+	Mem Memory
 	// NextPC receives the exit target of OpExit/OpExitInd.
 	NextPC uint64
 	// Halted is set by OpExitHalt.
@@ -41,33 +42,62 @@ type Interp struct {
 	// when Dst is a local temp (globals are updated by the handler itself,
 	// exactly like the compiled helper path).
 	OnCall func(in Inst, a, b uint64) (uint64, error)
+
+	// buf holds a store's bytes on their way to Mem.
+	buf [8]byte
 }
 
-// NewInterp returns an interpreter with memSize bytes of memory.
+// Memory is what an Interp loads from and stores to: Read returns the n
+// bytes at addr for reading, Write copies b to addr, and both fail on a
+// range outside memory. The DBT's interpreter tier runs over the machine
+// (*machine.Machine), whose Write keeps exclusive monitors and decoded
+// code coherent; Flat serves the selfcheck oracle and tests.
+type Memory interface {
+	Read(addr, n uint64) ([]byte, error)
+	Write(addr uint64, b []byte) error
+}
+
+// Flat is a private flat memory.
+type Flat []byte
+
+// Read returns f[addr:addr+n], or an ErrInterpOOB error.
+func (f Flat) Read(addr, n uint64) ([]byte, error) {
+	if size := uint64(len(f)); addr > size || n > size-addr {
+		return nil, ErrInterpOOB
+	}
+	return f[addr : addr+n], nil
+}
+
+// Write copies b to f at addr, or reports an ErrInterpOOB error.
+func (f Flat) Write(addr uint64, b []byte) error {
+	dst, err := f.Read(addr, uint64(len(b)))
+	copy(dst, b)
+	return err
+}
+
+// NewInterp returns an interpreter with memSize bytes of Flat memory.
 func NewInterp(b *Block, memSize int) *Interp {
 	return &Interp{
 		Temps: make([]uint64, b.NumTemps),
-		Mem:   make([]byte, memSize),
+		Mem:   make(Flat, memSize),
 	}
 }
 
 func (it *Interp) load(addr uint64, size uint8) (uint64, error) {
-	if addr+uint64(size) > uint64(len(it.Mem)) || addr+uint64(size) < addr {
+	b, err := it.Mem.Read(addr, uint64(size))
+	if err != nil {
 		return 0, fmt.Errorf("tcg interp: load [%#x,+%d): %w", addr, size, ErrInterpOOB)
 	}
 	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(it.Mem[addr+uint64(i)]) << (8 * i)
+	for i, x := range b {
+		v |= uint64(x) << (8 * i)
 	}
 	return v, nil
 }
 
 func (it *Interp) store(addr uint64, size uint8, v uint64) error {
-	if addr+uint64(size) > uint64(len(it.Mem)) || addr+uint64(size) < addr {
+	if err := it.Mem.Write(addr, binary.LittleEndian.AppendUint64(it.buf[:0], v)[:size]); err != nil {
 		return fmt.Errorf("tcg interp: store [%#x,+%d): %w", addr, size, ErrInterpOOB)
-	}
-	for i := uint8(0); i < size; i++ {
-		it.Mem[addr+uint64(i)] = byte(v >> (8 * i))
 	}
 	return nil
 }

@@ -377,8 +377,9 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 			for g := 0; g < NumGlobals; g++ {
 				it.Temps[g] = uint64(g * 1000003)
 			}
-			for i := range it.Mem {
-				it.Mem[i] = byte(i * 37)
+			mem := it.Mem.(Flat)
+			for i := range mem {
+				mem[i] = byte(i * 37)
 			}
 			if err := it.Run(b); err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, b)
@@ -401,10 +402,11 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 					seed, g, ref.Temps[g], got.Temps[g], orig, opt)
 			}
 		}
-		for i := range ref.Mem {
-			if ref.Mem[i] != got.Mem[i] {
+		refMem, gotMem := ref.Mem.(Flat), got.Mem.(Flat)
+		for i := range refMem {
+			if refMem[i] != gotMem[i] {
 				t.Fatalf("seed %d: mem[%#x]: %d != %d\nbefore:\n%s\nafter:\n%s",
-					seed, i, ref.Mem[i], got.Mem[i], orig, opt)
+					seed, i, refMem[i], gotMem[i], orig, opt)
 			}
 		}
 		if ref.NextPC != got.NextPC {

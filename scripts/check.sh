@@ -58,6 +58,22 @@ decl='^[[:space:]]+PromoteThreshold[[:space:]]+[a-z]'
 n=$(grep -rhE --include='*.go' --exclude='*_test.go' "$decl" cmd internal examples | wc -l)
 [ "$n" -eq 1 ] || { echo "$n struct fields declare PromoteThreshold, want 1 (selfheal.TierUp):" >&2; grep -rnE --include='*.go' --exclude='*_test.go' "$decl" cmd internal examples >&2; exit 1; }
 
+# Only the machine writes guest memory. Image loads, code installs and
+# patches, the interpreter tier and host functions go through
+# (*machine.Machine).Write, and guest stores through WriteMem: the two keep
+# exclusive monitors and the decode table coherent, so nothing else may
+# assign into a Machine's Mem, copy into it or PutUint* into it, and nothing
+# may invalidate decodes by hand. A package that does not depend on
+# internal/machine cannot reach a Machine's Mem, so flat memories of its own
+# (x86.Interp's, tcg.Flat) are not matched.
+stage "only the machine writes guest memory: no write into .Mem outside internal/machine; nothing names InvalidateDecode"
+mem_src=$( { go list -f '{{.Dir}} {{join .Deps " "}}' ./...; (cd perf && go list -f '{{.Dir}} {{join .Deps " "}}' .); } \
+	| awk '$1 !~ /\/internal\/machine$/ && / repro\/internal\/machine( |$)/ {print $1}' \
+	| while read -r d; do ls "$d"/*.go | grep -v '_test\.go$'; done)
+memw='\.Mem\[[^]]*\] *([-+*/|&^]?=[^=]|\+\+|--)|copy\([^,]*\.Mem\b|PutUint(16|32|64)\([^,]*\.Mem\b'
+if grep -nE "$memw" $mem_src >&2; then echo "a write into Mem outside internal/machine: use (*machine.Machine).Write" >&2; exit 1; fi
+if grep -rn --include='*.go' 'InvalidateDecode' cmd internal examples perf >&2; then echo "decode invalidation by hand: the machine's writer does it" >&2; exit 1; fi
+
 stage "go vet ./..."
 go vet ./...
 
