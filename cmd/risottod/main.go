@@ -58,7 +58,7 @@ func main() {
 	retries := fs.Int("job-retries", -1, "server: retry budget for transiently-trapped jobs (-1 = default)")
 	stepCap := fs.Uint64("step-budget-cap", 0, "server: per-job step budget cap (jobs may only tighten)")
 	deadlineCap := fs.Duration("deadline-cap", 0, "server: per-job wall-clock cap")
-	memSize := fs.Int("mem-size", 0, "server: per-job machine memory bytes (0 = core default)")
+	memSize := fs.Int("mem-size", 0, "server: machine memory bytes (0 = core default); each worker keeps one machine this size")
 
 	// Client flags.
 	addr := fs.String("addr", "127.0.0.1:8077", "client: daemon address")

@@ -91,6 +91,11 @@ type Config struct {
 	// shadow verification needs the pre-optimization oracle IR, which
 	// cached entries by design no longer have.
 	TransCache TranslationCache
+	// Machine, when non-nil, is the machine to run on instead of a new
+	// one: New resets it (machine.Reset clears only the pages the last run
+	// wrote) and installs the runtime's hooks and watchdogs on it. A zero
+	// MemSize takes the machine's size; any other size must equal it.
+	Machine *machine.Machine
 	// TierUp configures the tier-up JIT (tierup.go): when enabled,
 	// unpinned blocks start at the cheap TierNoOpt rung and hot ones are
 	// promoted to full-tier superblocks by the dispatch that finds them hot.
@@ -252,6 +257,14 @@ func guestReg(c *machine.CPU, r x86.Reg) *uint64 { return &c.Regs[int(r)] }
 // newRuntime creates a runtime for the given config and loads the image.
 // Exported construction goes through New (options.go).
 func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
+	if m := cfg.Machine; m != nil {
+		switch {
+		case cfg.MemSize == 0:
+			cfg.MemSize = len(m.Mem)
+		case cfg.MemSize != len(m.Mem):
+			return nil, fmt.Errorf("core: memory size %d differs from the machine's %d", cfg.MemSize, len(m.Mem))
+		}
+	}
 	if cfg.MemSize == 0 {
 		cfg.MemSize = 32 << 20
 	}
@@ -326,7 +339,12 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	rt.beCfg.Obs = scope
 	cfg.Inject.SetObs(scope)
 
-	rt.M = machine.New(cfg.MemSize)
+	if cfg.Machine != nil {
+		cfg.Machine.Reset()
+		rt.M = cfg.Machine
+	} else {
+		rt.M = machine.New(cfg.MemSize)
+	}
 	rt.M.SetObs(scope)
 	rt.M.Syscall = rt.handleSvc
 	rt.M.OnBLR = rt.handleBLR

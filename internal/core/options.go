@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/guestimg"
 	"repro/internal/hostlib"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/tcg"
 )
@@ -103,6 +104,14 @@ func WithObs(sc *obs.Scope) Option {
 // WithTranslationCache installs a persistent translation cache.
 func WithTranslationCache(tc TranslationCache) Option {
 	return func(c *Config) { c.TransCache = tc }
+}
+
+// WithMachine runs the runtime on m, reset, instead of on a new machine,
+// so a long-running caller keeps one machine per worker; m nil means a new
+// one. A caller hands m to the next New only once it is done with this
+// runtime.
+func WithMachine(m *machine.Machine) Option {
+	return func(c *Config) { c.Machine = m }
 }
 
 // WithTierUp enables the tier-up JIT: hot blocks are promoted, as

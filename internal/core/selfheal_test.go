@@ -371,7 +371,7 @@ func TestCrashBundleReplayUnderPromotion(t *testing.T) {
 // knob declared outside selfheal.Replay fails here instead of being
 // silently dropped by replay.
 func TestReplayCarriesEveryField(t *testing.T) {
-	notReplayed := []string{"Variant", "Kernel", "Lib", "Opt", "Inject", "Obs", "TransCache", "TierUp"}
+	notReplayed := []string{"Variant", "Kernel", "Lib", "Opt", "Inject", "Obs", "TransCache", "Machine", "TierUp"}
 	var outside []string
 	ct := reflect.TypeOf(Config{})
 	for i := 0; i < ct.NumField(); i++ {

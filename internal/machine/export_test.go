@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/isa/arm"
@@ -30,4 +31,15 @@ func CheckFetches(t testing.TB, m *Machine) *uint64 {
 		}
 	})
 	return &checked
+}
+
+// WrittenPages lists the page numbers in m's written-page set, ascending.
+func WrittenPages(m *Machine) []uint64 {
+	var pages []uint64
+	for i, w := range m.written {
+		for ; w != 0; w &= w - 1 {
+			pages = append(pages, uint64(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return pages
 }

@@ -25,6 +25,7 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/faults"
@@ -34,7 +35,10 @@ import (
 
 // Machine is one simulated host: memory plus a set of CPUs.
 type Machine struct {
-	// Mem is the flat physical memory, shared by all CPUs.
+	// Mem is the flat physical memory, shared by all CPUs. Write and
+	// WriteMem are its writers: they mark the pages they touch, and Reset
+	// clears only marked pages, so bytes written around them are invisible
+	// to Reset and survive it.
 	Mem []byte
 	// CPUs holds every CPU ever started; halted ones stay in place.
 	CPUs []*CPU
@@ -75,6 +79,11 @@ type Machine struct {
 	// lineOwner tracks which CPU last performed an atomic on each
 	// 64-byte line, for the contention penalty.
 	lineOwner map[uint64]int
+
+	// written is the written-page set: bit p%64 of word p/64 is set once
+	// a byte of page p (pageBytes of Mem) may be non-zero. Every
+	// constructor sizes it, so the store path needs no nil check.
+	written []uint64
 
 	// decode caches decoded instructions by PC; see decode.go.
 	decode decodeTable
@@ -134,28 +143,67 @@ type CPU struct {
 	monValid bool
 }
 
+// The written-page set's pages are 4 KiB.
+const (
+	pageShift = 12
+	pageBytes = 1 << pageShift
+)
+
 // New creates a machine with memSize bytes of memory and one CPU.
 func New(memSize int) *Machine {
 	m := &Machine{
 		Mem:       make([]byte, memSize),
 		Cost:      DefaultCost(),
 		lineOwner: make(map[uint64]int),
+		written:   newPageSet(memSize),
 	}
 	m.AddCPU()
 	return m
 }
 
+// newPageSet returns an empty written-page set for memSize bytes.
+func newPageSet(memSize int) []uint64 {
+	pages := (memSize + pageBytes - 1) >> pageShift
+	return make([]uint64, (pages+63)/64)
+}
+
+// markPage adds page p to the written-page set.
+func (m *Machine) markPage(p uint64) { m.written[p/64] |= 1 << (p % 64) }
+
+// markRange adds every page [addr, +n) touches, n > 0, to the set.
+func (m *Machine) markRange(addr, n uint64) {
+	for p := addr >> pageShift; p <= (addr+n-1)>>pageShift; p++ {
+		m.markPage(p)
+	}
+}
+
+// pagesWritten counts the pages in the written-page set.
+func (m *Machine) pagesWritten() int {
+	n := 0
+	for _, w := range m.written {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Reset returns m to the state New(len(m.Mem)) builds while keeping its
 // allocations, so a driver that re-executes a program many times (explore's
-// DPOR replays, opcheck's walks) reuses one machine: memory is zeroed in
-// place, the first CPU is zeroed and the others dropped (AddCPU reuses
-// them), the counters, line owners, monitors and access log are cleared,
-// weak mode is switched off, and every decode-table slot is invalidated but
-// kept. What the caller configured — Cost, the budgets, Inject, the Syscall
-// and OnBLR hooks, SetObs's scope — stays installed. Pointers to m's CPUs
-// taken before the call are stale after it.
+// DPOR replays, opcheck's walks, a risottod worker's jobs) reuses one
+// machine: the pages Write and WriteMem marked are zeroed in place and the
+// written-page set emptied, the first CPU is zeroed and the others dropped
+// (AddCPU reuses them), the counters, line owners, monitors and access log
+// are cleared, weak mode is switched off, and every decode-table slot is
+// invalidated but kept. What the caller configured — Cost, the budgets,
+// Inject, the Syscall and OnBLR hooks, SetObs's scope — stays installed.
+// Pointers to m's CPUs taken before the call are stale after it.
 func (m *Machine) Reset() {
-	clear(m.Mem)
+	for i, w := range m.written {
+		for ; w != 0; w &= w - 1 {
+			lo := (i*64 + bits.TrailingZeros64(w)) << pageShift
+			clear(m.Mem[lo:min(lo+pageBytes, len(m.Mem))])
+		}
+	}
+	clear(m.written)
 	*m.CPUs[0] = CPU{}
 	m.CPUs = m.CPUs[:1]
 	m.Output = m.Output[:0]
@@ -173,7 +221,8 @@ func (m *Machine) Reset() {
 // scope: scheduler quanta are counted under "machine.sched.quanta", the
 // ones a blocked join ended early under "machine.sched.yields", and
 // RunAll publishes the dynamic execution counters (instructions, atomics,
-// per-flavour DMBs, CPU count) as gauges on exit. Nil-scope safe.
+// per-flavour DMBs, CPU count) and the size of the written-page set as
+// gauges on exit. Nil-scope safe.
 func (m *Machine) SetObs(root *obs.Scope) {
 	m.sc = root.Child("machine")
 	m.quanta = m.sc.Counter("sched.quanta")
@@ -191,6 +240,7 @@ func (m *Machine) publishObs() {
 	m.sc.Gauge("dmb_exec.load").Set(int64(m.DMBExec[arm.BarrierLoad]))
 	m.sc.Gauge("dmb_exec.store").Set(int64(m.DMBExec[arm.BarrierStore]))
 	m.sc.Gauge("cpus").Set(int64(len(m.CPUs)))
+	m.sc.Gauge("pages_written").Set(int64(m.pagesWritten()))
 }
 
 // AddCPU starts a new (halted=false, PC=0) CPU and returns it. A CPU that
@@ -305,8 +355,10 @@ func (m *Machine) ReadMem(addr uint64, size uint8) (uint64, error) {
 	return v, nil
 }
 
-// WriteMem stores the low size bytes of v at addr: the instruction path's
-// store. It keeps its per-store cost by not consulting the decode table, so
+// WriteMem stores the low size (> 0) bytes of v at addr: the instruction
+// path's store. It marks the first and last page it touches before storing
+// — a store of at most 255 bytes spans no more than two. It keeps its
+// per-store cost by not consulting the decode table, so
 // its contract is that no program stores over code the machine has fetched
 // (CheckFetches enforces it in tests); code is written through Write.
 func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
@@ -316,6 +368,8 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	if err := m.check(addr, size); err != nil {
 		return err
 	}
+	m.markPage(addr >> pageShift)
+	m.markPage((addr + uint64(size) - 1) >> pageShift)
 	switch b := m.Mem[addr:]; size {
 	case 1:
 		b[0] = byte(v)
@@ -342,13 +396,15 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 // the interpreter tier, host functions — and keeps what a write can
 // invalidate coherent: exclusive monitors overlapping the range are
 // cleared, as a store's are, and so are the decode-table slots it
-// overlaps, so a valid slot always decodes the current word. It consults
-// no injector, records no access and charges no cycle.
+// overlaps, so a valid slot always decodes the current word. It marks
+// every page it touches before copying. It consults no injector, records
+// no access and charges no cycle.
 func (m *Machine) Write(addr uint64, b []byte) error {
 	n := uint64(len(b))
-	if err := m.CheckRange(addr, n); err != nil {
+	if err := m.CheckRange(addr, n); err != nil || n == 0 {
 		return err
 	}
+	m.markRange(addr, n)
 	copy(m.Mem[addr:], b)
 	if m.armed != 0 {
 		m.clearMonitors(addr, n)

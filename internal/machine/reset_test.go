@@ -48,6 +48,8 @@ func store(a *arm.Assembler, addr, v uint64) {
 // dirtyProgram leaves, when each thread is run up to its HLT but not
 // through it, both CPUs with buffered stores, CPU0's exclusive monitor
 // armed, a line owner for the CAS line, and a DMB and two atomics counted.
+// CPU1's store is to a page nothing else writes, so draining it is the only
+// thing that marks that page.
 func dirtyProgram(t *testing.T) ([]byte, []uint64) {
 	return assembleThreads(t,
 		func(a *arm.Assembler) {
@@ -60,7 +62,7 @@ func dirtyProgram(t *testing.T) ([]byte, []uint64) {
 		},
 		func(a *arm.Assembler) {
 			cas(a, 0x8200, 2)
-			store(a, 0x8008, 0xCC)
+			store(a, 0x7008, 0xCC)
 			a.Hlt()
 		})
 }
@@ -90,8 +92,11 @@ func cleanProgram(t *testing.T) ([]byte, []uint64) {
 
 // loadThreads loads code and parks one CPU per entry on it, in weak mode
 // with no drain policy — the way opcheck starts a compiled litmus program.
-func loadThreads(m *Machine, code []byte, entries []uint64) {
-	copy(m.Mem[resetBase:], code)
+func loadThreads(t *testing.T, m *Machine, code []byte, entries []uint64) {
+	t.Helper()
+	if err := m.Write(resetBase, code); err != nil {
+		t.Fatal(err)
+	}
 	m.EnableWeakMode(nil)
 	for i, e := range entries {
 		c := m.CPUs[0]
@@ -105,12 +110,15 @@ func loadThreads(m *Machine, code []byte, entries []uint64) {
 // TestResetEqualsNew: a machine dirtied in every field Reset touches and
 // then reset is the machine New builds — field by field, and in every
 // transition, register, cycle and byte of a weak-mode run of another
-// program loaded over the first one's cached code.
+// program loaded over the first one's cached code. Memory is dirtied by
+// each writer that marks pages: Write (the code, a range over three pages,
+// the partial last page of a size that is not a multiple of the page size),
+// WriteMem (a CAS, a store straddling two pages) and a weak drain.
 func TestResetEqualsNew(t *testing.T) {
-	const mem = 1 << 16
+	const mem = 1<<16 + 0x900
 	m := New(mem)
 	code, entries := dirtyProgram(t)
-	loadThreads(m, code, entries)
+	loadThreads(t, m, code, entries)
 	for _, tr := range []Transition{
 		{Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0},
 		{Op: OpExec, CPU: 1}, {Op: OpExec, CPU: 1},
@@ -119,9 +127,25 @@ func TestResetEqualsNew(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := m.Apply(Transition{Op: OpDrain, CPU: 1, Seq: m.weak.buffers[1][0].Seq}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(0xAFF0, bytes.Repeat([]byte{0xEE}, 0x1020)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteMem(0xDFFC, 8, ^uint64(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(mem-3, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	// Code, drain, CAS, the range, the straddling store, the last page.
+	if got, want := WrittenPages(m), []uint64{0x1, 0x7, 0x8, 0xA, 0xB, 0xC, 0xD, 0xE, 0x10}; !slices.Equal(got, want) {
+		t.Errorf("written pages %#x, want %#x", got, want)
+	}
 	m.Output = append(m.Output, "dirty"...)
 	m.Yield()
-	dirty := len(m.CPUs) >= 2 && len(m.weak.buffers[0]) == 2 && len(m.weak.buffers[1]) == 1 &&
+	dirty := len(m.CPUs) >= 2 && len(m.weak.buffers[0]) == 2 && len(m.weak.buffers[1]) == 0 &&
 		m.weak.nextSeq > 0 && m.armed == 1 && len(m.lineOwner) > 0 && m.DMBExec[arm.BarrierFull] > 0 &&
 		m.AtomicExec == 2 && len(m.accLog) > 0 && len(m.decode.pages) > 0 && m.decode.pages[0].valid != 0
 	if !dirty {
@@ -135,7 +159,9 @@ func TestResetEqualsNew(t *testing.T) {
 	fresh := New(mem)
 	switch {
 	case !bytes.Equal(m.Mem, fresh.Mem):
-		t.Error("Reset left memory non-zero")
+		t.Errorf("Reset left %d bytes non-zero", len(m.Mem)-bytes.Count(m.Mem, []byte{0}))
+	case !slices.Equal(m.written, fresh.written):
+		t.Errorf("Reset left pages %#x in the written-page set", WrittenPages(m))
 	case len(m.CPUs) != 1 || *m.CPUs[0] != *fresh.CPUs[0]:
 		t.Errorf("Reset left %d CPUs, the first %+v", len(m.CPUs), *m.CPUs[0])
 	case len(m.Output) != 0 || m.DMBExec != fresh.DMBExec || m.AtomicExec != 0:
@@ -155,8 +181,8 @@ func TestResetEqualsNew(t *testing.T) {
 	// take the same seeded choice on both.
 	checked := CheckFetches(t, m)
 	code, entries = cleanProgram(t)
-	loadThreads(m, code, entries)
-	loadThreads(fresh, code, entries)
+	loadThreads(t, m, code, entries)
+	loadThreads(t, fresh, code, entries)
 	rng := splitmix{state: 7}
 	var ta, tb []Transition
 	for step := 0; ; step++ {
@@ -186,5 +212,54 @@ func TestResetEqualsNew(t *testing.T) {
 	}
 	if *checked == 0 {
 		t.Error("no fetch was served from the reset machine's decode table")
+	}
+}
+
+// TestWrittenPageSet: on a 32 MiB machine, k pages written through Write
+// and WriteMem are exactly the k pages in the set; Reset zeroes them
+// without allocating and empties the set.
+func TestWrittenPageSet(t *testing.T) {
+	const mem, k = 32 << 20, 37
+	m := New(mem)
+	rng := splitmix{state: 3}
+	var pages []uint64
+	for len(pages) < k {
+		if p := uint64(rng.intn(mem / pageBytes)); !slices.Contains(pages, p) {
+			pages = append(pages, p)
+		}
+	}
+	slices.Sort(pages)
+	dirty := func() {
+		for i, p := range pages {
+			addr := p<<pageShift + uint64(i%8)*64
+			var err error
+			if i%2 == 0 {
+				err = m.Write(addr, []byte{0xA5, 0x5A})
+			} else {
+				err = m.WriteMem(addr, 8, uint64(i)+1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dirty()
+	if err := m.Write(mem, nil); err != nil {
+		t.Fatalf("empty write at the end of memory: %v", err)
+	}
+	if got := WrittenPages(m); !slices.Equal(got, pages) {
+		t.Fatalf("written pages %#x, want %#x", got, pages)
+	}
+	if n := m.pagesWritten(); n != k {
+		t.Errorf("pagesWritten = %d, want %d", n, k)
+	}
+	if n := testing.AllocsPerRun(10, func() { dirty(); m.Reset() }); n != 0 {
+		t.Errorf("Reset allocated %v times per call, want 0", n)
+	}
+	if got := WrittenPages(m); len(got) != 0 {
+		t.Errorf("Reset left pages %#x in the set", got)
+	}
+	if !bytes.Equal(m.Mem, make([]byte, mem)) {
+		t.Error("Reset left memory non-zero")
 	}
 }

@@ -43,10 +43,16 @@ func (s *Snapshot) ShadowMachine() *Machine {
 	cpu := s.CPU
 	cpu.ID = 0
 	cpu.Halted = false
-	return &Machine{
+	m := &Machine{
 		Mem:       s.Mem,
 		CPUs:      []*CPU{&cpu},
 		Cost:      DefaultCost(),
 		lineOwner: make(map[uint64]int),
+		written:   newPageSet(len(s.Mem)),
 	}
+	// The copy wrote every page: Reset must clear them all.
+	if len(s.Mem) > 0 {
+		m.markRange(0, uint64(len(s.Mem)))
+	}
+	return m
 }

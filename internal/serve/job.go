@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/guestimg"
+	"repro/internal/machine"
 	"repro/internal/selfheal"
 	"repro/internal/transcache"
 	"repro/internal/workloads"
@@ -155,11 +156,12 @@ func (s *Server) resolve(req *JobRequest) (*resolvedJob, error) {
 	return j, nil
 }
 
-// runJob executes a resolved job with the retry policy: transient traps
-// (retryable kinds) re-run up to MaxRetries times with jittered backoff,
-// reusing the job's injector so one-shot injected faults stay spent. The
-// final failure carries the last attempt's crash bundle.
-func (s *Server) runJob(req *JobRequest, j *resolvedJob, id uint64) *JobResponse {
+// runJob executes a resolved job on the worker's machine *m (nil: a new
+// one) with the retry policy: transient traps (retryable kinds) re-run up
+// to MaxRetries times with jittered backoff, reusing the job's injector so
+// one-shot injected faults stay spent. The final failure carries the last
+// attempt's crash bundle. *m is left holding the machine the worker keeps.
+func (s *Server) runJob(req *JobRequest, j *resolvedJob, id uint64, m **machine.Machine) *JobResponse {
 	resp := &JobResponse{JobID: id, Tenant: req.Tenant}
 	start := time.Now()
 	defer func() { resp.DurationMS = time.Since(start).Milliseconds() }()
@@ -167,7 +169,7 @@ func (s *Server) runJob(req *JobRequest, j *resolvedJob, id uint64) *JobResponse
 	maxAttempts := 1 + s.cfg.MaxRetries
 	for attempt := 1; ; attempt++ {
 		resp.Attempts = attempt
-		code, hits, misses, trap, bundle, err := s.runOnce(req, j)
+		code, hits, misses, trap, bundle, err := s.runOnce(req, j, m)
 		resp.CacheHits += hits
 		resp.CacheMisses += misses
 		if err != nil {
@@ -195,12 +197,14 @@ func (s *Server) runJob(req *JobRequest, j *resolvedJob, id uint64) *JobResponse
 	}
 }
 
-// runOnce is one attempt: build a runtime, run under the watchdogs with
-// self-healing on, and convert every failure mode — including a panic in
-// this worker goroutine — into a structured trap plus, when the runtime
-// survived far enough, a crash bundle. err is reserved for internal
-// failures that are not the guest's doing.
-func (s *Server) runOnce(req *JobRequest, j *resolvedJob) (code uint64, hits, misses uint64, trap *faults.Trap, bundle *selfheal.Bundle, err error) {
+// runOnce is one attempt: build a runtime on *m (nil: a new machine), run
+// under the watchdogs with self-healing on, and convert every failure mode
+// — including a panic in this worker goroutine — into a structured trap
+// plus, when the runtime survived far enough, a crash bundle. It leaves in
+// *m the machine to reuse: the runtime's, or nil after a panic, which may
+// have left it mid-update. err is reserved for internal failures that are
+// not the guest's doing.
+func (s *Server) runOnce(req *JobRequest, j *resolvedJob, m **machine.Machine) (code uint64, hits, misses uint64, trap *faults.Trap, bundle *selfheal.Bundle, err error) {
 	var rt *core.Runtime
 	var view *transcache.ImageCache
 	collect := func() {
@@ -222,6 +226,7 @@ func (s *Server) runOnce(req *JobRequest, j *resolvedJob) (code uint64, hits, mi
 				bundle, _ = rt.CrashBundle("risottod", trap)
 			}
 			collect()
+			*m = nil
 		}
 	}()
 
@@ -237,6 +242,7 @@ func (s *Server) runOnce(req *JobRequest, j *resolvedJob) (code uint64, hits, mi
 		core.WithFaults(j.inj),
 		core.WithProvenance(req.Kernel, j.faultSpec, j.faultSeed),
 		core.WithTierUp(s.cfg.TierUp),
+		core.WithMachine(*m),
 	}
 	if s.cfg.Cache != nil {
 		view = s.cfg.Cache.ForImage(transcache.Fingerprint(j.img) + "/" + j.variant.String())
@@ -251,6 +257,7 @@ func (s *Server) runOnce(req *JobRequest, j *resolvedJob) (code uint64, hits, mi
 		collect()
 		return 0, hits, misses, nil, nil, nerr
 	}
+	*m = rt.M
 	// The injected worker-panic site fires after runtime construction so
 	// the recovered trap can still be triaged into a bundle.
 	if t := j.inj.Hit(faults.SiteServeJob); t != nil {

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/transcache"
 )
@@ -42,7 +43,9 @@ import (
 // Config tunes the daemon. The zero value is unusable; Default() fills
 // every knob with serviceable settings and callers override from flags.
 type Config struct {
-	// Workers bounds concurrently executing jobs.
+	// Workers bounds concurrently executing jobs. Each worker keeps the
+	// machine its jobs run on, so resident guest memory is at most
+	// Workers × MemSize.
 	Workers int
 	// QueueDepth bounds admitted-but-not-finished jobs beyond the worker
 	// pool; a full queue sheds with 429.
@@ -166,9 +169,11 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// queueSlots bounds admitted jobs (running + queued); workerSlots
-	// bounds running jobs.
+	// bounds running jobs. A worker slot is the machine its jobs run on:
+	// acquiring one receives it (nil until a job has built one), and
+	// releasing one sends back the machine to reuse, or nil to drop it.
 	queueSlots  chan struct{}
-	workerSlots chan struct{}
+	workerSlots chan *machine.Machine
 
 	jobSeq uint64
 
@@ -186,7 +191,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		tenants:     make(map[string]*tenant),
 		queueSlots:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		workerSlots: make(chan struct{}, cfg.Workers),
+		workerSlots: make(chan *machine.Machine, cfg.Workers),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		met: metrics{
 			jobs:              sc.Counter("jobs"),
@@ -203,6 +208,9 @@ func New(cfg Config) *Server {
 			queueDepth:        sc.Gauge("queue_depth"),
 			running:           sc.Gauge("running"),
 		},
+	}
+	for range cfg.Workers {
+		s.workerSlots <- nil
 	}
 	return s
 }
@@ -339,13 +347,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// Tenant slot before worker slot: a tenant over its concurrency
 	// limit waits in its own lane and cannot hold a worker hostage.
 	tn.slots <- struct{}{}
-	s.workerSlots <- struct{}{}
+	m := <-s.workerSlots
 	s.met.running.Add(1)
 
-	resp := s.runJob(&req, job, id)
+	resp := s.runJob(&req, job, id, &m)
 
 	s.met.running.Add(-1)
-	<-s.workerSlots
+	s.workerSlots <- m
 	<-tn.slots
 	s.met.queueDepth.Add(-1)
 	<-s.queueSlots

@@ -17,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/transcache"
 )
@@ -102,12 +103,13 @@ func TestCleanJob(t *testing.T) {
 // run without the HTTP layer, whose connection goroutines come and go.
 func TestTierUpJobsAddNoGoroutines(t *testing.T) {
 	srv := New(Config{TierUp: core.TierUpConfig{Enabled: true, PromoteThreshold: 4}})
+	var m *machine.Machine
 	run := func(req JobRequest) *JobResponse {
 		job, err := srv.resolve(&req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv.runJob(&req, job, 1)
+		return srv.runJob(&req, job, 1, &m)
 	}
 	before := runtime.NumGoroutine()
 	// A budget trap's bundle shows the jobs really promote.
@@ -164,6 +166,67 @@ func TestRetryTransientFault(t *testing.T) {
 	_, jr, _ = ts.submit(t, JobRequest{Tenant: "b", Kernel: "histogram", Fault: "job-panic@1,job-panic@2"})
 	if jr.Status != StatusOK || jr.Attempts != 3 {
 		t.Fatalf("double panic: status %q after %d attempts, want ok after 3", jr.Status, jr.Attempts)
+	}
+}
+
+// TestReusedWorkerMachine: one worker runs alternating kernels, an
+// injected worker panic and a step-budget trap on the machine it keeps, and
+// every response equals the one a fresh server gives the same request. The
+// worker keeps one machine from job to job and drops it only after a
+// panicked attempt, so the server builds at most Workers machines plus one
+// per panic.
+func TestReusedWorkerMachine(t *testing.T) {
+	cfg := Config{Workers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}
+	ts := startServer(t, cfg)
+	jobs := []JobRequest{
+		{Kernel: "histogram", Threads: 2},
+		{Kernel: "fencechain"},
+		{Kernel: "kmeans", Threads: 2, Fault: "job-panic@1"},
+		{Kernel: "histogram"},
+		{Kernel: "fencechain", Threads: 2, StepBudget: 5000},
+		{Kernel: "kmeans"},
+		{Kernel: "histogram", Threads: 2},
+	}
+	normalize := func(jr JobResponse) string {
+		jr.JobID, jr.DurationMS = 0, 0
+		b, err := json.Marshal(jr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	seen := map[*machine.Machine]bool{}
+	var prev *machine.Machine
+	panics := 0
+	for i, req := range jobs {
+		req.Tenant = "a"
+		_, got, _ := ts.submit(t, req)
+		_, want, _ := startServer(t, cfg).submit(t, req)
+		if normalize(got) != normalize(want) {
+			t.Errorf("job %d (%s): reused worker answered\n%s\nfresh server\n%s", i, req.Kernel, normalize(got), normalize(want))
+		}
+		panicked := req.Fault != ""
+		attempts := 1
+		if panicked {
+			attempts, panics = 2, panics+1
+		}
+		switch {
+		case req.StepBudget != 0 && (got.Status != StatusTrap || got.Bundle == nil):
+			t.Errorf("job %d (%s): status %q, bundle %v, want a trap with a bundle", i, req.Kernel, got.Status, got.Bundle != nil)
+		case req.StepBudget == 0 && (got.Status != StatusOK || got.Attempts != attempts):
+			t.Errorf("job %d (%s): status %q after %d attempts, want ok after %d", i, req.Kernel, got.Status, got.Attempts, attempts)
+		}
+		m := ts.idleMachines()[0]
+		if m == nil {
+			t.Fatalf("job %d (%s, status %q) left the worker no machine", i, req.Kernel, got.Status)
+		}
+		if prev != nil && (m == prev) == panicked {
+			t.Errorf("job %d (%s): worker machine changed %v, want changed only after a panic", i, req.Kernel, m != prev)
+		}
+		seen[m], prev = true, m
+	}
+	if len(seen) > cfg.Workers+panics {
+		t.Errorf("server built %d machines over %d jobs, want at most %d", len(seen), len(jobs), cfg.Workers+panics)
 	}
 }
 
