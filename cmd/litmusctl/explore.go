@@ -64,7 +64,7 @@ func resolveTests(args []string) ([]*litmus.Program, error) {
 }
 
 // exploreCmd drives the operational exploration engine: seeded
-// random-walk soak (walk), exhaustive sleep-set enumeration (dpor, naive)
+// random-walk soak (walk), exhaustive sleep-set enumeration (dpor)
 // or byte-identical trace replay. Returns true when any exploration found
 // a violation, a replay mismatched, or coverage was incomplete under an
 // exhaustive mode.
@@ -72,11 +72,11 @@ func exploreCmd(args []string) bool {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr,
-			"usage: litmusctl explore [-mode walk|dpor|naive|replay] [flags] [test|file.lit ...]")
+			"usage: litmusctl explore [-mode walk|dpor|replay] [flags] [test|file.lit ...]")
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	mode := fs.String("mode", "walk", "exploration mode: walk, dpor, naive, or replay")
+	mode := fs.String("mode", "walk", "exploration mode: walk, dpor, or replay")
 	seeds := fs.Int("seeds", 0, "random walks per test (walk mode; 0 = 16)")
 	seed := fs.Int64("seed", 0, "base seed for walk mode")
 	maxStates := fs.Int("max-states", 0, "transition budget per test (0 = 1<<20); exhaustion = partial verdict")
@@ -103,9 +103,9 @@ func exploreCmd(args []string) bool {
 	switch cfg.Mode {
 	case "replay":
 		return replayCmd(*traceFile, fs.Args(), cfg)
-	case explore.ModeWalk, explore.ModeDPOR, explore.ModeNaive:
+	case explore.ModeWalk, explore.ModeDPOR:
 	default:
-		fmt.Fprintf(os.Stderr, "litmusctl: unknown explore mode %q (want walk, dpor, naive or replay)\n", *mode)
+		fmt.Fprintf(os.Stderr, "litmusctl: unknown explore mode %q (want walk, dpor or replay)\n", *mode)
 		os.Exit(2)
 	}
 

@@ -65,6 +65,7 @@ func main() {
 	bundlePath := flag.String("bundle", "", "write a crash-triage bundle to FILE on an unrecovered trap (with -replay: the re-bundle)")
 	replayPath := flag.String("replay", "", "replay a crash-triage bundle and verify the recorded trap reproduces")
 	cf := cliflags.Register(flag.CommandLine)
+	cf.AddFaults(flag.CommandLine)
 	cf.AddListen(flag.CommandLine)
 	cf.AddTierUp(flag.CommandLine)
 	flag.Parse()

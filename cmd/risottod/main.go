@@ -74,6 +74,7 @@ func main() {
 	jobFaultSeed := fs.Int64("job-fault-seed", 1, "client: per-job fault injector seed")
 
 	cf := cliflags.Register(fs)
+	cf.AddFaults(fs)
 	cf.AddTierUp(fs)
 	fs.Parse(os.Args[1:])
 

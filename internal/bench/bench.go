@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hostlib"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/portasm"
 	"repro/internal/workloads"
 )
@@ -64,22 +63,19 @@ func RunNative(b *portasm.Builder) (uint64, uint64, error) {
 // --- Figure 12 ---------------------------------------------------------------
 
 // Fig12Row is one benchmark's result: runtime of each setup relative to
-// QEMU (lower is better), plus QEMU's absolute simulated seconds and the
-// per-workload metric columns sampled from the risotto variant's
-// observability snapshot.
+// QEMU (lower is better), plus QEMU's absolute simulated seconds.
 type Fig12Row struct {
-	Kernel    string             `json:"kernel"`
-	Suite     string             `json:"suite"`
-	QemuSecs  float64            `json:"qemu_secs"`
-	Relative  map[string]float64 `json:"relative"` // variant name (or "native") → runtime/qemu
-	Checksums bool               `json:"checksums_agree"`
-	Metrics   map[string]uint64  `json:"metrics,omitempty"`
+	Kernel    string
+	Suite     string
+	QemuSecs  float64
+	Relative  map[string]float64 // variant name (or "native") → runtime/qemu
+	Checksums bool
 }
 
 // Fig12 runs every requested kernel (all registered kernels if names is
-// empty) under all setups. extra options (e.g. core.WithTierUp from the
-// -tierup flag) apply to every translated run — QEMU baseline included —
-// so the relative columns stay an apples-to-apples comparison.
+// empty) under all setups. extra options (an observability scope, tier-up)
+// apply to every translated run — QEMU baseline included — so the relative
+// columns stay an apples-to-apples comparison.
 func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row, error) {
 	var kernels []workloads.Kernel
 	if len(names) == 0 {
@@ -116,13 +112,7 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 			if err != nil {
 				return nil, err
 			}
-			// The risotto run carries a scope so its snapshot becomes the
-			// row's metric columns; other variants stay uninstrumented.
-			var sc *obs.Scope
-			if v == core.VariantRisotto {
-				sc = obs.NewScope("")
-			}
-			cyc, sum, _, err := RunGuest(b, v, "", append([]core.Option{core.WithObs(sc)}, extra...)...)
+			cyc, sum, _, err := RunGuest(b, v, "", extra...)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", k.Name, v, err)
 			}
@@ -130,9 +120,6 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 				row.Checksums = false
 			}
 			row.Relative[v.String()] = float64(cyc) / float64(qemuCycles)
-			if sc != nil {
-				row.Metrics = MetricColumns(sc.Snapshot())
-			}
 		}
 
 		b, err = build()
@@ -252,12 +239,12 @@ func hostCost(fn string, args ...uint64) func() (uint64, error) {
 	}
 }
 
-func runLinkRow(lb libBench) (LinkRow, error) {
+func runLinkRow(lb libBench, opts []core.Option) (LinkRow, error) {
 	b, err := lb.build(lb.calls)
 	if err != nil {
 		return LinkRow{}, err
 	}
-	qemuCycles, _, _, err := RunGuest(b, core.VariantQemu, "")
+	qemuCycles, _, _, err := RunGuest(b, core.VariantQemu, "", opts...)
 	if err != nil {
 		return LinkRow{}, fmt.Errorf("%s/qemu: %w", lb.name, err)
 	}
@@ -265,7 +252,7 @@ func runLinkRow(lb libBench) (LinkRow, error) {
 	if err != nil {
 		return LinkRow{}, err
 	}
-	linkedCycles, _, st, err := RunGuest(b, core.VariantRisotto, workloads.IDLAll)
+	linkedCycles, _, st, err := RunGuest(b, core.VariantRisotto, workloads.IDLAll, opts...)
 	if err != nil {
 		return LinkRow{}, fmt.Errorf("%s/risotto: %w", lb.name, err)
 	}
@@ -289,8 +276,8 @@ func runLinkRow(lb libBench) (LinkRow, error) {
 }
 
 // Fig13 runs the OpenSSL and sqlite benchmarks. calls scales the per-bench
-// invocation count (0 = defaults).
-func Fig13(calls int) ([]LinkRow, error) {
+// invocation count (0 = defaults); opts apply to every translated run.
+func Fig13(calls int, opts ...core.Option) ([]LinkRow, error) {
 	def := func(n int) int {
 		if calls > 0 {
 			return calls
@@ -323,7 +310,7 @@ func Fig13(calls int) ([]LinkRow, error) {
 	}
 	var rows []LinkRow
 	for _, lb := range benches {
-		row, err := runLinkRow(lb)
+		row, err := runLinkRow(lb, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -332,8 +319,9 @@ func Fig13(calls int) ([]LinkRow, error) {
 	return rows, nil
 }
 
-// Fig14 runs the math-library benchmarks.
-func Fig14(calls int) ([]LinkRow, error) {
+// Fig14 runs the math-library benchmarks; opts apply to every translated
+// run.
+func Fig14(calls int, opts ...core.Option) ([]LinkRow, error) {
 	if calls <= 0 {
 		calls = 24
 	}
@@ -347,7 +335,7 @@ func Fig14(calls int) ([]LinkRow, error) {
 			},
 			calls:             calls,
 			nativeCostPerCall: hostCost(fn, 0x28F5C), // some Q16.16-ish bits
-		})
+		}, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -382,8 +370,8 @@ type Fig15Row struct {
 }
 
 // Fig15 runs the CAS contention sweep. opsPerThread scales work
-// (0 = default).
-func Fig15(opsPerThread int) ([]Fig15Row, error) {
+// (0 = default); opts apply to every translated run.
+func Fig15(opsPerThread int, opts ...core.Option) ([]Fig15Row, error) {
 	if opsPerThread <= 0 {
 		opsPerThread = 400
 	}
@@ -392,6 +380,7 @@ func Fig15(opsPerThread int) ([]Fig15Row, error) {
 	// helper and inline CAS paths (the helper path's longer load-to-CAS
 	// window would otherwise retry disproportionately).
 	const quantum = 64
+	opts = append([]core.Option{core.WithQuantum(quantum)}, opts...)
 	var rows []Fig15Row
 	for _, cfg := range workloads.Fig15Configs() {
 		threads, vars := cfg[0], cfg[1]
@@ -402,7 +391,7 @@ func Fig15(opsPerThread int) ([]Fig15Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			cyc, sum, _, err := RunGuest(b, v, "", core.WithQuantum(quantum))
+			cyc, sum, _, err := RunGuest(b, v, "", opts...)
 			if err != nil {
 				return 0, err
 			}
@@ -477,20 +466,4 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MetricColumns flattens a snapshot into the per-workload metric columns
-// exported to BENCH_fig12.json: every counter verbatim, every non-negative
-// gauge under a "gauge." prefix.
-func MetricColumns(snap obs.Snapshot) map[string]uint64 {
-	out := make(map[string]uint64, len(snap.Counters)+len(snap.Gauges))
-	for name, v := range snap.Counters {
-		out[name] = v
-	}
-	for name, v := range snap.Gauges {
-		if v >= 0 {
-			out["gauge."+name] = uint64(v)
-		}
-	}
-	return out
 }

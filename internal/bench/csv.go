@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,20 +29,6 @@ func WriteFig12CSV(dir string, rows []Fig12Row) error {
 		})
 	}
 	return writeCSV(dir, "fig12.csv", records)
-}
-
-// WriteFig12JSON writes BENCH_fig12.json: the same rows as fig12.csv plus
-// the per-workload metric columns from the risotto run's observability
-// snapshot, for tooling that wants structured results.
-func WriteFig12JSON(dir string, rows []Fig12Row) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_fig12.json"), append(data, '\n'), 0o644)
 }
 
 // WriteLinkCSV writes a Figure-13/14-style speedup table.

@@ -58,11 +58,6 @@ type Config struct {
 	// Obs receives campaign counters and spans under its "campaign"
 	// child scope; nil disables instrumentation.
 	Obs *obs.Scope
-	// StopAfter, when positive, stops the campaign after that many
-	// records have been written — the crash-injection hook for the
-	// resume tests. The stop is clean (the file ends mid-campaign on a
-	// complete record), modelling a kill between two writes.
-	StopAfter int
 }
 
 const defaultOpcheckSeeds = 4
@@ -135,8 +130,6 @@ type Summary struct {
 	TestsPerSec float64
 	// Failures holds up to FailureCap failing records for reporting.
 	Failures []Record
-	// Stopped reports that StopAfter truncated the campaign.
-	Stopped bool
 }
 
 // FailureCap bounds Summary.Failures.
@@ -146,7 +139,9 @@ const FailureCap = 16
 // test to w (the caller has already written or validated the header —
 // see RunFile). done lists test indices already recorded by a previous
 // run; they are re-generated (the sequence is deterministic) but not
-// re-checked or re-written.
+// re-checked or re-written. The first write error stops the generator
+// and the workers: Run returns it once the pipeline has wound down,
+// without checking the rest of the corpus.
 func Run(cfg Config, w io.Writer, done map[int]bool) (Summary, error) {
 	sc := cfg.Obs.Child("campaign")
 	start := time.Now()
@@ -199,14 +194,8 @@ func Run(cfg Config, w io.Writer, done map[int]bool) (Summary, error) {
 	enc := journal.NewWriter(w)
 	var werr error
 	for rec := range records {
-		if sum.Stopped {
-			continue // drain in-flight records without recording them
-		}
-		if werr == nil {
-			werr = enc.Encode(rec)
-		}
-		if werr != nil {
-			continue // drain; report the first write error after the loop
+		if werr = enc.Encode(rec); werr != nil {
+			break
 		}
 		sum.Tests++
 		switch rec.Verdict {
@@ -229,14 +218,11 @@ func Run(cfg Config, w io.Writer, done map[int]bool) (Summary, error) {
 		}
 		sc.Counter("tests").Inc()
 		sc.Counter("verdict." + rec.Verdict).Inc()
-		if cfg.StopAfter > 0 && sum.Tests >= cfg.StopAfter && !sum.Stopped {
-			sum.Stopped = true
-			close(stop)
-		}
 	}
-	if !sum.Stopped {
-		close(stop)
-	}
+	// After a write error nothing reads records any more: a worker blocked
+	// on a full channel returns on stop, and so does the generator.
+	close(stop)
+	wg.Wait()
 	<-genDone
 	sum.Resumed = resumed
 

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,9 +62,34 @@ func recordKey(r Record) string {
 	return fmt.Sprintf("%d|%s|%s|%s|%v", r.Idx, r.Name, r.FP, r.Verdict, checks)
 }
 
-// TestCampaignCrashResume kills a campaign mid-stream via the StopAfter
-// hook, resumes from the JSONL file, and asserts the merged verdict set
-// is identical to an uninterrupted run — the resume contract.
+// killedCopy writes dst as what a campaign killed mid-write leaves of the
+// complete results file src: the header, ⌊n/3⌋ of its n records, then half
+// of the next line. It returns how many whole records it kept.
+func killedCopy(t *testing.T, src, dst string) int {
+	t.Helper()
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	n := len(lines) - 2 // less the header and the empty tail after the last newline
+	if n < 3 {
+		t.Fatalf("%s holds %d records; too few to cut", src, n)
+	}
+	keep := n / 3
+	out := bytes.Join(lines[:1+keep], nil)
+	next := lines[1+keep]
+	out = append(out, next[:len(next)/2]...)
+	if err := os.WriteFile(dst, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return keep
+}
+
+// TestCampaignCrashResume kills a campaign mid-write (killedCopy of a
+// complete results file), resumes from the JSONL file, and asserts the
+// merged verdict set is identical to an uninterrupted run — the resume
+// contract.
 func TestCampaignCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smokeConfig()
@@ -74,23 +101,14 @@ func TestCampaignCrashResume(t *testing.T) {
 	}
 
 	part := filepath.Join(dir, "part.jsonl")
-	cfgStop := cfg
-	cfgStop.StopAfter = sumFull.Tests / 3
-	sumPart, err := RunFile(cfgStop, part, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sumPart.Stopped || sumPart.Tests >= sumFull.Tests {
-		t.Fatalf("StopAfter did not truncate: stopped=%v tests=%d/%d",
-			sumPart.Stopped, sumPart.Tests, sumFull.Tests)
-	}
+	kept := killedCopy(t, full, part)
 
 	sumRes, err := RunFile(cfg, part, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumRes.Resumed != sumPart.Tests {
-		t.Errorf("resume skipped %d tests, want %d already-done", sumRes.Resumed, sumPart.Tests)
+	if sumRes.Resumed != kept {
+		t.Errorf("resume skipped %d tests, want %d already-done", sumRes.Resumed, kept)
 	}
 	if got, want := sumRes.Tests+sumRes.Resumed, sumFull.Tests; got != want {
 		t.Errorf("resumed campaign covered %d tests, want %d", got, want)
@@ -187,12 +205,13 @@ func TestCampaignResumeAfterTornLine(t *testing.T) {
 // results file with a different generation space must error out rather
 // than mixing two corpora.
 func TestResumeRejectsForeignConfig(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "r.jsonl")
+	dir := t.TempDir()
+	full, path := filepath.Join(dir, "full.jsonl"), filepath.Join(dir, "r.jsonl")
 	cfg := smokeConfig()
-	cfg.StopAfter = 5
-	if _, err := RunFile(cfg, path, false); err != nil {
+	if _, err := RunFile(cfg, full, false); err != nil {
 		t.Fatal(err)
 	}
+	killedCopy(t, full, path)
 	other := cfg
 	other.Gen.Seed = 99
 	other.Gen.MaxPerShape = 7
@@ -239,5 +258,40 @@ func TestCampaignExploreCheck(t *testing.T) {
 	}
 	if ran == 0 {
 		t.Fatal("explore check never ran on any generated test")
+	}
+}
+
+// failingWriter accepts failAt-1 writes, then fails every later one.
+type failingWriter struct{ writes, failAt int }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes >= w.failAt {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// TestRunStopsOnWriteError: a results write that fails stops the campaign.
+// Run returns the error, and the generator emits no more tests than the
+// writer consumed plus what the pipeline holds — both channels (2×workers
+// each), one test per worker, and the one test the generator is refused —
+// instead of generating and checking the rest of the corpus.
+func TestRunStopsOnWriteError(t *testing.T) {
+	cfg := smokeConfig()
+	w := &failingWriter{failAt: 4}
+	sum, err := Run(cfg, w, nil)
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("Run error = %v, want %v", err, errDiskFull)
+	}
+	if sum.Tests != 3 {
+		t.Errorf("%d records written, want 3", sum.Tests)
+	}
+	bound := w.failAt + 5*cfg.Workers + 1
+	if sum.Gen.Emitted > bound {
+		t.Errorf("generator emitted %d tests after the write error at record %d, want at most %d",
+			sum.Gen.Emitted, w.failAt, bound)
 	}
 }

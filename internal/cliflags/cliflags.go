@@ -3,9 +3,10 @@
 // string per flag — and turns the parsed values into the objects the
 // commands need: a fault injector from -fault/-fault-seed, a root
 // observability scope whose snapshot -metrics dumps, and the -trace JSONL
-// writer. Register installs the flags every command reads; the Add*
-// methods install the ones only some commands read (-workers, -listen,
-// the -tierup family), so no command accepts a flag it ignores.
+// writer. Register installs the flags every command reads (-metrics,
+// -trace); the Add* methods install the ones only some commands read
+// (-fault/-fault-seed, -workers, -listen, the -tierup family), so no
+// command accepts a flag it ignores.
 package cliflags
 
 import (
@@ -51,7 +52,8 @@ type Set struct {
 	// Workers bounds enumeration parallelism (0 = all CPUs, 1 = serial);
 	// only registered by AddWorkers.
 	Workers int
-	// Fault is the comma-separated fault spec list (name[@N]).
+	// Fault is the comma-separated fault spec list (name[@N]); only
+	// registered by AddFaults, as is FaultSeed.
 	Fault string
 	// FaultSeed seeds the deterministic injector.
 	FaultSeed int64
@@ -77,10 +79,6 @@ type Set struct {
 // parsed values land in. Call before fs.Parse.
 func Register(fs *flag.FlagSet) *Set {
 	s := &Set{}
-	fs.StringVar(&s.Fault, "fault", "",
-		"inject deterministic faults: comma list of name[@N]\n(names: "+
-			strings.Join(faults.SpecNames(), ", ")+")")
-	fs.Int64Var(&s.FaultSeed, "fault-seed", 1, "seed for the fault injector")
 	fs.StringVar(&s.Metrics, "metrics", "",
 		"dump the metrics snapshot after the run: json | prom | text")
 	fs.StringVar(&s.Trace, "trace", "",
@@ -88,8 +86,17 @@ func Register(fs *flag.FlagSet) *Set {
 	return s
 }
 
-// AddWorkers installs the -workers flag (litmusctl and risobench, the
-// commands that run litmus enumerations or campaign worker pools).
+// AddFaults installs the -fault and -fault-seed flags (risotto, risottod
+// and litmusctl, the commands that arm a fault injector).
+func (s *Set) AddFaults(fs *flag.FlagSet) {
+	fs.StringVar(&s.Fault, "fault", "",
+		"inject deterministic faults: comma list of name[@N]\n(names: "+
+			strings.Join(faults.SpecNames(), ", ")+")")
+	fs.Int64Var(&s.FaultSeed, "fault-seed", 1, "seed for the fault injector")
+}
+
+// AddWorkers installs the -workers flag (litmusctl, the command that runs
+// litmus enumerations and campaign worker pools).
 func (s *Set) AddWorkers(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", 0,
 		"enumeration workers (0 = all CPUs, 1 = serial)")

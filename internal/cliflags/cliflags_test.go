@@ -17,6 +17,7 @@ func parse(t *testing.T, args ...string) *Set {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	s := Register(fs)
+	s.AddFaults(fs)
 	s.AddWorkers(fs)
 	s.AddListen(fs)
 	if err := fs.Parse(args); err != nil {
@@ -36,6 +37,18 @@ func TestDefaults(t *testing.T) {
 	in, err := s.Injector()
 	if err != nil || in != nil {
 		t.Fatalf("Injector on defaults = %v, %v; want nil, nil", in, err)
+	}
+}
+
+// TestRegisterInstallsOnlyCommonFlags: flags some commands ignore come
+// from the Add* methods, never from Register.
+func TestRegisterInstallsOnlyCommonFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, ","); got != "metrics,trace" {
+		t.Fatalf("Register installed %s, want metrics,trace", got)
 	}
 }
 

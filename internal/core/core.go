@@ -222,7 +222,7 @@ type Runtime struct {
 	pinned []extent
 
 	// heal is the quarantine registry (nil unless SelfHeal); heals counts
-	// recoveries consumed against Config.MaxHeals.
+	// recoveries consumed against maxHeals.
 	heal  *selfheal.State
 	heals int
 	// irCache holds the frontend IR of interpreter-tier blocks, keyed by
@@ -251,6 +251,17 @@ const (
 	translationCostPerByte = 2
 )
 
+// Runtime limits no caller varies.
+const (
+	// stackSize is carved per guest thread.
+	stackSize = 256 << 10
+	// maxSteps bounds the host instructions one Run executes across all
+	// vCPUs.
+	maxSteps = 2_000_000_000
+	// maxHeals caps the quarantine recoveries of one run with SelfHeal on.
+	maxHeals = 16
+)
+
 // guestReg maps a guest register to the host register carrying it.
 func guestReg(c *machine.CPU, r x86.Reg) *uint64 { return &c.Regs[int(r)] }
 
@@ -271,20 +282,11 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	if cfg.CodeCacheBase == 0 {
 		cfg.CodeCacheBase = uint64(cfg.MemSize) * 3 / 4
 	}
-	if cfg.StackSize == 0 {
-		cfg.StackSize = 256 << 10
-	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 64
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 2_000_000_000
-	}
 	if cfg.SelfCheck {
 		cfg.SelfHeal = true
-	}
-	if cfg.SelfHeal && cfg.MaxHeals == 0 {
-		cfg.MaxHeals = 16
 	}
 	if cfg.TierUp.Enabled {
 		cfg.TierUp = tierUpDefaults(cfg.TierUp)
@@ -404,20 +406,20 @@ func (rt *Runtime) load(img *guestimg.Image) error {
 }
 
 // newStack carves a stack below the previous one and returns its top. The
-// room check compares against the gap instead of forming stackCur-StackSize,
+// room check compares against the gap instead of forming stackCur-stackSize,
 // which would wrap below zero (or silently overlap the heap).
 func (rt *Runtime) newStack() (uint64, error) {
-	if rt.stackCur < rt.heapCur || rt.stackCur-rt.heapCur < rt.cfg.StackSize {
+	if rt.stackCur < rt.heapCur || rt.stackCur-rt.heapCur < stackSize {
 		return 0, fmt.Errorf("guest spawn: stack space exhausted")
 	}
-	rt.stackCur -= rt.cfg.StackSize
-	return rt.stackCur + rt.cfg.StackSize - 64, nil
+	rt.stackCur -= stackSize
+	return rt.stackCur + stackSize - 64, nil
 }
 
 // heapRoom is how far the guest heap may still grow: up to the lowest
 // stack, less one further stack per live CPU held back for spawns.
 func (rt *Runtime) heapRoom() uint64 {
-	reserve := uint64(len(rt.M.CPUs)) * rt.cfg.StackSize
+	reserve := uint64(len(rt.M.CPUs)) * stackSize
 	if reserve > rt.stackCur || rt.stackCur-reserve <= rt.heapCur {
 		return 0
 	}
@@ -432,7 +434,7 @@ func (rt *Runtime) startThread(c *machine.CPU, entry uint64) error {
 // Run executes the guest from its entry point to completion and returns
 // the main thread's exit code. With SelfHeal enabled, traps attributable
 // to a translated block are absorbed: the block is quarantined, demoted
-// one tier and retranslated, and execution resumes — up to MaxHeals times.
+// one tier and retranslated, and execution resumes — up to maxHeals times.
 func (rt *Runtime) Run() (uint64, error) {
 	c := rt.M.CPUs[0]
 	sp, err := rt.newStack()
@@ -442,7 +444,7 @@ func (rt *Runtime) Run() (uint64, error) {
 	*guestReg(c, x86.RSP) = sp
 	err = rt.runHealed(func() error { return rt.startThread(c, rt.img.Entry) })
 	if err == nil {
-		err = rt.runHealed(func() error { return rt.M.RunAll(rt.cfg.Quantum, rt.cfg.MaxSteps) })
+		err = rt.runHealed(func() error { return rt.M.RunAll(rt.cfg.Quantum, maxSteps) })
 	}
 	if err != nil {
 		return 0, err
@@ -789,7 +791,7 @@ func (rt *Runtime) flushCodeCache() {
 // copy; its extent is leaked until the next full flush (piecemeal reuse
 // cannot be made safe under chaining). CPUs parked mid-block by the
 // scheduler may still finish the stale copy once — any trap it produces is
-// attributed and quarantined again, bounded by MaxHeals.
+// attributed and quarantined again, bounded by maxHeals.
 func (rt *Runtime) invalidateBlock(guestPC uint64) {
 	t, ok := rt.tbs[guestPC]
 	if !ok {

@@ -138,7 +138,6 @@ func TestFaultCacheExhaustWithThreads(t *testing.T) {
 	cfg := Config{Replay: selfheal.Replay{
 		MemSize:       2 << 20,
 		CodeCacheBase: (2 << 20) - 0x600, // 1.5 KiB cache
-		StackSize:     64 << 10,
 		Chain:         true,
 	}}
 	rt, code := runImage(t, img, VariantRisotto, cfg)
@@ -502,9 +501,11 @@ func TestFaultGuestAllocWrappingSize(t *testing.T) {
 	}
 }
 
-// TestFaultGuestSpawnStackExhausted pins the stack bound: with 7.9 MiB
-// stacks under a 24 MiB code-cache base, the fourth stack (main + 3 spawns)
-// does not fit; spawn used to wrap stackCur below zero and report success.
+// TestFaultGuestSpawnStackExhausted pins the stack bound: in 1.25 MiB of
+// memory the code cache starts at 960 KiB, which leaves room for three
+// 256 KiB stacks above the image's 68 KiB, and the fourth (main + 3
+// spawns) does not fit; spawn used to wrap stackCur below zero and report
+// success.
 func TestFaultGuestSpawnStackExhausted(t *testing.T) {
 	b := guestimg.NewBuilder(0x10000, 0x40000)
 	a := b.Asm
@@ -527,7 +528,7 @@ func TestFaultGuestSpawnStackExhausted(t *testing.T) {
 	for i := uint64(0); i < 3; i++ {
 		patchImm64(t, img, 0x7777777700000000+i, img.Symbols["worker"])
 	}
-	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{StackSize: 7900 << 10}}, img)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{MemSize: 5 << 18}}, img)
 	if err != nil {
 		t.Fatal(err)
 	}

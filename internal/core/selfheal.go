@@ -3,7 +3,7 @@
 //
 //   - runHealed/healTrap absorb traps attributable to a translated block
 //     by quarantining the block (invalidate + tier demotion) and resuming
-//     execution, bounded by Config.MaxHeals.
+//     execution, bounded by maxHeals.
 //   - shadowVerify implements -selfcheck runtime translation validation:
 //     every freshly compiled block runs once on a snapshot of CPU and
 //     memory state, and its effects are compared against the TCG
@@ -85,7 +85,7 @@ func (rt *Runtime) healTrap(err error) bool {
 	if t.CPU < 0 || t.CPU >= len(rt.M.CPUs) {
 		return false
 	}
-	if rt.heals >= rt.cfg.MaxHeals {
+	if rt.heals >= maxHeals {
 		rt.obs.Event("core.selfheal.exhausted", t.Error(), t.CPU, pc, 0)
 		return false
 	}
@@ -406,9 +406,8 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 
 // ReplayOptions rebuilds the options and guest image a bundle describes,
 // rearming the fault injector from the recorded spec and seed; pass both
-// to New. The one option installs the recorded Config wholesale, so fields
-// no With* option sets (stack size, step and heal limits) replay as
-// recorded. It carries no Obs scope; the caller appends its own WithObs.
+// to New. The one option installs the recorded Config wholesale. It
+// carries no Obs scope; the caller appends its own WithObs.
 func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
 	v, err := ParseVariant(b.Variant)
 	if err != nil {

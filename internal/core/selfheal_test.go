@@ -160,9 +160,7 @@ func interpWorkloadImage(t *testing.T, iters int) *guestimg.Image {
 func TestInterpTierExecutes(t *testing.T) {
 	const iters = 64
 	img := interpWorkloadImage(t, iters)
-	cfg := Config{Replay: selfheal.Replay{StackSize: 64 << 10}}
-
-	_, want := runImage(t, img, VariantRisotto, cfg)
+	_, want := runImage(t, img, VariantRisotto, Config{})
 	if want != iters {
 		t.Fatalf("compiled run = %d, want %d", want, iters)
 	}
@@ -174,7 +172,7 @@ func TestInterpTierExecutes(t *testing.T) {
 	var rt *Runtime
 	for grew := true; grew; {
 		var err error
-		rt, err = newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{StackSize: 64 << 10, SelfHeal: true}}, img)
+		rt, err = newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfHeal: true}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +387,6 @@ func TestReplayCarriesEveryField(t *testing.T) {
 	valid := map[string]any{
 		"MemSize":       8 << 20,
 		"CodeCacheBase": uint64(6 << 20),
-		"StackSize":     uint64(64 << 10),
 		"FaultSpec":     "decode@3",
 		"IDL":           "u64 md5(buf data, u64 len);\n",
 	}

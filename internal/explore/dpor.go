@@ -21,10 +21,6 @@ import "repro/internal/machine"
 // they are stable enough for the inheritance filter because an
 // independent move cannot redirect another CPU's control flow (loads
 // execute in order and invisible instructions touch no memory).
-//
-// Naive mode runs the identical search with the sleep sets disabled —
-// every interleaving enumerated — so the reduction's state count is
-// directly comparable.
 
 // dnode is one frame of the DFS stack: a state's enabled transitions (in
 // machine.Enabled's order), its sleep set, which branch is currently chosen
@@ -39,8 +35,8 @@ type dnode struct {
 	counted bool
 }
 
-// runDFS explores exhaustively, naive disabling the sleep-set reduction.
-func (e *explorer) runDFS(naive bool) {
+// runDFS explores exhaustively.
+func (e *explorer) runDFS() {
 	var stack []*dnode
 	// path is the decision prefix the stack spells, path[i] =
 	// stack[i].ts[stack[i].chosen], kept in step with every push, pop and
@@ -60,9 +56,7 @@ func (e *explorer) runDFS(naive bool) {
 	backtrack := func() bool {
 		for len(stack) > 0 {
 			nd := stack[len(stack)-1]
-			if !naive {
-				nd.sleep[nd.ts[nd.chosen]] = nd.fp
-			}
+			nd.sleep[nd.ts[nd.chosen]] = nd.fp
 			advanced := false
 			for i := nd.chosen + 1; i < len(nd.ts); i++ {
 				if _, asleep := nd.sleep[nd.ts[i]]; !asleep {
@@ -127,7 +121,7 @@ func (e *explorer) runDFS(naive bool) {
 				break
 			}
 			nd := &dnode{ts: ts, sleep: make(map[machine.Transition]footprint)}
-			if !naive && len(stack) > 0 {
+			if len(stack) > 0 {
 				parent := stack[len(stack)-1]
 				for k, ufp := range parent.sleep {
 					if independent(ufp, parent.fp) {

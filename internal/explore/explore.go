@@ -19,8 +19,7 @@
 //   - dpor: exhaustive depth-first enumeration with sleep-set dynamic
 //     partial-order reduction (commuting transitions — different CPUs or
 //     non-overlapping drains, disjoint global footprints — are explored
-//     in one order only), plus a naive variant with the reduction off
-//     for calibration;
+//     in one order only);
 //   - replay: re-execution of a recorded transition sequence,
 //     reproducing a prior run byte-identically (trace.go).
 //
@@ -47,13 +46,10 @@ import (
 // Mode selects the exploration driver.
 type Mode string
 
-// The exploration modes. ModeNaive is ModeDPOR with the sleep-set
-// reduction disabled — same search, no pruning — kept as a first-class
-// mode so the reduction's win is measurable.
+// The exploration modes.
 const (
-	ModeWalk  Mode = "walk"
-	ModeDPOR  Mode = "dpor"
-	ModeNaive Mode = "naive"
+	ModeWalk Mode = "walk"
+	ModeDPOR Mode = "dpor"
 )
 
 // Config parameterizes one exploration.
@@ -215,8 +211,8 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 	switch cfg.mode() {
 	case ModeWalk:
 		e.runWalks()
-	case ModeDPOR, ModeNaive:
-		e.runDFS(cfg.mode() == ModeNaive)
+	case ModeDPOR:
+		e.runDFS()
 	default:
 		return nil, fmt.Errorf("explore: unknown mode %q", cfg.Mode)
 	}

@@ -66,24 +66,6 @@ func TestDPORFencedShapesReachOnlySC(t *testing.T) {
 	}
 }
 
-// TestDPORBeatsNaive: with the same state budget, the sleep-set reduction
-// must reach full coverage in measurably fewer states than the naive
-// enumeration (which, on SB, cannot finish inside the budget at all).
-func TestDPORBeatsNaive(t *testing.T) {
-	p := litmus.SB()
-	budget := 200000
-	dpor := run(t, p, Config{Mode: ModeDPOR, MaxStates: budget})
-	naive := run(t, p, Config{Mode: ModeNaive, MaxStates: budget})
-	if dpor.Partial {
-		t.Fatalf("DPOR did not finish within %d states", budget)
-	}
-	if naive.States <= dpor.States {
-		t.Fatalf("naive explored %d states, DPOR %d — no reduction measured", naive.States, dpor.States)
-	}
-	t.Logf("SB: naive %d states (partial=%v), DPOR %d states, %d pruned, %d leaves",
-		naive.States, naive.Partial, dpor.States, dpor.Pruned, dpor.Runs)
-}
-
 // TestSeededDrainsWithinExploredSystem ties the machine's two drivers
 // together: RunAll under the seeded drain policy (the `-weak` demo path of
 // core.WithWeakMemory) resolves the same choices the transition system

@@ -49,10 +49,9 @@ func goldenCorpus(t *testing.T) (labels []string, progs []*litmus.Program) {
 	return labels, progs
 }
 
-// The golden's state budgets: DPOR completes on all but the four-thread
-// shapes, and naive search ends in a (deterministic) partial cut on all but
-// the smallest.
-var goldenMaxStates = map[Mode]int{ModeDPOR: 20_000, ModeNaive: 4_000}
+// goldenMaxStates is the golden's DPOR state budget: DPOR completes on all
+// but the four-thread shapes.
+const goldenMaxStates = 20_000
 
 // traceHash renders a decision sequence's identity in 12 hex digits.
 func traceHash(ts []machine.Transition) string {
@@ -72,7 +71,7 @@ func joinOutcomes(outs []litmus.Outcome) string {
 }
 
 // TestExploreGolden pins what exploration computes over the corpus:
-// ModeDPOR and ModeNaive (bounded by goldenMaxStates) states, runs, pruned
+// ModeDPOR (bounded by goldenMaxStates) states, runs, pruned
 // branches, coverage, the partial cut and its trace, violations and their
 // traces, and every observed outcome; ModeWalk (16 seeds) states and
 // outcomes; and opcheck.Observe(8)'s outcome set. A change to the machine,
@@ -92,17 +91,15 @@ func TestExploreGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		for _, mode := range []Mode{ModeDPOR, ModeNaive} {
-			res := run(t, p, Config{Mode: mode, MaxStates: goldenMaxStates[mode]})
-			fmt.Fprintf(&out, "%s %s: states=%d runs=%d pruned=%d covered=%d/%d partial=%v cut=%s violations=%d",
-				label, mode, res.States, res.Runs, res.Pruned, res.Covered, res.Allowed,
-				res.Partial, traceHash(res.PartialTrace), len(res.Violations))
-			for _, v := range res.Violations {
-				fmt.Fprintf(&out, " [%s %q %s]", traceHash(v.Trace), v.Outcome, v.Reason)
-			}
-			fmt.Fprintf(&out, " observed=%s\n", joinOutcomes(res.Observed))
+		res := run(t, p, Config{Mode: ModeDPOR, MaxStates: goldenMaxStates})
+		fmt.Fprintf(&out, "%s %s: states=%d runs=%d pruned=%d covered=%d/%d partial=%v cut=%s violations=%d",
+			label, ModeDPOR, res.States, res.Runs, res.Pruned, res.Covered, res.Allowed,
+			res.Partial, traceHash(res.PartialTrace), len(res.Violations))
+		for _, v := range res.Violations {
+			fmt.Fprintf(&out, " [%s %q %s]", traceHash(v.Trace), v.Outcome, v.Reason)
 		}
-		res := run(t, p, Config{Mode: ModeWalk, Seeds: 16})
+		fmt.Fprintf(&out, " observed=%s\n", joinOutcomes(res.Observed))
+		res = run(t, p, Config{Mode: ModeWalk, Seeds: 16})
 		fmt.Fprintf(&out, "%s walk: states=%d runs=%d violations=%d observed=%s\n",
 			label, res.States, res.Runs, len(res.Violations), joinOutcomes(res.Observed))
 		set, err := c.Observe(8)

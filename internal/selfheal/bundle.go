@@ -128,23 +128,21 @@ type TierUp struct {
 // embeds it and so does Bundle, so a crash bundle records, and
 // ReplayOptions restores, every field here without naming any of them. A
 // knob that changes what a run does belongs in this struct; fields are in
-// bundle order.
+// bundle order. Older bundles also carry stack_size, max_steps and
+// max_heals, which only ever held what are now the runtime's constants;
+// decoding ignores them.
 type Replay struct {
 	// MemSize is the machine memory size (default 32 MiB).
 	MemSize int `json:"mem_size"`
 	// CodeCacheBase is where generated host code is placed (default:
 	// upper quarter of memory).
 	CodeCacheBase uint64 `json:"code_cache_base"`
-	// StackSize per guest thread (default 256 KiB).
-	StackSize uint64 `json:"stack_size"`
 	// Quantum is the round-robin scheduling quantum in instructions.
 	Quantum int `json:"quantum"`
-	// MaxSteps bounds total executed host instructions (default 2e9).
-	MaxSteps uint64 `json:"max_steps"`
 	// StepBudget, when non-zero, bounds each vCPU's executed host
 	// instructions; a guest that reaches it (runaway loop, livelocked
 	// spin) halts with a structured faults.TrapBudget instead of spinning
-	// until MaxSteps.
+	// until the runtime's total step limit.
 	StepBudget uint64 `json:"step_budget,omitempty"`
 	// Deadline, when non-zero, is the wall-clock watchdog for Run. It
 	// encodes as integer nanoseconds.
@@ -159,7 +157,7 @@ type Replay struct {
 	// to a translated block quarantines it — the block is invalidated in
 	// the code cache, its tier demoted one rung (full opts → no fence
 	// merging → no opts → TCG interpreter), and execution resumes — with
-	// at most MaxHeals recoveries per run. Off by default so the fault
+	// a bounded number of recoveries per run. Off by default so the fault
 	// matrix keeps pinning every injected fault's undisguised trap.
 	SelfHeal bool `json:"self_heal,omitempty"`
 	// SelfCheck additionally shadow-executes every freshly translated
@@ -167,9 +165,6 @@ type Replay struct {
 	// memory state, and quarantines the block on any register, memory or
 	// exit divergence — runtime translation validation. Implies SelfHeal.
 	SelfCheck bool `json:"self_check,omitempty"`
-	// MaxHeals caps quarantine recoveries per run (default 16 when
-	// SelfHeal is on).
-	MaxHeals int `json:"max_heals,omitempty"`
 	// FaultSpec and FaultSeed are the fault injection the run was armed
 	// with (the -fault spec list and its seed); ReplayOptions rearms an
 	// injector from them.

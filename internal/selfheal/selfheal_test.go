@@ -216,6 +216,29 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOldBundleDecodes: bundles written while the stack size and the step
+// and heal limits were settable carry them as stack_size, max_steps and
+// max_heals. They still decode, to the same bundle.
+func TestOldBundleDecodes(t *testing.T) {
+	b := testBundle()
+	data, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"quantum": 64,`),
+		[]byte(`"stack_size": 262144, "quantum": 64, "max_steps": 2000000000, "max_heals": 16,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("quantum field not found in the encoding")
+	}
+	back, err := DecodeBundle(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b, back) {
+		t.Errorf("old bundle decoded differently:\n%+v\n%+v", b, back)
+	}
+}
+
 // TestBundleValidateRejects walks the schema: each mutation must trip
 // Validate with an error mentioning the broken field.
 func TestBundleValidateRejects(t *testing.T) {

@@ -18,7 +18,8 @@
 # also hands `litmusctl run` a test that reads a register nothing assigned
 # and requires it to be refused by name. The examples stage runs the
 # five programs under examples/ and checks that weakhost and litmus still
-# tell the broken mappings from the verified ones.
+# tell the broken mappings from the verified ones. The risobench smoke
+# regenerates two figures and checks that their runs reach -metrics.
 #
 # The CLIs the smoke stages drive are built once into a scratch directory,
 # and every stage reports its wall seconds, so the gate's own cost is in
@@ -81,10 +82,11 @@ stage "go build ./... and the smoke-stage binaries"
 go build ./...
 SH_TMP=$(mktemp -d)
 trap 'rm -rf "$SH_TMP"' EXIT
-for c in litmusctl risotto risottod obsvalidate; do
+for c in litmusctl risotto risottod risobench obsvalidate; do
 	go build -o "$SH_TMP/$c" "./cmd/$c"
 done
-litmusctl=$SH_TMP/litmusctl risotto=$SH_TMP/risotto risottod=$SH_TMP/risottod obsvalidate=$SH_TMP/obsvalidate
+litmusctl=$SH_TMP/litmusctl risotto=$SH_TMP/risotto risottod=$SH_TMP/risottod
+risobench=$SH_TMP/risobench obsvalidate=$SH_TMP/obsvalidate
 
 stage "go test ./..."
 go test ./...
@@ -284,6 +286,18 @@ grep -q "Risotto-translated Arm allows a=1,X=1?  false" "$SH_TMP/ex-litmus.txt" 
 if grep -q "correct=false" "$SH_TMP/ex-litmus.txt"; then
 	echo "examples/litmus: the verified mapping broke Theorem 1" >&2; cat "$SH_TMP/ex-litmus.txt" >&2; exit 1
 fi
+
+# risobench prints its tables to stdout ahead of the -metrics dump, so the
+# dump is grepped rather than validated: a non-zero core.blocks shows the
+# figure runs report into the command's root scope.
+stage "risobench smoke: fig13 and fig15 tables; fig15's -metrics dump counts the figure runs"
+"$risobench" fig13 -calls 64 | grep -q "^sqlite " \
+	|| { echo "risobench fig13 printed no sqlite row" >&2; exit 1; }
+"$risobench" fig15 -ops 50 -metrics json >"$SH_TMP/fig15.txt"
+grep -q "^16-16 " "$SH_TMP/fig15.txt" \
+	|| { echo "risobench fig15 printed no 16-16 row" >&2; cat "$SH_TMP/fig15.txt" >&2; exit 1; }
+grep -Eq '"core\.blocks": [1-9]' "$SH_TMP/fig15.txt" \
+	|| { echo "risobench fig15 -metrics json: core.blocks missing or zero" >&2; exit 1; }
 
 stage "bench smoke: scripts/bench_snapshot.sh (one short iteration)"
 BENCHTIME=1x ./scripts/bench_snapshot.sh "$(mktemp)"
