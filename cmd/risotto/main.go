@@ -87,7 +87,7 @@ func main() {
 			core.WithDeadline(*deadline),
 			core.WithSelfHeal(*selfHeal),
 			core.WithSelfCheck(*selfCheck),
-			core.WithProvenance(*kernel, cf.Fault, cf.FaultSeed),
+			core.WithProvenance(*kernel, cf.Fault),
 			core.WithFaults(inject),
 			core.WithObs(scope),
 			core.WithTierUp(cf.TierUp),

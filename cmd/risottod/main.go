@@ -71,7 +71,6 @@ func main() {
 	stepBudget := fs.Uint64("step-budget", 0, "client: per-job step budget (0 = server cap)")
 	deadlineMS := fs.Int64("deadline-ms", 0, "client: per-job deadline in ms (0 = server cap)")
 	jobFault := fs.String("job-fault", "", "client: per-job fault spec list (name[@N],...)")
-	jobFaultSeed := fs.Int64("job-fault-seed", 1, "client: per-job fault injector seed")
 
 	cf := cliflags.Register(fs)
 	cf.AddFaults(fs)
@@ -92,7 +91,6 @@ func main() {
 			StepBudget: *stepBudget,
 			DeadlineMS: *deadlineMS,
 			Fault:      *jobFault,
-			FaultSeed:  *jobFaultSeed,
 		}, *imageFile))
 	case *snapshot:
 		os.Exit(clientSnapshot(*addr))
@@ -112,7 +110,6 @@ func main() {
 			StepBudgetCap:     *stepCap,
 			DeadlineCap:       *deadlineCap,
 			MemSize:           *memSize,
-			Seed:              cf.FaultSeed,
 			TierUp:            cf.TierUp,
 		},
 	}))

@@ -1,11 +1,11 @@
 // Package cliflags registers the flags shared by the risotto, risottod,
 // litmusctl and risobench commands — one spelling, one default, one help
 // string per flag — and turns the parsed values into the objects the
-// commands need: a fault injector from -fault/-fault-seed, a root
+// commands need: a fault injector from -fault, a root
 // observability scope whose snapshot -metrics dumps, and the -trace JSONL
 // writer. Register installs the flags every command reads (-metrics,
 // -trace); the Add* methods install the ones only some commands read
-// (-fault/-fault-seed, -workers, -listen, the -tierup family), so no
+// (-fault, -workers, -listen, the -tierup family), so no
 // command accepts a flag it ignores.
 package cliflags
 
@@ -53,10 +53,8 @@ type Set struct {
 	// only registered by AddWorkers.
 	Workers int
 	// Fault is the comma-separated fault spec list (name[@N]); only
-	// registered by AddFaults, as is FaultSeed.
+	// registered by AddFaults.
 	Fault string
-	// FaultSeed seeds the deterministic injector.
-	FaultSeed int64
 	// Metrics selects a snapshot dump format ("" = no dump).
 	Metrics string
 	// Trace names a JSONL file for the span ring buffer ("" = no trace).
@@ -86,13 +84,12 @@ func Register(fs *flag.FlagSet) *Set {
 	return s
 }
 
-// AddFaults installs the -fault and -fault-seed flags (risotto, risottod
-// and litmusctl, the commands that arm a fault injector).
+// AddFaults installs the -fault flag (risotto, risottod and litmusctl,
+// the commands that arm a fault injector).
 func (s *Set) AddFaults(fs *flag.FlagSet) {
 	fs.StringVar(&s.Fault, "fault", "",
 		"inject deterministic faults: comma list of name[@N]\n(names: "+
 			strings.Join(faults.SpecNames(), ", ")+")")
-	fs.Int64Var(&s.FaultSeed, "fault-seed", 1, "seed for the fault injector")
 }
 
 // AddWorkers installs the -workers flag (litmusctl, the command that runs
@@ -142,15 +139,7 @@ func (s *Set) Check() error {
 // Injector arms a fault injector from the -fault spec list; a nil injector
 // (no specs) disables injection entirely.
 func (s *Set) Injector() (*faults.Injector, error) {
-	specs, err := faults.ParseSpecs(s.Fault)
-	if err != nil || len(specs) == 0 {
-		return nil, err
-	}
-	in := faults.NewInjector(s.FaultSeed)
-	for _, sp := range specs {
-		sp.Arm(in)
-	}
-	return in, nil
+	return faults.ParseInjector(s.Fault)
 }
 
 // Scope returns the process-root observability scope, creating it on first

@@ -28,7 +28,7 @@ func parse(t *testing.T, args ...string) *Set {
 
 func TestDefaults(t *testing.T) {
 	s := parse(t)
-	if s.Workers != 0 || s.Fault != "" || s.FaultSeed != 1 || s.Metrics != "" || s.Trace != "" {
+	if s.Workers != 0 || s.Fault != "" || s.Metrics != "" || s.Trace != "" {
 		t.Fatalf("unexpected defaults: %+v", s)
 	}
 	if err := s.Check(); err != nil {
@@ -65,7 +65,7 @@ func TestCheckRejectsBadFormat(t *testing.T) {
 }
 
 func TestInjectorFromSpec(t *testing.T) {
-	s := parse(t, "-fault", faults.SpecNames()[0], "-fault-seed", "7")
+	s := parse(t, "-fault", faults.SpecNames()[0])
 	in, err := s.Injector()
 	if err != nil {
 		t.Fatalf("Injector: %v", err)

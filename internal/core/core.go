@@ -74,7 +74,7 @@ type Config struct {
 	// Inject, when non-nil, arms deterministic fault injection across the
 	// stack: frontend decode, code-cache allocation, memory accesses,
 	// scheduler quanta, host-linked calls and emitted-code corruption.
-	// Bundles record its FaultSpec and FaultSeed instead.
+	// Bundles record its FaultSpec instead.
 	Inject *faults.Injector
 	// Obs, when non-nil, is the observability scope the whole stack
 	// reports into: the runtime threads it through the frontend, the
@@ -253,6 +253,8 @@ const (
 
 // Runtime limits no caller varies.
 const (
+	// defaultMemSize is the machine memory size when Config leaves it 0.
+	defaultMemSize = 32 << 20
 	// stackSize is carved per guest thread.
 	stackSize = 256 << 10
 	// maxSteps bounds the host instructions one Run executes across all
@@ -277,10 +279,10 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		}
 	}
 	if cfg.MemSize == 0 {
-		cfg.MemSize = 32 << 20
+		cfg.MemSize = defaultMemSize
 	}
 	if cfg.CodeCacheBase == 0 {
-		cfg.CodeCacheBase = uint64(cfg.MemSize) * 3 / 4
+		cfg.CodeCacheBase = defaultCodeCacheBase(cfg.MemSize)
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 64
@@ -403,6 +405,25 @@ func (rt *Runtime) load(img *guestimg.Image) error {
 		}
 	}
 	return nil
+}
+
+// defaultCodeCacheBase places the code cache in the upper quarter of
+// memory; the guest image, its heap and its stacks share what is below.
+func defaultCodeCacheBase(memSize int) uint64 { return uint64(memSize) * 3 / 4 }
+
+// GuestRoom is how far a guest image and its heap may extend in a machine
+// of memSize bytes (0 = the default size) with the default code cache,
+// once threads stacks are carved below the cache; 0 when the stacks alone
+// leave no room.
+func GuestRoom(memSize, threads int) uint64 {
+	if memSize == 0 {
+		memSize = defaultMemSize
+	}
+	base := defaultCodeCacheBase(memSize)
+	if threads < 0 || uint64(threads) >= base/stackSize {
+		return 0
+	}
+	return base - uint64(threads)*stackSize
 }
 
 // newStack carves a stack below the previous one and returns its top. The

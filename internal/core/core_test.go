@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +13,39 @@ import (
 	"repro/internal/isa/x86"
 	"repro/internal/selfheal"
 )
+
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update, and reports the first line that differs.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "<missing>"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("line %d differs from %s:\ngot  %s\nwant %s", i+1, golden, gl[i], w)
+		}
+	}
+	t.Fatalf("%s has %d lines, the test %d", golden, len(wl), len(gl))
+}
 
 var allVariants = []Variant{VariantQemu, VariantNoFences, VariantTCGVer, VariantRisotto}
 

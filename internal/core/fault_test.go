@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/guestimg"
-	"repro/internal/hostlib"
 	"repro/internal/isa/x86"
 	"repro/internal/selfheal"
 )
@@ -287,7 +286,7 @@ func TestFaultMisalignedCAS(t *testing.T) {
 // TestFaultInjectedDecode forces a decode fault mid-translation and checks
 // guest-PC attribution survives to the caller.
 func TestFaultInjectedDecode(t *testing.T) {
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteDecode, 1, faults.TrapDecode)
 	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, 4, 1))
 	if err != nil {
@@ -306,25 +305,8 @@ func TestFaultInjectedDecode(t *testing.T) {
 // TestFaultInjectedUnmapped forces an unmapped-memory fault at the Nth
 // guest memory access.
 func TestFaultInjectedUnmapped(t *testing.T) {
-	b := guestimg.NewBuilder(0x10000, 0x40000)
-	buf := b.Zeros(64)
-	a := b.Asm
-	a.Label("main").
-		MovRI(x86.RSI, int64(buf)).
-		MovRI(x86.RCX, 0).
-		Label("loop").
-		Store(x86.MemIdx(x86.RSI, x86.RCX, 8, 0), x86.RCX, 8).
-		Load(x86.RAX, x86.MemIdx(x86.RSI, x86.RCX, 8, 0), 8).
-		AddRI(x86.RCX, 1).
-		CmpRI(x86.RCX, 8).
-		Jcc(x86.CondNE, "loop")
-	exitWith(a, x86.RAX)
-	img, err := b.Build("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	in := faults.NewInjector(1)
+	img := sweepGuests(t)[0].img // sum-loop: a store and a load per iteration
+	in := faults.NewInjector()
 	in.Arm(faults.SiteMemory, 3, faults.TrapUnmapped)
 	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, img)
 	if err != nil {
@@ -334,6 +316,52 @@ func TestFaultInjectedUnmapped(t *testing.T) {
 	tr, ok := faults.As(err)
 	if !ok || tr.Kind != faults.TrapUnmapped || !tr.Injected {
 		t.Fatalf("error = %v, want injected unmapped trap", err)
+	}
+}
+
+// TestFaultInjectedCacheExhaust forces an allocation failure on the first
+// block: the runtime must flush, retranslate and complete normally — the
+// injection is one-shot, so the retry succeeds.
+func TestFaultInjectedCacheExhaust(t *testing.T) {
+	const nblocks = 8
+	in := faults.NewInjector()
+	in.Arm(faults.SiteCacheAlloc, 1, faults.TrapCacheExhausted)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := rt.Run()
+	if err != nil {
+		t.Fatalf("injected exhaustion not recovered: %v", err)
+	}
+	if code != nblocks {
+		t.Errorf("exit = %d, want %d", code, nblocks)
+	}
+	if rt.Stats().CacheFlushes != 1 {
+		t.Errorf("cache flushes = %d, want 1", rt.Stats().CacheFlushes)
+	}
+}
+
+// TestFaultInjectedHostCall forces a host-linked call failure and checks the
+// trap names the import.
+func TestFaultInjectedHostCall(t *testing.T) {
+	g := sweepGuests(t)[2] // host-call
+	in := faults.NewInjector()
+	in.Arm(faults.SiteHostCall, 1, faults.TrapHostCall)
+	rt, err := newRuntime(Config{
+		Variant: VariantRisotto, Replay: selfheal.Replay{IDL: g.idl},
+		Lib: newTestLib(), Inject: in,
+	}, g.img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Run()
+	tr, ok := faults.As(err)
+	if !ok || tr.Kind != faults.TrapHostCall || !tr.Injected {
+		t.Fatalf("error = %v, want injected host-call trap", err)
+	}
+	if tr.CPU != 0 {
+		t.Errorf("trap cpu = %d, want 0", tr.CPU)
 	}
 }
 
@@ -370,72 +398,6 @@ func TestFaultGuestWriteWrappingLength(t *testing.T) {
 		if len(rt.M.Output) != 0 {
 			t.Errorf("len=%#x: refused write still produced %d bytes", uint64(n), len(rt.M.Output))
 		}
-	}
-}
-
-// TestFaultInjectedCacheExhaust forces an allocation failure on the first
-// block: the runtime must flush, retranslate and complete normally — the
-// injection is one-shot, so the retry succeeds.
-func TestFaultInjectedCacheExhaust(t *testing.T) {
-	const nblocks = 8
-	in := faults.NewInjector(1)
-	in.Arm(faults.SiteCacheAlloc, 1, faults.TrapCacheExhausted)
-	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in}, chainImage(t, nblocks, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, err := rt.Run()
-	if err != nil {
-		t.Fatalf("injected exhaustion not recovered: %v", err)
-	}
-	if code != nblocks {
-		t.Errorf("exit = %d, want %d", code, nblocks)
-	}
-	if rt.Stats().CacheFlushes != 1 {
-		t.Errorf("cache flushes = %d, want 1", rt.Stats().CacheFlushes)
-	}
-}
-
-// TestFaultInjectedHostCall forces a host-linked call failure and checks the
-// trap names the import.
-func TestFaultInjectedHostCall(t *testing.T) {
-	b := guestimg.NewBuilder(0x10000, 0x40000)
-	b.Import("triple")
-	a := b.Asm
-	a.Label("main").
-		MovRI(x86.RDI, 14).
-		Call("triple@plt").
-		Jmp("done").
-		Label("triple").
-		MovRR(x86.RAX, x86.RDI).
-		Ret().
-		Label("done")
-	exitWith(a, x86.RAX)
-	img, err := b.Build("main")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	in := faults.NewInjector(1)
-	in.Arm(faults.SiteHostCall, 1, faults.TrapHostCall)
-	lib := hostlib.New()
-	lib.Register("triple", func(mem hostlib.Memory, args []uint64) (uint64, uint64) {
-		return args[0] * 3, 10
-	})
-	rt, err := newRuntime(Config{
-		Variant: VariantRisotto, Replay: selfheal.Replay{IDL: "i64 triple(i64 x);\n"},
-		Lib: lib, Inject: in,
-	}, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = rt.Run()
-	tr, ok := faults.As(err)
-	if !ok || tr.Kind != faults.TrapHostCall || !tr.Injected {
-		t.Fatalf("error = %v, want injected host-call trap", err)
-	}
-	if tr.CPU != 0 {
-		t.Errorf("trap cpu = %d, want 0", tr.CPU)
 	}
 }
 

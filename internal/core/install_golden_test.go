@@ -7,7 +7,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,8 +17,6 @@ import (
 	"repro/internal/transcache"
 	"repro/internal/workloads"
 )
-
-var updateInstall = flag.Bool("update", false, "rewrite testdata/install_faults.golden")
 
 // installSweepK is how many occurrences of each fault site the golden
 // sweep arms, one run each; every site is reached at least this often.
@@ -69,7 +66,7 @@ func TestInstallFaultsGolden(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					in := faults.NewInjector(1)
+					in := faults.NewInjector()
 					sp.Arm(in)
 					path := filepath.Join(dir, fmt.Sprintf("tc-%v-%v-%s.jsonl", tierup, small, spec))
 					tc, err := transcache.Open(path, transcache.Options{Injector: in})
@@ -119,31 +116,5 @@ func TestInstallFaultsGolden(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "install_faults.golden")
-	if *updateInstall {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				w := "<missing>"
-				if i < len(wl) {
-					w = wl[i]
-				}
-				t.Fatalf("line %d differs from %s:\ngot  %s\nwant %s", i+1, golden, gl[i], w)
-			}
-		}
-		t.Fatalf("%s has %d lines, the sweep %d", golden, len(wl), len(gl))
-	}
+	checkGolden(t, "install_faults.golden", out.String())
 }

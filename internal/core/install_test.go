@@ -156,7 +156,7 @@ func TestInstallPromotionDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 20; n++ {
-		in := faults.NewInjector(1)
+		in := faults.NewInjector()
 		in.Arm(faults.SiteMiscompile, uint64(n), faults.TrapMiscompile)
 		rt := buildKernelRuntime(t, "histogram", 2, tierUpOpts(), WithSelfCheck(true), WithFaults(in),
 			WithMemSize(4<<20))

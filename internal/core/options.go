@@ -90,10 +90,10 @@ func WithSelfCheck(on bool) Option {
 	return func(c *Config) { c.SelfCheck = on }
 }
 
-// WithProvenance records the CLI inputs (kernel name, fault spec, fault
-// seed) for crash bundles; it does not affect execution.
-func WithProvenance(kernel, faultSpec string, faultSeed int64) Option {
-	return func(c *Config) { c.Kernel, c.FaultSpec, c.FaultSeed = kernel, faultSpec, faultSeed }
+// WithProvenance records the CLI inputs (kernel name, fault spec) for
+// crash bundles; it does not affect execution.
+func WithProvenance(kernel, faultSpec string) Option {
+	return func(c *Config) { c.Kernel, c.FaultSpec = kernel, faultSpec }
 }
 
 // WithObs sets the observability scope the whole stack reports into.

@@ -79,7 +79,7 @@ func TestReusedMachineEqualsFresh(t *testing.T) {
 	}
 
 	t.Run("after a trap", func(t *testing.T) {
-		inj := faults.NewInjector(1)
+		inj := faults.NewInjector()
 		inj.Arm(faults.SiteStep, 40, faults.TrapBudget)
 		rt, err := New(imgs[0], WithVariant(VariantRisotto), WithMachine(m), WithFaults(inj))
 		if err != nil {

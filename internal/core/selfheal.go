@@ -405,7 +405,7 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 }
 
 // ReplayOptions rebuilds the options and guest image a bundle describes,
-// rearming the fault injector from the recorded spec and seed; pass both
+// rearming the fault injector from the recorded spec; pass both
 // to New. The one option installs the recorded Config wholesale. It
 // carries no Obs scope; the caller appends its own WithObs.
 func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
@@ -421,16 +421,8 @@ func ReplayOptions(b *selfheal.Bundle) ([]Option, *guestimg.Image, error) {
 	if b.TierUp != nil {
 		cfg.TierUp = *b.TierUp
 	}
-	if b.FaultSpec != "" {
-		specs, err := faults.ParseSpecs(b.FaultSpec)
-		if err != nil {
-			return nil, nil, err
-		}
-		inj := faults.NewInjector(b.FaultSeed)
-		for _, sp := range specs {
-			sp.Arm(inj)
-		}
-		cfg.Inject = inj
+	if cfg.Inject, err = faults.ParseInjector(b.FaultSpec); err != nil {
+		return nil, nil, err
 	}
 	return []Option{func(c *Config) { *c = cfg }}, img, nil
 }

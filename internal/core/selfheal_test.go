@@ -22,7 +22,7 @@ import (
 // demoted, and the run completes with the fault-free result.
 func TestSelfhealFaultRecoversMiscompile(t *testing.T) {
 	const nblocks = 4
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
 	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfHeal: true}, Inject: in},
 		chainImage(t, nblocks, 2))
@@ -52,7 +52,7 @@ func TestSelfhealFaultRecoversMiscompile(t *testing.T) {
 // quarantine it, and the run completes correctly without needing a heal.
 func TestSelfcheckFaultDetectsMiscompile(t *testing.T) {
 	const nblocks = 4
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteMiscompile, 1, faults.TrapMiscompile)
 	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{SelfCheck: true}, Inject: in},
 		chainImage(t, nblocks, 2))
@@ -217,7 +217,7 @@ func TestInterpTierExecutes(t *testing.T) {
 // recorded tier descends the ladder rather than oscillating.
 func TestTierLadderWalksToInterp(t *testing.T) {
 	const nblocks = 3
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	// The first block's translation is corrupted at every compiled tier:
 	// occurrences 1, 2 and 3 hit its retranslations (the injection is
 	// consumed before any other block translates).
@@ -250,11 +250,11 @@ func TestTierLadderWalksToInterp(t *testing.T) {
 // the replay yields byte-identical output.
 func TestCrashBundleReplayReproducesTrap(t *testing.T) {
 	img := chainImage(t, 4, 1)
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteDecode, 3, faults.TrapDecode)
 	rt, err := newRuntime(Config{
 		Variant: VariantRisotto,
-		Replay:  selfheal.Replay{FaultSpec: "decode@3", FaultSeed: 1},
+		Replay:  selfheal.Replay{FaultSpec: "decode@3"},
 		Inject:  in,
 		Obs:     obs.NewScope(""),
 	}, img)
@@ -338,10 +338,10 @@ func TestCrashBundleReplayUnderPromotion(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := fmt.Sprintf("miscompile@%d", n)
-		in := faults.NewInjector(1)
+		in := faults.NewInjector()
 		in.Arm(faults.SiteMiscompile, uint64(n), faults.TrapMiscompile)
 		rt, err := New(img, WithVariant(VariantRisotto), tierUpOpts(),
-			WithFaults(in), WithProvenance("kmeans", spec, 1), WithObs(obs.NewScope("")))
+			WithFaults(in), WithProvenance("kmeans", spec), WithObs(obs.NewScope("")))
 		if err != nil {
 			t.Fatal(err)
 		}

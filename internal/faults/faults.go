@@ -1,9 +1,9 @@
 // Package faults is the failure model of the Risotto-Go stack: a typed
 // trap taxonomy shared by the DBT runtime (internal/core), the simulated
 // host machine (internal/machine), the guest frontend (internal/frontend)
-// and the litmus enumeration engine (internal/litmus), plus a seeded,
-// deterministic fault injector used by the fault-matrix differential
-// tests and the CLIs' -fault flag.
+// and the litmus enumeration engine (internal/litmus), plus a
+// deterministic fault injector armed by the CLIs' -fault flag and the
+// fault tests.
 //
 // Following "Sound Transpilation from Binary to Machine-Independent Code"
 // (Metere et al.), decoder and translation failure is a first-class,
@@ -17,7 +17,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -254,7 +253,6 @@ type plan struct {
 // injector is configured.
 type Injector struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
 	counts map[Site]uint64
 	plans  map[Site][]*plan
 
@@ -277,11 +275,9 @@ func (in *Injector) SetObs(root *obs.Scope) {
 	in.injected = in.sc.Counter("injected")
 }
 
-// NewInjector returns an injector whose auto-armed occurrence choices are
-// driven by seed (explicit Arm calls are fully deterministic regardless).
-func NewInjector(seed int64) *Injector {
+// NewInjector returns an injector with nothing armed.
+func NewInjector() *Injector {
 	return &Injector{
-		rng:    rand.New(rand.NewSource(seed)),
 		counts: make(map[Site]uint64),
 		plans:  make(map[Site][]*plan),
 	}
@@ -296,20 +292,6 @@ func (in *Injector) Arm(site Site, nth uint64, kind TrapKind) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.plans[site] = append(in.plans[site], &plan{nth: nth, kind: kind})
-}
-
-// ArmAuto schedules a one-shot trap at a seed-chosen occurrence in
-// [1, within] (within <= 0 defaults to 16). The choice is deterministic
-// for a given injector seed and Arm/ArmAuto call sequence.
-func (in *Injector) ArmAuto(site Site, kind TrapKind, within int) uint64 {
-	if within <= 0 {
-		within = 16
-	}
-	in.mu.Lock()
-	nth := uint64(1 + in.rng.Intn(within))
-	in.plans[site] = append(in.plans[site], &plan{nth: nth, kind: kind})
-	in.mu.Unlock()
-	return nth
 }
 
 // Hit records one occurrence of site and returns a trap if an armed plan
@@ -343,27 +325,6 @@ func (in *Injector) Count(site Site) uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.counts[site]
-}
-
-// Pending returns descriptions of armed-but-unfired plans, sorted — a run
-// that was supposed to inject a fault but never reached the site reports
-// these rather than silently passing.
-func (in *Injector) Pending() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var out []string
-	for site, ps := range in.plans {
-		for _, p := range ps {
-			if !p.fired {
-				out = append(out, fmt.Sprintf("%s@%d:%s", site, p.nth, p.kind))
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---- CLI fault specs --------------------------------------------------
@@ -404,7 +365,7 @@ func SpecNames() []string {
 // ParseSpec parses a -fault argument: a name from SpecNames, optionally
 // suffixed with "@N" to select the Nth occurrence (default 1), e.g.
 // "cache-exhaust" or "decode@3". Multiple specs may be comma-separated
-// through ParseSpecs.
+// through ParseInjector.
 func ParseSpec(s string) (Spec, error) {
 	name, nthStr, hasNth := strings.Cut(strings.TrimSpace(s), "@")
 	sp, ok := specTable[name]
@@ -424,21 +385,22 @@ func ParseSpec(s string) (Spec, error) {
 	return sp, nil
 }
 
-// ParseSpecs parses a comma-separated list of fault specs; an empty
-// string yields nil.
-func ParseSpecs(s string) ([]Spec, error) {
+// ParseInjector parses a comma-separated -fault list and returns an
+// injector armed with every spec in it. An empty list yields a nil
+// injector, which disables injection entirely.
+func ParseInjector(s string) (*Injector, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	var specs []Spec
+	in := NewInjector()
 	for _, part := range strings.Split(s, ",") {
 		sp, err := ParseSpec(part)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, sp)
+		sp.Arm(in)
 	}
-	return specs, nil
+	return in, nil
 }
 
 // Arm arms sp on in.

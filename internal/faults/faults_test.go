@@ -67,7 +67,7 @@ func TestWithCPUInnermostWins(t *testing.T) {
 }
 
 func TestInjectorFiresAtNth(t *testing.T) {
-	in := NewInjector(1)
+	in := NewInjector()
 	in.Arm(SiteDecode, 3, TrapDecode)
 	for i := 1; i <= 5; i++ {
 		tr := in.Hit(SiteDecode)
@@ -86,7 +86,7 @@ func TestInjectorFiresAtNth(t *testing.T) {
 }
 
 func TestInjectorOneShot(t *testing.T) {
-	in := NewInjector(1)
+	in := NewInjector()
 	in.Arm(SiteMemory, 1, TrapUnmapped)
 	if in.Hit(SiteMemory) == nil {
 		t.Fatal("first hit should fire")
@@ -105,36 +105,6 @@ func TestInjectorNilSafe(t *testing.T) {
 	}
 	if in.Count(SiteStep) != 0 {
 		t.Error("nil injector counted")
-	}
-	if in.Pending() != nil {
-		t.Error("nil injector has pending plans")
-	}
-}
-
-func TestInjectorPending(t *testing.T) {
-	in := NewInjector(1)
-	in.Arm(SiteHostCall, 2, TrapHostCall)
-	in.Hit(SiteHostCall) // occurrence 1: not fired
-	p := in.Pending()
-	if len(p) != 1 || !strings.Contains(p[0], "host-call@2") {
-		t.Errorf("Pending = %v", p)
-	}
-	in.Hit(SiteHostCall) // fires
-	if len(in.Pending()) != 0 {
-		t.Errorf("Pending after fire = %v", in.Pending())
-	}
-}
-
-func TestArmAutoDeterministic(t *testing.T) {
-	a := NewInjector(42)
-	b := NewInjector(42)
-	na := a.ArmAuto(SiteStep, TrapBudget, 8)
-	nb := b.ArmAuto(SiteStep, TrapBudget, 8)
-	if na != nb {
-		t.Errorf("same seed chose different occurrences: %d vs %d", na, nb)
-	}
-	if na < 1 || na > 8 {
-		t.Errorf("occurrence %d outside [1,8]", na)
 	}
 }
 
@@ -163,15 +133,21 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecs(t *testing.T) {
-	specs, err := ParseSpecs("decode@2, step-budget")
+	in, err := ParseInjector("decode@2, step-budget")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 2 || specs[0].Nth != 2 || specs[1].Site != SiteStep {
-		t.Errorf("specs = %+v", specs)
+	if in.Hit(SiteDecode) != nil || in.Hit(SiteDecode) == nil {
+		t.Error("decode@2 did not fire at the second decode")
 	}
-	if specs, err := ParseSpecs(""); err != nil || specs != nil {
-		t.Errorf("empty = %v, %v", specs, err)
+	if tr := in.Hit(SiteStep); tr == nil || tr.Kind != TrapBudget {
+		t.Errorf("step-budget: first step = %v, want a step-budget trap", tr)
+	}
+	if in, err := ParseInjector(" "); err != nil || in != nil {
+		t.Errorf("empty = %v, %v", in, err)
+	}
+	if _, err := ParseInjector("decode,nope"); err == nil {
+		t.Error("a list with an unknown name was accepted")
 	}
 	// Every advertised name parses.
 	for _, n := range SpecNames() {
@@ -182,7 +158,7 @@ func TestParseSpecs(t *testing.T) {
 }
 
 func TestSpecArmFires(t *testing.T) {
-	in := NewInjector(1)
+	in := NewInjector()
 	sp, _ := ParseSpec("misaligned@2")
 	sp.Arm(in)
 	if in.Hit(SiteMemory) != nil {

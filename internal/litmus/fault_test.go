@@ -4,26 +4,33 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/models/x86tso"
 )
 
 // TestFaultShardPanicFallsBackToSerial injects a panic into a parallel
 // worker shard and checks the enumeration degrades to the serial path: no
-// error, and the result equals the reference serial set.
+// error, and the result equals the reference serial set, for every program
+// of the x86 corpus under x86-TSO and Arm from the registry.
 func TestFaultShardPanicFallsBackToSerial(t *testing.T) {
-	for _, p := range []*Program{MP(), SBQ()} {
-		m := x86tso.New()
-		in := faults.NewInjector(1)
-		in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
-
-		out, err := Enumerate(p, m, WithWorkers(4), WithInjector(in))
+	for _, name := range []string{"x86-TSO", "arm"} {
+		m, err := models.Default().Lookup(name)
 		if err != nil {
-			t.Fatalf("%s: fallback did not absorb injected panic: %v", p.Name, err)
+			t.Fatal(err)
 		}
-		if in.Count(faults.SiteLitmusShard) == 0 {
-			t.Fatalf("%s: injection site never hit", p.Name)
+		for _, p := range X86Corpus() {
+			in := faults.NewInjector()
+			in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
+
+			out, err := Enumerate(p, m, WithWorkers(4), WithInjector(in))
+			if err != nil {
+				t.Fatalf("%s/%s: fallback did not absorb injected panic: %v", p.Name, name, err)
+			}
+			if in.Count(faults.SiteLitmusShard) == 0 {
+				t.Fatalf("%s/%s: injection site never hit", p.Name, name)
+			}
+			assertSameOutcomes(t, p.Name, m.Name(), "degraded", Outcomes(p, m), out)
 		}
-		assertSameOutcomes(t, p.Name, m.Name(), "degraded", Outcomes(p, m), out)
 	}
 }
 
@@ -33,7 +40,7 @@ func TestFaultShardPanicFallsBackToSerial(t *testing.T) {
 func TestFaultShardPanicBecomesError(t *testing.T) {
 	p, m := MP(), x86tso.New()
 	shards := buildShards(mustCompile(p), 4)
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
 	out, err := runShard(p.Name, m, shards[0], 0, in)
@@ -55,7 +62,7 @@ func TestFaultShardPanicBecomesError(t *testing.T) {
 // structured, injected trap instead of being silently absorbed.
 func TestFaultShardPanicSerialPathSurfaces(t *testing.T) {
 	p, m := MP(), x86tso.New()
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
 	out, err := Enumerate(p, m, WithWorkers(1), WithInjector(in))
@@ -78,7 +85,7 @@ func TestFaultShardPanicSerialPathSurfaces(t *testing.T) {
 func TestFaultCacheSurvivesInjectedPanic(t *testing.T) {
 	p, m := SBQ(), x86tso.New()
 	c := NewCache()
-	in := faults.NewInjector(1)
+	in := faults.NewInjector()
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
 	first, err := Enumerate(p, m, WithCache(c), WithWorkers(4), WithInjector(in))

@@ -15,7 +15,7 @@ import (
 // promotion — with every table-served fetch compared against memory. Each
 // case also checks that the path it is named for actually ran.
 func TestDecodeTableCoherence(t *testing.T) {
-	miscompile := faults.NewInjector(1)
+	miscompile := faults.NewInjector()
 	miscompile.Arm(faults.SiteMiscompile, 3, faults.TrapMiscompile)
 
 	cases := []struct {

@@ -57,9 +57,9 @@ type RegistryEntry struct {
 }
 
 // Registry resolves model names to models. It replaces the constructor
-// switches that used to be copy-pasted across litmusctl, campaign and
-// faultmatrix: call sites hold a name (or a level) and the registry is the
-// single place that knows which Model answers to it.
+// switches that used to be copy-pasted across litmusctl and campaign: call
+// sites hold a name (or a level) and the registry is the single place that
+// knows which Model answers to it.
 //
 // Lookup keys are normalized — case and punctuation are ignored — so
 // "x86-TSO", "x86tso" and "X86_TSO" all resolve to the same entry.

@@ -1,7 +1,7 @@
 // Package models assembles the built-in memory models into the default
 // memmodel.Registry. It is the one place that knows every concrete model
-// package; everything else — CLIs, the campaign driver, the fault matrix,
-// the mapping matrix — resolves models by name or level through the
+// package; everything else — CLIs, the campaign driver, the mapping
+// matrix — resolves models by name or level through the
 // registry, so admitting a new model means one package plus one
 // registration line here.
 package models

@@ -1,6 +1,6 @@
 // Crash-triage bundles: when a trap survives every recovery attempt, the
 // runtime serializes everything needed to re-execute the run
-// deterministically — config, guest image, fault spec and seed, quarantine
+// deterministically — config, guest image, fault spec, quarantine
 // history, the faulting block's disassembly, CPU state, recent trace spans
 // and the counter snapshot — as one JSON document. `risotto -replay
 // bundle.json` rebuilds the run from it and must reproduce the identical
@@ -129,8 +129,8 @@ type TierUp struct {
 // ReplayOptions restores, every field here without naming any of them. A
 // knob that changes what a run does belongs in this struct; fields are in
 // bundle order. Older bundles also carry stack_size, max_steps and
-// max_heals, which only ever held what are now the runtime's constants;
-// decoding ignores them.
+// max_heals, which only ever held what are now the runtime's constants,
+// and fault_seed, which seeded nothing a run read; decoding ignores them.
 type Replay struct {
 	// MemSize is the machine memory size (default 32 MiB).
 	MemSize int `json:"mem_size"`
@@ -157,19 +157,17 @@ type Replay struct {
 	// to a translated block quarantines it — the block is invalidated in
 	// the code cache, its tier demoted one rung (full opts → no fence
 	// merging → no opts → TCG interpreter), and execution resumes — with
-	// a bounded number of recoveries per run. Off by default so the fault
-	// matrix keeps pinning every injected fault's undisguised trap.
+	// a bounded number of recoveries per run. Off by default so core's
+	// fault sweep keeps pinning every injected fault's undisguised trap.
 	SelfHeal bool `json:"self_heal,omitempty"`
 	// SelfCheck additionally shadow-executes every freshly translated
 	// block once against the TCG interpreter on a snapshot of CPU and
 	// memory state, and quarantines the block on any register, memory or
 	// exit divergence — runtime translation validation. Implies SelfHeal.
 	SelfCheck bool `json:"self_check,omitempty"`
-	// FaultSpec and FaultSeed are the fault injection the run was armed
-	// with (the -fault spec list and its seed); ReplayOptions rearms an
-	// injector from them.
+	// FaultSpec is the -fault spec list the run was armed with;
+	// ReplayOptions rearms an injector from it.
 	FaultSpec string `json:"fault,omitempty"`
-	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// WeakSeed, when non-nil, runs the simulated host in operational
 	// weak-memory mode (store buffers with out-of-order drain, seeded by
 	// the value) — the generated code's fences then actually constrain

@@ -218,7 +218,8 @@ func TestBundleRoundTrip(t *testing.T) {
 
 // TestOldBundleDecodes: bundles written while the stack size and the step
 // and heal limits were settable carry them as stack_size, max_steps and
-// max_heals. They still decode, to the same bundle.
+// max_heals, and ones written while the injector took a seed carry
+// fault_seed. They still decode, to the same bundle.
 func TestOldBundleDecodes(t *testing.T) {
 	b := testBundle()
 	data, err := b.Encode()
@@ -226,7 +227,7 @@ func TestOldBundleDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := bytes.Replace(data, []byte(`"quantum": 64,`),
-		[]byte(`"stack_size": 262144, "quantum": 64, "max_steps": 2000000000, "max_heals": 16,`), 1)
+		[]byte(`"stack_size": 262144, "quantum": 64, "max_steps": 2000000000, "max_heals": 16, "fault_seed": 1,`), 1)
 	if bytes.Equal(old, data) {
 		t.Fatal("quantum field not found in the encoding")
 	}

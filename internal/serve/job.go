@@ -32,12 +32,12 @@ type JobRequest struct {
 	// are clamped to the server's caps, and 0 means "the cap".
 	StepBudget uint64 `json:"step_budget,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
-	// Fault and FaultSeed arm a deterministic per-job injector
-	// (faults.ParseSpecs syntax). The injector persists across retry
-	// attempts, so a one-shot fault hit on attempt 1 leaves attempt 2
-	// clean — exactly the transient-fault shape retry exists for.
-	Fault     string `json:"fault,omitempty"`
-	FaultSeed int64  `json:"fault_seed,omitempty"`
+	// Fault arms a deterministic per-job injector (faults.ParseInjector
+	// syntax). The injector persists across retry attempts, so a one-shot
+	// fault hit on attempt 1 leaves attempt 2 clean — exactly the
+	// transient-fault shape retry exists for. Requests from older clients
+	// may also carry fault_seed, which seeded nothing and is ignored.
+	Fault string `json:"fault,omitempty"`
 }
 
 // Job statuses.
@@ -76,13 +76,11 @@ type resolvedJob struct {
 	stepBudget uint64
 	deadline   time.Duration
 	inj        *faults.Injector
-	faultSpec  string
-	faultSeed  int64
 }
 
 // resolve validates req into a runnable job. Errors here are the
-// client's fault (422): unknown kernel, undecodable image, bad variant
-// or fault spec.
+// client's fault (422): unknown kernel, a kernel too large for the
+// server's machines, undecodable image, bad variant or fault spec.
 func (s *Server) resolve(req *JobRequest) (*resolvedJob, error) {
 	j := &resolvedJob{variant: core.VariantRisotto}
 	switch {
@@ -99,20 +97,15 @@ func (s *Server) resolve(req *JobRequest) (*resolvedJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		threads, scale := req.Threads, req.Scale
-		if threads <= 0 {
-			threads = 1
+		threads, scale := max(req.Threads, 1), max(req.Scale, 1)
+		// A kernel runs its threads workers plus main, each on a stack.
+		room := core.GuestRoom(s.cfg.MemSize, threads+1)
+		if room == 0 {
+			return nil, fmt.Errorf("kernel %s: %d threads' stacks do not fit in a job's memory", req.Kernel, threads)
 		}
-		if scale <= 0 {
-			scale = 1
-		}
-		pb, err := k.Build(threads, scale)
+		img, err := buildKernel(k, threads, scale, room)
 		if err != nil {
-			return nil, fmt.Errorf("building kernel %s: %w", req.Kernel, err)
-		}
-		img, err := pb.BuildGuest("main")
-		if err != nil {
-			return nil, fmt.Errorf("building kernel %s: %w", req.Kernel, err)
+			return nil, fmt.Errorf("kernel %s at scale %d: %w", req.Kernel, scale, err)
 		}
 		j.img = img
 	default:
@@ -137,23 +130,59 @@ func (s *Server) resolve(req *JobRequest) (*resolvedJob, error) {
 			j.deadline = d
 		}
 	}
-	if req.Fault != "" {
-		specs, err := faults.ParseSpecs(req.Fault)
+	var err error
+	if j.inj, err = faults.ParseInjector(req.Fault); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// buildKernel builds k at threads × scale, refusing before the build a
+// scale whose image would not end below room. Every kernel's image grows
+// with scale linearly, quadratically (matrixmultiply) or not at all, so
+// the line through the image ends at scales p/2 and p never overshoots
+// the end at a larger scale. buildKernel builds at scale 1, 2, 4, … and
+// stops as soon as that line crosses room at the requested scale, or a
+// build ends past room: however large the scale a request asks for, the
+// builds it causes stay near room in size. Once two doublings grow the
+// image by the same slope it grows linearly, the line is exact, and the
+// next build is the requested scale.
+func buildKernel(k workloads.Kernel, threads, scale int, room uint64) (*guestimg.Image, error) {
+	tooBig := fmt.Errorf("image does not fit below %#x, the memory a job has for it", room)
+	var prevEnd, prevSlope uint64
+	prevScale := 0
+	for p := 1; ; {
+		pb, err := k.Build(threads, p)
 		if err != nil {
 			return nil, err
 		}
-		seed := req.FaultSeed
-		if seed == 0 {
-			seed = 1
+		img, err := pb.BuildGuest("main")
+		if err != nil {
+			return nil, err
 		}
-		j.inj = faults.NewInjector(seed)
-		for _, sp := range specs {
-			sp.Arm(j.inj)
+		end := img.MaxAddr()
+		if end > room {
+			return nil, tooBig
 		}
-		j.faultSpec = req.Fault
-		j.faultSeed = seed
+		if p == scale {
+			return img, nil
+		}
+		next := min(2*p, scale)
+		if prevScale > 0 {
+			var slope uint64
+			if end > prevEnd {
+				slope = (end - prevEnd) / uint64(p-prevScale)
+			}
+			if slope > 0 && (room-end)/slope < uint64(scale-p) {
+				return nil, tooBig
+			}
+			if prevScale > 1 && slope == prevSlope {
+				next = scale
+			}
+			prevSlope = slope
+		}
+		prevEnd, prevScale, p = end, p, next
 	}
-	return j, nil
 }
 
 // runJob executes a resolved job on the worker's machine *m (nil: a new
@@ -240,7 +269,7 @@ func (s *Server) runOnce(req *JobRequest, j *resolvedJob, m **machine.Machine) (
 		core.WithDeadline(j.deadline),
 		core.WithSelfHeal(true),
 		core.WithFaults(j.inj),
-		core.WithProvenance(req.Kernel, j.faultSpec, j.faultSeed),
+		core.WithProvenance(req.Kernel, req.Fault),
 		core.WithTierUp(s.cfg.TierUp),
 		core.WithMachine(*m),
 	}

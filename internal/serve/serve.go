@@ -83,9 +83,11 @@ type Config struct {
 	// Obs is the root scope; the server instruments under a "serve"
 	// child. Nil disables instrumentation.
 	Obs *obs.Scope
-	// Seed seeds retry jitter (0 = 1).
-	Seed int64
 }
+
+// jitterSeed seeds retry jitter, so a server's backoff sequence is the
+// same from run to run.
+const jitterSeed = 1
 
 // Default returns the serviceable baseline configuration.
 func Default() Config {
@@ -143,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.DeadlineCap <= 0 {
 		c.DeadlineCap = d.DeadlineCap
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -192,7 +191,7 @@ func New(cfg Config) *Server {
 		tenants:     make(map[string]*tenant),
 		queueSlots:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workerSlots: make(chan *machine.Machine, cfg.Workers),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(jitterSeed)),
 		met: metrics{
 			jobs:              sc.Counter("jobs"),
 			jobsOK:            sc.Counter("jobs_ok"),

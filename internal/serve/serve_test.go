@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/transcache"
+	"repro/internal/workloads"
 )
 
 // spinImage builds a guest that loops forever — the hostile live-looper
@@ -65,6 +67,12 @@ func (ts *testServer) submit(t *testing.T, req JobRequest) (int, JobResponse, st
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ts.post(t, body)
+}
+
+// post is submit with the request body as given.
+func (ts *testServer) post(t *testing.T, body []byte) (int, JobResponse, string) {
+	t.Helper()
 	resp, err := http.Post(ts.hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +94,18 @@ func (ts *testServer) counter(name string) uint64 {
 	return ts.scope.Snapshot().Counters[name]
 }
 
+// normalized renders jr without the fields that differ between identical
+// runs.
+func normalized(t *testing.T, jr JobResponse) string {
+	t.Helper()
+	jr.JobID, jr.DurationMS = 0, 0
+	b, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestCleanJob(t *testing.T) {
 	ts := startServer(t, Config{Workers: 2})
 	code, jr, _ := ts.submit(t, JobRequest{Tenant: "a", Kernel: "histogram"})
@@ -94,6 +114,73 @@ func TestCleanJob(t *testing.T) {
 	}
 	if jr.Attempts != 1 {
 		t.Fatalf("clean job took %d attempts", jr.Attempts)
+	}
+
+	// Older clients send fault_seed, which seeded nothing: the request is
+	// accepted and answered as if the field were absent.
+	req := `{"tenant": "b", "kernel": "histogram", "fault": "step-budget@2"`
+	_, without, _ := ts.post(t, []byte(req+`}`))
+	code, with, msg := ts.post(t, []byte(req+`, "fault_seed": 7}`))
+	if code != http.StatusOK || with.Status != StatusTrap {
+		t.Fatalf("job with fault_seed: HTTP %d, status %q (%s), want a trap", code, with.Status, msg)
+	}
+	if normalized(t, with) != normalized(t, without) {
+		t.Errorf("fault_seed changed the response:\n%s\nwithout it\n%s", normalized(t, with), normalized(t, without))
+	}
+}
+
+// TestKernelSizeAdmission: a kernel whose image could not fit a job's
+// memory, or whose threads' stacks alone do not, is refused with 422
+// before the server builds it; every kernel at its default size runs.
+func TestKernelSizeAdmission(t *testing.T) {
+	ts := startServer(t, Config{Workers: 1})
+	for _, req := range []JobRequest{
+		{Tenant: "a", Kernel: "histogram", Scale: 10000},    // a 327 MB image
+		{Tenant: "a", Kernel: "matrixmultiply", Scale: 600}, // 5 GB: grows with scale²
+		{Tenant: "a", Kernel: "histogram", Threads: 100000},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, _, msg := ts.submit(t, req)
+		runtime.ReadMemStats(&after)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(msg, "fit") {
+			t.Errorf("%s scale %d threads %d: HTTP %d (%s), want 422", req.Kernel, req.Scale, req.Threads, code, msg)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 8<<20 {
+			t.Errorf("%s scale %d threads %d: refusing it allocated %d MB", req.Kernel, req.Scale, req.Threads, d>>20)
+		}
+	}
+	for _, k := range workloads.Registry() {
+		if code, jr, msg := ts.submit(t, JobRequest{Tenant: "a", Kernel: k.Name}); code != http.StatusOK || jr.Status != StatusOK {
+			t.Errorf("%s at its default size: HTTP %d, status %q (%s%s)", k.Name, code, jr.Status, msg, jr.Error)
+		}
+	}
+}
+
+// TestBuildKernelBound: with room set to a kernel's image end at scale 4,
+// buildKernel builds scale 4 and refuses scale 5 exactly when scale 5's
+// image ends past room.
+func TestBuildKernelBound(t *testing.T) {
+	for _, k := range workloads.Registry() {
+		end := func(scale int) uint64 {
+			pb, err := k.Build(2, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := pb.BuildGuest("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return img.MaxAddr()
+		}
+		room := end(4)
+		if _, err := buildKernel(k, 2, 4, room); err != nil {
+			t.Errorf("%s: scale 4 refused with room for it: %v", k.Name, err)
+		}
+		_, err := buildKernel(k, 2, 5, room)
+		if fits := end(5) <= room; fits != (err == nil) {
+			t.Errorf("%s: scale 5 fits = %v, buildKernel error = %v", k.Name, fits, err)
+		}
 	}
 }
 
@@ -187,14 +274,6 @@ func TestReusedWorkerMachine(t *testing.T) {
 		{Kernel: "kmeans"},
 		{Kernel: "histogram", Threads: 2},
 	}
-	normalize := func(jr JobResponse) string {
-		jr.JobID, jr.DurationMS = 0, 0
-		b, err := json.Marshal(jr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
 	seen := map[*machine.Machine]bool{}
 	var prev *machine.Machine
 	panics := 0
@@ -202,8 +281,8 @@ func TestReusedWorkerMachine(t *testing.T) {
 		req.Tenant = "a"
 		_, got, _ := ts.submit(t, req)
 		_, want, _ := startServer(t, cfg).submit(t, req)
-		if normalize(got) != normalize(want) {
-			t.Errorf("job %d (%s): reused worker answered\n%s\nfresh server\n%s", i, req.Kernel, normalize(got), normalize(want))
+		if normalized(t, got) != normalized(t, want) {
+			t.Errorf("job %d (%s): reused worker answered\n%s\nfresh server\n%s", i, req.Kernel, normalized(t, got), normalized(t, want))
 		}
 		panicked := req.Fault != ""
 		attempts := 1
@@ -585,7 +664,7 @@ func TestInjectedCacheCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.jsonl")
 
-	inj := faults.NewInjector(1)
+	inj := faults.NewInjector()
 	inj.Arm(faults.SiteCacheCorrupt, 1, faults.TrapMiscompile)
 	cache, err := transcache.Open(path, transcache.Options{Injector: inj})
 	if err != nil {

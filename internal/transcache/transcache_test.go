@@ -224,7 +224,7 @@ func TestTornTailTruncated(t *testing.T) {
 // bad checksum; reopen must skip exactly that entry.
 func TestInjectedCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	inj := faults.NewInjector(1)
+	inj := faults.NewInjector()
 	inj.Arm(faults.SiteCacheCorrupt, 2, faults.TrapMiscompile)
 	c, err := Open(path, Options{Injector: inj})
 	if err != nil {

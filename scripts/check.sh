@@ -8,13 +8,21 @@
 # concurrent subsystems — the
 # race detector over the packages that exercise them, and over the two other
 # packages that start goroutines: campaign (its worker pipeline) and serve
-# (admission queues, circuit breakers). A one-iteration bench smoke keeps
+# (admission queues, circuit breakers). The fault stages run every Fault
+# test, among them core's fault sweep (each known-answer guest under every
+# -fault name against testdata/fault_sweep.golden), plain and under the
+# race detector. Every package under internal/ with non-test Go files must
+# have a non-test importer in the module, perf/ or examples/: a package
+# only its own tests use is code nothing runs (internal/faultmatrix holds
+# tests only and is skipped). A one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The
 # explore stages pin the operational exploration engine: DPOR must reach
 # every allowed SB outcome, budget-exhausted traces must replay
 # byte-identically, and a corpus walk plus a ≥500-test generated campaign
-# must find zero axiomatic-disallowed outcomes. The litmusctl fault smoke
+# must find zero axiomatic-disallowed outcomes. The daemon smoke also
+# submits a kernel too large for a job's memory, which must be refused
+# with 422 before the daemon builds it. The litmusctl fault smoke
 # also hands `litmusctl run` a test that reads a register nothing assigned
 # and requires it to be refused by name. The examples stage runs the
 # five programs under examples/ and checks that weakhost and litmus still
@@ -75,6 +83,11 @@ memw='\.Mem\[[^]]*\] *([-+*/|&^]?=[^=]|\+\+|--)|copy\([^,]*\.Mem\b|PutUint(16|32
 if grep -nE "$memw" $mem_src >&2; then echo "a write into Mem outside internal/machine: use (*machine.Machine).Write" >&2; exit 1; fi
 if grep -rn --include='*.go' 'InvalidateDecode' cmd internal examples perf >&2; then echo "decode invalidation by hand: the machine's writer does it" >&2; exit 1; fi
 
+stage "every internal package has a non-test importer (module, perf/, examples/)"
+imported=$( { go list -f '{{join .Imports "\n"}}' ./...; (cd perf && go list -f '{{join .Imports "\n"}}' ./...); } | sort -u)
+unimported=$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -vxF "$imported" || true)
+[ -z "$unimported" ] || { echo "internal packages no non-test code imports:" >&2; echo "$unimported" >&2; exit 1; }
+
 stage "go vet ./..."
 go vet ./...
 
@@ -103,11 +116,11 @@ go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/...
 stage "go test -race -count=1 ./internal/campaign/ ./internal/serve/"
 go test -race -count=1 ./internal/campaign/ ./internal/serve/
 
-stage "fault matrix: go test ./... -run Fault -count=1"
+stage "fault tests: go test ./... -run Fault -count=1"
 go test ./... -run Fault -count=1
 
-stage "fault matrix (race): go test -race ./internal/faultmatrix/ ./internal/core/ -run Fault -count=1"
-go test -race ./internal/faultmatrix/ ./internal/core/ -run Fault -count=1
+stage "fault tests (race): go test -race ./internal/core/ -run Fault -count=1"
+go test -race ./internal/core/ -run Fault -count=1
 
 stage "litmusctl fault smoke"
 "$litmusctl" -workers 4 -fault cache-exhaust corpus >/dev/null
@@ -245,6 +258,12 @@ code=0
 [ "$code" -eq 3 ] || { echo "step-budget daemon job exited $code, want 3" >&2; exit 1; }
 grep -q '"bundle"' "$SH_TMP/trap.json" \
 	|| { echo "trapped daemon job carries no crash bundle" >&2; exit 1; }
+code=0 t0=$SECONDS
+"$risottod" -submit -addr "$ADDR" -tenant smoke -kernel histogram -scale 100000 \
+	>"$SH_TMP/big.json" 2>&1 || code=$?
+[ "$code" -eq 1 ] && grep -q 'HTTP 422' "$SH_TMP/big.json" && grep -q 'does not fit' "$SH_TMP/big.json" \
+	|| { echo "oversized daemon job was not refused with 422 (exit $code)" >&2; cat "$SH_TMP/big.json" >&2; exit 1; }
+[ $((SECONDS - t0)) -le 5 ] || { echo "refusing the oversized daemon job took $((SECONDS - t0))s" >&2; exit 1; }
 "$risottod" -snapshot -addr "$ADDR" | "$obsvalidate" >/dev/null \
 	|| { echo "daemon metrics snapshot failed validation" >&2; exit 1; }
 kill -TERM "$DAEMON"
