@@ -14,35 +14,16 @@ import (
 	"repro/internal/opcheck"
 )
 
-// exploreCorpus lists every named corpus test the exploration engine can
-// be pointed at by name. Tests outside the compilable subset are skipped
-// at run time (opcheck.ErrUnsupported), not excluded here.
-func exploreCorpus() []*litmus.Program {
-	return []*litmus.Program{
-		litmus.MP(), litmus.SB(), litmus.SBFenced(), litmus.LB(), litmus.S(),
-		litmus.R(), litmus.RFenced(), litmus.TwoPlusTwoW(), litmus.CoRR(),
-		litmus.CoWW(), litmus.CoWR(), litmus.MPAddr(), litmus.LBAddr(),
-		litmus.IRIW(), litmus.IRIWFenced(), litmus.WRC(), litmus.ISA2(),
-		litmus.RWC(), litmus.RWCFenced(), litmus.MPQ(), litmus.SBQ(),
-		litmus.SBAL(), litmus.SBALArm(), litmus.MPArm(), litmus.MPArmDMB(),
-	}
-}
-
-// resolveTests maps positional arguments to programs: a known corpus test
-// name (case-insensitive) or a .lit file path. No arguments = the whole
+// resolveTests maps positional arguments to programs: a named corpus test
+// (litmus.Lookup) or a .lit file path. No arguments = the whole named
 // corpus.
 func resolveTests(args []string) ([]*litmus.Program, error) {
-	corpus := exploreCorpus()
 	if len(args) == 0 {
-		return corpus, nil
-	}
-	byName := make(map[string]*litmus.Program, len(corpus))
-	for _, p := range corpus {
-		byName[strings.ToLower(p.Name)] = p
+		return litmus.Named(), nil
 	}
 	var out []*litmus.Program
 	for _, a := range args {
-		if p, ok := byName[strings.ToLower(a)]; ok {
+		if p, ok := litmus.Lookup(a); ok {
 			out = append(out, p)
 			continue
 		}
@@ -77,32 +58,24 @@ func exploreCmd(args []string) bool {
 		os.Exit(2)
 	}
 	mode := fs.String("mode", "walk", "exploration mode: walk, dpor, or replay")
-	seeds := fs.Int("seeds", 0, "random walks per test (walk mode; 0 = 16)")
-	seed := fs.Int64("seed", 0, "base seed for walk mode")
+	seeds := fs.Int("seeds", 0, "random walks per test, walks 0..N-1 (walk mode; 0 = 16)")
 	maxStates := fs.Int("max-states", 0, "transition budget per test (0 = 1<<20); exhaustion = partial verdict")
-	stepBudget := fs.Int("step-budget", 0, "per-walk transition cap (0 = 4096)")
 	deadline := fs.Duration("deadline", 0, "wall-clock watchdog per test (0 = off)")
-	model := fs.String("model", "", "axiomatic reference for the differential (default op-ref)")
-	outFile := fs.String("out", "", "soak results file (JSONL); enables -resume")
-	resume := fs.Bool("resume", false, "resume an interrupted soak from -out (same config required)")
 	traceFile := fs.String("trace", "", "replay mode: trace file to re-execute")
 	traceOut := fs.String("trace-out", "", "write the first violation/partial trace here")
 	fs.Parse(args)
 
 	cfg := explore.Config{
-		Mode:       explore.Mode(*mode),
-		Seeds:      *seeds,
-		Seed:       *seed,
-		MaxStates:  *maxStates,
-		StepBudget: *stepBudget,
-		Deadline:   *deadline,
-		Model:      *model,
-		Obs:        cf.Scope(),
+		Mode:      explore.Mode(*mode),
+		Seeds:     *seeds,
+		MaxStates: *maxStates,
+		Deadline:  *deadline,
+		Obs:       cf.Scope(),
 	}
 
 	switch cfg.Mode {
 	case "replay":
-		return replayCmd(*traceFile, fs.Args(), cfg)
+		return replayCmd(*traceFile, fs.Args())
 	case explore.ModeWalk, explore.ModeDPOR:
 	default:
 		fmt.Fprintf(os.Stderr, "litmusctl: unknown explore mode %q (want walk, dpor or replay)\n", *mode)
@@ -113,17 +86,6 @@ func exploreCmd(args []string) bool {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmusctl:", err)
 		os.Exit(2)
-	}
-
-	if *outFile != "" {
-		soak, err := explore.RunFile(tests, cfg, *outFile, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "litmusctl:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "explore: %d tests (%d resumed) → %d violations, %d partial → %s\n",
-			soak.Tests, soak.Resumed, soak.Violations, soak.Partial, *outFile)
-		return soak.Violations > 0
 	}
 
 	failed := false
@@ -181,7 +143,7 @@ func exploreCmd(args []string) bool {
 
 // replayCmd re-executes a recorded trace and byte-compares the re-recorded
 // trace against the original — the reproducibility contract.
-func replayCmd(path string, args []string, cfg explore.Config) bool {
+func replayCmd(path string, args []string) bool {
 	if path == "" {
 		fmt.Fprintln(os.Stderr, "litmusctl: replay mode needs -trace FILE")
 		os.Exit(2)
@@ -197,7 +159,7 @@ func replayCmd(path string, args []string, cfg explore.Config) bool {
 		os.Exit(1)
 	}
 	// The program comes from the positional argument when given, else the
-	// trace header's test name resolved against the corpus.
+	// trace header's test name resolved against the named corpus.
 	lookup := args
 	if len(lookup) == 0 {
 		lookup = []string{tr.Header.Test}
@@ -207,7 +169,7 @@ func replayCmd(path string, args []string, cfg explore.Config) bool {
 		fmt.Fprintln(os.Stderr, "litmusctl:", err)
 		os.Exit(1)
 	}
-	replayed, err := explore.Replay(tests[0], tr, cfg)
+	replayed, err := explore.Replay(tests[0], tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmusctl: replay:", err)
 		os.Exit(1)

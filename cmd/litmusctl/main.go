@@ -217,14 +217,8 @@ func corpus() {
 }
 
 func outcomes(name string) {
-	var prog *litmus.Program
-	for _, p := range litmus.X86Corpus() {
-		if p.Name == name {
-			prog = p
-			break
-		}
-	}
-	if prog == nil {
+	prog, ok := litmus.Lookup(name)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "litmusctl: unknown test %q (see 'corpus')\n", name)
 		os.Exit(1)
 	}

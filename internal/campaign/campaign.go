@@ -81,9 +81,11 @@ func (cfg Config) workers() int {
 func (cfg Config) Hash() string {
 	h := fmt.Sprintf("%s/op%d", cfg.Gen.Hash(), cfg.opcheckSeeds())
 	if cfg.ExploreSeeds > 0 {
-		// Appended only when enabled so pre-existing results files keep
-		// their hashes and stay resumable.
-		h += fmt.Sprintf("/ex%d", cfg.ExploreSeeds)
+		// Appended only when enabled, so results files without an explore
+		// leg keep their hashes and stay resumable. Files whose explore leg
+		// drew walks from the old overlapping seed sequence carry "/ex%d"
+		// and are refused: their verdicts came from another walk set.
+		h += fmt.Sprintf("/walk%d", cfg.ExploreSeeds)
 	}
 	return h
 }

@@ -220,6 +220,24 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsOldExploreLeg: a results file whose explore leg drew its
+// walks from the old overlapping seed sequence (hash suffix "/ex4") must not
+// be resumed into one drawing walks 0..3, or the merged file would mix
+// verdicts of two samplers under one hash.
+func TestResumeRejectsOldExploreLeg(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.ExploreSeeds = 4
+	old := fmt.Sprintf("%s/op%d/ex4", cfg.Gen.Hash(), cfg.opcheckSeeds())
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	hdr := fmt.Sprintf("{\"format\":%q,\"config_hash\":%q}\n", FormatV1, old)
+	if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFile(cfg, path, true); err == nil {
+		t.Fatalf("resumed a %q results file under %q, want refusal", old, cfg.Hash())
+	}
+}
+
 // TestCampaignExploreCheck runs a campaign with the exploration soak
 // enabled: the explore check must actually run (not all skip), find zero
 // op-ref violations, and change the config hash only when enabled.

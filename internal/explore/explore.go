@@ -13,9 +13,9 @@
 // store buffer or steps a CPU; three drivers choose among the transitions
 // the machine lists:
 //
-//   - walk: seeded random walks (machine.Walk), one outcome sample per
-//     seed — the soak regime, cheap enough to ride along every campaign
-//     test;
+//   - walk: seeded random walks, one outcome sample per seed — walk i is
+//     opcheck's walk i (Compiled.Walk), cheap enough to ride along every
+//     campaign test;
 //   - dpor: exhaustive depth-first enumeration with sleep-set dynamic
 //     partial-order reduction (commuting transitions — different CPUs or
 //     non-overlapping drains, disjoint global footprints — are explored
@@ -37,8 +37,7 @@ import (
 
 	"repro/internal/litmus"
 	"repro/internal/machine"
-	"repro/internal/memmodel"
-	"repro/internal/models"
+	"repro/internal/models/opref"
 	"repro/internal/obs"
 	"repro/internal/opcheck"
 )
@@ -56,23 +55,15 @@ const (
 type Config struct {
 	// Mode selects the driver; empty defaults to ModeWalk.
 	Mode Mode
-	// Seeds is the number of random walks (walk mode); 0 = 16.
+	// Seeds is the number of random walks (walk mode: walks 0..Seeds-1);
+	// 0 = 16.
 	Seeds int
-	// Seed offsets the walk seed sequence (walk i uses Seed+i).
-	Seed int64
 	// MaxStates bounds the total transitions executed by one exploration
 	// (all modes); exhaustion yields a partial verdict. 0 = 1<<20.
 	MaxStates int
-	// StepBudget bounds a single run's transition count (walk mode: a
-	// livelocked program must not hang the soak). 0 = 4096.
-	StepBudget int
 	// Deadline is the wall-clock watchdog for the whole exploration;
 	// 0 disables it. Expiry yields a partial verdict.
 	Deadline time.Duration
-	// Model names the axiomatic reference for the differential; empty
-	// defaults to "op-ref", the machine's exact twin (full coverage is
-	// only a meaningful demand against it).
-	Model string
 	// Obs receives counters and the coverage gauge under its "explore"
 	// child scope; nil disables instrumentation.
 	Obs *obs.Scope
@@ -97,33 +88,6 @@ func (cfg Config) maxStates() int {
 		return 1 << 20
 	}
 	return cfg.MaxStates
-}
-
-func (cfg Config) stepBudget() int {
-	if cfg.StepBudget <= 0 {
-		return 4096
-	}
-	return cfg.StepBudget
-}
-
-func (cfg Config) modelName() string {
-	if cfg.Model == "" {
-		return "op-ref"
-	}
-	return cfg.Model
-}
-
-func (cfg Config) model() (memmodel.Model, error) {
-	return models.Default().Lookup(cfg.modelName())
-}
-
-// Hash identifies the configuration for soak-file resume validation:
-// every knob that changes what a record means. ("mi10000" is the machine's
-// invisible-instruction bound, a knob once; it stays so that existing soak
-// files resume.)
-func (cfg Config) Hash() string {
-	return fmt.Sprintf("%s/s%d+%d/ms%d/sb%d/mi10000/%s",
-		cfg.mode(), cfg.seeds(), cfg.Seed, cfg.maxStates(), cfg.stepBudget(), cfg.modelName())
 }
 
 // Violation is an operational behaviour the axiomatic reference forbids
@@ -179,26 +143,27 @@ func (r *Result) Full() bool {
 	return !r.Partial && len(r.Violations) == 0 && r.Covered == r.Allowed
 }
 
-// Run explores p under cfg and checks it differentially against the
-// configured axiomatic reference. Programs outside the compilable subset
-// return opcheck.ErrUnsupported (callers skip, as with opcheck itself).
+// Run explores p under cfg and checks it differentially against op-ref.
+// Programs outside the compilable subset return opcheck.ErrUnsupported
+// (callers skip, as with opcheck itself).
 func Run(p *litmus.Program, cfg Config) (*Result, error) {
 	c, err := opcheck.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	m, err := cfg.model()
+	allowed, err := reference(p)
 	if err != nil {
 		return nil, err
 	}
-	allowed, err := litmus.Enumerate(p, m, litmus.WithWorkers(1))
-	if err != nil {
-		return nil, fmt.Errorf("explore: enumerating %q under %s: %w", p.Name, m.Name(), err)
-	}
 
+	m, err := c.NewMachine()
+	if err != nil {
+		return nil, err
+	}
 	e := &explorer{
 		cfg:      cfg,
 		compiled: c,
+		m:        m,
 		allowed:  allowed,
 		observed: make(map[litmus.Outcome]bool),
 		res:      &Result{Test: p.Name, Mode: cfg.mode()},
@@ -221,6 +186,17 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 	return e.res, nil
 }
 
+// reference enumerates p's outcomes under op-ref, the machine's exact
+// axiomatic twin: the one model against which full coverage is a
+// meaningful demand.
+func reference(p *litmus.Program) (litmus.OutcomeSet, error) {
+	allowed, err := litmus.Enumerate(p, opref.New(), litmus.WithWorkers(1))
+	if err != nil {
+		return nil, fmt.Errorf("explore: enumerating %q under op-ref: %w", p.Name, err)
+	}
+	return allowed, nil
+}
+
 // explorer is the shared state of one Run.
 type explorer struct {
 	cfg      Config
@@ -230,31 +206,33 @@ type explorer struct {
 	res      *Result
 	sc       *obs.Scope
 	deadline time.Time
-	// m is the Run's one machine; every run starts on it through restart.
+	// m is the Run's one machine; every DPOR run starts on it through
+	// restart, every walk through opcheck's Walk.
 	m *machine.Machine
 }
 
-// restart returns the Run's machine in the program's initial state: built
-// on the first call, reset in place on every later one.
+// restart returns the Run's machine reset in place to the program's
+// initial state.
 func (e *explorer) restart() (*machine.Machine, error) {
-	if e.m != nil {
-		return e.m, e.compiled.Reset(e.m)
+	return e.m, e.compiled.Reset(e.m)
+}
+
+// expired names the global budget that has run out, or returns "".
+func (e *explorer) expired() string {
+	switch {
+	case e.res.States >= e.cfg.maxStates():
+		return fmt.Sprintf("state budget %d exhausted", e.cfg.maxStates())
+	case !e.deadline.IsZero() && time.Now().After(e.deadline):
+		return fmt.Sprintf("deadline %v exceeded", e.cfg.Deadline)
 	}
-	m, err := e.compiled.NewMachine()
-	e.m = m
-	return m, err
+	return ""
 }
 
 // cut reports whether a global budget has expired, recording the partial
 // verdict (first reason wins) with the current decision path.
 func (e *explorer) cut(path []machine.Transition) bool {
-	var reason string
-	switch {
-	case e.res.States >= e.cfg.maxStates():
-		reason = fmt.Sprintf("state budget %d exhausted", e.cfg.maxStates())
-	case !e.deadline.IsZero() && time.Now().After(e.deadline):
-		reason = fmt.Sprintf("deadline %v exceeded", e.cfg.Deadline)
-	default:
+	reason := e.expired()
+	if reason == "" {
 		return false
 	}
 	if !e.res.Partial {
@@ -347,34 +325,32 @@ func independent(a, b footprint) bool {
 
 // --- Random walk --------------------------------------------------------------
 
-// runWalks samples one outcome per seed: at every state, pick uniformly
-// among the enabled transitions. Each walk is bounded by StepBudget and
-// the global budgets; a cut walk contributes its partial trace and no
-// outcome.
+// runWalks samples one outcome per seed: walks 0..Seeds-1 of
+// opcheck.Compiled.Walk, the sampler opcheck.Observe draws from. Each walk
+// is bounded by opcheck.WalkSteps and the global budgets; a cut walk
+// contributes its partial trace and no outcome.
 func (e *explorer) runWalks() {
 	for i := 0; i < e.cfg.seeds(); i++ {
-		if !e.walk(uint64(e.cfg.Seed) + uint64(i)*0x9E3779B97F4A7C15) {
+		if !e.walk(i) {
 			return
 		}
 	}
 }
 
-// walk runs one seeded walk; false means a global budget expired.
-func (e *explorer) walk(seed uint64) bool {
-	m, err := e.restart()
-	if err != nil {
-		e.trapped(nil, err)
-		return true
-	}
+// walk runs walk seed; false means a global budget expired.
+func (e *explorer) walk(seed int) bool {
+	m := e.m
 	var path []machine.Transition
 	cut := false
-	halted, err := m.Walk(seed, e.cfg.stepBudget(), func(t machine.Transition, err error) bool {
+	halted, err := e.compiled.Walk(m, seed, func(t machine.Transition, err error) bool {
 		path = append(path, t)
 		if err != nil {
 			return false
 		}
 		e.res.States++
-		cut = e.cut(path)
+		// A walk whose last transition spends the budget is complete,
+		// not cut: its path replays to an outcome.
+		cut = e.expired() != "" && len(m.Enabled(nil)) > 0 && e.cut(path)
 		return !cut
 	})
 	switch {
@@ -390,7 +366,7 @@ func (e *explorer) walk(seed uint64) bool {
 		// Per-run watchdog: record the cut path once, keep walking other
 		// seeds (the global budgets still bound the soak).
 		e.res.Partial = true
-		e.res.PartialReason = fmt.Sprintf("walk step budget %d exhausted", e.cfg.stepBudget())
+		e.res.PartialReason = fmt.Sprintf("walk step budget %d exhausted", opcheck.WalkSteps)
 		e.res.PartialTrace = path
 	}
 	return true

@@ -142,8 +142,8 @@ func TestWalkSoundOnCorpus(t *testing.T) {
 // TestWalkDeterministicPerSeed: the same seed must produce the same
 // run — the property that makes the soak reproducible without traces.
 func TestWalkDeterministicPerSeed(t *testing.T) {
-	a := run(t, litmus.SB(), Config{Mode: ModeWalk, Seeds: 8, Seed: 7})
-	b := run(t, litmus.SB(), Config{Mode: ModeWalk, Seeds: 8, Seed: 7})
+	a := run(t, litmus.SB(), Config{Mode: ModeWalk, Seeds: 8})
+	b := run(t, litmus.SB(), Config{Mode: ModeWalk, Seeds: 8})
 	if strings.Join(outcomes(a), "|") != strings.Join(outcomes(b), "|") || a.States != b.States {
 		t.Fatalf("same-seed walks diverged: %v/%d vs %v/%d", a.Observed, a.States, b.Observed, b.States)
 	}
@@ -206,7 +206,7 @@ func TestReplayByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := Replay(p, decoded, Config{})
+	replayed, err := Replay(p, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestReplayByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := Replay(p, &partial, Config{})
+	rp, err := Replay(p, &partial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,62 +258,34 @@ func TestBudgetYieldsPartialNotHang(t *testing.T) {
 	if tr.Final.Verdict != VerdictPartial {
 		t.Fatalf("trace verdict %q, want partial", tr.Final.Verdict)
 	}
-	if _, err := Replay(litmus.SB(), &tr, Config{}); err != nil {
+	if _, err := Replay(litmus.SB(), &tr); err != nil {
 		t.Fatalf("partial trace does not replay: %v", err)
 	}
 }
 
-// TestSoakFileResume: killing a soak between records and resuming must
-// produce the same merged record set as an uninterrupted run, and a
-// config change must refuse to resume.
-func TestSoakFileResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "soak.jsonl")
-	tests := []*litmus.Program{litmus.MP(), litmus.SB(), litmus.LB()}
-	cfg := Config{Mode: ModeWalk, Seeds: 4}
-
-	// First leg: only the first test.
-	if _, err := RunFile(tests[:1], cfg, path, false); err != nil {
-		t.Fatal(err)
+// TestWalkBudgetCutsOnlyUnfinishedWalks: a state budget that a walk's last
+// transition spends leaves the walk complete, and one transition less cuts
+// it with a trace that replays byte-identically as partial.
+func TestWalkBudgetCutsOnlyUnfinishedWalks(t *testing.T) {
+	p := litmus.MP()
+	n := run(t, p, Config{Mode: ModeWalk, Seeds: 1}).States
+	if res := run(t, p, Config{Mode: ModeWalk, Seeds: 1, MaxStates: n}); res.Partial || res.Runs != 1 {
+		t.Fatalf("budget %d = the walk's length: partial=%v runs=%d, want a complete walk", n, res.Partial, res.Runs)
 	}
-	// Simulate a torn final line.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	res := run(t, p, Config{Mode: ModeWalk, Seeds: 1, MaxStates: n - 1})
+	tr, ok := res.FirstTrace()
+	if !ok || tr.Final.Verdict != VerdictPartial {
+		t.Fatalf("budget %d: no partial trace (partial=%v)", n-1, res.Partial)
+	}
+	want, err := EncodeTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"test":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	soak, err := RunFile(tests, cfg, path, true)
+	replayed, err := Replay(p, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if soak.Resumed != 1 || soak.Tests != 2 {
-		t.Fatalf("resume ran %d tests, skipped %d; want 2 and 1", soak.Tests, soak.Resumed)
-	}
-	data, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer data.Close()
-	_, recs, err := ReadSoak(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("merged file has %d records, want 3: %+v", len(recs), recs)
-	}
-	for i, p := range tests {
-		if recs[i].Test != p.Name {
-			t.Fatalf("record %d is %q, want %q", i, recs[i].Test, p.Name)
-		}
-	}
-
-	other := cfg
-	other.Seeds = 5
-	if _, err := RunFile(tests, other, path, true); err == nil {
-		t.Fatal("resume with a different config must be refused")
+	if got, err := EncodeTrace(*replayed); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("cut walk does not replay byte-identically (%v):\n%s\nvs\n%s", err, want, got)
 	}
 }

@@ -17,18 +17,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explore.golden")
 
-// goldenCorpus is every named corpus test litmusctl explore accepts, then
-// the .lit corpus under internal/models, labelled by file name.
+// goldenCorpus is every named corpus test (litmus.Named), then the .lit
+// corpus under internal/models, labelled by file name.
 func goldenCorpus(t *testing.T) (labels []string, progs []*litmus.Program) {
 	t.Helper()
-	for _, p := range []*litmus.Program{
-		litmus.MP(), litmus.SB(), litmus.SBFenced(), litmus.LB(), litmus.S(),
-		litmus.R(), litmus.RFenced(), litmus.TwoPlusTwoW(), litmus.CoRR(),
-		litmus.CoWW(), litmus.CoWR(), litmus.MPAddr(), litmus.LBAddr(),
-		litmus.IRIW(), litmus.IRIWFenced(), litmus.WRC(), litmus.ISA2(),
-		litmus.RWC(), litmus.RWCFenced(), litmus.MPQ(), litmus.SBQ(),
-		litmus.SBAL(), litmus.SBALArm(), litmus.MPArm(), litmus.MPArmDMB(),
-	} {
+	for _, p := range litmus.Named() {
 		labels, progs = append(labels, p.Name), append(progs, p)
 	}
 	files, err := filepath.Glob("../models/*/testdata/*.lit")
@@ -135,5 +128,29 @@ func TestExploreGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s has %d lines, the sweep %d", golden, len(wl), len(gl))
+	}
+}
+
+// TestWalkIsObserve: explore's walk mode and opcheck.Observe are one
+// sampler, so 24 walks reach exactly the outcomes of Observe(8), which
+// samples walks 0..23 too.
+func TestWalkIsObserve(t *testing.T) {
+	labels, progs := goldenCorpus(t)
+	for i, p := range progs {
+		c, err := opcheck.Compile(p)
+		if errors.Is(err, opcheck.ErrUnsupported) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", labels[i], err)
+		}
+		want, err := c.Observe(8)
+		if err != nil {
+			t.Fatalf("%s: Observe: %v", labels[i], err)
+		}
+		got := run(t, p, Config{Mode: ModeWalk, Seeds: 24}).Observed
+		if joinOutcomes(got) != joinOutcomes(want.Sorted()) {
+			t.Errorf("%s: 24 walks observed %s, Observe(8) %s", labels[i], joinOutcomes(got), joinOutcomes(want.Sorted()))
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package explore
 
-// Replay traces and resumable soak files, both in the repository's JSONL
-// journal discipline (internal/journal): a header line pinning format and
-// provenance, one record per line, flush-per-record writes. Soak files are
-// journal run files, resumed through journal.OpenRun like campaign results.
+// Replay traces, in the repository's JSONL journal discipline
+// (internal/journal): a header line pinning format and provenance, one
+// record per line.
 //
 // A trace is a complete account of one run's nondeterminism: the header
 // names the test and mode, each decision line is one machine.Transition,
@@ -153,19 +152,14 @@ func (r *Result) FirstTrace() (Trace, bool) {
 
 // Replay re-executes a trace's decisions against p and returns the
 // re-recorded trace — Final recomputed from the machine, not copied — so
-// byte-comparing EncodeTrace of both checks full reproducibility. The
-// axiomatic reference (cfg.Model semantics) classifies the replayed
-// outcome. Decisions that do not match an enabled transition mean the
-// trace and program diverge, an error.
-func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
+// byte-comparing EncodeTrace of both checks full reproducibility. Op-ref,
+// as in Run, classifies the replayed outcome. Decisions that do not match
+// an enabled transition mean the trace and program diverge, an error.
+func Replay(p *litmus.Program, tr *Trace) (*Trace, error) {
 	if tr.Header.Test != p.Name {
 		return nil, fmt.Errorf("explore: trace is for test %q, replaying against %q", tr.Header.Test, p.Name)
 	}
-	mdl, err := cfg.model()
-	if err != nil {
-		return nil, err
-	}
-	allowed, err := litmus.Enumerate(p, mdl, litmus.WithWorkers(1))
+	allowed, err := reference(p)
 	if err != nil {
 		return nil, err
 	}
@@ -206,99 +200,4 @@ func Replay(p *litmus.Program, tr *Trace, cfg Config) (*Trace, error) {
 		out.Final.Verdict = VerdictViolation
 	}
 	return out, nil
-}
-
-// --- Soak files ---------------------------------------------------------------
-
-// SoakFormatV1 is the resumable soak-results format tag.
-const SoakFormatV1 = "risotto-explore/v1"
-
-// SoakHeader pins the producing configuration, campaign-style: the
-// run-file header of internal/journal with ConfigHash = Config.Hash().
-type SoakHeader = journal.Header
-
-// SoakRecord is one test's exploration summary line.
-type SoakRecord struct {
-	Test       string  `json:"test"`
-	Mode       string  `json:"mode"`
-	Runs       int     `json:"runs"`
-	States     int     `json:"states"`
-	Pruned     int     `json:"pruned,omitempty"`
-	Allowed    int     `json:"allowed"`
-	Covered    int     `json:"covered"`
-	Coverage   float64 `json:"coverage_pct"`
-	Violations int     `json:"violations"`
-	Partial    bool    `json:"partial,omitempty"`
-	Detail     string  `json:"detail,omitempty"`
-}
-
-func recordOf(r *Result) SoakRecord {
-	rec := SoakRecord{
-		Test: r.Test, Mode: string(r.Mode),
-		Runs: r.Runs, States: r.States, Pruned: r.Pruned,
-		Allowed: r.Allowed, Covered: r.Covered, Coverage: r.Coverage(),
-		Violations: len(r.Violations), Partial: r.Partial,
-	}
-	switch {
-	case len(r.Violations) > 0:
-		rec.Detail = r.Violations[0].Reason
-	case r.Partial:
-		rec.Detail = r.PartialReason
-	}
-	return rec
-}
-
-// Soak summarizes a RunFile sweep.
-type Soak struct {
-	Tests, Resumed, Violations, Partial int
-	// Records are this run's newly written records.
-	Records []SoakRecord
-}
-
-// RunFile explores every test under cfg with results journaled at path.
-// With resume false the file is created fresh; with resume true the
-// existing header is validated against cfg's hash, tests already recorded
-// are skipped, and the torn tail (if the previous soak was killed
-// mid-write) is truncated before appending — the crash-resume discipline
-// of the campaign results files.
-func RunFile(tests []*litmus.Program, cfg Config, path string, resume bool) (Soak, error) {
-	var soak Soak
-	out, recs, err := journal.OpenRun[SoakRecord](path, SoakHeader{Format: SoakFormatV1, ConfigHash: cfg.Hash()}, resume)
-	if err != nil {
-		return soak, fmt.Errorf("explore: %w", err)
-	}
-	defer out.Close()
-	done := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		done[r.Test] = true
-	}
-
-	w := journal.NewWriter(out)
-	for _, p := range tests {
-		if done[p.Name] {
-			soak.Resumed++
-			continue
-		}
-		res, err := Run(p, cfg)
-		if err != nil {
-			return soak, fmt.Errorf("explore: %s: %w", p.Name, err)
-		}
-		rec := recordOf(res)
-		if err := w.Encode(rec); err != nil {
-			return soak, err
-		}
-		soak.Tests++
-		soak.Violations += rec.Violations
-		if rec.Partial {
-			soak.Partial++
-		}
-		soak.Records = append(soak.Records, rec)
-	}
-	return soak, nil
-}
-
-// ReadSoak parses a soak results stream (header then records), tolerating
-// a torn final line.
-func ReadSoak(r io.Reader) (SoakHeader, []SoakRecord, error) {
-	return journal.ReadRun[SoakRecord](r, SoakFormatV1)
 }

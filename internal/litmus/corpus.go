@@ -1,6 +1,10 @@
 package litmus
 
-import "repro/internal/memmodel"
+import (
+	"strings"
+
+	"repro/internal/memmodel"
+)
 
 // This file collects the named litmus programs used throughout the Risotto
 // paper, at each of the three levels (x86 guest, TCG IR, Arm host), plus
@@ -512,4 +516,25 @@ func X86Corpus() []*Program {
 		CoRR(), CoWW(), CoWR(), MPQ(), SBQ(), SBAL(),
 		IRIW(), WRC(), ISA2(), RWC(), RWCFenced(),
 	}
+}
+
+// Named returns the named tests the operational tools accept by name
+// (litmusctl explore and outcomes): the x86 corpus and the Arm-level shapes
+// the machine can run, in the order explore reports them.
+func Named() []*Program {
+	return []*Program{
+		MP(), SB(), SBFenced(), LB(), S(), R(), RFenced(), TwoPlusTwoW(), CoRR(),
+		CoWW(), CoWR(), MPAddr(), LBAddr(), IRIW(), IRIWFenced(), WRC(), ISA2(),
+		RWC(), RWCFenced(), MPQ(), SBQ(), SBAL(), SBALArm(), MPArm(), MPArmDMB(),
+	}
+}
+
+// Lookup returns the Named test called name, compared case-insensitively.
+func Lookup(name string) (*Program, bool) {
+	for _, p := range Named() {
+		if strings.EqualFold(p.Name, name) {
+			return p, true
+		}
+	}
+	return nil, false
 }

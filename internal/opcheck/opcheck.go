@@ -419,26 +419,33 @@ func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
 	return litmus.NewOutcome(regs, mem), nil
 }
 
-// walkSteps bounds one sampled execution: compiled litmus programs halt
+// WalkSteps bounds one sampled execution: compiled litmus programs halt
 // within a few dozen transitions unless an exclusive pair livelocks.
-const walkSteps = 4096
+const WalkSteps = 4096
 
-// Observe samples 3n executions — machine.Walk from seeds 0..3n-1, each on
-// one machine reset to the initial state — and collects the distinct
-// outcomes.
+// Walk is the program's one sampler: walk seed is m reset to the initial
+// state, then machine.Walk from seed, at most WalkSteps transitions long
+// (visit as machine.Walk's). Observe and explore's walk mode both draw
+// their runs from it, so walk i of either is the same run.
+func (c *Compiled) Walk(m *machine.Machine, seed int, visit func(machine.Transition, error) bool) (halted bool, err error) {
+	if err := c.Reset(m); err != nil {
+		return false, err
+	}
+	return m.Walk(uint64(seed), WalkSteps, visit)
+}
+
+// Observe samples 3n executions — walks 0..3n-1, all on one machine — and
+// collects the distinct outcomes.
 func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
 	out := make(litmus.OutcomeSet)
 	m := machine.New(memSize)
 	for seed := 0; seed < 3*n; seed++ {
-		if err := c.Reset(m); err != nil {
-			return nil, err
-		}
-		halted, err := m.Walk(uint64(seed), walkSteps, nil)
+		halted, err := c.Walk(m, seed, nil)
 		if err != nil {
 			return nil, err
 		}
 		if !halted {
-			return nil, fmt.Errorf("opcheck: %q seed %d still running after %d transitions", c.program.Name, seed, walkSteps)
+			return nil, fmt.Errorf("opcheck: %q seed %d still running after %d transitions", c.program.Name, seed, WalkSteps)
 		}
 		o, err := c.Outcome(m)
 		if err != nil {

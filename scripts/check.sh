@@ -18,9 +18,9 @@
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The
 # explore stages pin the operational exploration engine: DPOR must reach
-# every allowed SB outcome, budget-exhausted traces must replay
-# byte-identically, and a corpus walk plus a ≥500-test generated campaign
-# must find zero axiomatic-disallowed outcomes. The daemon smoke also
+# every allowed SB outcome, budget-exhausted DPOR and walk traces must
+# replay byte-identically, and a 64-walk corpus run plus a ≥500-test
+# generated campaign must find zero axiomatic-disallowed outcomes. The daemon smoke also
 # submits a kernel too large for a job's memory, which must be refused
 # with 422 before the daemon builds it. The litmusctl fault smoke
 # also hands `litmusctl run` a test that reads a register nothing assigned
@@ -225,18 +225,22 @@ grep -q '"format":"risotto-campaign/v1"' "$SH_TMP/campaign.jsonl" \
 # TestDPORAllocCeiling (internal/explore/alloc_test.go, in the go test ./...
 # stage above) holds one DPOR run of SB under 64 MB, so a machine built per
 # re-execution again (≈460 MB) fails the gate.
-stage "explore smoke: DPOR reaches full SB coverage and traces replay byte-identically"
+stage "explore smoke: DPOR reaches full SB coverage, DPOR and walk traces replay byte-identically"
 "$litmusctl" explore -mode dpor SB >"$SH_TMP/explore-sb.txt"
 grep -q "4/4 (100%)" "$SH_TMP/explore-sb.txt" \
 	|| { echo "DPOR on SB missed allowed outcomes" >&2; cat "$SH_TMP/explore-sb.txt" >&2; exit 1; }
 "$litmusctl" explore -mode dpor -max-states 64 -trace-out "$SH_TMP/sb.trace" SB >/dev/null
 "$litmusctl" explore -mode replay -trace "$SH_TMP/sb.trace" | grep -q "byte-identical" \
 	|| { echo "budget-exhausted trace did not replay byte-identically" >&2; exit 1; }
+"$litmusctl" explore -seeds 1 -max-states 8 -trace-out "$SH_TMP/w.trace" MP >/dev/null 2>&1
+"$litmusctl" explore -mode replay -trace "$SH_TMP/w.trace" | grep -q "byte-identical" \
+	|| { echo "budget-cut walk trace did not replay byte-identically" >&2; exit 1; }
 
-stage "explore soak: corpus walk + ≥500-test generated campaign, zero violations"
-"$litmusctl" explore -out "$SH_TMP/soak.jsonl" 2>/dev/null
-grep -q '"format":"risotto-explore/v1"' "$SH_TMP/soak.jsonl" \
-	|| { echo "soak results file lacks the v1 header" >&2; exit 1; }
+stage "explore soak: 64-walk corpus run + ≥500-test generated campaign, zero violations"
+"$litmusctl" explore -seeds 64 >"$SH_TMP/soak.txt" \
+	|| { echo "corpus walk failed" >&2; cat "$SH_TMP/soak.txt" >&2; exit 1; }
+! grep -q FAIL "$SH_TMP/soak.txt" \
+	|| { echo "corpus walk reported FAIL" >&2; cat "$SH_TMP/soak.txt" >&2; exit 1; }
 "$litmusctl" -workers 4 campaign -out "$SH_TMP/explore-campaign.jsonl" \
 	-max-per-shape 32 -opcheck-seeds 1 -explore-seeds 4 2>"$SH_TMP/explore-campaign.log" \
 	|| { echo "explore campaign failed" >&2; cat "$SH_TMP/explore-campaign.log" >&2; exit 1; }
