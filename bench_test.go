@@ -334,6 +334,7 @@ func BenchmarkCampaignTest(b *testing.B) {
 		b.Fatal("generator emitted no tests")
 	}
 	cfg := campaign.Config{OpcheckSeeds: 2}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := campaign.Check(cfg, tests[i%len(tests)])

@@ -21,21 +21,21 @@ func TestCheckerAllocations(t *testing.T) {
 		sks := skeletons(p)
 		cands := sks[0]
 		for _, c := range sks {
-			if !c[0].Rmw.IsEmpty() {
+			if !c[0].X.Rmw.IsEmpty() {
 				cands = c
 			}
 		}
 		for _, e := range models.Default().Entries() {
-			ck := newChecker(e.Model, cands[0])
+			ck := newChecker(e.Model, cands[0].X)
 			i := 0
-			if n := testing.AllocsPerRun(100, func() { ck.Consistent(cands[i%len(cands)]); i++ }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { ck.Consistent(cands[i%len(cands)].X); i++ }); n != 0 {
 				t.Errorf("%s under %s: Consistent allocates %v times per candidate", p.Name, e.Name, n)
 			}
 			ck.Release()
 			const rounds = 40
 			clean := 0
 			for r := 0; r < rounds; r++ {
-				if testing.AllocsPerRun(1, func() { newChecker(e.Model, cands[0]).Release() }) <= 1 {
+				if testing.AllocsPerRun(1, func() { newChecker(e.Model, cands[0].X).Release() }) <= 1 {
 					clean++
 				}
 			}

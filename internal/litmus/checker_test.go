@@ -1,6 +1,9 @@
 package litmus_test
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/litmus"
@@ -10,18 +13,64 @@ import (
 	"repro/internal/models"
 )
 
-// skeletons groups p's candidates by skeleton. Candidates of one skeleton
-// share its relations, so a new Po pointer marks a new skeleton.
-func skeletons(p *litmus.Program) [][]*memmodel.Execution {
-	var out [][]*memmodel.Execution
+// keep deep-copies a candidate, which is valid only until
+// EnumerateCandidates' fn returns: the events (their values), Rf, Co and the
+// register files are the enumerator's storage, rewritten for the next
+// candidate, while the skeleton's relations (Po, Rmw and the dependencies)
+// are shared by every candidate of a skeleton and stay shared.
+func keep(c *litmus.Candidate) *litmus.Candidate {
+	x := *c.X
+	x.Events = slices.Clone(x.Events)
+	x.Rf, x.Co = x.Rf.Clone(), x.Co.Clone()
+	regs := make([]map[litmus.Reg]int64, len(c.Regs))
+	for t, rs := range c.Regs {
+		regs[t] = maps.Clone(rs)
+	}
+	return &litmus.Candidate{X: &x, Regs: regs}
+}
+
+// skeletons groups copies of p's candidates by skeleton. Candidates of one
+// skeleton share its relations, so a new Po pointer marks a new skeleton.
+func skeletons(p *litmus.Program) [][]*litmus.Candidate {
+	var out [][]*litmus.Candidate
 	litmus.EnumerateCandidates(p, func(c *litmus.Candidate) bool {
-		if k := len(out); k == 0 || out[k-1][0].Po != c.X.Po {
+		if k := len(out); k == 0 || out[k-1][0].X.Po != c.X.Po {
 			out = append(out, nil)
 		}
-		out[len(out)-1] = append(out[len(out)-1], c.X)
+		out[len(out)-1] = append(out[len(out)-1], keep(c))
 		return true
 	})
 	return out
+}
+
+// candidateCount is the number of candidates EnumerateCandidates produces.
+func candidateCount(p *litmus.Program) int {
+	n := 0
+	litmus.EnumerateCandidates(p, func(*litmus.Candidate) bool { n++; return true })
+	return n
+}
+
+// requireKept fails unless sks holds as many distinct candidates, rendered
+// as TestCandidateStream renders them, as EnumerateCandidates produces. A
+// skeletons that kept the enumerator's storage instead of copying it would
+// hold one candidate per skeleton many times over, and a differential run
+// on it would compare almost nothing while still passing. (Within one
+// skeleton, distinct candidates differ in rf or co; the skeleton index
+// keeps two skeletons' equal candidates apart.)
+func requireKept(t *testing.T, p *litmus.Program, sks [][]*litmus.Candidate) int {
+	t.Helper()
+	distinct := make(map[string]bool)
+	for k, cands := range sks {
+		for _, c := range cands {
+			distinct[fmt.Sprint(k, "\n", litmus.RenderCandidate(c))] = true
+		}
+	}
+	n := candidateCount(p)
+	if len(distinct) != n {
+		t.Fatalf("%s: %d distinct candidates kept, %d enumerated: skeletons must copy what it keeps",
+			p.Name, len(distinct), n)
+	}
+	return n
 }
 
 // newChecker prepares m for the skeleton x is a candidate of.
@@ -60,23 +109,29 @@ func differentialPrograms(t *testing.T) []*litmus.Program {
 // every candidate of every input program, the Checker prepared for the
 // candidate's skeleton — invariant terms hoisted, closures elided, empty
 // terms skipped, scratch reused from candidate to candidate — returns the
-// verdict of the plain reference evaluator.
+// verdict of the plain reference evaluator. requireKept first holds the
+// compared candidates to every candidate of the program.
 func TestPreparedMatchesPlain(t *testing.T) {
-	verdicts := 0
+	verdicts, want := 0, 0
+	entries := models.Default().Entries()
 	for _, p := range differentialPrograms(t) {
 		sks := skeletons(p)
-		for _, e := range models.Default().Entries() {
+		want += requireKept(t, p, sks) * len(entries)
+		for _, e := range entries {
 			for _, cands := range sks {
-				ck := newChecker(e.Model, cands[0])
-				for _, x := range cands {
-					if got, want := ck.Consistent(x), memmodel.ReferenceConsistent(e.Model, x); got != want {
-						t.Fatalf("%s under %s: checker=%v reference=%v for\n%v", p.Name, e.Name, got, want, x)
+				ck := newChecker(e.Model, cands[0].X)
+				for _, c := range cands {
+					if got, want := ck.Consistent(c.X), memmodel.ReferenceConsistent(e.Model, c.X); got != want {
+						t.Fatalf("%s under %s: checker=%v reference=%v for\n%v", p.Name, e.Name, got, want, c.X)
 					}
 				}
 				ck.Release()
 				verdicts += len(cands)
 			}
 		}
+	}
+	if verdicts != want {
+		t.Fatalf("%d verdicts compared, want one per candidate per model: %d", verdicts, want)
 	}
 	t.Logf("%d verdicts compared", verdicts)
 }

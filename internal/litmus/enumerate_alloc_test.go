@@ -7,18 +7,34 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/memmodel"
 	"repro/internal/models"
 )
 
-// TestEnumerateAllocations locks the enumerator's garbage out: the cheapest
-// of a few serial enumerations under x86-TSO must stay within a ceiling set
-// a few allocations above what the step-list enumerator needs (172, 177 and
-// 636; the enumerator that replayed the ops with a register map and a
-// provenance map per thread per fixpoint round needed 212, 223 and 942).
+// leastAllocs is the cheapest of a few serial enumerations of p under m.
 // The cheapest, not the mean: a run that finds the checker sync.Pool empty
-// after a GC cycle pays ~77 allocations for a fresh checker. (Not built
-// under -race, where the pools drop a quarter of all Puts and the counts
-// move by tens from run to run.)
+// after a GC cycle pays ~77 allocations for a fresh checker.
+func leastAllocs(t *testing.T, p *litmus.Program, m memmodel.Model) float64 {
+	best := math.Inf(1)
+	for round := 0; round < 10; round++ {
+		best = min(best, testing.AllocsPerRun(1, func() {
+			if _, err := litmus.Enumerate(p, m, litmus.WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	return best
+}
+
+// TestEnumerateAllocations locks the enumerator's garbage out: a serial
+// enumeration under x86-TSO must stay within a ceiling set a few
+// allocations above what the enumerator that reuses one candidate storage
+// per job needs (84, 88 and 122; the one that built a fresh candidate,
+// register files and co per rf and co choice needed 172, 177 and 636, and
+// the one before it, replaying the ops with a register map and a
+// provenance map per thread per fixpoint round, 212, 223 and 942). (Not
+// built under -race, where the pools drop a quarter of all Puts and the
+// counts move by tens from run to run.)
 func TestEnumerateAllocations(t *testing.T) {
 	m, err := models.Default().Lookup("x86")
 	if err != nil {
@@ -28,20 +44,37 @@ func TestEnumerateAllocations(t *testing.T) {
 		p       *litmus.Program
 		ceiling float64
 	}{
-		{litmus.MP(), 176},
-		{litmus.SBFenced(), 181},
-		{litmus.IRIW(), 642},
+		{litmus.MP(), 88},
+		{litmus.SBFenced(), 92},
+		{litmus.IRIW(), 126},
 	} {
-		best := math.Inf(1)
-		for round := 0; round < 10; round++ {
-			best = min(best, testing.AllocsPerRun(1, func() {
-				if _, err := litmus.Enumerate(c.p, m, litmus.WithWorkers(1)); err != nil {
-					t.Fatal(err)
-				}
-			}))
+		if n := leastAllocs(t, c.p, m); n > c.ceiling {
+			t.Errorf("%s: %v allocations per enumeration, ceiling %v", c.p.Name, n, c.ceiling)
 		}
-		if best > c.ceiling {
-			t.Errorf("%s: %v allocations per enumeration, ceiling %v", c.p.Name, best, c.ceiling)
-		}
+	}
+}
+
+// TestCoherenceOrdersDoNotAllocate holds the coherence-order search to
+// allocations per location, not per order. 2+2W with a third writer per
+// location has 3!·3! = 36 candidates; the same three threads of two stores
+// over six locations have one. The first may allocate at most 16 more than
+// the second: fewer than half an allocation per extra candidate.
+func TestCoherenceOrdersDoNotAllocate(t *testing.T) {
+	m, err := models.Default().Lookup("x86")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := func(l litmus.Loc, v int64) litmus.Op { return litmus.Store{Loc: l, Val: v} }
+	many := &litmus.Program{Name: "2+2W+W", Threads: [][]litmus.Op{
+		{st("X", 1), st("Y", 2)}, {st("Y", 1), st("X", 2)}, {st("X", 3), st("Y", 3)}}}
+	one := &litmus.Program{Name: "3x2W", Threads: [][]litmus.Op{
+		{st("X", 1), st("Y", 2)}, {st("Z", 1), st("W", 2)}, {st("U", 3), st("V", 3)}}}
+	if n, k := candidateCount(many), candidateCount(one); n != 36 || k != 1 {
+		t.Fatalf("%d and %d candidates, want 36 and 1", n, k)
+	}
+	const bound = 16
+	if a, b := leastAllocs(t, many, m), leastAllocs(t, one, m); a > b+bound {
+		t.Errorf("%s: %v allocations, %s (one writer per location): %v; bound %v more",
+			many.Name, a, one.Name, b, bound)
 	}
 }

@@ -407,6 +407,8 @@ func lower(prog string, t int, path []linOp, mask int) (*threadCode, error) {
 	for r, d := range defs {
 		tc.regs = append(tc.regs, regDef{r, d})
 	}
+	// In name order, the order an outcome lists them in.
+	sort.Slice(tc.regs, func(a, b int) bool { return tc.regs[a].reg < tc.regs[b].reg })
 	return tc, err
 }
 
@@ -462,13 +464,15 @@ type Candidate struct {
 }
 
 // EnumerateCandidates produces every well-formed candidate execution of
-// p. fn is called for each; enumeration stops if fn returns false. (The
-// name Enumerate belongs to the model-level outcome API in enumerate.go.)
-// Like Outcomes it panics on a program that reads an unassigned register;
-// Enumerate returns that as an error.
-func EnumerateCandidates(p *Program, fn func(*Candidate) bool) {
+// p. fn is called for each; enumeration stops if fn returns false. c and
+// everything it points to are valid only until fn returns: the storage of
+// one candidate is rewritten for the next. (The name Enumerate belongs to
+// the model-level outcome API in enumerate.go.) Like Outcomes it panics on
+// a program that reads an unassigned register; Enumerate returns that as an
+// error.
+func EnumerateCandidates(p *Program, fn func(c *Candidate) bool) {
 	mustCompile(p).forEachJob(func(j *skeletonJob) bool {
-		return j.enumerate(nil, fn)
+		return j.enumerate(nil, func(s *scratch) bool { return fn(&s.c) })
 	})
 }
 
@@ -577,46 +581,109 @@ func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
 	return j
 }
 
+// scratch is the candidate storage of one enumerate call — one job
+// serially, one shard in the sharded path. What value resolution works in
+// and everything a candidate is made of are allocated once and rewritten
+// for every rf and co choice, so a candidate is valid only until the fn
+// that receives it returns.
+type scratch struct {
+	j  *skeletonJob
+	fn func(*scratch) bool
+	// rfOf[r] is the writer read r reads from; vals and known are value
+	// resolution's state. All three are indexed by event ID.
+	rfOf  []int
+	vals  []int64
+	known []bool
+	// c is the candidate fn receives and x its execution. They, the
+	// coherence orders and final are built at the first rf choice whose
+	// values resolve, so a job without candidates never pays for them.
+	c Candidate
+	x memmodel.Execution
+	// orders[li] lists every coherence order of location li's non-init
+	// writers; final[li] is the co-maximal writer of location li in the
+	// current candidate.
+	orders [][]coOrder
+	final  []int
+	// out is what intern renders the current candidate's outcome into.
+	out []byte
+}
+
+// coOrder is one coherence order over a location's non-init writers, with
+// the write it puts last (the init write when there are none).
+type coOrder struct {
+	order *rel.Relation
+	last  int
+}
+
 // enumerate walks every rf assignment extending the fixed prefix (rfPrefix[i]
 // is the chosen writer for reads[i]), then every coherence order, invoking fn
 // per candidate. Returns false to stop the overall enumeration. Safe for
-// concurrent use with disjoint prefixes: all job state is read-only here.
-func (j *skeletonJob) enumerate(rfPrefix []int, fn func(*Candidate) bool) bool {
-	rfChoice := make([]int, len(j.reads))
-	copy(rfChoice, rfPrefix)
-	var recRF func(i int) bool
-	recRF = func(i int) bool {
-		if i == len(j.reads) {
-			return j.enumerateCO(rfChoice, fn)
-		}
-		for _, w := range j.writersOf[j.events[j.reads[i]].Loc] {
-			rfChoice[i] = w
-			if !recRF(i + 1) {
-				return false
-			}
-		}
-		return true
+// concurrent use with disjoint prefixes: the job is read-only here, and each
+// call works in a scratch of its own. The scratch fn receives, and the
+// candidate in it, are valid only until fn returns.
+func (j *skeletonJob) enumerate(rfPrefix []int, fn func(*scratch) bool) bool {
+	n := len(j.events)
+	s := &scratch{j: j, fn: fn, rfOf: make([]int, n), vals: make([]int64, n), known: make([]bool, n)}
+	for i, w := range rfPrefix {
+		s.rfOf[j.reads[i]] = w
 	}
-	return recRF(len(rfPrefix))
+	return s.enumerateRF(len(rfPrefix))
 }
 
-// enumerateCO resolves values for the chosen rf by running the threads'
-// steps to a fixpoint, drops the candidate if a branch decision or choice
-// bit turns out wrong or a value has only a cyclic justification, then
-// enumerates coherence orders.
-func (j *skeletonJob) enumerateCO(rfChoice []int, fn func(*Candidate) bool) bool {
-	n := len(j.events)
-	rfOf := make([]int, n) // read event ID -> writer event ID
-	for i, r := range j.reads {
-		rfOf[r] = rfChoice[i]
+// enumerateRF chooses, in turn, every writer of its location for reads[i],
+// then for the reads after it.
+func (s *scratch) enumerateRF(i int) bool {
+	j := s.j
+	if i == len(j.reads) {
+		return s.enumerateCO()
 	}
-	vals := make([]int64, n)
-	known := make([]bool, n)
+	r := j.reads[i]
+	for _, w := range j.writersOf[j.events[r].Loc] {
+		s.rfOf[r] = w
+		if !s.enumerateRF(i + 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// enumerateCO drops the chosen rf if value resolution refutes it, writes
+// the resolved values, rf and final registers into the candidate, then
+// enumerates coherence orders.
+func (s *scratch) enumerateCO() bool {
+	if !s.resolve() {
+		return true // inconsistent candidate; skip, continue enumeration
+	}
+	j := s.j
+	if s.c.X == nil {
+		s.build()
+	}
+	for id := range s.x.Events {
+		s.x.Events[id].Val = s.vals[id]
+	}
+	// rf relation (value consistency holds by construction).
+	s.x.Rf.Reset()
+	for _, r := range j.reads {
+		s.x.Rf.Add(s.rfOf[r], r)
+	}
+	for t, tc := range j.threads {
+		for _, r := range tc.regs {
+			s.c.Regs[t][r.reg] = s.regVal(t, r.def)
+		}
+	}
+	return s.enumerateOrders(0)
+}
+
+// resolve computes every event's value under the chosen rf by running the
+// threads' steps to a fixpoint. It reports false if a branch decision or
+// choice bit turns out wrong, or a value has only a cyclic justification.
+func (s *scratch) resolve() bool {
+	j := s.j
+	rfOf, vals, known := s.rfOf, s.vals, s.known
 	copy(known, j.fixed)
 	for id, e := range j.events {
 		vals[id] = e.Val
 	}
-
 	for complete := false; !complete; {
 		complete = true
 		progress := false
@@ -625,20 +692,20 @@ func (j *skeletonJob) enumerateCO(rfChoice []int, fn func(*Candidate) bool) bool
 			base := j.base[t]
 			k, v := known[base:], vals[base:]
 		thread:
-			for _, s := range tc.steps {
-				if s.kind == stepRead {
-					if w := rfOf[base+s.ev]; !known[w] {
+			for _, st := range tc.steps {
+				if st.kind == stepRead {
+					if w := rfOf[base+st.ev]; !known[w] {
 						complete = false
-					} else if !k[s.ev] {
-						k[s.ev], v[s.ev], progress = true, vals[w], true
+					} else if !k[st.ev] {
+						k[st.ev], v[st.ev], progress = true, vals[w], true
 					}
 					continue
 				}
-				x := s.src.imm
-				if s.src.ev >= 0 {
-					if !k[s.src.ev] {
+				x := st.src.imm
+				if st.src.ev >= 0 {
+					if !k[st.src.ev] {
 						complete = false
-						if s.kind == stepAssume {
+						if st.kind == stepAssume {
 							// Nothing after an undecided branch runs: a value
 							// that flows back into its own branch condition
 							// stays unknown, like any other cyclic one.
@@ -646,92 +713,129 @@ func (j *skeletonJob) enumerateCO(rfChoice []int, fn func(*Candidate) bool) bool
 						}
 						continue
 					}
-					x = v[s.src.ev]
+					x = v[st.src.ev]
 				}
-				switch s.kind {
+				switch st.kind {
 				case stepWrite:
-					if !k[s.ev] {
-						k[s.ev], v[s.ev], progress = true, x, true
+					if !k[st.ev] {
+						k[st.ev], v[st.ev], progress = true, x, true
 					}
 				case stepAssume, stepCAS:
-					if (x == s.val) != s.want {
-						return true // inconsistent candidate; skip, continue enumeration
+					if (x == st.val) != st.want {
+						return false
 					}
 				case stepIndex:
-					if (x&1 == 1) != s.want {
-						return true
+					if (x&1 == 1) != st.want {
+						return false
 					}
 				}
 			}
 		}
 		if !complete && !progress {
 			// Cyclic value dependency (thin air) — not generated.
-			return true
+			return false
 		}
 	}
+	return true
+}
 
-	// Materialize values into events.
-	resolved := make([]memmodel.Event, n)
-	copy(resolved, j.events)
-	for id := range resolved {
-		resolved[id].Val = vals[id]
+// build allocates the candidate: a copy of the job's events to write values
+// into, rf, co holding every location's init write before its other
+// writes, the register files, and each location's coherence orders.
+// Candidate-invariant relations are shared from the job.
+func (s *scratch) build() {
+	j := s.j
+	n := len(j.events)
+	sk := j.skel
+	s.x = memmodel.Execution{
+		Events: append([]memmodel.Event(nil), j.events...),
+		Po:     sk.Po,
+		Rf:     rel.NewSized(n),
+		Co:     rel.NewSized(n),
+		Rmw:    sk.Rmw,
+		Data:   sk.Data,
+		Addr:   sk.Addr,
+		Ctrl:   sk.Ctrl,
 	}
-
-	// rf relation (value consistency holds by construction).
-	rf := rel.NewSized(n)
-	for i, r := range j.reads {
-		rf.Add(rfChoice[i], r)
-	}
-
-	regs := make([]map[Reg]int64, len(j.threads))
+	s.c = Candidate{X: &s.x, Regs: make([]map[Reg]int64, len(j.threads))}
 	for t, tc := range j.threads {
-		regs[t] = make(map[Reg]int64, len(tc.regs))
-		for _, r := range tc.regs {
-			v := r.def.imm
-			if r.def.ev >= 0 {
-				v = vals[j.base[t]+r.def.ev]
-			}
-			regs[t][r.reg] = v
-		}
+		s.c.Regs[t] = make(map[Reg]int64, len(tc.regs))
 	}
-
-	// co enumeration: per-location total orders over non-init writes with
-	// the init write first.
-	co := rel.New()
-	var recCO func(li int) bool
-	recCO = func(li int) bool {
-		if li == len(j.locs) {
-			// Candidate-invariant relations are shared from the job; only
-			// the events (values), rf and co are per-candidate.
-			sk := j.skel
-			x := &memmodel.Execution{
-				Events: resolved,
-				Po:     sk.Po,
-				Rf:     rf,
-				Co:     co.Clone(),
-				Rmw:    sk.Rmw,
-				Data:   sk.Data,
-				Addr:   sk.Addr,
-				Ctrl:   sk.Ctrl,
-			}
-			return fn(&Candidate{X: x, Regs: regs})
-		}
-		writers := j.writersOf[string(j.locs[li])]
+	s.orders = make([][]coOrder, len(j.locs))
+	s.final = make([]int, len(j.locs))
+	for li, l := range j.locs {
+		writers := j.writersOf[string(l)]
 		init, ws := writers[0], writers[1:]
-		cont := true
+		for _, w := range ws {
+			s.x.Co.Add(init, w)
+		}
 		rel.TotalOrders(ws, func(order *rel.Relation) bool {
-			saved := co
-			co = co.Union(order)
+			last := init
 			for _, w := range ws {
-				co.Add(init, w)
+				if !order.AnyFrom(w) {
+					last = w
+				}
 			}
-			cont = recCO(li + 1)
-			co = saved
-			return cont
+			s.orders[li] = append(s.orders[li], coOrder{order.Clone(), last})
+			return true
 		})
-		return cont
 	}
-	return recCO(0)
+}
+
+// enumerateOrders writes a coherence order of every location from li on
+// into co, in place, and calls fn once all are written. An order has edges
+// only from its own location's writers, and no two locations share a
+// writer, so taking it out again (MinusWith) clears exactly what it set.
+func (s *scratch) enumerateOrders(li int) bool {
+	if li == len(s.orders) {
+		return s.fn(s)
+	}
+	co := s.x.Co
+	for _, o := range s.orders[li] {
+		co.UnionWith(o.order)
+		s.final[li] = o.last
+		cont := s.enumerateOrders(li + 1)
+		co.MinusWith(o.order)
+		if !cont {
+			return false
+		}
+	}
+	return true
+}
+
+// regVal is the value def leaves in a register of thread t.
+func (s *scratch) regVal(t int, def operand) int64 {
+	if def.ev < 0 {
+		return def.imm
+	}
+	return s.vals[s.j.base[t]+def.ev]
+}
+
+// appendOutcome appends the current candidate's outcome to b: NewOutcome's
+// format, written by the same helpers, but read off the job instead of
+// maps. Each thread's registers are in name order since lowering, the
+// locations since compile, and a location's final value is its co-maximal
+// write's.
+func (s *scratch) appendOutcome(b []byte) []byte {
+	for t, tc := range s.j.threads {
+		for _, r := range tc.regs {
+			b = appendReg(b, t, r.reg, s.regVal(t, r.def))
+		}
+	}
+	for li, l := range s.j.locs {
+		b = appendMem(b, li, string(l), s.vals[s.final[li]])
+	}
+	return b
+}
+
+// intern adds the current candidate's outcome to out. The outcome is
+// rendered into the scratch's buffer, and a string is made only for an
+// outcome out does not hold yet.
+func (s *scratch) intern(out OutcomeSet) {
+	s.out = s.appendOutcome(s.out[:0])
+	if !out[Outcome(s.out)] {
+		out[Outcome(s.out)] = true
+	}
 }
 
 // ---- Outcomes -----------------------------------------------------------
@@ -742,8 +846,9 @@ type Outcome string
 
 // NewOutcome renders an observable result — per-thread final register values
 // (thread index, then register name) followed by final memory (location
-// name). It is the only place the format is written down: the enumerator's
-// candidates and opcheck's machine runs both come through here, so their
+// name). It is the only place the format is written down: opcheck's machine
+// runs and OutcomeOf come through here, and the enumerator's in-place
+// rendering (appendOutcome) writes with the same two helpers, so their
 // outcome sets compare as strings.
 func NewOutcome(regs []map[Reg]int64, mem map[string]int64) Outcome {
 	var b []byte
@@ -755,12 +860,35 @@ func NewOutcome(regs []map[Reg]int64, mem map[string]int64) Outcome {
 		}
 		sort.Strings(names)
 		for _, r := range names {
-			b = strconv.AppendInt(b, int64(t), 10)
-			b = append(append(append(b, ':'), r...), '=')
-			b = append(strconv.AppendInt(b, rs[Reg(r)], 10), ' ')
+			b = appendReg(b, t, Reg(r), rs[Reg(r)])
 		}
 	}
-	return Outcome(append(b, memmodel.BehavKey(mem)...))
+	names = names[:0]
+	for l := range mem {
+		names = append(names, l)
+	}
+	sort.Strings(names)
+	for i, l := range names {
+		b = appendMem(b, i, l, mem[l])
+	}
+	return Outcome(b)
+}
+
+// appendReg appends thread t's register r with value v: "t:r=v ".
+func appendReg(b []byte, t int, r Reg, v int64) []byte {
+	b = strconv.AppendInt(b, int64(t), 10)
+	b = append(append(append(b, ':'), r...), '=')
+	return append(strconv.AppendInt(b, v, 10), ' ')
+}
+
+// appendMem appends the i-th location of an outcome's memory, loc with
+// final value v: "loc=v", after a separating space unless it is the first.
+func appendMem(b []byte, i int, loc string, v int64) []byte {
+	if i > 0 {
+		b = append(b, ' ')
+	}
+	b = append(append(b, loc...), '=')
+	return strconv.AppendInt(b, v, 10)
 }
 
 // OutcomeOf renders a candidate's observable state. Exported so external
@@ -776,23 +904,38 @@ type OutcomeSet map[Outcome]bool
 // register; Enumerate returns that as an error.
 func Outcomes(p *Program, m memmodel.Model) OutcomeSet { return mustCompile(p).outcomes(m) }
 
-// outcomes gives each skeleton job one memmodel.Checker (the
-// candidate-invariant relations evaluated once) reused across the job's
-// whole rf×co product.
+// outcomes is the serial enumeration: every job in turn, into one set.
 func (c *code) outcomes(m memmodel.Model) OutcomeSet {
 	out := make(OutcomeSet)
 	c.forEachJob(func(j *skeletonJob) bool {
-		ck := memmodel.NewChecker(m, j.skel)
-		cont := j.enumerate(nil, func(c *Candidate) bool {
-			if ck.Consistent(c.X) {
-				out[OutcomeOf(c)] = true
-			}
-			return true
-		})
-		ck.Release()
-		return cont
+		j.outcomes(m, nil, out)
+		return true
 	})
 	return out
+}
+
+// outcomes adds to out the outcome of every candidate extending rfPrefix
+// that m admits. One memmodel.Checker — the candidate-invariant relations
+// evaluated once — serves the whole rf×co product. It is built when the
+// first candidate arrives, so a job whose every rf choice value resolution
+// refutes builds none, and it returns to the model's pool when the
+// enumeration ends, by panic too.
+func (j *skeletonJob) outcomes(m memmodel.Model, rfPrefix []int, out OutcomeSet) {
+	var ck *memmodel.Checker
+	defer func() {
+		if ck != nil {
+			ck.Release()
+		}
+	}()
+	j.enumerate(rfPrefix, func(s *scratch) bool {
+		if ck == nil {
+			ck = memmodel.NewChecker(m, j.skel)
+		}
+		if ck.Consistent(s.c.X) {
+			s.intern(out)
+		}
+		return true
+	})
 }
 
 // Contains reports whether s contains an outcome matching every given

@@ -135,20 +135,12 @@ func runShard(prog string, m memmodel.Model, s shard, idx int, inj *faults.Injec
 	if t := inj.Hit(faults.SiteLitmusShard); t != nil {
 		panic(t)
 	}
-	// Each shard gets its own prepared checker: checkers carry reusable
-	// scratch state and must not be shared across goroutines, but shards
-	// over the same job still share the job's immutable skeleton. The
-	// checker's arena returns to the shared pool when the shard finishes
-	// (deferred so the panic path releases too).
-	ck := memmodel.NewChecker(m, s.job.skel)
-	defer ck.Release()
+	// Each shard gets its own prepared checker, built at the shard's first
+	// candidate, and its own candidate storage: both are rewritten from
+	// candidate to candidate and must not be shared across goroutines, but
+	// shards over the same job still share the job's immutable skeleton.
 	out = make(OutcomeSet)
-	s.job.enumerate(s.rfPrefix, func(c *Candidate) bool {
-		if ck.Consistent(c.X) {
-			out[OutcomeOf(c)] = true
-		}
-		return true
-	})
+	s.job.outcomes(m, s.rfPrefix, out)
 	return out, nil
 }
 

@@ -113,7 +113,7 @@ func TestBuildShardsPartition(t *testing.T) {
 			}
 			var shardCount int
 			for _, s := range shards {
-				s.job.enumerate(s.rfPrefix, func(*Candidate) bool {
+				s.job.enumerate(s.rfPrefix, func(*scratch) bool {
 					shardCount++
 					return true
 				})

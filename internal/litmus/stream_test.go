@@ -62,8 +62,8 @@ func TestCandidateStream(t *testing.T) {
 
 		var sharded []string
 		for _, s := range buildShards(mustCompile(p), 16) {
-			s.job.enumerate(s.rfPrefix, func(c *Candidate) bool {
-				sharded = append(sharded, renderCandidate(c))
+			s.job.enumerate(s.rfPrefix, func(sc *scratch) bool {
+				sharded = append(sharded, renderCandidate(&sc.c))
 				return true
 			})
 		}

@@ -88,9 +88,6 @@ func TestBehav(t *testing.T) {
 	if b["X"] != 1 || b["Y"] != 1 {
 		t.Fatalf("behaviour = %v", b)
 	}
-	if BehavKey(b) != "X=1 Y=1" {
-		t.Fatalf("BehavKey = %q", BehavKey(b))
-	}
 }
 
 func TestSCPerLoc(t *testing.T) {

@@ -78,10 +78,14 @@ func (r *Relation) Has(a, b int) bool {
 	return r.b[a*r.w+b>>6]>>uint(b&63)&1 != 0
 }
 
+// live returns the words that can hold set bits: the rows below the
+// universe.
+func (r *Relation) live() []uint64 { return r.b[:r.u*r.w] }
+
 // Size returns the number of edges.
 func (r *Relation) Size() int {
 	n := 0
-	for _, w := range r.b {
+	for _, w := range r.live() {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -89,7 +93,7 @@ func (r *Relation) Size() int {
 
 // IsEmpty reports whether the relation has no edges.
 func (r *Relation) IsEmpty() bool {
-	for _, w := range r.b {
+	for _, w := range r.live() {
 		if w != 0 {
 			return false
 		}
@@ -147,9 +151,10 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// Reset removes every edge, keeping the allocated capacity.
+// Reset removes every edge, keeping the allocated capacity. Only the rows
+// below the universe can hold a bit, so only they are cleared.
 func (r *Relation) Reset() {
-	clear(r.b)
+	clear(r.live())
 	r.u = 0
 }
 

@@ -380,3 +380,43 @@ func TestPairsSorted(t *testing.T) {
 		wantPairs(t, "Pairs", r, s)
 	}
 }
+
+// TestResetReuse drives relations of each capacity through rounds of
+// Reset-then-refill whose universes shrink and grow across the 64- and
+// 128-element word boundaries. Reset clears only the rows below the
+// universe, so a bit it missed, or a universe it forgot to drop, shows as
+// an edge the round's pairSet does not have — in the refilled relation
+// itself, in the *Of forms that reset their receiver, and in every
+// operator run on the reused relation.
+func TestResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	universes := []int{200, 63, 129, 64, 65, 1, 128, 127, 192, 2, 193, 66, 130, 62}
+	for _, r := range capacities(pairSet{}, 1) {
+		for _, universe := range universes {
+			r.Reset()
+			wantBool(t, "IsEmpty after Reset", r.IsEmpty(), true)
+			wantPairs(t, "Reset", r, pairSet{})
+			s := randPairSet(rng, universe, randEdges(rng, universe))
+			last := universe - 1
+			s[Pair{rng.Intn(universe), last}] = true
+			s[Pair{last, rng.Intn(universe)}] = true
+			for _, p := range s.sorted() {
+				r.Add(p.From, p.To)
+			}
+			wantPairs(t, "refill after Reset", r, s)
+
+			ub := universes[rng.Intn(len(universes))]
+			sb := randPairSet(rng, ub, randEdges(rng, ub))
+			b := capacities(sb, ub)[rng.Intn(3)]
+			w := newOracle(s, sb)
+			checkOps(t, rng, w, r, b, capacities(sb, ub)[rng.Intn(3)])
+
+			r.CopyFrom(b)
+			wantPairs(t, "CopyFrom into a reused relation", r, sb)
+			r.SeqOf(b, b)
+			wantPairs(t, "SeqOf into a reused relation", r, sb.seq(sb))
+			r.InverseOf(b)
+			wantPairs(t, "InverseOf into a reused relation", r, sb.inverse())
+		}
+	}
+}

@@ -71,15 +71,17 @@ func Identity(set []int) *Relation {
 }
 
 // TotalOrders enumerates every strict total order over elems as a relation,
-// invoking fn for each. fn must not retain the relation. Enumeration stops
-// early if fn returns false. Used to enumerate coherence orders.
+// invoking fn for each. fn must not retain the relation: one relation is
+// rewritten for every order. Enumeration stops early if fn returns false.
+// Used to enumerate coherence orders.
 func TotalOrders(elems []int, fn func(*Relation) bool) {
 	perm := make([]int, len(elems))
 	copy(perm, elems)
+	r := New()
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(perm) {
-			r := New()
+			r.Reset()
 			for i := 0; i < len(perm); i++ {
 				for j := i + 1; j < len(perm); j++ {
 					r.Add(perm[i], perm[j])
