@@ -82,6 +82,7 @@ func main() {
 	runOpts := func(v core.Variant) []core.Option {
 		return []core.Option{
 			core.WithVariant(v),
+			core.WithMemSize(bench.MemSize),
 			core.WithChain(*chain),
 			core.WithStepBudget(*stepBudget),
 			core.WithDeadline(*deadline),

@@ -62,6 +62,11 @@ func RunNative(b *portasm.Builder) (uint64, uint64, error) {
 
 // --- Figure 12 ---------------------------------------------------------------
 
+// MemSize is the machine memory of Figure 12's translated runs and of the
+// risotto CLI's: 32 MiB, four times core's default, so the -scale and
+// -threads those runs take still fit their image and stacks.
+const MemSize = 32 << 20
+
 // Fig12Row is one benchmark's result: runtime of each setup relative to
 // QEMU (lower is better), plus QEMU's absolute simulated seconds.
 type Fig12Row struct {
@@ -73,9 +78,10 @@ type Fig12Row struct {
 }
 
 // Fig12 runs every requested kernel (all registered kernels if names is
-// empty) under all setups. extra options (an observability scope, tier-up)
-// apply to every translated run — QEMU baseline included — so the relative
-// columns stay an apples-to-apples comparison.
+// empty) under all setups, each translated run on a MemSize machine. extra
+// options (an observability scope, tier-up) apply to every translated run —
+// QEMU baseline included — so the relative columns stay an apples-to-apples
+// comparison.
 func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row, error) {
 	var kernels []workloads.Kernel
 	if len(names) == 0 {
@@ -101,7 +107,8 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		qemuCycles, qemuSum, _, err := RunGuest(b, core.VariantQemu, "", extra...)
+		opts := append([]core.Option{core.WithMemSize(MemSize)}, extra...)
+		qemuCycles, qemuSum, _, err := RunGuest(b, core.VariantQemu, "", opts...)
 		if err != nil {
 			return nil, fmt.Errorf("%s/qemu: %w", k.Name, err)
 		}
@@ -112,7 +119,7 @@ func Fig12(threads, scale int, names []string, extra ...core.Option) ([]Fig12Row
 			if err != nil {
 				return nil, err
 			}
-			cyc, sum, _, err := RunGuest(b, v, "", extra...)
+			cyc, sum, _, err := RunGuest(b, v, "", opts...)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", k.Name, v, err)
 			}

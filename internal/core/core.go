@@ -253,8 +253,10 @@ const (
 
 // Runtime limits no caller varies.
 const (
-	// defaultMemSize is the machine memory size when Config leaves it 0.
-	defaultMemSize = 32 << 20
+	// defaultMemSize is the machine memory size when Config leaves it 0:
+	// a 2 MiB code cache over 6 MiB for the image, heap and stacks, which
+	// holds every registered kernel at scale 1 with up to 16 threads.
+	defaultMemSize = 8 << 20
 	// stackSize is carved per guest thread.
 	stackSize = 256 << 10
 	// maxSteps bounds the host instructions one Run executes across all

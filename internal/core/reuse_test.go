@@ -25,7 +25,13 @@ type reuseRun struct {
 // runOn runs img under v on m, or on a new machine when m is nil.
 func runOn(t *testing.T, img *guestimg.Image, v Variant, m *machine.Machine) reuseRun {
 	t.Helper()
-	rt, err := New(img, WithVariant(v), WithMachine(m))
+	return runWith(t, img, WithVariant(v), WithMachine(m))
+}
+
+// runWith runs img on a runtime built with opts.
+func runWith(t *testing.T, img *guestimg.Image, opts ...Option) reuseRun {
+	t.Helper()
+	rt, err := New(img, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +47,17 @@ func runOn(t *testing.T, img *guestimg.Image, v Variant, m *machine.Machine) reu
 	return r
 }
 
-// checkReuse compares a run on a reused machine with one on a fresh one.
+// checkReuse compares a run with the one it must reproduce: one on a
+// reused machine with one on a fresh machine, say.
 func checkReuse(t *testing.T, what string, got, want reuseRun) {
 	t.Helper()
 	switch {
 	case got.exit != want.exit || got.output != want.output:
-		t.Errorf("%s: reused machine exits %d with %q, fresh %d with %q", what, got.exit, got.output, want.exit, want.output)
+		t.Errorf("%s: exits %d with %q, want %d with %q", what, got.exit, got.output, want.exit, want.output)
 	case !slices.Equal(got.cycles, want.cycles) || !slices.Equal(got.insts, want.insts):
-		t.Errorf("%s: reused machine cycles %v insts %v, fresh %v %v", what, got.cycles, got.insts, want.cycles, want.insts)
+		t.Errorf("%s: cycles %v insts %v, want %v %v", what, got.cycles, got.insts, want.cycles, want.insts)
 	case got.stats != want.stats:
-		t.Errorf("%s: reused machine stats %+v, fresh %+v", what, got.stats, want.stats)
+		t.Errorf("%s: stats %+v, want %+v", what, got.stats, want.stats)
 	case !bytes.Equal(got.mem, want.mem):
 		t.Errorf("%s: final memory differs", what)
 	}
@@ -69,7 +76,13 @@ func TestReusedMachineEqualsFresh(t *testing.T) {
 		imgs = append(imgs, build(k.Build(2, 1)))
 		names = append(names, k.Name)
 	}
-	m := machine.New(32 << 20)
+	// The reused machine has the size a fresh runtime's has.
+	fresh, err := New(imgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(fresh.M.Mem)
+	m := machine.New(size)
 	for _, v := range allVariants {
 		for i, img := range imgs {
 			got := runOn(t, img, v, m)
@@ -94,16 +107,16 @@ func TestReusedMachineEqualsFresh(t *testing.T) {
 	})
 
 	t.Run("memory size", func(t *testing.T) {
-		if _, err := New(imgs[0], WithMachine(m), WithMemSize(16<<20)); err == nil {
+		if _, err := New(imgs[0], WithMachine(m), WithMemSize(2*size)); err == nil {
 			t.Error("a memory size other than the machine's was accepted")
 		}
-		for _, size := range []int{0, 32 << 20} {
-			rt, err := New(imgs[0], WithMachine(m), WithMemSize(size))
+		for _, asked := range []int{0, size} {
+			rt, err := New(imgs[0], WithMachine(m), WithMemSize(asked))
 			if err != nil {
-				t.Fatalf("memory size %d: %v", size, err)
+				t.Fatalf("memory size %d: %v", asked, err)
 			}
-			if rt.M != m || rt.cfg.MemSize != 32<<20 {
-				t.Errorf("memory size %d: runs on the given machine %v, MemSize %d", size, rt.M == m, rt.cfg.MemSize)
+			if rt.M != m || rt.cfg.MemSize != size {
+				t.Errorf("memory size %d: runs on the given machine %v, MemSize %d", asked, rt.M == m, rt.cfg.MemSize)
 			}
 		}
 	})

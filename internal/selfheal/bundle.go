@@ -132,7 +132,8 @@ type TierUp struct {
 // max_heals, which only ever held what are now the runtime's constants,
 // and fault_seed, which seeded nothing a run read; decoding ignores them.
 type Replay struct {
-	// MemSize is the machine memory size (default 32 MiB).
+	// MemSize is the machine memory size the run resolved, so a bundle
+	// replays at the size it was written at whatever core's default is.
 	MemSize int `json:"mem_size"`
 	// CodeCacheBase is where generated host code is placed (default:
 	// upper quarter of memory).

@@ -71,7 +71,8 @@ type Config struct {
 	// asking for 0 (or more than the cap) gets the cap.
 	StepBudgetCap uint64
 	DeadlineCap   time.Duration
-	// MemSize is the per-job machine memory (0 = core's default 32 MiB).
+	// MemSize is the per-job machine memory (0 = core's default 8 MiB;
+	// 32 << 20 admits more threads and larger scales).
 	MemSize int
 	// Cache, when non-nil, persists translations across jobs and
 	// restarts.

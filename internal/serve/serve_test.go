@@ -157,6 +157,51 @@ func TestKernelSizeAdmission(t *testing.T) {
 	}
 }
 
+// TestAdmissionFollowsDefaultMemSize: a server left at MemSize 0 admits
+// what core's default machine holds: the first thread count whose stacks
+// fill it, and a histogram scale whose image passes its room, are refused;
+// at MemSize 32 MiB, risottod's -mem-size 33554432, both are admitted.
+func TestAdmissionFollowsDefaultMemSize(t *testing.T) {
+	threads := 1
+	for core.GuestRoom(0, threads+1) > 0 {
+		threads++
+	}
+	k, err := workloads.KernelByName("histogram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := 1
+	for ; ; scale *= 2 {
+		pb, err := k.Build(2, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := pb.BuildGuest("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.MaxAddr() > core.GuestRoom(0, 3) {
+			if img.MaxAddr() > core.GuestRoom(32<<20, 3) {
+				t.Fatalf("histogram at scale %d passes a 32 MiB machine's room too", scale)
+			}
+			break
+		}
+	}
+	reqs := []JobRequest{
+		{Tenant: "a", Kernel: "histogram", Threads: threads},
+		{Tenant: "a", Kernel: "histogram", Threads: 2, Scale: scale},
+	}
+	small, large := New(Config{}), New(Config{MemSize: 32 << 20})
+	for _, req := range reqs {
+		if _, err := small.resolve(&req); err == nil || !strings.Contains(err.Error(), "fit") {
+			t.Errorf("threads %d scale %d at the default size: %v, want refused", req.Threads, req.Scale, err)
+		}
+		if _, err := large.resolve(&req); err != nil {
+			t.Errorf("threads %d scale %d at 32 MiB: %v", req.Threads, req.Scale, err)
+		}
+	}
+}
+
 // TestBuildKernelBound: with room set to a kernel's image end at scale 4,
 // buildKernel builds scale 4 and refuses scale 5 exactly when scale 5's
 // image ends past room.

@@ -24,10 +24,13 @@
 # submits a kernel too large for a job's memory, which must be refused
 # with 422 before the daemon builds it. The litmusctl fault smoke
 # also hands `litmusctl run` a test that reads a register nothing assigned
-# and requires it to be refused by name. The examples stage runs the
-# five programs under examples/ and checks that weakhost and litmus still
-# tell the broken mappings from the verified ones. The risobench smoke
-# regenerates two figures and checks that their runs reach -metrics.
+# and requires it to be refused by name. The risotto stage runs a scaled
+# image, a 64-thread kernel and a saved 32-thread image, each larger than
+# core's default machine, and requires qemu's checksum from each. The
+# examples stage runs the five programs under examples/ and checks that
+# weakhost and litmus still tell the broken mappings from the verified ones.
+# The risobench smoke regenerates two figures and checks that their runs
+# reach -metrics.
 #
 # The CLIs the smoke stages drive are built once into a scratch directory,
 # and every stage reports its wall seconds, so the gate's own cost is in
@@ -145,6 +148,27 @@ code=0
 [ "$code" -ne 0 ] || { echo "litmusctl run accepted a test that reads the unassigned register aa" >&2; exit 1; }
 grep -q '"aa"' "$SH_TMP/typo.err" \
 	|| { echo "litmusctl run did not name the unassigned register" >&2; cat "$SH_TMP/typo.err" >&2; exit 1; }
+
+# risotto runs every guest on a 32 MiB machine (bench.MemSize), not core's
+# 8 MiB default: a 16x image, 65 stacks and a saved 33-stack image need it.
+# checksum fails the stage unless risotto exits 0 with a numeric checksum.
+stage "risotto beyond the default machine: large runs exit 0 with qemu's checksum"
+checksum() {
+	local out sum
+	out=$("$risotto" "$@") || { echo "risotto $*: exit $?" >&2; return 1; }
+	sum=$(awk '/^checksum/{print $2}' <<<"$out")
+	[[ $sum =~ ^[0-9]+$ ]] || { echo "risotto $*: no checksum" >&2; return 1; }
+	echo "$sum"
+}
+for args in "-kernel vips -scale 16" "-kernel histogram -threads 64"; do
+	got=$(checksum $args)
+	want=$(checksum $args -variant qemu)
+	[ "$got" = "$want" ] || { echo "risotto $args: checksum $got, qemu $want" >&2; exit 1; }
+done
+"$risotto" -kernel histogram -threads 32 -emit "$SH_TMP/h32.riso" >/dev/null
+got=$(checksum -image "$SH_TMP/h32.riso")
+want=$(checksum -kernel histogram -threads 32 -variant qemu)
+[ "$got" = "$want" ] || { echo "risotto -image of histogram -threads 32: checksum $got, qemu $want" >&2; exit 1; }
 
 stage "selfheal: workload suite under -selfcheck"
 for k in histogram wordcount kmeans swaptions canneal; do
