@@ -17,7 +17,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -214,8 +213,7 @@ func BenchmarkTheorem1(b *testing.B) {
 
 // sb3q is a three-thread store-buffering variant with one CAS per thread:
 // each CAS contributes a success/failure choice bit, so the program has
-// 2³ = 8 thread-skeleton combinations and a wide rf tree below each — the
-// shape the parallel enumerator shards.
+// 2³ = 8 thread-skeleton combinations and a wide rf tree below each.
 func sb3q() *litmus.Program {
 	return &litmus.Program{
 		Name: "SB3Q",
@@ -244,8 +242,7 @@ func sb3q() *litmus.Program {
 
 // heavyRing is a five-thread Arm-level message-passing ring of casal
 // RMWs from the generator: 2⁷ skeletons with a deep rf tree under each, a
-// search long enough (hundreds of ms) for sharding to pay off — the other
-// side of the sb3q comparison (EXPERIMENTS.md, "Parallel enumeration").
+// search of tens of ms, the heaviest enumeration the benchmarks time.
 func heavyRing(b *testing.B) *litmus.Program {
 	const name = "g.mp5.arm.t0g0e3e4.t1g6e4e4.t2g6e4e4.t3g6e4e4.t4g6e0e0"
 	var prog *litmus.Program
@@ -263,43 +260,33 @@ func heavyRing(b *testing.B) *litmus.Program {
 	return prog
 }
 
-// BenchmarkOutcomesParallel compares the serial enumerator (workers-1) with
-// the sharded worker pool on a small multi-skeleton litmus program (sb3q,
-// the workers-N rows) and on a heavy one (heavyRing, the heavy/workers-N
-// rows). The workers-N sub-benchmarks divide the same search space, so
-// ns/op ratios are the parallel speedup.
-func BenchmarkOutcomesParallel(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	run := func(prefix string, prog *litmus.Program, m memmodel.Model) {
-		serial := litmus.Outcomes(prog, m)
-		for _, w := range counts {
-			w := w
-			b.Run(fmt.Sprintf("%sworkers-%d", prefix, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out, err := litmus.Enumerate(prog, m, litmus.WithWorkers(w))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(out) != len(serial) {
-						b.Fatalf("workers=%d: %d outcomes, serial has %d", w, len(out), len(serial))
-					}
+// BenchmarkEnumerate times the enumerator on a small multi-skeleton litmus
+// program (sb3q under x86-TSO) and on a heavy one (heavyRing under
+// Arm-Cats).
+func BenchmarkEnumerate(b *testing.B) {
+	run := func(name string, prog *litmus.Program, m memmodel.Model) {
+		want := len(litmus.Outcomes(prog, m))
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := litmus.Enumerate(prog, m)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(out) != want {
+					b.Fatalf("%d outcomes, Outcomes has %d", len(out), want)
+				}
+			}
+		})
 	}
-	run("", sb3q(), x86tso.New())
-	run("heavy/", heavyRing(b), armcats.New())
+	run("sb3q", sb3q(), x86tso.New())
+	run("heavy", heavyRing(b), armcats.New())
 }
 
 // BenchmarkEnumerateInstrumented puts a number on the observability tax:
-// the same enumeration as BenchmarkOutcomesParallel/workers-4, once bare
-// and once with a live obs scope (counters, duration histogram, span per
-// enumeration). The ns/op ratio is the instrumentation overhead, which the
-// nil-check design keeps in the noise (bare) and a handful of atomics
-// (instrumented).
+// the same enumeration as BenchmarkEnumerate/sb3q, once bare and once with
+// a live obs scope (counters, duration histogram, span per enumeration).
+// The ns/op ratio is the instrumentation overhead, which the nil-check
+// design keeps in the noise (bare) and a handful of atomics (instrumented).
 func BenchmarkEnumerateInstrumented(b *testing.B) {
 	prog := sb3q()
 	m := x86tso.New()
@@ -313,10 +300,10 @@ func BenchmarkEnumerateInstrumented(b *testing.B) {
 		}
 	}
 	b.Run("bare", func(b *testing.B) {
-		run(b, litmus.WithWorkers(4))
+		run(b)
 	})
 	b.Run("obs", func(b *testing.B) {
-		run(b, litmus.WithWorkers(4), litmus.WithObs(obs.NewScope("")))
+		run(b, litmus.WithObs(obs.NewScope("")))
 	})
 }
 

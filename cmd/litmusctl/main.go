@@ -18,14 +18,14 @@
 //	                           # nondeterminism: random-walk soak, DPOR
 //	                           # enumeration, byte-identical trace replay
 //
-// The global -workers N flag (before the subcommand) bounds enumeration
-// parallelism: 0, the default, uses every CPU; 1 forces the serial
-// enumerator. -fault name[@N] arms the deterministic fault injector (e.g.
-// shard-panic exercises the enumerator's panic-capture and serial
-// fallback); an enumeration that fails beyond recovery exits with code 3.
+// Enumerations are serial; the global -workers N flag (before the
+// subcommand) sizes the campaign's worker pool, which checks several tests
+// at once (0, the default, is one worker per CPU). -fault name[@N] arms the
+// deterministic fault injector (e.g. shard-panic fails an enumeration
+// through its panic capture); an enumeration that fails exits with code 3.
 // -metrics json|prom|text dumps the observability snapshot (enumerations,
-// shards, cache hits/misses, serial fallbacks) after the subcommand, and
-// -trace FILE writes the span ring buffer as JSON lines.
+// outcomes, cache hits/misses) after the subcommand, and -trace FILE
+// writes the span ring buffer as JSON lines.
 package main
 
 import (
@@ -42,9 +42,9 @@ import (
 	"repro/internal/models"
 )
 
-// cf and enumOpts carry the shared flag settings (workers, faults, the
-// process-wide outcome cache and the root observability scope) to every
-// enumeration this command performs.
+// cf and enumOpts carry the shared flag settings (faults, the process-wide
+// outcome cache and the root observability scope) to every enumeration
+// this command performs.
 var (
 	cf       *cliflags.Set
 	enumOpts []litmus.Option
@@ -178,9 +178,9 @@ func matrixCmd() bool {
 }
 
 // enumerate computes an outcome set with the global options; an enumeration
-// failure that survived the serial fallback (a real enumerator fault)
-// prints the unified one-line trap report and exits with
-// cliflags.TrapExitCode, exactly like a trapped risotto guest.
+// failure (an injected or real enumerator fault) prints the unified
+// one-line trap report and exits with cliflags.TrapExitCode, exactly like a
+// trapped risotto guest.
 func enumerate(p *litmus.Program, m memmodel.Model) litmus.OutcomeSet {
 	out, err := litmus.Enumerate(p, m, enumOpts...)
 	if err != nil {
@@ -210,10 +210,9 @@ func corpus() {
 		}
 	}
 	snap := cf.Scope().Snapshot()
-	fmt.Printf("\nenumerations %d (cache: %d hits, %d misses; %d shards, %d serial fallbacks)\n",
+	fmt.Printf("\nenumerations %d (cache: %d hits, %d misses)\n",
 		snap.Counter("litmus.enumerations"),
-		snap.Counter("litmus.cache.hits"), snap.Counter("litmus.cache.misses"),
-		snap.Counter("litmus.shards"), snap.Counter("litmus.serial_fallbacks"))
+		snap.Counter("litmus.cache.hits"), snap.Counter("litmus.cache.misses"))
 }
 
 func outcomes(name string) {

@@ -247,11 +247,11 @@ func Check(cfg Config, t *litmusgen.Test) Record {
 }
 
 // checkTest runs every applicable check for one generated test and folds
-// the results into a Record. Enumerations run serially (WithWorkers(1))
-// with a private cache: campaign parallelism comes from the test stream,
-// and the cache still shares the source enumeration between the TCG leg,
-// the Arm leg and the opcheck admitted-set of the same test, then gets
-// dropped with the test — bounded memory regardless of corpus size.
+// the results into a Record. Enumerations use a private cache: campaign
+// parallelism comes from the test stream, and the cache still shares the
+// source enumeration between the TCG leg, the Arm leg and the opcheck
+// admitted-set of the same test, then gets dropped with the test — bounded
+// memory regardless of corpus size.
 func checkTest(cfg Config, t *litmusgen.Test, sc *obs.Scope) Record {
 	start := sc.Begin()
 	rec := Record{
@@ -317,7 +317,7 @@ func checkTest(cfg Config, t *litmusgen.Test, sc *obs.Scope) Record {
 	}
 
 	cache := litmus.NewCache()
-	opts := []litmus.Option{litmus.WithWorkers(1), litmus.WithCache(cache)}
+	opts := []litmus.Option{litmus.WithCache(cache)}
 	armM := models.ByLevel(memmodel.LevelArm)
 
 	switch t.Level {

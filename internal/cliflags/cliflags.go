@@ -49,8 +49,8 @@ func TrapReport(tool string, err error) (string, bool) {
 // Set holds the parsed values of the shared flags. Zero value is unusable;
 // build one with Register.
 type Set struct {
-	// Workers bounds enumeration parallelism (0 = all CPUs, 1 = serial);
-	// only registered by AddWorkers.
+	// Workers sizes the campaign worker pool (0 = one per CPU); only
+	// registered by AddWorkers.
 	Workers int
 	// Fault is the comma-separated fault spec list (name[@N]); only
 	// registered by AddFaults.
@@ -93,10 +93,10 @@ func (s *Set) AddFaults(fs *flag.FlagSet) {
 }
 
 // AddWorkers installs the -workers flag (litmusctl, the command that runs
-// litmus enumerations and campaign worker pools).
+// campaign worker pools).
 func (s *Set) AddWorkers(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", 0,
-		"enumeration workers (0 = all CPUs, 1 = serial)")
+		"campaign workers (0 = one per CPU)")
 }
 
 // AddListen installs the -listen flag (risotto only): an address for the
@@ -118,9 +118,7 @@ func (s *Set) AddTierUp(fs *flag.FlagSet) {
 }
 
 // WorkerCount resolves -workers to a concrete pool size: 0 or negative
-// means one worker per CPU, mirroring how the litmus enumerator interprets
-// the flag. Drivers that run their own worker pools (the campaign runner)
-// use this so -workers means the same thing everywhere.
+// means one worker per CPU. The campaign runner sizes its pool with it.
 func (s *Set) WorkerCount() int {
 	if s.Workers <= 0 {
 		return runtime.NumCPU()
@@ -150,16 +148,15 @@ func (s *Set) Scope() *obs.Scope {
 	return s.scope
 }
 
-// LitmusOptions assembles the enumeration options the flags describe:
-// workers, the process-wide outcome cache, the root scope, and the
-// injector when -fault armed one. extra options append after (last wins).
+// LitmusOptions assembles the enumeration options the flags describe: the
+// process-wide outcome cache, the root scope, and the injector when -fault
+// armed one. extra options append after (last wins).
 func (s *Set) LitmusOptions(extra ...litmus.Option) ([]litmus.Option, error) {
 	in, err := s.Injector()
 	if err != nil {
 		return nil, err
 	}
 	opts := []litmus.Option{
-		litmus.WithWorkers(s.Workers),
 		litmus.WithCache(litmus.DefaultCache),
 		litmus.WithObs(s.Scope()),
 	}

@@ -84,12 +84,12 @@ func TestLitmusOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LitmusOptions: %v", err)
 	}
-	if len(opts) != 3 {
-		t.Fatalf("got %d options, want 3 (workers, cache, obs)", len(opts))
+	if len(opts) != 2 {
+		t.Fatalf("got %d options, want 2 (cache, obs): -workers sizes campaigns, not enumerations", len(opts))
 	}
 	s = parse(t, "-fault", faults.SpecNames()[0])
-	if opts, err = s.LitmusOptions(); err != nil || len(opts) != 4 {
-		t.Fatalf("with -fault: %d options, err %v; want 4, nil", len(opts), err)
+	if opts, err = s.LitmusOptions(); err != nil || len(opts) != 3 {
+		t.Fatalf("with -fault: %d options, err %v; want 3, nil", len(opts), err)
 	}
 }
 

@@ -105,11 +105,10 @@ func (e *explorer) runDFS() {
 			continue
 		}
 
-		// Extend greedily to a leaf, pushing a frame per new state.
+		// Extend greedily to a leaf, pushing a frame per new state. A run
+		// whose last transition spends the budget is complete, not cut: its
+		// path replays to an outcome, so the leaf is looked for first.
 		for {
-			if e.cut(path) {
-				return
-			}
 			ts := m.Enabled(nil)
 			if len(ts) == 0 {
 				if err := e.leaf(m, path); err != nil {
@@ -119,6 +118,9 @@ func (e *explorer) runDFS() {
 					return
 				}
 				break
+			}
+			if e.cut(path) {
+				return
 			}
 			nd := &dnode{ts: ts, sleep: make(map[machine.Transition]footprint)}
 			if len(stack) > 0 {

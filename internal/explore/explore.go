@@ -190,7 +190,7 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 // axiomatic twin: the one model against which full coverage is a
 // meaningful demand.
 func reference(p *litmus.Program) (litmus.OutcomeSet, error) {
-	allowed, err := litmus.Enumerate(p, opref.New(), litmus.WithWorkers(1))
+	allowed, err := litmus.Enumerate(p, opref.New())
 	if err != nil {
 		return nil, fmt.Errorf("explore: enumerating %q under op-ref: %w", p.Name, err)
 	}

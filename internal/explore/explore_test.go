@@ -168,7 +168,7 @@ func TestReplayByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed, err := litmus.Enumerate(p, opref.New(), litmus.WithWorkers(1))
+	allowed, err := litmus.Enumerate(p, opref.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +287,37 @@ func TestWalkBudgetCutsOnlyUnfinishedWalks(t *testing.T) {
 	}
 	if got, err := EncodeTrace(*replayed); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("cut walk does not replay byte-identically (%v):\n%s\nvs\n%s", err, want, got)
+	}
+}
+
+// TestDPORBudgetCutsOnlyUnfinishedRuns is the DPOR twin of
+// TestWalkBudgetCutsOnlyUnfinishedWalks: a budget that expires on a leaf
+// records that run rather than cutting it, so at every budget the partial
+// trace stops where transitions are left and replays byte-identically.
+// The budgets run past MP's first few leaves.
+func TestDPORBudgetCutsOnlyUnfinishedRuns(t *testing.T) {
+	p := litmus.MP()
+	runs := 0
+	for budget := 1; budget <= 64; budget++ {
+		res := run(t, p, Config{Mode: ModeDPOR, MaxStates: budget})
+		runs = res.Runs
+		tr, ok := res.FirstTrace()
+		if !ok || tr.Final.Verdict != VerdictPartial {
+			t.Fatalf("budget %d: no partial trace (partial=%v)", budget, res.Partial)
+		}
+		want, err := EncodeTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := Replay(p, &tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := EncodeTrace(*replayed); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("budget %d: cut run does not replay byte-identically (%v):\n%s\nvs\n%s", budget, err, want, got)
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no budget up to 64 reached a leaf")
 	}
 }

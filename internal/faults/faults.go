@@ -10,8 +10,9 @@
 // *recoverable* outcome rather than a process abort: every hard failure
 // in the execution stack surfaces as a *Trap that callers can classify
 // with errors.As and either recover from (code-cache exhaustion triggers
-// a flush-and-retranslate cycle; a litmus shard panic degrades to the
-// serial enumerator) or report as a structured one-line trap.
+// a flush-and-retranslate cycle; a daemon job that panicked is retried)
+// or report as a structured one-line trap (a litmus enumeration that
+// panicked).
 package faults
 
 import (
@@ -48,8 +49,8 @@ const (
 	// TrapHostCall is a failure inside the host-linked library call path
 	// (marshaling, missing function, host fault).
 	TrapHostCall
-	// TrapWorkerPanic is a captured panic in a parallel worker (litmus
-	// enumeration shard); the degraded path re-runs serially.
+	// TrapWorkerPanic is a captured panic in a litmus enumeration or a
+	// daemon job worker.
 	TrapWorkerPanic
 	// TrapMiscompile is a translation whose emitted host code diverged
 	// from its IR oracle — detected either by executing a corrupted block
@@ -218,11 +219,9 @@ const (
 	SiteStep Site = "step"
 	// SiteHostCall guards each host-linked library call.
 	SiteHostCall Site = "host-call"
-	// SiteLitmusShard guards each parallel litmus enumeration shard; an
-	// armed plan panics the worker (exercising panic capture + serial
-	// fallback) rather than returning a trap through the normal path.
-	// With -workers 1 the same site guards the serial enumeration, where
-	// a fired plan has no fallback and surfaces as an unrecovered trap.
+	// SiteLitmusShard guards each litmus enumeration (the name predates
+	// the serial enumerator); a fired plan fails that enumeration with an
+	// injected trap, which Enumerate returns — there is no fallback.
 	SiteLitmusShard Site = "litmus-shard"
 	// SiteCacheCorrupt guards each persistent translation-cache append;
 	// an armed plan corrupts the journaled entry's checksum so the
@@ -247,8 +246,8 @@ type plan struct {
 }
 
 // Injector deterministically forces traps at chosen occurrences of
-// instrumented sites. It is safe for concurrent use (litmus shards hit it
-// from worker goroutines) and nil-receiver safe, so call sites can be
+// instrumented sites. It is safe for concurrent use (concurrent litmus
+// enumerations may share one) and nil-receiver safe, so call sites can be
 // guarded with a plain `if t := inj.Hit(site); t != nil` even when no
 // injector is configured.
 type Injector struct {

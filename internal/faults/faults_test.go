@@ -149,10 +149,21 @@ func TestParseSpecs(t *testing.T) {
 	if _, err := ParseInjector("decode,nope"); err == nil {
 		t.Error("a list with an unknown name was accepted")
 	}
-	// Every advertised name parses.
+	// Every advertised name parses, and the injector the CLIs build from
+	// it fires the name's trap kind at the first hit of its site.
 	for _, n := range SpecNames() {
-		if _, err := ParseSpec(n); err != nil {
+		sp, err := ParseSpec(n)
+		if err != nil {
 			t.Errorf("SpecNames entry %q does not parse: %v", n, err)
+			continue
+		}
+		in, err := ParseInjector(n)
+		if err != nil || in == nil {
+			t.Errorf("ParseInjector(%q) = %v, %v", n, in, err)
+			continue
+		}
+		if tr := in.Hit(sp.Site); tr == nil || tr.Kind != sp.Kind || !tr.Injected {
+			t.Errorf("%s: first hit of %s = %+v, want an injected %v trap", n, sp.Site, tr, sp.Kind)
 		}
 	}
 }

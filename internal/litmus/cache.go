@@ -116,7 +116,7 @@ func NewCache() *Cache {
 var DefaultCache = NewCache()
 
 // outcomes is the memoizing path behind Enumerate(..., WithCache(c)). The
-// body of the once.Do never panics (enumerate captures worker panics), so
+// body of the once.Do never panics (enumerate captures panics), so
 // a failed first enumeration memoizes its error rather than silently
 // marking the entry done with a nil set; racing callers for the same key
 // all observe the same (set, error) pair. A call counts as a cache miss

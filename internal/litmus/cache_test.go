@@ -10,6 +10,23 @@ import (
 	"repro/internal/models/x86tso"
 )
 
+func assertSameOutcomes(t *testing.T, prog, model, label string, want, got OutcomeSet) {
+	t.Helper()
+	ws, gs := want.Sorted(), got.Sorted()
+	if len(ws) != len(gs) {
+		t.Errorf("%s under %s: %s yields %d outcomes, want %d",
+			prog, model, label, len(gs), len(ws))
+		return
+	}
+	for i := range ws {
+		if ws[i] != gs[i] {
+			t.Errorf("%s under %s: %s outcome[%d] = %q, want %q",
+				prog, model, label, i, gs[i], ws[i])
+			return
+		}
+	}
+}
+
 // TestCacheEnumeratesOnce is the concurrency property test: N goroutines
 // racing on the same (program, model) key all receive the identical outcome
 // set, and the underlying enumeration runs exactly once.

@@ -11,13 +11,33 @@ import (
 	"repro/internal/obs"
 )
 
+// Options configures outcome computation; build it through the Option
+// funcs passed to Enumerate.
+type Options struct {
+	// Cache, when non-nil, memoizes outcome sets keyed by (program
+	// fingerprint, model name). Sets returned through a cache are shared
+	// between callers and must be treated as read-only.
+	Cache *Cache
+	// Inject, when non-nil, arms deterministic fault injection in the
+	// enumerator (faults.SiteLitmusShard fires once per enumeration,
+	// exercising the panic capture).
+	Inject *faults.Injector
+	// Obs, when non-nil, receives enumeration metrics and trace spans
+	// under its "litmus" child scope. Nil disables instrumentation at the
+	// cost of a pointer check.
+	Obs *obs.Scope
+}
+
 // Option configures Enumerate.
 type Option func(*Options)
 
-// WithWorkers bounds enumeration parallelism: 0 (or negative) uses
-// runtime.NumCPU(); 1 selects the serial reference path.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
+// WithWorkers does nothing: Enumerate has one enumerator, and it is serial.
+// Callers that want parallelism run several enumerations at once, as the
+// campaign runner's worker pool does.
+//
+// Deprecated: drop the option; it no longer changes anything.
+func WithWorkers(int) Option {
+	return func(*Options) {}
 }
 
 // WithCache memoizes outcome sets in c, keyed by (program fingerprint,
@@ -27,27 +47,24 @@ func WithCache(c *Cache) Option {
 	return func(o *Options) { o.Cache = c }
 }
 
-// WithInjector arms deterministic fault injection in the parallel
-// enumerator (faults.SiteLitmusShard fires inside a worker shard).
+// WithInjector arms deterministic fault injection in the enumerator
+// (faults.SiteLitmusShard fires at the start of each enumeration).
 func WithInjector(in *faults.Injector) Option {
 	return func(o *Options) { o.Inject = in }
 }
 
-// WithObs reports enumeration metrics (enumerations, shards dispatched,
-// serial fallbacks, outcomes, cache hits/misses, wall time) and
-// litmus.enumerate trace spans into the given scope's "litmus" child.
+// WithObs reports enumeration metrics (enumerations, outcomes, cache
+// hits/misses, wall time) and litmus.enumerate trace spans into the given
+// scope's "litmus" child.
 func WithObs(s *obs.Scope) Option {
 	return func(o *Options) { o.Obs = s }
 }
 
 // Enumerate computes the set of outcomes of p admitted by model m. It is
-// the canonical enumeration entrypoint: with no options it runs the
-// parallel sharded enumerator on every CPU; WithWorkers(1) selects the
-// serial reference path. A panic in any parallel worker shard is
-// recovered into a faults.TrapWorkerPanic naming the program and shard,
-// and the enumeration is retried once on the serial path (whose result
-// is the definition of correctness for the parallel one); an error is
-// returned only when the serial retry fails too.
+// the canonical enumeration entrypoint: Outcomes with a cache, metrics and
+// panic capture around it. A panic inside the enumeration is recovered
+// into a faults.TrapWorkerPanic naming the program, and a program that
+// reads an unassigned register is an error rather than a panic.
 func Enumerate(p *Program, m memmodel.Model, opts ...Option) (OutcomeSet, error) {
 	var o Options
 	for _, apply := range opts {
@@ -66,7 +83,7 @@ func enumerate(p *Program, m memmodel.Model, o Options) (OutcomeSet, error) {
 	sc.Counter("enumerations").Inc()
 	start := sc.Begin()
 
-	out, err := enumerateUninstrumented(p, m, o, sc)
+	out, err := enumerateUninstrumented(p, m, o.Inject)
 
 	dur := sc.Span("litmus.enumerate", p.Name, -1, 0, 0, start)
 	sc.Histogram("enumerate_ns", obs.DurationBuckets).Observe(uint64(dur))
@@ -74,27 +91,23 @@ func enumerate(p *Program, m memmodel.Model, o Options) (OutcomeSet, error) {
 	return out, err
 }
 
-func enumerateUninstrumented(p *Program, m memmodel.Model, o Options, sc *obs.Scope) (OutcomeSet, error) {
+// enumerateUninstrumented compiles p and runs the serial enumerator under a
+// recover(), so a panic (a model's, the enumerator's, or one the injector's
+// shard site arms) surfaces as a structured trap and never unwinds past
+// Enumerate.
+func enumerateUninstrumented(p *Program, m memmodel.Model, in *faults.Injector) (out OutcomeSet, err error) {
 	c, err := compile(p)
 	if err != nil {
 		return nil, err
 	}
-	workers := o.workerCount()
-	if workers == 1 {
-		return outcomesSerial(c, m, o.Inject)
-	}
-	out, perr := outcomesSharded(c, m, o, workers, sc)
-	if perr == nil {
-		return out, nil
-	}
-	sc.Counter("serial_fallbacks").Inc()
-	sc.Event("litmus.serial_fallback", p.Name, -1, 0, 0)
-	out, serr := outcomesSerial(c, m, o.Inject)
-	if serr != nil {
-		t := faults.Wrap(faults.TrapWorkerPanic, serr,
-			"litmus %q: parallel enumeration failed (%v) and serial fallback also failed",
-			p.Name, perr)
+	defer func() {
+		if r := recover(); r != nil {
+			err = faults.New(faults.TrapWorkerPanic,
+				"litmus %q: enumeration panicked: %v", c.name, r)
+		}
+	}()
+	if t := in.Hit(faults.SiteLitmusShard); t != nil {
 		return nil, t
 	}
-	return out, nil
+	return c.outcomes(m), nil
 }

@@ -18,7 +18,7 @@ func leastAllocs(t *testing.T, p *litmus.Program, m memmodel.Model) float64 {
 	best := math.Inf(1)
 	for round := 0; round < 10; round++ {
 		best = min(best, testing.AllocsPerRun(1, func() {
-			if _, err := litmus.Enumerate(p, m, litmus.WithWorkers(1)); err != nil {
+			if _, err := litmus.Enumerate(p, m); err != nil {
 				t.Fatal(err)
 			}
 		}))

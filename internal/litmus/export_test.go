@@ -37,6 +37,6 @@ func LitFilePrograms(t testing.TB) []*Program {
 // it.
 func EnumerateRendered(p *Program, fn func(c *Candidate, outcome []byte) bool) {
 	mustCompile(p).forEachJob(func(j *skeletonJob) bool {
-		return j.enumerate(nil, func(s *scratch) bool { return fn(&s.c, s.appendOutcome(nil)) })
+		return j.enumerate(func(s *scratch) bool { return fn(&s.c, s.appendOutcome(nil)) })
 	})
 }

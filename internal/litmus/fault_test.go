@@ -1,73 +1,54 @@
 package litmus
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/models"
+	"repro/internal/memmodel"
 	"repro/internal/models/x86tso"
 )
 
-// TestFaultShardPanicFallsBackToSerial injects a panic into a parallel
-// worker shard and checks the enumeration degrades to the serial path: no
-// error, and the result equals the reference serial set, for every program
-// of the x86 corpus under x86-TSO and Arm from the registry.
-func TestFaultShardPanicFallsBackToSerial(t *testing.T) {
-	for _, name := range []string{"x86-TSO", "arm"} {
-		m, err := models.Default().Lookup(name)
-		if err != nil {
-			t.Fatal(err)
+// TestFaultModelPanicBecomesError drives Enumerate's recover() with a real
+// panic: a model whose checking panics (its one set predicate does) must
+// come back as a faults.TrapWorkerPanic that names the program, not
+// injected, never as a live panic — through a cache too.
+func TestFaultModelPanicBecomesError(t *testing.T) {
+	boom := memmodel.Define("boom", memmodel.Empty("boom",
+		memmodel.Set("[boom]", func(memmodel.Event) bool { panic("model panicked") })))
+	p := MP()
+	for _, opts := range [][]Option{nil, {WithCache(NewCache())}} {
+		out, err := Enumerate(p, boom, opts...)
+		if out != nil || err == nil {
+			t.Fatalf("Enumerate = %v, %v; want nil set and error", out, err)
 		}
-		for _, p := range X86Corpus() {
-			in := faults.NewInjector()
-			in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
-
-			out, err := Enumerate(p, m, WithWorkers(4), WithInjector(in))
-			if err != nil {
-				t.Fatalf("%s/%s: fallback did not absorb injected panic: %v", p.Name, name, err)
+		tr, ok := faults.As(err)
+		if !ok {
+			t.Fatalf("error %v is not a trap", err)
+		}
+		if tr.Kind != faults.TrapWorkerPanic || tr.Injected {
+			t.Errorf("trap = %+v; want a worker-panic that was not injected", tr)
+		}
+		for _, want := range []string{`"MP"`, "model panicked"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
 			}
-			if in.Count(faults.SiteLitmusShard) == 0 {
-				t.Fatalf("%s/%s: injection site never hit", p.Name, name)
-			}
-			assertSameOutcomes(t, p.Name, m.Name(), "degraded", Outcomes(p, m), out)
 		}
 	}
 }
 
-// TestFaultShardPanicBecomesError checks the per-shard recover() directly:
-// an injected panic must surface as a faults.TrapWorkerPanic naming the
-// program, marked Injected, never as a live panic.
-func TestFaultShardPanicBecomesError(t *testing.T) {
-	p, m := MP(), x86tso.New()
-	shards := buildShards(mustCompile(p), 4)
-	in := faults.NewInjector()
-	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
-
-	out, err := runShard(p.Name, m, shards[0], 0, in)
-	if out != nil || err == nil {
-		t.Fatalf("runShard = %v, %v; want nil set and error", out, err)
-	}
-	tr, ok := faults.As(err)
-	if !ok {
-		t.Fatalf("error %v is not a trap", err)
-	}
-	if tr.Kind != faults.TrapWorkerPanic || !tr.Injected {
-		t.Errorf("trap = %+v; want injected worker-panic", tr)
-	}
-}
-
-// TestFaultShardPanicSerialPathSurfaces pins the unrecovered path: with
-// -workers 1 the serial reference runs directly and there is no further
-// fallback below it, so an injected shard fault must surface as a
-// structured, injected trap instead of being silently absorbed.
+// TestFaultShardPanicSerialPathSurfaces pins the shard-panic site: it
+// guards each enumeration, and there is no fallback below the one
+// enumerator, so an injected fault must surface as a structured, injected
+// trap instead of being silently absorbed.
 func TestFaultShardPanicSerialPathSurfaces(t *testing.T) {
 	p, m := MP(), x86tso.New()
 	in := faults.NewInjector()
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
-	out, err := Enumerate(p, m, WithWorkers(1), WithInjector(in))
+	out, err := Enumerate(p, m, WithInjector(in))
 	if err == nil {
-		t.Fatalf("serial run absorbed the injected fault: %v", out)
+		t.Fatalf("enumeration absorbed the injected fault: %v", out)
 	}
 	tr, ok := faults.As(err)
 	if !ok {
@@ -78,31 +59,33 @@ func TestFaultShardPanicSerialPathSurfaces(t *testing.T) {
 	}
 }
 
-// TestFaultCacheSurvivesInjectedPanic checks the memoization path: a first
-// enumeration that needed the serial fallback must still populate the cache
-// with the correct set (historically a panic inside once.Do left the entry
-// done-but-nil), and later hits must return it.
+// TestFaultCacheSurvivesInjectedPanic checks the memoization of a failed
+// enumeration: the first enumeration returns the injected trap, the
+// entry's once memoizes that error (historically a panic inside once.Do
+// left the entry done-but-nil), so a re-read through the same cache
+// returns the same trap rather than an empty set, and a fresh cache
+// enumerates the program afresh.
 func TestFaultCacheSurvivesInjectedPanic(t *testing.T) {
 	p, m := SBQ(), x86tso.New()
 	c := NewCache()
 	in := faults.NewInjector()
 	in.Arm(faults.SiteLitmusShard, 1, faults.TrapWorkerPanic)
 
-	first, err := Enumerate(p, m, WithCache(c), WithWorkers(4), WithInjector(in))
-	if err != nil {
-		t.Fatalf("first enumeration: %v", err)
+	first, err := Enumerate(p, m, WithCache(c), WithInjector(in))
+	if !faults.IsKind(err, faults.TrapWorkerPanic) || first != nil {
+		t.Fatalf("first enumeration = %v, %v; want the injected worker-panic", first, err)
 	}
-	assertSameOutcomes(t, p.Name, m.Name(), "cache-first", Outcomes(p, m), first)
-
-	again, err := Enumerate(p, m, WithCache(c), WithWorkers(4))
-	if err != nil {
-		t.Fatalf("cached re-read: %v", err)
+	again, err2 := Enumerate(p, m, WithCache(c))
+	if err2 != err || again != nil {
+		t.Fatalf("cached re-read = %v, %v; want the memoized trap %v", again, err2, err)
 	}
-	if len(again) == 0 {
-		t.Fatal("cache entry poisoned: empty set on re-read")
-	}
-	assertSameOutcomes(t, p.Name, m.Name(), "cache-again", first, again)
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want 1", c.Len())
 	}
+
+	fresh, err := Enumerate(p, m, WithCache(NewCache()))
+	if err != nil {
+		t.Fatalf("fresh cache: %v", err)
+	}
+	assertSameOutcomes(t, p.Name, m.Name(), "fresh cache", Outcomes(p, m), fresh)
 }

@@ -7,9 +7,38 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/memmodel"
+	"repro/internal/models/armcats"
+	"repro/internal/models/tcgmm"
+	"repro/internal/models/x86tso"
 )
 
 var update = flag.Bool("update", false, "rewrite golden outcome files")
+
+// testCorpus returns every named program of corpus.go, across all three
+// levels (x86, TCG IR, Arm).
+func testCorpus() []*Program {
+	ps := X86Corpus()
+	ps = append(ps,
+		MPAddr(), MPDataRfiAddr(), LBAddr(), IRIWFenced(),
+		Fig9a(), Fig9b(),
+		LBIR(), MPIR(), FMRSource(), FMRTarget(),
+		SBALArm(), MPArm(), MPArmDMB(),
+	)
+	return ps
+}
+
+// testModels returns the four models the golden tests sweep: x86-TSO, the
+// TCG IR model, and both Armed-Cats variants.
+func testModels() []memmodel.Model {
+	return []memmodel.Model{
+		x86tso.New(),
+		tcgmm.New(),
+		armcats.New(),
+		armcats.NewVariant(armcats.Original),
+	}
+}
 
 // goldenFileName maps a program name to its snapshot file, replacing
 // characters that are awkward in filenames.

@@ -472,7 +472,7 @@ type Candidate struct {
 // error.
 func EnumerateCandidates(p *Program, fn func(c *Candidate) bool) {
 	mustCompile(p).forEachJob(func(j *skeletonJob) bool {
-		return j.enumerate(nil, func(s *scratch) bool { return fn(&s.c) })
+		return j.enumerate(func(s *scratch) bool { return fn(&s.c) })
 	})
 }
 
@@ -499,8 +499,7 @@ func (c *code) forEachJob(fn func(*skeletonJob) bool) {
 
 // skeletonJob is the prepared event structure for one skeleton combination
 // (fixed control paths and choice bits across all threads). It is immutable
-// once built: enumerate may be called concurrently from several goroutines
-// with disjoint rf prefixes, which is how Enumerate shards the search.
+// once built; enumerate works in a scratch of its own.
 type skeletonJob struct {
 	locs    []Loc
 	threads []*threadCode
@@ -581,11 +580,10 @@ func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
 	return j
 }
 
-// scratch is the candidate storage of one enumerate call — one job
-// serially, one shard in the sharded path. What value resolution works in
-// and everything a candidate is made of are allocated once and rewritten
-// for every rf and co choice, so a candidate is valid only until the fn
-// that receives it returns.
+// scratch is the candidate storage of one enumerate call over one job.
+// What value resolution works in and everything a candidate is made of are
+// allocated once and rewritten for every rf and co choice, so a candidate
+// is valid only until the fn that receives it returns.
 type scratch struct {
 	j  *skeletonJob
 	fn func(*scratch) bool
@@ -615,19 +613,15 @@ type coOrder struct {
 	last  int
 }
 
-// enumerate walks every rf assignment extending the fixed prefix (rfPrefix[i]
-// is the chosen writer for reads[i]), then every coherence order, invoking fn
-// per candidate. Returns false to stop the overall enumeration. Safe for
-// concurrent use with disjoint prefixes: the job is read-only here, and each
-// call works in a scratch of its own. The scratch fn receives, and the
-// candidate in it, are valid only until fn returns.
-func (j *skeletonJob) enumerate(rfPrefix []int, fn func(*scratch) bool) bool {
+// enumerate walks every rf assignment, then every coherence order, invoking
+// fn per candidate. Returns false to stop the overall enumeration. The job
+// is read-only here, and each call works in a scratch of its own. The
+// scratch fn receives, and the candidate in it, are valid only until fn
+// returns.
+func (j *skeletonJob) enumerate(fn func(*scratch) bool) bool {
 	n := len(j.events)
 	s := &scratch{j: j, fn: fn, rfOf: make([]int, n), vals: make([]int64, n), known: make([]bool, n)}
-	for i, w := range rfPrefix {
-		s.rfOf[j.reads[i]] = w
-	}
-	return s.enumerateRF(len(rfPrefix))
+	return s.enumerateRF(0)
 }
 
 // enumerateRF chooses, in turn, every writer of its location for reads[i],
@@ -908,26 +902,26 @@ func Outcomes(p *Program, m memmodel.Model) OutcomeSet { return mustCompile(p).o
 func (c *code) outcomes(m memmodel.Model) OutcomeSet {
 	out := make(OutcomeSet)
 	c.forEachJob(func(j *skeletonJob) bool {
-		j.outcomes(m, nil, out)
+		j.outcomes(m, out)
 		return true
 	})
 	return out
 }
 
-// outcomes adds to out the outcome of every candidate extending rfPrefix
-// that m admits. One memmodel.Checker — the candidate-invariant relations
+// outcomes adds to out the outcome of every candidate of the job that m
+// admits. One memmodel.Checker — the candidate-invariant relations
 // evaluated once — serves the whole rf×co product. It is built when the
 // first candidate arrives, so a job whose every rf choice value resolution
 // refutes builds none, and it returns to the model's pool when the
 // enumeration ends, by panic too.
-func (j *skeletonJob) outcomes(m memmodel.Model, rfPrefix []int, out OutcomeSet) {
+func (j *skeletonJob) outcomes(m memmodel.Model, out OutcomeSet) {
 	var ck *memmodel.Checker
 	defer func() {
 		if ck != nil {
 			ck.Release()
 		}
 	}()
-	j.enumerate(rfPrefix, func(s *scratch) bool {
+	j.enumerate(func(s *scratch) bool {
 		if ck == nil {
 			ck = memmodel.NewChecker(m, j.skel)
 		}

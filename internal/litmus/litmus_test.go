@@ -211,6 +211,21 @@ func TestThinAirRejected(t *testing.T) {
 	}
 }
 
+// TestEnumerateDefault exercises the no-option entrypoint on a couple of
+// representative programs.
+func TestEnumerateDefault(t *testing.T) {
+	for _, p := range []*Program{MPQ(), SBQ()} {
+		for _, m := range testModels() {
+			got, err := Enumerate(p, m)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", p.Name, m.Name(), err)
+			}
+			assertSameOutcomes(t, p.Name, m.Name(), "Enumerate",
+				Outcomes(p, m), got)
+		}
+	}
+}
+
 func TestEnumerateEarlyStop(t *testing.T) {
 	n := 0
 	EnumerateCandidates(MP(), func(*Candidate) bool {
@@ -275,7 +290,7 @@ func TestUnassignedRegisterIsAnError(t *testing.T) {
 		},
 	} {
 		p := &Program{Name: "MP+typo", Threads: [][]Op{writer, reader}}
-		for _, opts := range [][]Option{{WithWorkers(1)}, {WithWorkers(4)}, {WithCache(NewCache())}} {
+		for _, opts := range [][]Option{nil, {WithCache(NewCache())}} {
 			out, err := Enumerate(p, anyModel, opts...)
 			if err == nil {
 				t.Errorf("%s: Enumerate returned %d outcomes and no error", name, len(out))

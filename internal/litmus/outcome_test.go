@@ -13,8 +13,8 @@ import (
 // NewOutcome, the one writer of the format, over the differential's
 // programs, the register-dataflow shapes and the .lit files: every
 // candidate's rendering must be what NewOutcome makes of a deep copy's
-// register files and behaviour, and under every registry model Enumerate
-// must return, at every worker count, exactly the NewOutcome renderings of
+// register files and behaviour, and under every registry model Enumerate,
+// called with no options, must return exactly the NewOutcome renderings of
 // the candidates the model admits.
 func TestOneOutcomeFormat(t *testing.T) {
 	progs := append(differentialPrograms(t), litmus.DepShapes()...)
@@ -39,15 +39,13 @@ func TestOneOutcomeFormat(t *testing.T) {
 				}
 				ck.Release()
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got, err := litmus.Enumerate(p, e.Model, litmus.WithWorkers(workers))
-				if err != nil {
-					t.Fatalf("%s under %s, %d workers: %v", p.Name, e.Name, workers, err)
-				}
-				if g, w := got.Sorted(), want.Sorted(); !slices.Equal(g, w) {
-					t.Fatalf("%s under %s, %d workers: Enumerate %v, NewOutcome over the admitted candidates %v",
-						p.Name, e.Name, workers, g, w)
-				}
+			got, err := litmus.Enumerate(p, e.Model)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", p.Name, e.Name, err)
+			}
+			if g, w := got.Sorted(), want.Sorted(); !slices.Equal(g, w) {
+				t.Fatalf("%s under %s: Enumerate %v, NewOutcome over the admitted candidates %v",
+					p.Name, e.Name, g, w)
 			}
 		}
 	}

@@ -159,8 +159,7 @@ func TestDifferentialPreparedVsPlain(t *testing.T) {
 				}
 				return true
 			})
-			prepared, err := litmus.Enumerate(gt.Prog, m,
-				litmus.WithWorkers(1), litmus.WithCache(litmus.NewCache()))
+			prepared, err := litmus.Enumerate(gt.Prog, m, litmus.WithCache(litmus.NewCache()))
 			if err != nil {
 				t.Fatalf("seed %d: %s under %s: %v", *diffSeed, gt.Prog.Name, m.Name(), err)
 			}

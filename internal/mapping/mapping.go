@@ -220,8 +220,8 @@ type Verification struct {
 	// iff the mapping is correct for this program.
 	NewBehaviours []litmus.Outcome
 	// Err, when non-nil, reports that an outcome set could not be
-	// enumerated — a worker shard failed beyond recovery, or a program
-	// reads a register it never assigned — and names the program.
+	// enumerated — the enumeration panicked, or a program reads a
+	// register it never assigned — and names the program.
 	// NewBehaviours is then meaningless.
 	Err error
 }
@@ -231,13 +231,12 @@ type Verification struct {
 func (v Verification) Correct() bool { return v.Err == nil && len(v.NewBehaviours) == 0 }
 
 // VerifyTheorem1 checks behaviour containment: every outcome of tgt under
-// mt must be an outcome of src under ms. Outcome sets are computed with the
-// parallel enumerator through the process-wide cache, so sweeping one source
-// program against several candidate translations enumerates it only once.
-// Enumeration failures (a panicked worker shard whose serial retry also
-// failed) surface in the result's Err instead of crashing the sweep.
-// Additional litmus options (worker count, a different cache, an
-// observability scope) may be appended; they are applied on top of the
+// mt must be an outcome of src under ms. Outcome sets are computed through
+// the process-wide cache, so sweeping one source program against several
+// candidate translations enumerates it only once. Enumeration failures (a
+// panicked enumeration) surface in the result's Err instead of crashing the
+// sweep. Additional litmus options (a different cache, an observability
+// scope, a fault injector) may be appended; they are applied on top of the
 // default cache.
 func VerifyTheorem1(src *litmus.Program, ms memmodel.Model, tgt *litmus.Program, mt memmodel.Model, opts ...litmus.Option) Verification {
 	v := Verification{

@@ -7,7 +7,7 @@
 #   ./scripts/bench_snapshot.sh out.json        # alternate output path
 #
 # Captured: the rel word-wise kernels (BenchmarkRelOps), the end-to-end
-# candidate enumeration (BenchmarkOutcomesParallel, BenchmarkTheorem1),
+# candidate enumeration (BenchmarkEnumerate, BenchmarkTheorem1),
 # the campaign per-test verdict pipeline (BenchmarkCampaignTest, whose
 # tests/s metric is the serial campaign throughput), the tier-up JIT
 # on/off pairs (BenchmarkTierUp, whose sim_cycles_per_op ratio is the
@@ -16,9 +16,8 @@
 # exploration engine (BenchmarkExplore: states_per_sec transition
 # throughput and the coverage_pct of allowed outcomes a full DPOR
 # enumeration reaches).
-# BenchmarkOutcomesParallel's heavy rows (a five-thread ring, hundreds of ms
-# per enumeration) run at a fixed 3x: three iterations already resolve the
-# serial-vs-sharded ratio they exist to record.
+# BenchmarkEnumerate/heavy (a five-thread ring, tens of ms per enumeration)
+# runs at a fixed 3x: three iterations already resolve its cost.
 # check.sh runs this with a short -benchtime as a smoke stage; for numbers
 # worth comparing across machines use BENCHTIME=2s or more.
 set -euo pipefail
@@ -29,14 +28,14 @@ OUT="${1:-BENCH_litmus.json}"
 
 raw="$(
   go test -run '^$' -bench 'BenchmarkRelOps' -benchtime "$BENCHTIME" ./internal/rel/
-  go test -run '^$' -bench 'BenchmarkOutcomesParallel|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' \
-    -skip 'BenchmarkOutcomesParallel/heavy' -benchtime "$BENCHTIME" .
-  go test -run '^$' -bench 'BenchmarkOutcomesParallel/heavy' -benchtime 3x .
+  go test -run '^$' -bench '^BenchmarkEnumerate$|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' \
+    -skip 'BenchmarkEnumerate/heavy' -benchtime "$BENCHTIME" .
+  go test -run '^$' -bench 'BenchmarkEnumerate/heavy' -benchtime 3x .
 )"
 
 # Benchmark result lines look like:
 #   BenchmarkRelOps/UnionWith   100   349.1 ns/op   0 B/op   0 allocs/op
-# Sub-benchmark names (workers-1, UnionWith) are kept verbatim.
+# Sub-benchmark names (sb3q, UnionWith) are kept verbatim.
 awk -v benchtime="$BENCHTIME" '
 BEGIN {
   printf "{\n  \"generated_by\": \"scripts/bench_snapshot.sh\",\n"

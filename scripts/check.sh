@@ -4,33 +4,34 @@
 #   ./scripts/check.sh
 #
 # It runs gofmt, vet (once, over ./...), a full build, the full test suite,
-# and — because the litmus enumerator and its memoization cache are
-# concurrent subsystems — the
-# race detector over the packages that exercise them, and over the two other
-# packages that start goroutines: campaign (its worker pipeline) and serve
-# (admission queues, circuit breakers). The fault stages run every Fault
-# test, among them core's fault sweep (each known-answer guest under every
-# -fault name against testdata/fault_sweep.golden), plain and under the
-# race detector. Every package under internal/ with non-test Go files must
-# have a non-test importer in the module, perf/ or examples/: a package
-# only its own tests use is code nothing runs (internal/faultmatrix holds
-# tests only and is skipped). A one-iteration bench smoke keeps
+# and the race detector over obs, litmus and mapping — in internal/litmus
+# only the outcome cache is concurrent (racing callers share one enumeration
+# per key); the enumerator itself is serial — and over the two packages that
+# start goroutines: campaign (its worker pipeline) and serve (admission
+# queues, circuit breakers). The fault stages run every Fault test, among
+# them core's fault sweep (each known-answer guest under every -fault name
+# against testdata/fault_sweep.golden), plain and under the race detector.
+# Every package under internal/ with non-test Go files must have a non-test
+# importer in the module, perf/ or examples/: a package only its own tests
+# use is code nothing runs. A one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
-# perf smoke does the same for the benchmark module under perf/. The
-# explore stages pin the operational exploration engine: DPOR must reach
-# every allowed SB outcome, budget-exhausted DPOR and walk traces must
-# replay byte-identically, and a 64-walk corpus run plus a ≥500-test
-# generated campaign must find zero axiomatic-disallowed outcomes. The daemon smoke also
-# submits a kernel too large for a job's memory, which must be refused
-# with 422 before the daemon builds it. The litmusctl fault smoke
-# also hands `litmusctl run` a test that reads a register nothing assigned
-# and requires it to be refused by name. The risotto stage runs a scaled
-# image, a 64-thread kernel and a saved 32-thread image, each larger than
-# core's default machine, and requires qemu's checksum from each. The
-# examples stage runs the five programs under examples/ and checks that
-# weakhost and litmus still tell the broken mappings from the verified ones.
-# The risobench smoke regenerates two figures and checks that their runs
-# reach -metrics.
+# perf smoke does the same for the benchmark module under perf/. The explore
+# stages pin the operational exploration engine: DPOR must reach every
+# allowed SB outcome, budget-exhausted DPOR and walk traces must replay
+# byte-identically (IRIW's 20000-state DPOR budget runs out on a leaf, which
+# must be recorded, not cut), and a 64-walk corpus run plus a ≥500-test
+# generated campaign must find zero axiomatic-disallowed outcomes. The
+# daemon smoke also submits a kernel too large for a job's memory, which
+# must be refused with 422 before the daemon builds it. The litmusctl fault
+# smoke requires an injected shard-panic to fail the enumeration with exit 3
+# and one trap line (there is no fallback enumerator), and hands `litmusctl
+# run` a test that reads a register nothing assigned and requires it to be
+# refused by name. The risotto stage runs a scaled image, a 64-thread kernel
+# and a saved 32-thread image, each larger than core's default machine, and
+# requires qemu's checksum from each. The examples stage runs the five
+# programs under examples/ and checks that weakhost and litmus still tell
+# the broken mappings from the verified ones. The risobench smoke
+# regenerates two figures and checks that their runs reach -metrics.
 #
 # The CLIs the smoke stages drive are built once into a scratch directory,
 # and every stage reports its wall seconds, so the gate's own cost is in
@@ -127,7 +128,11 @@ go test -race ./internal/core/ -run Fault -count=1
 
 stage "litmusctl fault smoke"
 "$litmusctl" -workers 4 -fault cache-exhaust corpus >/dev/null
-"$litmusctl" -workers 4 -fault shard-panic corpus >/dev/null
+code=0
+"$litmusctl" -fault shard-panic corpus >/dev/null 2>"$SH_TMP/shard-panic.err" || code=$?
+[ "$code" -eq 3 ] || { echo "litmusctl -fault shard-panic corpus exited $code, want 3" >&2; exit 1; }
+[ "$(grep -c '^litmusctl: trap\[worker-panic\]' "$SH_TMP/shard-panic.err")" -eq 1 ] \
+	|| { echo "litmusctl -fault shard-panic corpus: want exactly one trap[worker-panic] line" >&2; cat "$SH_TMP/shard-panic.err" >&2; exit 1; }
 # A read of a register nothing assigned (aa for a) leaves no execution to
 # check the forbid line against; the test must be refused, not pass.
 cat >"$SH_TMP/typo.lit" <<'LIT'
@@ -256,6 +261,9 @@ grep -q "4/4 (100%)" "$SH_TMP/explore-sb.txt" \
 "$litmusctl" explore -mode dpor -max-states 64 -trace-out "$SH_TMP/sb.trace" SB >/dev/null
 "$litmusctl" explore -mode replay -trace "$SH_TMP/sb.trace" | grep -q "byte-identical" \
 	|| { echo "budget-exhausted trace did not replay byte-identically" >&2; exit 1; }
+"$litmusctl" explore -mode dpor -max-states 20000 -trace-out "$SH_TMP/iriw.trace" IRIW >/dev/null
+"$litmusctl" explore -mode replay -trace "$SH_TMP/iriw.trace" | grep -q "byte-identical" \
+	|| { echo "IRIW's budget-exhausted DPOR trace did not replay byte-identically" >&2; exit 1; }
 "$litmusctl" explore -seeds 1 -max-states 8 -trace-out "$SH_TMP/w.trace" MP >/dev/null 2>&1
 "$litmusctl" explore -mode replay -trace "$SH_TMP/w.trace" | grep -q "byte-identical" \
 	|| { echo "budget-cut walk trace did not replay byte-identically" >&2; exit 1; }
