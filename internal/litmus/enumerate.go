@@ -6,6 +6,8 @@
 package litmus
 
 import (
+	"fmt"
+
 	"repro/internal/faults"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
@@ -107,6 +109,7 @@ func enumerateUninstrumented(p *Program, m memmodel.Model, in *faults.Injector) 
 		}
 	}()
 	if t := in.Hit(faults.SiteLitmusShard); t != nil {
+		t.Msg = fmt.Sprintf("litmus %q: %s", c.name, t.Msg)
 		return nil, t
 	}
 	return c.outcomes(m), nil

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,6 +57,10 @@ func TestFaultShardPanicSerialPathSurfaces(t *testing.T) {
 	}
 	if tr.Kind != faults.TrapWorkerPanic || !tr.Injected {
 		t.Errorf("trap = %+v; want injected worker-panic", tr)
+	}
+	// A real panic's trap names the test; so does an injected one.
+	if want := fmt.Sprintf("litmus %q:", p.Name); !strings.HasPrefix(tr.Msg, want) {
+		t.Errorf("trap message %q does not start with %s", tr.Msg, want)
 	}
 }
 

@@ -70,7 +70,7 @@ func DefaultCost() CostTable {
 }
 
 // Of returns the base cost of an opcode. DMB returns 0: the flavour-
-// specific cost is charged by the interpreter via OfBarrier.
+// specific cost is OfBarrier's.
 func (t *CostTable) Of(op arm.Op) uint64 {
 	switch op {
 	case arm.NOP, arm.HLT:
@@ -100,6 +100,29 @@ func (t *CostTable) Of(op arm.Op) uint64 {
 	default:
 		return t.ALU
 	}
+}
+
+// resolvedCost is a CostTable resolved per opcode and per DMB flavour, so
+// that the interpreter charges an instruction with one indexed load.
+type resolvedCost struct {
+	from CostTable
+	op   [256]uint64 // by arm.Op; DMB's is 0
+	dmb  [3]uint64   // by arm.Barrier; other flavours cost a full DMB
+}
+
+// defaultCost is DefaultCost resolved, shared read-only by every machine
+// that keeps the default table.
+var defaultCost = resolveCost(DefaultCost())
+
+func resolveCost(t CostTable) *resolvedCost {
+	r := &resolvedCost{from: t}
+	for op := range r.op {
+		r.op[op] = t.Of(arm.Op(op))
+	}
+	for b := range r.dmb {
+		r.dmb[b] = t.OfBarrier(arm.Barrier(b))
+	}
+	return r
 }
 
 // OfBarrier returns the cost of a DMB flavour.

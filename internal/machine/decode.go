@@ -1,6 +1,10 @@
 package machine
 
-import "repro/internal/isa/arm"
+import (
+	"math/bits"
+
+	"repro/internal/isa/arm"
+)
 
 // A decode page covers 64 instruction slots — 256 bytes of code — so its
 // validity fits one word and a machine that fetches ~100 contiguous
@@ -18,6 +22,13 @@ const (
 // allocated on first fetch. A slot is trusted only while its bit in valid
 // is set: invalidation clears bits and keeps the slots.
 //
+// A page also marks the slots that end a run (endsRun), so the run that
+// starts at a slot — the valid slots up to and including the next run end,
+// or up to the first slot that is not valid, or to the end of the page —
+// is two words and a bit scan away, and is never stale: rewriting a slot
+// rewrites its mark, and a slot that is not valid stops every run that
+// reaches it.
+//
 // The zero value is an empty table.
 type decodeTable struct {
 	base  uint64 // page number of pages[0]
@@ -26,7 +37,18 @@ type decodeTable struct {
 
 type decodePage struct {
 	valid uint64 // bit s: insts[s] decodes the word in Mem
+	ends  uint64 // bit s: insts[s] ends a run
 	insts *[decodePageSlots]arm.Inst
+}
+
+// endsRun reports whether op can leave the next PC anything but PC+4,
+// halt, or call a hook: a run executes up to and including it.
+func endsRun(op arm.Op) bool {
+	switch op {
+	case arm.B, arm.BL, arm.BCOND, arm.CBZ, arm.CBNZ, arm.BR, arm.BLR, arm.RET, arm.SVC, arm.HLT:
+		return true
+	}
+	return false
 }
 
 // lookup returns the cached decode of pc, or nil. Only 4-aligned PCs are
@@ -43,6 +65,26 @@ func (t *decodeTable) lookup(pc uint64) *arm.Inst {
 		return nil
 	}
 	return &p.insts[s]
+}
+
+// runAt returns the run that starts at pc: its page's slots, the index of
+// its first slot and its length, which is 0 when pc's slot is not valid.
+func (t *decodeTable) runAt(pc uint64) (insts *[decodePageSlots]arm.Inst, s, n int) {
+	i := pc/decodePageBytes - t.base
+	if pc%arm.InstBytes != 0 || i >= uint64(len(t.pages)) {
+		return nil, 0, 0
+	}
+	p := &t.pages[i]
+	s = int(pc / arm.InstBytes % decodePageSlots)
+	// Bit k of stop: slot s+k ends a run or is not valid.
+	stop := (p.ends | ^p.valid) >> s
+	if stop == 0 {
+		return p.insts, s, decodePageSlots - s
+	}
+	// A valid stop slot ends the run and belongs to it; one that is not
+	// valid is left for a fetch of its own.
+	k := bits.TrailingZeros64(stop)
+	return p.insts, s, k + int(p.valid>>(s+k)&1)
 }
 
 // insert caches inst as the decode of the 4-aligned pc and returns the
@@ -67,6 +109,10 @@ func (t *decodeTable) insert(pc uint64, inst arm.Inst) *arm.Inst {
 	s := pc / arm.InstBytes % decodePageSlots
 	p.insts[s] = inst
 	p.valid |= 1 << s
+	p.ends &^= 1 << s
+	if endsRun(inst.Op) {
+		p.ends |= 1 << s
+	}
 	return &p.insts[s]
 }
 

@@ -169,3 +169,38 @@ func TestStoreClearsArmedMonitors(t *testing.T) {
 		t.Error("STXR succeeded after an intervening store")
 	}
 }
+
+// TestDecodeTableRuns: a run reaches up to and including the next run end,
+// stops short of a slot that is not valid, and ends at the page end; a
+// rewritten or invalidated slot changes the runs through it at once.
+func TestDecodeTableRuns(t *testing.T) {
+	const base = 0x4000
+	var tab decodeTable
+	slot := func(s int) uint64 { return base + uint64(s)*arm.InstBytes }
+	set := func(s int, op arm.Op) { tab.insert(slot(s), arm.Inst{Op: op}) }
+	for s, op := range []arm.Op{arm.ADDI, arm.B, arm.ADDI, arm.ADDI, arm.ADDI, arm.ADDI, arm.HLT} {
+		set(s, op)
+	}
+	set(62, arm.ADDI)
+	set(63, arm.ADDI)
+	check := func(when string, want map[int]int) {
+		t.Helper()
+		for s, n := range want {
+			if _, _, got := tab.runAt(slot(s)); got != n {
+				t.Errorf("%s: run at slot %d has %d slots, want %d", when, s, got, n)
+			}
+		}
+	}
+	check("inserted", map[int]int{0: 2, 1: 1, 2: 5, 6: 1, 7: 0, 62: 2, 63: 1})
+	tab.invalidate(slot(4), arm.InstBytes)
+	check("slot 4 invalidated", map[int]int{2: 2, 4: 0, 5: 2})
+	set(4, arm.B)
+	check("slot 4 rewritten to a B", map[int]int{2: 3, 4: 1, 5: 2})
+	set(1, arm.ADDI)
+	check("slot 1's B rewritten", map[int]int{0: 5, 1: 4})
+	for _, pc := range []uint64{slot(2) + 2, base - decodePageBytes, base + decodePageBytes} {
+		if _, _, n := tab.runAt(pc); n != 0 {
+			t.Errorf("runAt(%#x) = %d slots, want none", pc, n)
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 // the PC.
 func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 	c.Insts++
-	c.Cycles += m.Cost.Of(inst.Op)
+	c.Cycles += m.cost.op[inst.Op]
 	next := c.PC + arm.InstBytes
 
 	switch inst.Op {
@@ -238,9 +238,11 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 
 	case arm.DMB:
 		// The table charges 0 for DMB; the flavour-specific cost is here.
-		c.Cycles += m.Cost.OfBarrier(inst.Barrier)
 		if int(inst.Barrier) < len(m.DMBExec) {
+			c.Cycles += m.cost.dmb[inst.Barrier]
 			m.DMBExec[inst.Barrier]++
+		} else {
+			c.Cycles += m.cost.dmb[arm.BarrierFull]
 		}
 		if m.weak != nil {
 			if err := m.weakBarrier(c, inst.Barrier); err != nil {

@@ -236,7 +236,8 @@ func TestWeakEnabledFlag(t *testing.T) {
 }
 
 // BenchmarkInterpreter measures raw interpretation speed (host ns per
-// simulated instruction) on a tight ALU loop.
+// simulated instruction) on a tight ALU loop, through Run: the
+// run-at-a-time path RunAll takes.
 func BenchmarkInterpreter(b *testing.B) {
 	a := arm.NewAssembler()
 	a.MovImm(arm.X0, 0).
@@ -252,6 +253,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		m := New(1 << 16)
 		copy(m.Mem[0x1000:], code)
@@ -259,6 +261,37 @@ func BenchmarkInterpreter(b *testing.B) {
 		if err := m.Run(m.CPUs[0], 1_000_000); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(m.CPUs[0].Insts), "siminsts/op")
+		insts += m.CPUs[0].Insts
+	}
+	b.ReportMetric(float64(insts)/float64(b.N), "siminsts/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/siminst")
+}
+
+// TestCostChangeTakesEffectAtReset: the machine charges the cost table it
+// resolved at New, and resolves a changed table at the next Reset.
+func TestCostChangeTakesEffectAtReset(t *testing.T) {
+	m := New(1 << 16)
+	run := func() uint64 {
+		t.Helper()
+		if err := m.Write(0x1000, straightLine(t, 5)); err != nil {
+			t.Fatal(err)
+		}
+		c := m.CPUs[0]
+		c.PC, c.Halted, c.Cycles = 0x1000, false, 0
+		if err := m.Run(c, 10); err != nil {
+			t.Fatal(err)
+		}
+		return c.Cycles
+	}
+	if got := run(); got != 4 {
+		t.Fatalf("four ADDIs and an HLT cost %d cycles, want 4", got)
+	}
+	m.Cost.ALU = 10
+	if got := run(); got != 4 {
+		t.Errorf("before Reset: %d cycles, want the resolved table's 4", got)
+	}
+	m.Reset()
+	if got := run(); got != 40 {
+		t.Errorf("after Reset: %d cycles, want 40", got)
 	}
 }

@@ -33,6 +33,13 @@ func CheckFetches(t testing.TB, m *Machine) *uint64 {
 	return &checked
 }
 
+// PerInstruction makes m's Run and RunAll fetch and execute one
+// instruction at a time, the path runs are compared against.
+func PerInstruction(m *Machine) { m.perInst = true }
+
+// EndsRun reports whether op ends a straight-line run.
+func EndsRun(op arm.Op) bool { return endsRun(op) }
+
 // WrittenPages lists the page numbers in m's written-page set, ascending.
 func WrittenPages(m *Machine) []uint64 {
 	var pages []uint64

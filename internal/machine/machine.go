@@ -4,7 +4,9 @@
 //
 //   - a per-instruction cycle cost model (see cost.go) standing in for the
 //     ThunderX2 of the paper's testbed — fence and atomic costs follow the
-//     relative magnitudes reported by Liu et al. [51];
+//     relative magnitudes reported by Liu et al. [51]; the table is
+//     resolved per opcode when the machine is built or reset, and an
+//     instruction's cost is charged each time it executes;
 //   - per-CPU exclusive monitors for LDXR/STXR;
 //   - a cache-line ownership model that charges a transfer penalty to
 //     atomics contending on a line another CPU touched last (Figure 15's
@@ -15,6 +17,12 @@
 //     implements guest syscalls and helper calls.
 //   - one writer, Write, through which everything but the instruction path
 //     writes memory, keeping exclusive monitors and decoded code coherent.
+//
+// Run and RunAll interpret a run at a time: one decode lookup finds the
+// straight-line run up to the next branch, halt or hook, and the loop
+// executes as much of it as the quantum and budgets allow, so
+// interleaving, trap points and instruction counts are those of one
+// instruction at a time (see decode.go).
 //
 // The interpreter executes sequentially consistently; weak-memory
 // *ordering* effects are studied axiomatically (internal/models) and
@@ -42,8 +50,13 @@ type Machine struct {
 	Mem []byte
 	// CPUs holds every CPU ever started; halted ones stay in place.
 	CPUs []*CPU
-	// Cost is the cycle cost table.
+	// Cost is the cycle cost table. New resolves it per opcode, and Reset
+	// again if it changed: a change to an instruction's cost takes effect
+	// at the next Reset. The contention penalty and ChargeAtomic read it
+	// when they charge.
 	Cost CostTable
+	// cost is Cost resolved, as of New or the last Reset.
+	cost *resolvedCost
 
 	// StepBudget, when non-zero, bounds each CPU's executed instruction
 	// count: a CPU that reaches it makes RunAll return a structured
@@ -88,8 +101,12 @@ type Machine struct {
 	// decode caches decoded instructions by PC; see decode.go.
 	decode decodeTable
 	// fetchCheck, when non-nil, sees every fetch served from the decode
-	// table (tests compare it with a fresh decode of memory).
+	// table, a run's instructions before the run executes (tests compare
+	// them with a fresh decode of memory).
 	fetchCheck func(pc uint64, cached *arm.Inst)
+	// perInst makes Run and RunAll fetch and execute one instruction at a
+	// time, through step; tests set it to compare that path with runs.
+	perInst bool
 
 	// armed counts the CPUs whose exclusive monitor is valid, so stores
 	// skip the monitor scan when it is zero.
@@ -154,6 +171,7 @@ func New(memSize int) *Machine {
 	m := &Machine{
 		Mem:       make([]byte, memSize),
 		Cost:      DefaultCost(),
+		cost:      defaultCost,
 		lineOwner: make(map[uint64]int),
 		written:   newPageSet(memSize),
 	}
@@ -192,9 +210,10 @@ func (m *Machine) pagesWritten() int {
 // machine: the pages Write and WriteMem marked are zeroed in place and the
 // written-page set emptied, the first CPU is zeroed and the others dropped
 // (AddCPU reuses them), the counters, line owners, monitors and access log
-// are cleared, weak mode is switched off, and every decode-table slot is
-// invalidated but kept. What the caller configured — Cost, the budgets,
-// Inject, the Syscall and OnBLR hooks, SetObs's scope — stays installed.
+// are cleared, weak mode is switched off, every decode-table slot is
+// invalidated but kept, and a changed Cost is resolved. What the caller
+// configured — Cost, the budgets, Inject, the Syscall and OnBLR hooks,
+// SetObs's scope — stays installed.
 // Pointers to m's CPUs taken before the call are stale after it.
 func (m *Machine) Reset() {
 	for i, w := range m.written {
@@ -210,6 +229,9 @@ func (m *Machine) Reset() {
 	m.DMBExec = [3]uint64{}
 	m.AtomicExec = 0
 	clear(m.lineOwner)
+	if m.Cost != m.cost.from {
+		m.cost = resolveCost(m.Cost)
+	}
 	m.decode.invalidateAll()
 	m.armed = 0
 	m.yield = false
@@ -359,8 +381,9 @@ func (m *Machine) ReadMem(addr uint64, size uint8) (uint64, error) {
 // path's store. It marks the first and last page it touches before storing
 // — a store of at most 255 bytes spans no more than two. It keeps its
 // per-store cost by not consulting the decode table, so
-// its contract is that no program stores over code the machine has fetched
-// (CheckFetches enforces it in tests); code is written through Write.
+// its contract is that no program stores over code the machine has fetched,
+// which includes the rest of a fetched word's run (CheckFetches enforces
+// it in tests); code is written through Write.
 func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	if err := m.injectMem(addr); err != nil {
 		return err
@@ -510,7 +533,10 @@ func (c *CPU) cond(cc arm.Cond) bool {
 
 // --- Scheduling ---------------------------------------------------------------
 
-// step executes one instruction on c. Halted CPUs are a no-op.
+// step executes one instruction on c, fetching it alone: the
+// per-instruction path, which weak mode needs (weakMaybeDrain runs after
+// every instruction) and the transition system's OpExec takes. Halted
+// CPUs are a no-op.
 func (m *Machine) step(c *CPU) error {
 	if c.Halted {
 		return nil
@@ -518,8 +544,8 @@ func (m *Machine) step(c *CPU) error {
 	inst := m.decode.lookup(c.PC)
 	if inst == nil {
 		var err error
-		if inst, err = m.decodeMiss(c); err != nil {
-			return err
+		if inst, err = m.decodeMiss(c.PC); err != nil {
+			return cpuErr(c, err)
 		}
 	} else if m.fetchCheck != nil {
 		m.fetchCheck(c.PC, inst)
@@ -533,40 +559,98 @@ func (m *Machine) step(c *CPU) error {
 	return nil
 }
 
-// decodeMiss decodes the instruction at c.PC from memory and caches it.
+// decodeMiss decodes the instruction at pc from memory and caches it.
 // A PC that is not 4-aligned still decodes, uncached: the table's slots
 // are whole instruction words.
-func (m *Machine) decodeMiss(c *CPU) (*arm.Inst, error) {
-	if err := m.check(c.PC, arm.InstBytes); err != nil {
-		return nil, cpuErr(c, fmt.Errorf("fetch: %w", err))
+func (m *Machine) decodeMiss(pc uint64) (*arm.Inst, error) {
+	if err := m.check(pc, arm.InstBytes); err != nil {
+		return nil, fmt.Errorf("fetch: %w", err)
 	}
-	inst, err := arm.DecodeAt(m.Mem, int(c.PC))
+	inst, err := arm.DecodeAt(m.Mem, int(pc))
 	if err != nil {
-		return nil, cpuErr(c, faults.Wrap(faults.TrapDecode, err, "host instruction decode"))
+		return nil, faults.Wrap(faults.TrapDecode, err, "host instruction decode")
 	}
-	if c.PC%arm.InstBytes != 0 {
+	if pc%arm.InstBytes != 0 {
 		// A copy, so that only this path's result escapes to the heap.
 		uncached := inst
 		return &uncached, nil
 	}
-	return m.decode.insert(c.PC, inst), nil
+	return m.decode.insert(pc, inst), nil
+}
+
+// fillRun decodes into the table the run that starts at the 4-aligned
+// c.PC, whose slot is not valid: its first word, then the words after it
+// up to a run end or the end of the page. It stops short of a word that
+// does not decode or lies outside memory; only a fetch of that word
+// itself traps.
+func (m *Machine) fillRun(c *CPU) error {
+	inst, err := m.decodeMiss(c.PC)
+	if err != nil {
+		return cpuErr(c, err)
+	}
+	for pc := c.PC + arm.InstBytes; !endsRun(inst.Op) && pc%decodePageBytes != 0; pc += arm.InstBytes {
+		if inst = m.decode.lookup(pc); inst == nil {
+			if inst, err = m.decodeMiss(pc); err != nil {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// advance executes at most limit (≥ 1) instructions on the live CPU c and
+// returns how many it executed: the run at c.PC, clipped to limit, for one
+// decode lookup. A run ends at the only instructions that branch, halt or
+// call a hook, so its instructions are the ones the per-instruction path
+// would have executed, at the same PCs. Weak mode, an unaligned PC and
+// perInst take step, one instruction.
+func (m *Machine) advance(c *CPU, limit int) (int, error) {
+	if m.weak != nil || m.perInst {
+		return 1, m.step(c)
+	}
+	insts, s, n := m.decode.runAt(c.PC)
+	if n == 0 {
+		if c.PC%arm.InstBytes != 0 {
+			return 1, m.step(c)
+		}
+		if err := m.fillRun(c); err != nil {
+			return 0, err
+		}
+		insts, s, n = m.decode.runAt(c.PC)
+	}
+	run := insts[s : s+min(n, limit)]
+	if m.fetchCheck != nil {
+		for i := range run {
+			m.fetchCheck(c.PC+uint64(i)*arm.InstBytes, &run[i])
+		}
+	}
+	for i := range run {
+		if err := m.exec(c, &run[i]); err != nil {
+			return i + 1, err
+		}
+	}
+	return len(run), nil
 }
 
 // Yield asks RunAll to end the running CPU's quantum after the current
 // instruction. A blocked join calls it: nothing the waiter does in the
 // rest of its quantum can unblock it, so it retries once per rotation
-// instead of once per instruction. Outside RunAll it has no effect.
+// instead of once per instruction. Outside RunAll it has no effect. Only
+// the SVC and BLR hooks call it, and both instructions end a run.
 func (m *Machine) Yield() { m.yield = true }
 
-// Run executes a single CPU until it halts or maxSteps elapse.
+// Run executes a single CPU until it halts or maxSteps elapse, a run at a
+// time as RunAll does.
 func (m *Machine) Run(c *CPU, maxSteps uint64) error {
-	for i := uint64(0); i < maxSteps; i++ {
+	for i := uint64(0); i < maxSteps; {
 		if c.Halted {
 			return nil
 		}
-		if err := m.step(c); err != nil {
+		n, err := m.advance(c, int(min(maxSteps-i, decodePageSlots)))
+		if err != nil {
 			return err
 		}
+		i += uint64(n)
 	}
 	return budgetTrap(c, maxSteps, "step budget %d exhausted", maxSteps)
 }
@@ -578,6 +662,10 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 // to a typed, reportable halt instead of an unbounded spin. CPUs added
 // during execution (spawn) join the rotation; a CPU that calls Yield ends
 // its quantum early.
+//
+// A CPU advances a run at a time, each run clipped so that it ends where
+// the quantum or a step budget does: quanta, trap points and Insts are
+// those of one instruction at a time.
 func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	if quantum <= 0 {
 		quantum = 64
@@ -606,20 +694,37 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			return t.WithCPU(c.ID).WithHostPC(c.PC)
 		}
 		m.yield = false
-		for q := 0; q < quantum && !c.Halted; q++ {
-			if err := m.step(c); err != nil {
+		for q := 0; q < quantum && !c.Halted; {
+			// Clip the run to the quantum and to the instruction at
+			// which a step budget traps; a CPU already at its StepBudget
+			// traps after one more instruction.
+			limit := quantum - q
+			if left := maxSteps - total; left < uint64(limit) {
+				limit = int(left) + 1
+			}
+			if b := m.StepBudget; b != 0 {
+				left := uint64(1)
+				if c.Insts < b {
+					left = b - c.Insts
+				}
+				limit = int(min(left, uint64(limit)))
+			}
+			n, err := m.advance(c, limit)
+			if err != nil {
 				return err
 			}
-			total++
+			q += n
+			total += uint64(n)
 			if total > maxSteps {
 				return budgetTrap(c, total, "machine step budget %d exhausted", maxSteps)
 			}
 			if m.StepBudget != 0 && c.Insts >= m.StepBudget {
 				return budgetTrap(c, c.Insts, "per-CPU step budget %d exhausted", m.StepBudget)
 			}
-			// The wall-clock watchdog is polled every 1024 steps: cheap
-			// enough for the hot loop, tight enough to bound a hang.
-			if m.Deadline > 0 && total&0x3FF == 0 && time.Since(start) > m.Deadline {
+			// The wall-clock watchdog is polled each time total crosses
+			// a multiple of 1024: cheap enough for the hot loop, tight
+			// enough to bound a hang.
+			if m.Deadline > 0 && (total-uint64(n))>>10 != total>>10 && time.Since(start) > m.Deadline {
 				return budgetTrap(c, total, "wall-clock deadline %v exceeded", m.Deadline)
 			}
 			if m.yield {

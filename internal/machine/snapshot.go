@@ -47,6 +47,7 @@ func (s *Snapshot) ShadowMachine() *Machine {
 		Mem:       s.Mem,
 		CPUs:      []*CPU{&cpu},
 		Cost:      DefaultCost(),
+		cost:      defaultCost,
 		lineOwner: make(map[uint64]int),
 		written:   newPageSet(len(s.Mem)),
 	}

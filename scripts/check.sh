@@ -236,9 +236,10 @@ cmp "$SH_TMP/tierup-crash.json" "$SH_TMP/tierup-crash2.json" \
 # core starts no goroutine and its block tables carry no locks (Runtime's
 # single-owner rule). What is shared is the TransCache, between runtimes
 # the tests drive from several goroutines; this stage is the check on that,
-# and on nothing in core having grown a goroutine again.
-stage "core single-owner (race): go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin|Reuse' -count=1"
-go test -race ./internal/core/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin|Reuse' -count=1
+# and on nothing in core having grown a goroutine again. The machine's
+# run-at-a-time interpreter runs here too, against the per-instruction one.
+stage "core single-owner (race): go test -race ./internal/core/ ./internal/machine/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin|Reuse|RunsMatchInstructions' -count=1"
+go test -race ./internal/core/ ./internal/machine/ -run 'TierUp|Chain|TransCache|Selfheal|Install|GuestJoin|Reuse|RunsMatchInstructions' -count=1
 
 stage "metrics snapshot validates (risotto -metrics json | obsvalidate)"
 "$risotto" -kernel histogram -threads 2 -metrics json | "$obsvalidate" >/dev/null
