@@ -1,7 +1,6 @@
 package litmus_test
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -14,14 +13,15 @@ import (
 )
 
 // keep deep-copies a candidate, which is valid only until
-// EnumerateCandidates' fn returns: the events (their values), Rf, Co and the
-// register files are the enumerator's storage, rewritten for the next
-// candidate, while the skeleton's relations (Po, Rmw and the dependencies)
-// are shared by every candidate of a skeleton and stay shared.
+// EnumerateCandidates' fn returns: the events (their values), the seven
+// relations and the register files are the enumerator's storage, rewritten
+// for the next candidate (Rf, Co, values, registers) and for the next
+// skeleton (the events, Po, Rmw and the dependencies).
 func keep(c *litmus.Candidate) *litmus.Candidate {
 	x := *c.X
 	x.Events = slices.Clone(x.Events)
-	x.Rf, x.Co = x.Rf.Clone(), x.Co.Clone()
+	x.Po, x.Rf, x.Co, x.Rmw = x.Po.Clone(), x.Rf.Clone(), x.Co.Clone(), x.Rmw.Clone()
+	x.Data, x.Addr, x.Ctrl = x.Data.Clone(), x.Addr.Clone(), x.Ctrl.Clone()
 	regs := make([]map[litmus.Reg]int64, len(c.Regs))
 	for t, rs := range c.Regs {
 		regs[t] = maps.Clone(rs)
@@ -29,13 +29,16 @@ func keep(c *litmus.Candidate) *litmus.Candidate {
 	return &litmus.Candidate{X: &x, Regs: regs}
 }
 
-// skeletons groups copies of p's candidates by skeleton. Candidates of one
-// skeleton share its relations, so a new Po pointer marks a new skeleton.
+// skeletons groups copies of p's candidates by skeleton job. Every job is
+// enumerated in the same storage, so the grouping goes by the job index
+// EnumerateJobs reports, not by what the candidates hold: two control
+// paths can even lower to equal skeletons.
 func skeletons(p *litmus.Program) [][]*litmus.Candidate {
 	var out [][]*litmus.Candidate
-	litmus.EnumerateCandidates(p, func(c *litmus.Candidate) bool {
-		if k := len(out); k == 0 || out[k-1][0].X.Po != c.X.Po {
-			out = append(out, nil)
+	last := -1
+	litmus.EnumerateJobs(p, func(job int, c *litmus.Candidate) bool {
+		if job != last {
+			out, last = append(out, nil), job
 		}
 		out[len(out)-1] = append(out[len(out)-1], keep(c))
 		return true
@@ -50,25 +53,27 @@ func candidateCount(p *litmus.Program) int {
 	return n
 }
 
-// requireKept fails unless sks holds as many distinct candidates, rendered
-// as TestCandidateStream renders them, as EnumerateCandidates produces. A
-// skeletons that kept the enumerator's storage instead of copying it would
-// hold one candidate per skeleton many times over, and a differential run
-// on it would compare almost nothing while still passing. (Within one
-// skeleton, distinct candidates differ in rf or co; the skeleton index
-// keeps two skeletons' equal candidates apart.)
+// requireKept fails unless sks holds, in enumeration order, a copy of every
+// candidate EnumerateCandidates produces, as TestCandidateStream renders
+// them, and returns how many that is. A skeletons that kept the
+// enumerator's storage instead of copying it would hold the state of a
+// later candidate, or of a later skeleton, where an earlier one belongs,
+// and a differential run on it would compare far less than it claims
+// while still passing.
 func requireKept(t *testing.T, p *litmus.Program, sks [][]*litmus.Candidate) int {
 	t.Helper()
-	distinct := make(map[string]bool)
-	for k, cands := range sks {
-		for _, c := range cands {
-			distinct[fmt.Sprint(k, "\n", litmus.RenderCandidate(c))] = true
+	kept := slices.Concat(sks...)
+	n := 0
+	litmus.EnumerateCandidates(p, func(c *litmus.Candidate) bool {
+		if n >= len(kept) || litmus.RenderCandidate(kept[n]) != litmus.RenderCandidate(c) {
+			t.Fatalf("%s: kept candidate %d of %d differs from the one enumerated: skeletons must copy what it keeps",
+				p.Name, n, len(kept))
 		}
-	}
-	n := candidateCount(p)
-	if len(distinct) != n {
-		t.Fatalf("%s: %d distinct candidates kept, %d enumerated: skeletons must copy what it keeps",
-			p.Name, len(distinct), n)
+		n++
+		return true
+	})
+	if n != len(kept) {
+		t.Fatalf("%s: %d candidates kept, %d enumerated", p.Name, len(kept), n)
 	}
 	return n
 }
@@ -110,28 +115,62 @@ func differentialPrograms(t *testing.T) []*litmus.Program {
 // candidate's skeleton — invariant terms hoisted, closures elided, empty
 // terms skipped, scratch reused from candidate to candidate — returns the
 // verdict of the plain reference evaluator. requireKept first holds the
-// compared candidates to every candidate of the program.
+// compared candidates to every candidate of the program. The skeletons of
+// all programs are visited largest, smallest, next largest, next smallest,
+// and so on, so the checker each one takes from the model's pool was
+// mostly last prepared for a skeleton of another size: larger, then
+// smaller.
 func TestPreparedMatchesPlain(t *testing.T) {
-	verdicts, want := 0, 0
+	type skeleton struct {
+		prog  string
+		cands []*litmus.Candidate
+	}
+	var all []skeleton
+	want := 0
 	entries := models.Default().Entries()
 	for _, p := range differentialPrograms(t) {
 		sks := skeletons(p)
 		want += requireKept(t, p, sks) * len(entries)
-		for _, e := range entries {
-			for _, cands := range sks {
-				ck := newChecker(e.Model, cands[0].X)
-				for _, c := range cands {
-					if got, want := ck.Consistent(c.X), memmodel.ReferenceConsistent(e.Model, c.X); got != want {
-						t.Fatalf("%s under %s: checker=%v reference=%v for\n%v", p.Name, e.Name, got, want, c.X)
-					}
+		for _, cands := range sks {
+			all = append(all, skeleton{p.Name, cands})
+		}
+	}
+	size := func(sk skeleton) int { return len(sk.cands[0].X.Events) }
+	slices.SortStableFunc(all, func(a, b skeleton) int { return size(a) - size(b) })
+	order := make([]skeleton, 0, len(all))
+	for lo, hi := 0, len(all)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, all[hi])
+		if lo < hi {
+			order = append(order, all[lo])
+		}
+	}
+	shrank, grew := 0, 0
+	for i := 1; i < len(order); i++ {
+		switch d := size(order[i]) - size(order[i-1]); {
+		case d < 0:
+			shrank++
+		case d > 0:
+			grew++
+		}
+	}
+	if shrank == 0 || grew == 0 {
+		t.Fatalf("skeleton sizes shrink %d and grow %d times from one to the next; want both", shrank, grew)
+	}
+	verdicts := 0
+	for _, e := range entries {
+		for _, sk := range order {
+			ck := newChecker(e.Model, sk.cands[0].X)
+			for _, c := range sk.cands {
+				if got, want := ck.Consistent(c.X), memmodel.ReferenceConsistent(e.Model, c.X); got != want {
+					t.Fatalf("%s under %s: checker=%v reference=%v for\n%v", sk.prog, e.Name, got, want, c.X)
 				}
-				ck.Release()
-				verdicts += len(cands)
 			}
+			ck.Release()
+			verdicts += len(sk.cands)
 		}
 	}
 	if verdicts != want {
 		t.Fatalf("%d verdicts compared, want one per candidate per model: %d", verdicts, want)
 	}
-	t.Logf("%d verdicts compared", verdicts)
+	t.Logf("%d verdicts compared; skeleton size shrank %d and grew %d times between checkers", verdicts, shrank, grew)
 }

@@ -292,7 +292,7 @@ type regDef struct {
 // threadCode is one thread lowered for one control path and one setting of
 // its choice bits: everything enumeration needs of the thread, with no Op
 // left to interpret. Event IDs and relation edges are thread-local;
-// newSkeletonJob relocates them.
+// skeletonJob.reset relocates them.
 type threadCode struct {
 	events                []memmodel.Event
 	rmw, data, addr, ctrl []rel.Pair
@@ -465,29 +465,34 @@ type Candidate struct {
 
 // EnumerateCandidates produces every well-formed candidate execution of
 // p. fn is called for each; enumeration stops if fn returns false. c and
-// everything it points to are valid only until fn returns: the storage of
-// one candidate is rewritten for the next. (The name Enumerate belongs to
+// everything it points to — the skeleton's relations (Po, Rmw and the
+// dependencies) as much as the events, Rf, Co and the register files — are
+// valid only until fn returns: one storage per enumeration is rewritten for
+// the next candidate and the next skeleton. (The name Enumerate belongs to
 // the model-level outcome API in enumerate.go.) Like Outcomes it panics on
 // a program that reads an unassigned register; Enumerate returns that as an
 // error.
 func EnumerateCandidates(p *Program, fn func(c *Candidate) bool) {
-	mustCompile(p).forEachJob(func(j *skeletonJob) bool {
-		return j.enumerate(func(s *scratch) bool { return fn(&s.c) })
-	})
+	emit := func(s *scratch) bool { return fn(&s.c) }
+	mustCompile(p).forEachJob(func(j *skeletonJob) bool { return j.enumerate(emit) })
 }
 
-// forEachJob builds the skeleton job for every skeleton combination (the
-// Cartesian product of per-thread control paths × choice bits) and invokes
-// fn on each, stopping early if fn returns false.
+// forEachJob sets one skeleton job to every skeleton combination in turn
+// (the Cartesian product of per-thread control paths × choice bits) and
+// invokes fn on it, stopping early if fn returns false. Enumeration is
+// serial, so the job and the scratch it enumerates in are allocated once,
+// for the largest combination, and rewritten for the next one: fn keeps
+// neither past its return.
 func (c *code) forEachJob(fn func(*skeletonJob) bool) {
-	pick := make([]*threadCode, len(c.threads))
+	j := c.newJob()
 	var rec func(t int) bool
 	rec = func(t int) bool {
-		if t == len(pick) {
-			return fn(newSkeletonJob(c.locs, pick))
+		if t == len(j.threads) {
+			j.reset()
+			return fn(j)
 		}
 		for _, tc := range c.threads[t] {
-			pick[t] = tc
+			j.threads[t] = tc
 			if !rec(t + 1) {
 				return false
 			}
@@ -498,8 +503,8 @@ func (c *code) forEachJob(fn func(*skeletonJob) bool) {
 }
 
 // skeletonJob is the prepared event structure for one skeleton combination
-// (fixed control paths and choice bits across all threads). It is immutable
-// once built; enumerate works in a scratch of its own.
+// (fixed control paths and choice bits across all threads). reset builds it
+// from threads; enumerate reads it and works in s.
 type skeletonJob struct {
 	locs    []Loc
 	threads []*threadCode
@@ -519,25 +524,72 @@ type skeletonJob struct {
 	// and choice bits fix; memmodel.NewChecker hoists per-skeleton work off
 	// it.
 	skel *memmodel.Skeleton
+	s    scratch
 }
 
-// newSkeletonJob lays the init writes and the chosen threads' events out in
-// one ID space and relocates the threads' relations into it.
-func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
-	j := &skeletonJob{
-		locs:      locs,
-		threads:   append([]*threadCode(nil), threads...),
-		base:      make([]int, len(threads)),
-		writersOf: make(map[string][]int, len(locs)),
+// newJob allocates the one job, and its scratch, that forEachJob rewrites
+// for every skeleton combination: every slice and register map at the size
+// of the largest combination, so that no reset or candidate grows one (a
+// relation grows at its first edges and keeps that capacity). The init
+// writes (one per location, IDs 0 to len(locs)-1) are the same in every
+// combination and are laid out here.
+func (c *code) newJob() *skeletonJob {
+	n, regs := len(c.locs), make([]int, len(c.threads))
+	for t, tcs := range c.threads {
+		events := 0
+		for _, tc := range tcs {
+			events, regs[t] = max(events, len(tc.events)), max(regs[t], len(tc.regs))
+		}
+		n += events
 	}
-	for _, l := range locs {
-		j.writersOf[string(l)] = []int{len(j.events)}
+	writers, perms := make([]int, len(c.locs)*n), make([]int, len(c.locs)*n)
+	j := &skeletonJob{
+		locs:      c.locs,
+		threads:   make([]*threadCode, len(c.threads)),
+		base:      make([]int, len(c.threads)),
+		events:    make([]memmodel.Event, 0, n),
+		fixed:     make([]bool, 0, n),
+		reads:     make([]int, 0, n),
+		writersOf: make(map[string][]int, len(c.locs)),
+		// The dependencies and rmw are often empty in every combination,
+		// and then never allocate.
+		skel: &memmodel.Skeleton{Po: rel.New(), Rmw: rel.New(), Data: rel.New(), Addr: rel.New(), Ctrl: rel.New()},
+	}
+	for li, l := range c.locs {
+		writers[li*n] = li
+		j.writersOf[string(l)] = writers[li*n : li*n+1 : (li+1)*n]
 		j.events = append(j.events, memmodel.Event{
-			ID: len(j.events), Thread: memmodel.InitThread, Kind: memmodel.KindWrite, Loc: string(l),
+			ID: li, Thread: memmodel.InitThread, Kind: memmodel.KindWrite, Loc: string(l),
 		})
 	}
-	sk := &memmodel.Skeleton{Po: rel.New(), Rmw: rel.New(), Data: rel.New(), Addr: rel.New(), Ctrl: rel.New()}
-	for t, tc := range threads {
+	s := &j.s
+	*s = scratch{j: j, rfOf: make([]int, n), vals: make([]int64, n), known: make([]bool, n),
+		perms: make([][]int, len(c.locs)), cur: make([]*rel.Relation, len(c.locs)), final: make([]int, len(c.locs))}
+	for li := range c.locs {
+		s.perms[li], s.cur[li] = perms[li*n:li*n:(li+1)*n], rel.New()
+	}
+	s.x = memmodel.Execution{Events: make([]memmodel.Event, 0, n), Rf: rel.NewSized(n), Co: rel.NewSized(n)}
+	s.c = Candidate{X: &s.x, Regs: make([]map[Reg]int64, len(c.threads))}
+	for t, k := range regs {
+		s.c.Regs[t] = make(map[Reg]int64, k)
+	}
+	return j
+}
+
+// reset lays the chosen threads' events out after the init writes in one ID
+// space and relocates the threads' relations into it.
+func (j *skeletonJob) reset() {
+	j.events, j.reads = j.events[:len(j.locs)], j.reads[:0]
+	for _, l := range j.locs {
+		j.writersOf[string(l)] = j.writersOf[string(l)][:1]
+	}
+	sk := j.skel
+	sk.Po.Reset()
+	sk.Rmw.Reset()
+	sk.Data.Reset()
+	sk.Addr.Reset()
+	sk.Ctrl.Reset()
+	for t, tc := range j.threads {
 		base := len(j.events)
 		j.base[t] = base
 		for _, e := range tc.events {
@@ -564,11 +616,11 @@ func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
 		relocate(sk.Ctrl, tc.ctrl)
 	}
 	// Every event's value is lower's, except those a step resolves.
-	j.fixed = make([]bool, len(j.events))
+	j.fixed = j.fixed[:len(j.events)]
 	for id := range j.fixed {
 		j.fixed[id] = true
 	}
-	for t, tc := range threads {
+	for t, tc := range j.threads {
 		for _, s := range tc.steps {
 			if s.kind == stepRead || s.kind == stepWrite {
 				j.fixed[j.base[t]+s.ev] = false
@@ -576,14 +628,12 @@ func newSkeletonJob(locs []Loc, threads []*threadCode) *skeletonJob {
 		}
 	}
 	sk.Events = j.events
-	j.skel = sk
-	return j
 }
 
-// scratch is the candidate storage of one enumerate call over one job.
-// What value resolution works in and everything a candidate is made of are
-// allocated once and rewritten for every rf and co choice, so a candidate
-// is valid only until the fn that receives it returns.
+// scratch is the candidate storage of one enumeration. What value
+// resolution works in and everything a candidate is made of are allocated
+// once, by newJob, and rewritten for every skeleton, rf and co choice, so a
+// candidate is valid only until the fn that receives it returns.
 type scratch struct {
 	j  *skeletonJob
 	fn func(*scratch) bool
@@ -592,36 +642,32 @@ type scratch struct {
 	rfOf  []int
 	vals  []int64
 	known []bool
-	// c is the candidate fn receives and x its execution. They, the
-	// coherence orders and final are built at the first rf choice whose
-	// values resolve, so a job without candidates never pays for them.
-	c Candidate
-	x memmodel.Execution
-	// orders[li] lists every coherence order of location li's non-init
-	// writers; final[li] is the co-maximal writer of location li in the
+	// c is the candidate fn receives and x its execution. ready says they,
+	// and perms, hold the current job's skeleton: that is written at the
+	// first rf choice whose values resolve, so a job without candidates
+	// never pays for it.
+	c     Candidate
+	x     memmodel.Execution
+	ready bool
+	// perms[li] holds location li's non-init writers, permuted in place
+	// into every coherence order of them in turn; cur[li] is the current
+	// order as a relation, and final[li] the write it puts last (the init
+	// write when there are none), location li's co-maximal writer in the
 	// current candidate.
-	orders [][]coOrder
-	final  []int
+	perms [][]int
+	cur   []*rel.Relation
+	final []int
 	// out is what intern renders the current candidate's outcome into.
 	out []byte
 }
 
-// coOrder is one coherence order over a location's non-init writers, with
-// the write it puts last (the init write when there are none).
-type coOrder struct {
-	order *rel.Relation
-	last  int
-}
-
 // enumerate walks every rf assignment, then every coherence order, invoking
 // fn per candidate. Returns false to stop the overall enumeration. The job
-// is read-only here, and each call works in a scratch of its own. The
-// scratch fn receives, and the candidate in it, are valid only until fn
-// returns.
+// is read-only here; the scratch fn receives, and the candidate in it, are
+// the job's and valid only until fn returns.
 func (j *skeletonJob) enumerate(fn func(*scratch) bool) bool {
-	n := len(j.events)
-	s := &scratch{j: j, fn: fn, rfOf: make([]int, n), vals: make([]int64, n), known: make([]bool, n)}
-	return s.enumerateRF(0)
+	j.s.fn, j.s.ready = fn, false
+	return j.s.enumerateRF(0)
 }
 
 // enumerateRF chooses, in turn, every writer of its location for reads[i],
@@ -649,8 +695,8 @@ func (s *scratch) enumerateCO() bool {
 		return true // inconsistent candidate; skip, continue enumeration
 	}
 	j := s.j
-	if s.c.X == nil {
-		s.build()
+	if !s.ready {
+		s.prepare()
 	}
 	for id := range s.x.Events {
 		s.x.Events[id].Val = s.vals[id]
@@ -733,68 +779,71 @@ func (s *scratch) resolve() bool {
 	return true
 }
 
-// build allocates the candidate: a copy of the job's events to write values
-// into, rf, co holding every location's init write before its other
-// writes, the register files, and each location's coherence orders.
-// Candidate-invariant relations are shared from the job.
-func (s *scratch) build() {
-	j := s.j
-	n := len(j.events)
-	sk := j.skel
-	s.x = memmodel.Execution{
-		Events: append([]memmodel.Event(nil), j.events...),
-		Po:     sk.Po,
-		Rf:     rel.NewSized(n),
-		Co:     rel.NewSized(n),
-		Rmw:    sk.Rmw,
-		Data:   sk.Data,
-		Addr:   sk.Addr,
-		Ctrl:   sk.Ctrl,
+// prepare writes the job's skeleton into the candidate: the job's events to
+// write values into, co holding every location's init write before its
+// other writes, register files holding none of an earlier job's registers,
+// and each location's writers to permute. Candidate-invariant relations are
+// shared from the job.
+func (s *scratch) prepare() {
+	j, sk, x := s.j, s.j.skel, &s.x
+	s.ready = true
+	x.Events = append(x.Events[:0], j.events...)
+	x.Po, x.Rmw, x.Data, x.Addr, x.Ctrl = sk.Po, sk.Rmw, sk.Data, sk.Addr, sk.Ctrl
+	x.Co.Reset()
+	for _, regs := range s.c.Regs {
+		clear(regs)
 	}
-	s.c = Candidate{X: &s.x, Regs: make([]map[Reg]int64, len(j.threads))}
-	for t, tc := range j.threads {
-		s.c.Regs[t] = make(map[Reg]int64, len(tc.regs))
-	}
-	s.orders = make([][]coOrder, len(j.locs))
-	s.final = make([]int, len(j.locs))
 	for li, l := range j.locs {
 		writers := j.writersOf[string(l)]
 		init, ws := writers[0], writers[1:]
 		for _, w := range ws {
-			s.x.Co.Add(init, w)
+			x.Co.Add(init, w)
 		}
-		rel.TotalOrders(ws, func(order *rel.Relation) bool {
-			last := init
-			for _, w := range ws {
-				if !order.AnyFrom(w) {
-					last = w
-				}
-			}
-			s.orders[li] = append(s.orders[li], coOrder{order.Clone(), last})
-			return true
-		})
+		s.perms[li] = append(s.perms[li][:0], ws...)
 	}
 }
 
 // enumerateOrders writes a coherence order of every location from li on
-// into co, in place, and calls fn once all are written. An order has edges
-// only from its own location's writers, and no two locations share a
-// writer, so taking it out again (MinusWith) clears exactly what it set.
+// into co, in place, and calls fn once all are written.
 func (s *scratch) enumerateOrders(li int) bool {
-	if li == len(s.orders) {
+	if li == len(s.perms) {
 		return s.fn(s)
 	}
-	co := s.x.Co
-	for _, o := range s.orders[li] {
-		co.UnionWith(o.order)
-		s.final[li] = o.last
-		cont := s.enumerateOrders(li + 1)
-		co.MinusWith(o.order)
-		if !cont {
-			return false
+	return s.permute(li, 0)
+}
+
+// permute writes into co, in turn, every coherence order of location li
+// that keeps perms[li][:k] in place — each writer from k on swapped into
+// position k and the rest permuted after it, the order stream.golden pins
+// — and enumerates the later locations' orders under each. An order has
+// edges only from its own location's writers, and no two locations share
+// a writer, so taking it out again (MinusWith) clears exactly what it set.
+func (s *scratch) permute(li, k int) bool {
+	perm := s.perms[li]
+	if k < len(perm) {
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			cont := s.permute(li, k+1)
+			perm[k], perm[i] = perm[i], perm[k]
+			if !cont {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	order := s.cur[li]
+	order.Reset()
+	s.final[li] = li // location li's init write
+	for i, w := range perm {
+		for _, v := range perm[i+1:] {
+			order.Add(w, v)
+		}
+		s.final[li] = w
+	}
+	s.x.Co.UnionWith(order)
+	cont := s.enumerateOrders(li + 1)
+	s.x.Co.MinusWith(order)
+	return cont
 }
 
 // regVal is the value def leaves in a register of thread t.
@@ -898,38 +947,38 @@ type OutcomeSet map[Outcome]bool
 // register; Enumerate returns that as an error.
 func Outcomes(p *Program, m memmodel.Model) OutcomeSet { return mustCompile(p).outcomes(m) }
 
-// outcomes is the serial enumeration: every job in turn, into one set.
+// outcomes is the serial enumeration: every job in turn, into one set of
+// the outcomes of the candidates m admits. One memmodel.Checker — the
+// candidate-invariant relations evaluated once — serves a job's whole rf×co
+// product. It is taken from the model's pool when the job's first candidate
+// arrives, so a job whose every rf choice value resolution refutes takes
+// none, and it goes back when the job ends, and on a panic.
 func (c *code) outcomes(m memmodel.Model) OutcomeSet {
 	out := make(OutcomeSet)
-	c.forEachJob(func(j *skeletonJob) bool {
-		j.outcomes(m, out)
-		return true
-	})
-	return out
-}
-
-// outcomes adds to out the outcome of every candidate of the job that m
-// admits. One memmodel.Checker — the candidate-invariant relations
-// evaluated once — serves the whole rf×co product. It is built when the
-// first candidate arrives, so a job whose every rf choice value resolution
-// refutes builds none, and it returns to the model's pool when the
-// enumeration ends, by panic too.
-func (j *skeletonJob) outcomes(m memmodel.Model, out OutcomeSet) {
 	var ck *memmodel.Checker
 	defer func() {
 		if ck != nil {
 			ck.Release()
 		}
 	}()
-	j.enumerate(func(s *scratch) bool {
+	admit := func(s *scratch) bool {
 		if ck == nil {
-			ck = memmodel.NewChecker(m, j.skel)
+			ck = memmodel.NewChecker(m, s.j.skel)
 		}
 		if ck.Consistent(s.c.X) {
 			s.intern(out)
 		}
 		return true
+	}
+	c.forEachJob(func(j *skeletonJob) bool {
+		j.enumerate(admit)
+		if ck != nil {
+			ck.Release()
+			ck = nil
+		}
+		return true
 	})
+	return out
 }
 
 // Contains reports whether s contains an outcome matching every given

@@ -62,11 +62,11 @@ type compiledAxiom struct {
 type program struct {
 	nodes  []*node
 	axioms []compiledAxiom
-	// pools holds released Checkers by event count (int -> *sync.Pool). A
-	// checker's relations are sized to its skeleton, so only exact-size
-	// reuse is sound; litmus skeletons cluster around a handful of event
-	// counts, which keeps the map tiny.
-	pools sync.Map
+	// pool holds released Checkers. One serves a skeleton of any size:
+	// NewChecker recomputes or resets every slot, a reset relation grows
+	// to whatever universe it is next given, and so does the arena's
+	// acyclicity scratch.
+	pool sync.Pool
 }
 
 // compiler carries the sharing tables while a program is being built.
@@ -227,8 +227,8 @@ type Checker struct {
 }
 
 // NewChecker prepares m for the skeleton's candidates. Call Release when
-// they are done, so the next skeleton of the same event count reuses the
-// checker's relations instead of allocating its own.
+// they are done, so the next skeleton, of any size, reuses the checker's
+// relations instead of allocating its own.
 func NewChecker(m Model, sk *Skeleton) *Checker {
 	c := m.prog.checker(len(sk.Events))
 	c.x = Execution{Events: sk.Events, Po: sk.Po, Rmw: sk.Rmw, Data: sk.Data, Addr: sk.Addr, Ctrl: sk.Ctrl}
@@ -247,12 +247,10 @@ func NewChecker(m Model, sk *Skeleton) *Checker {
 	return c
 }
 
-// checker returns a released checker for n events, or a new one.
+// checker returns a released checker, or a new one sized for n events.
 func (p *program) checker(n int) *Checker {
-	if v, ok := p.pools.Load(n); ok {
-		if c, _ := v.(*sync.Pool).Get().(*Checker); c != nil {
-			return c
-		}
+	if c, _ := p.pool.Get().(*Checker); c != nil {
+		return c
 	}
 	c := &Checker{
 		prog:  p,
@@ -270,14 +268,18 @@ func (p *program) checker(n int) *Checker {
 }
 
 // Release returns the checker to its model's pool. It must not be used
-// afterwards.
+// afterwards. The pooled checker keeps nothing of the last candidate it
+// read — neither x nor the base relations its opBase slots point at — as
+// that is its enumerator's storage, rewritten for the next skeleton.
+// NewChecker and Consistent set those slots again before any read.
 func (c *Checker) Release() {
-	n := c.arena.Universe()
-	v, ok := c.prog.pools.Load(n)
-	if !ok {
-		v, _ = c.prog.pools.LoadOrStore(n, &sync.Pool{})
+	c.x = Execution{}
+	for _, n := range c.prog.nodes {
+		if n.op == opBase {
+			c.vals[n.slot] = nil
+		}
 	}
-	v.(*sync.Pool).Put(c)
+	c.prog.pool.Put(c)
 }
 
 // provenEmpty reports whether a node is empty because enough of its

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/guestimg"
 	"repro/internal/isa/arm"
@@ -434,11 +435,28 @@ func (c *Compiled) Walk(m *machine.Machine, seed int, visit func(machine.Transit
 	return m.Walk(uint64(seed), WalkSteps, visit)
 }
 
-// Observe samples 3n executions — walks 0..3n-1, all on one machine — and
-// collects the distinct outcomes.
+// machines holds the machines Observe has finished with. Walk resets one
+// to this program's initial state whatever program it last ran, as
+// Reset's contract allows, so an Observe that finds one here skips
+// machine.New's 64 KiB.
+var machines sync.Pool
+
+// Observe samples 3n executions — walks 0..3n-1, all on one machine taken
+// from a pool shared with every other Observe — and collects the distinct
+// outcomes.
 func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
+	m, _ := machines.Get().(*machine.Machine)
+	if m == nil {
+		m = machine.New(memSize)
+	}
+	defer machines.Put(m)
+	return c.observe(m, n)
+}
+
+// observe is Observe on the machine m, a machine NewMachine built (for
+// this program or another).
+func (c *Compiled) observe(m *machine.Machine, n int) (litmus.OutcomeSet, error) {
 	out := make(litmus.OutcomeSet)
-	m := machine.New(memSize)
 	for seed := 0; seed < 3*n; seed++ {
 		halted, err := c.Walk(m, seed, nil)
 		if err != nil {

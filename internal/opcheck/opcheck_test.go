@@ -1,10 +1,13 @@
 package opcheck
 
 import (
+	"maps"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/machine"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 )
@@ -266,5 +269,77 @@ func TestElevenThreadsRenderLikeLitmus(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		t.Fatalf("eleven loads of X=0 reported unsound: %v", bad)
+	}
+}
+
+// TestObserveOnReusedMachine holds Observe's pooled machines to fresh ones:
+// for every named corpus program, the walks on a machine that last ran
+// IRIW (four CPUs, and more written pages than the two-thread programs)
+// observe the outcome set the same walks observe on a fresh machine.
+func TestObserveOnReusedMachine(t *testing.T) {
+	const seeds = 8
+	iriw, err := Compile(litmus.IRIW())
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := machine.New(memSize)
+	for _, p := range litmus.Named() {
+		c, err := Compile(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		want, err := c.observe(machine.New(memSize), seeds)
+		if err != nil {
+			t.Fatalf("%s on a fresh machine: %v", p.Name, err)
+		}
+		if _, err := iriw.observe(used, seeds); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.observe(used, seeds)
+		if err != nil {
+			t.Fatalf("%s after IRIW: %v", p.Name, err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: %v on a machine IRIW ran last, %v on a fresh one", p.Name, got.Sorted(), want.Sorted())
+		}
+	}
+}
+
+// TestObserveConcurrently calls Observe from one goroutine per named
+// program at once, as campaign's workers do, and holds each result to the
+// program's serial one: the machine pool hands a machine to one Observe
+// at a time.
+func TestObserveConcurrently(t *testing.T) {
+	const seeds = 4
+	progs := litmus.Named()
+	compiled := make([]*Compiled, len(progs))
+	want := make([]litmus.OutcomeSet, len(progs))
+	for i, p := range progs {
+		c, err := Compile(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if want[i], err = c.Observe(seeds); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		compiled[i] = c
+	}
+	got := make([]litmus.OutcomeSet, len(progs))
+	errs := make([]error, len(progs))
+	var wg sync.WaitGroup
+	for i, c := range compiled {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c.Observe(seeds)
+		}()
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if errs[i] != nil {
+			t.Errorf("%s: %v", p.Name, errs[i])
+		} else if !maps.Equal(got[i], want[i]) {
+			t.Errorf("%s: %v concurrently, %v alone", p.Name, got[i].Sorted(), want[i].Sorted())
+		}
 	}
 }

@@ -70,38 +70,6 @@ func Identity(set []int) *Relation {
 	return out
 }
 
-// TotalOrders enumerates every strict total order over elems as a relation,
-// invoking fn for each. fn must not retain the relation: one relation is
-// rewritten for every order. Enumeration stops early if fn returns false.
-// Used to enumerate coherence orders.
-func TotalOrders(elems []int, fn func(*Relation) bool) {
-	perm := make([]int, len(elems))
-	copy(perm, elems)
-	r := New()
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(perm) {
-			r.Reset()
-			for i := 0; i < len(perm); i++ {
-				for j := i + 1; j < len(perm); j++ {
-					r.Add(perm[i], perm[j])
-				}
-			}
-			return fn(r)
-		}
-		for i := k; i < len(perm); i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			if !rec(k + 1) {
-				perm[k], perm[i] = perm[i], perm[k]
-				return false
-			}
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-		return true
-	}
-	rec(0)
-}
-
 // String renders the relation as a sorted edge list, for debugging.
 func (r *Relation) String() string {
 	var b strings.Builder

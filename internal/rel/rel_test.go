@@ -131,44 +131,6 @@ func TestIrreflexive(t *testing.T) {
 	}
 }
 
-func TestTotalOrders(t *testing.T) {
-	var count int
-	TotalOrders([]int{1, 2, 3}, func(r *Relation) bool {
-		count++
-		if r.Size() != 3 {
-			t.Fatalf("total order over 3 elems should have 3 edges, got %d", r.Size())
-		}
-		if !r.Acyclic() {
-			t.Fatal("total order should be acyclic")
-		}
-		return true
-	})
-	if count != 6 {
-		t.Fatalf("3! = 6 orders expected, got %d", count)
-	}
-	// Early stop.
-	count = 0
-	TotalOrders([]int{1, 2, 3}, func(r *Relation) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early stop failed, count = %d", count)
-	}
-	// Empty set yields exactly one (empty) order.
-	count = 0
-	TotalOrders(nil, func(r *Relation) bool {
-		count++
-		if !r.IsEmpty() {
-			t.Fatal("order over empty set must be empty")
-		}
-		return true
-	})
-	if count != 1 {
-		t.Fatalf("empty set: %d orders", count)
-	}
-}
-
 func TestString(t *testing.T) {
 	s := FromPairs(Pair{2, 1}, Pair{1, 2}).String()
 	if s != "{1->2, 2->1}" {

@@ -4,9 +4,11 @@
 #   ./scripts/check.sh
 #
 # It runs gofmt, vet (once, over ./...), a full build, the full test suite,
-# and the race detector over obs, litmus and mapping — in internal/litmus
-# only the outcome cache is concurrent (racing callers share one enumeration
-# per key); the enumerator itself is serial — and over the two packages that
+# and the race detector over obs, litmus, mapping, memmodel and opcheck — in
+# internal/litmus only the outcome cache is concurrent (racing callers share
+# one enumeration per key); the enumerator itself is serial, but memmodel's
+# checker pools and opcheck's machine pool are shared by every campaign
+# worker — and over the two packages that
 # start goroutines: campaign (its worker pipeline) and serve (admission
 # queues, circuit breakers). The fault stages run every Fault test, among
 # them core's fault sweep (each known-answer guest under every -fault name
@@ -114,8 +116,8 @@ go test ./...
 stage "perf smoke: (cd perf && go vet . && go test .)"
 (cd perf && go vet . && go test .)
 
-stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/..."
-go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/...
+stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/"
+go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/
 
 stage "go test -race -count=1 ./internal/campaign/ ./internal/serve/"
 go test -race -count=1 ./internal/campaign/ ./internal/serve/
