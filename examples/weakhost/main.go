@@ -22,6 +22,7 @@ func buildMP() (*guestimg.Image, error) {
 	b := guestimg.NewBuilder(0x10000, 0x40000)
 	x := b.Zeros(8)
 	y := b.Zeros(8)
+	w := b.Zeros(8) // the writer's private cell
 	a := b.Asm
 
 	a.Label("writer").
@@ -30,8 +31,13 @@ func buildMP() (*guestimg.Image, error) {
 		Store(x86.Mem0(x86.RSI), x86.RBX, 8).
 		MovRI(x86.RDI, int64(y)).
 		Store(x86.Mem0(x86.RDI), x86.RBX, 8).
+		// Stay alive a while, so the stores drain on the host's schedule
+		// rather than at the synchronizing thread exit: each private load
+		// is a point at which the host may drain.
 		MovRI(x86.RCX, 0).
+		MovRI(x86.RDX, int64(w)).
 		Label("busy").
+		Load(x86.R8, x86.Mem0(x86.RDX), 8).
 		AddRI(x86.RCX, 1).
 		CmpRI(x86.RCX, 40).
 		Jcc(x86.CondNE, "busy").
@@ -83,7 +89,7 @@ func main() {
 		weak := 0
 		for seed := int64(0); seed < seeds; seed++ {
 			rt, err := core.New(img,
-				core.WithVariant(v), core.WithWeakMemory(seed), core.WithQuantum(1))
+				core.WithVariant(v), core.WithWeakMemory(seed))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -358,7 +358,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 	rt.M.Deadline = cfg.Deadline
 	rt.M.Inject = cfg.Inject
 	if cfg.WeakSeed != nil {
-		rt.M.EnableWeakMode(machine.NewSeededDrains(*cfg.WeakSeed, 48))
+		rt.M.EnableWeakMode()
 	}
 
 	if cfg.TierUp.Enabled {
@@ -467,7 +467,14 @@ func (rt *Runtime) Run() (uint64, error) {
 	*guestReg(c, x86.RSP) = sp
 	err = rt.runHealed(func() error { return rt.startThread(c, rt.img.Entry) })
 	if err == nil {
-		err = rt.runHealed(func() error { return rt.M.RunAll(rt.cfg.Quantum, maxSteps) })
+		// Round-robin quanta on the strong host; on the weak host a walk
+		// of the machine's transition system seeded with WeakSeed.
+		err = rt.runHealed(func() error {
+			if s := rt.cfg.WeakSeed; s != nil {
+				return rt.M.WalkAll(uint64(*s), maxSteps)
+			}
+			return rt.M.RunAll(rt.cfg.Quantum, maxSteps)
+		})
 	}
 	if err != nil {
 		return 0, err

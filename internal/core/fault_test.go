@@ -187,11 +187,13 @@ func casLivelockImage(t *testing.T) *guestimg.Image {
 	return img
 }
 
-// expectBudgetTrap runs img expecting the step-budget watchdog to halt it
-// with a structured TrapBudget naming cpu0 and the spent steps.
+// expectBudgetTrap runs img expecting the per-CPU step budget of 20,000
+// to halt it with a structured TrapBudget naming cpu0 at exactly that
+// many steps.
 func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Config) {
 	t.Helper()
 	cfg.Variant = VariantRisotto
+	cfg.StepBudget = 20_000
 	rt, err := newRuntime(cfg, img)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -204,49 +206,65 @@ func expectBudgetTrap(t *testing.T, img *guestimg.Image, label string, cfg Confi
 	if !ok {
 		t.Fatalf("%s: error is not a trap: %v", label, err)
 	}
-	if tr.Kind != faults.TrapBudget {
-		t.Fatalf("%s: trap kind = %v, want step-budget: %v", label, tr.Kind, err)
+	if tr.Kind != faults.TrapBudget || tr.Msg != "per-CPU step budget 20000 exhausted" {
+		t.Fatalf("%s: trap = %v, want the per-CPU step budget's", label, err)
 	}
 	if tr.CPU != 0 {
 		t.Errorf("%s: trap cpu = %d, want 0", label, tr.CPU)
 	}
-	if tr.Steps == 0 {
-		t.Errorf("%s: trap records no step count: %v", label, err)
+	if tr.Steps != 20_000 {
+		t.Errorf("%s: trap at step %d, want 20000: %v", label, tr.Steps, err)
 	}
 }
 
-// TestFaultWatchdogInfiniteLoop halts a runaway guest via the per-CPU step
-// budget, in both plain and weak-memory machine modes.
+// TestFaultWatchdogInfiniteLoop halts a runaway register-only guest via
+// the per-CPU step budget, in both plain and weak-memory machine modes: on
+// the weak host the spin is a string of exec transitions, each clipped
+// where the budget traps.
 func TestFaultWatchdogInfiniteLoop(t *testing.T) {
 	img := spinImage(t)
-	expectBudgetTrap(t, img, "plain", Config{Replay: selfheal.Replay{StepBudget: 20_000}})
+	expectBudgetTrap(t, img, "plain", Config{})
 	seed := int64(7)
-	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{StepBudget: 20_000, WeakSeed: &seed}})
+	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{WeakSeed: &seed}})
 }
 
 // TestFaultWatchdogCASLivelock halts a livelocked CAS spin the same way —
 // the atomic path must hit the budget check too.
 func TestFaultWatchdogCASLivelock(t *testing.T) {
 	img := casLivelockImage(t)
-	expectBudgetTrap(t, img, "plain", Config{Replay: selfheal.Replay{StepBudget: 20_000}})
+	expectBudgetTrap(t, img, "plain", Config{})
 	seed := int64(11)
-	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{StepBudget: 20_000, WeakSeed: &seed}})
+	expectBudgetTrap(t, img, "weak", Config{Replay: selfheal.Replay{WeakSeed: &seed}})
 }
 
 // TestFaultWatchdogDeadline halts a runaway guest via the wall-clock
-// watchdog when no step budget is set.
+// watchdog when no step budget is set. The weak row's CAS spin touches
+// memory at every iteration, so only the weak walk's deadline poll can
+// stop it.
 func TestFaultWatchdogDeadline(t *testing.T) {
-	rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Deadline: 50 * time.Millisecond}}, spinImage(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = rt.Run()
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("watchdog took %v to fire", elapsed)
-	}
-	if !faults.IsKind(err, faults.TrapBudget) {
-		t.Fatalf("error = %v, want step-budget trap", err)
+	seed := int64(5)
+	for _, tc := range []struct {
+		name string
+		img  *guestimg.Image
+		weak *int64
+	}{
+		{"plain", spinImage(t), nil},
+		{"weak", casLivelockImage(t), &seed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := newRuntime(Config{Variant: VariantRisotto, Replay: selfheal.Replay{Deadline: 50 * time.Millisecond, WeakSeed: tc.weak}}, tc.img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = rt.Run()
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Fatalf("watchdog took %v to fire", elapsed)
+			}
+			if tr, ok := faults.As(err); !ok || tr.Kind != faults.TrapBudget || !strings.Contains(tr.Msg, "deadline") {
+				t.Fatalf("error = %v, want the deadline's budget trap", err)
+			}
+		})
 	}
 }
 
@@ -280,6 +298,22 @@ func TestFaultMisalignedCAS(t *testing.T) {
 	}
 	if tr.Addr%8 == 0 {
 		t.Errorf("trap addr %#x is aligned; attribution wrong", tr.Addr)
+	}
+}
+
+// TestFaultInjectedStepOnWeakHost: the step-site fault that guards each
+// RunAll quantum guards each exec transition of a weak-host walk.
+func TestFaultInjectedStepOnWeakHost(t *testing.T) {
+	in := faults.NewInjector()
+	in.Arm(faults.SiteStep, 3, faults.TrapBudget)
+	seed := int64(1)
+	rt, err := newRuntime(Config{Variant: VariantRisotto, Inject: in, Replay: selfheal.Replay{WeakSeed: &seed}}, casLivelockImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Run()
+	if tr, ok := faults.As(err); !ok || tr.Kind != faults.TrapBudget || !tr.Injected || tr.CPU != 0 || tr.Steps == 0 {
+		t.Fatalf("error = %v, want an injected budget trap on cpu0 with its steps", err)
 	}
 }
 

@@ -43,7 +43,8 @@ func WithHostLinker(idlSrc string, lib *hostlib.Library) Option {
 	return func(c *Config) { c.IDL, c.Lib = idlSrc, lib }
 }
 
-// WithQuantum sets the round-robin scheduling quantum in instructions.
+// WithQuantum sets the round-robin scheduling quantum in instructions of a
+// strong-host run.
 func WithQuantum(insts int) Option {
 	return func(c *Config) { c.Quantum = insts }
 }
@@ -60,7 +61,8 @@ func WithChain(on bool) Option {
 }
 
 // WithWeakMemory runs the simulated host in operational weak-memory mode,
-// seeded by seed.
+// as a walk of the machine's transition system seeded by seed (the
+// scheduling quantum does not apply).
 func WithWeakMemory(seed int64) Option {
 	return func(c *Config) { s := seed; c.WeakSeed = &s }
 }

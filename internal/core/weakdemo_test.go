@@ -26,6 +26,7 @@ func mpGuestImage(t *testing.T) *guestimg.Image {
 	b := guestimg.NewBuilder(0x10000, 0x40000)
 	x := b.Zeros(8)
 	y := b.Zeros(8)
+	w := b.Zeros(8) // the writer's private cell
 	a := b.Asm
 
 	a.Label("writer").
@@ -35,9 +36,13 @@ func mpGuestImage(t *testing.T) *guestimg.Image {
 		MovRI(x86.RDI, int64(y)).
 		Store(x86.Mem0(x86.RDI), x86.RBX, 8)
 	// Keep the writer alive so its store buffer drains on the random
-	// schedule rather than the synchronizing thread exit.
+	// schedule rather than the synchronizing thread exit: each private
+	// load ends an exec transition, and between transitions the walk may
+	// drain.
 	a.MovRI(x86.RCX, 0).
+		MovRI(x86.RDX, int64(w)).
 		Label("wspin").
+		Load(x86.R8, x86.Mem0(x86.RDX), 8).
 		AddRI(x86.RCX, 1).
 		CmpRI(x86.RCX, 40).
 		Jcc(x86.CondNE, "wspin").
@@ -85,7 +90,7 @@ func mpGuestImage(t *testing.T) *guestimg.Image {
 // runWeakMP returns the (a, b) observation for one seed and variant.
 func runWeakMP(t *testing.T, img *guestimg.Image, v Variant, seed int64) (uint64, uint64) {
 	t.Helper()
-	rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &seed, Quantum: 1}}, img)
+	rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &seed}}, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +134,7 @@ func TestWeakHostSpinlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := seed
-		rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &s, Quantum: 1}}, img)
+		rt, err := newRuntime(Config{Variant: v, Replay: selfheal.Replay{WeakSeed: &s}}, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +162,7 @@ func TestWeakHostSpinlock(t *testing.T) {
 		}
 	}
 	if !lost {
-		t.Log("note: no-fences spinlock never lost an update in 60 seeds " +
-			"(the weak window is narrow); not failing, but the fenced " +
-			"variants' guarantee above is the load-bearing assertion")
+		t.Fatal("no-fences spinlock never lost an update in 60 seeds on the weak host")
 	}
 }
 
@@ -171,6 +174,35 @@ func TestWeakHostFencedVariantsStayCorrect(t *testing.T) {
 			if a == 1 && b == 0 {
 				t.Fatalf("%v seed %d: generated fences failed to order MP (a=1,b=0)", v, seed)
 			}
+		}
+	}
+}
+
+// TestWeakHostLongRegisterLoop: a guest that counts to 20,000 in a
+// register, never touching memory, runs to its exit on the weak host as
+// on the strong one. On the weak host the loop spans several exec
+// transitions of the walk.
+func TestWeakHostLongRegisterLoop(t *testing.T) {
+	b := guestimg.NewBuilder(0x10000, 0x40000)
+	a := b.Asm
+	a.Label("main").
+		MovRI(x86.RCX, 0).
+		Label("loop").
+		AddRI(x86.RCX, 1).
+		CmpRI(x86.RCX, 20_000).
+		Jcc(x86.CondNE, "loop")
+	exitWith(a, x86.RCX)
+	img, err := b.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, code := runImage(t, img, VariantRisotto, Config{}); code != 20_000 {
+		t.Fatalf("strong host: exit %d, want 20000", code)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		s := seed
+		if _, code := runImage(t, img, VariantRisotto, Config{Replay: selfheal.Replay{WeakSeed: &s}}); code != 20_000 {
+			t.Fatalf("weak host seed %d: exit %d, want 20000", seed, code)
 		}
 	}
 }

@@ -36,9 +36,6 @@ func runOutcome(t *testing.T, img *guestimg.Image, opts ...Option) outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.M.FlushAllWeak(); err != nil {
-		t.Fatal(err)
-	}
 	st := rt.Stats()
 	o := outcome{exit: exit, hostCalls: st.HostCalls, blocks: st.Blocks}
 	for _, s := range img.Segments {

@@ -262,9 +262,9 @@ func (e *explorer) leaf(m *machine.Machine, path []machine.Transition) error {
 	return nil
 }
 
-// trapped records a run that faulted mid-execution (decode/fetch trap,
-// invisible-instruction budget): always a violation — the reference
-// model has no trapping executions.
+// trapped records a run that faulted mid-execution (a decode or fetch
+// trap): always a violation — the reference model has no trapping
+// executions.
 func (e *explorer) trapped(path []machine.Transition, err error) {
 	e.res.Violations = append(e.res.Violations, Violation{
 		Trace:  append([]machine.Transition(nil), path...),

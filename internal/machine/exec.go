@@ -17,10 +17,8 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 	switch inst.Op {
 	case arm.NOP:
 	case arm.HLT:
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		c.Halted = true
 		return nil
@@ -136,20 +134,16 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		c.setReg(inst.Rd, v)
 	case arm.STLR:
 		// Release: order all prior stores before this one.
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		if err := m.WriteMem(c.reg(inst.Rn), inst.Size, c.reg(inst.Rd)); err != nil {
 			return cpuErr(c, err)
 		}
 
 	case arm.LDXR, arm.LDAXR:
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		addr := c.reg(inst.Rn)
 		if err := checkAtomicAlign(addr, inst.Size); err != nil {
@@ -177,10 +171,8 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		m.disarm(c)
 
 	case arm.CAS, arm.CASAL:
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		addr := c.reg(inst.Rn)
 		if err := checkAtomicAlign(addr, inst.Size); err != nil {
@@ -198,10 +190,8 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		}
 		c.setReg(inst.Rd, old)
 	case arm.LDADDAL:
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		addr := c.reg(inst.Rn)
 		if err := checkAtomicAlign(addr, inst.Size); err != nil {
@@ -217,10 +207,8 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		}
 		c.setReg(inst.Rm, old)
 	case arm.SWPAL:
-		if m.weak != nil {
-			if err := m.weakFlush(c); err != nil {
-				return cpuErr(c, err)
-			}
+		if err := m.FlushWeak(c); err != nil {
+			return cpuErr(c, err)
 		}
 		addr := c.reg(inst.Rn)
 		if err := checkAtomicAlign(addr, inst.Size); err != nil {

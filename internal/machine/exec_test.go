@@ -226,7 +226,7 @@ func TestWeakEnabledFlag(t *testing.T) {
 	if m.WeakEnabled() {
 		t.Fatal("weak mode should default off")
 	}
-	m.EnableWeakMode(NewSeededDrains(1, 0)) // 0 → default drain prob
+	m.EnableWeakMode()
 	if !m.WeakEnabled() {
 		t.Fatal("weak mode should be on")
 	}

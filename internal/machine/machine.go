@@ -31,8 +31,10 @@
 package machine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -59,12 +61,12 @@ type Machine struct {
 	cost *resolvedCost
 
 	// StepBudget, when non-zero, bounds each CPU's executed instruction
-	// count: a CPU that reaches it makes RunAll return a structured
-	// faults.TrapBudget — the watchdog that halts runaway or livelocked
-	// guests instead of spinning forever.
+	// count: a CPU that reaches it makes RunAll (or a walk) return a
+	// structured faults.TrapBudget — the watchdog that halts runaway or
+	// livelocked guests instead of spinning forever.
 	StepBudget uint64
-	// Deadline, when non-zero, is a wall-clock watchdog for RunAll,
-	// measured from its invocation.
+	// Deadline, when non-zero, is a wall-clock watchdog for RunAll and
+	// walks, measured from their invocation.
 	Deadline time.Duration
 	// Inject, when non-nil, forces traps at instrumented sites (memory
 	// accesses, scheduler quanta) for fault-matrix testing.
@@ -112,7 +114,7 @@ type Machine struct {
 	// skip the monitor scan when it is zero.
 	armed int
 
-	// yield is set by Yield and consumed by RunAll.
+	// yield is set by Yield and consumed by RunAll and OpExec.
 	yield bool
 
 	// weak, when non-nil, enables the operational weak-memory mode
@@ -126,10 +128,11 @@ type Machine struct {
 	accLogOn bool
 
 	// sc/quanta/yields are the observability hooks installed by SetObs:
-	// quanta is bumped once per scheduler quantum (one atomic add per
-	// `quantum` instructions, cheap enough for the hot loop), yields once
-	// per quantum a blocked CPU gave up early, and the dynamic execution
-	// counters are published as gauges when RunAll returns.
+	// quanta is bumped once per scheduler quantum or exec transition (one
+	// atomic add per `quantum` instructions, cheap enough for the hot
+	// loop), yields once per quantum or exec a blocked CPU gave up early,
+	// and the dynamic execution counters are published as gauges when
+	// RunAll or Walk returns.
 	sc     *obs.Scope
 	quanta *obs.Counter
 	yields *obs.Counter
@@ -240,21 +243,25 @@ func (m *Machine) Reset() {
 }
 
 // SetObs points the machine's instrumentation at root's "machine" child
-// scope: scheduler quanta are counted under "machine.sched.quanta", the
-// ones a blocked join ended early under "machine.sched.yields", and
-// RunAll publishes the dynamic execution counters (instructions, atomics,
-// per-flavour DMBs, CPU count) and the size of the written-page set as
-// gauges on exit. Nil-scope safe.
+// scope: scheduler quanta (and exec transitions) are counted under
+// "machine.sched.quanta", the ones a blocked join ended early under
+// "machine.sched.yields", and RunAll and Walk publish the dynamic
+// execution counters (instructions, atomics, per-flavour DMBs, CPU count)
+// and the size of the written-page set as gauges on exit. Nil-scope safe.
 func (m *Machine) SetObs(root *obs.Scope) {
 	m.sc = root.Child("machine")
 	m.quanta = m.sc.Counter("sched.quanta")
 	m.yields = m.sc.Counter("sched.yields")
 }
 
-// publishObs mirrors the dynamic execution counters into gauges.
-func (m *Machine) publishObs() {
+// endRun closes a RunAll or a Walk: it mirrors the dynamic execution
+// counters into gauges and records a trap as a machine.trap event.
+func (m *Machine) endRun(err error) {
 	if m.sc == nil {
 		return
+	}
+	if err != nil {
+		m.sc.Event("machine.trap", err.Error(), -1, 0, 0)
 	}
 	m.sc.Gauge("insts").Set(int64(m.TotalInsts()))
 	m.sc.Gauge("atomics").Set(int64(m.AtomicExec))
@@ -534,9 +541,8 @@ func (c *CPU) cond(cc arm.Cond) bool {
 // --- Scheduling ---------------------------------------------------------------
 
 // step executes one instruction on c, fetching it alone: the
-// per-instruction path, which weak mode needs (weakMaybeDrain runs after
-// every instruction) and the transition system's OpExec takes. Halted
-// CPUs are a no-op.
+// per-instruction path the transition system's OpExec takes. Halted CPUs
+// are a no-op.
 func (m *Machine) step(c *CPU) error {
 	if c.Halted {
 		return nil
@@ -550,13 +556,7 @@ func (m *Machine) step(c *CPU) error {
 	} else if m.fetchCheck != nil {
 		m.fetchCheck(c.PC, inst)
 	}
-	if err := m.exec(c, inst); err != nil {
-		return err
-	}
-	if m.weak != nil {
-		return m.weakMaybeDrain(c)
-	}
-	return nil
+	return m.exec(c, inst)
 }
 
 // decodeMiss decodes the instruction at pc from memory and caches it.
@@ -602,10 +602,10 @@ func (m *Machine) fillRun(c *CPU) error {
 // returns how many it executed: the run at c.PC, clipped to limit, for one
 // decode lookup. A run ends at the only instructions that branch, halt or
 // call a hook, so its instructions are the ones the per-instruction path
-// would have executed, at the same PCs. Weak mode, an unaligned PC and
-// perInst take step, one instruction.
+// would have executed, at the same PCs. An unaligned PC and perInst take
+// step, one instruction.
 func (m *Machine) advance(c *CPU, limit int) (int, error) {
-	if m.weak != nil || m.perInst {
+	if m.perInst {
 		return 1, m.step(c)
 	}
 	insts, s, n := m.decode.runAt(c.PC)
@@ -632,11 +632,12 @@ func (m *Machine) advance(c *CPU, limit int) (int, error) {
 	return len(run), nil
 }
 
-// Yield asks RunAll to end the running CPU's quantum after the current
-// instruction. A blocked join calls it: nothing the waiter does in the
-// rest of its quantum can unblock it, so it retries once per rotation
-// instead of once per instruction. Outside RunAll it has no effect. Only
-// the SVC and BLR hooks call it, and both instructions end a run.
+// Yield ends the running CPU's RunAll quantum, or its OpExec transition,
+// after the current instruction. A blocked join calls it: nothing the
+// waiter does in the rest of its quantum can unblock it, so it retries
+// once per rotation, or costs one transition, instead of once per
+// instruction. Elsewhere it has no effect. Only the SVC and BLR hooks
+// call it, and both instructions end a run.
 func (m *Machine) Yield() { m.yield = true }
 
 // Run executes a single CPU until it halts or maxSteps elapse, a run at a
@@ -670,17 +671,8 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	if quantum <= 0 {
 		quantum = 64
 	}
-	defer func() {
-		m.publishObs()
-		if err != nil {
-			m.sc.Event("machine.trap", err.Error(), -1, 0, 0)
-		}
-	}()
-	var start time.Time
-	if m.Deadline > 0 {
-		start = time.Now()
-	}
-	var total uint64
+	defer func() { m.endRun(err) }()
+	w := m.watch(maxSteps)
 	rr := 0 // round-robin cursor: next CPU ID to consider
 	for {
 		c := m.nextLive(rr)
@@ -688,44 +680,17 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			return nil
 		}
 		rr = c.ID + 1
-		m.quanta.Inc()
-		if t := m.Inject.Hit(faults.SiteStep); t != nil {
-			t.Steps = c.Insts
-			return t.WithCPU(c.ID).WithHostPC(c.PC)
+		if err := m.beginQuantum(c); err != nil {
+			return err
 		}
-		m.yield = false
 		for q := 0; q < quantum && !c.Halted; {
-			// Clip the run to the quantum and to the instruction at
-			// which a step budget traps; a CPU already at its StepBudget
-			// traps after one more instruction.
-			limit := quantum - q
-			if left := maxSteps - total; left < uint64(limit) {
-				limit = int(left) + 1
-			}
-			if b := m.StepBudget; b != 0 {
-				left := uint64(1)
-				if c.Insts < b {
-					left = b - c.Insts
-				}
-				limit = int(min(left, uint64(limit)))
-			}
-			n, err := m.advance(c, limit)
+			n, err := m.advance(c, w.clip(c, quantum-q))
 			if err != nil {
 				return err
 			}
 			q += n
-			total += uint64(n)
-			if total > maxSteps {
-				return budgetTrap(c, total, "machine step budget %d exhausted", maxSteps)
-			}
-			if m.StepBudget != 0 && c.Insts >= m.StepBudget {
-				return budgetTrap(c, c.Insts, "per-CPU step budget %d exhausted", m.StepBudget)
-			}
-			// The wall-clock watchdog is polled each time total crosses
-			// a multiple of 1024: cheap enough for the hot loop, tight
-			// enough to bound a hang.
-			if m.Deadline > 0 && (total-uint64(n))>>10 != total>>10 && time.Since(start) > m.Deadline {
-				return budgetTrap(c, total, "wall-clock deadline %v exceeded", m.Deadline)
+			if err := w.charge(c, n); err != nil {
+				return err
 			}
 			if m.yield {
 				m.yields.Inc()
@@ -733,6 +698,78 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			}
 		}
 	}
+}
+
+// beginQuantum opens c's turn, a RunAll quantum or a walk's exec
+// transition: it counts it, clears the yield flag, and fires the
+// step-site fault.
+func (m *Machine) beginQuantum(c *CPU) error {
+	m.quanta.Inc()
+	m.yield = false
+	if t := m.Inject.Hit(faults.SiteStep); t != nil {
+		t.Steps = c.Insts
+		return t.WithCPU(c.ID).WithHostPC(c.PC)
+	}
+	return nil
+}
+
+// watchdog is the budget policy of one RunAll or walk: maxSteps
+// instructions across all CPUs, the machine's per-CPU StepBudget, and its
+// wall-clock Deadline measured from the start.
+type watchdog struct {
+	maxSteps, total uint64
+	// perCPU is StepBudget, or no bound when StepBudget is 0.
+	perCPU   uint64
+	deadline time.Duration
+	start    time.Time
+	// poll is the total past which charge takes its slow path: maxSteps,
+	// or with a deadline the next multiple of 1024, where the clock is
+	// read — cheap enough for the hot loop, tight enough to bound a hang.
+	poll uint64
+}
+
+// watch starts a watchdog over maxSteps and the machine's budgets.
+func (m *Machine) watch(maxSteps uint64) watchdog {
+	w := watchdog{maxSteps: maxSteps, perCPU: cmp.Or(m.StepBudget, math.MaxUint64), deadline: m.Deadline, poll: maxSteps}
+	if w.deadline > 0 {
+		w.start, w.poll = time.Now(), min(maxSteps, 1023)
+	}
+	return w
+}
+
+// clip clips limit, the instructions c is about to execute, to the one at
+// which a step budget traps; a CPU already at its StepBudget traps after
+// one more instruction.
+func (w *watchdog) clip(c *CPU, limit int) int {
+	if c.Insts >= w.perCPU {
+		return 1
+	}
+	return int(min(uint64(limit-1), w.maxSteps-w.total, w.perCPU-c.Insts-1) + 1)
+}
+
+// charge counts n instructions c just executed and returns the trap of
+// the budget they exhausted, if any.
+func (w *watchdog) charge(c *CPU, n int) error {
+	w.total += uint64(n)
+	if w.total > w.poll || c.Insts >= w.perCPU {
+		return w.expired(c)
+	}
+	return nil
+}
+
+// expired is charge's slow path: the trap of the budget that ran out, or
+// nil when the deadline's poll finds time left.
+func (w *watchdog) expired(c *CPU) error {
+	switch {
+	case w.total > w.maxSteps:
+		return budgetTrap(c, w.total, "machine step budget %d exhausted", w.maxSteps)
+	case c.Insts >= w.perCPU:
+		return budgetTrap(c, c.Insts, "per-CPU step budget %d exhausted", w.perCPU)
+	case w.deadline > 0 && time.Since(w.start) > w.deadline:
+		return budgetTrap(c, w.total, "wall-clock deadline %v exceeded", w.deadline)
+	}
+	w.poll = min(w.maxSteps, w.total|1023)
+	return nil
 }
 
 // nextLive returns the first CPU with ID >= from that has not halted,
@@ -752,7 +789,8 @@ func (m *Machine) nextLive(from int) *CPU {
 	return nil
 }
 
-// budgetTrap builds the structured watchdog result for c.
+// budgetTrap builds the structured watchdog result for c: a TrapBudget
+// with the spent steps, on c's CPU and PC.
 func budgetTrap(c *CPU, steps uint64, format string, args ...any) error {
 	t := faults.New(faults.TrapBudget, format, args...)
 	t.Steps = steps

@@ -97,7 +97,7 @@ func loadThreads(t *testing.T, m *Machine, code []byte, entries []uint64) {
 	if err := m.Write(resetBase, code); err != nil {
 		t.Fatal(err)
 	}
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	for i, e := range entries {
 		c := m.CPUs[0]
 		if i > 0 {

@@ -134,6 +134,59 @@ func TestBlockedJoinWatchdogs(t *testing.T) {
 	})
 }
 
+// TestBlockedJoinIsOneTransition: on the weak machine's walk a blocked
+// join ends its exec transition, so a joiner that reaches the join before
+// its worker halts costs one SVC per retry instead of spinning into the
+// invisible-instruction bound. Main spawns the worker, stores, and joins;
+// the worker stores twice and exits 7.
+func TestBlockedJoinIsOneTransition(t *testing.T) {
+	blocked := 0
+	var straight uint64 // main's instructions less its blocked retries
+	for seed := uint64(0); seed < 64; seed++ {
+		m, _ := loadProgram(t, 0x1000, func(a *arm.Assembler) {
+			a.MovSym(arm.X0, "worker").
+				MovImm(arm.X1, 0).
+				MovImm(arm.X2, 0x8000).
+				MovImm(arm.X8, SysSpawn).
+				Svc(0).
+				MovImm(arm.X3, 0x9000).
+				Str(arm.X3, arm.X3, 0, 8).
+				MovImm(arm.X8, SysJoin).
+				Svc(0).
+				Hlt()
+			a.Label("worker").
+				MovImm(arm.X3, 0x9008).
+				Str(arm.X3, arm.X3, 0, 8).
+				Str(arm.X3, arm.X3, 8, 8).
+				MovImm(arm.X8, SysExit).
+				MovImm(arm.X0, 7).
+				Svc(0)
+		})
+		m.EnableWeakMode()
+		m.SetObs(obs.NewScope("test"))
+		if halted, err := m.Walk(seed, 10_000, nil); !halted || err != nil {
+			t.Fatalf("seed %d: walk halted=%v err=%v", seed, halted, err)
+		}
+		main, retries := m.CPUs[0], m.yields.Load()
+		if main.Regs[0] != 7 {
+			t.Fatalf("seed %d: join returned %d, want the worker's exit code 7", seed, main.Regs[0])
+		}
+		if retries > 0 {
+			blocked++
+		}
+		if seed == 0 {
+			straight = main.Insts - retries
+		} else if main.Insts-retries != straight {
+			t.Errorf("seed %d: main ran %d instructions with %d blocked joins, want %d + one per block",
+				seed, main.Insts, retries, straight)
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("main never reached the join before the worker exited: the test blocks nothing")
+	}
+	t.Logf("%d of 64 seeds blocked in the join", blocked)
+}
+
 // TestFaultNativeWriteWrappingLength: a write syscall whose length wraps
 // ptr+n past 2^64 is an unmapped-access trap, not a slice-bounds panic.
 func TestFaultNativeWriteWrappingLength(t *testing.T) {

@@ -2,15 +2,18 @@
 // store becomes visible to the other CPUs — is a transition system the
 // machine itself owns: Enabled lists the moves the current state offers and
 // Apply takes one. Every driver that resolves a choice is a client of that
-// pair: Walk below (seeded uniform sampling, under opcheck's sampler and
-// explore's soak), explore's exhaustive DPOR search, and trace replay. The
-// only other way a store leaves a buffer early is SeededDrains, the fixed
-// pseudo-random policy applied after each instruction when whole guests run
-// on the weak host (core.WithWeakMemory).
+// pair: Walk below (seeded uniform sampling, under opcheck's sampler,
+// explore's soak and whole guests on the weak host, core.WithWeakMemory),
+// explore's exhaustive DPOR search, and trace replay. No store leaves a
+// buffer early any other way: outside OpDrain, only barriers, atomics and
+// flushes retire buffered stores.
 
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PendingStore is one store sitting in a CPU's store buffer, not yet
 // visible to other CPUs. Seq is a machine-global monotonic sequence number
@@ -26,7 +29,7 @@ type PendingStore struct {
 // The kinds of transition.
 const (
 	// OpExec runs one CPU up to and including its next instruction that
-	// accesses memory, or until it halts.
+	// accesses memory or calls Yield, or until it halts.
 	OpExec = "x"
 	// OpDrain retires one buffered store to memory.
 	OpDrain = "d"
@@ -42,9 +45,11 @@ type Transition struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// maxInvisible bounds the instructions one OpExec may retire before it
-// reaches a memory access or halts: a pure-register spin traps instead of
-// hanging its driver.
+// maxInvisible bounds the instructions one OpExec retires when none of
+// them accesses memory, yields or halts: a long register-only stretch is
+// several exec transitions, so no one transition hangs its driver. A spin
+// that never ends is the driver's to bound: Walk's step cap, explore's
+// state budget, WalkAll's watchdog.
 const maxInvisible = 10000
 
 // Enabled appends the current state's transitions to ts in a fixed order:
@@ -77,7 +82,7 @@ func (m *Machine) Enabled(ts []Transition) []Transition {
 // halted, a store no longer buffered or behind an older overlapping one —
 // is refused with an error and changes nothing.
 func (m *Machine) Apply(t Transition) ([]MemAccess, error) {
-	if err := m.apply(t); err != nil {
+	if err := m.apply(t, nil); err != nil {
 		return nil, err
 	}
 	var fp []MemAccess
@@ -90,7 +95,10 @@ func (m *Machine) Apply(t Transition) ([]MemAccess, error) {
 }
 
 // apply takes one transition, leaving every access it made in m.accLog.
-func (m *Machine) apply(t Transition) error {
+// Under a walk's watchdog w (nil for a lone Apply) an OpExec is a
+// quantum: the step-site fault guards it, and it ends where a step budget
+// traps.
+func (m *Machine) apply(t Transition, w *watchdog) error {
 	if t.CPU < 0 || t.CPU >= len(m.CPUs) {
 		return fmt.Errorf("machine: transition names CPU %d of %d", t.CPU, len(m.CPUs))
 	}
@@ -117,15 +125,31 @@ func (m *Machine) apply(t Transition) error {
 		if c.Halted {
 			return fmt.Errorf("machine: exec transition for halted CPU %d", c.ID)
 		}
-		for i := 0; i < maxInvisible; i++ {
+		limit := maxInvisible
+		if w != nil {
+			if err := m.beginQuantum(c); err != nil {
+				return err
+			}
+			limit = w.clip(c, limit)
+		}
+		m.yield = false
+		before := c.Insts
+		for i := limit; i > 0; i-- {
 			if err := m.step(c); err != nil {
 				return err
 			}
+			if m.yield {
+				m.yields.Inc()
+				break
+			}
 			if len(m.accLog) > 0 || c.Halted {
-				return nil
+				break
 			}
 		}
-		return budgetTrap(c, maxInvisible, "CPU %d ran %d instructions without a memory access or halt", c.ID, maxInvisible)
+		if w == nil {
+			return nil
+		}
+		return w.charge(c, int(c.Insts-before))
 	}
 	return fmt.Errorf("machine: unknown transition kind %q", t.Op)
 }
@@ -136,8 +160,27 @@ func (m *Machine) apply(t Transition) error {
 // enabled any more. It stops short of that after maxSteps transitions,
 // when Apply fails (visit sees the transition and the error, which Walk
 // then returns), or when visit — called after every Apply; nil means
-// "keep going" — returns false.
+// "keep going" — returns false. The machine's StepBudget, Deadline and
+// step-site fault guard it as they guard RunAll, and like RunAll it
+// publishes the execution gauges on return.
 func (m *Machine) Walk(seed uint64, maxSteps int, visit func(Transition, error) bool) (halted bool, err error) {
+	defer func() { m.endRun(err) }()
+	return m.walk(seed, maxSteps, m.watch(math.MaxUint64), visit)
+}
+
+// WalkAll is RunAll on the weak host: it walks from seed until every CPU
+// halts, under RunAll's budgets — maxSteps instructions across all CPUs,
+// StepBudget, Deadline — and step-site fault, with RunAll's traps. Each
+// exec transition is one of RunAll's quanta, clipped where a step budget
+// traps.
+func (m *Machine) WalkAll(seed, maxSteps uint64) (err error) {
+	defer func() { m.endRun(err) }()
+	_, err = m.walk(seed, math.MaxInt, m.watch(maxSteps), nil)
+	return err
+}
+
+// walk is Walk and WalkAll under the watchdog w.
+func (m *Machine) walk(seed uint64, maxSteps int, w watchdog, visit func(Transition, error) bool) (bool, error) {
 	rng := splitmix{state: seed}
 	ts := make([]Transition, 0, 8)
 	for n := 0; ; n++ {
@@ -148,7 +191,7 @@ func (m *Machine) Walk(seed uint64, maxSteps int, visit func(Transition, error) 
 			return false, nil
 		}
 		t := ts[rng.intn(len(ts))]
-		err := m.apply(t)
+		err := m.apply(t, &w)
 		if (visit != nil && !visit(t, err)) || err != nil {
 			return false, err
 		}
@@ -172,32 +215,4 @@ func (p *splitmix) next() uint64 {
 
 func (p *splitmix) intn(n int) int {
 	return int(p.next() % uint64(n))
-}
-
-// SeededDrains is the drain policy of whole-guest runs on the weak host:
-// after each instruction a CPU executes with a non-empty buffer, one
-// uniformly chosen buffered store drains with probability prob/256 —
-// always once the buffer holds 8 stores (hardware bounds its buffers too).
-// Coherence may redirect the drain to an older overlapping store.
-type SeededDrains struct {
-	rng  splitmix
-	prob int
-}
-
-// NewSeededDrains seeds the policy. drainProb256 is the per-step drain
-// probability in 1/256ths (≤0 selects the default 64, ≈ drain every 4
-// steps).
-func NewSeededDrains(seed int64, drainProb256 int) *SeededDrains {
-	if drainProb256 <= 0 {
-		drainProb256 = 64
-	}
-	return &SeededDrains{rng: splitmix{state: uint64(seed)}, prob: drainProb256}
-}
-
-// pick returns the index of the buffered store to retire now, or -1.
-func (d *SeededDrains) pick(buf []PendingStore) int {
-	if len(buf) < 8 && d.rng.intn(256) >= d.prob {
-		return -1
-	}
-	return d.rng.intn(len(buf))
 }

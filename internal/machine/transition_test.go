@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/isa/arm"
@@ -18,7 +19,7 @@ import (
 // and wrote it to memory before the older overlapping A.
 func TestDrainOldestOverlapChain(t *testing.T) {
 	m := New(1 << 12)
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	c := m.CPUs[0]
 	if err := m.weakStore(c, 0x100, 8, 0x1111111111111111); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestDrainAnyOrderMatchesProgramOrderPerLocation(t *testing.T) {
 	}
 	for seed := int64(0); seed < 64; seed++ {
 		m := New(1 << 12)
-		m.EnableWeakMode(nil)
+		m.EnableWeakMode()
 		c := m.CPUs[0]
 		for _, p := range stores {
 			if err := m.weakStore(c, p.Addr, p.Size, p.Val); err != nil {
@@ -91,7 +92,7 @@ func TestDrainAnyOrderMatchesProgramOrderPerLocation(t *testing.T) {
 // its chain.
 func TestWeakDrainHeads(t *testing.T) {
 	m := New(1 << 12)
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	m.AddCPU().Halted = true
 	m.AddCPU()
 	store := func(cpu int, addr uint64) {
@@ -134,7 +135,7 @@ func TestWeakDrainHeads(t *testing.T) {
 // leaves the machine as it was.
 func TestApplyRefusals(t *testing.T) {
 	m := New(1 << 12)
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	m.AddCPU().Halted = true
 	c := m.CPUs[0]
 	for _, addr := range []uint64{0x100, 0x104} { // seq 1 heads seq 2's chain
@@ -167,8 +168,8 @@ func TestApplyRefusals(t *testing.T) {
 
 // TestApplyExec: an exec transition runs through register-only
 // instructions up to and including the next memory access, stops at a
-// halt, and traps — a structured budget trap, not a hang — on a spin that
-// never touches memory.
+// halt, and ends after maxInvisible instructions — no hang, no trap — on a
+// spin that never touches memory: the CPU stays live for the next exec.
 func TestApplyExec(t *testing.T) {
 	m, syms := loadProgram(t, 0x1000, func(a *arm.Assembler) {
 		a.MovImm(arm.X1, 0x8000).
@@ -180,7 +181,7 @@ func TestApplyExec(t *testing.T) {
 			Hlt()
 		a.Label("spin").BLabel("spin")
 	})
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	c := m.CPUs[0]
 	x := Transition{Op: OpExec, CPU: 0}
 	// The buffered store is private to its CPU: an empty footprint.
@@ -202,13 +203,14 @@ func TestApplyExec(t *testing.T) {
 
 	c.Halted, c.PC = false, syms["spin"]
 	start := c.Insts
-	_, err = m.Apply(x)
-	trap, ok := faults.As(err)
-	if !ok || trap.Kind != faults.TrapBudget || trap.CPU != 0 {
-		t.Fatalf("spin: err = %v, want a TrapBudget on cpu0", err)
-	}
-	if c.Insts-start != maxInvisible {
-		t.Fatalf("spin retired %d instructions before trapping, want %d", c.Insts-start, maxInvisible)
+	for i := 1; i <= 2; i++ {
+		fp, err = m.Apply(x)
+		if err != nil || len(fp) != 0 || c.Halted || c.PC != syms["spin"] {
+			t.Fatalf("spin exec %d: footprint %v, err %v, halted %v; want none, nil, live at spin", i, fp, err, c.Halted)
+		}
+		if got := c.Insts - start; got != uint64(i*maxInvisible) {
+			t.Fatalf("spin exec %d: %d instructions retired in all, want %d", i, got, i*maxInvisible)
+		}
 	}
 }
 
@@ -218,7 +220,7 @@ func TestApplyExec(t *testing.T) {
 func TestWalk(t *testing.T) {
 	build := func() *Machine {
 		m, syms := sbProgram(t, false)
-		m.EnableWeakMode(nil)
+		m.EnableWeakMode()
 		m.CPUs[0].PC = syms["sb0"]
 		m.AddCPU().PC = syms["sb1"]
 		return m
@@ -266,13 +268,78 @@ func TestWalk(t *testing.T) {
 	}
 }
 
+// TestWalkAll: a whole-guest walk runs a register-only loop longer than
+// one exec transition to its halt, and stops a spin where RunAll stops it,
+// with RunAll's trap: the per-CPU budget and the machine budget at the
+// same instruction, the deadline by the same watchdog.
+func TestWalkAll(t *testing.T) {
+	m, syms := loadProgram(t, 0x1000, func(a *arm.Assembler) {
+		a.MovImm(arm.X0, 0).
+			MovImm(arm.X2, 3*maxInvisible).
+			Label("loop").
+			AddI(arm.X0, arm.X0, 1).
+			Cmp(arm.X0, arm.X2).
+			BCondLabel(arm.NE, "loop").
+			Hlt()
+		a.Label("spin").BLabel("spin")
+	})
+	img := append([]byte(nil), m.Mem[0x1000:0x1100]...)
+	fresh := func(pc uint64) *Machine {
+		m := New(1 << 20)
+		copy(m.Mem[0x1000:], img)
+		m.EnableWeakMode()
+		m.CPUs[0].PC = pc
+		return m
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		m := fresh(0x1000)
+		if err := m.WalkAll(seed, 1<<40); err != nil || !m.CPUs[0].Halted || m.CPUs[0].Regs[0] != 3*maxInvisible {
+			t.Fatalf("seed %d: err %v, halted %v, x0 = %d; want nil, true, %d", seed, err, m.CPUs[0].Halted, m.CPUs[0].Regs[0], 3*maxInvisible)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		set      func(*Machine)
+		maxSteps uint64
+		msg      string
+		steps    uint64 // 0: wall-clock dependent
+	}{
+		{"per-CPU", func(m *Machine) { m.StepBudget = 25_000 }, 1 << 40, "per-CPU step budget 25000 exhausted", 25_000},
+		{"machine", func(*Machine) {}, 25_000, "machine step budget 25000 exhausted", 25_001},
+		{"deadline", func(m *Machine) { m.Deadline = time.Millisecond }, 1 << 40, "wall-clock deadline 1ms exceeded", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			strong, weak := fresh(syms["spin"]), fresh(syms["spin"])
+			strong.weak = nil
+			tc.set(strong)
+			tc.set(weak)
+			for _, r := range []struct {
+				name string
+				err  error
+			}{
+				{"RunAll", strong.RunAll(64, tc.maxSteps)},
+				{"WalkAll", weak.WalkAll(7, tc.maxSteps)},
+			} {
+				trap, ok := faults.As(r.err)
+				if !ok || trap.Kind != faults.TrapBudget || trap.CPU != 0 || trap.Msg != tc.msg {
+					t.Fatalf("%s: err = %v, want a TrapBudget on cpu0: %s", r.name, r.err, tc.msg)
+				}
+				if tc.steps != 0 && trap.Steps != tc.steps {
+					t.Errorf("%s: trap at step %d, want %d", r.name, trap.Steps, tc.steps)
+				}
+			}
+		})
+	}
+}
+
 // TestShadowMachineSeesOwnStores: the shadow machine built from a
 // weak-mode snapshot sees the snapshot CPU's own buffered stores applied in
 // order — and no other CPU's — while the live machine's memory stays as
 // it was.
 func TestShadowMachineSeesOwnStores(t *testing.T) {
 	m := New(1 << 12)
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	c0, c1 := m.CPUs[0], m.AddCPU()
 	for _, st := range []struct {
 		c    *CPU
@@ -299,7 +366,7 @@ func TestShadowMachineSeesOwnStores(t *testing.T) {
 // local ones.
 func TestAccessLog(t *testing.T) {
 	m := New(1 << 12)
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	c := m.CPUs[0]
 	m.accLogOn = true
 	if err := m.weakStore(c, 0x100, 8, 7); err != nil {

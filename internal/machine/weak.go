@@ -24,25 +24,23 @@ import "repro/internal/isa/arm"
 //
 // Which store drains when is a choice. The machine offers every such
 // choice as a transition (Enabled/Apply in transition.go), and the drivers
-// that explore, sample or replay executions take them one at a time. Whole
-// guests running under RunAll instead get a SeededDrains policy, which
-// retires stores on a fixed pseudo-random schedule as instructions execute.
-// The exact-as-implemented axiomatic counterpart of this machine is
+// that explore, sample or replay executions — whole guests on the weak host
+// among them, as seeded walks — take them one at a time. Nothing else
+// retires a buffered store but barriers, atomics and flushes. The
+// exact-as-implemented axiomatic counterpart of this machine is
 // internal/models/opref.
 type weakState struct {
 	// buffers is indexed by CPU id; AddCPU grows it.
 	buffers [][]PendingStore
 	// nextSeq numbers buffered stores machine-globally (see PendingStore.Seq).
 	nextSeq uint64
-	// drains, when non-nil, retires stores as instructions execute.
-	drains *SeededDrains
 }
 
-// EnableWeakMode switches the machine into weak mode. With a nil policy
-// stores buffer and forward but retire only at barriers, halts and drain
-// transitions: the regime in which a driver owns every drain through Apply.
-func (m *Machine) EnableWeakMode(drains *SeededDrains) {
-	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs)), drains: drains}
+// EnableWeakMode switches the machine into weak mode: stores buffer and
+// forward, and retire only at barriers, atomics, halts, flushes and drain
+// transitions, so a driver owns every drain through Apply.
+func (m *Machine) EnableWeakMode() {
+	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs))}
 }
 
 // WeakEnabled reports whether weak mode is on.
@@ -93,20 +91,6 @@ func (m *Machine) weakFlush(c *CPU) error {
 	return nil
 }
 
-// weakMaybeDrain consults the drain policy after an executed instruction
-// and retires at most one buffered store.
-func (m *Machine) weakMaybeDrain(c *CPU) error {
-	buf := m.weak.buffers[c.ID]
-	if len(buf) == 0 || m.weak.drains == nil {
-		return nil
-	}
-	i := m.weak.drains.pick(buf)
-	if i < 0 {
-		return nil
-	}
-	return m.drain(c, i)
-}
-
 // drain retires c's i-th buffered store. Coherence: a store may not drain
 // before an older buffered store to an overlapping address, so the drain
 // is redirected to the head of i's overlap chain — transitively: the first
@@ -150,25 +134,12 @@ func (m *Machine) weakBarrier(c *CPU, b arm.Barrier) error {
 	return m.weakFlush(c)
 }
 
-// FlushWeak drains one CPU's buffer; runtimes call it at thread-exit
-// points (thread exit synchronizes with join).
+// FlushWeak drains one CPU's buffer in weak mode: at a halt, a release
+// store or an atomic, and where a runtime synchronizes (thread exit
+// synchronizes with join).
 func (m *Machine) FlushWeak(c *CPU) error {
 	if m.weak == nil {
 		return nil
 	}
 	return m.weakFlush(c)
-}
-
-// FlushAllWeak drains every CPU's buffer (used at join/halt points and by
-// tests before inspecting memory).
-func (m *Machine) FlushAllWeak() error {
-	if m.weak == nil {
-		return nil
-	}
-	for _, c := range m.CPUs {
-		if err := m.weakFlush(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -40,20 +40,23 @@ func sbProgram(t *testing.T, fenced bool) (*Machine, map[string]uint64) {
 	return m, syms
 }
 
-// runSB executes both threads under the given seed and returns (a, b).
-func runSB(t *testing.T, fenced bool, seed int64, quantum int) (uint64, uint64) {
+// walkToHalt walks m from seed until every CPU halts (halting flushes, so
+// memory then holds every store).
+func walkToHalt(t *testing.T, m *Machine, seed uint64) {
+	t.Helper()
+	if halted, err := m.Walk(seed, 100_000, nil); !halted || err != nil {
+		t.Fatalf("seed %d: walk halted=%v err=%v", seed, halted, err)
+	}
+}
+
+// runSB walks both threads from the given seed and returns (a, b).
+func runSB(t *testing.T, fenced bool, seed uint64) (uint64, uint64) {
 	t.Helper()
 	m, syms := sbProgram(t, fenced)
-	m.EnableWeakMode(NewSeededDrains(seed, 32))
+	m.EnableWeakMode()
 	m.CPUs[0].PC = syms["sb0"]
-	c1 := m.AddCPU()
-	c1.PC = syms["sb1"]
-	if err := m.RunAll(quantum, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FlushAllWeak(); err != nil {
-		t.Fatal(err)
-	}
+	m.AddCPU().PC = syms["sb1"]
+	walkToHalt(t, m, seed)
 	av, _ := m.ReadMem(0x9000, 8)
 	bv, _ := m.ReadMem(0x9008, 8)
 	return av, bv
@@ -62,8 +65,8 @@ func runSB(t *testing.T, fenced bool, seed int64, quantum int) (uint64, uint64) 
 func TestWeakModeExhibitsStoreBuffering(t *testing.T) {
 	// Without fences the weak outcome a=b=0 must appear for some seed.
 	seen := false
-	for seed := int64(0); seed < 64 && !seen; seed++ {
-		a, b := runSB(t, false, seed, 2)
+	for seed := uint64(0); seed < 64 && !seen; seed++ {
+		a, b := runSB(t, false, seed)
 		if a == 0 && b == 0 {
 			seen = true
 		}
@@ -75,18 +78,15 @@ func TestWeakModeExhibitsStoreBuffering(t *testing.T) {
 
 func TestWeakModeFencesForbidStoreBuffering(t *testing.T) {
 	// With DMB ISH between store and load, a=b=0 must never appear.
-	for seed := int64(0); seed < 128; seed++ {
-		for _, q := range []int{1, 2, 8} {
-			a, b := runSB(t, true, seed, q)
-			if a == 0 && b == 0 {
-				t.Fatalf("seed %d quantum %d: fenced SB exhibited a=b=0", seed, q)
-			}
+	for seed := uint64(0); seed < 384; seed++ {
+		if a, b := runSB(t, true, seed); a == 0 && b == 0 {
+			t.Fatalf("seed %d: fenced SB exhibited a=b=0", seed)
 		}
 	}
 }
 
 // mpProgram builds message passing with optional DMB ISHST on the writer.
-func runMP(t *testing.T, fenced bool, seed int64) (uint64, uint64) {
+func runMP(t *testing.T, fenced bool, seed uint64) (uint64, uint64) {
 	t.Helper()
 	a := arm.NewAssembler()
 	a.Label("writer").
@@ -97,14 +97,8 @@ func runMP(t *testing.T, fenced bool, seed int64) (uint64, uint64) {
 		a.Dmb(arm.BarrierStore)
 	}
 	a.MovImm(arm.X3, 0x8008). // Y
-					Str(arm.X2, arm.X3, 0, 8)
-	// Keep the writer busy so its buffer drains on the random schedule
-	// rather than the halt-time flush (HLT synchronizes, like thread
-	// exit before a join).
-	for i := 0; i < 24; i++ {
-		a.AddI(arm.X9, arm.X9, 1)
-	}
-	a.Hlt()
+					Str(arm.X2, arm.X3, 0, 8).
+					Hlt()
 	// The reader spins until it observes Y=1, then immediately reads X —
 	// the classic message-passing receive.
 	a.Label("reader").
@@ -130,16 +124,10 @@ func runMP(t *testing.T, fenced bool, seed int64) (uint64, uint64) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewSeededDrains(seed, 16))
+	m.EnableWeakMode()
 	m.CPUs[0].PC = syms["writer"]
-	c1 := m.AddCPU()
-	c1.PC = syms["reader"]
-	if err := m.RunAll(1, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FlushAllWeak(); err != nil {
-		t.Fatal(err)
-	}
+	m.AddCPU().PC = syms["reader"]
+	walkToHalt(t, m, seed)
 	av, _ := m.ReadMem(0x9000, 8)
 	bv, _ := m.ReadMem(0x9008, 8)
 	return av, bv
@@ -148,7 +136,7 @@ func runMP(t *testing.T, fenced bool, seed int64) (uint64, uint64) {
 func TestWeakModeExhibitsMessagePassingReorder(t *testing.T) {
 	// Out-of-order drain lets Y=1 become visible before X=1: a=1, b=0.
 	seen := false
-	for seed := int64(0); seed < 256 && !seen; seed++ {
+	for seed := uint64(0); seed < 256 && !seen; seed++ {
 		a, b := runMP(t, false, seed)
 		if a == 1 && b == 0 {
 			seen = true
@@ -160,7 +148,7 @@ func TestWeakModeExhibitsMessagePassingReorder(t *testing.T) {
 }
 
 func TestWeakModeDMBSTForbidsMPReorder(t *testing.T) {
-	for seed := int64(0); seed < 256; seed++ {
+	for seed := uint64(0); seed < 256; seed++ {
 		a, b := runMP(t, true, seed)
 		if a == 1 && b == 0 {
 			t.Fatalf("seed %d: DMB ISHST failed to order the stores", seed)
@@ -182,7 +170,7 @@ func TestWeakModeForwardsOwnStores(t *testing.T) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewSeededDrains(1, 1)) // drain almost never
+	m.EnableWeakMode() // nothing drains but barriers and flushes
 	m.CPUs[0].PC = 0x1000
 	if err := m.Run(m.CPUs[0], 1000); err != nil {
 		t.Fatal(err)
@@ -195,7 +183,7 @@ func TestWeakModeForwardsOwnStores(t *testing.T) {
 func TestWeakModeCoherentDrainOrder(t *testing.T) {
 	// Two buffered stores to the same address must drain in order: the
 	// final memory value is the second store's.
-	for seed := int64(0); seed < 64; seed++ {
+	for seed := uint64(0); seed < 64; seed++ {
 		a := arm.NewAssembler()
 		a.MovImm(arm.X1, 0x8000).
 			MovImm(arm.X2, 1).
@@ -209,14 +197,9 @@ func TestWeakModeCoherentDrainOrder(t *testing.T) {
 		}
 		m := New(1 << 16)
 		copy(m.Mem[0x1000:], code)
-		m.EnableWeakMode(NewSeededDrains(seed, 128))
+		m.EnableWeakMode()
 		m.CPUs[0].PC = 0x1000
-		if err := m.Run(m.CPUs[0], 1000); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.FlushAllWeak(); err != nil {
-			t.Fatal(err)
-		}
+		walkToHalt(t, m, seed)
 		v, _ := m.ReadMem(0x8000, 8)
 		if v != 2 {
 			t.Fatalf("seed %d: same-address stores drained out of order: %d", seed, v)
@@ -240,7 +223,7 @@ func TestWeakModeAtomicsFlush(t *testing.T) {
 	}
 	m := New(1 << 16)
 	copy(m.Mem[0x1000:], code)
-	m.EnableWeakMode(NewSeededDrains(3, 1))
+	m.EnableWeakMode()
 	m.CPUs[0].PC = 0x1000
 	if err := m.Run(m.CPUs[0], 1000); err != nil {
 		t.Fatal(err)

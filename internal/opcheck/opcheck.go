@@ -374,7 +374,7 @@ func (c *Compiled) Reset(m *machine.Machine) error {
 	if err := c.img.Load(m); err != nil {
 		return err
 	}
-	m.EnableWeakMode(nil)
+	m.EnableWeakMode()
 	for t, entry := range c.entries {
 		cpu := m.CPUs[0]
 		if t > 0 {

@@ -32,7 +32,7 @@ func BenchmarkRelOps(b *testing.B) {
 	q := benchGraph(n, 2, false)
 	cyc := benchGraph(n, 3, true)
 	ar := NewArena(n)
-	scratch := ar.Get()
+	scratch := NewSized(n)
 
 	b.Run("UnionWith", func(b *testing.B) {
 		b.ReportAllocs()

@@ -365,41 +365,22 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
-// Arena pools fixed-capacity relations and DFS scratch so that per-candidate
-// consistency checks allocate nothing after warm-up. Get returns an empty
-// relation sized for the arena's universe; Put recycles it. An Arena (and
-// every relation obtained from it) is not safe for concurrent use.
+// Arena holds the DFS scratch Acyclic reuses, so that per-candidate
+// consistency checks allocate nothing after warm-up. An Arena is not safe
+// for concurrent use.
 type Arena struct {
 	n     int
-	free  []*Relation
 	color []uint8
 	stack []int32
 }
 
-// NewArena returns an arena whose relations hold elements [0, n).
+// NewArena returns an arena sized for relations over elements [0, n).
 func NewArena(n int) *Arena {
 	return &Arena{n: n}
 }
 
-// Universe returns the element capacity the arena was created with, so
-// arenas themselves can be pooled by size.
-func (ar *Arena) Universe() int { return ar.n }
-
 // Get returns an empty relation with capacity for the arena's universe.
-func (ar *Arena) Get() *Relation {
-	if k := len(ar.free); k > 0 {
-		r := ar.free[k-1]
-		ar.free = ar.free[:k-1]
-		r.Reset()
-		return r
-	}
-	return NewSized(ar.n)
-}
-
-// Put returns a relation obtained from Get to the pool.
-func (ar *Arena) Put(r *Relation) {
-	ar.free = append(ar.free, r)
-}
+func (ar *Arena) Get() *Relation { return NewSized(ar.n) }
 
 // Acyclic reports whether r has no cycle, using the arena's reusable DFS
 // scratch (colors and an explicit stack) so the check allocates nothing

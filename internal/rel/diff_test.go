@@ -262,28 +262,15 @@ func checkOps(t *testing.T, rng *rand.Rand, w *oracle, a, b, recv *Relation) {
 	}
 }
 
-// checkArena drives ar through Get/Put reuse: every Get must come back
-// empty whatever its previous holder left, including a relation that grew
-// past the arena's universe before it was Put, and the arena's DFS scratch
-// must answer Acyclic for relations larger and smaller than the last.
+// checkArena checks ar's Get and its DFS scratch: Get comes back empty, and
+// Acyclic answers for relations larger and smaller than the last one the
+// scratch walked.
 func checkArena(t *testing.T, ar *Arena, w *oracle, a, b *Relation) {
 	t.Helper()
 	g := ar.Get()
 	wantBool(t, "Arena.Get empty", g.IsEmpty(), true)
-	g.UnionWith(a)
-	wantPairs(t, "Arena UnionWith", g, w.a)
-	ar.Put(g)
-	g = ar.Get()
-	wantBool(t, "Arena.Get after Put empty", g.IsEmpty(), true)
 	g.SeqOf(a, b)
 	wantPairs(t, "Arena SeqOf", g, w.seq)
-	g.Add(ar.Universe()+130, 0)
-	ar.Put(g)
-	g = ar.Get()
-	wantBool(t, "Arena.Get after a grown Put empty", g.IsEmpty(), true)
-	g.CopyFrom(b)
-	wantPairs(t, "Arena CopyFrom", g, w.b)
-	ar.Put(g)
 	wantBool(t, "Arena.Acyclic", ar.Acyclic(a), w.acyclicA)
 	wantBool(t, "Arena.Acyclic", ar.Acyclic(b), w.acyclicB)
 }
@@ -292,8 +279,7 @@ func checkArena(t *testing.T, ar *Arena, w *oracle, a, b *Relation) {
 // brute-force pairSet oracle on random universes of 1–200 elements, the
 // second operand drawn over its own universe half the time, each operand
 // and receiver at a random one of three capacities. One arena lives across
-// all trials, so its pool and scratch are reused across sizes; a fresh one
-// per trial pins Universe.
+// all trials, so its scratch is reused across sizes.
 func TestDifferentialOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	shared := NewArena(64)
@@ -312,11 +298,7 @@ func TestDifferentialOps(t *testing.T) {
 		w := newOracle(sa, sb)
 		checkOps(t, rng, w, a, b, recv)
 
-		ar := NewArena(ua)
-		if got := ar.Universe(); got != ua {
-			t.Fatalf("Arena.Universe: got %d, want %d", got, ua)
-		}
-		checkArena(t, ar, w, a, b)
+		checkArena(t, NewArena(ua), w, a, b)
 		checkArena(t, shared, w, a, b)
 	}
 }

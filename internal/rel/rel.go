@@ -8,8 +8,8 @@
 // One engine implements the Relation API (bitset.go): a relation is a dense
 // []uint64 adjacency-bit matrix. Event IDs in candidate executions are small
 // contiguous ints, so every operator runs as a word-wise kernel and an Arena
-// lets hot paths (per-candidate consistency checks) reuse storage without
-// allocating. Its oracle is pairSet in diff_test.go — a relation as a flat
+// lets hot paths (per-candidate consistency checks) reuse the acyclicity
+// check's scratch without allocating. Its oracle is pairSet in diff_test.go — a relation as a flat
 // set of edges, every operator brute-force set arithmetic — against which a
 // randomized differential checks every functional, in-place, Arena and
 // predicate form over universes straddling the 64- and 128-element word

@@ -138,7 +138,8 @@ type Replay struct {
 	// CodeCacheBase is where generated host code is placed (default:
 	// upper quarter of memory).
 	CodeCacheBase uint64 `json:"code_cache_base"`
-	// Quantum is the round-robin scheduling quantum in instructions.
+	// Quantum is the round-robin scheduling quantum in instructions. A
+	// weak-host run (WeakSeed) has no quanta: its walk ignores it.
 	Quantum int `json:"quantum"`
 	// StepBudget, when non-zero, bounds each vCPU's executed host
 	// instructions; a guest that reaches it (runaway loop, livelocked
@@ -170,10 +171,12 @@ type Replay struct {
 	// ReplayOptions rearms an injector from it.
 	FaultSpec string `json:"fault,omitempty"`
 	// WeakSeed, when non-nil, runs the simulated host in operational
-	// weak-memory mode (store buffers with out-of-order drain, seeded by
-	// the value) — the generated code's fences then actually constrain
-	// visible reorderings. Used by correctness demonstrations, not by the
-	// performance figures.
+	// weak-memory mode (store buffers with out-of-order drain) as a walk
+	// of the machine's transition system seeded by the value: which CPU
+	// runs to its next memory access and which buffered store drains are
+	// chosen uniformly at each step — the generated code's fences then
+	// actually constrain visible reorderings. Used by correctness
+	// demonstrations, not by the performance figures.
 	WeakSeed *int64 `json:"weak_seed,omitempty"`
 	// IDL, when non-empty and the variant is Risotto, enables the host
 	// linker for the declared functions.

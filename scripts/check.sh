@@ -15,7 +15,8 @@
 # against testdata/fault_sweep.golden), plain and under the race detector.
 # Every package under internal/ with non-test Go files must have a non-test
 # importer in the module, perf/ or examples/: a package only its own tests
-# use is code nothing runs. A one-iteration bench smoke keeps
+# use is code nothing runs. The weak machine keeps one driver: no Go file
+# names SeededDrains, and apply's OpDrain is the one non-test m.drain( call. A one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The explore
 # stages pin the operational exploration engine: DPOR must reach every
@@ -88,6 +89,17 @@ mem_src=$( { go list -f '{{.Dir}} {{join .Deps " "}}' ./...; (cd perf && go list
 memw='\.Mem\[[^]]*\] *([-+*/|&^]?=[^=]|\+\+|--)|copy\([^,]*\.Mem\b|PutUint(16|32|64)\([^,]*\.Mem\b'
 if grep -nE "$memw" $mem_src >&2; then echo "a write into Mem outside internal/machine: use (*machine.Machine).Write" >&2; exit 1; fi
 if grep -rn --include='*.go' 'InvalidateDecode' cmd internal examples perf >&2; then echo "decode invalidation by hand: the machine's writer does it" >&2; exit 1; fi
+
+# The weak machine has one driver: its transition system (Enabled, Apply,
+# Walk). Whole guests on the weak host are seeded walks, so no Go file names
+# a drain policy beside it, and the one non-test code that retires a single
+# buffered store is apply's OpDrain; barriers, atomics, halts and flushes
+# retire a CPU's whole buffer through weakFlush.
+stage "one driver for the weak machine: no Go file names SeededDrains; one non-test m.drain( call (apply's OpDrain)"
+if grep -rn --include='*.go' 'SeededDrains' cmd internal examples perf ./*.go >&2; then echo "a drain policy beside the transition system: drive the weak machine through Walk or Apply" >&2; exit 1; fi
+machine_src=$(ls internal/machine/*.go | grep -v '_test\.go$')
+n=$(grep -ho 'm\.drain(' $machine_src | wc -l)
+[ "$n" -eq 1 ] || { echo "internal/machine has $n non-test m.drain( calls, want 1 (apply's OpDrain):" >&2; grep -n 'm\.drain(' $machine_src >&2; exit 1; }
 
 stage "every internal package has a non-test importer (module, perf/, examples/)"
 imported=$( { go list -f '{{join .Imports "\n"}}' ./...; (cd perf && go list -f '{{join .Imports "\n"}}' ./...); } | sort -u)
