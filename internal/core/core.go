@@ -180,7 +180,7 @@ type pltEntry struct {
 //
 // Single-owner rule: machine.RunAll drives every vCPU from the goroutine
 // that called Run, and every table below — tbs, chainSites, patched,
-// irCache, interpStubs, joining, plt, the allocator cursors — is read and
+// irCache, interpStubs, plt, the allocator cursors — is read and
 // written only from it (dispatch, translation, flush, quarantine and
 // tier-up promotion all run inside the SVC/BLR callbacks). The package
 // starts no goroutine of its own, so none of it needs a lock; a Runtime
@@ -230,9 +230,6 @@ type Runtime struct {
 	// its guest PC (stubs pinned across a cache flush stay resolvable).
 	irCache     map[uint64]*tcg.Block
 	interpStubs map[uint64]uint64
-	// joining maps each vCPU blocked in a guest join to the vCPU it waits
-	// for.
-	joining map[int]int
 }
 
 // extent is a half-open host-code byte range [start, end).
@@ -264,6 +261,10 @@ const (
 	maxSteps = 2_000_000_000
 	// maxHeals caps the quarantine recoveries of one run with SelfHeal on.
 	maxHeals = 16
+	// bundleSpans is how many of the newest spans a crash bundle keeps.
+	// The bundle is the one reader of a runtime's private scope (no
+	// WithObs), whose span ring holds exactly that many.
+	bundleSpans = 64
 )
 
 // guestReg maps a guest register to the host register carrying it.
@@ -298,7 +299,7 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 
 	scope := cfg.Obs
 	if scope == nil {
-		scope = obs.NewScope("")
+		scope = obs.NewScopeCapacity("", bundleSpans)
 	}
 	met := newMetrics(scope)
 	rt := &Runtime{
@@ -311,7 +312,6 @@ func newRuntime(cfg Config, img *guestimg.Image) (*Runtime, error) {
 		patched:     make(map[uint64]uint64),
 		irCache:     make(map[uint64]*tcg.Block),
 		interpStubs: make(map[uint64]uint64),
-		joining:     make(map[int]int),
 	}
 	// Tier-up needs the registry even without SelfHeal: promotion pins,
 	// the blacklist, and demotion of promoted blocks all live there.
@@ -569,8 +569,8 @@ func (rt *Runtime) inImage(pc uint64) bool {
 // the cache after. Under SelfCheck the cache is bypassed and oracle is the
 // pre-optimization IR verify needs, which cached entries do not carry. At
 // TierInterp it is the literal frontend IR, never cached, decoded with
-// SyscallBarrier so a blocked syscall (join) can retry the whole block from
-// its stub; the interpreter tier meets the code-cache allocation fault site
+// SyscallBarrier so a join that parks runs the whole block again from its
+// stub; the interpreter tier meets the code-cache allocation fault site
 // here, before decoding, and an injected failure is not retried by
 // install's flush.
 func (rt *Runtime) translateIR(c *machine.CPU, guestPC uint64, tier selfheal.Tier) (ir, oracle *tcg.Block, err error) {
@@ -981,7 +981,7 @@ func (rt *Runtime) handleSvc(m *machine.Machine, c *machine.CPU, imm uint16) err
 			return faults.New(faults.TrapDecode,
 				"core: stray interp stub at %#x", svcAddr).WithCPU(c.ID).WithHostPC(svcAddr)
 		}
-		return rt.interpExec(c, gpc, svcAddr)
+		return rt.interpExec(c, gpc)
 	case backend.SvcMiscompile:
 		// Injected translation corruption executed: surface the structured
 		// miscompile trap, attributed to the containing block so the

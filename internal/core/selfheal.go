@@ -251,9 +251,11 @@ func (rt *Runtime) shadowVerify(c *machine.CPU, t *tb, ir *tcg.Block) *selfheal.
 // interpExec executes guestPC's cached frontend IR through the TCG
 // interpreter — the bottom tier, trusting no generated code. Globals are
 // mirrored between the interpreter and the vCPU; helper calls go through
-// interpHelper; a blocked syscall (join) rewinds the CPU to the stub and
-// yields, so the scheduler retries the block once per rotation.
-func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
+// interpHelper. A join that parks the vCPU (machine.Wait) ends the block
+// uncharged and without dispatching: the machine runs the stub again once
+// the joined thread halts, and the block, the join its only guest
+// instruction (SyscallBarrier), runs whole once more.
+func (rt *Runtime) interpExec(c *machine.CPU, guestPC uint64) error {
 	ir, ok := rt.irCache[guestPC]
 	if !ok {
 		return faults.New(faults.TrapDecode,
@@ -272,21 +274,19 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 	}
 	it := &tcg.Interp{Temps: make([]uint64, n), Mem: rt.M}
 	copy(it.Temps, c.Regs[:tcg.NumGlobals])
-	var yielded bool
 	it.OnCall = func(in tcg.Inst, a, b uint64) (uint64, error) {
-		return rt.interpHelper(c, it, in, a, b, &yielded)
+		return rt.interpHelper(c, it, in, a, b)
 	}
 	err := it.Run(ir)
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
+	if c.Waiting() {
+		return nil
+	}
 	steps := uint64(it.Steps)
 	c.Insts += steps
 	c.Cycles += interpCostPerOp * steps
 	if err != nil {
 		return rt.interpTrap(c, guestPC, err)
-	}
-	if yielded {
-		c.PC = stubAddr
-		return nil
 	}
 	if it.Halted || c.Halted {
 		c.Halted = true
@@ -301,7 +301,7 @@ func (rt *Runtime) interpExec(c *machine.CPU, guestPC, stubAddr uint64) error {
 // vCPU around the call. The result is returned for local-temp DSTs
 // (tcg.Interp's OnCall convention); global effects travel through the
 // register mirror.
-func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, b uint64, yielded *bool) (uint64, error) {
+func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, b uint64) (uint64, error) {
 	copy(c.Regs[:tcg.NumGlobals], it.Temps[:tcg.NumGlobals])
 	defer copy(it.Temps[:tcg.NumGlobals], c.Regs[:tcg.NumGlobals])
 	rt.met.helperCalls.Inc()
@@ -311,14 +311,7 @@ func (rt *Runtime) interpHelper(c *machine.CPU, it *tcg.Interp, in tcg.Inst, a, 
 
 	case frontend.HelperSyscall:
 		rt.met.syscalls.Inc()
-		err := rt.guestSyscall(rt.M, c)
-		if err == errJoinBlocked {
-			// The block (isolated by the frontend's SyscallBarrier) retries
-			// from its stub next rotation.
-			*yielded = true
-			return 0, nil
-		}
-		return 0, err
+		return 0, rt.guestSyscall(rt.M, c)
 	}
 	return 0, faults.New(faults.TrapHostCall,
 		"core: unknown helper %d in interpreted block", in.Helper).WithCPU(c.ID)
@@ -389,7 +382,7 @@ func (rt *Runtime) CrashBundle(tool string, runErr error) (*selfheal.Bundle, err
 		}
 	}
 	if tr := rt.obs.Tracer(); tr != nil {
-		b.Spans = selfheal.NormalizeSpans(tr.Spans(), 64)
+		b.Spans = selfheal.NormalizeSpans(tr.Spans(), bundleSpans)
 	}
 	counters := rt.obs.Snapshot().Counters
 	if len(counters) > 0 {

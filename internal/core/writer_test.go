@@ -51,7 +51,7 @@ func TestRuntimeWritesBreakExclusives(t *testing.T) {
 			blk.St(addr, 0, val, 8)
 			blk.Emit(tcg.Inst{Op: tcg.OpExitHalt})
 			rt.irCache[img.Entry] = blk
-			if err := rt.interpExec(rt.M.CPUs[0], img.Entry, 0); err != nil {
+			if err := rt.interpExec(rt.M.CPUs[0], img.Entry); err != nil {
 				t.Fatal(err)
 			}
 		}, 1},

@@ -41,8 +41,9 @@ type Config struct {
 	// that would contain a SYSCALL after earlier instructions ends before
 	// it instead, so the syscall is always the first (and only) guest
 	// instruction of its block. The interpreter execution tier needs
-	// this: a blocked syscall (futex-style join) is retried by re-entering
-	// the block, which must therefore carry no prior side effects.
+	// this: a syscall that parks its CPU (a futex-style join) runs again
+	// by re-entering the block, which must therefore carry no prior side
+	// effects.
 	SyscallBarrier bool
 	// Inject, when non-nil, forces decode traps at instrumented decode
 	// sites (fault-matrix testing).

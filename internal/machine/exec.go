@@ -257,29 +257,28 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		}
 	case arm.BR:
 		next = c.reg(inst.Rn)
-	case arm.BLR:
-		target := c.reg(inst.Rn)
-		c.setReg(arm.LR, c.PC+arm.InstBytes)
-		if m.OnBLR != nil {
-			handled, err := m.OnBLR(m, c, target)
-			if err != nil {
-				return cpuErr(c, err)
-			}
-			if handled {
-				// Continue at the link address; the hook may have
-				// redirected the PC itself (e.g. to halt).
-				if c.Halted {
-					return nil
-				}
-				next = c.reg(arm.LR)
-				break
-			}
-		}
-		next = target
 	case arm.RET:
 		next = c.reg(arm.LR)
 
-	case arm.SVC:
+	case arm.BLR, arm.SVC:
+		return m.hook(c, inst, next)
+
+	default:
+		return cpuErr(c, faults.New(faults.TrapDecode, "unimplemented op %v", inst.Op))
+	}
+
+	c.PC = next
+	return nil
+}
+
+// hook executes inst, an SVC or a BLR — the instructions that call the
+// Syscall and OnBLR hooks — whose successor is next. A hook that parks the
+// CPU (Wait) has the instruction undone here: the PC goes back to it and
+// its charge and count are taken back, so it executes again, once, when
+// the CPU it waits on halts.
+func (m *Machine) hook(c *CPU, inst *arm.Inst, next uint64) error {
+	pc := c.PC
+	if inst.Op == arm.SVC {
 		c.PC = next
 		if m.Syscall == nil {
 			return fmt.Errorf("cpu%d: svc #%d with no syscall handler", c.ID, inst.Imm)
@@ -287,13 +286,30 @@ func (m *Machine) exec(c *CPU, inst *arm.Inst) error {
 		if err := m.Syscall(m, c, uint16(inst.Imm)); err != nil {
 			return cpuErr(c, err)
 		}
-		return nil
-
-	default:
-		return cpuErr(c, faults.New(faults.TrapDecode, "unimplemented op %v", inst.Op))
+	} else {
+		target := c.reg(inst.Rn)
+		c.setReg(arm.LR, next)
+		handled := false
+		if m.OnBLR != nil {
+			var err error
+			if handled, err = m.OnBLR(m, c, target); err != nil {
+				return cpuErr(c, err)
+			}
+		}
+		// A handled call continues at the link address, which the hook
+		// may have redirected, unless it halted the CPU.
+		switch {
+		case !handled:
+			c.PC = target
+		case !c.Halted:
+			c.PC = c.reg(arm.LR)
+		}
 	}
-
-	c.PC = next
+	if c.Waiting() {
+		c.PC = pc
+		c.Insts--
+		c.Cycles -= m.cost.op[inst.Op]
+	}
 	return nil
 }
 

@@ -73,12 +73,12 @@ type Machine struct {
 	Inject *faults.Injector
 
 	// Syscall handles SVC instructions. The PC has already been advanced
-	// past the SVC; the handler may rewind it to block.
+	// past the SVC. A handler that must block calls Wait.
 	Syscall func(m *Machine, c *CPU, imm uint16) error
 	// OnBLR, when non-nil, may intercept BLR targets (the DBT uses this
 	// for helper calls and host-library dispatch). If it reports handled,
 	// the branch is suppressed and execution continues at the link
-	// address.
+	// address. A hook that must block calls Wait.
 	OnBLR func(m *Machine, c *CPU, target uint64) (handled bool, err error)
 
 	// Output accumulates bytes written via the write syscall.
@@ -114,9 +114,6 @@ type Machine struct {
 	// skip the monitor scan when it is zero.
 	armed int
 
-	// yield is set by Yield and consumed by RunAll and OpExec.
-	yield bool
-
 	// weak, when non-nil, enables the operational weak-memory mode
 	// (store buffers with out-of-order drain; see weak.go).
 	weak *weakState
@@ -127,15 +124,13 @@ type Machine struct {
 	accLog   []MemAccess
 	accLogOn bool
 
-	// sc/quanta/yields are the observability hooks installed by SetObs:
-	// quanta is bumped once per scheduler quantum or exec transition (one
-	// atomic add per `quantum` instructions, cheap enough for the hot
-	// loop), yields once per quantum or exec a blocked CPU gave up early,
-	// and the dynamic execution counters are published as gauges when
-	// RunAll or Walk returns.
+	// sc/quanta are the observability hooks installed by SetObs: quanta
+	// is bumped once per scheduler quantum or exec transition (one atomic
+	// add per `quantum` instructions, cheap enough for the hot loop), and
+	// the dynamic execution counters are published as gauges when RunAll
+	// or Walk returns.
 	sc     *obs.Scope
 	quanta *obs.Counter
-	yields *obs.Counter
 }
 
 // CPU is one simulated hardware thread.
@@ -156,6 +151,9 @@ type CPU struct {
 	Halted bool
 	// ExitCode is the value passed to the exit syscall.
 	ExitCode uint64
+	// waitOn is the CPU this one last waited on (Wait): while it has not
+	// halted, this CPU is parked.
+	waitOn *CPU
 
 	// Exclusive monitor state.
 	monAddr  uint64
@@ -237,21 +235,18 @@ func (m *Machine) Reset() {
 	}
 	m.decode.invalidateAll()
 	m.armed = 0
-	m.yield = false
 	m.weak = nil
 	m.accLog = m.accLog[:0]
 }
 
 // SetObs points the machine's instrumentation at root's "machine" child
 // scope: scheduler quanta (and exec transitions) are counted under
-// "machine.sched.quanta", the ones a blocked join ended early under
-// "machine.sched.yields", and RunAll and Walk publish the dynamic
+// "machine.sched.quanta", and RunAll and Walk publish the dynamic
 // execution counters (instructions, atomics, per-flavour DMBs, CPU count)
 // and the size of the written-page set as gauges on exit. Nil-scope safe.
 func (m *Machine) SetObs(root *obs.Scope) {
 	m.sc = root.Child("machine")
 	m.quanta = m.sc.Counter("sched.quanta")
-	m.yields = m.sc.Counter("sched.yields")
 }
 
 // endRun closes a RunAll or a Walk: it mirrors the dynamic execution
@@ -632,13 +627,35 @@ func (m *Machine) advance(c *CPU, limit int) (int, error) {
 	return len(run), nil
 }
 
-// Yield ends the running CPU's RunAll quantum, or its OpExec transition,
-// after the current instruction. A blocked join calls it: nothing the
-// waiter does in the rest of its quantum can unblock it, so it retries
-// once per rotation, or costs one transition, instead of once per
-// instruction. Elsewhere it has no effect. Only the SVC and BLR hooks
-// call it, and both instructions end a run.
-func (m *Machine) Yield() { m.yield = true }
+// Wait parks c until on halts. A Syscall or OnBLR hook calls it when c
+// cannot go on before then, as a join whose thread still runs: exec then
+// undoes the SVC or BLR the hook serves, so it executes again, once, when
+// on has halted. Until then RunAll skips c and Enabled offers no exec for
+// it, though its buffered stores still drain. A wait that closes a cycle
+// — on is c, or waits on c through a chain of waiters — could never end:
+// Wait refuses it with an error naming both CPUs and parks nothing, so
+// some waiter's chain always ends at a CPU that can move. on must not
+// have halted.
+func (m *Machine) Wait(c, on *CPU) error {
+	for w := on; ; w = w.waitOn {
+		if w == c {
+			return fmt.Errorf("cpu %d waiting for cpu %d to halt would wait on itself", c.ID, on.ID)
+		}
+		if !w.Waiting() {
+			break
+		}
+	}
+	c.waitOn = on
+	return nil
+}
+
+// Waiting reports whether c is parked by Wait on a CPU that has not
+// halted.
+func (c *CPU) Waiting() bool { return c.waitOn != nil && !c.waitOn.Halted }
+
+// runnable reports whether c can execute: it has neither halted nor
+// parked.
+func (c *CPU) runnable() bool { return !c.Halted && !c.Waiting() }
 
 // Run executes a single CPU until it halts or maxSteps elapse, a run at a
 // time as RunAll does.
@@ -661,8 +678,9 @@ func (m *Machine) Run(c *CPU, maxSteps uint64) error {
 // per-CPU StepBudget, or the wall-clock Deadline. Budget expiry returns a
 // structured faults.TrapBudget, so a runaway or livelocked guest degrades
 // to a typed, reportable halt instead of an unbounded spin. CPUs added
-// during execution (spawn) join the rotation; a CPU that calls Yield ends
-// its quantum early.
+// during execution (spawn) join the rotation; a CPU that parks (Wait)
+// ends its quantum and leaves the rotation until the CPU it waits on
+// halts.
 //
 // A CPU advances a run at a time, each run clipped so that it ends where
 // the quantum or a step budget does: quanta, trap points and Insts are
@@ -677,13 +695,13 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 	for {
 		c := m.nextLive(rr)
 		if c == nil {
-			return nil
+			return m.stuck()
 		}
 		rr = c.ID + 1
 		if err := m.beginQuantum(c); err != nil {
 			return err
 		}
-		for q := 0; q < quantum && !c.Halted; {
+		for q := 0; q < quantum && c.runnable(); {
 			n, err := m.advance(c, w.clip(c, quantum-q))
 			if err != nil {
 				return err
@@ -692,20 +710,14 @@ func (m *Machine) RunAll(quantum int, maxSteps uint64) (err error) {
 			if err := w.charge(c, n); err != nil {
 				return err
 			}
-			if m.yield {
-				m.yields.Inc()
-				break
-			}
 		}
 	}
 }
 
 // beginQuantum opens c's turn, a RunAll quantum or a walk's exec
-// transition: it counts it, clears the yield flag, and fires the
-// step-site fault.
+// transition: it counts it and fires the step-site fault.
 func (m *Machine) beginQuantum(c *CPU) error {
 	m.quanta.Inc()
-	m.yield = false
 	if t := m.Inject.Hit(faults.SiteStep); t != nil {
 		t.Steps = c.Insts
 		return t.WithCPU(c.ID).WithHostPC(c.PC)
@@ -772,18 +784,31 @@ func (w *watchdog) expired(c *CPU) error {
 	return nil
 }
 
-// nextLive returns the first CPU with ID >= from that has not halted,
-// wrapping around — so CPUs spawned mid-run join the rotation as the cursor
-// reaches them — or nil when every CPU has halted.
+// nextLive returns the first runnable CPU with ID >= from, wrapping
+// around — so CPUs spawned mid-run join the rotation as the cursor reaches
+// them — or nil when no CPU can run.
 func (m *Machine) nextLive(from int) *CPU {
 	for _, c := range m.CPUs[from:] {
-		if !c.Halted {
+		if c.runnable() {
 			return c
 		}
 	}
 	for _, c := range m.CPUs[:from] {
-		if !c.Halted {
+		if c.runnable() {
 			return c
+		}
+	}
+	return nil
+}
+
+// stuck ends a RunAll or walk in which no CPU can move: nil when every
+// CPU has halted, else an error naming a parked one. While Wait refuses
+// cycles some waiter can always move, so the error means a broken
+// invariant, never a finished run.
+func (m *Machine) stuck() error {
+	for _, c := range m.CPUs {
+		if !c.Halted {
+			return fmt.Errorf("machine: cpu %d waits on cpu %d and no CPU can move", c.ID, c.waitOn.ID)
 		}
 	}
 	return nil

@@ -144,8 +144,10 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Errorf("written pages %#x, want %#x", got, want)
 	}
 	m.Output = append(m.Output, "dirty"...)
-	m.Yield()
-	dirty := len(m.CPUs) >= 2 && len(m.weak.buffers[0]) == 2 && len(m.weak.buffers[1]) == 0 &&
+	if err := m.Wait(m.CPUs[0], m.CPUs[1]); err != nil {
+		t.Fatal(err)
+	}
+	dirty := len(m.CPUs) >= 2 && m.CPUs[0].Waiting() && len(m.weak.buffers[0]) == 2 && len(m.weak.buffers[1]) == 0 &&
 		m.weak.nextSeq > 0 && m.armed == 1 && len(m.lineOwner) > 0 && m.DMBExec[arm.BarrierFull] > 0 &&
 		m.AtomicExec == 2 && len(m.accLog) > 0 && len(m.decode.pages) > 0 && m.decode.pages[0].valid != 0
 	if !dirty {
@@ -166,8 +168,8 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Errorf("Reset left %d CPUs, the first %+v", len(m.CPUs), *m.CPUs[0])
 	case len(m.Output) != 0 || m.DMBExec != fresh.DMBExec || m.AtomicExec != 0:
 		t.Errorf("Reset left output %q, DMBs %v, atomics %d", m.Output, m.DMBExec, m.AtomicExec)
-	case len(m.lineOwner) != 0 || m.armed != 0 || m.yield:
-		t.Errorf("Reset left %d line owners, armed %d, yield %v", len(m.lineOwner), m.armed, m.yield)
+	case len(m.lineOwner) != 0 || m.armed != 0:
+		t.Errorf("Reset left %d line owners, armed %d", len(m.lineOwner), m.armed)
 	case m.weak != nil || len(m.accLog) != 0:
 		t.Errorf("Reset left weak mode %v, %d logged accesses", m.weak != nil, len(m.accLog))
 	}

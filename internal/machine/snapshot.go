@@ -22,7 +22,7 @@ type Snapshot struct {
 // Other CPUs' buffered stores are not in it: c cannot see them yet.
 func (m *Machine) Snapshot(c *CPU) *Snapshot {
 	s := &Snapshot{Mem: append([]byte(nil), m.Mem...), CPU: *c}
-	s.CPU.monValid = false
+	s.CPU.monValid, s.CPU.waitOn = false, nil
 	if m.weak != nil {
 		for _, p := range m.weak.buffers[c.ID] {
 			for i := uint8(0); i < p.Size; i++ {

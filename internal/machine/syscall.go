@@ -17,8 +17,10 @@ const (
 	// SysSpawn starts a new CPU at PC=X0 with X0=arg(X1) and the stack
 	// pointer register (X27 by convention) set to X2. Returns the CPU id.
 	SysSpawn = 220
-	// SysJoin blocks until CPU X0 halts (the scheduler re-executes the
-	// SVC once per rotation until then). Returns the target's exit code.
+	// SysJoin blocks until CPU X0 halts: the caller parks (Machine.Wait)
+	// and its SVC executes again, once, when X0 has halted. Returns the
+	// target's exit code; a join that would wait on itself, directly or
+	// around a cycle of joins, fails.
 	SysJoin = 221
 )
 
@@ -52,13 +54,10 @@ func NativeSyscall(m *Machine, c *CPU, imm uint16) error {
 		}
 		t := m.CPUs[id]
 		if !t.Halted {
-			// Rewind to the SVC so the scheduler retries. A blocked join
-			// models a futex wait: refund the trap cost so the joiner
-			// does not accrue simulated time while parked, and give up
-			// the rest of the quantum.
-			c.PC -= 4
-			c.Cycles -= m.Cost.Svc
-			m.Yield()
+			// A futex wait: the SVC runs again once t halts.
+			if err := m.Wait(c, t); err != nil {
+				return fmt.Errorf("join syscall: %w", err)
+			}
 			return nil
 		}
 		c.Regs[0] = t.ExitCode

@@ -29,7 +29,7 @@ type PendingStore struct {
 // The kinds of transition.
 const (
 	// OpExec runs one CPU up to and including its next instruction that
-	// accesses memory or calls Yield, or until it halts.
+	// accesses memory, halts it or parks it (Wait).
 	OpExec = "x"
 	// OpDrain retires one buffered store to memory.
 	OpDrain = "d"
@@ -46,20 +46,22 @@ type Transition struct {
 }
 
 // maxInvisible bounds the instructions one OpExec retires when none of
-// them accesses memory, yields or halts: a long register-only stretch is
+// them accesses memory, halts or parks: a long register-only stretch is
 // several exec transitions, so no one transition hangs its driver. A spin
 // that never ends is the driver's to bound: Walk's step cap, explore's
 // state budget, WalkAll's watchdog.
 const maxInvisible = 10000
 
 // Enabled appends the current state's transitions to ts in a fixed order:
-// one OpExec per live CPU in ascending id, then, per CPU in ascending id,
-// one OpDrain per buffered store that heads its coherence chain (no older
-// overlapping store in the buffer), in buffer order. Nothing appended means
-// every CPU has halted; halting flushes, so no drain outlives its CPU.
+// one OpExec per runnable CPU (neither halted nor parked by Wait) in
+// ascending id, then, per CPU in ascending id, one OpDrain per buffered
+// store that heads its coherence chain (no older overlapping store in the
+// buffer), in buffer order: a parked CPU's stores still drain. Nothing
+// appended means every CPU has halted — Wait refuses the cycles that
+// could park them all, and halting flushes, so no drain outlives its CPU.
 func (m *Machine) Enabled(ts []Transition) []Transition {
 	for _, c := range m.CPUs {
-		if !c.Halted {
+		if c.runnable() {
 			ts = append(ts, Transition{Op: OpExec, CPU: c.ID})
 		}
 	}
@@ -78,9 +80,9 @@ func (m *Machine) Enabled(ts []Transition) []Transition {
 // Apply takes one transition and returns its footprint: the memory
 // accesses it made that other CPUs can observe (a store entering the
 // buffer and a load forwarded from it are private to their CPU and left
-// out). A transition Enabled would not list — a CPU out of range or
-// halted, a store no longer buffered or behind an older overlapping one —
-// is refused with an error and changes nothing.
+// out). A transition Enabled would not list — a CPU out of range, halted
+// or parked, a store no longer buffered or behind an older overlapping
+// one — is refused with an error and changes nothing.
 func (m *Machine) Apply(t Transition) ([]MemAccess, error) {
 	if err := m.apply(t, nil); err != nil {
 		return nil, err
@@ -122,8 +124,8 @@ func (m *Machine) apply(t Transition, w *watchdog) error {
 		}
 		return fmt.Errorf("machine: store seq %d is not in CPU %d's buffer", t.Seq, c.ID)
 	case OpExec:
-		if c.Halted {
-			return fmt.Errorf("machine: exec transition for halted CPU %d", c.ID)
+		if !c.runnable() {
+			return fmt.Errorf("machine: exec transition for halted or parked CPU %d", c.ID)
 		}
 		limit := maxInvisible
 		if w != nil {
@@ -132,17 +134,12 @@ func (m *Machine) apply(t Transition, w *watchdog) error {
 			}
 			limit = w.clip(c, limit)
 		}
-		m.yield = false
 		before := c.Insts
 		for i := limit; i > 0; i-- {
 			if err := m.step(c); err != nil {
 				return err
 			}
-			if m.yield {
-				m.yields.Inc()
-				break
-			}
-			if len(m.accLog) > 0 || c.Halted {
+			if len(m.accLog) > 0 || !c.runnable() {
 				break
 			}
 		}
@@ -157,7 +154,8 @@ func (m *Machine) apply(t Transition, w *watchdog) error {
 // Walk samples one path through the transition system: from the current
 // state it applies an enabled transition chosen uniformly by a PRNG seeded
 // with seed, and repeats. It returns halted = true when no transition is
-// enabled any more. It stops short of that after maxSteps transitions,
+// enabled any more and every CPU has halted; live CPUs of which none can
+// move are an error. It stops short of that after maxSteps transitions,
 // when Apply fails (visit sees the transition and the error, which Walk
 // then returns), or when visit — called after every Apply; nil means
 // "keep going" — returns false. The machine's StepBudget, Deadline and
@@ -185,7 +183,8 @@ func (m *Machine) walk(seed uint64, maxSteps int, w watchdog, visit func(Transit
 	ts := make([]Transition, 0, 8)
 	for n := 0; ; n++ {
 		if ts = m.Enabled(ts[:0]); len(ts) == 0 {
-			return true, nil
+			err := m.stuck()
+			return err == nil, err
 		}
 		if n >= maxSteps {
 			return false, nil

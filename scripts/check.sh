@@ -16,7 +16,10 @@
 # Every package under internal/ with non-test Go files must have a non-test
 # importer in the module, perf/ or examples/: a package only its own tests
 # use is code nothing runs. The weak machine keeps one driver: no Go file
-# names SeededDrains, and apply's OpDrain is the one non-test m.drain( call. A one-iteration bench smoke keeps
+# names SeededDrains, and apply's OpDrain is the one non-test m.drain( call.
+# A joining CPU waits instead of retrying: no Go file names Yield(,
+# errJoinBlocked or sched.yields, and Machine.Wait's only non-test callers
+# are the two join handlers (machine/syscall.go, core/helpers.go). A one-iteration bench smoke keeps
 # scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The explore
 # stages pin the operational exploration engine: DPOR must reach every
@@ -100,6 +103,18 @@ if grep -rn --include='*.go' 'SeededDrains' cmd internal examples perf ./*.go >&
 machine_src=$(ls internal/machine/*.go | grep -v '_test\.go$')
 n=$(grep -ho 'm\.drain(' $machine_src | wc -l)
 [ "$n" -eq 1 ] || { echo "internal/machine has $n non-test m.drain( calls, want 1 (apply's OpDrain):" >&2; grep -n 'm\.drain(' $machine_src >&2; exit 1; }
+
+# A joining CPU waits; it does not retry. Machine.Wait parks it until the
+# CPU it joins halts, Wait refuses a join cycle, and the machine undoes the
+# SVC or BLR that waited, so nothing outside the machine rewinds a PC or
+# refunds a cost. No Go file names the retry protocol (Yield, the core's
+# errJoinBlocked sentinel, the sched.yields counter), and Machine.Wait —
+# a .Wait call with arguments; sync.WaitGroup's Wait takes none — has two
+# non-test callers, the join handlers: native SysJoin and the guest's.
+stage "a join waits: no Go file names Yield(, errJoinBlocked or sched.yields; Machine.Wait's non-test callers are the two join handlers"
+if grep -rnE --include='*.go' 'Yield\(|errJoinBlocked|sched\.yields' cmd internal examples perf ./*.go >&2; then echo "the join retry protocol is back: a blocked join parks through Machine.Wait" >&2; exit 1; fi
+callers=$(grep -roE --include='*.go' --exclude='*_test.go' '\.Wait\([^)]' cmd internal examples perf ./*.go | cut -d: -f1 | sort | tr '\n' ' ')
+[ "$callers" = "internal/core/helpers.go internal/machine/syscall.go " ] || { echo "Machine.Wait's non-test callers are '$callers', want one call each in internal/core/helpers.go and internal/machine/syscall.go (the join handlers):" >&2; grep -rnE --include='*.go' --exclude='*_test.go' '\.Wait\([^)]' cmd internal examples perf ./*.go >&2; exit 1; }
 
 stage "every internal package has a non-test importer (module, perf/, examples/)"
 imported=$( { go list -f '{{join .Imports "\n"}}' ./...; (cd perf && go list -f '{{join .Imports "\n"}}' ./...); } | sort -u)
