@@ -419,11 +419,13 @@ func BenchmarkAblation(b *testing.B) {
 // (every reachable final state visited, differentially checked). The
 // reported states/s is the transition throughput and coverage% the share
 // of axiomatically allowed outcomes reached — 100 for a healthy engine —
-// both recorded in BENCH_litmus.json by scripts/bench_snapshot.sh.
+// both recorded in BENCH_litmus.json by scripts/bench_snapshot.sh, with
+// the bytes and allocations per op.
 func BenchmarkExplore(b *testing.B) {
 	p := litmus.SB()
 	states := 0
 	coverage := 0.0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := explore.Run(p, explore.Config{Mode: explore.ModeDPOR})

@@ -193,7 +193,7 @@ func main() {
 
 // replay rebuilds the run a crash bundle describes and verifies the
 // recorded trap reproduces: exit 0 only when the re-run traps and the trap
-// matches the bundle's (same kind, PC, CPU); a clean completion or a
+// matches the bundle's (same kind, PC, CPU, steps); a clean completion or a
 // different trap is a divergence (exit 1). With rebundle set, the re-run's
 // own crash bundle is written for byte-level comparison with the original.
 func replay(cf *cliflags.Set, path, rebundle string, quiet bool) {
@@ -224,8 +224,8 @@ func replay(cf *cliflags.Set, path, rebundle string, quiet bool) {
 		check(os.WriteFile(rebundle, enc, 0o644))
 	}
 	if !b.Trap.Matches(tr) {
-		fmt.Fprintf(os.Stderr, "risotto: replay diverged: got %s, bundle recorded trap[%s] cpu=%d pc=%#x\n",
-			tr.Error(), b.Trap.Kind, b.Trap.CPU, b.Trap.PC)
+		fmt.Fprintf(os.Stderr, "risotto: replay diverged: got %s (steps %d), bundle recorded trap[%s] cpu=%d pc=%#x steps=%d\n",
+			tr.Error(), tr.Steps, b.Trap.Kind, b.Trap.CPU, b.Trap.PC, b.Trap.Steps)
 		os.Exit(1)
 	}
 	if !quiet {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/selfheal"
 )
 
 // buildCLI compiles a command of this module into dir and returns the
@@ -115,5 +117,56 @@ func TestReplayCLIRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(orig, again) {
 		t.Errorf("re-bundle differs from original (%d vs %d bytes)", len(orig), len(again))
+	}
+}
+
+// TestReplayDivergesOnSteps: a bundle whose trap differs from the re-run's
+// only in its step count is not reproduced. A watchdog trap bundle is
+// replayed as written (exit 0) and with its steps moved by one (exit 1,
+// "replay diverged"): a run that traps at the recorded CPU and PC after
+// other steps took another schedule.
+func TestReplayDivergesOnSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs subprocesses")
+	}
+	dir := t.TempDir()
+	bin := buildCLI(t, dir, "repro/cmd/risotto")
+	bundle := filepath.Join(dir, "budget.json")
+	crash := exec.Command(bin, "-kernel", "histogram", "-threads", "2", "-step-budget", "10000", "-bundle", bundle)
+	if err := crash.Run(); err == nil {
+		t.Fatal("the step-budget run did not trap")
+	}
+	data, err := os.ReadFile(bundle)
+	if err != nil {
+		t.Fatalf("no crash bundle written: %v", err)
+	}
+	if out, err := exec.Command(bin, "-replay", bundle).CombinedOutput(); err != nil {
+		t.Fatalf("the bundle as written did not replay: %v\n%s", err, out)
+	}
+	b, err := selfheal.DecodeBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Trap.Steps == 0 {
+		t.Fatalf("the watchdog trap recorded no steps: %+v", b.Trap)
+	}
+	b.Trap.Steps++
+	enc, err := b.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed := filepath.Join(dir, "perturbed.json")
+	if err := os.WriteFile(perturbed, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	replay := exec.Command(bin, "-replay", perturbed)
+	replay.Stderr = &stderr
+	err = replay.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Errorf("replay of the perturbed bundle: err = %v, want exit 1", err)
+	}
+	if !strings.Contains(stderr.String(), "replay diverged") {
+		t.Errorf("replay of the perturbed bundle did not report divergence:\n%s", stderr.String())
 	}
 }

@@ -17,36 +17,69 @@ import "repro/internal/machine"
 // already-explored behaviours below it and is cut. Independence is the
 // footprint relation of explore.go — different CPUs (or two drains of
 // distinct coherence chains on one CPU) with disjoint globally-visible
-// access sets. Footprints are recorded when a transition first executes;
-// they are stable enough for the inheritance filter because an
-// independent move cannot redirect another CPU's control flow (loads
-// execute in order and invisible instructions touch no memory).
+// access sets. Footprints are recorded when a transition executes; they
+// are stable enough for the inheritance filter because an independent
+// move cannot redirect another CPU's control flow (loads execute in order
+// and invisible instructions touch no memory).
+//
+// The search allocates per Run, not per state. The DFS stack is a slice of
+// frames that outlives every re-execution: the frame at depth d serves each
+// state the search meets at depth d, so its buffers grow to the largest
+// such state and are afterwards only truncated. A frame keeps its state's
+// Enabled list, its sleep set as a slice of (transition, footprint) pairs
+// searched linearly — sleep sets hold a handful of entries — and a
+// footprint arena: machine.Apply appends each branch's footprint to it, so
+// a sleeping footprint is a slice of the arena of the frame that explored
+// it, and a child inherits it by copying the slice header. An arena only
+// grows while its frame is on the stack (a prefix replay rewrites the
+// chosen branch's footprint, the arena's tail, with the same accesses), so
+// no footprint a sleep set holds is ever overwritten.
 
-// dnode is one frame of the DFS stack: a state's enabled transitions (in
-// machine.Enabled's order), its sleep set, which branch is currently chosen
-// below it, and that branch's footprint.
+// dnode is one frame of the DFS stack.
 type dnode struct {
-	ts     []machine.Transition
-	sleep  map[machine.Transition]footprint
+	// ts are the state's enabled transitions, in machine.Enabled's order.
+	ts []machine.Transition
+	// sleep is the state's sleep set: no transition appears twice.
+	sleep []footprint
+	// chosen indexes the branch taken below the state; fp is its
+	// footprint, the tail of arena.
 	chosen int
 	fp     footprint
+	// arena holds the footprints of the branches the frame put to sleep,
+	// then the chosen branch's.
+	arena []machine.MemAccess
 	// counted guards the States metric: a transition is counted when
 	// first executed, not on each prefix replay.
 	counted bool
 }
 
+// asleep reports whether t is in nd's sleep set.
+func (nd *dnode) asleep(t machine.Transition) bool {
+	for i := range nd.sleep {
+		if nd.sleep[i].t == t {
+			return true
+		}
+	}
+	return false
+}
+
 // runDFS explores exhaustively.
 func (e *explorer) runDFS() {
-	var stack []*dnode
+	// frames[:depth] is the DFS stack; the frames past it wait for reuse.
+	var frames []*dnode
+	depth := 0
 	// path is the decision prefix the stack spells, path[i] =
-	// stack[i].ts[stack[i].chosen], kept in step with every push, pop and
+	// frames[i].ts[frames[i].chosen], kept in step with every push, pop and
 	// advance; cut, leaf and trapped copy it only when they keep it.
 	var path []machine.Transition
-	// take applies nd's chosen branch and records its footprint.
+	// take applies nd's chosen branch and records its footprint in place
+	// of the one a previous execution of the branch recorded.
 	take := func(m *machine.Machine, nd *dnode) error {
 		t := nd.ts[nd.chosen]
-		accs, err := m.Apply(t)
-		nd.fp = footprint{t: t, accs: accs}
+		start := len(nd.arena) - len(nd.fp.accs)
+		var err error
+		nd.arena, err = m.Apply(t, nd.arena[:start])
+		nd.fp = footprint{t: t, accs: nd.arena[start:]}
 		return err
 	}
 
@@ -54,24 +87,20 @@ func (e *explorer) runDFS() {
 	// deepest frame with an unexplored, non-sleeping sibling; false
 	// means the whole tree is done.
 	backtrack := func() bool {
-		for len(stack) > 0 {
-			nd := stack[len(stack)-1]
-			nd.sleep[nd.ts[nd.chosen]] = nd.fp
-			advanced := false
+		for depth > 0 {
+			nd := frames[depth-1]
+			nd.sleep = append(nd.sleep, nd.fp)
+			nd.fp = footprint{}
 			for i := nd.chosen + 1; i < len(nd.ts); i++ {
-				if _, asleep := nd.sleep[nd.ts[i]]; !asleep {
+				if !nd.asleep(nd.ts[i]) {
 					nd.chosen = i
-					path[len(path)-1] = nd.ts[i]
+					path[depth-1] = nd.ts[i]
 					nd.counted = false
-					advanced = true
-					break
+					return true
 				}
 			}
-			if advanced {
-				return true
-			}
-			stack = stack[:len(stack)-1]
-			path = path[:len(path)-1]
+			depth--
+			path = path[:depth]
 		}
 		return false
 	}
@@ -84,7 +113,7 @@ func (e *explorer) runDFS() {
 			return
 		}
 		replayFailed := false
-		for i, nd := range stack {
+		for i, nd := range frames[:depth] {
 			if err := take(m, nd); err != nil {
 				// Only a frontier transition can fail for the first time
 				// (the machine is deterministic given the prefix), so this
@@ -109,8 +138,12 @@ func (e *explorer) runDFS() {
 		// whose last transition spends the budget is complete, not cut: its
 		// path replays to an outcome, so the leaf is looked for first.
 		for {
-			ts := m.Enabled(nil)
-			if len(ts) == 0 {
+			if depth == len(frames) {
+				frames = append(frames, new(dnode))
+			}
+			nd := frames[depth]
+			nd.ts = m.Enabled(nd.ts[:0])
+			if len(nd.ts) == 0 {
 				if err := e.leaf(m, path); err != nil {
 					e.trapped(path, err)
 				}
@@ -122,18 +155,18 @@ func (e *explorer) runDFS() {
 			if e.cut(path) {
 				return
 			}
-			nd := &dnode{ts: ts, sleep: make(map[machine.Transition]footprint)}
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				for k, ufp := range parent.sleep {
+			nd.sleep, nd.arena, nd.fp = nd.sleep[:0], nd.arena[:0], footprint{}
+			if depth > 0 {
+				parent := frames[depth-1]
+				for _, ufp := range parent.sleep {
 					if independent(ufp, parent.fp) {
-						nd.sleep[k] = ufp
+						nd.sleep = append(nd.sleep, ufp)
 					}
 				}
 			}
 			nd.chosen = -1
-			for i := range ts {
-				if _, asleep := nd.sleep[ts[i]]; !asleep {
+			for i := range nd.ts {
+				if !nd.asleep(nd.ts[i]) {
 					nd.chosen = i
 					break
 				}
@@ -147,8 +180,8 @@ func (e *explorer) runDFS() {
 				}
 				break
 			}
-			stack = append(stack, nd)
-			path = append(path, ts[nd.chosen])
+			depth++
+			path = append(path, nd.ts[nd.chosen])
 			err := take(m, nd)
 			nd.counted = true
 			e.res.States++

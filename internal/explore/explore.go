@@ -166,6 +166,7 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 		m:        m,
 		allowed:  allowed,
 		observed: make(map[litmus.Outcome]bool),
+		outcomes: make(map[string]litmus.Outcome),
 		res:      &Result{Test: p.Name, Mode: cfg.mode()},
 		sc:       cfg.Obs.Child("explore"),
 	}
@@ -209,6 +210,10 @@ type explorer struct {
 	// m is the Run's one machine; every DPOR run starts on it through
 	// restart, every walk through opcheck's Walk.
 	m *machine.Machine
+	// outcomes memoises compiled.Outcome by the final state's key
+	// (opcheck's AppendOutcomeKey), built in key.
+	outcomes map[string]litmus.Outcome
+	key      []byte
 }
 
 // restart returns the Run's machine reset in place to the program's
@@ -246,9 +251,17 @@ func (e *explorer) cut(path []machine.Transition) bool {
 // leaf records one completed run's outcome, checking it against the
 // allowed set; a forbidden outcome is a violation carrying its trace.
 func (e *explorer) leaf(m *machine.Machine, path []machine.Transition) error {
-	o, err := e.compiled.Outcome(m)
+	key, err := e.compiled.AppendOutcomeKey(e.key[:0], m)
 	if err != nil {
 		return err
+	}
+	e.key = key
+	o, ok := e.outcomes[string(key)]
+	if !ok {
+		if o, err = e.compiled.Outcome(m); err != nil {
+			return err
+		}
+		e.outcomes[string(key)] = o
 	}
 	e.res.Runs++
 	e.observed[o] = true

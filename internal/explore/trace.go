@@ -178,7 +178,7 @@ func Replay(p *litmus.Program, tr *Trace) (*Trace, error) {
 			return nil, fmt.Errorf("explore: replay step %d: decision %v not enabled (trace diverged)", i, d)
 		}
 		out.Decisions = append(out.Decisions, d)
-		if _, err := m.Apply(d); err != nil {
+		if _, err := m.Apply(d, nil); err != nil {
 			// The recorded run trapped here; reproduce the verdict.
 			out.Final = TraceFinal{Verdict: VerdictViolation, Steps: len(out.Decisions)}
 			return out, nil

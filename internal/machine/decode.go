@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/isa/arm"
@@ -22,6 +23,14 @@ const (
 // allocated on first fetch. A slot is trusted only while its bit in valid
 // is set: invalidation clears bits and keeps the slots.
 //
+// A machine's Reset suspends the valid slots instead of forgetting them
+// (suspendAll): a suspended slot is not valid, so a fetch decodes memory
+// afresh as on a new machine, but a later Write that leaves the slot's
+// whole word in memory equal to the word it decoded revalidates it. The
+// raw words live in the slot block beside the decodes, so a reload of the
+// same code (explore's re-executions) costs a word compare per slot and no
+// decode.
+//
 // A page also marks the slots that end a run (endsRun), so the run that
 // starts at a slot — the valid slots up to and including the next run end,
 // or up to the first slot that is not valid, or to the end of the page —
@@ -36,9 +45,19 @@ type decodeTable struct {
 }
 
 type decodePage struct {
-	valid uint64 // bit s: insts[s] decodes the word in Mem
-	ends  uint64 // bit s: insts[s] ends a run
-	insts *[decodePageSlots]arm.Inst
+	valid uint64 // bit s: slots.insts[s] decodes the word in Mem
+	ends  uint64 // bit s: slots.insts[s] ends a run
+	// kept marks the suspended slots: not valid, but made valid again by
+	// a Write that leaves slots.words[s] in memory.
+	kept  uint64
+	slots *decodeSlots
+}
+
+// decodeSlots is a page's slot block, allocated on the page's first fetch.
+type decodeSlots struct {
+	insts [decodePageSlots]arm.Inst
+	// words[s] is the raw word insts[s] was decoded from.
+	words [decodePageSlots]uint32
 }
 
 // endsRun reports whether op can leave the next PC anything but PC+4,
@@ -64,7 +83,7 @@ func (t *decodeTable) lookup(pc uint64) *arm.Inst {
 	if p.valid>>s&1 == 0 {
 		return nil
 	}
-	return &p.insts[s]
+	return &p.slots.insts[s]
 }
 
 // runAt returns the run that starts at pc: its page's slots, the index of
@@ -79,17 +98,21 @@ func (t *decodeTable) runAt(pc uint64) (insts *[decodePageSlots]arm.Inst, s, n i
 	// Bit k of stop: slot s+k ends a run or is not valid.
 	stop := (p.ends | ^p.valid) >> s
 	if stop == 0 {
-		return p.insts, s, decodePageSlots - s
+		return &p.slots.insts, s, decodePageSlots - s
 	}
 	// A valid stop slot ends the run and belongs to it; one that is not
-	// valid is left for a fetch of its own.
+	// valid is left for a fetch of its own. A page with no valid slot may
+	// have no block: its runs are empty.
 	k := bits.TrailingZeros64(stop)
-	return p.insts, s, k + int(p.valid>>(s+k)&1)
+	if n = k + int(p.valid>>(s+k)&1); n == 0 {
+		return nil, 0, 0
+	}
+	return &p.slots.insts, s, n
 }
 
-// insert caches inst as the decode of the 4-aligned pc and returns the
-// cached copy.
-func (t *decodeTable) insert(pc uint64, inst arm.Inst) *arm.Inst {
+// insert caches inst, decoded from word, as the decode of the 4-aligned pc
+// and returns the cached copy.
+func (t *decodeTable) insert(pc uint64, word uint32, inst arm.Inst) *arm.Inst {
 	pn := pc / decodePageBytes
 	switch {
 	case len(t.pages) == 0:
@@ -103,33 +126,56 @@ func (t *decodeTable) insert(pc uint64, inst arm.Inst) *arm.Inst {
 		t.pages = append(t.pages, decodePage{})
 	}
 	p := &t.pages[pn-t.base]
-	if p.insts == nil {
-		p.insts = new([decodePageSlots]arm.Inst)
+	if p.slots == nil {
+		p.slots = new(decodeSlots)
 	}
 	s := pc / arm.InstBytes % decodePageSlots
-	p.insts[s] = inst
+	p.slots.insts[s] = inst
+	p.slots.words[s] = word
+	p.kept &^= 1 << s
 	p.valid |= 1 << s
 	p.ends &^= 1 << s
 	if endsRun(inst.Op) {
 		p.ends |= 1 << s
 	}
-	return &p.insts[s]
+	return &p.slots.insts[s]
 }
 
-// invalidate forgets the decode of every slot overlapping [addr, addr+n);
-// the caller has checked that the range lies in memory. Slots outside the
-// window hold nothing to forget.
-func (t *decodeTable) invalidate(addr, n uint64) {
+// wrote updates the table after [addr, addr+n) of mem was written; the
+// caller has checked that the range lies in mem. Every slot the range
+// overlaps stops being valid, except a suspended one whose whole word in
+// mem is again the word it decoded: that one is valid again. Either way
+// it is no longer suspended. Slots outside the window hold nothing.
+func (t *decodeTable) wrote(mem []byte, addr, n uint64) {
 	lo, hi := t.base*decodePageSlots, (t.base+uint64(len(t.pages)))*decodePageSlots
 	first, end := max(addr/arm.InstBytes, lo), min((addr+n+arm.InstBytes-1)/arm.InstBytes, hi)
-	for s := first; s < end; s++ {
-		t.pages[s/decodePageSlots-t.base].valid &^= 1 << (s % decodePageSlots)
+	for s := first; s < end; {
+		p := &t.pages[s/decodePageSlots-t.base]
+		// Slots i..i+k-1 of this page are in the range.
+		i := s % decodePageSlots
+		k := min(end-s, decodePageSlots-i)
+		mask := ^uint64(0) >> (decodePageSlots - k) << i
+		p.valid &^= mask
+		if p.kept&mask != 0 {
+			pc := (s - i) * arm.InstBytes
+			for w := p.kept & mask; w != 0; w &= w - 1 {
+				j := bits.TrailingZeros64(w)
+				if binary.LittleEndian.Uint32(mem[pc+uint64(j)*arm.InstBytes:]) == p.slots.words[j] {
+					p.valid |= 1 << j
+				}
+			}
+			p.kept &^= mask
+		}
+		s += k
 	}
 }
 
-// invalidateAll forgets every decode.
-func (t *decodeTable) invalidateAll() {
+// suspendAll suspends every valid slot: none is valid, and each waits for
+// a Write of its word (see wrote).
+func (t *decodeTable) suspendAll() {
 	for i := range t.pages {
-		t.pages[i].valid = 0
+		p := &t.pages[i]
+		p.kept |= p.valid
+		p.valid = 0
 	}
 }

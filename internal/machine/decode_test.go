@@ -69,8 +69,8 @@ func TestDecodeTableFootprint(t *testing.T) {
 }
 
 // TestDecodeTableWindow: the page window follows fetches downward and
-// upward, lookups outside it miss, and invalidation clears exactly the
-// slots a patched word overlaps.
+// upward, lookups outside it miss, and a write clears exactly the slots a
+// patched word overlaps.
 func TestDecodeTableWindow(t *testing.T) {
 	var tab decodeTable
 	at := func(pc uint64) arm.Inst { return arm.Inst{Op: arm.ADDI, Imm: int64(pc)} }
@@ -79,7 +79,7 @@ func TestDecodeTableWindow(t *testing.T) {
 		if tab.lookup(pc) != nil {
 			t.Fatalf("lookup(%#x) hit before insert", pc)
 		}
-		tab.insert(pc, at(pc))
+		tab.insert(pc, 0, at(pc))
 		for _, seen := range pcs[:i+1] {
 			if got := tab.lookup(seen); got == nil || *got != at(seen) {
 				t.Fatalf("after insert(%#x): lookup(%#x) = %v", pc, seen, got)
@@ -95,28 +95,28 @@ func TestDecodeTableWindow(t *testing.T) {
 		}
 	}
 
-	tab.invalidate(0x5004, 4)
+	tab.wrote(nil, 0x5004, 4)
 	if tab.lookup(0x5004) != nil || tab.lookup(0x5000) == nil || tab.lookup(0x50FC) == nil {
-		t.Error("invalidate(0x5004, 4) must clear that slot and no neighbour")
+		t.Error("a write of 0x5004, 4 bytes must clear that slot and no neighbour")
 	}
 	// A word written at a non-aligned address overlaps two slots, here
 	// the last of one page and the first of the next.
-	tab.invalidate(0x50FE, 4)
+	tab.wrote(nil, 0x50FE, 4)
 	if tab.lookup(0x50FC) != nil || tab.lookup(0x5100) != nil {
-		t.Error("invalidate(0x50FE, 4) must clear both slots the word overlaps")
+		t.Error("a write of 0x50FE, 4 bytes must clear both slots the word overlaps")
 	}
 	// A range wider than the window clears every slot in the window and
 	// touches nothing outside it.
-	tab.insert(0x5000, at(0x5000))
-	tab.invalidate(0x4000, 1<<40)
+	tab.insert(0x5000, 0, at(0x5000))
+	tab.wrote(nil, 0x4000, 1<<40)
 	if tab.lookup(0x5000) != nil || tab.lookup(0x2000) == nil {
-		t.Error("invalidate(0x4000, 1<<40) must clear 0x5000 and keep 0x2000")
+		t.Error("a write of 0x4000, 1<<40 bytes must clear 0x5000 and keep 0x2000")
 	}
-	tab.invalidate(1<<40, 4) // outside the window: nothing to forget
-	tab.invalidateAll()
+	tab.wrote(nil, 1<<40, 4) // outside the window: nothing to forget
+	tab.suspendAll()
 	for _, pc := range pcs {
 		if tab.lookup(pc) != nil {
-			t.Errorf("lookup(%#x) hit after invalidateAll", pc)
+			t.Errorf("lookup(%#x) hit after suspendAll", pc)
 		}
 	}
 }
@@ -177,7 +177,7 @@ func TestDecodeTableRuns(t *testing.T) {
 	const base = 0x4000
 	var tab decodeTable
 	slot := func(s int) uint64 { return base + uint64(s)*arm.InstBytes }
-	set := func(s int, op arm.Op) { tab.insert(slot(s), arm.Inst{Op: op}) }
+	set := func(s int, op arm.Op) { tab.insert(slot(s), 0, arm.Inst{Op: op}) }
 	for s, op := range []arm.Op{arm.ADDI, arm.B, arm.ADDI, arm.ADDI, arm.ADDI, arm.ADDI, arm.HLT} {
 		set(s, op)
 	}
@@ -192,7 +192,7 @@ func TestDecodeTableRuns(t *testing.T) {
 		}
 	}
 	check("inserted", map[int]int{0: 2, 1: 1, 2: 5, 6: 1, 7: 0, 62: 2, 63: 1})
-	tab.invalidate(slot(4), arm.InstBytes)
+	tab.wrote(nil, slot(4), arm.InstBytes)
 	check("slot 4 invalidated", map[int]int{2: 2, 4: 0, 5: 2})
 	set(4, arm.B)
 	check("slot 4 rewritten to a B", map[int]int{2: 3, 4: 1, 5: 2})

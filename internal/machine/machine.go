@@ -117,6 +117,9 @@ type Machine struct {
 	// weak, when non-nil, enables the operational weak-memory mode
 	// (store buffers with out-of-order drain; see weak.go).
 	weak *weakState
+	// idleWeak is the weak state Reset switched off, kept for
+	// EnableWeakMode to reuse with its buffers' capacity.
+	idleWeak *weakState
 
 	// accLog records, while Apply runs a transition, every memory access
 	// executed: where an exec transition ends, and the footprint DPOR
@@ -211,11 +214,19 @@ func (m *Machine) pagesWritten() int {
 // machine: the pages Write and WriteMem marked are zeroed in place and the
 // written-page set emptied, the first CPU is zeroed and the others dropped
 // (AddCPU reuses them), the counters, line owners, monitors and access log
-// are cleared, weak mode is switched off, every decode-table slot is
-// invalidated but kept, and a changed Cost is resolved. What the caller
-// configured — Cost, the budgets, Inject, the Syscall and OnBLR hooks,
-// SetObs's scope — stays installed.
-// Pointers to m's CPUs taken before the call are stale after it.
+// are cleared, weak mode is switched off (EnableWeakMode reuses its store
+// buffers), and a changed Cost is resolved.
+//
+// Every valid decode-table slot is suspended: no fetch is served from it,
+// so a fetch decodes memory as a new machine's would (and traps where it
+// would), until a Write leaves in memory the very word the slot decoded,
+// which makes it valid again. A program reloaded over itself is therefore
+// not decoded again; any other write, or a fetch before the rewrite,
+// drops the slot's decode.
+//
+// What the caller configured — Cost, the budgets, Inject, the Syscall and
+// OnBLR hooks, SetObs's scope — stays installed. Pointers to m's CPUs
+// taken before the call are stale after it.
 func (m *Machine) Reset() {
 	for i, w := range m.written {
 		for ; w != 0; w &= w - 1 {
@@ -233,9 +244,11 @@ func (m *Machine) Reset() {
 	if m.Cost != m.cost.from {
 		m.cost = resolveCost(m.Cost)
 	}
-	m.decode.invalidateAll()
+	m.decode.suspendAll()
 	m.armed = 0
-	m.weak = nil
+	if m.weak != nil {
+		m.weak, m.idleWeak = nil, m.weak
+	}
 	m.accLog = m.accLog[:0]
 }
 
@@ -281,7 +294,7 @@ func (m *Machine) AddCPU() *CPU {
 	*c = CPU{ID: id}
 	m.CPUs = append(m.CPUs, c)
 	if m.weak != nil {
-		m.weak.buffers = append(m.weak.buffers, nil)
+		m.weak.addBuffer()
 	}
 	return c
 }
@@ -421,7 +434,9 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 // the interpreter tier, host functions — and keeps what a write can
 // invalidate coherent: exclusive monitors overlapping the range are
 // cleared, as a store's are, and so are the decode-table slots it
-// overlaps, so a valid slot always decodes the current word. It marks
+// overlaps, so a valid slot always decodes the current word — but a slot
+// Reset suspended is valid again when the write leaves in memory the word
+// it decoded (see decode.go). It marks
 // every page it touches before copying. It consults no injector, records
 // no access and charges no cycle.
 func (m *Machine) Write(addr uint64, b []byte) error {
@@ -434,7 +449,7 @@ func (m *Machine) Write(addr uint64, b []byte) error {
 	if m.armed != 0 {
 		m.clearMonitors(addr, n)
 	}
-	m.decode.invalidate(addr, n)
+	m.decode.wrote(m.Mem, addr, n)
 	return nil
 }
 
@@ -561,7 +576,8 @@ func (m *Machine) decodeMiss(pc uint64) (*arm.Inst, error) {
 	if err := m.check(pc, arm.InstBytes); err != nil {
 		return nil, fmt.Errorf("fetch: %w", err)
 	}
-	inst, err := arm.DecodeAt(m.Mem, int(pc))
+	word := binary.LittleEndian.Uint32(m.Mem[pc:])
+	inst, err := arm.Decode(word)
 	if err != nil {
 		return nil, faults.Wrap(faults.TrapDecode, err, "host instruction decode")
 	}
@@ -570,7 +586,7 @@ func (m *Machine) decodeMiss(pc uint64) (*arm.Inst, error) {
 		uncached := inst
 		return &uncached, nil
 	}
-	return m.decode.insert(pc, inst), nil
+	return m.decode.insert(pc, word, inst), nil
 }
 
 // fillRun decodes into the table the run that starts at the 4-aligned

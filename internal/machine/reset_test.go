@@ -123,11 +123,11 @@ func TestResetEqualsNew(t *testing.T) {
 		{Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0},
 		{Op: OpExec, CPU: 1}, {Op: OpExec, CPU: 1},
 	} {
-		if _, err := m.Apply(tr); err != nil {
+		if _, err := m.Apply(tr, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Apply(Transition{Op: OpDrain, CPU: 1, Seq: m.weak.buffers[1][0].Seq}); err != nil {
+	if _, err := m.Apply(Transition{Op: OpDrain, CPU: 1, Seq: m.weak.buffers[1][0].Seq}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Write(0xAFF0, bytes.Repeat([]byte{0xEE}, 0x1020)); err != nil {
@@ -178,15 +178,40 @@ func TestResetEqualsNew(t *testing.T) {
 			t.Errorf("Reset left decode page %d valid (%#x)", i, p.valid)
 		}
 	}
+	if m.decode.pages[0].kept == 0 {
+		t.Error("Reset suspended none of the dirty program's decode slots")
+	}
 
-	// Run both the same way: at each state the Enabled lists must agree;
-	// take the same seeded choice on both.
+	// Run both the same way, every fetch checked against memory: the clean
+	// program over the dirty one's suspended slots, then, after another
+	// Reset, over its own, which its byte-identical reload makes valid
+	// again before any fetch.
 	checked := CheckFetches(t, m)
 	code, entries = cleanProgram(t)
 	loadThreads(t, m, code, entries)
 	loadThreads(t, fresh, code, entries)
+	runLockstep(t, m, fresh)
+	m.Reset()
+	fresh = New(mem)
+	loadThreads(t, m, code, entries)
+	loadThreads(t, fresh, code, entries)
+	if m.decode.lookup(entries[0]) == nil || m.decode.lookup(entries[1]) == nil {
+		t.Error("reloading the same code left its entries' decode slots suspended")
+	}
+	runLockstep(t, m, fresh)
+	if *checked == 0 {
+		t.Error("no fetch was served from the reset machine's decode table")
+	}
+}
+
+// runLockstep runs m and fresh the same way to the end: at each state the
+// Enabled lists and the footprints must agree, and both take the same
+// seeded choice. Registers, cycles and memory must agree at the end.
+func runLockstep(t *testing.T, m, fresh *Machine) {
+	t.Helper()
 	rng := splitmix{state: 7}
 	var ta, tb []Transition
+	var fa, fb []MemAccess
 	for step := 0; ; step++ {
 		ta, tb = m.Enabled(ta[:0]), fresh.Enabled(tb[:0])
 		if !slices.Equal(ta, tb) {
@@ -196,8 +221,9 @@ func TestResetEqualsNew(t *testing.T) {
 			break
 		}
 		tr := ta[rng.intn(len(ta))]
-		fa, erra := m.Apply(tr)
-		fb, errb := fresh.Apply(tr)
+		var erra, errb error
+		fa, erra = m.Apply(tr, fa[:0])
+		fb, errb = fresh.Apply(tr, fb[:0])
 		if erra != nil || errb != nil || !slices.Equal(fa, fb) {
 			t.Fatalf("step %d %v: footprints %v / %v, errors %v / %v", step, tr, fa, fb, erra, errb)
 		}
@@ -212,8 +238,94 @@ func TestResetEqualsNew(t *testing.T) {
 	if !bytes.Equal(m.Mem, fresh.Mem) {
 		t.Error("memory after the run differs")
 	}
+}
+
+// TestResetKeepsDecodeSlots: Reset suspends the decode slots a run filled.
+// Before any reload, a fetch from a suspended slot decodes memory as a new
+// machine's fetch does; a Write of a different word, or of part of a word,
+// drops the slot, so the next fetch decodes memory again; a byte-identical
+// Write makes the slots valid again, through any number of Resets. Every
+// fetch is checked against memory.
+func TestResetKeepsDecodeSlots(t *testing.T) {
+	const mem = 1 << 16
+	code := straightLine(t, 8) // seven increments of X1, then HLT
+	slot := func(s int) uint64 { return resetBase + uint64(s)*arm.InstBytes }
+	m := New(mem)
+	checked := CheckFetches(t, m)
+	run := func(m *Machine) (CPU, error) {
+		c := m.CPUs[0]
+		c.PC = resetBase
+		err := m.Run(c, 100)
+		return *c, err
+	}
+	write := func(addr uint64, b []byte) {
+		t.Helper()
+		if err := m.Write(addr, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// suspend fills the slots from code, then resets.
+	suspend := func() {
+		t.Helper()
+		m.Reset()
+		write(resetBase, code)
+		if c, err := run(m); err != nil || c.Regs[1] != 7 {
+			t.Fatalf("filling run: X1 = %d, %v", c.Regs[1], err)
+		}
+		m.Reset()
+		for s := range 8 {
+			if m.decode.lookup(slot(s)) != nil {
+				t.Fatalf("Reset left slot %d valid", s)
+			}
+		}
+	}
+	valid := func(when string, want ...bool) {
+		t.Helper()
+		for s, w := range want {
+			if got := m.decode.lookup(slot(s)) != nil; got != w {
+				t.Errorf("%s: slot %d valid = %v, want %v", when, s, got, w)
+			}
+		}
+	}
+
+	suspend()
+	got, errGot := run(m)
+	want, errWant := run(New(mem))
+	if got != want || fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+		t.Errorf("fetch with no reload: %+v, %v; a new machine: %+v, %v", got, errGot, want, errWant)
+	}
+
+	suspend()
+	add5, _, err := arm.NewAssembler().AddI(arm.X1, arm.X1, 5).Assemble(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := slices.Clone(code)
+	copy(other[2*arm.InstBytes:], add5) // slot 2 now adds 5
+	write(resetBase, other)
+	valid("a different word in slot 2", true, true, false, true, true, true, true, true)
+	if c, err := run(m); err != nil || c.Regs[1] != 11 {
+		t.Errorf("after rewriting slot 2: X1 = %d, %v, want 11", c.Regs[1], err)
+	}
+
+	suspend()
+	write(resetBase, code[:2*arm.InstBytes+2])
+	valid("half of slot 2 written", true, true, false, false, false, false, false, false)
+	write(resetBase+2*arm.InstBytes+2, code[2*arm.InstBytes+2:])
+	valid("the rest written", true, true, false, true, true, true, true, true)
+	if c, err := run(m); err != nil || c.Regs[1] != 7 {
+		t.Errorf("after a split write: X1 = %d, %v, want 7", c.Regs[1], err)
+	}
+
+	suspend()
+	m.Reset()
+	write(resetBase, code)
+	valid("the same code written after two Resets", true, true, true, true, true, true, true, true)
+	if c, err := run(m); err != nil || c.Regs[1] != 7 {
+		t.Errorf("after a byte-identical reload: X1 = %d, %v, want 7", c.Regs[1], err)
+	}
 	if *checked == 0 {
-		t.Error("no fetch was served from the reset machine's decode table")
+		t.Error("no fetch was served from the decode table")
 	}
 }
 

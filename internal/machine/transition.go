@@ -77,17 +77,17 @@ func (m *Machine) Enabled(ts []Transition) []Transition {
 	return ts
 }
 
-// Apply takes one transition and returns its footprint: the memory
+// Apply takes one transition and appends its footprint to fp: the memory
 // accesses it made that other CPUs can observe (a store entering the
 // buffer and a load forwarded from it are private to their CPU and left
-// out). A transition Enabled would not list — a CPU out of range, halted
-// or parked, a store no longer buffered or behind an older overlapping
-// one — is refused with an error and changes nothing.
-func (m *Machine) Apply(t Transition) ([]MemAccess, error) {
+// out). A transition that fails appends nothing. A transition Enabled
+// would not list — a CPU out of range, halted or parked, a store no longer
+// buffered or behind an older overlapping one — is refused with an error
+// and changes nothing.
+func (m *Machine) Apply(t Transition, fp []MemAccess) ([]MemAccess, error) {
 	if err := m.apply(t, nil); err != nil {
-		return nil, err
+		return fp, err
 	}
-	var fp []MemAccess
 	for _, a := range m.accLog {
 		if !a.Local {
 			fp = append(fp, a)

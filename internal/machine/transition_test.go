@@ -118,7 +118,7 @@ func TestWeakDrainHeads(t *testing.T) {
 	if got := m.Enabled([]Transition{{CPU: 9}}); len(got) != 6 || got[0].CPU != 9 {
 		t.Fatalf("Enabled did not append to its argument: %v", got)
 	}
-	fp, err := m.Apply(Transition{Op: OpDrain, CPU: 0, Seq: 2})
+	fp, err := m.Apply(Transition{Op: OpDrain, CPU: 0, Seq: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestApplyRefusals(t *testing.T) {
 		"negative cpu":       {Op: OpDrain, CPU: -1, Seq: 1},
 		"unknown kind":       {Op: "?", CPU: 0},
 	} {
-		if _, err := m.Apply(tr); err == nil {
+		if _, err := m.Apply(tr, nil); err == nil {
 			t.Errorf("%s: Apply(%v) succeeded", name, tr)
 		}
 	}
@@ -161,7 +161,7 @@ func TestApplyRefusals(t *testing.T) {
 		t.Fatalf("refused transitions changed the machine:\n before %s\n after  %s", before, after)
 	}
 	sc := New(1 << 12)
-	if _, err := sc.Apply(Transition{Op: OpDrain, CPU: 0, Seq: 1}); err == nil {
+	if _, err := sc.Apply(Transition{Op: OpDrain, CPU: 0, Seq: 1}, nil); err == nil {
 		t.Error("drain transition accepted without weak mode")
 	}
 }
@@ -185,15 +185,15 @@ func TestApplyExec(t *testing.T) {
 	c := m.CPUs[0]
 	x := Transition{Op: OpExec, CPU: 0}
 	// The buffered store is private to its CPU: an empty footprint.
-	if fp, err := m.Apply(x); err != nil || len(fp) != 0 || c.Insts != 3 {
+	if fp, err := m.Apply(x, nil); err != nil || len(fp) != 0 || c.Insts != 3 {
 		t.Fatalf("first exec: footprint %v, err %v, %d instructions; want none, nil, 3", fp, err, c.Insts)
 	}
-	fp, err := m.Apply(x)
+	fp, err := m.Apply(x, nil)
 	if err != nil || len(fp) != 1 || fp[0] != (MemAccess{Addr: 0x8008, Size: 8}) || c.Insts != 5 {
 		t.Fatalf("second exec: footprint %v, err %v, %d instructions; want the load at 0x8008, nil, 5", fp, err, c.Insts)
 	}
 	// The halt flushes the buffered store: a global write.
-	fp, err = m.Apply(x)
+	fp, err = m.Apply(x, nil)
 	if err != nil || !c.Halted || len(fp) != 1 || fp[0] != (MemAccess{Addr: 0x8000, Size: 8, Write: true}) {
 		t.Fatalf("third exec: footprint %v, err %v, halted %v; want the flushed store, nil, true", fp, err, c.Halted)
 	}
@@ -204,7 +204,7 @@ func TestApplyExec(t *testing.T) {
 	c.Halted, c.PC = false, syms["spin"]
 	start := c.Insts
 	for i := 1; i <= 2; i++ {
-		fp, err = m.Apply(x)
+		fp, err = m.Apply(x, nil)
 		if err != nil || len(fp) != 0 || c.Halted || c.PC != syms["spin"] {
 			t.Fatalf("spin exec %d: footprint %v, err %v, halted %v; want none, nil, live at spin", i, fp, err, c.Halted)
 		}

@@ -40,7 +40,28 @@ type weakState struct {
 // forward, and retire only at barriers, atomics, halts, flushes and drain
 // transitions, so a driver owns every drain through Apply.
 func (m *Machine) EnableWeakMode() {
-	m.weak = &weakState{buffers: make([][]PendingStore, len(m.CPUs))}
+	w := m.idleWeak
+	if w == nil {
+		w = new(weakState)
+	}
+	m.idleWeak = nil
+	w.buffers, w.nextSeq = w.buffers[:0], 0
+	for range m.CPUs {
+		w.addBuffer()
+	}
+	m.weak = w
+}
+
+// addBuffer gives the next CPU an empty store buffer, reusing one a
+// previous weak run left beyond the end.
+func (w *weakState) addBuffer() {
+	n := len(w.buffers)
+	if n == cap(w.buffers) {
+		w.buffers = append(w.buffers, nil)
+		return
+	}
+	w.buffers = w.buffers[:n+1]
+	w.buffers[n] = w.buffers[n][:0]
 }
 
 // WeakEnabled reports whether weak mode is on.
@@ -79,10 +100,10 @@ func (m *Machine) weakLoad(c *CPU, addr uint64, size uint8) (uint64, error) {
 	return m.ReadMem(addr, size)
 }
 
-// weakFlush drains the CPU's entire buffer in order.
+// weakFlush drains the CPU's entire buffer in order, keeping its capacity.
 func (m *Machine) weakFlush(c *CPU) error {
 	buf := m.weak.buffers[c.ID]
-	m.weak.buffers[c.ID] = nil
+	m.weak.buffers[c.ID] = buf[:0]
 	for _, p := range buf {
 		if err := m.WriteMem(p.Addr, p.Size, p.Val); err != nil {
 			return err

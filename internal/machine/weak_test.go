@@ -236,3 +236,39 @@ func TestWeakModeAtomicsFlush(t *testing.T) {
 		t.Fatalf("casal did not commit: %d", v)
 	}
 }
+
+// TestWeakStateReusedAcrossReset: a flush keeps its buffer's capacity, and
+// Reset, EnableWeakMode and AddCPU rebuild weak mode from the state Reset
+// switched off — one empty buffer per CPU, sequence numbers from 1 again —
+// without allocating.
+func TestWeakStateReusedAcrossReset(t *testing.T) {
+	m := New(1 << 16)
+	m.EnableWeakMode()
+	c0, c1 := m.CPUs[0], m.AddCPU()
+	for i := range uint64(4) {
+		for _, c := range []*CPU{c0, c1} {
+			if err := m.weakStore(c, 0x8000+8*i, 8, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.weakFlush(c0); err != nil {
+		t.Fatal(err)
+	}
+	if buf := m.weak.buffers[0]; len(buf) != 0 || cap(buf) < 4 {
+		t.Errorf("flushed buffer: len %d cap %d, want empty with its capacity", len(buf), cap(buf))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		m.EnableWeakMode()
+		if err := m.weakStore(m.AddCPU(), 0x8000, 8, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reset, EnableWeakMode, AddCPU and a store allocated %v times, want 0", n)
+	}
+	w := m.weak
+	if len(w.buffers) != 2 || len(w.buffers[0]) != 0 || len(w.buffers[1]) != 1 || w.buffers[1][0].Seq != 1 || w.nextSeq != 1 {
+		t.Errorf("rebuilt weak state: buffers %v, next seq %d", w.buffers, w.nextSeq)
+	}
+}

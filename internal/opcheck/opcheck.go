@@ -420,6 +420,31 @@ func (c *Compiled) Outcome(m *machine.Machine) (litmus.Outcome, error) {
 	return litmus.NewOutcome(regs, mem), nil
 }
 
+// AppendOutcomeKey appends to key the raw final state Outcome reads —
+// every thread's executed-register mask, every result slot and every
+// location, as they lie in memory — and returns the extended key. Outcome
+// is a pure function of it, so a caller that meets the same final state
+// many times (explore's leaves) can memoise Outcome by key. Every CPU of m
+// must have halted.
+func (c *Compiled) AppendOutcomeKey(key []byte, m *machine.Machine) ([]byte, error) {
+	slots := 0
+	for _, r := range c.regs {
+		slots += len(r)
+	}
+	for _, span := range [...]struct{ addr, words uint64 }{
+		{maskBase, uint64(len(c.regs))},
+		{resultBase, uint64(slots)},
+		{locBase, uint64(len(c.locAddrs))},
+	} {
+		b, err := m.Read(span.addr, 8*span.words)
+		if err != nil {
+			return key, err
+		}
+		key = append(key, b...)
+	}
+	return key, nil
+}
+
 // WalkSteps bounds one sampled execution: compiled litmus programs halt
 // within a few dozen transitions unless an exclusive pair livelocks.
 const WalkSteps = 4096

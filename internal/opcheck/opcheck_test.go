@@ -1,8 +1,10 @@
 package opcheck
 
 import (
+	"errors"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -301,6 +303,79 @@ func TestObserveOnReusedMachine(t *testing.T) {
 		}
 		if !maps.Equal(got, want) {
 			t.Errorf("%s: %v on a machine IRIW ran last, %v on a fresh one", p.Name, got.Sorted(), want.Sorted())
+		}
+	}
+}
+
+// TestResetAcrossPrograms holds one pooled machine, reset from each corpus
+// program to every other (itself included), to a fresh NewMachine of the
+// second: at every step of a seeded walk both enable the same transitions
+// and report the same footprints, and both end in the same outcome and
+// outcome key. Every program's code starts at textBase, so a decode slot
+// kept across Reset that outlived its code would show here. One key never
+// names two outcomes.
+func TestResetAcrossPrograms(t *testing.T) {
+	var progs []*Compiled
+	for _, p := range litmus.Named() {
+		c, err := Compile(p)
+		if errors.Is(err, ErrUnsupported) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		progs = append(progs, c)
+	}
+	pooled := machine.New(memSize)
+	outcomes := make(map[string]litmus.Outcome)
+	var ta, tb []machine.Transition
+	var fa, fb []machine.MemAccess
+	for i, from := range progs {
+		for j, to := range progs {
+			seed := int64(i*len(progs) + j)
+			if _, err := from.Walk(pooled, int(seed), nil); err != nil {
+				t.Fatalf("%s: %v", from.program.Name, err)
+			}
+			if err := to.Reset(pooled); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := to.NewMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := from.program.Name + "→" + to.program.Name
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; ; step++ {
+				ta, tb = pooled.Enabled(ta[:0]), fresh.Enabled(tb[:0])
+				if !slices.Equal(ta, tb) {
+					t.Fatalf("%s step %d: the reset machine enables %v, a fresh one %v", name, step, ta, tb)
+				}
+				if len(ta) == 0 {
+					break
+				}
+				tr := ta[rng.Intn(len(ta))]
+				var erra, errb error
+				fa, erra = pooled.Apply(tr, fa[:0])
+				fb, errb = fresh.Apply(tr, fb[:0])
+				if erra != nil || errb != nil || !slices.Equal(fa, fb) {
+					t.Fatalf("%s step %d %v: footprints %v / %v, errors %v / %v", name, step, tr, fa, fb, erra, errb)
+				}
+			}
+			oa, erra := to.Outcome(pooled)
+			ob, errb := to.Outcome(fresh)
+			ka, errka := to.AppendOutcomeKey(nil, pooled)
+			kb, errkb := to.AppendOutcomeKey(nil, fresh)
+			if err := errors.Join(erra, errb, errka, errkb); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if oa != ob || string(ka) != string(kb) {
+				t.Errorf("%s: the reset machine ends in %q (key %x), a fresh one in %q (key %x)", name, oa, ka, ob, kb)
+			}
+			key := to.program.Name + "\x00" + string(ka)
+			if o, seen := outcomes[key]; seen && o != oa {
+				t.Errorf("%s: key %x names %q and %q", to.program.Name, ka, o, oa)
+			}
+			outcomes[key] = oa
 		}
 	}
 }

@@ -57,12 +57,14 @@ func TrapInfoOf(t *faults.Trap) TrapInfo {
 }
 
 // Matches reports whether t reproduces the bundled trap: same kind, same
-// faulting PC in the same address space, same CPU.
+// faulting PC in the same address space, same CPU, after the same number
+// of steps — a run that took another schedule can trap at the same PC of
+// the same loop, but not after the same steps.
 func (ti TrapInfo) Matches(t *faults.Trap) bool {
 	return t != nil &&
 		ti.Kind == t.Kind.String() &&
 		ti.PC == t.PC && ti.GuestPC == t.GuestPC &&
-		ti.CPU == t.CPU
+		ti.CPU == t.CPU && ti.Steps == t.Steps
 }
 
 // CPUState is one vCPU's architectural state at trap time.

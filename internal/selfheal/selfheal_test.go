@@ -281,7 +281,7 @@ func TestBundleValidateRejects(t *testing.T) {
 }
 
 // TestTrapInfoOfAndMatches checks serialization folds the wrapped error
-// into Msg and Matches keys on kind+PC+space+CPU only.
+// into Msg and Matches keys on kind+PC+space+CPU+steps only.
 func TestTrapInfoOfAndMatches(t *testing.T) {
 	tr := faults.New(faults.TrapDecode, "bad opcode").WithCPU(1).WithGuestPC(0x10040)
 	ti := TrapInfoOf(tr)
@@ -298,6 +298,14 @@ func TestTrapInfoOfAndMatches(t *testing.T) {
 	hostPC := faults.New(faults.TrapDecode, "bad opcode").WithCPU(1).WithHostPC(0x10040)
 	if ti.Matches(hostPC) {
 		t.Error("Matches ignored the guest/host address-space bit")
+	}
+	later := faults.New(faults.TrapDecode, "bad opcode").WithCPU(1).WithGuestPC(0x10040)
+	later.Steps = 7
+	if ti.Matches(later) {
+		t.Error("Matches ignored the step count")
+	}
+	if msg := faults.New(faults.TrapDecode, "other text").WithCPU(1).WithGuestPC(0x10040); !ti.Matches(msg) {
+		t.Error("Matches compared the message")
 	}
 	if ti.Matches(nil) {
 		t.Error("Matches accepted a nil trap")
