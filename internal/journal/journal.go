@@ -5,14 +5,14 @@
 // sequence built on them — scan, truncate the torn tail, position for
 // append.
 //
-// Three clients, one run-file shape. Campaign results (internal/campaign)
-// and explore soak files (internal/explore) are run files: a Header line
-// pinning format tag and config hash, then one record per line, resumed
-// through OpenRun, which refuses a foreign format or config. The daemon's
-// translation cache (internal/transcache) is the header-less case: every
-// line carries its own checksum, so it reopens through OpenAppend with its
-// own line function. Replay traces and crash bundles are whole documents
-// written once, not journals, and only use the Writer.
+// Two clients. Campaign results (internal/campaign) are the run file: a
+// Header line pinning format tag and config hash, then one record per
+// line, resumed through OpenRun, which refuses a foreign format or config,
+// and read back through ReadRun. The daemon's translation cache
+// (internal/transcache) is the header-less case: every line carries its
+// own checksum, so it reopens through OpenAppend with its own line
+// function. Replay traces and crash bundles are whole documents written
+// once, not journals, and only use the Writer.
 package journal
 
 import (

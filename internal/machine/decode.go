@@ -36,7 +36,9 @@ const (
 // or up to the first slot that is not valid, or to the end of the page —
 // is two words and a bit scan away, and is never stale: rewriting a slot
 // rewrites its mark, and a slot that is not valid stops every run that
-// reaches it.
+// reaches it. A second mark, mem, is the stop set of a run that logs its
+// accesses (a transition's, see advance): the slots that may access
+// memory (mayAccess) end such a run too.
 //
 // The zero value is an empty table.
 type decodeTable struct {
@@ -47,6 +49,7 @@ type decodeTable struct {
 type decodePage struct {
 	valid uint64 // bit s: slots.insts[s] decodes the word in Mem
 	ends  uint64 // bit s: slots.insts[s] ends a run
+	mem   uint64 // bit s: slots.insts[s] may access memory
 	// kept marks the suspended slots: not valid, but made valid again by
 	// a Write that leaves slots.words[s] in memory.
 	kept  uint64
@@ -70,6 +73,18 @@ func endsRun(op arm.Op) bool {
 	return false
 }
 
+// mayAccess reports whether op may access memory, directly or by
+// flushing a store buffer: besides the run ends, the instructions after
+// which an exec transition may have to end.
+func mayAccess(op arm.Op) bool {
+	switch op {
+	case arm.LDR, arm.STR, arm.LDAR, arm.LDAPR, arm.STLR, arm.LDXR, arm.STXR, arm.LDAXR, arm.STLXR,
+		arm.CAS, arm.CASAL, arm.LDADDAL, arm.SWPAL, arm.DMB:
+		return true
+	}
+	return false
+}
+
 // lookup returns the cached decode of pc, or nil. Only 4-aligned PCs are
 // ever cached: a slot is a whole instruction word.
 func (t *decodeTable) lookup(pc uint64) *arm.Inst {
@@ -88,16 +103,20 @@ func (t *decodeTable) lookup(pc uint64) *arm.Inst {
 
 // runAt returns the run that starts at pc: its page's slots, the index of
 // its first slot and its length, which is 0 when pc's slot is not valid.
-func (t *decodeTable) runAt(pc uint64) (insts *[decodePageSlots]arm.Inst, s, n int) {
+// With mem, a slot that may access memory ends the run too.
+func (t *decodeTable) runAt(pc uint64, mem bool) (insts *[decodePageSlots]arm.Inst, s, n int) {
 	i := pc/decodePageBytes - t.base
 	if pc%arm.InstBytes != 0 || i >= uint64(len(t.pages)) {
 		return nil, 0, 0
 	}
 	p := &t.pages[i]
 	s = int(pc / arm.InstBytes % decodePageSlots)
-	// Bit k of stop: slot s+k ends a run or is not valid.
-	stop := (p.ends | ^p.valid) >> s
-	if stop == 0 {
+	// Bit k of stop: slot s+k ends the run or is not valid.
+	stop := p.ends | ^p.valid
+	if mem {
+		stop |= p.mem
+	}
+	if stop >>= s; stop == 0 {
 		return &p.slots.insts, s, decodePageSlots - s
 	}
 	// A valid stop slot ends the run and belongs to it; one that is not
@@ -135,8 +154,12 @@ func (t *decodeTable) insert(pc uint64, word uint32, inst arm.Inst) *arm.Inst {
 	p.kept &^= 1 << s
 	p.valid |= 1 << s
 	p.ends &^= 1 << s
+	p.mem &^= 1 << s
 	if endsRun(inst.Op) {
 		p.ends |= 1 << s
+	}
+	if mayAccess(inst.Op) {
+		p.mem |= 1 << s
 	}
 	return &p.slots.insts[s]
 }

@@ -172,6 +172,7 @@ func TestStoreClearsArmedMonitors(t *testing.T) {
 
 // TestDecodeTableRuns: a run reaches up to and including the next run end,
 // stops short of a slot that is not valid, and ends at the page end; a
+// run that stops at memory accesses also ends at the next one; a
 // rewritten or invalidated slot changes the runs through it at once.
 func TestDecodeTableRuns(t *testing.T) {
 	const base = 0x4000
@@ -183,24 +184,32 @@ func TestDecodeTableRuns(t *testing.T) {
 	}
 	set(62, arm.ADDI)
 	set(63, arm.ADDI)
-	check := func(when string, want map[int]int) {
+	check := func(when string, mem bool, want map[int]int) {
 		t.Helper()
 		for s, n := range want {
-			if _, _, got := tab.runAt(slot(s)); got != n {
-				t.Errorf("%s: run at slot %d has %d slots, want %d", when, s, got, n)
+			if _, _, got := tab.runAt(slot(s), mem); got != n {
+				t.Errorf("%s: run (mem %v) at slot %d has %d slots, want %d", when, mem, s, got, n)
 			}
 		}
 	}
-	check("inserted", map[int]int{0: 2, 1: 1, 2: 5, 6: 1, 7: 0, 62: 2, 63: 1})
+	check("inserted", false, map[int]int{0: 2, 1: 1, 2: 5, 6: 1, 7: 0, 62: 2, 63: 1})
 	tab.wrote(nil, slot(4), arm.InstBytes)
-	check("slot 4 invalidated", map[int]int{2: 2, 4: 0, 5: 2})
+	check("slot 4 invalidated", false, map[int]int{2: 2, 4: 0, 5: 2})
 	set(4, arm.B)
-	check("slot 4 rewritten to a B", map[int]int{2: 3, 4: 1, 5: 2})
+	check("slot 4 rewritten to a B", false, map[int]int{2: 3, 4: 1, 5: 2})
 	set(1, arm.ADDI)
-	check("slot 1's B rewritten", map[int]int{0: 5, 1: 4})
+	check("slot 1's B rewritten", false, map[int]int{0: 5, 1: 4})
+	set(3, arm.LDR)
+	set(5, arm.DMB)
+	check("slots 3 and 5 rewritten to an LDR and a DMB", false, map[int]int{0: 5, 3: 2, 5: 2})
+	check("slots 3 and 5 rewritten to an LDR and a DMB", true, map[int]int{0: 4, 3: 1, 4: 1, 5: 1, 6: 1})
+	set(3, arm.ADDI)
+	check("slot 3's LDR rewritten", true, map[int]int{0: 5, 5: 1})
 	for _, pc := range []uint64{slot(2) + 2, base - decodePageBytes, base + decodePageBytes} {
-		if _, _, n := tab.runAt(pc); n != 0 {
-			t.Errorf("runAt(%#x) = %d slots, want none", pc, n)
+		for _, mem := range []bool{false, true} {
+			if _, _, n := tab.runAt(pc, mem); n != 0 {
+				t.Errorf("runAt(%#x, %v) = %d slots, want none", pc, mem, n)
+			}
 		}
 	}
 }

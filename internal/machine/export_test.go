@@ -33,12 +33,20 @@ func CheckFetches(t testing.TB, m *Machine) *uint64 {
 	return &checked
 }
 
-// PerInstruction makes m's Run and RunAll fetch and execute one
-// instruction at a time, the path runs are compared against.
+// PerInstruction makes m's Run, RunAll and exec transitions fetch and
+// execute one instruction at a time, the path runs are compared against.
 func PerInstruction(m *Machine) { m.perInst = true }
 
 // EndsRun reports whether op ends a straight-line run.
 func EndsRun(op arm.Op) bool { return endsRun(op) }
+
+// MayAccess reports whether op ends a run inside an exec transition
+// without ending every run.
+func MayAccess(op arm.Op) bool { return mayAccess(op) }
+
+// MaxInvisible bounds the instructions of an exec transition that
+// accesses no memory.
+const MaxInvisible = maxInvisible
 
 // WrittenPages lists the page numbers in m's written-page set, ascending.
 func WrittenPages(m *Machine) []uint64 {

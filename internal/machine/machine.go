@@ -18,11 +18,14 @@
 //   - one writer, Write, through which everything but the instruction path
 //     writes memory, keeping exclusive monitors and decoded code coherent.
 //
-// Run and RunAll interpret a run at a time: one decode lookup finds the
-// straight-line run up to the next branch, halt or hook, and the loop
-// executes as much of it as the quantum and budgets allow, so
-// interleaving, trap points and instruction counts are those of one
-// instruction at a time (see decode.go).
+// One loop, advance, fetches and executes for both hosts: Run and RunAll
+// on the strong one, the transition system's exec transitions (Apply,
+// Walk, WalkAll) on the weak one. It interprets a run at a time: one
+// decode lookup finds the straight-line run up to the next branch, halt
+// or hook — and, inside a transition, up to the next instruction that may
+// access memory — and executes as much of it as the quantum and budgets
+// allow, so interleaving, transitions, trap points and instruction counts
+// are those of one instruction at a time (see decode.go).
 //
 // The interpreter executes sequentially consistently; weak-memory
 // *ordering* effects are studied axiomatically (internal/models) and
@@ -106,8 +109,9 @@ type Machine struct {
 	// table, a run's instructions before the run executes (tests compare
 	// them with a fresh decode of memory).
 	fetchCheck func(pc uint64, cached *arm.Inst)
-	// perInst makes Run and RunAll fetch and execute one instruction at a
-	// time, through step; tests set it to compare that path with runs.
+	// perInst makes advance, and so Run, RunAll and exec transitions,
+	// fetch and execute one instruction at a time, through step; tests set
+	// it to compare that path with runs.
 	perInst bool
 
 	// armed counts the CPUs whose exclusive monitor is valid, so stores
@@ -123,7 +127,8 @@ type Machine struct {
 
 	// accLog records, while Apply runs a transition, every memory access
 	// executed: where an exec transition ends, and the footprint DPOR
-	// needs to decide which transitions commute.
+	// needs to decide which transitions commute. While accLogOn, advance
+	// ends a run after each instruction that may access memory.
 	accLog   []MemAccess
 	accLogOn bool
 
@@ -551,8 +556,8 @@ func (c *CPU) cond(cc arm.Cond) bool {
 // --- Scheduling ---------------------------------------------------------------
 
 // step executes one instruction on c, fetching it alone: the
-// per-instruction path the transition system's OpExec takes. Halted CPUs
-// are a no-op.
+// per-instruction reference that advance takes under perInst and at an
+// unaligned PC. Halted CPUs are a no-op.
 func (m *Machine) step(c *CPU) error {
 	if c.Halted {
 		return nil
@@ -611,15 +616,19 @@ func (m *Machine) fillRun(c *CPU) error {
 
 // advance executes at most limit (≥ 1) instructions on the live CPU c and
 // returns how many it executed: the run at c.PC, clipped to limit, for one
-// decode lookup. A run ends at the only instructions that branch, halt or
-// call a hook, so its instructions are the ones the per-instruction path
-// would have executed, at the same PCs. An unaligned PC and perInst take
+// decode lookup. It is the machine's one fetch/execute loop. A run ends at
+// the only instructions that branch, halt or call a hook, so its
+// instructions are the ones the per-instruction path would have executed,
+// at the same PCs. While the access log is on — inside apply — a run also
+// ends after each instruction that may access memory, so an exec
+// transition sees its first logged access, or its halt or park, the
+// moment the run that made it returns. An unaligned PC and perInst take
 // step, one instruction.
 func (m *Machine) advance(c *CPU, limit int) (int, error) {
 	if m.perInst {
 		return 1, m.step(c)
 	}
-	insts, s, n := m.decode.runAt(c.PC)
+	insts, s, n := m.decode.runAt(c.PC, m.accLogOn)
 	if n == 0 {
 		if c.PC%arm.InstBytes != 0 {
 			return 1, m.step(c)
@@ -627,7 +636,7 @@ func (m *Machine) advance(c *CPU, limit int) (int, error) {
 		if err := m.fillRun(c); err != nil {
 			return 0, err
 		}
-		insts, s, n = m.decode.runAt(c.PC)
+		insts, s, n = m.decode.runAt(c.PC, m.accLogOn)
 	}
 	run := insts[s : s+min(n, limit)]
 	if m.fetchCheck != nil {

@@ -2,11 +2,11 @@
 // store becomes visible to the other CPUs — is a transition system the
 // machine itself owns: Enabled lists the moves the current state offers and
 // Apply takes one. Every driver that resolves a choice is a client of that
-// pair: Walk below (seeded uniform sampling, under opcheck's sampler,
-// explore's soak and whole guests on the weak host, core.WithWeakMemory),
-// explore's exhaustive DPOR search, and trace replay. No store leaves a
-// buffer early any other way: outside OpDrain, only barriers, atomics and
-// flushes retire buffered stores.
+// pair: Walk below (seeded uniform sampling, under opcheck's sampler —
+// which explore's walk mode draws from — and whole guests on the weak
+// host, core.WithWeakMemory), explore's exhaustive DPOR search, and trace
+// replay. No store leaves a buffer early any other way: outside OpDrain,
+// only barriers, atomics and flushes retire buffered stores.
 
 package machine
 
@@ -29,7 +29,10 @@ type PendingStore struct {
 // The kinds of transition.
 const (
 	// OpExec runs one CPU up to and including its next instruction that
-	// accesses memory, halts it or parks it (Wait).
+	// accesses memory, halts it or parks it (Wait), a run at a time
+	// through advance: a run it takes ends after each instruction that
+	// may access memory, and one that accessed none (a failed STXR, a DMB
+	// on an empty buffer) lets the transition go on.
 	OpExec = "x"
 	// OpDrain retires one buffered store to memory.
 	OpDrain = "d"
@@ -135,10 +138,12 @@ func (m *Machine) apply(t Transition, w *watchdog) error {
 			limit = w.clip(c, limit)
 		}
 		before := c.Insts
-		for i := limit; i > 0; i-- {
-			if err := m.step(c); err != nil {
+		for limit > 0 {
+			n, err := m.advance(c, limit)
+			if err != nil {
 				return err
 			}
+			limit -= n
 			if len(m.accLog) > 0 || !c.runnable() {
 				break
 			}

@@ -19,8 +19,11 @@
 # names SeededDrains, and apply's OpDrain is the one non-test m.drain( call.
 # A joining CPU waits instead of retrying: no Go file names Yield(,
 # errJoinBlocked or sched.yields, and Machine.Wait's only non-test callers
-# are the two join handlers (machine/syscall.go, core/helpers.go). A one-iteration bench smoke keeps
-# scripts/bench_snapshot.sh and the benchmarks it snapshots compiling; the
+# are the two join handlers (machine/syscall.go, core/helpers.go). The
+# machine has one interpreter loop: transition.go calls no m.step(, and
+# every non-test m.step( call in internal/machine is inside advance. A
+# one-iteration bench smoke keeps scripts/bench_snapshot.sh and the
+# benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The explore
 # stages pin the operational exploration engine: DPOR must reach every
 # allowed SB outcome, budget-exhausted DPOR and walk traces must replay
@@ -115,6 +118,17 @@ stage "a join waits: no Go file names Yield(, errJoinBlocked or sched.yields; Ma
 if grep -rnE --include='*.go' 'Yield\(|errJoinBlocked|sched\.yields' cmd internal examples perf ./*.go >&2; then echo "the join retry protocol is back: a blocked join parks through Machine.Wait" >&2; exit 1; fi
 callers=$(grep -roE --include='*.go' --exclude='*_test.go' '\.Wait\([^)]' cmd internal examples perf ./*.go | cut -d: -f1 | sort | tr '\n' ' ')
 [ "$callers" = "internal/core/helpers.go internal/machine/syscall.go " ] || { echo "Machine.Wait's non-test callers are '$callers', want one call each in internal/core/helpers.go and internal/machine/syscall.go (the join handlers):" >&2; grep -rnE --include='*.go' --exclude='*_test.go' '\.Wait\([^)]' cmd internal examples perf ./*.go >&2; exit 1; }
+
+# The machine has one fetch/execute loop, advance, for both hosts: Run and
+# RunAll execute through it, and so do the transition system's exec
+# transitions, whose runs also stop after each instruction that may access
+# memory. step, the per-instruction reference, is advance's alone to call
+# (perInst, unaligned PCs): transition.go calls no m.step(, and every
+# non-test m.step( call in internal/machine is inside advance.
+stage "one interpreter loop: transition.go has no m.step(; every non-test m.step( call in internal/machine is inside advance"
+if grep -n 'm\.step(' internal/machine/transition.go >&2; then echo "transition.go steps a CPU itself: exec transitions run through advance" >&2; exit 1; fi
+outside=$(awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } /m\.step\(/ && fn !~ /^func \(m \*Machine\) advance\(/ { print FILENAME ":" FNR ": " $0 }' $machine_src)
+[ -z "$outside" ] || { echo "non-test m.step( calls outside advance (the one loop):" >&2; echo "$outside" >&2; exit 1; }
 
 stage "every internal package has a non-test importer (module, perf/, examples/)"
 imported=$( { go list -f '{{join .Imports "\n"}}' ./...; (cd perf && go list -f '{{join .Imports "\n"}}' ./...); } | sort -u)
