@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/guestimg"
 	"repro/internal/isa/x86"
+	"repro/internal/machine"
 	"repro/internal/portasm"
 	"repro/internal/workloads"
 )
@@ -26,9 +27,14 @@ type outcome struct {
 	segments                []byte // final bytes of every image segment
 }
 
-func runOutcome(t *testing.T, img *guestimg.Image, opts ...Option) outcome {
+// outcomeMem is the memory size of the machines runOutcome runs on.
+const outcomeMem = 4 << 20
+
+// runOutcome runs img on m, a machine of outcomeMem bytes that the test
+// reuses from run to run (core.WithMachine resets it).
+func runOutcome(t *testing.T, m *machine.Machine, img *guestimg.Image, opts ...Option) outcome {
 	t.Helper()
-	rt, err := New(img, append(opts, WithMemSize(4<<20), WithStepBudget(50_000_000))...)
+	rt, err := New(img, append(opts, WithMachine(m), WithMemSize(outcomeMem), WithStepBudget(50_000_000))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +79,13 @@ func guestOf(t *testing.T) func(*portasm.Builder, error) *guestimg.Image {
 func TestWeakHostCallSeesCallersPush(t *testing.T) {
 	img := guestOf(t)(workloads.DigestProgram("md5", 1024, 3))
 	opts := []Option{WithVariant(VariantRisotto), WithHostLinker(workloads.IDLAll, nil)}
-	strong := runOutcome(t, img, opts...)
+	m := machine.New(outcomeMem)
+	strong := runOutcome(t, m, img, opts...)
 	if strong.hostCalls != 3 {
 		t.Fatalf("strong run: %v, want 3 host calls", strong)
 	}
 	for seed := int64(0); seed < 12; seed++ {
-		if weak := runOutcome(t, img, append(opts, WithWeakMemory(seed))...); weak.String() != strong.String() {
+		if weak := runOutcome(t, m, img, append(opts, WithWeakMemory(seed))...); weak.String() != strong.String() {
 			t.Errorf("seed %d: weak %v, strong %v", seed, weak, strong)
 		}
 	}
@@ -100,9 +107,10 @@ func TestWeakHelperRMWSeesOwnStore(t *testing.T) {
 		Ld(val, x, 0, 8).
 		Exit(val)
 	img := guestOf(t)(b, nil)
+	m := machine.New(outcomeMem)
 	for _, v := range allVariants {
 		for seed := int64(0); seed < 32; seed++ {
-			if got := runOutcome(t, img, WithVariant(v), WithWeakMemory(seed)).exit; got != 2 {
+			if got := runOutcome(t, m, img, WithVariant(v), WithWeakMemory(seed)).exit; got != 2 {
 				t.Errorf("%v seed %d: exit %d, want 2", v, seed, got)
 			}
 		}
@@ -218,6 +226,7 @@ func TestWeakSingleThreadEqualsStrong(t *testing.T) {
 	}
 	guests = append(guests, guest{"casbench", build(workloads.CASBench(1, 1, 64)), "", 32})
 
+	m := machine.New(outcomeMem)
 	for _, g := range guests {
 		for _, v := range allVariants {
 			// The host linker is Risotto's (§6.2): under the other
@@ -227,9 +236,9 @@ func TestWeakSingleThreadEqualsStrong(t *testing.T) {
 				continue
 			}
 			opts := []Option{WithVariant(v), WithHostLinker(g.idl, nil)}
-			strong := runOutcome(t, g.img, opts...)
+			strong := runOutcome(t, m, g.img, opts...)
 			for seed := int64(0); seed < g.seeds; seed++ {
-				weak := runOutcome(t, g.img, append(opts, WithWeakMemory(seed))...)
+				weak := runOutcome(t, m, g.img, append(opts, WithWeakMemory(seed))...)
 				if weak.String() != strong.String() {
 					t.Errorf("%s %v seed %d: weak %v, strong %v", g.name, v, seed, weak, strong)
 				} else if !bytes.Equal(weak.segments, strong.segments) {

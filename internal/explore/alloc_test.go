@@ -16,14 +16,16 @@ import (
 // allocated ≈460 MB; one machine reset in place, ≈19 MB; with DFS frames
 // reused by depth, sleep sets as slices, footprints in per-frame arenas,
 // memoised leaf outcomes, reused store buffers and decode slots kept
-// across Reset, ≈0.1 MB — the compile, the reference enumeration and the
-// search's buffers, allocated once per Run.
-const dporAllocCeiling = 2 << 20
+// across Reset, ≈0.1 MB. Backtracking by rollback adds checkpoints and a
+// write journal, reused by depth like the frames, and takes the machine
+// from opcheck's pool: ≈0.1 MB — the compile, the reference enumeration
+// and the search's buffers, allocated once per Run.
+const dporAllocCeiling = 512 << 10
 
 // TestDPORAllocCeiling: one DPOR Run of SB stays under dporAllocCeiling, so
-// going back to a machine per re-execution, or to allocating per state —
-// a frame, a sleep-set map or a footprint per transition, an outcome per
-// leaf — fails the suite.
+// going back to a machine per re-execution or per Run, or to allocating per
+// state — a frame, a checkpoint, a sleep-set map or a footprint per
+// transition, an outcome per leaf — fails the suite.
 func TestDPORAllocCeiling(t *testing.T) {
 	// TotalAlloc is process-wide, so a runtime goroutine allocating during
 	// the window inflates one reading; the smallest of three is the Run's

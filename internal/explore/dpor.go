@@ -3,11 +3,15 @@ package explore
 import "repro/internal/machine"
 
 // Sleep-set dynamic partial-order reduction over the machine's transition
-// system, as a stateless depth-first search: the exploration's one machine
-// is reset to its initial state and re-executed along the decision prefix
-// whenever the search backtracks (litmus programs are a few dozen
-// transitions deep, so replay is cheaper than snapshotting every CPU at
-// every node).
+// system, as a depth-first search that backtracks by rollback: the
+// exploration's one machine is reset once, and a frame whose state the
+// search will come back to saves it (machine.Save) before taking its
+// first branch. Backtracking rolls the machine back to the frame it
+// resumes (machine.Rollback, which unwinds the machine's write journal)
+// and applies only the new branch, so every transition executes once.
+// A frame saves only when a later sibling is not yet asleep: sleep sets
+// only grow while a frame is on the stack, so a frame without one is
+// never resumed.
 //
 // The classical sleep-set rule prunes commuting interleavings without
 // losing any final state: after the subtree below transition t is fully
@@ -23,17 +27,16 @@ import "repro/internal/machine"
 // and invisible instructions touch no memory).
 //
 // The search allocates per Run, not per state. The DFS stack is a slice of
-// frames that outlives every re-execution: the frame at depth d serves each
-// state the search meets at depth d, so its buffers grow to the largest
-// such state and are afterwards only truncated. A frame keeps its state's
-// Enabled list, its sleep set as a slice of (transition, footprint) pairs
-// searched linearly — sleep sets hold a handful of entries — and a
-// footprint arena: machine.Apply appends each branch's footprint to it, so
-// a sleeping footprint is a slice of the arena of the frame that explored
-// it, and a child inherits it by copying the slice header. An arena only
-// grows while its frame is on the stack (a prefix replay rewrites the
-// chosen branch's footprint, the arena's tail, with the same accesses), so
-// no footprint a sleep set holds is ever overwritten.
+// frames that outlives every branch: the frame at depth d serves each
+// state the search meets at depth d, so its buffers — its checkpoint's
+// among them — grow to the largest such state and are afterwards only
+// truncated. A frame keeps its state's Enabled list, its sleep set as a
+// slice of (transition, footprint) pairs searched linearly — sleep sets
+// hold a handful of entries — and a footprint arena: machine.Apply
+// appends each branch's footprint to it, so a sleeping footprint is a
+// slice of the arena of the frame that explored it, and a child inherits
+// it by copying the slice header. An arena only grows while its frame is
+// on the stack, so no footprint a sleep set holds is ever overwritten.
 
 // dnode is one frame of the DFS stack.
 type dnode struct {
@@ -48,9 +51,9 @@ type dnode struct {
 	// arena holds the footprints of the branches the frame put to sleep,
 	// then the chosen branch's.
 	arena []machine.MemAccess
-	// counted guards the States metric: a transition is counted when
-	// first executed, not on each prefix replay.
-	counted bool
+	// cp is the state, saved before the first branch when a later one may
+	// be taken.
+	cp machine.Checkpoint
 }
 
 // asleep reports whether t is in nd's sleep set.
@@ -63,8 +66,24 @@ func (nd *dnode) asleep(t machine.Transition) bool {
 	return false
 }
 
+// next returns the first branch after the chosen one that is not asleep,
+// or -1.
+func (nd *dnode) next() int {
+	for i := nd.chosen + 1; i < len(nd.ts); i++ {
+		if !nd.asleep(nd.ts[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // runDFS explores exhaustively.
 func (e *explorer) runDFS() {
+	m, err := e.restart()
+	if err != nil {
+		e.trapped(nil, err)
+		return
+	}
 	// frames[:depth] is the DFS stack; the frames past it wait for reuse.
 	var frames []*dnode
 	depth := 0
@@ -72,125 +91,93 @@ func (e *explorer) runDFS() {
 	// frames[i].ts[frames[i].chosen], kept in step with every push, pop and
 	// advance; cut, leaf and trapped copy it only when they keep it.
 	var path []machine.Transition
-	// take applies nd's chosen branch and records its footprint in place
-	// of the one a previous execution of the branch recorded.
-	take := func(m *machine.Machine, nd *dnode) error {
+	// take applies nd's chosen branch and records its footprint.
+	take := func(nd *dnode) error {
 		t := nd.ts[nd.chosen]
-		start := len(nd.arena) - len(nd.fp.accs)
+		start := len(nd.arena)
 		var err error
-		nd.arena, err = m.Apply(t, nd.arena[:start])
+		nd.arena, err = m.Apply(t, nd.arena)
 		nd.fp = footprint{t: t, accs: nd.arena[start:]}
 		return err
 	}
 
-	// backtrack puts the finished branch to sleep and advances the
-	// deepest frame with an unexplored, non-sleeping sibling; false
-	// means the whole tree is done.
+	// backtrack puts the finished branch to sleep, finds the deepest
+	// frame with an unexplored, non-sleeping sibling, rolls the machine
+	// back to it and takes the sibling; false means the whole tree is
+	// done. A sibling that traps is recorded, not counted as a state, and
+	// put to sleep in turn.
 	backtrack := func() bool {
 		for depth > 0 {
 			nd := frames[depth-1]
 			nd.sleep = append(nd.sleep, nd.fp)
 			nd.fp = footprint{}
-			for i := nd.chosen + 1; i < len(nd.ts); i++ {
-				if !nd.asleep(nd.ts[i]) {
-					nd.chosen = i
-					path[depth-1] = nd.ts[i]
-					nd.counted = false
-					return true
-				}
+			if nd.chosen = nd.next(); nd.chosen < 0 {
+				depth--
+				path = path[:depth]
+				continue
 			}
-			depth--
-			path = path[:depth]
+			path[depth-1] = nd.ts[nd.chosen]
+			m.Rollback(&nd.cp)
+			if err := take(nd); err != nil {
+				e.trapped(path, err)
+				continue
+			}
+			e.res.States++
+			return true
 		}
 		return false
 	}
 
+	// Extend greedily to a leaf, pushing a frame per new state. A run
+	// whose last transition spends the budget is complete, not cut: its
+	// path replays to an outcome, so the leaf is looked for first.
 	for {
-		// Re-execute the chosen prefix from the initial state.
-		m, err := e.restart()
-		if err != nil {
-			e.trapped(nil, err)
-			return
+		if depth == len(frames) {
+			frames = append(frames, new(dnode))
 		}
-		replayFailed := false
-		for i, nd := range frames[:depth] {
-			if err := take(m, nd); err != nil {
-				// Only a frontier transition can fail for the first time
-				// (the machine is deterministic given the prefix), so this
-				// is the just-advanced branch: record and back off.
-				e.trapped(path[:i+1], err)
-				replayFailed = true
-				break
+		nd := frames[depth]
+		nd.ts = m.Enabled(nd.ts[:0])
+		if len(nd.ts) == 0 {
+			if err := e.leaf(m, path); err != nil {
+				e.trapped(path, err)
 			}
-			if !nd.counted {
-				e.res.States++
-				nd.counted = true
-			}
-		}
-		if replayFailed {
 			if !backtrack() {
 				return
 			}
 			continue
 		}
-
-		// Extend greedily to a leaf, pushing a frame per new state. A run
-		// whose last transition spends the budget is complete, not cut: its
-		// path replays to an outcome, so the leaf is looked for first.
-		for {
-			if depth == len(frames) {
-				frames = append(frames, new(dnode))
-			}
-			nd := frames[depth]
-			nd.ts = m.Enabled(nd.ts[:0])
-			if len(nd.ts) == 0 {
-				if err := e.leaf(m, path); err != nil {
-					e.trapped(path, err)
+		if e.cut(path) {
+			return
+		}
+		nd.sleep, nd.arena, nd.fp = nd.sleep[:0], nd.arena[:0], footprint{}
+		if depth > 0 {
+			parent := frames[depth-1]
+			for _, ufp := range parent.sleep {
+				if independent(ufp, parent.fp) {
+					nd.sleep = append(nd.sleep, ufp)
 				}
-				if !backtrack() {
-					return
-				}
-				break
 			}
-			if e.cut(path) {
+		}
+		nd.chosen = -1
+		if nd.chosen = nd.next(); nd.chosen < 0 {
+			// Every enabled transition sleeps: all behaviours below
+			// were already explored along a commuted order.
+			e.res.Pruned++
+			if !backtrack() {
 				return
 			}
-			nd.sleep, nd.arena, nd.fp = nd.sleep[:0], nd.arena[:0], footprint{}
-			if depth > 0 {
-				parent := frames[depth-1]
-				for _, ufp := range parent.sleep {
-					if independent(ufp, parent.fp) {
-						nd.sleep = append(nd.sleep, ufp)
-					}
-				}
-			}
-			nd.chosen = -1
-			for i := range nd.ts {
-				if !nd.asleep(nd.ts[i]) {
-					nd.chosen = i
-					break
-				}
-			}
-			if nd.chosen < 0 {
-				// Every enabled transition sleeps: all behaviours below
-				// were already explored along a commuted order.
-				e.res.Pruned++
-				if !backtrack() {
-					return
-				}
-				break
-			}
-			depth++
-			path = append(path, nd.ts[nd.chosen])
-			err := take(m, nd)
-			nd.counted = true
-			e.res.States++
-			if err != nil {
-				e.trapped(path, err)
-				if !backtrack() {
-					return
-				}
-				break
+			continue
+		}
+		if nd.next() >= 0 {
+			m.Save(&nd.cp)
+		}
+		depth++
+		path = append(path, nd.ts[nd.chosen])
+		e.res.States++
+		if err := take(nd); err != nil {
+			e.trapped(path, err)
+			if !backtrack() {
+				return
 			}
 		}
 	}

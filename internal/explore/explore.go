@@ -108,9 +108,9 @@ type Result struct {
 	Test string
 	Mode Mode
 	// Runs counts completed executions (walk runs or enumeration
-	// leaves); States counts transitions executed (each distinct
-	// extension once — DPOR prefix replays are not re-counted); Pruned
-	// counts sleep-set cut branches.
+	// leaves); States counts transitions executed, each once (a DPOR
+	// branch that traps as the search backtracks to it is not counted);
+	// Pruned counts sleep-set cut branches.
 	Runs, States, Pruned int
 	// Allowed is the axiomatic reference's outcome count; Covered is
 	// how many of them the exploration observed. Observed lists every
@@ -147,6 +147,16 @@ func (r *Result) Full() bool {
 // Programs outside the compilable subset return opcheck.ErrUnsupported
 // (callers skip, as with opcheck itself).
 func Run(p *litmus.Program, cfg Config) (*Result, error) {
+	e, err := exploreRun(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.res, nil
+}
+
+// exploreRun is Run, returning the explorer that ran. The machine is
+// borrowed from opcheck's pool for the length of the run.
+func exploreRun(p *litmus.Program, cfg Config) (*explorer, error) {
 	c, err := opcheck.Compile(p)
 	if err != nil {
 		return nil, err
@@ -156,10 +166,8 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	m, err := c.NewMachine()
-	if err != nil {
-		return nil, err
-	}
+	m := opcheck.BorrowMachine()
+	defer opcheck.ReturnMachine(m)
 	e := &explorer{
 		cfg:      cfg,
 		compiled: c,
@@ -184,7 +192,7 @@ func Run(p *litmus.Program, cfg Config) (*Result, error) {
 	}
 	e.res.Elapsed = time.Since(start)
 	e.finish()
-	return e.res, nil
+	return e, nil
 }
 
 // reference enumerates p's outcomes under op-ref, the machine's exact
@@ -207,9 +215,11 @@ type explorer struct {
 	res      *Result
 	sc       *obs.Scope
 	deadline time.Time
-	// m is the Run's one machine; every DPOR run starts on it through
-	// restart, every walk through opcheck's Walk.
+	// m is the Run's one machine: DPOR resets it once, through restart,
+	// and every walk through opcheck's Walk.
 	m *machine.Machine
+	// restarts counts restart's resets.
+	restarts int
 	// outcomes memoises compiled.Outcome by the final state's key
 	// (opcheck's AppendOutcomeKey), built in key.
 	outcomes map[string]litmus.Outcome
@@ -219,6 +229,7 @@ type explorer struct {
 // restart returns the Run's machine reset in place to the program's
 // initial state.
 func (e *explorer) restart() (*machine.Machine, error) {
+	e.restarts++
 	return e.m, e.compiled.Reset(e.m)
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +64,38 @@ func TestDPORFencedShapesReachOnlySC(t *testing.T) {
 				t.Fatalf("fenced shape has %d allowed outcomes, want the 3 SC ones", res.Allowed)
 			}
 		})
+	}
+}
+
+// TestDPORResetsOnce: a DPOR Run resets its machine to the program's
+// initial state (Compiled.Reset, through restart) exactly once and
+// backtracks by rollback — over full searches of the benchmark's set and
+// an RMW shape, and over the corpus under a state budget that cuts the
+// larger searches short.
+func TestDPORResetsOnce(t *testing.T) {
+	type search struct {
+		p         *litmus.Program
+		maxStates int
+	}
+	var searches []search
+	for _, p := range []*litmus.Program{litmus.SB(), litmus.MP(), litmus.LB(), litmus.TwoPlusTwoW(), litmus.SBAL()} {
+		searches = append(searches, search{p, 0})
+	}
+	for _, p := range litmus.Named() {
+		searches = append(searches, search{p, 2000})
+	}
+	for _, s := range searches {
+		e, err := exploreRun(s.p, Config{Mode: ModeDPOR, MaxStates: s.maxStates})
+		if errors.Is(err, opcheck.ErrUnsupported) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", s.p.Name, err)
+		}
+		if e.restarts != 1 {
+			t.Errorf("%s (max states %d): %d resets over %d states and %d runs, want 1",
+				s.p.Name, s.maxStates, e.restarts, e.res.States, e.res.Runs)
+		}
 	}
 }
 

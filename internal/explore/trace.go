@@ -167,8 +167,9 @@ func Replay(p *litmus.Program, tr *Trace) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := c.NewMachine()
-	if err != nil {
+	m := opcheck.BorrowMachine()
+	defer opcheck.ReturnMachine(m)
+	if err := c.Reset(m); err != nil {
 		return nil, err
 	}
 	out := &Trace{Header: tr.Header}

@@ -9,7 +9,7 @@ import (
 
 // A decode page covers 64 instruction slots — 256 bytes of code — so its
 // validity fits one word and a machine that fetches ~100 contiguous
-// instructions (an explore re-execution) pays for two or three pages.
+// instructions (a compiled litmus program) pays for two or three pages.
 const (
 	decodePageShift = 6
 	decodePageSlots = 1 << decodePageShift
@@ -28,7 +28,7 @@ const (
 // afresh as on a new machine, but a later Write that leaves the slot's
 // whole word in memory equal to the word it decoded revalidates it. The
 // raw words live in the slot block beside the decodes, so a reload of the
-// same code (explore's re-executions) costs a word compare per slot and no
+// same code (opcheck's walks) costs a word compare per slot and no
 // decode.
 //
 // A page also marks the slots that end a run (endsRun), so the run that

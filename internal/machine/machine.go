@@ -139,6 +139,10 @@ type Machine struct {
 	// or Walk returns.
 	sc     *obs.Scope
 	quanta *obs.Counter
+
+	// journal records, while accLogOn and once Save made a checkpoint,
+	// the memory a transition overwrites; see checkpoint.go.
+	journal journal
 }
 
 // CPU is one simulated hardware thread.
@@ -214,13 +218,14 @@ func (m *Machine) pagesWritten() int {
 }
 
 // Reset returns m to the state New(len(m.Mem)) builds while keeping its
-// allocations, so a driver that re-executes a program many times (explore's
-// DPOR replays, opcheck's walks, a risottod worker's jobs) reuses one
+// allocations, so a driver that runs a program many times (explore's
+// explorations, opcheck's walks, a risottod worker's jobs) reuses one
 // machine: the pages Write and WriteMem marked are zeroed in place and the
 // written-page set emptied, the first CPU is zeroed and the others dropped
 // (AddCPU reuses them), the counters, line owners, monitors and access log
 // are cleared, weak mode is switched off (EnableWeakMode reuses its store
-// buffers), and a changed Cost is resolved.
+// buffers), the write journal is emptied and stopped, so every checkpoint
+// is discarded, and a changed Cost is resolved.
 //
 // Every valid decode-table slot is suspended: no fetch is served from it,
 // so a fetch decodes memory as a new machine's would (and traps where it
@@ -255,6 +260,7 @@ func (m *Machine) Reset() {
 		m.weak, m.idleWeak = nil, m.weak
 	}
 	m.accLog = m.accLog[:0]
+	m.journal = journal{undos: m.journal.undos[:0], old: m.journal.old[:0]}
 }
 
 // SetObs points the machine's instrumentation at root's "machine" child
@@ -315,10 +321,15 @@ type MemAccess struct {
 	Local bool
 }
 
-// record appends to the access log when enabled; free otherwise.
+// record appends to the access log when enabled; free otherwise. A store
+// to memory records before it writes, so that once a checkpoint exists
+// the journal keeps the bytes it overwrites.
 func (m *Machine) record(addr uint64, size uint8, write, local bool) {
 	if m.accLogOn {
 		m.accLog = append(m.accLog, MemAccess{Addr: addr, Size: size, Write: write, Local: local})
+		if write && !local && m.journal.on {
+			m.journalBytes(addr, uint64(size), false)
+		}
 	}
 }
 
@@ -413,6 +424,7 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	}
 	m.markPage(addr >> pageShift)
 	m.markPage((addr + uint64(size) - 1) >> pageShift)
+	m.record(addr, size, true, false)
 	switch b := m.Mem[addr:]; size {
 	case 1:
 		b[0] = byte(v)
@@ -430,7 +442,6 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 	if m.armed != 0 {
 		m.clearMonitors(addr, uint64(size))
 	}
-	m.record(addr, size, true, false)
 	return nil
 }
 
@@ -443,13 +454,17 @@ func (m *Machine) WriteMem(addr uint64, size uint8, v uint64) error {
 // Reset suspended is valid again when the write leaves in memory the word
 // it decoded (see decode.go). It marks
 // every page it touches before copying. It consults no injector, records
-// no access and charges no cycle.
+// no access and charges no cycle; inside a transition, once a checkpoint
+// exists, the journal keeps the bytes it overwrites.
 func (m *Machine) Write(addr uint64, b []byte) error {
 	n := uint64(len(b))
 	if err := m.CheckRange(addr, n); err != nil || n == 0 {
 		return err
 	}
 	m.markRange(addr, n)
+	if m.accLogOn && m.journal.on {
+		m.journalBytes(addr, n, true)
+	}
 	copy(m.Mem[addr:], b)
 	if m.armed != 0 {
 		m.clearMonitors(addr, n)

@@ -113,12 +113,15 @@ func loadThreads(t *testing.T, m *Machine, code []byte, entries []uint64) {
 // program loaded over the first one's cached code. Memory is dirtied by
 // each writer that marks pages: Write (the code, a range over three pages,
 // the partial last page of a size that is not a multiple of the page size),
-// WriteMem (a CAS, a store straddling two pages) and a weak drain.
+// WriteMem (a CAS, a store straddling two pages) and a weak drain; the
+// write journal, by a checkpoint saved before the transitions.
 func TestResetEqualsNew(t *testing.T) {
 	const mem = 1<<16 + 0x900
 	m := New(mem)
 	code, entries := dirtyProgram(t)
 	loadThreads(t, m, code, entries)
+	var cp Checkpoint
+	m.Save(&cp)
 	for _, tr := range []Transition{
 		{Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0}, {Op: OpExec, CPU: 0},
 		{Op: OpExec, CPU: 1}, {Op: OpExec, CPU: 1},
@@ -149,10 +152,11 @@ func TestResetEqualsNew(t *testing.T) {
 	}
 	dirty := len(m.CPUs) >= 2 && m.CPUs[0].Waiting() && len(m.weak.buffers[0]) == 2 && len(m.weak.buffers[1]) == 0 &&
 		m.weak.nextSeq > 0 && m.armed == 1 && len(m.lineOwner) > 0 && m.DMBExec[arm.BarrierFull] > 0 &&
-		m.AtomicExec == 2 && len(m.accLog) > 0 && len(m.decode.pages) > 0 && m.decode.pages[0].valid != 0
+		m.AtomicExec == 2 && len(m.accLog) > 0 && len(m.decode.pages) > 0 && m.decode.pages[0].valid != 0 &&
+		m.journal.on && len(m.journal.undos) > 0 && len(m.journal.old) > 0
 	if !dirty {
-		t.Fatalf("dirtying left cpus=%d buffers=%v seq=%d armed=%d owners=%d dmb=%v atomics=%d acclog=%d",
-			len(m.CPUs), m.weak.buffers, m.weak.nextSeq, m.armed, len(m.lineOwner), m.DMBExec, m.AtomicExec, len(m.accLog))
+		t.Fatalf("dirtying left cpus=%d buffers=%v seq=%d armed=%d owners=%d dmb=%v atomics=%d acclog=%d journal=%d",
+			len(m.CPUs), m.weak.buffers, m.weak.nextSeq, m.armed, len(m.lineOwner), m.DMBExec, m.AtomicExec, len(m.accLog), len(m.journal.undos))
 	}
 
 	if n := testing.AllocsPerRun(10, m.Reset); n != 0 {
@@ -172,6 +176,8 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Errorf("Reset left %d line owners, armed %d", len(m.lineOwner), m.armed)
 	case m.weak != nil || len(m.accLog) != 0:
 		t.Errorf("Reset left weak mode %v, %d logged accesses", m.weak != nil, len(m.accLog))
+	case m.journal.on || len(m.journal.undos) != 0 || len(m.journal.old) != 0:
+		t.Errorf("Reset left the journal on=%v with %d undos", m.journal.on, len(m.journal.undos))
 	}
 	for i, p := range m.decode.pages {
 		if p.valid != 0 {

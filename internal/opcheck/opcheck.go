@@ -460,21 +460,32 @@ func (c *Compiled) Walk(m *machine.Machine, seed int, visit func(machine.Transit
 	return m.Walk(uint64(seed), WalkSteps, visit)
 }
 
-// machines holds the machines Observe has finished with. Walk resets one
-// to this program's initial state whatever program it last ran, as
-// Reset's contract allows, so an Observe that finds one here skips
-// machine.New's 64 KiB.
+// machines holds the machines Observe and explore's runs have finished
+// with: a borrowed machine is reset to a program's initial state whatever
+// program it last ran, as Reset's contract allows, so a run that finds one
+// here skips machine.New's 64 KiB.
 var machines sync.Pool
 
-// Observe samples 3n executions — walks 0..3n-1, all on one machine taken
-// from a pool shared with every other Observe — and collects the distinct
-// outcomes.
-func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
-	m, _ := machines.Get().(*machine.Machine)
-	if m == nil {
-		m = machine.New(memSize)
+// BorrowMachine returns a machine from the pool shared by every Observe and
+// explore run, or a new one: a machine NewMachine built, for some program.
+// Reset or Walk puts it in a program's initial state. ReturnMachine gives
+// it back.
+func BorrowMachine() *machine.Machine {
+	if m, _ := machines.Get().(*machine.Machine); m != nil {
+		return m
 	}
-	defer machines.Put(m)
+	return machine.New(memSize)
+}
+
+// ReturnMachine puts m, borrowed by BorrowMachine, back in the pool. The
+// caller must not use m afterwards.
+func ReturnMachine(m *machine.Machine) { machines.Put(m) }
+
+// Observe samples 3n executions — walks 0..3n-1, all on one machine
+// borrowed from the pool — and collects the distinct outcomes.
+func (c *Compiled) Observe(n int) (litmus.OutcomeSet, error) {
+	m := BorrowMachine()
+	defer ReturnMachine(m)
 	return c.observe(m, n)
 }
 

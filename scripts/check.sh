@@ -4,11 +4,12 @@
 #   ./scripts/check.sh
 #
 # It runs gofmt, vet (once, over ./...), a full build, the full test suite,
-# and the race detector over obs, litmus, mapping, memmodel and opcheck — in
-# internal/litmus only the outcome cache is concurrent (racing callers share
-# one enumeration per key); the enumerator itself is serial, but memmodel's
-# checker pools and opcheck's machine pool are shared by every campaign
-# worker — and over the two packages that
+# and the race detector over obs, litmus, mapping, memmodel, opcheck and
+# explore — in internal/litmus only the outcome cache is concurrent (racing
+# callers share one enumeration per key); the enumerator itself is serial,
+# but memmodel's checker pools and opcheck's machine pool, which explore's
+# runs borrow from too, are shared by every campaign worker — and over the
+# two packages that
 # start goroutines: campaign (its worker pipeline) and serve (admission
 # queues, circuit breakers). The fault stages run every Fault test, among
 # them core's fault sweep (each known-answer guest under every -fault name
@@ -21,7 +22,8 @@
 # errJoinBlocked or sched.yields, and Machine.Wait's only non-test callers
 # are the two join handlers (machine/syscall.go, core/helpers.go). The
 # machine has one interpreter loop: transition.go calls no m.step(, and
-# every non-test m.step( call in internal/machine is inside advance. A
+# every non-test m.step( call in internal/machine is inside advance. DPOR
+# backtracks by rollback: dpor.go calls e.restart( once and Reset( never. A
 # one-iteration bench smoke keeps scripts/bench_snapshot.sh and the
 # benchmarks it snapshots compiling; the
 # perf smoke does the same for the benchmark module under perf/. The explore
@@ -130,6 +132,18 @@ if grep -n 'm\.step(' internal/machine/transition.go >&2; then echo "transition.
 outside=$(awk 'FNR == 1 { fn = "" } /^func / { fn = $0 } /m\.step\(/ && fn !~ /^func \(m \*Machine\) advance\(/ { print FILENAME ":" FNR ": " $0 }' $machine_src)
 [ -z "$outside" ] || { echo "non-test m.step( calls outside advance (the one loop):" >&2; echo "$outside" >&2; exit 1; }
 
+# A DPOR run resets its machine to the program's initial state once, and
+# backtracks by rolling it back to the frame it resumes (machine.Save and
+# Rollback): dpor.go calls restart, the explorer's one reset route, once
+# (TestDPORResetsOnce requires one reset per Run) and calls no Reset(
+# itself; nothing else in internal/explore calls restart.
+stage "DPOR backtracks by rollback: dpor.go calls e.restart( once and no Reset(; no other explore file calls restart"
+explore_src=$(ls internal/explore/*.go | grep -v '_test\.go$')
+n=$(grep -o 'e\.restart(' internal/explore/dpor.go | wc -l)
+[ "$n" -eq 1 ] || { echo "internal/explore/dpor.go has $n e.restart( calls, want 1 (one reset per Run):" >&2; grep -n 'e\.restart(' internal/explore/dpor.go >&2; exit 1; }
+if grep -n 'Reset(' internal/explore/dpor.go >&2; then echo "dpor.go resets the machine itself: backtrack with machine.Rollback" >&2; exit 1; fi
+if grep -n 'e\.restart(' $(echo "$explore_src" | grep -v 'dpor\.go$') >&2; then echo "a reset outside the DPOR search: restart is dpor.go's, once per Run" >&2; exit 1; fi
+
 stage "every internal package has a non-test importer (module, perf/, examples/)"
 imported=$( { go list -f '{{join .Imports "\n"}}' ./...; (cd perf && go list -f '{{join .Imports "\n"}}' ./...); } | sort -u)
 unimported=$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -vxF "$imported" || true)
@@ -157,8 +171,8 @@ go test ./...
 stage "perf smoke: (cd perf && go vet . && go test .)"
 (cd perf && go vet . && go test .)
 
-stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/"
-go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/
+stage "go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/ ./internal/explore/"
+go test -race ./internal/obs/ ./internal/litmus/... ./internal/mapping/... ./internal/memmodel/ ./internal/opcheck/ ./internal/explore/
 
 stage "go test -race -count=1 ./internal/campaign/ ./internal/serve/"
 go test -race -count=1 ./internal/campaign/ ./internal/serve/
