@@ -202,7 +202,7 @@ func BenchmarkTierUp(b *testing.B) {
 func BenchmarkTheorem1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range litmus.X86Corpus() {
-			arm := mapping.X86ToArm(p, mapping.X86Verified, mapping.ArmVerified, mapping.RMWCasal)
+			arm := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Verified, mapping.ArmVerified}, p)
 			v := mapping.VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 			if !v.Correct() {
 				b.Fatalf("%s: verified mapping broken", p.Name)
@@ -311,8 +311,7 @@ func BenchmarkEnumerateInstrumented(b *testing.B) {
 // generated litmus test through its full verdict pipeline (Theorem-1
 // containment for x86-level tests, direct enumeration for Arm-level ones,
 // plus the operational soundness check). The reported tests/s is the
-// serial per-worker campaign throughput scripts/bench_snapshot.sh records
-// in BENCH_litmus.json.
+// serial per-worker campaign throughput.
 func BenchmarkCampaignTest(b *testing.B) {
 	var tests []*litmusgen.Test
 	litmusgen.Stream(litmusgen.Config{Seed: 1, MaxThreads: 2, MaxPerShape: 16},
@@ -419,8 +418,7 @@ func BenchmarkAblation(b *testing.B) {
 // (every reachable final state visited, differentially checked). The
 // reported states/s is the transition throughput and coverage% the share
 // of axiomatically allowed outcomes reached — 100 for a healthy engine —
-// both recorded in BENCH_litmus.json by scripts/bench_snapshot.sh, with
-// the bytes and allocations per op.
+// reported with the bytes and allocations per op.
 func BenchmarkExplore(b *testing.B) {
 	p := litmus.SB()
 	states := 0

@@ -21,12 +21,12 @@ func main() {
 	x86Out := litmus.Outcomes(mpq, x86tso.New())
 	fmt.Printf("  x86 allows a=1,X=1?  %v\n", x86Out.Contains("1:a=1", "X=1"))
 
-	qemuArm := mapping.X86ToArm(mpq, mapping.X86Qemu, mapping.ArmQemu, mapping.RMWHelperCasal)
+	qemuArm := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Qemu, mapping.ArmQemuCasal}, mpq)
 	armOut := litmus.Outcomes(qemuArm, armcats.New())
 	fmt.Printf("  QEMU-translated Arm allows a=1,X=1?  %v   ← the bug\n",
 		armOut.Contains("1:a=1", "X=1"))
 
-	risoArm := mapping.X86ToArm(mpq, mapping.X86Verified, mapping.ArmVerified, mapping.RMWCasal)
+	risoArm := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Verified, mapping.ArmVerified}, mpq)
 	risoOut := litmus.Outcomes(risoArm, armcats.New())
 	fmt.Printf("  Risotto-translated Arm allows a=1,X=1?  %v   ← fixed by the trailing Frm\n\n",
 		risoOut.Contains("1:a=1", "X=1"))
@@ -45,7 +45,7 @@ func main() {
 	// --- Theorem 1 over the corpus ---------------------------------------
 	fmt.Println("Theorem 1 (behaviour containment) for the verified end-to-end mapping:")
 	for _, p := range litmus.X86Corpus() {
-		arm := mapping.X86ToArm(p, mapping.X86Verified, mapping.ArmVerified, mapping.RMWCasal)
+		arm := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Verified, mapping.ArmVerified}, p)
 		v := mapping.VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 		fmt.Printf("  %-12s correct=%v\n", p.Name, v.Correct())
 	}

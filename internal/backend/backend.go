@@ -1,10 +1,10 @@
 // Package backend lowers TCG IR blocks to host (Arm) code, emitting from
-// the verified IR→Arm mapping tables (Figure 7b, mapping.ArmTable): plain
-// ld/st become plain LDR/STR, each IR fence becomes the DMB its table row
-// names (or nothing), and IR atomics become either casal (RMW1^AL) or an
-// exclusive loop (RMW2) bracketed by the fences the table's RMW rule names
-// — the two lowerings proven correct in §5.4 — or a QEMU-style helper
-// call.
+// the verified IR→Arm mapping tables (Figure 7b: mapping.ArmVerified and
+// mapping.ArmVerifiedLxSx): plain ld/st become plain LDR/STR, each IR
+// fence becomes the DMB its table row names (or nothing), and IR atomics
+// become either casal (RMW1^AL) or an exclusive loop (RMW2) bracketed by
+// the fences the table's RMW rule names — the two lowerings proven
+// correct in §5.4 — or a QEMU-style helper call.
 //
 // Register convention for generated code:
 //
@@ -80,8 +80,8 @@ const (
 
 // tables holds the verified IR→Arm table each lowering emits from.
 var tables = [...]*mapping.Scheme{
-	CASCasal:           mapping.ArmTable(mapping.ArmVerified, mapping.RMWCasal),
-	CASExclusiveFenced: mapping.ArmTable(mapping.ArmVerified, mapping.RMWExclusiveFenced),
+	CASCasal:           mapping.ArmVerified,
+	CASExclusiveFenced: mapping.ArmVerifiedLxSx,
 }
 
 // Config parameterizes code generation.

@@ -123,8 +123,8 @@ func TestFenceLowering(t *testing.T) {
 	rmwNames := map[memmodel.RMWClass]string{memmodel.RMWAmo: "casal", memmodel.RMWLxSx: "ldxr/stxr"}
 	dmbNames := map[arm.Barrier]string{
 		arm.BarrierFull: "DMBFF", arm.BarrierLoad: "DMBLD", arm.BarrierStore: "DMBST"}
-	for cas, style := range map[CASLowering]mapping.RMWStyle{
-		CASCasal: mapping.RMWCasal, CASExclusiveFenced: mapping.RMWExclusiveFenced,
+	for cas, tab := range map[CASLowering]*mapping.Scheme{
+		CASCasal: mapping.ArmVerified, CASExclusiveFenced: mapping.ArmVerifiedLxSx,
 	} {
 		blk := tcg.NewBlock()
 		var ops []litmus.Op
@@ -139,7 +139,7 @@ func TestFenceLowering(t *testing.T) {
 
 		var want []string
 		wantStats := map[memmodel.Fence]int{}
-		lowered := mapping.TCGToArm(&litmus.Program{Threads: [][]litmus.Op{ops}}, mapping.ArmVerified, style)
+		lowered := tab.Apply(&litmus.Program{Threads: [][]litmus.Op{ops}})
 		for _, op := range lowered.Threads[0] {
 			switch o := op.(type) {
 			case litmus.Fence:

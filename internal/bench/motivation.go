@@ -35,12 +35,12 @@ func MotivationReport(opts ...litmus.Option) string {
 	}
 
 	// QEMU's MPQ error (RMW1^AL helper, GCC ≥ 10).
-	mpq := mapping.X86ToArm(litmus.MPQ(), mapping.X86Qemu, mapping.ArmQemu, mapping.RMWHelperCasal)
+	mpq := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Qemu, mapping.ArmQemuCasal}, litmus.MPQ())
 	report("QEMU x86→Arm of MPQ (casal helper): expected erroneous",
 		mapping.VerifyTheorem1(litmus.MPQ(), models.ByLevel(memmodel.LevelX86), mpq, models.ByLevel(memmodel.LevelArm), opts...), true)
 
 	// QEMU's SBQ error (RMW2^AL helper, GCC 9).
-	sbq := mapping.X86ToArm(litmus.SBQ(), mapping.X86Qemu, mapping.ArmQemu, mapping.RMWHelperExclusiveAL)
+	sbq := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Qemu, mapping.ArmQemuLxSx}, litmus.SBQ())
 	report("QEMU x86→Arm of SBQ (ldaxr/stlxr helper): expected erroneous",
 		mapping.VerifyTheorem1(litmus.SBQ(), models.ByLevel(memmodel.LevelX86), sbq, models.ByLevel(memmodel.LevelArm), opts...), true)
 
@@ -59,7 +59,7 @@ func MotivationReport(opts ...litmus.Option) string {
 
 	// Risotto's verified end-to-end translations of the same programs.
 	for _, p := range []*litmus.Program{litmus.MPQ(), litmus.SBQ(), litmus.SBAL()} {
-		arm := mapping.X86ToArm(p, mapping.X86Verified, mapping.ArmVerified, mapping.RMWCasal)
+		arm := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Verified, mapping.ArmVerified}, p)
 		report(fmt.Sprintf("Risotto verified x86→Arm of %s: expected correct", p.Name),
 			mapping.VerifyTheorem1(p, models.ByLevel(memmodel.LevelX86), arm, models.ByLevel(memmodel.LevelArm), opts...), false)
 	}
@@ -72,20 +72,20 @@ func MotivationReport(opts ...litmus.Option) string {
 func VerifyReport(opts ...litmus.Option) string {
 	var sb strings.Builder
 	sb.WriteString("§5.4 verified mappings — Theorem 1 over the litmus corpus\n\n")
-	styles := []struct {
-		name  string
-		style mapping.RMWStyle
+	lowerings := []struct {
+		name string
+		tab  *mapping.Scheme
 	}{
-		{"RMW1^AL (casal)", mapping.RMWCasal},
-		{"DMBFF;RMW2;DMBFF", mapping.RMWExclusiveFenced},
+		{"RMW1^AL (casal)", mapping.ArmVerified},
+		{"DMBFF;RMW2;DMBFF", mapping.ArmVerifiedLxSx},
 	}
 	allOK := true
-	for _, st := range styles {
-		fmt.Fprintf(&sb, "RMW lowering: %s\n", st.name)
+	for _, lw := range lowerings {
+		fmt.Fprintf(&sb, "RMW lowering: %s\n", lw.name)
 		for _, p := range litmus.X86Corpus() {
-			ir := mapping.X86ToTCG(p, mapping.X86Verified)
+			ir := mapping.X86Verified.Apply(p)
 			v1 := mapping.VerifyTheorem1(p, models.ByLevel(memmodel.LevelX86), ir, models.ByLevel(memmodel.LevelTCG), opts...)
-			arm := mapping.TCGToArm(ir, mapping.ArmVerified, st.style)
+			arm := lw.tab.Apply(ir)
 			v2 := mapping.VerifyTheorem1(ir, models.ByLevel(memmodel.LevelTCG), arm, models.ByLevel(memmodel.LevelArm), opts...)
 			v3 := mapping.VerifyTheorem1(p, models.ByLevel(memmodel.LevelX86), arm, models.ByLevel(memmodel.LevelArm), opts...)
 			ok := v1.Correct() && v2.Correct() && v3.Correct()

@@ -1,11 +1,13 @@
 // Package frontend translates guest (x86) code into TCG IR, one
 // translation block at a time, emitting the memory-ordering fences the
-// selected x86→IR mapping table places (mapping.X86Scheme.Table: Figure 2
-// vs Figure 7a of the Risotto paper) and a selectable RMW strategy
+// x86→IR mapping table it is given places (mapping.X86Qemu, X86Verified:
+// Figure 2 vs Figure 7a of the Risotto paper, or any other x86→IR
+// mapping.Scheme) and a selectable RMW strategy
 // (QEMU-style helper call vs Risotto's inline CAS IR instruction, §6.3).
 package frontend
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/faults"
@@ -31,8 +33,9 @@ const HelperSyscall tcg.Helper = 100
 
 // Config parameterizes translation.
 type Config struct {
-	// Scheme is the x86→IR fence mapping.
-	Scheme mapping.X86Scheme
+	// Scheme is the x86→IR mapping table: every fence emitted is read
+	// from it. Translate refuses a nil one.
+	Scheme *mapping.Scheme
 	// CAS selects RMW translation.
 	CAS CASStrategy
 	// MaxInsts bounds guest instructions per block (default 64).
@@ -56,7 +59,6 @@ type Config struct {
 // translator carries per-block state.
 type translator struct {
 	cfg  Config
-	tab  *mapping.Scheme // cfg.Scheme's table: every fence emitted is read from it
 	b    *tcg.Block
 	pool []tcg.Temp // recycled locals
 }
@@ -107,10 +109,13 @@ func condOf(c x86.Cond) tcg.Cond {
 // translation block, ending at the first branch or after cfg.MaxInsts
 // instructions.
 func Translate(mem []byte, pc uint64, cfg Config) (*tcg.Block, error) {
+	if cfg.Scheme == nil {
+		return nil, errors.New("frontend: no x86→IR mapping table (Config.Scheme is nil)")
+	}
 	if cfg.MaxInsts <= 0 {
 		cfg.MaxInsts = 64
 	}
-	tr := &translator{cfg: cfg, tab: cfg.Scheme.Table(), b: tcg.NewBlock()}
+	tr := &translator{cfg: cfg, b: tcg.NewBlock()}
 	tr.b.GuestPC = pc
 
 	decoded := 0
@@ -198,17 +203,17 @@ func (tr *translator) fence(k memmodel.Fence) {
 // emitLoad emits a guest load between the fences the table places around
 // loads.
 func (tr *translator) emitLoad(dst, addr tcg.Temp, size uint8) {
-	tr.fence(tr.tab.Load.Before)
+	tr.fence(tr.cfg.Scheme.Load.Before)
 	tr.b.Ld(dst, addr, 0, size)
-	tr.fence(tr.tab.Load.After)
+	tr.fence(tr.cfg.Scheme.Load.After)
 }
 
 // emitStore emits a guest store between the fences the table places
 // around stores.
 func (tr *translator) emitStore(addr, src tcg.Temp, size uint8) {
-	tr.fence(tr.tab.Store.Before)
+	tr.fence(tr.cfg.Scheme.Store.Before)
 	tr.b.St(addr, 0, src, size)
-	tr.fence(tr.tab.Store.After)
+	tr.fence(tr.cfg.Scheme.Store.After)
 }
 
 // emitAtomic emits a guest RMW between the fences the table's RMW rule
@@ -219,9 +224,9 @@ func (tr *translator) emitAtomic(in tcg.Inst, helper tcg.Helper, src tcg.Temp) {
 	if tr.cfg.CAS == CASHelper {
 		in = tcg.Inst{Op: tcg.OpCall, Helper: helper, Dst: in.Dst, A: in.A, B: src, Size: in.Size}
 	}
-	tr.fence(tr.tab.RMW.Before)
+	tr.fence(tr.cfg.Scheme.RMW.Before)
 	tr.b.Emit(in)
-	tr.fence(tr.tab.RMW.After)
+	tr.fence(tr.cfg.Scheme.RMW.After)
 }
 
 var aluOps = map[x86.Op]tcg.Opcode{
@@ -341,7 +346,7 @@ func (tr *translator) emit(in x86.Inst, next uint64) error {
 		tr.release(eight)
 
 	case x86.MFENCE:
-		tr.fence(tr.tab.Fence(memmodel.FenceMFENCE))
+		tr.fence(tr.cfg.Scheme.Fence(memmodel.FenceMFENCE))
 
 	case x86.CMPXCHG:
 		addr := tr.address(in.Mem)

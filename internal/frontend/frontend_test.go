@@ -73,7 +73,7 @@ func TestLoadStoreAddressing(t *testing.T) {
 			Lea(x86.RDX, x86.MemIdx(x86.RSI, x86.RCX, 4, -4)).
 			Ret()
 	})
-	it := run(t, mem, Config{}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+	it := run(t, mem, Config{Scheme: mapping.X86Qemu}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 	if it.Temps[x86.RBX] != 0xAB {
 		t.Fatalf("load-back = %#x", it.Temps[x86.RBX])
 	}
@@ -96,7 +96,7 @@ func TestSubByteAccesses(t *testing.T) {
 			Load(x86.RDX, x86.Mem0(x86.RSI), 4).
 			Ret()
 	})
-	it := run(t, mem, Config{}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+	it := run(t, mem, Config{Scheme: mapping.X86Qemu}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 	if it.Temps[x86.RBX] != 0x88 || it.Temps[x86.RCX] != 0x7788 || it.Temps[x86.RDX] != 0x55667788 {
 		t.Fatalf("got %#x %#x %#x", it.Temps[x86.RBX], it.Temps[x86.RCX], it.Temps[x86.RDX])
 	}
@@ -135,7 +135,7 @@ func TestConditionCodes(t *testing.T) {
 		// Translation stops at the first branch; run block-by-block via
 		// the interpreter until the Ret's indirect exit.
 		blkMem := mem
-		it := runUntilRet(t, blkMem, Config{}, map[x86.Reg]uint64{
+		it := runUntilRet(t, blkMem, Config{Scheme: mapping.X86Qemu}, map[x86.Reg]uint64{
 			x86.RAX: c.a, x86.RBX: c.b, x86.RSP: 0x8000,
 		})
 		got := it.Temps[x86.RDX] == 1
@@ -198,19 +198,34 @@ func memEvents(blk *tcg.Block) []string {
 	return out
 }
 
-// TestFencePlacementPerScheme: for every x86→IR scheme and every guest
+// TestFencePlacementPerScheme: for every x86→IR table and every guest
 // instruction form that touches memory, the translated block's skeleton is
-// what the scheme's table yields (mapping.Scheme.Apply, the function
-// Theorem 1 is checked on) for the litmus op the form stands for. Block and
-// table read the same value, so the combined form is also compared with the
-// figures written out: Figure 7a's ld;Frm and Fww;st, Figure 2's Frr;ld and
-// Fmw;st, nothing for no-fences, MFENCE → Fsc in all three (RET is a load).
+// what the table yields (mapping.Scheme.Apply, the function Theorem 1 is
+// checked on) for the litmus op the form stands for. Block and table read
+// the same value, so the combined form is also compared with the figures
+// written out: Figure 7a's ld;Frm and Fww;st, Figure 2's Frr;ld and
+// Fmw;st, nothing for no-fences, MFENCE → Fsc in all three (RET is a
+// load). The tables include three one-entry-less clones of Figure 7a,
+// each of which breaks Theorem 1 (mapping's TestMinimality): a mutant
+// table runs through the real translator, not only through Apply.
 func TestFencePlacementPerScheme(t *testing.T) {
 	const combined = "LOAD;STORE;MFENCE;RET"
-	figures := map[mapping.X86Scheme]string{
+	mutant := func(entry string, edit func(*mapping.Scheme)) *mapping.Scheme {
+		s := mapping.X86Verified.Clone()
+		s.Name += " without " + entry
+		edit(s)
+		return s
+	}
+	noLoadFence := mutant("Load.After=Frm", func(s *mapping.Scheme) { s.Load.After = memmodel.FenceNone })
+	noStoreFence := mutant("Store.Before=Fww", func(s *mapping.Scheme) { s.Store.Before = memmodel.FenceNone })
+	noMFence := mutant("MFENCE→Fsc", func(s *mapping.Scheme) { s.Fences[memmodel.FenceMFENCE] = memmodel.FenceNone })
+	figures := map[*mapping.Scheme]string{
 		mapping.X86Verified: "ld Frm Fww st Fsc ld Frm",
 		mapping.X86Qemu:     "Frr ld Fmw st Fsc Frr ld",
 		mapping.X86NoFences: "ld st Fsc ld",
+		noLoadFence:         "ld Fww st Fsc ld",
+		noStoreFence:        "ld Frm st Fsc ld Frm",
+		noMFence:            "ld Frm Fww st ld Frm",
 	}
 	mem0 := x86.Mem0(x86.RSI)
 	load, store := litmus.Load{Dst: "a", Loc: "X"}, litmus.Store{Loc: "X", Val: 1}
@@ -236,7 +251,9 @@ func TestFencePlacementPerScheme(t *testing.T) {
 			a.Load(x86.RAX, mem0, 8).Store(x86.MemD(x86.RSI, 8), x86.RAX, 8).MFence().Ret()
 		}, []litmus.Op{load, store, litmus.Fence{K: memmodel.FenceMFENCE}, load}},
 	}
-	for _, scheme := range []mapping.X86Scheme{mapping.X86Qemu, mapping.X86Verified, mapping.X86NoFences} {
+	for _, scheme := range []*mapping.Scheme{
+		mapping.X86Qemu, mapping.X86Verified, mapping.X86NoFences, noLoadFence, noStoreFence, noMFence,
+	} {
 		for _, cas := range []CASStrategy{CASInline, CASHelper} {
 			for _, f := range forms {
 				// One guest instruction per litmus op: MaxInsts ends the block
@@ -247,7 +264,7 @@ func TestFencePlacementPerScheme(t *testing.T) {
 					t.Fatal(err)
 				}
 				var want []string
-				for _, op := range mapping.X86ToTCG(&litmus.Program{Threads: [][]litmus.Op{f.ops}}, scheme).Threads[0] {
+				for _, op := range scheme.Apply(&litmus.Program{Threads: [][]litmus.Op{f.ops}}).Threads[0] {
 					switch o := op.(type) {
 					case litmus.Fence:
 						want = append(want, o.K.String())
@@ -261,11 +278,11 @@ func TestFencePlacementPerScheme(t *testing.T) {
 				}
 				if got := memEvents(blk); !slices.Equal(got, want) {
 					t.Errorf("%s, cas=%v, %s: block has %v, the table yields %v\n%s",
-						scheme.Table().Name, cas, f.name, got, want, blk)
+						scheme.Name, cas, f.name, got, want, blk)
 				}
 				if fig := strings.Fields(figures[scheme]); f.name == combined && !slices.Equal(memEvents(blk), fig) {
 					t.Errorf("%s, cas=%v: block has %v, the figure says %v\n%s",
-						scheme.Table().Name, cas, memEvents(blk), fig, blk)
+						scheme.Name, cas, memEvents(blk), fig, blk)
 				}
 			}
 		}
@@ -280,7 +297,7 @@ func TestPushPopCallRet(t *testing.T) {
 			Pop(x86.RBX).
 			Ret()
 	})
-	it := runUntilRet(t, mem, Config{}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+	it := runUntilRet(t, mem, Config{Scheme: mapping.X86Qemu}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 	if it.Temps[x86.RBX] != 5 {
 		t.Fatalf("pop = %d", it.Temps[x86.RBX])
 	}
@@ -295,7 +312,7 @@ func TestPushRSPStoresPreDecrement(t *testing.T) {
 			Pop(x86.RBX).
 			Ret()
 	})
-	it := runUntilRet(t, mem, Config{}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+	it := runUntilRet(t, mem, Config{Scheme: mapping.X86Qemu}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 	if it.Temps[x86.RBX] != 0x8000 {
 		t.Fatalf("push rsp stored %#x, want pre-decrement 0x8000", it.Temps[x86.RBX])
 	}
@@ -316,7 +333,7 @@ func TestCmpXchgSemantics(t *testing.T) {
 				Label("out").
 				Ret()
 		})
-		it := runUntilRetWithHelpers(t, mem, Config{CAS: cas}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+		it := runUntilRetWithHelpers(t, mem, Config{Scheme: mapping.X86Qemu, CAS: cas}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 		if it.Temps[x86.RCX] != 1 {
 			t.Fatalf("cas=%v: ZF path = %d, want success", cas, it.Temps[x86.RCX])
 		}
@@ -390,7 +407,7 @@ func TestXAddAndXchg(t *testing.T) {
 			Load(x86.RDX, x86.Mem0(x86.RSI), 8).
 			Ret()
 	})
-	it := run(t, mem, Config{CAS: CASInline}, map[x86.Reg]uint64{x86.RSP: 0x8000})
+	it := run(t, mem, Config{Scheme: mapping.X86Qemu, CAS: CASInline}, map[x86.Reg]uint64{x86.RSP: 0x8000})
 	if it.Temps[x86.RBX] != 100 || it.Temps[x86.RCX] != 105 || it.Temps[x86.RDX] != 42 {
 		t.Fatalf("rbx=%d rcx=%d rdx=%d", it.Temps[x86.RBX], it.Temps[x86.RCX], it.Temps[x86.RDX])
 	}
@@ -405,7 +422,7 @@ func TestBlockBoundaries(t *testing.T) {
 		}
 		a.Ret()
 	})
-	blk, err := Translate(mem, 0x1000, Config{MaxInsts: 4})
+	blk, err := Translate(mem, 0x1000, Config{Scheme: mapping.X86Qemu, MaxInsts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +438,15 @@ func TestBlockBoundaries(t *testing.T) {
 func TestDecodeErrorsSurface(t *testing.T) {
 	mem := make([]byte, 0x2000)
 	mem[0x1000] = 0xFF // invalid opcode
-	if _, err := Translate(mem, 0x1000, Config{}); err == nil {
+	if _, err := Translate(mem, 0x1000, Config{Scheme: mapping.X86Qemu}); err == nil {
 		t.Fatal("invalid guest opcode must error")
 	}
-	if _, err := Translate(mem, uint64(len(mem))+8, Config{}); err == nil {
+	if _, err := Translate(mem, uint64(len(mem))+8, Config{Scheme: mapping.X86Qemu}); err == nil {
 		t.Fatal("pc outside memory must error")
+	}
+	// No table is not a silent choice of one.
+	if _, err := Translate(mem, 0x1000, Config{}); err == nil || !strings.Contains(err.Error(), "mapping table") {
+		t.Fatalf("a nil Scheme gave %v, want an error naming the missing mapping table", err)
 	}
 }
 
@@ -466,7 +487,7 @@ func unbracketed(blk *tcg.Block, tab *mapping.Scheme) string {
 // immediately preceded by Fww. The rows are unsound on anything else
 // (tcg's TestFigure10NeedsItsPrecondition), and accessElim does not check.
 func TestFrontendEmitsImages(t *testing.T) {
-	tab := mapping.X86Verified.Table()
+	tab := mapping.X86Verified
 	for _, k := range workloads.Registry() {
 		b, err := k.Build(2, 1)
 		if err != nil {

@@ -93,24 +93,9 @@ func (a *Assembler) And(rd, rn, rm Reg) *Assembler {
 	return a.Raw(Inst{Op: AND, Rd: rd, Rn: rn, Rm: rm})
 }
 
-// Orr emits rd = rn | rm.
-func (a *Assembler) Orr(rd, rn, rm Reg) *Assembler {
-	return a.Raw(Inst{Op: ORR, Rd: rd, Rn: rn, Rm: rm})
-}
-
 // Eor emits rd = rn ^ rm.
 func (a *Assembler) Eor(rd, rn, rm Reg) *Assembler {
 	return a.Raw(Inst{Op: EOR, Rd: rd, Rn: rn, Rm: rm})
-}
-
-// Lsl emits rd = rn << rm.
-func (a *Assembler) Lsl(rd, rn, rm Reg) *Assembler {
-	return a.Raw(Inst{Op: LSL, Rd: rd, Rn: rn, Rm: rm})
-}
-
-// Lsr emits rd = rn >> rm (logical).
-func (a *Assembler) Lsr(rd, rn, rm Reg) *Assembler {
-	return a.Raw(Inst{Op: LSR, Rd: rd, Rn: rn, Rm: rm})
 }
 
 // AddI emits rd = rn + imm12.
@@ -178,11 +163,6 @@ func (a *Assembler) Casal(rs, rt, rn Reg, size uint8) *Assembler {
 	return a.Raw(Inst{Op: CASAL, Rd: rs, Rm: rt, Rn: rn, Size: size})
 }
 
-// LdAddAL emits the acquire-release atomic fetch-add.
-func (a *Assembler) LdAddAL(rs, rt, rn Reg, size uint8) *Assembler {
-	return a.Raw(Inst{Op: LDADDAL, Rd: rs, Rm: rt, Rn: rn, Size: size})
-}
-
 // Dmb emits a barrier.
 func (a *Assembler) Dmb(b Barrier) *Assembler {
 	return a.Raw(Inst{Op: DMB, Barrier: b})
@@ -212,9 +192,6 @@ func (a *Assembler) CbnzLabel(rt Reg, label string) *Assembler {
 func (a *Assembler) BlLabel(label string) *Assembler {
 	return a.branch(Inst{Op: BL}, label)
 }
-
-// Blr emits an indirect call.
-func (a *Assembler) Blr(rn Reg) *Assembler { return a.Raw(Inst{Op: BLR, Rn: rn}) }
 
 // Ret emits a return through X30.
 func (a *Assembler) Ret() *Assembler { return a.Raw(Inst{Op: RET}) }

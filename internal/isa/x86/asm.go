@@ -64,16 +64,10 @@ func (a *Assembler) Load(dst Reg, mem Mem, size uint8) *Assembler {
 	return a.Raw(Inst{Op: LOAD, Dst: dst, Mem: mem, Size: size})
 }
 
-// LoadQ emits a 64-bit load.
-func (a *Assembler) LoadQ(dst Reg, mem Mem) *Assembler { return a.Load(dst, mem, 8) }
-
 // Store emits [mem] = src with the given access size.
 func (a *Assembler) Store(mem Mem, src Reg, size uint8) *Assembler {
 	return a.Raw(Inst{Op: STORE, Src: src, Mem: mem, Size: size})
 }
-
-// StoreQ emits a 64-bit store.
-func (a *Assembler) StoreQ(mem Mem, src Reg) *Assembler { return a.Store(mem, src, 8) }
 
 // StoreI emits [mem] = imm (sign-extended to size).
 func (a *Assembler) StoreI(mem Mem, imm int32, size uint8) *Assembler {

@@ -15,11 +15,11 @@ import (
 func ExampleVerifyTheorem1() {
 	mpq := litmus.MPQ()
 
-	qemu := mapping.X86ToArm(mpq, mapping.X86Qemu, mapping.ArmQemu, mapping.RMWHelperCasal)
+	qemu := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Qemu, mapping.ArmQemuCasal}, mpq)
 	v := mapping.VerifyTheorem1(mpq, x86tso.New(), qemu, armcats.New())
 	fmt.Println("QEMU translation correct:", v.Correct())
 
-	riso := mapping.X86ToArm(mpq, mapping.X86Verified, mapping.ArmVerified, mapping.RMWCasal)
+	riso := mapping.ApplyRoute([]*mapping.Scheme{mapping.X86Verified, mapping.ArmVerified}, mpq)
 	v = mapping.VerifyTheorem1(mpq, x86tso.New(), riso, armcats.New())
 	fmt.Println("Risotto translation correct:", v.Correct())
 	// Output:
@@ -27,9 +27,9 @@ func ExampleVerifyTheorem1() {
 	// Risotto translation correct: true
 }
 
-// ExampleX86ToTCG shows the verified Figure-7a mapping on a load-store
+// ExampleScheme_Apply shows the verified Figure-7a mapping on a load-store
 // pair: trailing Frm after the load, leading Fww before the store.
-func ExampleX86ToTCG() {
+func ExampleScheme_Apply() {
 	p := &litmus.Program{
 		Name: "tiny",
 		Threads: [][]litmus.Op{{
@@ -37,7 +37,7 @@ func ExampleX86ToTCG() {
 			litmus.Store{Loc: "Y", Val: 1},
 		}},
 	}
-	ir := mapping.X86ToTCG(p, mapping.X86Verified)
+	ir := mapping.X86Verified.Apply(p)
 	for _, op := range ir.Threads[0] {
 		fmt.Printf("%T\n", op)
 	}

@@ -20,20 +20,9 @@ import (
 	"repro/internal/memmodel"
 )
 
-// X86Scheme selects the x86→TCG IR mapping.
-type X86Scheme int
-
-const (
-	// X86Qemu is QEMU's original scheme (leading Fmr/Fmw fences, with the
-	// documented Frr demotion for x86 guests).
-	X86Qemu X86Scheme = iota
-	// X86Verified is Risotto's verified scheme (Figure 7a).
-	X86Verified
-	// X86NoFences emits no fences at all (incorrect; performance oracle).
-	X86NoFences
-)
-
-// RMWStyle selects how a TCG RMW is lowered to Arm.
+// RMWStyle names one of the verified chain's two RMW lowerings, for
+// TranslateVerified: ArmVerified's casal or ArmVerifiedLxSx's fenced
+// exclusive pair.
 type RMWStyle int
 
 const (
@@ -42,22 +31,6 @@ const (
 	// RMWExclusiveFenced lowers to DMBFF; RMW2; DMBFF (verified scheme's
 	// exclusive-pair option).
 	RMWExclusiveFenced
-	// RMWHelperCasal models QEMU's helper call compiled by GCC ≥ 10:
-	// a bare RMW1^AL with no surrounding fences.
-	RMWHelperCasal
-	// RMWHelperExclusiveAL models QEMU's helper call compiled by GCC 9:
-	// a bare RMW2^AL (ldaxr/stlxr) with no surrounding fences.
-	RMWHelperExclusiveAL
-)
-
-// ArmScheme selects the TCG IR→Arm mapping.
-type ArmScheme int
-
-const (
-	// ArmQemu is QEMU's fence lowering.
-	ArmQemu ArmScheme = iota
-	// ArmVerified is Risotto's verified lowering (Figure 7b).
-	ArmVerified
 )
 
 // irRMW is every x86→IR scheme's RMW rule: the RMW stays one IR-level RMW
@@ -71,28 +44,28 @@ var mfenceToFsc = map[memmodel.Fence]memmodel.Fence{memmodel.FenceMFENCE: memmod
 
 // The x86→IR tables.
 var (
-	// x86ToTCGVerified is Figure 7a: ld;Frm and Fww;st — Risotto's minimal
+	// X86Verified is Figure 7a: ld;Frm and Fww;st — Risotto's minimal
 	// verified scheme, trailing load fences and leading store fences.
-	x86ToTCGVerified = &Scheme{
+	X86Verified = &Scheme{
 		Name: "x86→tcg/verified", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG, Verified: true,
 		Load:   Placement{After: memmodel.FenceFrm},
 		Store:  Placement{Before: memmodel.FenceFww},
 		Fences: mfenceToFsc,
 		RMW:    irRMW,
 	}
-	// x86ToTCGQemu is Figure 2's x86→IR half: Fmr;ld (demoted to Frr;ld
+	// X86Qemu is Figure 2's x86→IR half: Fmr;ld (demoted to Frr;ld
 	// for x86 guests, §3.1) and Fmw;st — leading fences only, so nothing
 	// orders a load with a po-later failed RMW (MPQ).
-	x86ToTCGQemu = &Scheme{
+	X86Qemu = &Scheme{
 		Name: "x86→tcg/qemu", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG,
 		Load:   Placement{Before: memmodel.FenceFrr},
 		Store:  Placement{Before: memmodel.FenceFmw},
 		Fences: mfenceToFsc,
 		RMW:    irRMW,
 	}
-	// x86ToTCGNoFences places nothing (the paper's incorrect-but-fast
+	// X86NoFences places nothing (the paper's incorrect-but-fast
 	// oracle); it is not registered, so no route goes through it.
-	x86ToTCGNoFences = &Scheme{
+	X86NoFences = &Scheme{
 		Name: "x86→tcg/no-fences", Src: memmodel.LevelX86, Dst: memmodel.LevelTCG,
 		Fences: mfenceToFsc,
 		RMW:    irRMW,
@@ -123,81 +96,34 @@ var (
 // The IR→Arm tables: plain accesses stay plain; they differ in the fence
 // column and the RMW rule.
 var (
-	// tcgToArmVerified is Figure 7b with the RMW1^AL lowering (casal).
-	tcgToArmVerified = &Scheme{
+	// ArmVerified is Figure 7b with the RMW1^AL lowering (casal).
+	ArmVerified = &Scheme{
 		Name: "tcg→arm/verified", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm, Verified: true,
 		Fences: figure7bFences,
 		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWAmo}},
 	}
-	// tcgToArmVerifiedLxSx is Figure 7b with DMBFF;RMW2;DMBFF.
-	tcgToArmVerifiedLxSx = &Scheme{
+	// ArmVerifiedLxSx is Figure 7b with DMBFF;RMW2;DMBFF.
+	ArmVerifiedLxSx = &Scheme{
 		Name: "tcg→arm/verified-lxsx", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm, Verified: true,
 		Fences: figure7bFences,
 		RMW: RMWRule{Before: memmodel.FenceDMBFF, Attr: litmus.Attr{Class: memmodel.RMWLxSx},
 			After: memmodel.FenceDMBFF},
 	}
-	// tcgToArmQemuCasal is Figure 2 with the helper call GCC ≥ 10
+	// ArmQemuCasal is Figure 2 with the helper call GCC ≥ 10
 	// compiles: a bare RMW1^AL, no surrounding fences (§3.2, MPQ).
-	tcgToArmQemuCasal = &Scheme{
+	ArmQemuCasal = &Scheme{
 		Name: "tcg→arm/qemu-casal", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm,
 		Fences: figure2Fences,
 		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWAmo}},
 	}
-	// tcgToArmQemuLxSx is Figure 2 with the helper call GCC 9 compiles: a
+	// ArmQemuLxSx is Figure 2 with the helper call GCC 9 compiles: a
 	// bare RMW2^AL (ldaxr/stlxr), no surrounding fences (§3.2, SBQ).
-	tcgToArmQemuLxSx = &Scheme{
+	ArmQemuLxSx = &Scheme{
 		Name: "tcg→arm/qemu-lxsx", Src: memmodel.LevelTCG, Dst: memmodel.LevelArm,
 		Fences: figure2Fences,
 		RMW:    RMWRule{Attr: litmus.Attr{Acq: true, Rel: true, Class: memmodel.RMWLxSx}},
 	}
 )
-
-var x86Tables = map[X86Scheme]*Scheme{
-	X86Qemu: x86ToTCGQemu, X86Verified: x86ToTCGVerified, X86NoFences: x86ToTCGNoFences,
-}
-
-// Table returns the x86→IR table s names — what X86ToTCG applies and what
-// internal/frontend emits from. It panics on a value that is none of the
-// three constants.
-func (s X86Scheme) Table() *Scheme {
-	if t := x86Tables[s]; t != nil {
-		return t
-	}
-	panic(fmt.Sprintf("mapping: no x86→IR table for X86Scheme(%d)", s))
-}
-
-var armTables = map[ArmScheme]map[RMWStyle]*Scheme{
-	ArmVerified: {RMWCasal: tcgToArmVerified, RMWExclusiveFenced: tcgToArmVerifiedLxSx},
-	ArmQemu:     {RMWHelperCasal: tcgToArmQemuCasal, RMWHelperExclusiveAL: tcgToArmQemuLxSx},
-}
-
-// ArmTable returns the IR→Arm table pairing a fence column with an RMW
-// lowering — what TCGToArm applies and what internal/backend emits from.
-// Only the four pairs the paper discusses exist — ArmVerified with RMWCasal
-// or RMWExclusiveFenced, ArmQemu with RMWHelperCasal or
-// RMWHelperExclusiveAL; any other pair is nil.
-func ArmTable(as ArmScheme, rmw RMWStyle) *Scheme { return armTables[as][rmw] }
-
-// X86ToTCG translates an x86-level litmus program to the TCG IR level.
-func X86ToTCG(p *litmus.Program, scheme X86Scheme) *litmus.Program {
-	return scheme.Table().Apply(p)
-}
-
-// TCGToArm translates a TCG-level litmus program to the Arm level. It
-// panics, naming the pair, when ArmTable has no table for (scheme, rmw).
-func TCGToArm(p *litmus.Program, scheme ArmScheme, rmw RMWStyle) *litmus.Program {
-	tab := ArmTable(scheme, rmw)
-	if tab == nil {
-		panic(fmt.Sprintf("mapping: no IR→Arm table pairs ArmScheme(%d) with RMWStyle(%d)", scheme, rmw))
-	}
-	return tab.Apply(p)
-}
-
-// X86ToArm composes the two mapping steps; the pairs TCGToArm rejects it
-// rejects too.
-func X86ToArm(p *litmus.Program, xs X86Scheme, as ArmScheme, rmw RMWStyle) *litmus.Program {
-	return TCGToArm(X86ToTCG(p, xs), as, rmw)
-}
 
 // TranslateVerified runs src through Risotto's verified chain (Figure 7)
 // with the given RMW lowering style, returning both the intermediate TCG
@@ -205,9 +131,12 @@ func X86ToArm(p *litmus.Program, xs X86Scheme, as ArmScheme, rmw RMWStyle) *litm
 // returned TCG program, so campaign drivers checking both Theorem-1 legs
 // translate once per leg instead of re-running the x86 step.
 func TranslateVerified(src *litmus.Program, rmw RMWStyle) (tcg, arm *litmus.Program) {
-	tcg = X86ToTCG(src, X86Verified)
-	arm = TCGToArm(tcg, ArmVerified, rmw)
-	return tcg, arm
+	lower := ArmVerified
+	if rmw == RMWExclusiveFenced {
+		lower = ArmVerifiedLxSx
+	}
+	tcg = X86Verified.Apply(src)
+	return tcg, lower.Apply(tcg)
 }
 
 // Verification is the result of one Theorem-1 check.

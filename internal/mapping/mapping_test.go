@@ -19,7 +19,7 @@ func TestVerifiedX86ToTCG(t *testing.T) {
 	for _, p := range litmus.X86Corpus() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			tgt := X86ToTCG(p, X86Verified)
+			tgt := X86Verified.Apply(p)
 			v := VerifyTheorem1(p, x86tso.New(), tgt, tcgmm.New())
 			if !v.Correct() {
 				t.Fatalf("verified x86→TCG introduced behaviours on %s: %v", p.Name, v.NewBehaviours)
@@ -38,7 +38,7 @@ func TestQemuX86ToTCG(t *testing.T) {
 	for _, p := range litmus.X86Corpus() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			tgt := X86ToTCG(p, X86Qemu)
+			tgt := X86Qemu.Apply(p)
 			v := VerifyTheorem1(p, x86tso.New(), tgt, tcgmm.New())
 			if p.Name == "MPQ" {
 				if v.Correct() {
@@ -57,13 +57,12 @@ func TestQemuX86ToTCG(t *testing.T) {
 // by the verified IR mapping, lowered with the verified Arm scheme, under
 // the corrected Armed-Cats model — for both RMW lowerings of Figure 7b.
 func TestVerifiedTCGToArm(t *testing.T) {
-	styles := map[string]RMWStyle{"casal": RMWCasal, "rmw2+dmb": RMWExclusiveFenced}
-	for name, style := range styles {
+	for name, lower := range map[string]*Scheme{"casal": ArmVerified, "rmw2+dmb": ArmVerifiedLxSx} {
 		for _, p := range litmus.X86Corpus() {
-			p, style := p, style
+			p, lower := p, lower
 			t.Run(name+"/"+p.Name, func(t *testing.T) {
-				ir := X86ToTCG(p, X86Verified)
-				arm := TCGToArm(ir, ArmVerified, style)
+				ir := X86Verified.Apply(p)
+				arm := lower.Apply(ir)
 				v := VerifyTheorem1(ir, tcgmm.New(), arm, armcats.New())
 				if !v.Correct() {
 					t.Fatalf("verified TCG→Arm (%s) introduced behaviours on %s: %v",
@@ -76,12 +75,11 @@ func TestVerifiedTCGToArm(t *testing.T) {
 
 // TestVerifiedEndToEnd checks the composed x86→Arm translation (Figure 7c).
 func TestVerifiedEndToEnd(t *testing.T) {
-	styles := map[string]RMWStyle{"casal": RMWCasal, "rmw2+dmb": RMWExclusiveFenced}
-	for name, style := range styles {
+	for name, lower := range map[string]*Scheme{"casal": ArmVerified, "rmw2+dmb": ArmVerifiedLxSx} {
 		for _, p := range litmus.X86Corpus() {
-			p, style := p, style
+			p, lower := p, lower
 			t.Run(name+"/"+p.Name, func(t *testing.T) {
-				arm := X86ToArm(p, X86Verified, ArmVerified, style)
+				arm := ApplyRoute([]*Scheme{X86Verified, lower}, p)
 				v := VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 				if !v.Correct() {
 					t.Fatalf("verified x86→Arm (%s) introduced behaviours on %s: %v",
@@ -96,13 +94,13 @@ func TestVerifiedEndToEnd(t *testing.T) {
 // erroneous on MPQ (with the GCC-10 casal helper) and on SBQ (with the
 // GCC-9 ldaxr/stlxr helper).
 func TestQemuEndToEndErrors(t *testing.T) {
-	mpq := X86ToArm(litmus.MPQ(), X86Qemu, ArmQemu, RMWHelperCasal)
+	mpq := ApplyRoute([]*Scheme{X86Qemu, ArmQemuCasal}, litmus.MPQ())
 	v := VerifyTheorem1(litmus.MPQ(), x86tso.New(), mpq, armcats.New())
 	if v.Correct() {
 		t.Fatal("QEMU translation of MPQ must exhibit new behaviour (a=1,X=1)")
 	}
 
-	sbq := X86ToArm(litmus.SBQ(), X86Qemu, ArmQemu, RMWHelperExclusiveAL)
+	sbq := ApplyRoute([]*Scheme{X86Qemu, ArmQemuLxSx}, litmus.SBQ())
 	v = VerifyTheorem1(litmus.SBQ(), x86tso.New(), sbq, armcats.New())
 	if v.Correct() {
 		t.Fatal("QEMU translation of SBQ must exhibit new behaviour (a=b=0)")
@@ -119,7 +117,7 @@ func TestQemuCorrectWithoutRMWs(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			arm := X86ToArm(p, X86Qemu, ArmQemu, RMWHelperCasal)
+			arm := ApplyRoute([]*Scheme{X86Qemu, ArmQemuCasal}, p)
 			v := VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 			if !v.Correct() {
 				t.Fatalf("QEMU translation of RMW-free %s should be correct: %v",
@@ -132,7 +130,7 @@ func TestQemuCorrectWithoutRMWs(t *testing.T) {
 // TestNoFencesIncorrect shows the no-fences oracle is incorrect: MP gains
 // the weak outcome.
 func TestNoFencesIncorrect(t *testing.T) {
-	arm := X86ToArm(litmus.MP(), X86NoFences, ArmVerified, RMWCasal)
+	arm := ApplyRoute([]*Scheme{X86NoFences, ArmVerified}, litmus.MP())
 	v := VerifyTheorem1(litmus.MP(), x86tso.New(), arm, armcats.New())
 	if v.Correct() {
 		t.Fatal("no-fences translation of MP must introduce the weak outcome")
@@ -212,13 +210,13 @@ func TestTablesAreTheFigures(t *testing.T) {
 		tab  *Scheme
 		want string
 	}{
-		{x86ToTCGVerified, "x86→tcg/verified x86→tcg verified=true | ld;Frm | Fww;st | RMW^sc | MFENCE→Fsc"},
-		{x86ToTCGQemu, "x86→tcg/qemu x86→tcg verified=false | Frr;ld | Fmw;st | RMW^sc | MFENCE→Fsc"},
-		{x86ToTCGNoFences, "x86→tcg/no-fences x86→tcg verified=false | ld | st | RMW^sc | MFENCE→Fsc"},
-		{tcgToArmVerified, "tcg→arm/verified tcg→arm verified=true | ld | st | RMW1^AL | " + fig7b},
-		{tcgToArmVerifiedLxSx, "tcg→arm/verified-lxsx tcg→arm verified=true | ld | st | DMBFF;RMW2;DMBFF | " + fig7b},
-		{tcgToArmQemuCasal, "tcg→arm/qemu-casal tcg→arm verified=false | ld | st | RMW1^AL | " + fig2},
-		{tcgToArmQemuLxSx, "tcg→arm/qemu-lxsx tcg→arm verified=false | ld | st | RMW2^AL | " + fig2},
+		{X86Verified, "x86→tcg/verified x86→tcg verified=true | ld;Frm | Fww;st | RMW^sc | MFENCE→Fsc"},
+		{X86Qemu, "x86→tcg/qemu x86→tcg verified=false | Frr;ld | Fmw;st | RMW^sc | MFENCE→Fsc"},
+		{X86NoFences, "x86→tcg/no-fences x86→tcg verified=false | ld | st | RMW^sc | MFENCE→Fsc"},
+		{ArmVerified, "tcg→arm/verified tcg→arm verified=true | ld | st | RMW1^AL | " + fig7b},
+		{ArmVerifiedLxSx, "tcg→arm/verified-lxsx tcg→arm verified=true | ld | st | DMBFF;RMW2;DMBFF | " + fig7b},
+		{ArmQemuCasal, "tcg→arm/qemu-casal tcg→arm verified=false | ld | st | RMW1^AL | " + fig2},
+		{ArmQemuLxSx, "tcg→arm/qemu-lxsx tcg→arm verified=false | ld | st | RMW2^AL | " + fig2},
 		{x86ToSPARC, "x86→sparc/membar x86→sparc verified=true | ld | st | RMW | MFENCE→MembarSL"},
 		{sparcToTCG, "sparc→tcg/verified sparc→tcg verified=true | ld;Frm | Fww;st | RMW^sc | " +
 			"MembarLL→Frr MembarLS→Frw MembarSL→Fwr MembarSS→Fww"},
@@ -229,55 +227,21 @@ func TestTablesAreTheFigures(t *testing.T) {
 			t.Errorf("table differs from the figure:\n got  %s\n want %s", got, c.want)
 		}
 	}
-	// The enum lookups hand out exactly these values, and nothing for a
-	// pair the paper does not discuss.
-	for _, c := range []struct{ got, want *Scheme }{
-		{X86Qemu.Table(), x86ToTCGQemu}, {X86Verified.Table(), x86ToTCGVerified},
-		{X86NoFences.Table(), x86ToTCGNoFences},
-		{ArmTable(ArmVerified, RMWCasal), tcgToArmVerified},
-		{ArmTable(ArmVerified, RMWExclusiveFenced), tcgToArmVerifiedLxSx},
-		{ArmTable(ArmQemu, RMWHelperCasal), tcgToArmQemuCasal},
-		{ArmTable(ArmQemu, RMWHelperExclusiveAL), tcgToArmQemuLxSx},
-		{ArmTable(ArmQemu, RMWCasal), nil}, {ArmTable(ArmVerified, RMWHelperCasal), nil},
-		{ArmTable(ArmScheme(7), RMWCasal), nil}, {ArmTable(ArmVerified, RMWStyle(-1)), nil},
-	} {
-		if c.got != c.want {
-			t.Errorf("lookup returned %v, want %v", c.got, c.want)
-		}
-	}
 }
 
 // TestCloneSharesNothing: editing a Clone (and a relabelled table, which is
 // one) leaves the table the translator emits from alone.
 func TestCloneSharesNothing(t *testing.T) {
-	before := figure(x86ToTCGVerified)
+	before := figure(X86Verified)
 	for _, v := range []*Scheme{
-		x86ToTCGVerified.Clone(),
-		x86ToTCGVerified.relabel("copy", memmodel.LevelX86, memmodel.LevelIMM),
+		X86Verified.Clone(),
+		X86Verified.relabel("copy", memmodel.LevelX86, memmodel.LevelIMM),
 	} {
 		v.Fences[memmodel.FenceMFENCE] = memmodel.FenceNone
 		v.Load.After = memmodel.FenceNone
-		if after := figure(x86ToTCGVerified); after != before {
+		if after := figure(X86Verified); after != before {
 			t.Fatalf("editing a copy rewrote x86→tcg/verified: %s", after)
 		}
-	}
-}
-
-// TestUnknownTablePanicsByName: the lookups name the value they have no
-// table for instead of dereferencing nil.
-func TestUnknownTablePanicsByName(t *testing.T) {
-	for want, f := range map[string]func(){
-		"ArmScheme(0) with RMWStyle(0)": func() { TCGToArm(litmus.MP(), ArmQemu, RMWCasal) },
-		"X86Scheme(9)":                  func() { X86ToTCG(litmus.MP(), X86Scheme(9)) },
-	} {
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
-					t.Errorf("panicked with %q, want a message naming %s", msg, want)
-				}
-			}()
-			f()
-		}()
 	}
 }
 
@@ -359,7 +323,7 @@ func TestMinimality(t *testing.T) {
 	// emitted reports whether the x86→IR hop produces IR fence k at all.
 	emitted := func(k memmodel.Fence) bool {
 		return slices.ContainsFunc(progs, func(p *litmus.Program) bool {
-			return countFences(x86ToTCGVerified.Apply(p), k) > 0
+			return countFences(X86Verified.Apply(p), k) > 0
 		})
 	}
 	witnesses := func(x86, arm *Scheme) (ws []string) {
@@ -374,9 +338,9 @@ func TestMinimality(t *testing.T) {
 		}
 		return ws
 	}
-	for _, arm := range []*Scheme{tcgToArmVerified, tcgToArmVerifiedLxSx} {
-		if ws := witnesses(x86ToTCGVerified, arm); len(ws) != 0 {
-			t.Fatalf("%s + %s is unsound before any entry is dropped: %v", x86ToTCGVerified.Name, arm.Name, ws)
+	for _, arm := range []*Scheme{ArmVerified, ArmVerifiedLxSx} {
+		if ws := witnesses(X86Verified, arm); len(ws) != 0 {
+			t.Fatalf("%s + %s is unsound before any entry is dropped: %v", X86Verified.Name, arm.Name, ws)
 		}
 		var entries []string
 		require := func(hop *Scheme, entry string, ws []string) {
@@ -387,20 +351,20 @@ func TestMinimality(t *testing.T) {
 			}
 			t.Logf("%s without %s (chain ending in %s): %v", hop.Name, entry, arm.Name, ws)
 		}
-		for _, v := range oneEntryLess(x86ToTCGVerified) {
-			require(x86ToTCGVerified, v.entry, witnesses(v.s, arm))
+		for _, v := range oneEntryLess(X86Verified) {
+			require(X86Verified, v.entry, witnesses(v.s, arm))
 		}
 		for _, v := range oneEntryLess(arm) {
 			if v.row == memmodel.FenceNone || emitted(v.row) {
-				require(arm, v.entry, witnesses(x86ToTCGVerified, v.s))
+				require(arm, v.entry, witnesses(X86Verified, v.s))
 			}
 		}
 		want := []string{"Load.After=Frm", "Store.Before=Fww", "MFENCE→Fsc"}
-		if arm == tcgToArmVerifiedLxSx {
+		if arm == ArmVerifiedLxSx {
 			want = append(want, "RMW.Before=DMBFF", "RMW.After=DMBFF")
 		}
 		want = append(want, "Frm→DMBLD", "Fww→DMBST", "Fsc→DMBFF")
-		if arm == tcgToArmVerified {
+		if arm == ArmVerified {
 			want = append(want, "RMW.Acq", "RMW.Rel")
 		}
 		if !slices.Equal(entries, want) {
@@ -441,7 +405,7 @@ func TestVerifiedMappingOnDependencyPrograms(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			arm := X86ToArm(p, X86Verified, ArmVerified, RMWCasal)
+			arm := ApplyRoute([]*Scheme{X86Verified, ArmVerified}, p)
 			v := VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 			if !v.Correct() {
 				t.Fatalf("verified mapping broken on %s: %v", p.Name, v.NewBehaviours)
@@ -459,7 +423,7 @@ func TestVerifiedMappingOnDependencyPrograms(t *testing.T) {
 // verified mapping leaves x86's one relaxation (store-load) observable —
 // SB's weak outcome survives translation (no fence between st and ld).
 func TestSBStaysRelaxed(t *testing.T) {
-	arm := X86ToArm(litmus.SB(), X86Verified, ArmVerified, RMWCasal)
+	arm := ApplyRoute([]*Scheme{X86Verified, ArmVerified}, litmus.SB())
 	out := litmus.Outcomes(arm, armcats.New())
 	if !out.Contains("0:a=0", "1:b=0") {
 		t.Fatal("the verified mapping must not over-synchronize: SB weak outcome should survive")

@@ -96,7 +96,7 @@ func TestVerifiedMappingOnRandomPrograms(t *testing.T) {
 	for seed := 0; seed < nSeeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed) + 7_000))
 		p := randPlainProgram(rng)
-		arm := X86ToArm(p, X86Verified, ArmVerified, RMWCasal)
+		arm := ApplyRoute([]*Scheme{X86Verified, ArmVerified}, p)
 		v := VerifyTheorem1(p, x86tso.New(), arm, armcats.New())
 		if !v.Correct() {
 			t.Fatalf("seed %d: verified mapping introduced behaviours on a random program: %v\nprogram: %+v",

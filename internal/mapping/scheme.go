@@ -247,7 +247,7 @@ var (
 	// membar direction maps to the directional IR fence of the same shape.
 	sparcToTCG = &Scheme{
 		Name: "sparc→tcg/verified", Src: memmodel.LevelSPARC, Dst: memmodel.LevelTCG, Verified: true,
-		Load: x86ToTCGVerified.Load, Store: x86ToTCGVerified.Store, RMW: x86ToTCGVerified.RMW,
+		Load: X86Verified.Load, Store: X86Verified.Store, RMW: X86Verified.RMW,
 		Fences: map[memmodel.Fence]memmodel.Fence{
 			memmodel.FenceMembarLL: memmodel.FenceFrr, memmodel.FenceMembarLS: memmodel.FenceFrw,
 			memmodel.FenceMembarSL: memmodel.FenceFwr, memmodel.FenceMembarSS: memmodel.FenceFww,
@@ -256,8 +256,8 @@ var (
 	// IMM speaks the IR fence vocabulary and its dependency order is a
 	// subset of Armed-Cats' dob, so the verified IMM hops are the verified
 	// IR tables under another level label.
-	x86ToIMM = x86ToTCGVerified.relabel("x86→imm/verified", memmodel.LevelX86, memmodel.LevelIMM)
-	immToArm = tcgToArmVerified.relabel("imm→arm/verified", memmodel.LevelIMM, memmodel.LevelArm)
+	x86ToIMM = X86Verified.relabel("x86→imm/verified", memmodel.LevelX86, memmodel.LevelIMM)
+	immToArm = ArmVerified.relabel("imm→arm/verified", memmodel.LevelIMM, memmodel.LevelArm)
 )
 
 // relabel returns a copy of the table under another name and level pair.
@@ -266,12 +266,6 @@ func (s *Scheme) relabel(name string, src, dst memmodel.Level) *Scheme {
 	c.Name, c.Src, c.Dst = name, src, dst
 	return c
 }
-
-// X86ToSPARC translates an x86-level program to the SPARC level.
-func X86ToSPARC(p *litmus.Program) *litmus.Program { return x86ToSPARC.Apply(p) }
-
-// SPARCToTCG translates a SPARC-level program to the TCG IR level.
-func SPARCToTCG(p *litmus.Program) *litmus.Program { return sparcToTCG.Apply(p) }
 
 // DefaultSchemes returns the registry of built-in schemes: Risotto's
 // verified x86→IR→Arm chain (both RMW lowering styles), QEMU's original
@@ -283,8 +277,8 @@ func SPARCToTCG(p *litmus.Program) *litmus.Program { return sparcToTCG.Apply(p) 
 func DefaultSchemes() *SchemeRegistry {
 	r := &SchemeRegistry{}
 	for _, s := range []*Scheme{
-		x86ToTCGVerified, x86ToTCGQemu, x86ToSPARC, x86ToIMM, sparcToTCG,
-		tcgToArmVerified, tcgToArmVerifiedLxSx, tcgToArmQemuCasal, tcgToArmQemuLxSx, immToArm,
+		X86Verified, X86Qemu, x86ToSPARC, x86ToIMM, sparcToTCG,
+		ArmVerified, ArmVerifiedLxSx, ArmQemuCasal, ArmQemuLxSx, immToArm,
 	} {
 		r.MustRegister(s)
 	}

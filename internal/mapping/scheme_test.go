@@ -109,7 +109,7 @@ func countFences(p *litmus.Program, k memmodel.Fence) int {
 // SBFenced weak outcome) under SPARC-TSO.
 func TestX86ToSPARC(t *testing.T) {
 	p := litmus.SBFenced()
-	sp := X86ToSPARC(p)
+	sp := x86ToSPARC.Apply(p)
 	if got := countFences(sp, memmodel.FenceMembarSL); got != countFences(p, memmodel.FenceMFENCE) {
 		t.Errorf("membar #SL count %d != MFENCE count %d", got, countFences(p, memmodel.FenceMFENCE))
 	}
@@ -135,7 +135,7 @@ func TestSPARCToTCGMembars(t *testing.T) {
 				litmus.Load{Dst: "a", Loc: "X"},
 			}},
 		}
-		out := SPARCToTCG(p)
+		out := sparcToTCG.Apply(p)
 		want := 1
 		if ir == memmodel.FenceFww {
 			// The verified placement itself emits Fww before the store, on

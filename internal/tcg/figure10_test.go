@@ -25,7 +25,7 @@ var (
 	irModel = tcgmm.New()
 	// figure7a brackets every access; bare is the same table without the
 	// brackets (MFENCE still becomes Fsc).
-	figure7a = mapping.X86Verified.Table()
+	figure7a = mapping.X86Verified
 	bare     = func() *mapping.Scheme {
 		s := figure7a.Clone()
 		s.Load, s.Store = mapping.Placement{}, mapping.Placement{}

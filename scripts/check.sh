@@ -23,10 +23,11 @@
 # are the two join handlers (machine/syscall.go, core/helpers.go). The
 # machine has one interpreter loop: transition.go calls no m.step(, and
 # every non-test m.step( call in internal/machine is inside advance. DPOR
-# backtracks by rollback: dpor.go calls e.restart( once and Reset( never. A
-# one-iteration bench smoke keeps scripts/bench_snapshot.sh and the
-# benchmarks it snapshots compiling; the
-# perf smoke does the same for the benchmark module under perf/. The explore
+# backtracks by rollback: dpor.go calls e.restart( once and Reset( never.
+# The bench smoke runs each body of the rel, enumeration, Theorem-1,
+# campaign, tier-up and explore benchmarks once, so they keep compiling and
+# running; the perf smoke does the same for the benchmark module under
+# perf/, which is the one place benchmark figures are recorded. The explore
 # stages pin the operational exploration engine: DPOR must reach every
 # allowed SB outcome, budget-exhausted DPOR and walk traces must replay
 # byte-identically (IRIW's 20000-state DPOR budget runs out on a leaf, which
@@ -412,8 +413,11 @@ grep -q "^16-16 " "$SH_TMP/fig15.txt" \
 grep -Eq '"core\.blocks": [1-9]' "$SH_TMP/fig15.txt" \
 	|| { echo "risobench fig15 -metrics json: core.blocks missing or zero" >&2; exit 1; }
 
-stage "bench smoke: scripts/bench_snapshot.sh (one short iteration)"
-BENCHTIME=1x ./scripts/bench_snapshot.sh "$(mktemp)"
+stage "bench smoke: the rel, enumeration, Theorem-1, campaign, tier-up and explore benchmarks (-benchtime 1x)"
+go test -run '^$' -bench 'BenchmarkRelOps' -benchtime 1x ./internal/rel/ >"$SH_TMP/bench.txt" \
+	&& go test -run '^$' -bench '^BenchmarkEnumerate$|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' \
+		-benchtime 1x . >>"$SH_TMP/bench.txt" \
+	|| { echo "bench smoke failed" >&2; cat "$SH_TMP/bench.txt" >&2; exit 1; }
 
 stage ""
 echo "OK (${SECONDS}s)"
