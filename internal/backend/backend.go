@@ -22,6 +22,7 @@ package backend
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa/arm"
 	"repro/internal/mapping"
@@ -138,16 +139,38 @@ func hostReg(t tcg.Temp) (arm.Reg, error) {
 	return r, nil
 }
 
+// gen is one Generate call's working state. Generate takes it from gens
+// and puts it back, so its buffers are reused from block to block; what
+// Generate returns (the code, the chain slots) is allocated afresh.
 type gen struct {
 	tab    *mapping.Scheme // cfg.CAS's table: every barrier emitted is read from it
 	insts  []arm.Inst
 	fixups []fixup // intra-block label references
-	labels map[int]int
-	stats  Stats
+	// labels[l] is the position of IR label l and internal[k] that of
+	// lowering-internal label -k-1, or -1 while the label is unset.
+	labels, internal []int
+	stats            Stats
 	// nextInternalLabel allocates labels for lowering-internal loops,
 	// numbered downward from -1 to avoid clashing with IR labels.
 	nextInternalLabel int
 }
+
+var gens = sync.Pool{New: func() any { return new(gen) }}
+
+// backendMetrics are the handles under the scope's "backend" child.
+type backendMetrics struct {
+	blocks, insts *obs.Counter
+	codeBytes     *obs.Histogram
+}
+
+var metrics = obs.NewHandles(func(sc *obs.Scope) backendMetrics {
+	sc = sc.Child("backend")
+	return backendMetrics{
+		blocks:    sc.Counter("blocks"),
+		insts:     sc.Counter("insts"),
+		codeBytes: sc.Histogram("code_bytes", obs.SizeBuckets),
+	}
+})
 
 type fixup struct {
 	instIdx int
@@ -161,7 +184,20 @@ func (g *gen) emitBranchTo(i arm.Inst, label int) {
 	g.emit(i)
 }
 
-func (g *gen) setLabel(l int) { g.labels[l] = len(g.insts) }
+// labelPos returns the slot holding label l's position, growing the table
+// it lives in to reach it.
+func (g *gen) labelPos(l int) *int {
+	tab, i := &g.labels, l
+	if l < 0 {
+		tab, i = &g.internal, -l-1
+	}
+	for len(*tab) <= i {
+		*tab = append(*tab, -1)
+	}
+	return &(*tab)[i]
+}
+
+func (g *gen) setLabel(l int) { *g.labelPos(l) = len(g.insts) }
 
 func (g *gen) internalLabel() int {
 	g.nextInternalLabel--
@@ -221,12 +257,22 @@ func (g *gen) dmb(f memmodel.Fence) {
 	}
 }
 
-// Generate lowers a block to encoded host code placed at base.
+// Generate lowers a block to encoded host code placed at base. The code and
+// the chain slots are the caller's: no later call touches them.
 func Generate(b *tcg.Block, base uint64, cfg Config) ([]byte, Stats, error) {
 	if cfg.CAS < 0 || int(cfg.CAS) >= len(tables) {
 		return nil, Stats{}, fmt.Errorf("backend: no IR→Arm table for CASLowering(%d)", cfg.CAS)
 	}
-	g := &gen{tab: tables[cfg.CAS], labels: make(map[int]int)}
+	g := gens.Get().(*gen)
+	defer func() {
+		g.stats = Stats{} // the chain slots are the caller's
+		gens.Put(g)
+	}()
+	*g = gen{tab: tables[cfg.CAS], insts: g.insts[:0], fixups: g.fixups[:0],
+		labels: g.labels[:0], internal: g.internal[:0]}
+	if n := b.CountOp(tcg.OpExit); n > 0 {
+		g.stats.ChainSlots = make([]ChainSlot, 0, n)
+	}
 	for _, in := range b.Insts {
 		if err := g.lower(in); err != nil {
 			return nil, Stats{}, err
@@ -241,14 +287,14 @@ func Generate(b *tcg.Block, base uint64, cfg Config) ([]byte, Stats, error) {
 
 	// Resolve intra-block labels.
 	for _, f := range g.fixups {
-		pos, ok := g.labels[f.label]
-		if !ok {
+		pos := *g.labelPos(f.label)
+		if pos < 0 {
 			return nil, Stats{}, fmt.Errorf("backend: unresolved label L%d", f.label)
 		}
 		g.insts[f.instIdx].Off = int32(pos - f.instIdx)
 	}
 
-	var code []byte
+	code := make([]byte, 0, len(g.insts)*arm.InstBytes)
 	for i, inst := range g.insts {
 		var err error
 		code, err = arm.EncodeTo(code, inst)
@@ -258,11 +304,10 @@ func Generate(b *tcg.Block, base uint64, cfg Config) ([]byte, Stats, error) {
 	}
 	g.stats.Insts = len(g.insts)
 	_ = base // blocks are position-independent: all branches are relative
-	if sc := cfg.Obs.Child("backend"); sc != nil {
-		sc.Counter("blocks").Inc()
-		sc.Counter("insts").Add(uint64(len(g.insts)))
-		sc.Histogram("code_bytes", obs.SizeBuckets).Observe(uint64(len(code)))
-	}
+	m := metrics.Of(cfg.Obs)
+	m.blocks.Inc()
+	m.insts.Add(uint64(len(g.insts)))
+	m.codeBytes.Observe(uint64(len(code)))
 	return code, g.stats, nil
 }
 

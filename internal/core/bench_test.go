@@ -7,7 +7,8 @@ import (
 )
 
 // BenchmarkTranslation measures translation throughput (guest bytes per
-// host second): build a kernel image and translate every block once.
+// host second) and the allocations a run costs: build a kernel image and
+// translate every block once.
 func BenchmarkTranslation(b *testing.B) {
 	k, err := workloads.KernelByName("matrixmultiply")
 	if err != nil {
@@ -21,6 +22,7 @@ func BenchmarkTranslation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var guestBytes uint64
 	for i := 0; i < b.N; i++ {

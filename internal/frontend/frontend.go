@@ -9,6 +9,7 @@ package frontend
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/isa/x86"
@@ -56,12 +57,25 @@ type Config struct {
 	Obs *obs.Scope
 }
 
-// translator carries per-block state.
+// translator carries per-block state: the block being built, whose op list
+// is scratch reused from block to block, and the recycled locals.
+// Translate takes one from translators and puts it back, and returns a copy
+// of the block, so no scratch escapes.
 type translator struct {
 	cfg  Config
 	b    *tcg.Block
 	pool []tcg.Temp // recycled locals
 }
+
+var translators = sync.Pool{New: func() any { return &translator{b: tcg.NewBlock()} }}
+
+// frontendMetrics are the counters under the scope's "frontend" child.
+type frontendMetrics struct{ blocks, insts *obs.Counter }
+
+var metrics = obs.NewHandles(func(sc *obs.Scope) frontendMetrics {
+	sc = sc.Child("frontend")
+	return frontendMetrics{blocks: sc.Counter("blocks"), insts: sc.Counter("insts")}
+})
 
 func (tr *translator) tmp() tcg.Temp {
 	if n := len(tr.pool); n > 0 {
@@ -107,7 +121,7 @@ func condOf(c x86.Cond) tcg.Cond {
 
 // Translate decodes guest code at pc (reading from mem) and produces one
 // translation block, ending at the first branch or after cfg.MaxInsts
-// instructions.
+// instructions. The block is the caller's: no later call touches it.
 func Translate(mem []byte, pc uint64, cfg Config) (*tcg.Block, error) {
 	if cfg.Scheme == nil {
 		return nil, errors.New("frontend: no x86→IR mapping table (Config.Scheme is nil)")
@@ -115,55 +129,62 @@ func Translate(mem []byte, pc uint64, cfg Config) (*tcg.Block, error) {
 	if cfg.MaxInsts <= 0 {
 		cfg.MaxInsts = 64
 	}
-	tr := &translator{cfg: cfg, b: tcg.NewBlock()}
-	tr.b.GuestPC = pc
-
-	decoded := 0
-	done := func() {
-		sc := cfg.Obs.Child("frontend")
-		sc.Counter("blocks").Inc()
-		sc.Counter("insts").Add(uint64(decoded))
+	tr := translators.Get().(*translator)
+	tr.cfg = cfg
+	*tr.b = tcg.Block{Insts: tr.b.Insts[:0], NumTemps: tcg.NumGlobals, GuestPC: pc}
+	tr.pool = tr.pool[:0]
+	decoded, err := tr.block(mem, pc)
+	var blk *tcg.Block
+	if err == nil {
+		blk = tr.b.Clone()
+		m := metrics.Of(cfg.Obs)
+		m.blocks.Inc()
+		m.insts.Add(uint64(decoded))
 	}
+	tr.cfg = Config{}
+	translators.Put(tr)
+	return blk, err
+}
 
+// block decodes guest code at pc into tr.b and returns how many guest
+// instructions it translated.
+func (tr *translator) block(mem []byte, pc uint64) (decoded int, err error) {
 	cur := pc
-	for n := 0; n < cfg.MaxInsts; n++ {
+	for n := 0; n < tr.cfg.MaxInsts; n++ {
 		if cur >= uint64(len(mem)) {
 			t := faults.New(faults.TrapUnmapped, "frontend: guest pc outside memory")
 			t.Addr = cur
-			return nil, t.WithGuestPC(cur)
+			return 0, t.WithGuestPC(cur)
 		}
-		if t := cfg.Inject.Hit(faults.SiteDecode); t != nil {
-			return nil, t.WithGuestPC(cur)
+		if t := tr.cfg.Inject.Hit(faults.SiteDecode); t != nil {
+			return 0, t.WithGuestPC(cur)
 		}
 		inst, size, err := x86.Decode(mem[cur:])
 		if err != nil {
-			return nil, faults.Wrap(faults.TrapDecode, err, "frontend: guest decode").WithGuestPC(cur)
+			return 0, faults.Wrap(faults.TrapDecode, err, "frontend: guest decode").WithGuestPC(cur)
 		}
-		if cfg.SyscallBarrier && inst.Op == x86.SYSCALL && n > 0 {
+		if tr.cfg.SyscallBarrier && inst.Op == x86.SYSCALL && n > 0 {
 			// End the block before the syscall; the dispatcher re-enters
 			// at cur and translates the syscall as its own block.
 			tr.b.Exit(cur)
 			tr.b.GuestEnd = cur
-			done()
-			return tr.b, nil
+			return decoded, nil
 		}
 		next := cur + uint64(size)
 		if err := tr.emit(inst, next); err != nil {
-			return nil, fmt.Errorf("frontend: at %#x (%v): %w", cur, inst, err)
+			return 0, fmt.Errorf("frontend: at %#x (%v): %w", cur, inst, err)
 		}
 		cur = next
 		decoded++
 		if inst.IsBranch() {
 			tr.b.GuestEnd = cur
-			done()
-			return tr.b, nil
+			return decoded, nil
 		}
 	}
 	// Block limit reached: fall through to the next guest pc.
 	tr.b.Exit(cur)
 	tr.b.GuestEnd = cur
-	done()
-	return tr.b, nil
+	return decoded, nil
 }
 
 // address computes a memory operand's effective address into a fresh temp.

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -81,8 +82,9 @@ func TestLoadStoreAddressing(t *testing.T) {
 		t.Fatalf("lea = %#x", it.Temps[x86.RDX])
 	}
 	// The store landed at base+idx*scale+disp.
-	if v, _ := it.Temps[x86.RBX], 0; v != 0xAB {
-		_ = v
+	const at = 0x4000 + 3*8 + 16
+	if v := binary.LittleEndian.Uint64(it.Mem.(tcg.Flat)[at:]); v != 0xAB {
+		t.Fatalf("mem[%#x] = %#x, want the stored 0xab", at, v)
 	}
 }
 

@@ -185,3 +185,36 @@ func TestValidateSnapshotJSONRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlesResolveOnce: a Handles builds its set once per scope, hands
+// every later caller the same handles, and a nil scope the zero set.
+func TestHandlesResolveOnce(t *testing.T) {
+	type set struct{ blocks *Counter }
+	builds := 0
+	h := NewHandles(func(s *Scope) set {
+		builds++
+		return set{blocks: s.Child("layer").Counter("blocks")}
+	})
+	root := NewScope("")
+	for i := 0; i < 3; i++ {
+		h.Of(root).blocks.Inc()
+	}
+	other := NewScope("")
+	h.Of(other).blocks.Inc()
+	if builds != 2 {
+		t.Errorf("built %d times for two scopes, want 2", builds)
+	}
+	if got := root.Snapshot().Counter("layer.blocks"); got != 3 {
+		t.Errorf("root layer.blocks = %d, want 3", got)
+	}
+	if got := other.Snapshot().Counter("layer.blocks"); got != 1 {
+		t.Errorf("other layer.blocks = %d, want 1", got)
+	}
+	if s := h.Of(nil); s.blocks != nil {
+		t.Errorf("a nil scope resolved %+v, want the zero set", s)
+	}
+	h.Of(nil).blocks.Inc() // a no-op, not a panic
+	if n := testing.AllocsPerRun(10, func() { h.Of(root).blocks.Inc() }); n != 0 {
+		t.Errorf("a resolved set costs %v allocations per use, want 0", n)
+	}
+}

@@ -1,5 +1,7 @@
 package obs
 
+import "sync"
+
 // Scope is the instrumentation handle threaded through the stack: a
 // registry plus a tracer, with an optional name prefix for metrics.
 // Child scopes share both and extend the prefix. A nil *Scope disables
@@ -9,6 +11,9 @@ type Scope struct {
 	prefix string
 	reg    *Registry
 	tr     *Tracer
+	// handles holds what each Handles resolved in this scope, keyed by
+	// the *Handles.
+	handles sync.Map
 }
 
 // NewScope returns a root scope with a fresh registry and a tracer of
@@ -126,4 +131,35 @@ func (s *Scope) Snapshot() Snapshot {
 	snap := s.reg.Snapshot()
 	snap.Spans = s.tr.Stats()
 	return snap
+}
+
+// Handles is a set of metric handles — a struct of counters, histograms
+// and the like — that a layer reporting once per block or per job resolves
+// once per scope: Of builds it on a scope's first use and returns the same
+// set after, so the caller neither concatenates names nor takes the
+// registry lock again. Declare one per layer, as a package variable.
+type Handles[T any] struct {
+	build func(*Scope) T
+}
+
+// NewHandles returns a Handles that builds its set with build. The zero T
+// must be the set that records nothing (a struct of nil handles is): a nil
+// scope gets it.
+func NewHandles[T any](build func(*Scope) T) *Handles[T] {
+	return &Handles[T]{build: build}
+}
+
+// Of returns the set resolved in s, building it on first use. Nil-safe: a
+// nil scope yields the zero T. Concurrent first uses may both build; one
+// set wins, and the handles of both name the same registry metrics.
+func (h *Handles[T]) Of(s *Scope) T {
+	if s == nil {
+		var zero T
+		return zero
+	}
+	if v, ok := s.handles.Load(h); ok {
+		return v.(T)
+	}
+	v, _ := s.handles.LoadOrStore(h, h.build(s))
+	return v.(T)
 }

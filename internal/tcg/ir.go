@@ -333,26 +333,18 @@ func (i Inst) HasDst() bool {
 	return false
 }
 
-// Uses returns the temps the op reads.
-func (i Inst) Uses() []Temp {
+// Uses returns the temps the op reads: the first n of uses.
+func (i Inst) Uses() (uses [3]Temp, n int) {
 	switch i.Op {
-	case OpMov, OpNeg, OpNot, OpExitInd:
-		return []Temp{i.A}
+	case OpMov, OpNeg, OpNot, OpExitInd, OpLd:
+		return [3]Temp{i.A}, 1
 	case OpAdd, OpSub, OpMul, OpUDiv, OpURem, OpAnd, OpOr, OpXor, OpShl,
-		OpShr, OpSar, OpSetcond, OpBrcond:
-		return []Temp{i.A, i.B}
-	case OpLd:
-		return []Temp{i.A}
-	case OpSt:
-		return []Temp{i.A, i.B}
+		OpShr, OpSar, OpSetcond, OpBrcond, OpSt, OpXAdd, OpXchg, OpCall:
+		return [3]Temp{i.A, i.B}, 2
 	case OpCAS:
-		return []Temp{i.A, i.B, i.C}
-	case OpXAdd, OpXchg:
-		return []Temp{i.A, i.B}
-	case OpCall:
-		return []Temp{i.A, i.B}
+		return [3]Temp{i.A, i.B, i.C}, 3
 	}
-	return nil
+	return uses, 0
 }
 
 // HasSideEffects reports whether the op must be preserved regardless of

@@ -2,6 +2,7 @@ package tcg
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/memmodel"
 	"repro/internal/obs"
@@ -50,25 +51,71 @@ func (cfg OptConfig) Degrade(level int) OptConfig {
 	}
 }
 
+// Pass counters under the scope's "tcg" child, each resolved the first time
+// its pass runs in a scope, so a configuration that never runs a pass
+// reports no counter for it.
+var (
+	constFoldsCounter        = passCounter("const_folds")
+	accessesForwardedCounter = passCounter("accesses_forwarded")
+	storesEliminatedCounter  = passCounter("stores_eliminated")
+	fencesMergedCounter      = passCounter("fences_merged")
+	deadInstsCounter         = passCounter("dead_insts")
+)
+
+func passCounter(name string) *obs.Handles[*obs.Counter] {
+	return obs.NewHandles(func(sc *obs.Scope) *obs.Counter { return sc.Child("tcg").Counter(name) })
+}
+
+// scratch is the working memory of one Optimize call: dense tables indexed
+// by temp and by label, sized to the block, and accessElim's entries.
+// Optimize takes it from scratchPool and puts it back, so the passes
+// allocate nothing per block.
+type scratch struct {
+	temps, labels int // the block's NumTemps (at least NumGlobals) and NumLabels
+	known         []int64
+	isKnown       []bool
+	live          []bool
+	labelLive     []bool // temps live at label l: labelLive[l*temps:][:temps]
+	labelSet      []bool
+	entries       []accessEntry
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// zeroed returns s resliced to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Optimize runs the configured passes in order. All passes assume the
 // frontend's invariant that intra-block branches only jump forward. Every
 // pass rewrites b.Insts in place and returns how many rewrites it made;
-// only the final removeNops changes the length.
+// only the final removeNops changes the length. b's temps and labels must
+// be below its NumTemps and NumLabels, as Block.Temp and Block.NewLabel
+// allocate them.
 func Optimize(b *Block, cfg OptConfig) {
-	sc := cfg.Obs.Child("tcg")
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.temps, s.labels = max(b.NumTemps, NumGlobals), b.NumLabels
 	if cfg.ConstProp {
-		sc.Counter("const_folds").Add(constProp(b))
+		constFoldsCounter.Of(cfg.Obs).Add(constProp(b, s))
 	}
 	if cfg.AccessElim {
-		forwarded, dropped := accessElim(b)
-		sc.Counter("accesses_forwarded").Add(forwarded)
-		sc.Counter("stores_eliminated").Add(dropped)
+		forwarded, dropped := accessElim(b, s)
+		accessesForwardedCounter.Of(cfg.Obs).Add(forwarded)
+		storesEliminatedCounter.Of(cfg.Obs).Add(dropped)
 	}
 	if cfg.FenceMerge {
-		sc.Counter("fences_merged").Add(mergeFences(b))
+		fencesMergedCounter.Of(cfg.Obs).Add(mergeFences(b))
 	}
 	if cfg.DeadCode {
-		sc.Counter("dead_insts").Add(deadCode(b))
+		deadInstsCounter.Of(cfg.Obs).Add(deadCode(b, s))
 	}
 	removeNops(b)
 }
@@ -76,8 +123,10 @@ func Optimize(b *Block, cfg OptConfig) {
 // --- Constant propagation and folding --------------------------------------
 
 // constProp returns how many instructions it rewrote.
-func constProp(b *Block) (folds uint64) {
-	known := make(map[Temp]int64)
+func constProp(b *Block, s *scratch) (folds uint64) {
+	// known[t] is temp t's value where isKnown[t].
+	known, isKnown := zeroed(s.known, s.temps), zeroed(s.isKnown, s.temps)
+	s.known, s.isKnown = known, isKnown
 	for idx := range b.Insts {
 		in := &b.Insts[idx]
 		// fold rewrites the instruction into the constant it computes.
@@ -85,18 +134,16 @@ func constProp(b *Block) (folds uint64) {
 			*in = Inst{Op: OpMovI, Dst: in.Dst, Imm: v}
 			folds++
 		}
-		av, aok := known[in.A]
-		bv, bok := known[in.B]
+		av, aok := known[in.A], isKnown[in.A]
+		bv, bok := known[in.B], isKnown[in.B]
 		switch in.Op {
 		case OpSetLabel:
 			// Join point: a branch may arrive with different values.
-			known = make(map[Temp]int64)
+			clear(isKnown)
 			continue
 		case OpCall:
 			// Helpers may rewrite guest state.
-			for t := Temp(0); t < NumGlobals; t++ {
-				delete(known, t)
-			}
+			clear(isKnown[:NumGlobals])
 		case OpMov:
 			if aok {
 				fold(av)
@@ -137,9 +184,9 @@ func constProp(b *Block) (folds uint64) {
 		// What the instruction, as rewritten, leaves in its destination: a
 		// simplified ALU op became a movi or a mov of its unknown operand.
 		if in.Op == OpMovI {
-			known[in.Dst] = in.Imm
+			known[in.Dst], isKnown[in.Dst] = in.Imm, true
 		} else if in.HasDst() {
-			delete(known, in.Dst)
+			isKnown[in.Dst] = false
 		}
 	}
 	return folds
@@ -344,8 +391,8 @@ func overlapKeys(a, b accessKey) bool {
 
 // accessElim applies Figure10 to b and returns how many loads it turned
 // into copies and how many stores it dropped.
-func accessElim(b *Block) (forwarded, dropped uint64) {
-	var entries []accessEntry // at most one per key
+func accessElim(b *Block, s *scratch) (forwarded, dropped uint64) {
+	entries := s.entries[:0] // at most one per key
 	forgetTemp := func(t Temp) {
 		entries = slices.DeleteFunc(entries, func(e accessEntry) bool {
 			return e.key.base == t || e.valTemp == t
@@ -406,6 +453,7 @@ func accessElim(b *Block) (forwarded, dropped uint64) {
 			}
 		}
 	}
+	s.entries = entries[:0]
 	return forwarded, dropped
 }
 
@@ -484,25 +532,22 @@ func mergeFences(b *Block) (merged uint64) {
 // --- Dead code elimination ----------------------------------------------------
 
 // deadCode returns how many instructions it removed.
-func deadCode(b *Block) (dead uint64) {
-	live := make(map[Temp]bool)
-	for t := Temp(0); t < NumGlobals; t++ {
-		live[t] = true
+func deadCode(b *Block, s *scratch) (dead uint64) {
+	n := s.temps
+	// live[t]: temp t is live at the current point of the backward scan;
+	// labelLive's row l: the temps live at label l, once labelSet[l].
+	live := zeroed(s.live, n)
+	labelLive, labelSet := zeroed(s.labelLive, s.labels*n), zeroed(s.labelSet, s.labels)
+	s.live, s.labelLive, s.labelSet = live, labelLive, labelSet
+	globals := live[:NumGlobals]
+	for t := range globals {
+		globals[t] = true
 	}
-	liveAtLabel := make(map[int]map[Temp]bool)
-
-	cloneLive := func(m map[Temp]bool) map[Temp]bool {
-		c := make(map[Temp]bool, len(m))
-		for k, v := range m {
-			if v {
-				c[k] = true
-			}
-		}
-		return c
-	}
+	atLabel := func(l int) []bool { return labelLive[l*n : (l+1)*n] }
 
 	for idx := len(b.Insts) - 1; idx >= 0; idx-- {
 		in := &b.Insts[idx]
+		uses, nu := in.Uses()
 		switch in.Op {
 		case OpCall:
 			// Helpers read guest state beyond their explicit arguments
@@ -511,12 +556,12 @@ func deadCode(b *Block) (dead uint64) {
 			// call — even one the block overwrites just below it. Only a
 			// local result temp is defined by the call.
 			if in.Dst >= NumGlobals {
-				delete(live, in.Dst)
+				live[in.Dst] = false
 			}
-			for t := Temp(0); t < NumGlobals; t++ {
-				live[t] = true
+			for t := range globals {
+				globals[t] = true
 			}
-			for _, u := range in.Uses() {
+			for _, u := range uses[:nu] {
 				live[u] = true
 			}
 			continue
@@ -526,25 +571,26 @@ func deadCode(b *Block) (dead uint64) {
 			// scan's initial state, but a mid-block side exit (a
 			// superblock seam, or the not-taken arm of a conditional)
 			// must restore globals the scan has since consumed.
-			for t := Temp(0); t < NumGlobals; t++ {
-				live[t] = true
+			for t := range globals {
+				globals[t] = true
 			}
-			for _, u := range in.Uses() {
+			for _, u := range uses[:nu] {
 				live[u] = true
 			}
 			continue
 		case OpSetLabel:
-			liveAtLabel[in.Label] = cloneLive(live)
+			copy(atLabel(in.Label), live)
+			labelSet[in.Label] = true
 			continue
 		case OpBr:
-			if l, ok := liveAtLabel[in.Label]; ok {
-				live = cloneLive(l)
+			if labelSet[in.Label] {
+				copy(live, atLabel(in.Label))
 			}
 			continue
 		case OpBrcond:
-			if l, ok := liveAtLabel[in.Label]; ok {
-				for t := range l {
-					live[t] = true
+			if labelSet[in.Label] {
+				for t, l := range atLabel(in.Label) {
+					live[t] = live[t] || l
 				}
 			}
 			live[in.A] = true
@@ -557,9 +603,9 @@ func deadCode(b *Block) (dead uint64) {
 			continue
 		}
 		if in.HasDst() {
-			delete(live, in.Dst)
+			live[in.Dst] = false
 		}
-		for _, u := range in.Uses() {
+		for _, u := range uses[:nu] {
 			live[u] = true
 		}
 	}

@@ -24,16 +24,16 @@
 # machine has one interpreter loop: transition.go calls no m.step(, and
 # every non-test m.step( call in internal/machine is inside advance. DPOR
 # backtracks by rollback: dpor.go calls e.restart( once and Reset( never.
-# The bench smoke runs each body of the rel, enumeration, Theorem-1,
-# campaign, tier-up and explore benchmarks once, so they keep compiling and
-# running; the perf smoke does the same for the benchmark module under
-# perf/, which is the one place benchmark figures are recorded. The explore
-# stages pin the operational exploration engine: DPOR must reach every
-# allowed SB outcome, budget-exhausted DPOR and walk traces must replay
-# byte-identically (IRIW's 20000-state DPOR budget runs out on a leaf, which
-# must be recorded, not cut), and a 64-walk corpus run plus a ≥500-test
-# generated campaign must find zero axiomatic-disallowed outcomes. The
-# daemon smoke also submits a kernel too large for a job's memory, which
+# The bench smoke runs each body of the rel, translation, optimizer,
+# enumeration, Theorem-1, campaign, tier-up and explore benchmarks once, so
+# they keep compiling and running; the perf smoke does the same for the
+# benchmark module under perf/, which is the one place benchmark figures are
+# recorded. The explore stages pin the operational exploration engine: DPOR
+# must reach every allowed SB outcome, budget-exhausted DPOR and walk traces
+# must replay byte-identically (IRIW's 20000-state DPOR budget runs out on a
+# leaf, which must be recorded, not cut), and a 64-walk corpus run plus a
+# ≥500-test generated campaign must find zero axiomatic-disallowed outcomes.
+# The daemon smoke also submits a kernel too large for a job's memory, which
 # must be refused with 422 before the daemon builds it. The litmusctl fault
 # smoke requires an injected shard-panic to fail the enumeration with exit 3
 # and one trap line (there is no fallback enumerator), and hands `litmusctl
@@ -413,8 +413,10 @@ grep -q "^16-16 " "$SH_TMP/fig15.txt" \
 grep -Eq '"core\.blocks": [1-9]' "$SH_TMP/fig15.txt" \
 	|| { echo "risobench fig15 -metrics json: core.blocks missing or zero" >&2; exit 1; }
 
-stage "bench smoke: the rel, enumeration, Theorem-1, campaign, tier-up and explore benchmarks (-benchtime 1x)"
+stage "bench smoke: the rel, translation, optimizer, enumeration, Theorem-1, campaign, tier-up and explore benchmarks (-benchtime 1x)"
 go test -run '^$' -bench 'BenchmarkRelOps' -benchtime 1x ./internal/rel/ >"$SH_TMP/bench.txt" \
+	&& go test -run '^$' -bench '^BenchmarkTranslation$' -benchtime 1x ./internal/core/ >>"$SH_TMP/bench.txt" \
+	&& go test -run '^$' -bench '^BenchmarkOptimize$' -benchtime 1x ./internal/tcg/ >>"$SH_TMP/bench.txt" \
 	&& go test -run '^$' -bench '^BenchmarkEnumerate$|BenchmarkTheorem1|BenchmarkCampaignTest|BenchmarkTierUp|BenchmarkExplore' \
 		-benchtime 1x . >>"$SH_TMP/bench.txt" \
 	|| { echo "bench smoke failed" >&2; cat "$SH_TMP/bench.txt" >&2; exit 1; }
